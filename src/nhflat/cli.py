@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from nhflat import families, flow
-from nhflat.exterior import d
 from nhflat.structure import (
     DEFAULT_TOL,
     NhfStructure,
@@ -103,7 +102,6 @@ def cmd_classify(args) -> int:
         _emit({"valid": False, "failing": report.failing()}, args.out)
         return EXIT_INVALID
     cls = torsion_mod.classify(s)
-    data = torsion_mod.extract_torsion(s)
     _emit(
         {
             "class": cls.label,
@@ -111,30 +109,18 @@ def cmd_classify(args) -> int:
             "predicate_residuals": {
                 k: float(v) for k, v in cls.predicate_residuals.items()
             },
-            "w1plus": data.w1plus,
-            "w1minus": data.w1minus,
-            "s": data.s,
+            "w1plus": torsion_mod.w1_plus(s),
+            "w1minus": s.w1_minus,
+            "s": torsion_mod.scalar_curvature(s),
         },
         args.out,
     )
     return EXIT_OK
 
 
-def _run_flow_one(s, args):
-    traj = flow.integrate(
-        s,
-        args.t_start,
-        args.t_end,
-        h=args.h,
-        record_every=args.record_every,
-    )
-    return traj
-
-
 def cmd_flow(args) -> int:
     inputs = list(args.input)
-    if len(inputs) > 1:
-        args.batch = True
+    batch = len(inputs) > 1
     code = EXIT_OK
     summaries = []
     for k, path in enumerate(inputs):
@@ -148,7 +134,9 @@ def cmd_flow(args) -> int:
             )
             return EXIT_INVALID
         try:
-            traj = _run_flow_one(s, args)
+            traj = flow.integrate(
+                s, args.t_start, args.t_end, h=args.h, record_every=args.record_every
+            )
         except flow.FlowSingularityError as exc:
             traj = exc.trajectory
             summary = traj.to_record() if traj.samples else {}
@@ -158,11 +146,11 @@ def cmd_flow(args) -> int:
             summaries.append(summary)
             code = EXIT_SINGULAR
             if args.out and traj.samples:
-                traj.to_csv(_batch_path(args.out, k, args.batch))
+                traj.to_csv(_batch_path(args.out, k, batch))
             continue
         summaries.append(traj.to_record())
         if args.out:
-            traj.to_csv(_batch_path(args.out, k, args.batch))
+            traj.to_csv(_batch_path(args.out, k, batch))
         else:
             sys.stdout.write(traj.to_csv())
     for summary in summaries:
@@ -316,8 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--h", type=float, default=1e-3, help="RK4 step size")
     p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--out", default=None, help="trajectory CSV path")
-    p.add_argument("--batch", action="store_true", help="integrate several inputs")
+    p.add_argument(
+        "--out",
+        default=None,
+        help="trajectory CSV path; with several inputs, <root>_<k>.csv per input",
+    )
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("family", help="emit closed-form family members")

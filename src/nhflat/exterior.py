@@ -13,6 +13,7 @@ The positive orientation is e123456; all Hodge signs follow from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -24,6 +25,10 @@ BASIS = {k: list(itertools.combinations(range(1, DIM + 1), k)) for k in range(DI
 #: degree -> {tuple: position}
 BASIS_INDEX = {k: {mono: n for n, mono in enumerate(BASIS[k])} for k in range(DIM + 1)}
 DIMS = [len(BASIS[k]) for k in range(DIM + 1)]
+# degree -> (DIMS[k], k) array of the 0-based coframe indices of each monomial
+_INDEX_ARRAY = {
+    k: np.array(BASIS[k], dtype=np.intp).reshape(DIMS[k], k) - 1 for k in range(DIM + 1)
+}
 
 # differential of each coframe element: index -> (2-index tuple, sign)
 COFRAME_DIFFERENTIAL = {
@@ -52,22 +57,18 @@ def _merge(left: tuple, right: tuple):
     return tuple(merged[n] for n in order), sign
 
 
-# cache of merge tables keyed by (deg_left, deg_right)
-_WEDGE_TABLE: dict = {}
-
-
-def _wedge_table(j: int, k: int):
-    tbl = _WEDGE_TABLE.get((j, k))
-    if tbl is None:
-        tbl = []
-        for left in BASIS[j]:
-            row = []
-            for right in BASIS[k]:
-                mono, sign = _merge(left, right)
-                row.append(None if sign == 0 else (BASIS_INDEX[j + k][mono], sign))
-            tbl.append(row)
-        _WEDGE_TABLE[(j, k)] = tbl
-    return tbl
+@functools.cache
+def wedge_tensor(j: int, k: int) -> np.ndarray:
+    """Sign tensor T[p, m, n] of the product of the m-th degree-j monomial
+    and the n-th degree-k monomial onto the p-th degree-(j + k) monomial."""
+    T = np.zeros((DIMS[j + k], DIMS[j], DIMS[k]))
+    for m, left in enumerate(BASIS[j]):
+        for n, right in enumerate(BASIS[k]):
+            mono, sign = _merge(left, right)
+            if sign:
+                T[BASIS_INDEX[j + k][mono], m, n] = sign
+    T.flags.writeable = False
+    return T
 
 
 class Form:
@@ -147,19 +148,7 @@ def wedge(x: Form, y: Form) -> Form:
     deg = x.degree + y.degree
     if deg > DIM:
         return Form(0)
-    out = Form(deg)
-    tbl = _wedge_table(x.degree, y.degree)
-    xi = np.nonzero(x.coeffs)[0]
-    yi = np.nonzero(y.coeffs)[0]
-    for i in xi:
-        row = tbl[i]
-        ci = x.coeffs[i]
-        for j in yi:
-            ent = row[j]
-            if ent is not None:
-                pos, sign = ent
-                out.coeffs[pos] += sign * ci * y.coeffs[j]
-    return out
+    return Form(deg, (wedge_tensor(x.degree, y.degree) @ y.coeffs) @ x.coeffs)
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -169,32 +158,18 @@ def wedge_all(*forms: Form) -> Form:
     return out
 
 
-def _d_monomial(mono: tuple) -> Form:
-    out = Form(len(mono) + 1) if len(mono) < DIM else Form(0)
-    if len(mono) >= DIM:
-        return Form(0)
-    for j, idx in enumerate(mono):
-        dpair, dsign = COFRAME_DIFFERENTIAL[idx]
-        rest = mono[:j] + mono[j + 1:]
-        merged, sign = _merge(dpair, rest)
-        if sign != 0:
-            out.coeffs[BASIS_INDEX[len(mono) + 1][merged]] += ((-1) ** j) * dsign * sign
-    return out
-
-
-_D_MATRIX: dict = {}
-
-
+@functools.cache
 def _d_matrix(k: int) -> np.ndarray:
-    mat = _D_MATRIX.get(k)
-    if mat is None:
-        if k >= DIM:
-            mat = np.zeros((1, DIMS[DIM]))
-        else:
-            mat = np.zeros((DIMS[k + 1], DIMS[k]))
-            for n, mono in enumerate(BASIS[k]):
-                mat[:, n] = _d_monomial(mono).coeffs
-        _D_MATRIX[k] = mat
+    """Matrix of d on degree-k forms (k < 6): the Leibniz extension of the
+    coframe differentials to each monomial."""
+    mat = np.zeros((DIMS[k + 1], DIMS[k]))
+    for n, mono in enumerate(BASIS[k]):
+        for j, idx in enumerate(mono):
+            dpair, dsign = COFRAME_DIFFERENTIAL[idx]
+            merged, sign = _merge(dpair, mono[:j] + mono[j + 1:])
+            if sign:
+                mat[BASIS_INDEX[k + 1][merged], n] += ((-1) ** j) * dsign * sign
+    mat.flags.writeable = False
     return mat
 
 
@@ -231,29 +206,26 @@ def contract(v, x: Form) -> Form:
     return out
 
 
+def compound(M, k: int) -> np.ndarray:
+    """k-th compound matrix of the 6x6 matrix M: C[I, J] = det M[I, J] over
+    the degree-k monomials I, J."""
+    idx = _INDEX_ARRAY[k]
+    M = np.asarray(M, dtype=float)
+    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
+
+
 def pullback(M, x: Form) -> Form:
     """Apply the endomorphism M of the coframe (e^i -> sum_j M[i,j] e^j) to
     every slot of x.  Multiplicative over wedge; identity acts trivially."""
     M = np.asarray(M, dtype=float)
     if M.shape != (DIM, DIM):
         raise ValueError("endomorphism must be 6x6")
-    if x.degree == 0:
-        return x.copy()
-    out = Form(x.degree)
-    rows_cache = {}
-    for n, mono in enumerate(BASIS[x.degree]):
-        c = x.coeffs[n]
-        if c == 0:
-            continue
-        rows = rows_cache.get(mono)
-        if rows is None:
-            rows = np.array([i - 1 for i in mono])
-            rows_cache[mono] = rows
-        sub = M[rows, :]
-        for m, target in enumerate(BASIS[x.degree]):
-            cols = np.array([j - 1 for j in target])
-            out.coeffs[m] += c * np.linalg.det(sub[:, cols])
-    return out
+    return Form(x.degree, compound(M, x.degree).T @ x.coeffs)
+
+
+def is_spd(g: np.ndarray) -> bool:
+    """Whether the symmetric part of g is positive definite."""
+    return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
 
 
 def _check_spd(g: np.ndarray):
@@ -261,39 +233,20 @@ def _check_spd(g: np.ndarray):
         raise ValueError("metric must be 6x6")
     if not np.allclose(g, g.T, atol=1e-10 * max(1.0, np.max(np.abs(g)))):
         raise ValueError("metric must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) <= 0:
+    if not is_spd(g):
         raise ValueError("metric must be positive definite")
 
 
-def _gram(ginv: np.ndarray, k: int) -> np.ndarray:
-    """Inner product matrix on degree-k monomials induced by the inverse
-    metric on covectors."""
-    if k == 0:
-        return np.ones((1, 1))
-    basis = BASIS[k]
-    n = len(basis)
-    gram = np.empty((n, n))
-    for i, I in enumerate(basis):
-        ri = [a - 1 for a in I]
-        for j, J in enumerate(basis):
-            cj = [b - 1 for b in J]
-            gram[i, j] = np.linalg.det(ginv[np.ix_(ri, cj)])
-    return gram
-
-
-# complement position and sign: e^I ^ e^{Ic} = sign * e123456
-_COMPLEMENT: dict = {}
-
-
-def _complement(k: int):
-    comp = _COMPLEMENT.get(k)
-    if comp is None:
-        comp = []
-        for mono in BASIS[k]:
-            rest = tuple(i for i in range(1, DIM + 1) if i not in mono)
-            _, sign = _merge(mono, rest)
-            comp.append((BASIS_INDEX[DIM - k][rest], sign))
-        _COMPLEMENT[k] = comp
+@functools.cache
+def _complement(k: int) -> np.ndarray:
+    """Signed permutation taking e^I to sign * e^{Ic}, where
+    e^I ^ e^{Ic} = sign * e123456."""
+    comp = np.zeros((DIMS[DIM - k], DIMS[k]))
+    for n, mono in enumerate(BASIS[k]):
+        rest = tuple(i for i in range(1, DIM + 1) if i not in mono)
+        _, sign = _merge(mono, rest)
+        comp[BASIS_INDEX[DIM - k][rest], n] = sign
+    comp.flags.writeable = False
     return comp
 
 
@@ -305,11 +258,7 @@ def hodge(g, x: Form) -> Form:
     ginv = np.linalg.inv(g)
     vol = np.sqrt(np.linalg.det(g))
     k = x.degree
-    gx = _gram(ginv, k) @ x.coeffs
-    out = Form(DIM - k)
-    for n, (pos, sign) in enumerate(_complement(k)):
-        out.coeffs[pos] = sign * vol * gx[n]
-    return out
+    return Form(DIM - k, vol * (_complement(k) @ (compound(ginv, k) @ x.coeffs)))
 
 
 def form_inner(g, x: Form, y: Form) -> float:
@@ -320,7 +269,7 @@ def form_inner(g, x: Form, y: Form) -> float:
     g = np.asarray(g, dtype=float)
     _check_spd(g)
     ginv = np.linalg.inv(g)
-    return float(x.coeffs @ _gram(ginv, x.degree) @ y.coeffs)
+    return float(x.coeffs @ compound(ginv, x.degree) @ y.coeffs)
 
 
 def volume_coefficient(x: Form) -> float:
@@ -328,38 +277,3 @@ def volume_coefficient(x: Form) -> float:
     if x.degree != DIM:
         raise ValueError("not a 6-form")
     return float(x.coeffs[0])
-
-
-def slot_apply(M, x: Form) -> Form:
-    """Alternating tensor M.x with (M.x)(X1..Xk) = sum_i x(X1,..,M Xi,..,Xk)
-    for the tangent endomorphism M (columns are images of e_a).
-
-    Used as an oracle for closed-form slot formulas; computed by brute force
-    over components."""
-    M = np.asarray(M, dtype=float)
-    k = x.degree
-    if k == 0:
-        return Form(0)
-    # dense component tensor of x
-    comp = np.zeros((DIM,) * k)
-    for n, mono in enumerate(BASIS[k]):
-        c = x.coeffs[n]
-        if c == 0:
-            continue
-        idx0 = [i - 1 for i in mono]
-        for perm in itertools.permutations(range(k)):
-            sign = 1
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            comp[tuple(idx0[p] for p in perm)] = sign * c
-    out_comp = np.zeros_like(comp)
-    for slot in range(k):
-        out_comp += np.tensordot(comp, M, axes=([slot], [0])).transpose(
-            tuple(range(slot)) + (k - 1,) + tuple(range(slot, k - 1))
-        )
-    out = Form(k)
-    for n, mono in enumerate(BASIS[k]):
-        out.coeffs[n] = out_comp[tuple(i - 1 for i in mono)]
-    return out

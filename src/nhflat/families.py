@@ -9,7 +9,6 @@ the Berger / sine-cone trajectories that solve the evolution equations.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from nhflat.structure import NhfStructure, StructureError
 
@@ -95,27 +94,18 @@ def zero_scalar_family(branch: str):
     """All admissible zero scalar curvature solutions on one inner branch.
 
     branch is 'plus' or 'minus', selecting the sign inside the q square
-    root.  The root of the scalar curvature along the branch is located by
-    bracketing (it is rational: p = -inner * 5 sqrt(3)/33); roots where q
-    would be imaginary or the structure fails validation are dropped."""
+    root.  The scalar curvature 22 + inner * 10 sqrt(3)/(3p) along the
+    branch has the single root p = -inner * 5 sqrt(3)/33; it is dropped if q
+    would be imaginary there or the structure fails validation."""
     inner = {"plus": 1, "minus": -1}.get(branch)
     if inner is None:
         raise FamilyRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    out = []
-    guess = -inner * 5.0 * SQRT3 / 33.0
-    for bracket in [(guess - 0.2, guess + 0.2)]:
-        lo, hi = bracket
-        if zero_scalar_s(lo, inner) * zero_scalar_s(hi, inner) > 0:
-            continue
-        p = brentq(lambda x: zero_scalar_s(x, inner), lo, hi, xtol=1e-15)
-        if 36.0 * p * p + inner * 3.0 * SQRT3 * p < 0:
-            continue
+    p = -inner * 5.0 * SQRT3 / 33.0
+    if 36.0 * p * p + inner * 3.0 * SQRT3 * p >= 0:
         s = zero_scalar_structure(p, inner)
         if s.validate().passed and s.metric_is_spd():
-            out.append(s)
-    if not out:
-        raise FamilyRangeError(f"no admissible zero-scalar root on branch {branch!r}")
-    return out
+            return [s]
+    raise FamilyRangeError(f"no admissible zero-scalar root on branch {branch!r}")
 
 
 def berger_trajectory(t: float) -> NhfStructure:
@@ -139,10 +129,10 @@ def berger_derivative(t: float):
     angles = np.array([t, t - 2.0 * np.pi / 3.0, t + 2.0 * np.pi / 3.0])
     dP = np.diag(np.cos(angles)) / r5
     dQ = -np.diag(np.sin(angles)) / (5.0 * r5)
-    # Adj of a diagonal matrix: product of the other two entries
+    # Adj of a diagonal matrix is the product of the other two entries;
+    # its derivative follows by the product rule
     s = np.sin(angles)
     c = np.cos(angles)
-    adj = np.diag([s[1] * s[2], s[0] * s[2], s[0] * s[1]]) / 5.0
     dadj = (
         np.diag(
             [
@@ -153,7 +143,6 @@ def berger_derivative(t: float):
         )
         / 5.0
     )
-    del adj
     dQ1 = dQ - 0.5 * lam * dadj
     dQ2 = -dQ - 0.5 * lam * dadj
     return da, db, dQ1, dQ2

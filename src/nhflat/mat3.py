@@ -18,15 +18,14 @@ def det3(m) -> float:
 def adjugate(m) -> np.ndarray:
     """Transpose cofactor matrix; M @ adjugate(M) = det(M) * I for every M,
     singular ones included."""
-    m = np.asarray(m, dtype=float)
-    adj = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            adj[i, j] = ((-1) ** (i + j)) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    return adj
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+    return np.array(
+        [
+            [m11 * m22 - m12 * m21, m02 * m21 - m01 * m22, m01 * m12 - m02 * m11],
+            [m12 * m20 - m10 * m22, m00 * m22 - m02 * m20, m02 * m10 - m00 * m12],
+            [m10 * m21 - m11 * m20, m01 * m20 - m00 * m21, m00 * m11 - m01 * m10],
+        ]
+    )
 
 
 def polarized_adjugate(p, x) -> np.ndarray:

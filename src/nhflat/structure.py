@@ -34,14 +34,11 @@ import numpy as np
 from nhflat.exterior import (
     DIM,
     BASIS,
-    BASIS_INDEX,
     COFRAME_DIFFERENTIAL,
     Form,
     contract,
     d,
-    form_inner,
-    hodge,
-    pullback,
+    is_spd,
     volume_coefficient,
     wedge,
     wedge_all,
@@ -73,51 +70,38 @@ def _de(i: int) -> Form:
     return Form.monomial(pair, sign)
 
 
-# cached monomial forms of the four building blocks of invariant 3-forms
-_E135 = Form.monomial((1, 3, 5))
-_E246 = Form.monomial((2, 4, 6))
-_DE_E = [[wedge(_de(2 * i + 1), _e(2 * j + 2)) for j in range(3)] for i in range(3)]
-_E_DE = [[wedge(_e(2 * i + 1), _de(2 * j + 2)) for j in range(3)] for i in range(3)]
-_DE_DE = [[wedge(_de(2 * i + 1), _de(2 * j + 2)) for j in range(3)] for i in range(3)]
+# Fixed basis matrices of the invariant forms; column 3 i + j holds the
+# (i, j) entry's monomial combination (0-based i, j).
+_OMEGA_BASIS = np.column_stack(
+    [wedge(_e(2 * i + 1), _e(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+)
+_DE_DE_BASIS = np.column_stack(
+    [wedge(_de(2 * i + 1), _de(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+)
+# columns: e135, e246, de^{2i-1}^e^{2j}, e^{2i-1}^de^{2j}
+_THREE_FORM_BASIS = np.column_stack(
+    [Form.monomial((1, 3, 5)).coeffs, Form.monomial((2, 4, 6)).coeffs]
+    + [wedge(_de(2 * i + 1), _e(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+    + [wedge(_e(2 * i + 1), _de(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+)
 
 
 def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:
     """c135 e135 + c246 e246 + sum M1_ij de^{2i-1}^e^{2j} + M2_ij e^{2i-1}^de^{2j}."""
-    out = c135 * _E135 + c246 * _E246
     M1 = np.asarray(M1, dtype=float)
     M2 = np.asarray(M2, dtype=float)
-    for i in range(3):
-        for j in range(3):
-            if M1[i, j]:
-                out = out + M1[i, j] * _DE_E[i][j]
-            if M2[i, j]:
-                out = out + M2[i, j] * _E_DE[i][j]
-    return out
+    return Form(3, _THREE_FORM_BASIS @ np.concatenate([[c135, c246], M1.ravel(), M2.ravel()]))
 
 
 def build_omega(P) -> Form:
     """omega = sum P_ij e^{2i-1} ^ e^{2j}."""
-    P = np.asarray(P, dtype=float)
-    f = Form(2)
-    for i in range(3):
-        for j in range(3):
-            a, b = 2 * i + 1, 2 * j + 2
-            if a < b:
-                f.coeffs[BASIS_INDEX[2][(a, b)]] += P[i, j]
-            else:
-                f.coeffs[BASIS_INDEX[2][(b, a)]] -= P[i, j]
-    return f
+    return Form(2, _OMEGA_BASIS @ np.ravel(np.asarray(P, dtype=float)))
 
 
 def omega_squared(P) -> Form:
     """Closed form of omega^2: -2 sum Adj(P^T)_ij de^{2i-1} ^ de^{2j}."""
     adjPT = adjugate(np.asarray(P, dtype=float).T)
-    out = Form(4)
-    for i in range(3):
-        for j in range(3):
-            if adjPT[i, j]:
-                out = out + (-2.0 * adjPT[i, j]) * _DE_DE[i][j]
-    return out
+    return Form(4, _DE_DE_BASIS @ (-2.0 * adjPT).ravel())
 
 
 def build_delta(P) -> Form:
@@ -176,29 +160,11 @@ def _j_blocks(a: float, b: float, Q1, Q2):
     eo = 2.0 * (b * Q1.T - adjugate(Q2))
     ee = -(a * b - tr12) * np.eye(3) - 2.0 * Q1.T @ Q2
     C = np.empty((6, 6))
-    for r in range(3):
-        for i in range(3):
-            C[2 * r, 2 * i] = oo[r, i]
-            C[2 * r, 2 * i + 1] = oe[r, i]
-            C[2 * r + 1, 2 * i] = eo[r, i]
-            C[2 * r + 1, 2 * i + 1] = ee[r, i]
+    C[0::2, 0::2] = oo
+    C[0::2, 1::2] = oe
+    C[1::2, 0::2] = eo
+    C[1::2, 1::2] = ee
     return C
-
-
-def build_j(a: float, b: float, Q1, Q2, det_p: float, tol: float = 1e-7) -> np.ndarray:
-    """Closed-form almost complex structure as a tangent endomorphism.
-
-    Requires the normalization to hold; raises if det P is singular or the
-    result fails J^2 = -id beyond tol."""
-    if abs(det_p) < SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p} is singular")
-    Q1 = np.asarray(Q1, dtype=float)
-    Q2 = np.asarray(Q2, dtype=float)
-    J = _j_blocks(a, b, Q1, Q2).T / det_p
-    err = np.max(np.abs(J @ J + np.eye(6)))
-    if err > tol:
-        raise InvalidStructureError(f"J^2 + id = {err:.3e} exceeds tolerance {tol}")
-    return J
 
 
 def omega_component_matrix(omega: Form) -> np.ndarray:
@@ -212,7 +178,7 @@ def omega_component_matrix(omega: Form) -> np.ndarray:
 
 def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
     """Almost complex structure from the stable-form construction
-    K(X) = (X -| gamma) ^ gamma, independent oracle for build_j.
+    K(X) = (X -| gamma) ^ gamma, an independent check of the closed-form J.
 
     Normalized by tr(K^2) and sign-fixed so that omega(., J.) is positive
     definite."""
@@ -302,7 +268,7 @@ class NhfStructure:
             self.a, self.b, self.Q1, self.Q2
         )
         self.Jgamma = build_j_gamma(self.A, self.B, self.R1, self.R2, self.det_p)
-        # lenient J: residual recorded, raised only through validate/build_j
+        # lenient J: residual recorded, reported through validate
         self.J = _j_blocks(self.a, self.b, self.Q1, self.Q2).T / self.det_p
         self.j_squared_residual = float(np.max(np.abs(self.J @ self.J + np.eye(6))))
         self.g = metric_from(self.omega, self.J)
@@ -318,14 +284,12 @@ class NhfStructure:
 
     def metric(self) -> np.ndarray:
         """The induced metric; raises if it is not positive definite."""
-        sym = 0.5 * (self.g + self.g.T)
-        if np.linalg.eigvalsh(sym).min() <= 0:
+        if not self.metric_is_spd():
             raise InvalidStructureError("induced metric is not positive definite")
         return self.g.copy()
 
     def metric_is_spd(self) -> bool:
-        sym = 0.5 * (self.g + self.g.T)
-        return bool(np.linalg.eigvalsh(sym).min() > 0)
+        return is_spd(self.g)
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """Residuals of every constraint of the matrix description."""

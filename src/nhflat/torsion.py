@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhflat.exterior import BASIS, DIMS, Form, d, form_inner, wedge
+from nhflat.exterior import DIMS, Form, d, form_inner, wedge, wedge_tensor
 from nhflat.mat3 import adjugate
 from nhflat.structure import NhfStructure, InvalidStructureError, DEFAULT_TOL
 
@@ -79,11 +79,7 @@ def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
 def _wedge_operator(fixed: Form, k: int) -> np.ndarray:
     """Matrix of beta |-> beta ^ fixed on degree-k forms, rows indexed by
     the (k + deg fixed)-monomials."""
-    rows = DIMS[k + fixed.degree]
-    op = np.zeros((rows, DIMS[k]))
-    for n, mono in enumerate(BASIS[k]):
-        op[:, n] = wedge(Form.monomial(mono), fixed).coeffs
-    return op
+    return wedge_tensor(k, fixed.degree) @ fixed.coeffs
 
 
 def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:

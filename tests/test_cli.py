@@ -1,6 +1,9 @@
 """CLI behaviour: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,16 @@ class TestFlow:
         assert (tmp_path / "b_0.csv").exists()
         assert (tmp_path / "b_1.csv").exists()
 
+    def test_single_input_writes_out_path(self, capsys, nk_record, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, _, _ = run(
+            capsys,
+            ["flow", nk_record, "--t-end", "0.02", "--record-every", "10",
+             "--out", str(out_csv)],
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["x.csv"]
+
 
 class TestRotate:
     def test_w1_member_rotates(self, capsys, tmp_path):
@@ -201,3 +214,17 @@ class TestUsage:
 
     def test_unknown_subcommand_exit2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is needed only by the root-solve sampler, imported lazily
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nhflat.cli; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

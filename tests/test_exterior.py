@@ -10,6 +10,7 @@ from nhflat.exterior import (
     COFRAME_DIFFERENTIAL,
     DIMS,
     Form,
+    compound,
     contract,
     d,
     form_inner,
@@ -160,3 +161,56 @@ def test_form_inner_matches_hodge_pairing():
         lhs = volume_coefficient(wedge(a, hodge(g, b)))
         rhs = form_inner(g, a, b) * np.sqrt(np.linalg.det(g))
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def _random_form(rng, k):
+    f = Form(k)
+    f.coeffs[:] = rng.standard_normal(DIMS[k])
+    return f
+
+
+def _permutation_sign(seq):
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
+
+
+def test_wedge_matches_monomial_sum():
+    # reference: sum over monomial pairs with the sign of the sorting shuffle
+    rng = np.random.default_rng(5)
+    for j in range(7):
+        for k in range(7 - j):
+            x, y = _random_form(rng, j), _random_form(rng, k)
+            ref = Form(j + k)
+            for m, left in enumerate(BASIS[j]):
+                for n, right in enumerate(BASIS[k]):
+                    if set(left) & set(right):
+                        continue
+                    merged = tuple(sorted(left + right))
+                    ref.coeffs[BASIS[j + k].index(merged)] += (
+                        _permutation_sign(left + right) * x.coeffs[m] * y.coeffs[n]
+                    )
+            assert (wedge(x, y) - ref).max_abs() < 1e-13
+
+
+def test_compound_matches_minors():
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((6, 6))
+    for k in range(7):
+        idx = [[a - 1 for a in mono] for mono in BASIS[k]]
+        ref = np.array([[np.linalg.det(M[np.ix_(I, J)]) for J in idx] for I in idx])
+        # the same determinant of the same submatrix, entry by entry
+        np.testing.assert_array_equal(compound(M, k), ref)
+
+
+def test_compound_cauchy_binet():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((6, 6))
+    B = rng.standard_normal((6, 6))
+    for k in range(7):
+        lhs = compound(A @ B, k)
+        rhs = compound(A, k) @ compound(B, k)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))

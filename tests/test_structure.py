@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhflat.exterior import Form, d, pullback, slot_apply, volume_coefficient, wedge
+from nhflat.exterior import Form, d, pullback, volume_coefficient, wedge
 from nhflat.mat3 import adjugate, det3
 from nhflat import families
 from nhflat.structure import (
@@ -136,9 +136,8 @@ class TestJ:
 
     def test_jgamma_closed_form_vs_slot_oracle(self):
         # The closed-form J gamma equals 2x the slot application of J to
-        # gamma on all three slots (equivalently -slot_apply with the
-        # derivation convention divided by 3); the factor 2 is part of the
-        # closed-form normalization, fixed by gamma ^ Jgamma = (2/3) omega^3.
+        # gamma on all three slots; the factor 2 is part of the closed-form
+        # normalization, fixed by gamma ^ Jgamma = (2/3) omega^3.
         for seed in range(5):
             s = sample_random_structure(seed)
             slot = pullback(s.J, s.gamma)  # gamma(J., J., J.)
