@@ -119,6 +119,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    try:
+        flow.check_step(args.h, args.record_every)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     inputs = list(args.input)
     batch = len(inputs) > 1
     code = EXIT_OK

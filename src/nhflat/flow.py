@@ -8,24 +8,34 @@ structures sweeps out a nearly parallel G2-structure
 
 on (t0, t1) x S^3 x S^3 exactly when d phi = lambda psi and d psi = 0,
 which is what g2_residual measures.
+
+Inside `integrate` the state is one flat list of 20 Python floats,
+
+    y = [a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33]
+
+with Q1 and Q2 row-major (y[2:11] and y[11:20]).  Each RK4 stage is one
+call of `_stage` on such a list and makes no numpy call; arrays are
+built only for the recorded samples.  `flow_rhs` and `recover_p` are the
+array wrappers of the same code.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from nhflat.exterior import d, wedge
-from nhflat.mat3 import adjugate, det3
+from nhflat.mat3 import adjugate, cofactor9, det9, flat9
 from nhflat.structure import (
     NhfStructure,
     SingularStructureError,
+    abr9,
     build_j_gamma,
     build_omega,
-    compute_abr,
     invariant_three_form,
     normalization_residual,
 )
@@ -50,20 +60,68 @@ class FlowSingularityError(SingularStructureError):
         self.trajectory = trajectory
 
 
+def _adj_pt(lam, q1, q2):
+    """M = Adj(P^T) = -(Q1 + Q2)/lambda as a row-major list, and det M.
+
+    Raises SingularStructureError when det M <= 0: then no real P has
+    Adj(P^T) = M, since det Adj(P^T) = (det P)^2."""
+    m = [-(x + z) / lam for x, z in zip(q1, q2)]
+    det_m = det9(m)
+    if det_m <= 0:
+        raise SingularStructureError(
+            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
+        )
+    return m, det_m
+
+
+def _recover9(lam, q1, q2, sign):
+    """P (row-major list) and det P from Q1, Q2; sign is +1.0 or -1.0."""
+    m, det_m = _adj_pt(lam, q1, q2)
+    det_p = math.sqrt(det_m) * sign
+    # P^T = Adj(M) / det P, so P is the cofactor matrix of M over det P
+    return [x / det_p for x in cofactor9(m)], det_p
+
+
+def _stage(lam, y, sign):
+    """One evaluation of the evolution equations on the flat state
+    y = [a, b, *Q1, *Q2]; returns (y', det P) with y' in the same layout.
+
+    Runs on plain floats: it recovers P from det M and the cofactor of M,
+    then evaluates A, B, R1 and R2."""
+    q1, q2 = y[2:11], y[11:20]
+    p, det_p = _recover9(lam, q1, q2, sign)
+    if abs(det_p) < SINGULAR_DETP:
+        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
+    A, B, R1, R2 = abr9(y[0], y[1], q1, q2)
+    c = -2.0 * lam / det_p
+    return (
+        [c * A, c * B]
+        + [c * r + x for r, x in zip(R1, p)]
+        + [c * r - x for r, x in zip(R2, p)]
+    ), det_p
+
+
+def _sign(det_p: float) -> float:
+    return 1.0 if det_p >= 0 else -1.0
+
+
+def _pack(a, b, Q1, Q2) -> list:
+    """The flat state [a, b, *Q1, *Q2] of (a, b, Q1, Q2)."""
+    return [float(a), float(b)] + flat9(Q1) + flat9(Q2)
+
+
+def _unpack(y):
+    """(a, b, Q1, Q2) with 3x3 arrays from a flat state."""
+    return y[0], y[1], np.array(y[2:11]).reshape(3, 3), np.array(y[11:]).reshape(3, 3)
+
+
 def recover_p(lam: float, Q1: np.ndarray, Q2: np.ndarray, det_p_prev: float):
     """Invert Adj(P^T) = -(Q1 + Q2)/lambda for P.
 
     (det P)^2 = det Adj(P^T); the sign of det P is chosen to continue the
     previous value, which keeps P continuous along a flow line."""
-    M = -(Q1 + Q2) / lam
-    det_m = det3(M)
-    if det_m <= 0:
-        raise SingularStructureError(
-            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
-        )
-    det_p = np.sqrt(det_m) * (1.0 if det_p_prev >= 0 else -1.0)
-    P = (adjugate(M) / det_p).T
-    return P, det_p
+    p, det_p = _recover9(lam, flat9(Q1), flat9(Q2), _sign(det_p_prev))
+    return np.array(p).reshape(3, 3), det_p
 
 
 def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
@@ -76,12 +134,8 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
         Q1' = -(2 lambda / det P) R1 + P
         Q2' = -(2 lambda / det P) R2 - P
     """
-    P, det_p = recover_p(lam, Q1, Q2, det_p_sign)
-    if abs(det_p) < SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
-    A, B, R1, R2, _ = compute_abr(a, b, Q1, Q2)
-    c = -2.0 * lam / det_p
-    return c * A, c * B, c * R1 + P, c * R2 - P
+    dy, _ = _stage(lam, _pack(a, b, Q1, Q2), _sign(det_p_sign))
+    return _unpack(dy)
 
 
 @dataclass
@@ -176,17 +230,35 @@ def _derivative_forms(structure: NhfStructure, da, db, dQ1, dQ2):
     return domega, dgamma, domega2, djgamma
 
 
-def _abr_derivative(a, b, Q1, Q2, da, db, dQ1, dQ2, eps=1e-6):
-    """Directional derivative of (A, B, R1, R2) by central differences.
+def _abr_derivative(a, b, Q1, Q2, da, db, dQ1, dQ2):
+    """Directional derivative of (A, B, R1, R2) at the state in the given
+    direction.
 
-    The closed-form derivative is a long polynomial; central differences
-    at machine-friendly step already give ~1e-10 accuracy, which is far
-    below the discretization error this feeds into."""
-    ap, bp = a + eps * da, b + eps * db
-    am, bm = a - eps * da, b - eps * db
-    hi = compute_abr(ap, bp, Q1 + eps * dQ1, Q2 + eps * dQ2)
-    lo = compute_abr(am, bm, Q1 - eps * dQ1, Q2 - eps * dQ2)
-    return tuple((h - l) / (2.0 * eps) for h, l in zip(hi[:4], lo[:4]))
+    A, B, R1 and R2 are homogeneous cubics in the state, so the 5-point
+    central stencil
+        f'(0) = (f(-2e) - 8 f(-e) + 8 f(e) - f(2e)) / (12 e)
+    is exact for them up to rounding.  The step e is scaled so that e times
+    the direction is as large as the state, which keeps that rounding
+    relative to the size of the terms."""
+    x = _pack(a, b, Q1, Q2)
+    v = _pack(da, db, dQ1, dQ2)
+    v_size = max(abs(t) for t in v)
+    if v_size == 0.0:
+        return 0.0, 0.0, np.zeros((3, 3)), np.zeros((3, 3))
+    eps = max(abs(t) for t in x) / v_size
+
+    def f(k):
+        y = [xi + k * eps * vi for xi, vi in zip(x, v)]
+        A, B, R1, R2 = abr9(y[0], y[1], y[2:11], y[11:])
+        return [A, B, *R1, *R2]
+
+    m2, m1, p1, p2 = f(-2), f(-1), f(1), f(2)
+    return _unpack(
+        [
+            (l2 - 8.0 * l1 + 8.0 * u1 - u2) / (12.0 * eps)
+            for l2, l1, u1, u2 in zip(m2, m1, p1, p2)
+        ]
+    )
 
 
 def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
@@ -213,6 +285,14 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
     return max(pieces)
 
 
+def check_step(h: float, record_every: int) -> None:
+    """Raise ValueError unless h is finite and nonzero and record_every >= 1."""
+    if not math.isfinite(h) or h == 0:
+        raise ValueError(f"step size h must be finite and nonzero, got {h}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+
+
 def integrate(
     initial: NhfStructure,
     t0: float,
@@ -224,8 +304,10 @@ def integrate(
     """RK4 integration of the flow from a valid structure.
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
-    recording every record_every-th step.  Raises FlowSingularityError
-    (carrying the partial trajectory) if |det P| drops below 1e-6."""
+    recording every record_every-th step.  Raises ValueError for a zero or
+    non-finite h or record_every < 1, and FlowSingularityError (carrying
+    the partial trajectory) if |det P| drops below SINGULAR_DETP."""
+    check_step(h, record_every)
     if validate_initial:
         report = initial.validate()
         if not report.passed:
@@ -239,14 +321,15 @@ def integrate(
     direction = 1.0 if t1 >= t0 else -1.0
     h = abs(h) * direction
     n_steps = int(round(abs(t1 - t0) / abs(h)))
+    half, sixth = 0.5 * h, h / 6.0
 
-    a, b = initial.a, initial.b
-    Q1, Q2 = initial.Q1.copy(), initial.Q2.copy()
-    det_p_sign = initial.det_p
+    y = _pack(initial.a, initial.b, initial.Q1, initial.Q2)
+    sign = _sign(initial.det_p)
     traj = Trajectory(lam=lam)
 
-    def sample(t, a, b, Q1, Q2):
-        P, det_p = recover_p(lam, Q1, Q2, det_p_sign)
+    def sample(t, y):
+        a, b, Q1, Q2 = _unpack(y)
+        P, det_p = recover_p(lam, Q1, Q2, sign)
         Q = 0.5 * (Q1 - Q2)
         s = NhfStructure(lam, a, b, P, Q)
         da, db, dQ1, dQ2 = flow_rhs(lam, a, b, Q1, Q2, det_p)
@@ -260,34 +343,20 @@ def integrate(
 
     t = t0
     try:
-        traj.samples.append(sample(t0, a, b, Q1, Q2))
+        traj.samples.append(sample(t0, y))
         for k in range(n_steps):
             t = t0 + k * h
-
-            def rhs(a_, b_, Q1_, Q2_):
-                return flow_rhs(lam, a_, b_, Q1_, Q2_, det_p_sign)
-
-            k1 = rhs(a, b, Q1, Q2)
-            k2 = rhs(
-                a + 0.5 * h * k1[0],
-                b + 0.5 * h * k1[1],
-                Q1 + 0.5 * h * k1[2],
-                Q2 + 0.5 * h * k1[3],
-            )
-            k3 = rhs(
-                a + 0.5 * h * k2[0],
-                b + 0.5 * h * k2[1],
-                Q1 + 0.5 * h * k2[2],
-                Q2 + 0.5 * h * k2[3],
-            )
-            k4 = rhs(a + h * k3[0], b + h * k3[1], Q1 + h * k3[2], Q2 + h * k3[3])
-            a += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            b += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            Q1 = Q1 + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            Q2 = Q2 + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            _, det_p_sign = recover_p(lam, Q1, Q2, det_p_sign)
+            k1, _ = _stage(lam, y, sign)
+            k2, _ = _stage(lam, [v + half * d for v, d in zip(y, k1)], sign)
+            k3, _ = _stage(lam, [v + half * d for v, d in zip(y, k2)], sign)
+            k4, _ = _stage(lam, [v + h * d for v, d in zip(y, k3)], sign)
+            y = [
+                v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+            ]
+            _adj_pt(lam, y[2:11], y[11:])  # P must stay recoverable
             if (k + 1) % record_every == 0 or k == n_steps - 1:
-                traj.samples.append(sample(t0 + (k + 1) * h, a, b, Q1, Q2))
+                traj.samples.append(sample(t0 + (k + 1) * h, y))
     except SingularStructureError as exc:
         traj.terminated = "singular"
         raise FlowSingularityError(

@@ -43,7 +43,7 @@ from nhflat.exterior import (
     wedge,
     wedge_all,
 )
-from nhflat.mat3 import adjugate, det3
+from nhflat.mat3 import adjugate, cofactor9, det3, det9, flat9, mul9, transpose9
 
 DEFAULT_TOL = 1e-9
 SINGULAR_DETP = 1e-12
@@ -124,15 +124,36 @@ def build_gamma(lam: float, a: float, b: float, P, Q) -> Form:
     return invariant_three_form(a, b, Q1, Q2)
 
 
+def abr9(a, b, q1, q2):
+    """A, B and the row-major 9-lists R1, R2 of the state (a, b, Q1, Q2),
+    with Q1, Q2 given as row-major 9-sequences:
+
+        A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
+        B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
+        R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
+        R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
+
+    Uses only +, - and *, so it is exact on ``fractions.Fraction`` input."""
+    g = mul9(transpose9(q1), q2)  # Q1^T Q2
+    tr12 = g[0] + g[4] + g[8]
+    s = a * b + tr12
+    A = a * tr12 - 2 * det9(q1) - a * a * b
+    B = -(b * tr12 - 2 * det9(q2) - a * b * b)
+    # Adj(X^T) is the cofactor matrix of X; Q1 Q2^T Q1 = Q1 g^T, Q2 Q1^T Q2 = Q2 g
+    ta, tb = 2 * a, 2 * b
+    R1 = [
+        -(s * x - ta * c - 2 * w)
+        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
+    ]
+    R2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
+    return A, B, R1, R2
+
+
 def compute_abr(a: float, b: float, Q1, Q2):
     """The scalars A, B and matrices R1, R2, R entering J gamma and the flow."""
-    Q1 = np.asarray(Q1, dtype=float)
-    Q2 = np.asarray(Q2, dtype=float)
-    tr12 = float(np.trace(Q1.T @ Q2))
-    A = a * tr12 - 2.0 * det3(Q1) - a * a * b
-    B = -(b * tr12 - 2.0 * det3(Q2) - a * b * b)
-    R1 = -((a * b + tr12) * Q1 - 2.0 * a * adjugate(Q2.T) - 2.0 * Q1 @ Q2.T @ Q1)
-    R2 = (a * b + tr12) * Q2 - 2.0 * b * adjugate(Q1.T) - 2.0 * Q2 @ Q1.T @ Q2
+    A, B, R1, R2 = abr9(float(a), float(b), flat9(Q1), flat9(Q2))
+    R1 = np.array(R1).reshape(3, 3)
+    R2 = np.array(R2).reshape(3, 3)
     return A, B, R1, R2, R1 + R2
 
 
@@ -167,12 +188,15 @@ def _j_blocks(a: float, b: float, Q1, Q2):
     return C
 
 
+# (row, column) of the upper-triangle entry of each 2-monomial
+_PAIR_ROWS, _PAIR_COLS = (np.array(ix) - 1 for ix in zip(*BASIS[2]))
+
+
 def omega_component_matrix(omega: Form) -> np.ndarray:
     """Skew component matrix W with W[k,l] = omega(e_k, e_l)."""
     W = np.zeros((6, 6))
-    for n, (i, j) in enumerate(BASIS[2]):
-        W[i - 1, j - 1] = omega.coeffs[n]
-        W[j - 1, i - 1] = -omega.coeffs[n]
+    W[_PAIR_ROWS, _PAIR_COLS] = omega.coeffs
+    W[_PAIR_COLS, _PAIR_ROWS] = -omega.coeffs
     return W
 
 

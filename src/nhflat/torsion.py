@@ -193,10 +193,12 @@ def _matrix_predicates(structure: NhfStructure):
         float(np.max(np.abs(s.R2 + (2.0 * dp / (3.0 * lam)) * s.P))),
     ) / _mag(s.R1, s.R2, (2.0 * dp / (3.0 * lam)) * s.P, s.A, s.B)
     w1p_zero = abs(tr_pr) / (2.0 * dp * dp)
-    # w2- = 0: R proportional to Adj(P^T) with the w1+ coefficient
+    # w2- = 0: R proportional to Adj(P^T) with the w1+ coefficient.  R is
+    # normalized by R1 and R2, not by itself: R = R1 + R2 cancels to roundoff
+    # on w1w3 members, where the cancelled size would inflate the residual.
     cocoupled = float(
         np.max(np.abs(s.R - (tr_pr / (3.0 * dp)) * adjPT))
-    ) / _mag(s.R, (tr_pr / (3.0 * dp)) * adjPT)
+    ) / _mag(s.R1, s.R2, (tr_pr / (3.0 * dp)) * adjPT)
     # w3 = 0: the four displayed conditions on A, B, R1, R2
     c = tr_pr / (3.0 * lam * dp)
     t1 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P - (tr_pr / dp) * s.Q1)

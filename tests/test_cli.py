@@ -170,6 +170,17 @@ class TestFlow:
         assert code == 0
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["x.csv"]
 
+    @pytest.mark.parametrize(
+        "option", [["--h", "0"], ["--h", "nan"], ["--record-every", "0"]]
+    )
+    def test_bad_step_options_exit2(self, capsys, nk_record, option):
+        code, out, err = run(capsys, ["flow", nk_record, "--t-end", "0.05", *option])
+        assert code == 2
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestRotate:
     def test_w1_member_rotates(self, capsys, tmp_path):

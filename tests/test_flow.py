@@ -1,11 +1,18 @@
 """Flow integration, P recovery, G2 residual, CSV output."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from nhflat import families, flow
 from nhflat.mat3 import adjugate, det3
-from nhflat.structure import SingularStructureError, sample_random_structure
+from nhflat.structure import (
+    SingularStructureError,
+    abr9,
+    random_rotation,
+    sample_random_structure,
+)
 
 
 class TestRecoverP:
@@ -125,6 +132,65 @@ class TestIntegrate:
         bad = NhfStructure(s.lam, s.a, s.b, s.P, Q)
         with pytest.raises(InvalidStructureError):
             flow.integrate(bad, 0.0, 0.1)
+
+
+    @pytest.mark.parametrize("h", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_bad_step_rejected(self, h):
+        s0 = families.nearly_kahler(4.0)
+        with pytest.raises(ValueError, match="step size"):
+            flow.integrate(s0, 0.0, 0.01, h=h)
+
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_bad_record_every_rejected(self, record_every):
+        s0 = families.nearly_kahler(4.0)
+        with pytest.raises(ValueError, match="record_every"):
+            flow.integrate(s0, 0.0, 0.01, record_every=record_every)
+
+
+class TestAbrDerivative:
+    """_abr_derivative against the exact derivative of the 9-tuple
+    polynomials evaluated on Fractions."""
+
+    @staticmethod
+    def exact(x, v):
+        # f(x + t v) is cubic in t, so the forward 4-point formula
+        # f'(0) = (-11 f(0) + 18 f(1) - 9 f(2) + 2 f(3)) / 6 is exact
+        xf = [Fraction(t) for t in x]
+        vf = [Fraction(t) for t in v]
+
+        def f(k):
+            y = [xi + k * vi for xi, vi in zip(xf, vf)]
+            A, B, R1, R2 = abr9(y[0], y[1], y[2:11], y[11:])
+            return [A, B, *R1, *R2]
+
+        return [
+            (-11 * f0 + 18 * f1 - 9 * f2 + 2 * f3) / 6
+            for f0, f1, f2, f3 in zip(f(0), f(1), f(2), f(3))
+        ]
+
+    def assert_exact(self, x, v):
+        got = flow._pack(*flow._abr_derivative(*flow._unpack(x), *flow._unpack(v)))
+        want = self.exact(x, v)
+        err = max(abs(Fraction(g) - w) for g, w in zip(got, want))
+        assert float(err / max(abs(w) for w in want)) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [4.0, 120.0])
+    def test_exact_on_scaled_flow_direction(self, lam):
+        # the rotated NK point at lambda = 4 scaled by c = lam / 4:
+        # (a, b, Q1, Q2) -> c^-3 (a, b, Q1, Q2), time derivatives -> c^-2
+        rng = np.random.default_rng(8)
+        g, h = random_rotation(rng), random_rotation(rng)
+        s = families.nearly_kahler(4.0).rotated(g, h)
+        deriv = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
+        c = lam / 4.0
+        x = [t / c**3 for t in flow._pack(s.a, s.b, s.Q1, s.Q2)]
+        v = [t / c**2 for t in flow._pack(*deriv)]
+        self.assert_exact(x, v)
+
+    def test_exact_on_random_direction(self):
+        s = sample_random_structure(4)
+        rng = np.random.default_rng(9)
+        self.assert_exact(flow._pack(s.a, s.b, s.Q1, s.Q2), rng.standard_normal(20).tolist())
 
 
 class TestG2Residual:

@@ -13,6 +13,7 @@ from nhflat.structure import (
     build_gamma,
     build_omega,
     hitchin_j,
+    omega_component_matrix,
     omega_squared,
     q1_q2,
     random_rotation,
@@ -34,6 +35,20 @@ def test_omega_cubed_is_six_detp_vol():
         om = build_omega(P)
         om3 = wedge(wedge(om, om), om)
         assert volume_coefficient(om3) == pytest.approx(6.0 * det3(P), rel=1e-10)
+
+
+def test_omega_component_matrix_matches_monomials():
+    # W[i-1, j-1] = coefficient of e^i ^ e^j for i < j, and W is skew
+    from nhflat.exterior import BASIS
+
+    rng = np.random.default_rng(6)
+    om = Form(2, rng.standard_normal(15))
+    W = omega_component_matrix(om)
+    want = np.zeros((6, 6))
+    for n, (i, j) in enumerate(BASIS[2]):
+        want[i - 1, j - 1] = om.coeffs[n]
+        want[j - 1, i - 1] = -om.coeffs[n]
+    assert np.array_equal(W, want)
 
 
 def test_omega_squared_closed_form():

@@ -129,6 +129,18 @@ class TestClassify:
         assert abs(w1_plus(s)) > 1.0
         assert classify(s).label == "W1"
 
+    def test_rotated_w1w3_keeps_label(self):
+        # regression: R = R1 + R2 cancels to roundoff on w1w3 members, and
+        # the w2- = 0 residual must not be normalized by that cancelled size
+        from nhflat.structure import random_rotation
+
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = 1.0 / 256.0 + rng.uniform(0.002, 0.05)
+            s = families.w1w3_family(a, sign_p=int(rng.choice([-1, 1])))
+            rotated = s.rotated(random_rotation(rng), random_rotation(rng))
+            assert classify(rotated).label == "W1-+W3"
+
     def test_generic_sample_full_class(self):
         s = families.zero_scalar_structure(0.4, 1)
         report = classify(s)
