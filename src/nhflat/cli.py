@@ -2,14 +2,27 @@
 
 Subcommands: check, classify, flow, family, rotate, verify-g2.
 Exit codes: 0 pass, 1 invalid structure / failed verification, 2 usage or
-parse error, 3 flow singularity.  The environment variable NHF_TOL
-overrides the default validation tolerance.
+parse error, 3 flow singularity.  A usage error prints one line
+``error: ...`` on stderr.
+
+Tolerances are relative: every verdict divides a residual by the size of
+the terms it compares and passes when the quotient is at most the
+tolerance, so it does not depend on the scale of the structure.  The
+residuals that ``check``, ``classify`` and ``rotate`` report are these
+relative residuals.  ``--tol`` or else the environment variable NHF_TOL
+overrides the default tolerance; a value that is not a finite number
+> 0 exits 2.  Other usage errors that exit 2: a record with a non-finite
+number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
+below 1 or a non-finite ``--t-start`` / ``--t-end``, and ``verify-g2
+--samples`` below 1.  Output JSON is strict: a result with a non-finite
+number exits 1 instead of printing NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,16 +43,25 @@ EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("NHF_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise SystemExit(EXIT_USAGE)
-    return DEFAULT_TOL
+    """--tol, else NHF_TOL, else DEFAULT_TOL; a finite number > 0."""
+    text, source = getattr(args, "tol", None), "--tol"
+    if text is None:
+        text, source = os.environ.get("NHF_TOL") or None, "NHF_TOL"
+    if text is None:
+        return DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        _usage_error(f"{source} must be a finite number > 0, got {text!r}")
+    return tol
 
 
 def _load_structure(path: str) -> NhfStructure:
@@ -50,17 +72,24 @@ def _load_structure(path: str) -> NhfStructure:
             with open(path) as fh:
                 rec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read structure record: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"cannot read structure record: {exc}")
     try:
         return NhfStructure.from_record(rec)
     except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(str(exc))
+
+
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON text of payload; a non-finite number exits 1."""
+    try:
+        return json.dumps(payload, allow_nan=False, sort_keys=True, **kwargs)
+    except ValueError:
+        print("error: the result has a non-finite number; not written", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
 
 
 def _emit(payload, out=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload, indent=2)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -120,17 +149,17 @@ def cmd_classify(args) -> int:
 
 def cmd_flow(args) -> int:
     try:
-        flow.check_step(args.h, args.record_every)
+        flow.check_step(args.h, args.record_every, args.t_start, args.t_end)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        _usage_error(str(exc))
+    tol = _tolerance(args)
     inputs = list(args.input)
     batch = len(inputs) > 1
     code = EXIT_OK
     summaries = []
     for k, path in enumerate(inputs):
         s = _load_structure(path)
-        report = s.validate(tol=_tolerance(args))
+        report = s.validate(tol=tol)
         if not report.passed:
             print(
                 f"error: initial structure invalid "
@@ -158,8 +187,8 @@ def cmd_flow(args) -> int:
             traj.to_csv(_batch_path(args.out, k, batch))
         else:
             sys.stdout.write(traj.to_csv())
-    for summary in summaries:
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    for text in [_dumps(summary) for summary in summaries]:
+        print(text, file=sys.stderr)
     return code
 
 
@@ -220,7 +249,7 @@ def cmd_rotate(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK if residual <= max(tol, 1e-8) * 10 else EXIT_INVALID
+    return EXIT_OK if residual <= tol else EXIT_INVALID
 
 
 def cmd_verify_g2(args) -> int:
@@ -230,6 +259,8 @@ def cmd_verify_g2(args) -> int:
     samples, reporting the evolution ODE residual and the max-abs residual
     of d(phi) = lambda psi, d(psi) = 0."""
     tol = _tolerance(args)
+    if args.samples < 1:
+        _usage_error(f"--samples must be at least 1, got {args.samples}")
     if args.family == "sine-cone":
         member = lambda t: families.sine_cone_trajectory(t)
         deriv = lambda t: families.sine_cone_derivative(t)
@@ -289,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant nearly half-flat SU(3)-structures on S3 x S3",
     )
     parser.add_argument(
-        "--tol", type=float, default=None, help="override validation tolerance"
+        "--tol",
+        default=None,
+        help="relative tolerance of every verdict, a finite number > 0 "
+        f"(default: NHF_TOL, else {DEFAULT_TOL:g})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,7 +392,10 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        # non-finite intermediate values are reported by the strict JSON
+        # output and the error lines below, not by numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except flow.FlowSingularityError as exc:
@@ -366,6 +403,9 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -19,6 +19,8 @@ import itertools
 import numpy as np
 
 DIM = 6
+#: Default bound on the relative residuals of every verdict (see `relative`).
+DEFAULT_TOL = 1e-9
 
 #: degree -> list of ascending index tuples (1-based indices)
 BASIS = {k: list(itertools.combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)}
@@ -223,6 +225,27 @@ def pullback(M, x: Form) -> Form:
     return Form(x.degree, compound(M, x.degree).T @ x.coeffs)
 
 
+def _max_abs(x) -> float:
+    if isinstance(x, Form):
+        x = x.coeffs
+    if isinstance(x, np.ndarray) and x.ndim:
+        return float(np.abs(x).max())
+    return abs(float(x))
+
+
+def relative(residual, *terms) -> float:
+    """max |residual| over the largest |entry| among the terms it compares.
+
+    Every verdict of the package is ``relative(...) <= tol``.  Residual and
+    terms are numbers, arrays or forms.  The terms must be uncancelled: the
+    size of a product is the product of its factors' sizes, never the size
+    of a difference that can cancel to roundoff.  The quotient is then
+    invariant under any rescaling of the data that scales residual and
+    terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
+    size = max((_max_abs(t) for t in terms), default=0.0)
+    return _max_abs(residual) / max(size, 1e-300)
+
+
 def is_spd(g: np.ndarray) -> bool:
     """Whether the symmetric part of g is positive definite."""
     return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
@@ -231,7 +254,7 @@ def is_spd(g: np.ndarray) -> bool:
 def _check_spd(g: np.ndarray):
     if g.shape != (DIM, DIM):
         raise ValueError("metric must be 6x6")
-    if not np.allclose(g, g.T, atol=1e-10 * max(1.0, np.max(np.abs(g)))):
+    if not relative(g - g.T, g) <= DEFAULT_TOL:
         raise ValueError("metric must be symmetric")
     if not is_spd(g):
         raise ValueError("metric must be positive definite")

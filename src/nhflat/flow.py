@@ -285,8 +285,11 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
     return max(pieces)
 
 
-def check_step(h: float, record_every: int) -> None:
-    """Raise ValueError unless h is finite and nonzero and record_every >= 1."""
+def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
+    """Raise ValueError unless h is finite and nonzero, record_every >= 1
+    and the end points t0, t1 are finite."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_start and t_end must be finite, got {t0} and {t1}")
     if not math.isfinite(h) or h == 0:
         raise ValueError(f"step size h must be finite and nonzero, got {h}")
     if record_every < 1:
@@ -305,9 +308,10 @@ def integrate(
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
     recording every record_every-th step.  Raises ValueError for a zero or
-    non-finite h or record_every < 1, and FlowSingularityError (carrying
-    the partial trajectory) if |det P| drops below SINGULAR_DETP."""
-    check_step(h, record_every)
+    non-finite h, record_every < 1 or a non-finite t0 or t1, and
+    FlowSingularityError (carrying the partial trajectory) if |det P| drops
+    below SINGULAR_DETP."""
+    check_step(h, record_every, t0, t1)
     if validate_initial:
         report = initial.validate()
         if not report.passed:

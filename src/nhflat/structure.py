@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nhflat.exterior import (
+    DEFAULT_TOL,
     DIM,
     BASIS,
     COFRAME_DIFFERENTIAL,
@@ -39,13 +40,14 @@ from nhflat.exterior import (
     contract,
     d,
     is_spd,
+    relative,
     volume_coefficient,
     wedge,
     wedge_all,
 )
 from nhflat.mat3 import adjugate, cofactor9, det3, det9, flat9, mul9, transpose9
 
-DEFAULT_TOL = 1e-9
+#: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
 
 
@@ -209,7 +211,8 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
     if gamma.degree != 3 or omega.degree != 2:
         raise ValueError("hitchin_j expects a 3-form and a 2-form")
     om3 = volume_coefficient(wedge_all(omega, omega, omega))
-    if abs(om3) < 1e-300:
+    n_om = omega.max_abs()
+    if relative(om3, n_om * n_om * n_om) <= SINGULAR_DETP:
         raise SingularStructureError("omega^3 = 0")
     K = np.zeros((6, 6))
     for a in range(1, DIM + 1):
@@ -228,9 +231,9 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
 
 
 def build_j_gamma(A: float, B: float, R1, R2, det_p: float) -> Form:
-    """J gamma = (2/det P)(A e135 + B e246 + R1, R2 on the mixed slots)."""
-    if abs(det_p) < SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p} is singular")
+    """J gamma = (2/det P)(A e135 + B e246 + R1, R2 on the mixed slots).
+
+    det P must be nonsingular; callers have checked it."""
     s = 2.0 / det_p
     return invariant_three_form(s * A, s * B, s * np.asarray(R1), s * np.asarray(R2))
 
@@ -281,7 +284,8 @@ class NhfStructure:
         if self.P.shape != (3, 3) or self.Q.shape != (3, 3):
             raise StructureError("P and Q must be 3x3 matrices")
         self.det_p = det3(self.P)
-        if abs(self.det_p) < SINGULAR_DETP:
+        # a test of the shape of P, independent of its scale
+        if relative(self.det_p, np.max(np.abs(self.P)) ** 3) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {self.det_p} is singular")
         self.orientation = 1 if self.det_p > 0 else -1
         self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q)
@@ -316,22 +320,44 @@ class NhfStructure:
         return is_spd(self.g)
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
-        """Residuals of every constraint of the matrix description."""
-        om, gam, Jg = self.omega, self.gamma, self.Jgamma
+        """Relative residuals of every constraint of the matrix description.
+
+        Each residual is divided by the size of the terms it compares (the
+        size of a product is the product of its factors' sizes), so the
+        verdict does not change under the scaling (lambda, a, b, P, Q) ->
+        (c lambda, a/c^3, b/c^3, P/c^2, Q/c^3).  J is scale free, so the
+        J^2 = -id residual is taken as it is."""
+        om, gam, jg, delta = self.omega, self.gamma, self.Jgamma, self.delta
         om2 = wedge(om, om)
         om3 = wedge(om2, om)
+        # sizes of the factors (products, not powers: a float power raises
+        # on overflow where a product gives inf)
+        n_om, n_gam, n_jg = om.max_abs(), gam.max_abs(), jg.max_abs()
+        n_a, n_b = abs(self.a), abs(self.b)
+        n_p, n_q, n_q1, n_q2, n_j = (
+            float(np.max(np.abs(m))) for m in (self.P, self.Q, self.Q1, self.Q2, self.J)
+        )
+        n_ab = n_a * n_b + n_q1 * n_q2  # a b - tr(Q1^T Q2)
         res = {
-            "qtp_symmetry": float(np.max(np.abs(self.Q.T @ self.P - self.P.T @ self.Q))),
-            "normalization": abs(
-                normalization_residual(self.a, self.b, self.Q1, self.Q2, self.det_p)
+            "qtp_symmetry": relative(self.Q.T @ self.P - self.P.T @ self.Q, n_q * n_p),
+            # (det P)^2 against each term of normalization_bracket
+            "normalization": relative(
+                normalization_residual(self.a, self.b, self.Q1, self.Q2, self.det_p),
+                self.det_p * self.det_p,
+                n_ab * n_ab,
+                n_a * n_q2 * n_q2 * n_q2,
+                n_b * n_q1 * n_q1 * n_q1,
+                n_q1 * n_q2 * n_q1 * n_q2,
             ),
             "j_squared": self.j_squared_residual,
-            "gamma_wedge_omega": wedge(gam, om).max_abs(),
-            "jgamma_wedge_omega": wedge(Jg, om).max_abs(),
-            "gamma_wedge_jgamma": (wedge(gam, Jg) - (2.0 / 3.0) * om3).max_abs(),
-            "dgamma": (d(gam) - 0.5 * self.lam * om2).max_abs(),
-            "ddelta": (d(self.delta) - om2).max_abs(),
-            "metric_symmetry": float(np.max(np.abs(self.g - self.g.T))),
+            "gamma_wedge_omega": relative(wedge(gam, om), n_gam * n_om),
+            "jgamma_wedge_omega": relative(wedge(jg, om), n_jg * n_om),
+            "gamma_wedge_jgamma": relative(
+                wedge(gam, jg) - (2.0 / 3.0) * om3, n_gam * n_jg, n_om * n_om * n_om
+            ),
+            "dgamma": relative(d(gam) - 0.5 * self.lam * om2, gam, self.lam * n_om * n_om),
+            "ddelta": relative(d(delta) - om2, delta, n_om * n_om),
+            "metric_symmetry": relative(self.g - self.g.T, n_om * n_j),
         }
         return ValidationReport(residuals=res, metric_spd=self.metric_is_spd(), tol=tol)
 
@@ -349,17 +375,23 @@ class NhfStructure:
 
     @classmethod
     def from_record(cls, rec: dict) -> "NhfStructure":
+        """Structure of a record; StructureError if a field is missing or
+        malformed or a number is not finite."""
         try:
             lam = float(rec["lambda"])
             a = float(rec["a"])
             b = float(rec["b"])
             P = np.asarray(rec["P"], dtype=float)
             Q = np.asarray(rec["Q"], dtype=float)
+            want = rec.get("orientation")
+            want = None if want is None else int(want)
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
+        for name, value in (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q)):
+            if not np.all(np.isfinite(value)):
+                raise StructureError(f"malformed structure record: {name} is not finite")
         s = cls(lam, a, b, P, Q)
-        want = rec.get("orientation")
-        if want is not None and int(want) != s.orientation:
+        if want is not None and want != s.orientation:
             raise StructureError(
                 f"record orientation {want} contradicts sign(det P) = {s.orientation}"
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhflat.exterior import DIMS, Form, d, form_inner, wedge, wedge_tensor
+from nhflat.exterior import DIMS, Form, d, form_inner, relative, wedge, wedge_tensor
 from nhflat.mat3 import adjugate
 from nhflat.structure import NhfStructure, InvalidStructureError, DEFAULT_TOL
 
@@ -51,25 +51,24 @@ class TorsionData:
 def w1_plus(structure: NhfStructure) -> float:
     """w1+ = tr(P^T R) / (2 (det P)^2)."""
     return float(np.trace(structure.P.T @ structure.R)) / (
-        2.0 * structure.det_p**2
+        2.0 * structure.det_p * structure.det_p
     )
 
 
 def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma, with membership check."""
+    """w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma, with membership check.
+
+    w3 ^ omega, w3 ^ gamma and w3 ^ J gamma must vanish relative to the
+    size of w3's uncancelled terms times the size of the other factor."""
     w1p = w1_plus(structure)
-    w3 = (
-        d(structure.omega)
-        - w1p * structure.gamma
-        - 0.75 * structure.lam * structure.Jgamma
+    om, gam, jg = structure.omega, structure.gamma, structure.Jgamma
+    w3 = d(om) - w1p * gam - 0.75 * structure.lam * jg
+    # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
+    size = max(
+        om.max_abs(), abs(w1p) * gam.max_abs(), 0.75 * abs(structure.lam) * jg.max_abs()
     )
-    scale = max(1.0, w3.max_abs())
-    bad = max(
-        wedge(w3, structure.omega).max_abs(),
-        wedge(w3, structure.gamma).max_abs(),
-        wedge(w3, structure.Jgamma).max_abs(),
-    )
-    if bad > tol * scale * 10:
+    bad = max(relative(wedge(w3, f), size * f.max_abs()) for f in (om, gam, jg))
+    if not bad <= tol:
         raise InvalidStructureError(
             f"w3 membership residual {bad:.3e} exceeds tolerance"
         )
@@ -84,24 +83,30 @@ def _wedge_operator(fixed: Form, k: int) -> np.ndarray:
 
 def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
     """Solve w2- ^ omega = dJgamma + (2/3) w1+ omega^2 inside the primitive
-    (1,1) module, as an augmented least-squares system."""
+    (1,1) module, as an augmented least-squares system.
+
+    Each block is divided by the size of its operator, so the scaled
+    system, and with it what lstsq does, is the same at every scale."""
     w1p = w1_plus(structure)
-    om = structure.omega
+    om, gam, jg = structure.omega, structure.gamma, structure.Jgamma
     om2 = wedge(om, om)
-    target = d(structure.Jgamma) + (2.0 / 3.0) * w1p * om2
+    target = d(jg) + (2.0 / 3.0) * w1p * om2
+    n_om, n_gam = om.max_abs(), gam.max_abs()
 
     A = np.vstack(
         [
-            _wedge_operator(om, 2),       # 15 equations: beta ^ omega = target
-            _wedge_operator(structure.gamma, 2),  # 6 equations: beta ^ gamma = 0
-            _wedge_operator(om2, 2),      # 1 equation:  beta ^ omega^2 = 0
+            _wedge_operator(om, 2) / n_om,  # 15 equations: beta ^ omega = target
+            _wedge_operator(gam, 2) / n_gam,  # 6 equations: beta ^ gamma = 0
+            _wedge_operator(om2, 2) / (n_om * n_om),  # 1 equation:  beta ^ omega^2 = 0
         ]
     )
-    rhs = np.concatenate([target.coeffs, np.zeros(DIMS[5]), np.zeros(DIMS[6])])
+    rhs = np.concatenate([target.coeffs / n_om, np.zeros(DIMS[5]), np.zeros(DIMS[6])])
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = float(np.max(np.abs(A @ sol - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    if resid > tol * scale * 10:
+    # the scaled operators have unit size; the target's terms are d(J gamma)
+    # and (2/3) w1+ omega^2
+    rhs_size = max(jg.max_abs(), (2.0 / 3.0) * abs(w1p) * n_om * n_om) / n_om
+    resid = relative(A @ sol - rhs, sol, rhs_size)
+    if not resid <= tol:
         raise InvalidStructureError(
             f"w2- solve residual {resid:.3e} exceeds tolerance"
         )
@@ -175,40 +180,44 @@ class ClassReport:
 def _matrix_predicates(structure: NhfStructure):
     """Relative residuals of the closed-form torsion-vanishing conditions.
 
-    Each residual is normalized by the magnitude of the terms being
-    compared so the verdict is scale invariant; the w1+ = 0 test is
-    simply |w1+| itself, which is already dimensionally a rate."""
+    Each residual is divided by the size of the terms being compared
+    (`relative`), so the verdict is scale invariant; the w1+ = 0 test is
+    |w1+| / |lambda|, the rate w1+ against the rate w1- = 3 lambda / 4."""
     s = structure
     tr_pr = float(np.trace(s.P.T @ s.R))
     lam, dp = s.lam, s.det_p
     adjPT = adjugate(s.P.T)
 
-    def _mag(*xs):
-        return max(1e-300, *(float(np.max(np.abs(x))) for x in xs))
-
-    nk = max(
-        abs(s.A),
-        abs(s.B),
-        float(np.max(np.abs(s.R1 - (2.0 * dp / (3.0 * lam)) * s.P))),
-        float(np.max(np.abs(s.R2 + (2.0 * dp / (3.0 * lam)) * s.P))),
-    ) / _mag(s.R1, s.R2, (2.0 * dp / (3.0 * lam)) * s.P, s.A, s.B)
-    w1p_zero = abs(tr_pr) / (2.0 * dp * dp)
+    kP = (2.0 * dp / (3.0 * lam)) * s.P
+    nk = relative(
+        max(
+            abs(s.A),
+            abs(s.B),
+            float(np.max(np.abs(s.R1 - kP))),
+            float(np.max(np.abs(s.R2 + kP))),
+        ),
+        s.R1, s.R2, kP, s.A, s.B,
+    )
+    w1p_zero = relative(tr_pr / (2.0 * dp * dp), lam)
     # w2- = 0: R proportional to Adj(P^T) with the w1+ coefficient.  R is
-    # normalized by R1 and R2, not by itself: R = R1 + R2 cancels to roundoff
+    # sized by R1 and R2, not by itself: R = R1 + R2 cancels to roundoff
     # on w1w3 members, where the cancelled size would inflate the residual.
-    cocoupled = float(
-        np.max(np.abs(s.R - (tr_pr / (3.0 * dp)) * adjPT))
-    ) / _mag(s.R1, s.R2, (tr_pr / (3.0 * dp)) * adjPT)
+    cocoupled = relative(
+        s.R - (tr_pr / (3.0 * dp)) * adjPT, s.R1, s.R2, (tr_pr / (3.0 * dp)) * adjPT
+    )
     # w3 = 0: the four displayed conditions on A, B, R1, R2
     c = tr_pr / (3.0 * lam * dp)
     t1 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P - (tr_pr / dp) * s.Q1)
     t2 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P + (tr_pr / dp) * s.Q2)
-    coupled = max(
-        abs(s.A + c * s.a),
-        abs(s.B + c * s.b),
-        float(np.max(np.abs(s.R1 - t1))),
-        float(np.max(np.abs(s.R2 + t2))),
-    ) / _mag(s.R1, s.R2, t1, t2, s.A, s.B, c * s.a, c * s.b)
+    coupled = relative(
+        max(
+            abs(s.A + c * s.a),
+            abs(s.B + c * s.b),
+            float(np.max(np.abs(s.R1 - t1))),
+            float(np.max(np.abs(s.R2 + t2))),
+        ),
+        s.R1, s.R2, t1, t2, s.A, s.B, c * s.a, c * s.b,
+    )
     return {
         "nearly_kahler": nk,
         "w1plus_zero": w1p_zero,
@@ -244,18 +253,21 @@ def classify(structure: NhfStructure, tol: float = CLASSIFY_TOL) -> ClassReport:
 def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):
     """Rotate gamma inside its stable orbit to a closed form.
 
-    Requires w2- = 0.  Returns (theta, gamma_theta, max |d gamma_theta|)
-    with theta = arctan(3 lambda / (4 w1+)); theta = pi/2 when w1+ = 0."""
-    w2m = w2_minus_form(structure, tol)
-    if w2m.max_abs() > max(tol, 1e-8):
+    Requires w2- = 0.  Returns (theta, gamma_theta, relative residual of
+    d gamma_theta = 0) with theta = arctan(3 lambda / (4 w1+)); theta = pi/2
+    when w1+ = 0.  Both "= 0" verdicts are those of `classify`."""
+    report = classify(structure, tol=max(tol, CLASSIFY_TOL))
+    if "W2-" in report.label:
         raise InvalidStructureError(
-            f"w2- = {w2m.max_abs():.3e} is not zero; no closed rotation exists"
+            f"w2- is not zero (relative residual "
+            f"{report.predicate_residuals['w2minus_zero']:.3e}); "
+            "no closed rotation exists"
         )
-    w1p = w1_plus(structure)
-    if abs(w1p) < 1e-12:
+    if report.w1plus_zero:
         theta = 0.5 * np.pi
     else:
-        theta = float(np.arctan(3.0 * structure.lam / (4.0 * w1p)))
-    gamma_theta = np.cos(theta) * structure.gamma + np.sin(theta) * structure.Jgamma
-    residual = d(gamma_theta).max_abs()
-    return theta, gamma_theta, residual
+        theta = float(np.arctan(3.0 * structure.lam / (4.0 * w1_plus(structure))))
+    cos_gamma = np.cos(theta) * structure.gamma
+    sin_jgamma = np.sin(theta) * structure.Jgamma
+    gamma_theta = cos_gamma + sin_jgamma
+    return theta, gamma_theta, relative(d(gamma_theta), cos_gamma, sin_jgamma)

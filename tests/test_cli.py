@@ -182,6 +182,93 @@ class TestFlow:
         assert "Traceback" not in err
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _nan_scalar_curvature(*args, **kwargs):
+    return float("nan")
+
+
+def _nan_summary(self):
+    return {"max_g2_resid": float("nan")}
+
+
+# (argv with {nk} for the nearly Kahler record, {nan} and {inf} for records
+# with a non-finite number, {huge} for one whose det P overflows and
+# {orientation} for one whose orientation is not a number,
+# NHF_TOL or None, function to patch to NaN, exit)
+BAD_INPUTS = {
+    "nhf_tol_abc": (["check", "{nk}"], "abc", None, 2),
+    "nhf_tol_nan": (["check", "{nk}"], "nan", None, 2),
+    "nhf_tol_inf": (["check", "{nk}"], "inf", None, 2),
+    "nhf_tol_zero": (["classify", "{nk}"], "0", None, 2),
+    "tol_negative": (["--tol", "-1", "check", "{nk}"], None, None, 2),
+    "tol_abc": (["--tol", "abc", "rotate", "{nk}"], None, None, 2),
+    "tol_nan_flow": (["--tol", "nan", "flow", "{nk}", "--t-end", "0.01"], None, None, 2),
+    "record_nan_p": (["check", "{nan}"], None, None, 2),
+    "record_inf_lambda": (["classify", "{inf}"], None, None, 2),
+    "record_overflow": (["check", "{huge}"], None, None, 1),
+    "record_bad_orientation": (["rotate", "{orientation}"], None, None, 2),
+    "verify_g2_samples_0": (
+        ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
+    ),
+    "flow_t_end_inf": (["flow", "{nk}", "--t-end", "inf"], None, None, 2),
+    "flow_t_start_nan": (
+        ["flow", "{nk}", "--t-start", "nan", "--t-end", "0.01"], None, None, 2
+    ),
+    "flow_h_0": (["flow", "{nk}", "--t-end", "0.05", "--h", "0"], None, None, 2),
+    "nan_in_classify_output": (
+        ["classify", "{nk}"],
+        None,
+        ("nhflat.torsion.scalar_curvature", _nan_scalar_curvature),
+        1,
+    ),
+    "nan_in_flow_summary": (
+        ["flow", "{nk}", "--t-end", "0.002", "--out", "{csv}"],
+        None,
+        ("nhflat.flow.Trajectory.to_record", _nan_summary),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
+    argv, env_tol, patch, expected = BAD_INPUTS[case]
+    nk = families.nearly_kahler(4.0).to_record()
+    nan_p = np.eye(3).tolist()
+    nan_p[0][0] = float("nan")
+    records = {
+        "nk": nk,
+        # no orientation key, so nothing in the record is checked before P
+        "nan": {k: v for k, v in nk.items() if k != "orientation"} | {"P": nan_p},
+        "huge": {k: v for k, v in nk.items() if k != "orientation"}
+        | {"P": (1e110 * np.eye(3)).tolist()},
+        "inf": nk | {"lambda": float("inf")},
+        "orientation": nk | {"orientation": "x"},
+    }
+    paths = {"csv": str(tmp_path / "t.csv")}
+    for name, rec in records.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(rec, fh)
+    monkeypatch.delenv("NHF_TOL", raising=False)
+    if env_tol is not None:
+        monkeypatch.setenv("NHF_TOL", env_tol)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == expected
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert out == "" or _strict_json(out) is not None
+
+
 class TestRotate:
     def test_w1_member_rotates(self, capsys, tmp_path):
         rec = families.w1_family(1.0, 0.5).to_record()
