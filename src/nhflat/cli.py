@@ -13,9 +13,11 @@ relative residuals.  ``--tol`` or else the environment variable NHF_TOL
 overrides the default tolerance; a value that is not a finite number
 > 0 exits 2.  Other usage errors that exit 2: a record with a non-finite
 number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
-below 1 or a non-finite ``--t-start`` / ``--t-end``, and ``verify-g2
---samples`` below 1.  Output JSON is strict: a result with a non-finite
-number exits 1 instead of printing NaN or Infinity.
+below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
+``flow.MAX_STEPS`` steps, ``family`` with a parameter at which the closed
+form under- or overflows, and ``verify-g2 --samples`` below 1.  Output
+JSON is strict: a result with a non-finite number exits 1 instead of
+printing NaN or Infinity.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ class Form:
         return float(self.coeffs[BASIS_INDEX[self.degree][tuple(indices)]])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return max_abs(self.coeffs)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))
@@ -182,6 +182,19 @@ def d(x: Form) -> Form:
     return Form(x.degree + 1, _d_matrix(x.degree) @ x.coeffs)
 
 
+@functools.cache
+def _contract_tensor(k: int) -> np.ndarray:
+    """Sign tensor C[r, a, n] of the interior product of the a-th dual frame
+    vector with the n-th degree-k monomial onto the r-th degree-(k - 1)
+    monomial (k >= 1)."""
+    C = np.zeros((DIMS[k - 1], DIM, DIMS[k]))
+    for n, mono in enumerate(BASIS[k]):
+        for j, idx in enumerate(mono):
+            C[BASIS_INDEX[k - 1][mono[:j] + mono[j + 1:]], idx - 1, n] = (-1) ** j
+    C.flags.writeable = False
+    return C
+
+
 def contract(v, x: Form) -> Form:
     """Interior product v -| x for a tangent vector v.
 
@@ -195,17 +208,7 @@ def contract(v, x: Form) -> Form:
         comps[int(v) - 1] = 1.0
     else:
         comps = np.asarray(v, dtype=float)
-    out = Form(x.degree - 1)
-    for n, mono in enumerate(BASIS[x.degree]):
-        c = x.coeffs[n]
-        if c == 0:
-            continue
-        for j, idx in enumerate(mono):
-            va = comps[idx - 1]
-            if va != 0:
-                rest = mono[:j] + mono[j + 1:]
-                out.coeffs[BASIS_INDEX[x.degree - 1][rest]] += ((-1) ** j) * va * c
-    return out
+    return Form(x.degree - 1, (_contract_tensor(x.degree) @ x.coeffs) @ comps)
 
 
 def compound(M, k: int) -> np.ndarray:
@@ -225,11 +228,13 @@ def pullback(M, x: Form) -> Form:
     return Form(x.degree, compound(M, x.degree).T @ x.coeffs)
 
 
-def _max_abs(x) -> float:
+def max_abs(x) -> float:
+    """Largest |entry| of a number, array or form; NaN if any entry is NaN."""
     if isinstance(x, Form):
         x = x.coeffs
     if isinstance(x, np.ndarray) and x.ndim:
-        return float(np.abs(x).max())
+        # np.max without its Python-level dispatch; NaN propagates the same
+        return float(np.maximum.reduce(np.abs(x), axis=None))
     return abs(float(x))
 
 
@@ -242,8 +247,8 @@ def relative(residual, *terms) -> float:
     of a difference that can cancel to roundoff.  The quotient is then
     invariant under any rescaling of the data that scales residual and
     terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
-    size = max((_max_abs(t) for t in terms), default=0.0)
-    return _max_abs(residual) / max(size, 1e-300)
+    size = max((max_abs(t) for t in terms), default=0.0)
+    return max_abs(residual) / max(size, 1e-300)
 
 
 def is_spd(g: np.ndarray) -> bool:
@@ -251,13 +256,18 @@ def is_spd(g: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
 
 
-def _check_spd(g: np.ndarray):
+def inverse_metric(g, spd: bool | None = None) -> np.ndarray:
+    """Inverse of the coframe metric g; ValueError unless g is a symmetric
+    positive definite 6x6 matrix.  `spd` is the verdict of `is_spd(g)`
+    when the caller already has it."""
+    g = np.asarray(g, dtype=float)
     if g.shape != (DIM, DIM):
         raise ValueError("metric must be 6x6")
     if not relative(g - g.T, g) <= DEFAULT_TOL:
         raise ValueError("metric must be symmetric")
-    if not is_spd(g):
+    if not (is_spd(g) if spd is None else spd):
         raise ValueError("metric must be positive definite")
+    return np.linalg.inv(g)
 
 
 @functools.cache
@@ -276,12 +286,47 @@ def _complement(k: int) -> np.ndarray:
 def hodge(g, x: Form) -> Form:
     """Riemannian Hodge star of x for the SPD coframe metric g, with
     positive volume form e123456."""
-    g = np.asarray(g, dtype=float)
-    _check_spd(g)
-    ginv = np.linalg.inv(g)
+    ginv = inverse_metric(g)
     vol = np.sqrt(np.linalg.det(g))
     k = x.degree
     return Form(DIM - k, vol * (_complement(k) @ (compound(ginv, k) @ x.coeffs)))
+
+
+@functools.cache
+def _scatter(k: int):
+    """(source, sign, ascending) tables of degree k over the 6^k entries
+    of a k-slot tensor in row-major order.  The full antisymmetric tensor
+    of a coefficient vector x is ``sign * x[source]`` (sign 0 where an index
+    repeats); ``ascending`` lists the flat positions of the ascending
+    multi-indices, in basis order."""
+    source = np.zeros(DIM**k, dtype=np.intp)
+    sign = np.zeros(DIM**k)
+    ascending = np.zeros(DIMS[k], dtype=np.intp)
+    for flat, multi in enumerate(itertools.product(range(1, DIM + 1), repeat=k)):
+        if len(set(multi)) == k:
+            mono, s = _merge((), multi)
+            source[flat], sign[flat] = BASIS_INDEX[k][mono], s
+            if mono == multi:
+                ascending[source[flat]] = flat
+    for table in (source, sign, ascending):
+        table.flags.writeable = False
+    return source, sign, ascending
+
+
+def inner(M: np.ndarray, x: Form, y: Form) -> float:
+    """x^T C_k(M) y for equal-degree forms and a 6x6 matrix M, without
+    building the compound matrix: y is expanded to its antisymmetric k-slot
+    tensor, M is applied to every slot, and the result is read at the
+    ascending multi-indices and paired with x.  With M = g^-1 this is the
+    inner product of `form_inner`; nothing is checked here."""
+    k = x.degree
+    source, sign, ascending = _scatter(k)
+    t = sign * y.coeffs[source]
+    for _ in range(k):
+        # contract the last slot with M and rotate it to the front; after
+        # k turns every slot is contracted and the order is restored
+        t = (t.reshape(-1, DIM) @ M.T).T
+    return float(x.coeffs @ t.ravel()[ascending])
 
 
 def form_inner(g, x: Form, y: Form) -> float:
@@ -289,10 +334,7 @@ def form_inner(g, x: Form, y: Form) -> float:
     orthonormal monomials of an orthonormal coframe having unit norm."""
     if x.degree != y.degree:
         raise ValueError("degree mismatch in form inner product")
-    g = np.asarray(g, dtype=float)
-    _check_spd(g)
-    ginv = np.linalg.inv(g)
-    return float(x.coeffs @ compound(ginv, x.degree) @ y.coeffs)
+    return inner(inverse_metric(g), x, y)
 
 
 def volume_coefficient(x: Form) -> float:

@@ -8,6 +8,8 @@ the Berger / sine-cone trajectories that solve the evolution equations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from nhflat.structure import NhfStructure, StructureError
@@ -19,6 +21,29 @@ class FamilyRangeError(StructureError):
     """Parameter outside the family's admissible range."""
 
 
+def _closed_form(build):
+    """Family constructor that raises FamilyRangeError, not an arithmetic
+    error or a member with non-finite entries, where its closed form under-
+    or overflows (nearly_kahler at lambda = 1e-110: lambda^3 is 0)."""
+
+    @functools.wraps(build)
+    def member(*args, **kwargs):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                s = build(*args, **kwargs)
+            finite = all(np.isfinite(v).all() for v in (s.lam, s.a, s.b, s.P, s.Q))
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise FamilyRangeError(
+                f"{build.__name__}: the closed form under- or overflows at these parameters"
+            )
+        return s
+
+    return member
+
+
+@_closed_form
 def nearly_kahler(lam: float, sign_p: int = 1) -> NhfStructure:
     """The unique invariant nearly Kahler solution at scale lambda.
 
@@ -30,6 +55,7 @@ def nearly_kahler(lam: float, sign_p: int = 1) -> NhfStructure:
     return NhfStructure(lam, ab, ab, p * np.eye(3), np.zeros((3, 3)))
 
 
+@_closed_form
 def w1_family(lam: float, p: float, sign_q: int = 1) -> NhfStructure:
     """Torsion in W1 only: P = p Id, Q = q Id, a = b = lambda p^2,
     q = +- p sqrt(12 sqrt(3) |p| - 27 lambda^2 p^2) / 6, |p| in
@@ -44,6 +70,7 @@ def w1_family(lam: float, p: float, sign_q: int = 1) -> NhfStructure:
     return NhfStructure(lam, ab, ab, p * np.eye(3), q * np.eye(3))
 
 
+@_closed_form
 def w1w3_family(a: float, sign_p: int = 1) -> NhfStructure:
     """w1+ = w2- = 0 (so d J gamma = 0), at lambda = 4, for a > 1/256:
     b = 512 a^2/(256 a - 1), q = 128 a^2/(256 a - 1), p = +-8a/sqrt(256 a - 1)."""
@@ -63,6 +90,7 @@ def _zero_scalar_q(p: float, inner_sign: int) -> float:
     return p * np.sqrt(disc) / 3.0
 
 
+@_closed_form
 def zero_scalar_structure(p: float, inner_sign: int, sign_q: int = 1) -> NhfStructure:
     """Single member of the a = b = 0, P = p Id, Q = q Id, lambda = 4 family
     with q^2 = 4 p^4 + inner_sign * p^3 / sqrt(3)."""
@@ -108,6 +136,7 @@ def zero_scalar_family(branch: str):
     raise FamilyRangeError(f"no admissible zero-scalar root on branch {branch!r}")
 
 
+@_closed_form
 def berger_trajectory(t: float) -> NhfStructure:
     """The cohomogeneity-one slice of the homogeneous nearly parallel
     structure on the Berger space, lambda = 6/sqrt(5), t in (0, pi/3)."""
@@ -148,6 +177,7 @@ def berger_derivative(t: float):
     return da, db, dQ1, dQ2
 
 
+@_closed_form
 def sine_cone_trajectory(t: float, sign_p: int = 1) -> NhfStructure:
     """The trajectory through the nearly Kahler point at t = 0, lambda = 4:
     a = b = cos^4(2t)/108, p = (sqrt 3/36) cos^2(2t),

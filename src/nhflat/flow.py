@@ -41,6 +41,8 @@ from nhflat.structure import (
 )
 
 SINGULAR_DETP = 1e-6
+#: Most RK4 steps one `integrate` call takes, |t1 - t0| / |h|.
+MAX_STEPS = 10**8
 
 CSV_COLUMNS = (
     ["t", "a", "b"]
@@ -275,7 +277,7 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
     domega, dgamma, domega2, djgamma = _derivative_forms(
         structure, da, db, dQ1, dQ2
     )
-    om2 = wedge(structure.omega, structure.omega)
+    om2 = structure.omega2
     pieces = [
         (d(structure.gamma) - 0.5 * lam * om2).max_abs(),
         (dgamma - d(structure.omega) + lam * structure.Jgamma).max_abs(),
@@ -286,12 +288,18 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
 
 
 def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
-    """Raise ValueError unless h is finite and nonzero, record_every >= 1
-    and the end points t0, t1 are finite."""
+    """Raise ValueError unless h is finite and nonzero, record_every >= 1,
+    the end points t0, t1 are finite and |t1 - t0| / |h| <= MAX_STEPS."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_start and t_end must be finite, got {t0} and {t1}")
     if not math.isfinite(h) or h == 0:
         raise ValueError(f"step size h must be finite and nonzero, got {h}")
+    # a product, not |t1 - t0| / |h|, which can overflow
+    if abs(t1 - t0) > MAX_STEPS * abs(h):
+        raise ValueError(
+            f"|t_end - t_start| / |h| must be at most {MAX_STEPS:.0e} steps, "
+            f"got {abs(t1 - t0):g} / {abs(h):g}"
+        )
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
@@ -308,9 +316,9 @@ def integrate(
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
     recording every record_every-th step.  Raises ValueError for a zero or
-    non-finite h, record_every < 1 or a non-finite t0 or t1, and
-    FlowSingularityError (carrying the partial trajectory) if |det P| drops
-    below SINGULAR_DETP."""
+    non-finite h, record_every < 1, a non-finite t0 or t1 or more than
+    MAX_STEPS steps, and FlowSingularityError (carrying the partial
+    trajectory) if |det P| drops below SINGULAR_DETP."""
     check_step(h, record_every, t0, t1)
     if validate_initial:
         report = initial.validate()

@@ -28,6 +28,8 @@ Conventions fixed here and relied on throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +41,9 @@ from nhflat.exterior import (
     Form,
     contract,
     d,
+    inverse_metric,
     is_spd,
+    max_abs,
     relative,
     volume_coefficient,
     wedge,
@@ -214,12 +218,13 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
     n_om = omega.max_abs()
     if relative(om3, n_om * n_om * n_om) <= SINGULAR_DETP:
         raise SingularStructureError("omega^3 = 0")
-    K = np.zeros((6, 6))
-    for a in range(1, DIM + 1):
-        f5 = wedge(contract(a, gamma), gamma)
-        for n, mono in enumerate(BASIS[5]):
-            missing = 21 - sum(mono)  # the one index absent from a 5-monomial
-            K[missing - 1, a - 1] += ((-1) ** (missing - 1)) * f5.coeffs[n]
+    f5 = np.column_stack(
+        [wedge(contract(a, gamma), gamma).coeffs for a in range(1, DIM + 1)]
+    )
+    # BASIS[5] lists the 5-monomials missing index 6, 5, ..., 1; row m - 1
+    # of K is the coefficient of the one missing m, with sign (-1)^(m - 1)
+    K = f5[::-1]
+    K[1::2] *= -1.0
     tr2 = float(np.trace(K @ K))
     if tr2 >= 0:
         raise InvalidStructureError("gamma is not stable (tr K^2 >= 0)")
@@ -265,13 +270,33 @@ class ValidationReport:
         return bad
 
 
+class Sizes(NamedTuple):
+    """Largest |entry| of each factor the validity and torsion verdicts
+    compare (see `exterior.relative`)."""
+
+    om: float
+    gam: float
+    jg: float
+    p: float
+    q: float
+    q1: float
+    q2: float
+    r1: float
+    r2: float
+    j: float
+
+
 class NhfStructure:
     """An invariant nearly half-flat structure with its derived cache.
 
-    All derived data is computed eagerly on construction and never mutated;
-    instances are safe to share between threads.  Construction only rejects
-    singular det P; use :meth:`validate` to test the remaining constraints
-    (so that invalid records can still be diagnosed)."""
+    The forms, J and g are computed on construction; the values that more
+    than one verdict reads (`omega2`, `w1plus`, `sizes`, `metric_spd`,
+    `metric_inverse`) are computed on first use.  Nothing is mutated after
+    that, so instances are safe to share between threads (two threads may
+    both compute a value on first use; they get the same value).
+    Construction only rejects singular det P; use :meth:`validate` to test
+    the remaining constraints (so that invalid records can still be
+    diagnosed)."""
 
     def __init__(self, lam: float, a: float, b: float, P, Q):
         if lam == 0:
@@ -285,7 +310,8 @@ class NhfStructure:
             raise StructureError("P and Q must be 3x3 matrices")
         self.det_p = det3(self.P)
         # a test of the shape of P, independent of its scale
-        if relative(self.det_p, np.max(np.abs(self.P)) ** 3) <= SINGULAR_DETP:
+        n_p = max_abs(self.P)
+        if relative(self.det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {self.det_p} is singular")
         self.orientation = 1 if self.det_p > 0 else -1
         self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q)
@@ -298,26 +324,54 @@ class NhfStructure:
         self.Jgamma = build_j_gamma(self.A, self.B, self.R1, self.R2, self.det_p)
         # lenient J: residual recorded, reported through validate
         self.J = _j_blocks(self.a, self.b, self.Q1, self.Q2).T / self.det_p
-        self.j_squared_residual = float(np.max(np.abs(self.J @ self.J + np.eye(6))))
+        self.j_squared_residual = max_abs(self.J @ self.J + np.eye(6))
         self.g = metric_from(self.omega, self.J)
 
-    # -- derived helpers -------------------------------------------------
+    # -- derived values, computed on first use ---------------------------
 
     @property
     def w1_minus(self) -> float:
         return 0.75 * self.lam
 
+    @cached_property
+    def omega2(self) -> Form:
+        """omega ^ omega."""
+        return wedge(self.omega, self.omega)
+
+    @cached_property
+    def w1plus(self) -> float:
+        """w1+ = tr(P^T R) / (2 (det P)^2)."""
+        return float(np.trace(self.P.T @ self.R)) / (2.0 * self.det_p * self.det_p)
+
+    @cached_property
+    def sizes(self) -> Sizes:
+        """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1, R2 and J."""
+        factors = (self.omega, self.gamma, self.Jgamma, self.P, self.Q, self.Q1, self.Q2)
+        return Sizes(*map(max_abs, factors + (self.R1, self.R2, self.J)))
+
+    @cached_property
+    def metric_spd(self) -> bool:
+        """Whether g is positive definite (`exterior.is_spd`)."""
+        return is_spd(self.g)
+
+    @cached_property
+    def metric_inverse(self) -> np.ndarray:
+        """g^-1 by `exterior.inverse_metric`; raises InvalidStructureError
+        if g is not positive definite and ValueError if it is not
+        symmetric."""
+        return inverse_metric(self.metric(), spd=True)
+
     def omega_cubed(self) -> Form:
-        return wedge(self.omega, wedge(self.omega, self.omega))
+        return wedge(self.omega, self.omega2)
 
     def metric(self) -> np.ndarray:
         """The induced metric; raises if it is not positive definite."""
-        if not self.metric_is_spd():
+        if not self.metric_spd:
             raise InvalidStructureError("induced metric is not positive definite")
         return self.g.copy()
 
     def metric_is_spd(self) -> bool:
-        return is_spd(self.g)
+        return self.metric_spd
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """Relative residuals of every constraint of the matrix description.
@@ -328,38 +382,35 @@ class NhfStructure:
         (c lambda, a/c^3, b/c^3, P/c^2, Q/c^3).  J is scale free, so the
         J^2 = -id residual is taken as it is."""
         om, gam, jg, delta = self.omega, self.gamma, self.Jgamma, self.delta
-        om2 = wedge(om, om)
+        om2 = self.omega2
         om3 = wedge(om2, om)
         # sizes of the factors (products, not powers: a float power raises
         # on overflow where a product gives inf)
-        n_om, n_gam, n_jg = om.max_abs(), gam.max_abs(), jg.max_abs()
+        z = self.sizes
         n_a, n_b = abs(self.a), abs(self.b)
-        n_p, n_q, n_q1, n_q2, n_j = (
-            float(np.max(np.abs(m))) for m in (self.P, self.Q, self.Q1, self.Q2, self.J)
-        )
-        n_ab = n_a * n_b + n_q1 * n_q2  # a b - tr(Q1^T Q2)
+        n_ab = n_a * n_b + z.q1 * z.q2  # a b - tr(Q1^T Q2)
         res = {
-            "qtp_symmetry": relative(self.Q.T @ self.P - self.P.T @ self.Q, n_q * n_p),
+            "qtp_symmetry": relative(self.Q.T @ self.P - self.P.T @ self.Q, z.q * z.p),
             # (det P)^2 against each term of normalization_bracket
             "normalization": relative(
                 normalization_residual(self.a, self.b, self.Q1, self.Q2, self.det_p),
                 self.det_p * self.det_p,
                 n_ab * n_ab,
-                n_a * n_q2 * n_q2 * n_q2,
-                n_b * n_q1 * n_q1 * n_q1,
-                n_q1 * n_q2 * n_q1 * n_q2,
+                n_a * z.q2 * z.q2 * z.q2,
+                n_b * z.q1 * z.q1 * z.q1,
+                z.q1 * z.q2 * z.q1 * z.q2,
             ),
             "j_squared": self.j_squared_residual,
-            "gamma_wedge_omega": relative(wedge(gam, om), n_gam * n_om),
-            "jgamma_wedge_omega": relative(wedge(jg, om), n_jg * n_om),
+            "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
+            "jgamma_wedge_omega": relative(wedge(jg, om), z.jg * z.om),
             "gamma_wedge_jgamma": relative(
-                wedge(gam, jg) - (2.0 / 3.0) * om3, n_gam * n_jg, n_om * n_om * n_om
+                wedge(gam, jg) - (2.0 / 3.0) * om3, z.gam * z.jg, z.om * z.om * z.om
             ),
-            "dgamma": relative(d(gam) - 0.5 * self.lam * om2, gam, self.lam * n_om * n_om),
-            "ddelta": relative(d(delta) - om2, delta, n_om * n_om),
-            "metric_symmetry": relative(self.g - self.g.T, n_om * n_j),
+            "dgamma": relative(d(gam) - 0.5 * self.lam * om2, z.gam, self.lam * z.om * z.om),
+            "ddelta": relative(d(delta) - om2, delta, z.om * z.om),
+            "metric_symmetry": relative(self.g - self.g.T, z.om * z.j),
         }
-        return ValidationReport(residuals=res, metric_spd=self.metric_is_spd(), tol=tol)
+        return ValidationReport(residuals=res, metric_spd=self.metric_spd, tol=tol)
 
     # -- serialization ---------------------------------------------------
 
@@ -388,7 +439,7 @@ class NhfStructure:
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
         for name, value in (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise StructureError(f"malformed structure record: {name} is not finite")
         s = cls(lam, a, b, P, Q)
         if want is not None and want != s.orientation:

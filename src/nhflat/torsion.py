@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhflat.exterior import DIMS, Form, d, form_inner, relative, wedge, wedge_tensor
+from nhflat.exterior import DIMS, Form, d, inner, relative, wedge, wedge_tensor
 from nhflat.mat3 import adjugate
 from nhflat.structure import NhfStructure, InvalidStructureError, DEFAULT_TOL
 
@@ -49,30 +49,30 @@ class TorsionData:
 
 
 def w1_plus(structure: NhfStructure) -> float:
-    """w1+ = tr(P^T R) / (2 (det P)^2)."""
-    return float(np.trace(structure.P.T @ structure.R)) / (
-        2.0 * structure.det_p * structure.det_p
-    )
+    """w1+ = tr(P^T R) / (2 (det P)^2), computed once per structure."""
+    return structure.w1plus
 
 
-def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
+def w3_form(
+    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
+):
     """w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma, with membership check.
 
     w3 ^ omega, w3 ^ gamma and w3 ^ J gamma must vanish relative to the
-    size of w3's uncancelled terms times the size of the other factor."""
-    w1p = w1_plus(structure)
+    size of w3's uncancelled terms times the size of the other factor.
+    With ``with_residual`` returns (w3, that relative residual)."""
+    w1p, z = structure.w1plus, structure.sizes
     om, gam, jg = structure.omega, structure.gamma, structure.Jgamma
     w3 = d(om) - w1p * gam - 0.75 * structure.lam * jg
     # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
-    size = max(
-        om.max_abs(), abs(w1p) * gam.max_abs(), 0.75 * abs(structure.lam) * jg.max_abs()
-    )
-    bad = max(relative(wedge(w3, f), size * f.max_abs()) for f in (om, gam, jg))
+    size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(structure.lam) * z.jg)
+    factors = ((om, z.om), (gam, z.gam), (jg, z.jg))
+    bad = max(relative(wedge(w3, f), size * n_f) for f, n_f in factors)
     if not bad <= tol:
         raise InvalidStructureError(
             f"w3 membership residual {bad:.3e} exceeds tolerance"
         )
-    return w3
+    return (w3, bad) if with_residual else w3
 
 
 def _wedge_operator(fixed: Form, k: int) -> np.ndarray:
@@ -81,53 +81,54 @@ def _wedge_operator(fixed: Form, k: int) -> np.ndarray:
     return wedge_tensor(k, fixed.degree) @ fixed.coeffs
 
 
-def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
+def w2_minus_form(
+    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
+):
     """Solve w2- ^ omega = dJgamma + (2/3) w1+ omega^2 inside the primitive
     (1,1) module, as an augmented least-squares system.
 
     Each block is divided by the size of its operator, so the scaled
-    system, and with it what lstsq does, is the same at every scale."""
-    w1p = w1_plus(structure)
-    om, gam, jg = structure.omega, structure.gamma, structure.Jgamma
-    om2 = wedge(om, om)
-    target = d(jg) + (2.0 / 3.0) * w1p * om2
-    n_om, n_gam = om.max_abs(), gam.max_abs()
+    system, and with it what lstsq does, is the same at every scale.
+    With ``with_residual`` returns (w2-, the relative solve residual)."""
+    w1p, z = structure.w1plus, structure.sizes
+    om, gam, om2 = structure.omega, structure.gamma, structure.omega2
+    target = d(structure.Jgamma) + (2.0 / 3.0) * w1p * om2
 
     A = np.vstack(
         [
-            _wedge_operator(om, 2) / n_om,  # 15 equations: beta ^ omega = target
-            _wedge_operator(gam, 2) / n_gam,  # 6 equations: beta ^ gamma = 0
-            _wedge_operator(om2, 2) / (n_om * n_om),  # 1 equation:  beta ^ omega^2 = 0
+            _wedge_operator(om, 2) / z.om,  # 15 equations: beta ^ omega = target
+            _wedge_operator(gam, 2) / z.gam,  # 6 equations: beta ^ gamma = 0
+            _wedge_operator(om2, 2) / (z.om * z.om),  # 1 equation:  beta ^ omega^2 = 0
         ]
     )
-    rhs = np.concatenate([target.coeffs / n_om, np.zeros(DIMS[5]), np.zeros(DIMS[6])])
+    rhs = np.concatenate([target.coeffs / z.om, np.zeros(DIMS[5]), np.zeros(DIMS[6])])
     sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     # the scaled operators have unit size; the target's terms are d(J gamma)
     # and (2/3) w1+ omega^2
-    rhs_size = max(jg.max_abs(), (2.0 / 3.0) * abs(w1p) * n_om * n_om) / n_om
+    rhs_size = max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om
     resid = relative(A @ sol - rhs, sol, rhs_size)
     if not resid <= tol:
         raise InvalidStructureError(
             f"w2- solve residual {resid:.3e} exceeds tolerance"
         )
-    beta = Form(2)
-    beta.coeffs[:] = sol
-    return beta
+    beta = Form(2, sol)
+    return (beta, resid) if with_residual else beta
 
 
 def scalar_curvature(structure: NhfStructure, torsion=None) -> float:
     """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2.
 
-    Norms are the tensor norms induced by the structure metric."""
+    Norms are the tensor norms induced by the structure metric, both taken
+    with the structure's one checked inverse metric."""
     if torsion is None:
-        w1p = w1_plus(structure)
+        w1p = structure.w1plus
         w2m = w2_minus_form(structure)
         w3 = w3_form(structure)
     else:
         w1p, w2m, w3 = torsion.w1plus, torsion.w2minus, torsion.w3
-    g = structure.metric()
-    n2 = form_inner(g, w2m, w2m)
-    n3 = form_inner(g, w3, w3)
+    ginv = structure.metric_inverse
+    n2 = inner(ginv, w2m, w2m)
+    n3 = inner(ginv, w3, w3)
     return (
         (10.0 / 3.0) * w1p * w1p
         + 15.0 * structure.lam**2 / 8.0
@@ -137,24 +138,13 @@ def scalar_curvature(structure: NhfStructure, torsion=None) -> float:
 
 
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
-    """All torsion data plus the reconstruction residuals."""
-    w1p = w1_plus(structure)
-    w3 = w3_form(structure, tol)
-    w2m = w2_minus_form(structure, tol)
-    om2 = wedge(structure.omega, structure.omega)
-    rec_domega = (
-        d(structure.omega)
-        - w1p * structure.gamma
-        - 0.75 * structure.lam * structure.Jgamma
-        - w3
-    ).max_abs()
-    rec_djgamma = (
-        d(structure.Jgamma)
-        + (2.0 / 3.0) * w1p * om2
-        - wedge(w2m, structure.omega)
-    ).max_abs()
+    """All torsion data plus the relative residuals of the two checks that
+    pin it down: "domega" is the w3 membership residual of `w3_form`,
+    "djgamma" the w2- solve residual of `w2_minus_form`."""
+    w3, rec_domega = w3_form(structure, tol, with_residual=True)
+    w2m, rec_djgamma = w2_minus_form(structure, tol, with_residual=True)
     data = TorsionData(
-        w1plus=w1p,
+        w1plus=structure.w1plus,
         w1minus=0.75 * structure.lam,
         w2minus=w2m,
         w3=w3,
@@ -183,40 +173,33 @@ def _matrix_predicates(structure: NhfStructure):
     Each residual is divided by the size of the terms being compared
     (`relative`), so the verdict is scale invariant; the w1+ = 0 test is
     |w1+| / |lambda|, the rate w1+ against the rate w1- = 3 lambda / 4."""
-    s = structure
-    tr_pr = float(np.trace(s.P.T @ s.R))
-    lam, dp = s.lam, s.det_p
+    s, z = structure, structure.sizes
+    lam, dp, w1p = s.lam, s.det_p, s.w1plus
     adjPT = adjugate(s.P.T)
 
-    kP = (2.0 * dp / (3.0 * lam)) * s.P
+    # the size of a scalar multiple c X is |c| times the size of X
+    k = 2.0 * dp / (3.0 * lam)
+    kP = k * s.P
     nk = relative(
-        max(
-            abs(s.A),
-            abs(s.B),
-            float(np.max(np.abs(s.R1 - kP))),
-            float(np.max(np.abs(s.R2 + kP))),
-        ),
-        s.R1, s.R2, kP, s.A, s.B,
+        np.concatenate([[s.A, s.B], (s.R1 - kP).ravel(), (s.R2 + kP).ravel()]),
+        z.r1, z.r2, abs(k) * z.p, s.A, s.B,
     )
-    w1p_zero = relative(tr_pr / (2.0 * dp * dp), lam)
-    # w2- = 0: R proportional to Adj(P^T) with the w1+ coefficient.  R is
-    # sized by R1 and R2, not by itself: R = R1 + R2 cancels to roundoff
-    # on w1w3 members, where the cancelled size would inflate the residual.
-    cocoupled = relative(
-        s.R - (tr_pr / (3.0 * dp)) * adjPT, s.R1, s.R2, (tr_pr / (3.0 * dp)) * adjPT
-    )
+    w1p_zero = relative(w1p, lam)
+    # w2- = 0: R = (tr(P^T R) / (3 det P)) Adj(P^T), where tr(P^T R) is
+    # 2 (det P)^2 w1+.  R is sized by R1 and R2, not by itself: R = R1 + R2
+    # cancels to roundoff on w1w3 members, where the cancelled size would
+    # inflate the residual.
+    r_w1 = (2.0 / 3.0) * dp * w1p * adjPT
+    cocoupled = relative(s.R - r_w1, z.r1, z.r2, r_w1)
     # w3 = 0: the four displayed conditions on A, B, R1, R2
-    c = tr_pr / (3.0 * lam * dp)
-    t1 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P - (tr_pr / dp) * s.Q1)
-    t2 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P + (tr_pr / dp) * s.Q2)
+    c = (2.0 / 3.0) * dp * w1p / lam
+    t1 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P - 2.0 * dp * w1p * s.Q1)
+    t2 = (1.0 / (3.0 * lam)) * (2.0 * dp * s.P + 2.0 * dp * w1p * s.Q2)
     coupled = relative(
-        max(
-            abs(s.A + c * s.a),
-            abs(s.B + c * s.b),
-            float(np.max(np.abs(s.R1 - t1))),
-            float(np.max(np.abs(s.R2 + t2))),
+        np.concatenate(
+            [[s.A + c * s.a, s.B + c * s.b], (s.R1 - t1).ravel(), (s.R2 + t2).ravel()]
         ),
-        s.R1, s.R2, t1, t2, s.A, s.B, c * s.a, c * s.b,
+        z.r1, z.r2, t1, t2, s.A, s.B, c * s.a, c * s.b,
     )
     return {
         "nearly_kahler": nk,

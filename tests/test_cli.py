@@ -221,6 +221,10 @@ BAD_INPUTS = {
         ["flow", "{nk}", "--t-start", "nan", "--t-end", "0.01"], None, None, 2
     ),
     "flow_h_0": (["flow", "{nk}", "--t-end", "0.05", "--h", "0"], None, None, 2),
+    "flow_too_many_steps": (["flow", "{nk}", "--t-end", "1e15"], None, None, 2),
+    "family_lambda_underflow": (
+        ["family", "--name", "nk", "--lambda", "1e-110"], None, None, 2
+    ),
     "nan_in_classify_output": (
         ["classify", "{nk}"],
         None,

@@ -15,7 +15,9 @@ from nhflat.exterior import (
     d,
     form_inner,
     hodge,
+    inner,
     pullback,
+    relative,
     volume_coefficient,
     wedge,
     wedge_all,
@@ -214,3 +216,70 @@ def test_compound_cauchy_binet():
         lhs = compound(A @ B, k)
         rhs = compound(A, k) @ compound(B, k)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+def _random_spd(rng):
+    A = rng.standard_normal((6, 6))
+    return A @ A.T + 0.5 * np.eye(6)
+
+
+def test_form_inner_matches_compound():
+    # the contraction against the compound-matrix definition x^T C_k(g^-1) y
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        g = _random_spd(rng)
+        C = [compound(np.linalg.inv(g), k) for k in range(7)]
+        for k in range(7):
+            x, y = _random_form(rng, k), _random_form(rng, k)
+            ref = x.coeffs @ C[k] @ y.coeffs
+            # size of the uncancelled terms of the sum
+            size = np.abs(x.coeffs) @ np.abs(C[k]) @ np.abs(y.coeffs)
+            assert abs(form_inner(g, x, y) - ref) <= 1e-13 * size
+            norm = x.coeffs @ C[k] @ x.coeffs
+            assert abs(form_inner(g, x, x) - norm) <= 1e-13 * norm
+    # the contraction is x^T C_k(M) y for any matrix, symmetric or not
+    M = rng.standard_normal((6, 6))
+    for k in range(7):
+        x, y = _random_form(rng, k), _random_form(rng, k)
+        C = compound(M, k)
+        size = np.abs(x.coeffs) @ np.abs(C) @ np.abs(y.coeffs)
+        assert abs(inner(M, x, y) - x.coeffs @ C @ y.coeffs) <= 1e-13 * size
+
+
+def test_form_inner_checks_metric():
+    x = _random_form(np.random.default_rng(9), 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        form_inner(np.eye(6) + np.triu(np.ones((6, 6)), 1), x, x)
+    with pytest.raises(ValueError, match="positive definite"):
+        form_inner(-np.eye(6), x, x)
+
+
+@pytest.mark.parametrize("shape", [(1,), (15,), (3, 3), (6, 6)])
+def test_relative_nan_at_any_position(shape):
+    # a NaN anywhere in the residual must fail every `relative(...) <= tol`
+    for pos in range(int(np.prod(shape))):
+        residual = np.ones(shape)
+        residual.flat[pos] = np.nan
+        assert np.isnan(relative(residual, 1.0))
+    for k in range(7):
+        for pos in range(DIMS[k]):
+            residual = Form(k, np.ones(DIMS[k]))
+            residual.coeffs[pos] = np.nan
+            assert np.isnan(relative(residual, residual, 2.0))
+            assert not relative(residual, 1.0) <= 1e300
+
+
+def test_contract_matches_monomial_loop():
+    # reference: remove each index of each monomial with the sign (-1)^j
+    rng = np.random.default_rng(10)
+    for k in range(1, 7):
+        x, v = _random_form(rng, k), rng.standard_normal(6)
+        ref = Form(k - 1)
+        for n, mono in enumerate(BASIS[k]):
+            for j, idx in enumerate(mono):
+                rest = BASIS[k - 1].index(mono[:j] + mono[j + 1:])
+                ref.coeffs[rest] += (-1) ** j * v[idx - 1] * x.coeffs[n]
+        assert (contract(v, x) - ref).max_abs() <= 1e-14 * max(1.0, ref.max_abs())
+        for i in range(1, 7):
+            e_i = np.eye(6)[i - 1]
+            np.testing.assert_array_equal(contract(i, x).coeffs, contract(e_i, x).coeffs)

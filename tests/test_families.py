@@ -55,6 +55,12 @@ class TestNearlyKahler:
         with pytest.raises(families.FamilyRangeError):
             families.nearly_kahler(0.0)
 
+    @pytest.mark.parametrize("lam", [1e-110, -1e-110, 1e-60, np.nan])
+    def test_unrepresentable_lambda_rejected(self, lam):
+        # lambda^3 underflows to 0 at 1e-110; det P overflows at 1e-60
+        with pytest.raises(families.FamilyRangeError, match="under- or overflows"):
+            families.nearly_kahler(lam)
+
 
 class TestW1Family:
     def test_range_validation(self):
@@ -83,6 +89,11 @@ class TestW1Family:
 
 
 class TestW1W3Family:
+    def test_overflow_rejected(self):
+        # b = 512 a^2 / (256 a - 1) overflows
+        with pytest.raises(families.FamilyRangeError, match="under- or overflows"):
+            families.w1w3_family(1e200)
+
     def test_range_validation(self):
         with pytest.raises(families.FamilyRangeError):
             families.w1w3_family(1.0 / 256.0)

@@ -140,6 +140,19 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step size"):
             flow.integrate(s0, 0.0, 0.01, h=h)
 
+    @pytest.mark.parametrize(
+        "t0, t1, h",
+        [(0.0, 1e15, 1e-3), (0.0, -1.0, 1e-9), (-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)],
+    )
+    def test_step_count_bound(self, t0, t1, h):
+        # checked before any step: these would take more than MAX_STEPS
+        with pytest.raises(ValueError, match="at most"):
+            flow.check_step(h, 1, t0, t1)
+
+    def test_step_count_at_bound_accepted(self):
+        flow.check_step(1e-3, 1, 0.0, flow.MAX_STEPS * 1e-3)
+        flow.check_step(-1.0, 1, 0.0, -float(flow.MAX_STEPS))
+
     @pytest.mark.parametrize("record_every", [0, -3])
     def test_bad_record_every_rejected(self, record_every):
         s0 = families.nearly_kahler(4.0)

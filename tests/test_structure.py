@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from nhflat.exterior import Form, d, pullback, volume_coefficient, wedge
+from nhflat.exterior import (
+    BASIS,
+    Form,
+    contract,
+    d,
+    is_spd,
+    pullback,
+    volume_coefficient,
+    wedge,
+)
 from nhflat.mat3 import adjugate, det3
 from nhflat import families
 from nhflat.structure import (
+    InvalidStructureError,
     NhfStructure,
     StructureError,
     build_delta,
@@ -203,3 +213,53 @@ class TestEquivariance:
             report = s.validate(tol=1e-9)
             assert report.passed, (seed, report.worst)
             assert s.metric_is_spd()
+
+
+class TestCachedValues:
+    def test_each_equals_its_formula(self):
+        samples = [sample_random_structure(seed) for seed in range(10)]
+        samples.append(families.nearly_kahler(-3.0))
+        for s in samples:
+            assert np.array_equal(s.omega2.coeffs, wedge(s.omega, s.omega).coeffs)
+            assert s.w1plus == float(np.trace(s.P.T @ s.R)) / (2.0 * s.det_p * s.det_p)
+            factors = (s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs)
+            factors += (s.P, s.Q, s.Q1, s.Q2, s.R1, s.R2, s.J)
+            assert tuple(s.sizes) == tuple(float(np.max(np.abs(m))) for m in factors)
+            assert s.metric_spd is is_spd(s.g) is s.metric_is_spd()
+            assert np.array_equal(s.metric_inverse, np.linalg.inv(s.g))
+
+    def test_computed_once(self):
+        s = sample_random_structure(3)
+        for name in ("omega2", "sizes", "metric_inverse"):
+            assert getattr(s, name) is getattr(s, name)
+
+    def test_indefinite_metric_has_no_inverse(self):
+        rng = np.random.default_rng(4)
+        draws = (
+            NhfStructure(
+                4.0, *rng.standard_normal(2), random_p(rng), rng.standard_normal((3, 3))
+            )
+            for _ in range(100)
+        )
+        s = next(t for t in draws if not is_spd(t.g))
+        assert not s.metric_spd and not s.validate().passed
+        with pytest.raises(InvalidStructureError):
+            s.metric_inverse
+
+
+def test_hitchin_j_matches_monomial_loop():
+    # reference: K[m - 1, a - 1] from the 5-monomial missing index m of
+    # (e_a -| gamma) ^ gamma, one entry at a time
+    for seed in range(5):
+        s = sample_random_structure(seed)
+        K = np.zeros((6, 6))
+        for a in range(1, 7):
+            f5 = wedge(contract(a, s.gamma), s.gamma)
+            for n, mono in enumerate(BASIS[5]):
+                missing = 21 - sum(mono)
+                K[missing - 1, a - 1] += ((-1) ** (missing - 1)) * f5.coeffs[n]
+        J = K / np.sqrt(-np.trace(K @ K) / 6.0)
+        g = omega_component_matrix(s.omega) @ J
+        if np.linalg.eigvalsh(0.5 * (g + g.T)).min() < 0:
+            J = -J
+        np.testing.assert_array_equal(hitchin_j(s.gamma, s.omega), J)

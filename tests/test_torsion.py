@@ -1,11 +1,13 @@
 """Torsion extraction, scalar curvature, classification, half-flat rotation."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from nhflat import families
+from nhflat import exterior, families
 from nhflat.exterior import d, form_inner, pullback, wedge
-from nhflat.structure import sample_random_structure
+from nhflat.structure import NhfStructure, sample_random_structure
 from nhflat.torsion import (
     classify,
     extract_torsion,
@@ -199,3 +201,40 @@ class TestScalarCurvature:
             w3 = w3_form(s)
             n3 = form_inner(s.metric(), w3, w3)
             assert n3 == pytest.approx(96.0, abs=1e-8)
+
+
+class TestDerivedOnce:
+    def test_residuals_are_the_checks_made(self):
+        for seed in range(5):
+            s = sample_random_structure(seed)
+            data = extract_torsion(s)
+            _, domega = w3_form(s, with_residual=True)
+            _, djgamma = w2_minus_form(s, with_residual=True)
+            assert data.residuals == {"domega": domega, "djgamma": djgamma}
+
+    def test_metric_checked_and_inverted_once(self, monkeypatch):
+        calls = {"is_spd": 0, "inv": 0}
+        is_spd, inv = exterior.is_spd, np.linalg.inv
+
+        def counted_is_spd(g):
+            calls["is_spd"] += 1
+            return is_spd(g)
+
+        def counted_inv(a):
+            calls["inv"] += 1
+            return inv(a)
+
+        # every module that bound is_spd by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nhflat") and getattr(module, "is_spd", None) is is_spd:
+                monkeypatch.setattr(module, "is_spd", counted_is_spd)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        for seed in range(5):
+            record = sample_random_structure(seed).to_record()
+            for run in ("extract", "validate and extract"):
+                s = NhfStructure.from_record(record)
+                calls.update(is_spd=0, inv=0)
+                if run != "extract":
+                    assert s.validate().passed
+                extract_torsion(s)
+                assert calls["is_spd"] <= 1 and calls["inv"] <= 1, (run, calls)
