@@ -110,7 +110,7 @@ def cmd_check(args) -> int:
         "tolerance": tol,
     }
     if report.passed:
-        data = torsion_mod.extract_torsion(s)
+        data = torsion_mod.extract_torsion(s, tol)
         payload.update(
             {
                 "class": data.class_label,
@@ -132,7 +132,7 @@ def cmd_classify(args) -> int:
     if not report.passed:
         _emit({"valid": False, "failing": report.failing()}, args.out)
         return EXIT_INVALID
-    cls = torsion_mod.classify(s)
+    cls = torsion_mod.classify(s, tol=max(tol, torsion_mod.CLASSIFY_TOL))
     _emit(
         {
             "class": cls.label,
@@ -142,7 +142,7 @@ def cmd_classify(args) -> int:
             },
             "w1plus": torsion_mod.w1_plus(s),
             "w1minus": s.w1_minus,
-            "s": torsion_mod.scalar_curvature(s),
+            "s": torsion_mod.scalar_curvature(s, tol=tol),
         },
         args.out,
     )

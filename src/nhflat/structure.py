@@ -40,7 +40,6 @@ from nhflat.exterior import (
     COFRAME_DIFFERENTIAL,
     Form,
     contract,
-    d,
     inverse_metric,
     is_spd,
     max_abs,
@@ -180,18 +179,31 @@ def normalization_residual(a: float, b: float, Q1, Q2, det_p: float) -> float:
     return det_p * det_p - normalization_bracket(a, b, Q1, Q2)
 
 
-def _j_blocks(a: float, b: float, Q1, Q2):
-    tr12 = float(np.trace(Q1.T @ Q2))
-    oo = (a * b - tr12) * np.eye(3) + 2.0 * Q2 @ Q1.T
-    oe = -2.0 * (a * Q2 - adjugate(Q1.T))
-    eo = 2.0 * (b * Q1.T - adjugate(Q2))
-    ee = -(a * b - tr12) * np.eye(3) - 2.0 * Q1.T @ Q2
-    C = np.empty((6, 6))
-    C[0::2, 0::2] = oo
-    C[0::2, 1::2] = oe
-    C[1::2, 0::2] = eo
-    C[1::2, 1::2] = ee
-    return C
+# _j_blocks' 36 block entries (oo, oe, eo, ee, each row-major) in the
+# order of the 6x6 matrix: the (i, j) entry of each block sits at
+# (2 i, 2 j), (2 i, 2 j + 1), (2 i + 1, 2 j), (2 i + 1, 2 j + 1)
+_J_BLOCK_ORDER = np.array(
+    [9 * (2 * (r % 2) + c % 2) + 3 * (r // 2) + c // 2 for r in range(6) for c in range(6)]
+)
+
+
+def _j_blocks(a: float, b: float, q1, q2) -> np.ndarray:
+    """The block matrix (det P) J^T of the state (a, b, Q1, Q2), with Q1, Q2
+    given as row-major 9-sequences; its blocks on the odd/even rows and
+    columns are
+
+        oo =  (a b - tr(Q1^T Q2)) Id + 2 Q2 Q1^T,   oe = -2 (a Q2 - Adj(Q1^T)),
+        eo =  2 (b Q1^T - Adj(Q2)),   ee = -(a b - tr(Q1^T Q2)) Id - 2 Q1^T Q2."""
+    ee = mul9(transpose9(q1), q2)  # Q1^T Q2, scaled below
+    t = a * b - (ee[0] + ee[4] + ee[8])
+    oo = [2 * x for x in mul9(q2, transpose9(q1))]
+    ee = [-2 * x for x in ee]
+    for k in (0, 4, 8):
+        oo[k] += t
+        ee[k] -= t
+    oe = [-2 * (a * x - c) for x, c in zip(q2, cofactor9(q1))]
+    eo = [2 * (b * x - c) for x, c in zip(transpose9(q1), transpose9(cofactor9(q2)))]
+    return np.array(oo + oe + eo + ee)[_J_BLOCK_ORDER].reshape(6, 6)
 
 
 # (row, column) of the upper-triangle entry of each 2-monomial
@@ -316,14 +328,13 @@ class NhfStructure:
         self.orientation = 1 if self.det_p > 0 else -1
         self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q)
         self.omega = build_omega(self.P)
-        self.delta = build_delta(self.P)
         self.gamma = invariant_three_form(self.a, self.b, self.Q1, self.Q2)
         self.A, self.B, self.R1, self.R2, self.R = compute_abr(
             self.a, self.b, self.Q1, self.Q2
         )
         self.Jgamma = build_j_gamma(self.A, self.B, self.R1, self.R2, self.det_p)
         # lenient J: residual recorded, reported through validate
-        self.J = _j_blocks(self.a, self.b, self.Q1, self.Q2).T / self.det_p
+        self.J = _j_blocks(self.a, self.b, flat9(self.Q1), flat9(self.Q2)).T / self.det_p
         self.j_squared_residual = max_abs(self.J @ self.J + np.eye(6))
         self.g = metric_from(self.omega, self.J)
 
@@ -374,16 +385,21 @@ class NhfStructure:
         return self.metric_spd
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
-        """Relative residuals of every constraint of the matrix description.
+        """Relative residuals of the defining conditions of a valid
+        structure: Q^T P symmetric, the normalization, omega ^ J gamma = 0
+        and, reported apart as `metric_spd`, g positive definite.  The
+        J^2 = -id residual, computed at construction, is reported too.
 
         Each residual is divided by the size of the terms it compares (the
         size of a product is the product of its factors' sizes), so the
         verdict does not change under the scaling (lambda, a, b, P, Q) ->
         (c lambda, a/c^3, b/c^3, P/c^2, Q/c^3).  J is scale free, so the
-        J^2 = -id residual is taken as it is."""
-        om, gam, jg, delta = self.omega, self.gamma, self.Jgamma, self.delta
-        om2 = self.omega2
-        om3 = wedge(om2, om)
+        J^2 = -id residual is taken as it is.
+
+        Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
+        for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
+        (2/3) omega^3 and the symmetry of g follow from the defining
+        conditions."""
         # sizes of the factors (products, not powers: a float power raises
         # on overflow where a product gives inf)
         z = self.sizes
@@ -401,14 +417,7 @@ class NhfStructure:
                 z.q1 * z.q2 * z.q1 * z.q2,
             ),
             "j_squared": self.j_squared_residual,
-            "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
-            "jgamma_wedge_omega": relative(wedge(jg, om), z.jg * z.om),
-            "gamma_wedge_jgamma": relative(
-                wedge(gam, jg) - (2.0 / 3.0) * om3, z.gam * z.jg, z.om * z.om * z.om
-            ),
-            "dgamma": relative(d(gam) - 0.5 * self.lam * om2, z.gam, self.lam * z.om * z.om),
-            "ddelta": relative(d(delta) - om2, delta, z.om * z.om),
-            "metric_symmetry": relative(self.g - self.g.T, z.om * z.j),
+            "jgamma_wedge_omega": relative(wedge(self.Jgamma, self.omega), z.jg * z.om),
         }
         return ValidationReport(residuals=res, metric_spd=self.metric_spd, tol=tol)
 
@@ -438,9 +447,10 @@ class NhfStructure:
             want = None if want is None else int(want)
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
-        for name, value in (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q)):
-            if not np.isfinite(value).all():
-                raise StructureError(f"malformed structure record: {name} is not finite")
+        if not np.isfinite(np.concatenate(([lam, a, b], P.ravel(), Q.ravel()))).all():
+            fields = (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q))
+            name = next(name for name, value in fields if not np.isfinite(value).all())
+            raise StructureError(f"malformed structure record: {name} is not finite")
         s = cls(lam, a, b, P, Q)
         if want is not None and want != s.orientation:
             raise StructureError(
@@ -506,8 +516,12 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
 
     "rotate-family" transports a random closed-form family member by a
     random SO(3) x SO(3) rotation (always valid, by equivariance).
-    "root-solve" draws random (a, b, Q, symmetric S), sets P = Q^{-T} S c
-    and solves the normalization for the scale c by bracketing."""
+    "root-solve" perturbs a, b, Q and P of a rotated family member by
+    about 10% each and solves the defining equations (Q^T P symmetric, the
+    normalization, omega ^ J gamma = 0) for P by `least_squares`, starting
+    from the perturbed P and keeping lambda, a, b and Q; a draw whose
+    solve does not converge or whose result is invalid is retried, up to
+    `max_retries` draws."""
     rng = np.random.default_rng(seed)
     if method == "rotate-family":
         base = _sample_family_member(rng)

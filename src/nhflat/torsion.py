@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhflat.exterior import DIMS, Form, d, inner, relative, wedge, wedge_tensor
+from nhflat.exterior import Form, d, inner, relative, wedge, wedge_tensor
 from nhflat.mat3 import adjugate
 from nhflat.structure import NhfStructure, InvalidStructureError, DEFAULT_TOL
 
@@ -84,46 +84,44 @@ def _wedge_operator(fixed: Form, k: int) -> np.ndarray:
 def w2_minus_form(
     structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
 ):
-    """Solve w2- ^ omega = dJgamma + (2/3) w1+ omega^2 inside the primitive
-    (1,1) module, as an augmented least-squares system.
+    """Solve w2- ^ omega = dJgamma + (2/3) w1+ omega^2, then check that w2- is
+    primitive: w2- ^ gamma = 0 and w2- ^ omega^2 = 0.
 
-    Each block is divided by the size of its operator, so the scaled
-    system, and with it what lstsq does, is the same at every scale.
-    With ``with_residual`` returns (w2-, the relative solve residual)."""
+    beta |-> beta ^ omega is invertible on 2-forms when omega is
+    nondegenerate (the Lefschetz isomorphism), so the 15 equations fix w2-
+    and one square solve finds it; the operator is divided by the size of
+    omega, so the scaled system is the same at every scale.  The
+    primitivity residuals are relative like `w3_form`'s membership check
+    and raise InvalidStructureError above `tol`.  With ``with_residual``
+    returns (w2-, the relative primitivity residual)."""
     w1p, z = structure.w1plus, structure.sizes
     om, gam, om2 = structure.omega, structure.gamma, structure.omega2
     target = d(structure.Jgamma) + (2.0 / 3.0) * w1p * om2
-
-    A = np.vstack(
-        [
-            _wedge_operator(om, 2) / z.om,  # 15 equations: beta ^ omega = target
-            _wedge_operator(gam, 2) / z.gam,  # 6 equations: beta ^ gamma = 0
-            _wedge_operator(om2, 2) / (z.om * z.om),  # 1 equation:  beta ^ omega^2 = 0
-        ]
-    )
-    rhs = np.concatenate([target.coeffs / z.om, np.zeros(DIMS[5]), np.zeros(DIMS[6])])
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    # the scaled operators have unit size; the target's terms are d(J gamma)
-    # and (2/3) w1+ omega^2
-    rhs_size = max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om
-    resid = relative(A @ sol - rhs, sol, rhs_size)
-    if not resid <= tol:
+    beta = Form(2, np.linalg.solve(_wedge_operator(om, 2) / z.om, target.coeffs / z.om))
+    # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
+    # over |omega| too: where w2- = 0, beta itself is roundoff
+    size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
+    factors = ((gam, z.gam), (om2, z.om * z.om))
+    bad = max(relative(wedge(beta, f), size * n_f) for f, n_f in factors)
+    if not bad <= tol:
         raise InvalidStructureError(
-            f"w2- solve residual {resid:.3e} exceeds tolerance"
+            f"w2- primitivity residual {bad:.3e} exceeds tolerance"
         )
-    beta = Form(2, sol)
-    return (beta, resid) if with_residual else beta
+    return (beta, bad) if with_residual else beta
 
 
-def scalar_curvature(structure: NhfStructure, torsion=None) -> float:
+def scalar_curvature(
+    structure: NhfStructure, torsion=None, tol: float = DEFAULT_TOL
+) -> float:
     """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2.
 
     Norms are the tensor norms induced by the structure metric, both taken
-    with the structure's one checked inverse metric."""
+    with the structure's one checked inverse metric.  Without `torsion`,
+    w2- and w3 are computed here and checked at `tol`."""
     if torsion is None:
         w1p = structure.w1plus
-        w2m = w2_minus_form(structure)
-        w3 = w3_form(structure)
+        w2m = w2_minus_form(structure, tol)
+        w3 = w3_form(structure, tol)
     else:
         w1p, w2m, w3 = torsion.w1plus, torsion.w2minus, torsion.w3
     ginv = structure.metric_inverse
@@ -140,7 +138,7 @@ def scalar_curvature(structure: NhfStructure, torsion=None) -> float:
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
     """All torsion data plus the relative residuals of the two checks that
     pin it down: "domega" is the w3 membership residual of `w3_form`,
-    "djgamma" the w2- solve residual of `w2_minus_form`."""
+    "djgamma" the w2- primitivity residual of `w2_minus_form`."""
     w3, rec_domega = w3_form(structure, tol, with_residual=True)
     w2m, rec_djgamma = w2_minus_form(structure, tol, with_residual=True)
     data = TorsionData(

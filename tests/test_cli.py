@@ -77,6 +77,25 @@ class TestClassify:
         assert json.loads(out)["class"] == "W1"
 
 
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_tolerance_reaches_torsion_checks(command, capsys, tmp_path, monkeypatch):
+    # Q[0,1] and Q[1,0] raised by 1e-5 keep Q^T P symmetric; the w3
+    # membership residual is 1.5e-8, far below --tol 1e-2
+    rec = families.w1_family(1.0, 0.5).to_record()
+    rec["Q"][0][1] += 1e-5
+    rec["Q"][1][0] += 1e-5
+    path = tmp_path / "w1.json"
+    path.write_text(json.dumps(rec))
+    code, out, err = run(capsys, ["--tol", "1e-2", command, str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["class"] == "W1"
+    monkeypatch.setenv("NHF_TOL", "1e-2")
+    assert run(capsys, [command, str(path)])[0] == 0
+    # validation passes at 1e-8 (worst residual 5.5e-9), the w3 check not
+    code, _, err = run(capsys, ["--tol", "1e-8", command, str(path)])
+    assert code == 1 and "w3 membership residual" in err
+
+
 class TestFamily:
     def test_nk_record(self, capsys):
         code, out, _ = run(capsys, ["family", "--name", "nk", "--lambda", "4"])
