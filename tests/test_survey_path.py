@@ -135,7 +135,7 @@ def test_implied_residuals_follow_the_defining_ones():
     # largest defining one, so the verdict can change only where a
     # defining residual is within that factor of the tolerance.  Measured
     # at most 3.8 over these perturbations (relative size 1e-12 to 1e-4);
-    # the flips, all at sizes 1e-9 and 1e-8, come from gamma ^ J gamma.
+    # 9 of them flip, at sizes 1e-10 to 1e-8, all through gamma ^ J gamma.
     rng = np.random.default_rng(11)
     bases = [sample_random_structure(seed) for seed in range(20)]
     bases.append(families.nearly_kahler(4.0))
@@ -248,7 +248,7 @@ def test_j_blocks_match_numpy_assembly():
     rng = np.random.default_rng(12)
     for _ in range(200):
         a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
-        Q1, Q2 = (rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3) for _ in "12")
+        Q1, Q2 = (rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))
         n1, n2 = np.max(np.abs(Q1)), np.max(np.abs(Q2))
         # sizes of the products the entries are sums of
         terms = (a * b, n1 * n2, a * n2, b * n1, n1 * n1, n2 * n2)
