@@ -230,6 +230,8 @@ def pullback(M, x: Form) -> Form:
 
 def max_abs(x) -> float:
     """Largest |entry| of a number, array or form; NaN if any entry is NaN."""
+    if type(x) is float:
+        return abs(x)
     if isinstance(x, Form):
         x = x.coeffs
     if isinstance(x, np.ndarray) and x.ndim:
@@ -247,7 +249,15 @@ def relative(residual, *terms) -> float:
     of a difference that can cancel to roundoff.  The quotient is then
     invariant under any rescaling of the data that scales residual and
     terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
-    size = max((max_abs(t) for t in terms), default=0.0)
+    # the largest size as max() takes it, the first and then any larger
+    # one, so that a NaN size counts exactly as it did through max()
+    size = None
+    for t in terms:
+        n = abs(t) if type(t) is float else max_abs(t)
+        if size is None or n > size:
+            size = n
+    if size is None:
+        size = 0.0
     return max_abs(residual) / max(size, 1e-300)
 
 

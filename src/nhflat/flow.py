@@ -14,9 +14,14 @@ Inside `integrate` the state is one flat list of 20 Python floats,
     y = [a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33]
 
 with Q1 and Q2 row-major (y[2:11] and y[11:20]).  Each RK4 stage is one
-call of `_stage` on such a list and makes no numpy call; arrays are
-built only for the recorded samples.  `flow_rhs` and `recover_p` are the
-array wrappers of the same code.
+call of `_stage(lam, y, sign, k, c)`, which evaluates the equations at
+the shifted state y + c k itself, so the RK4 loop builds no shifted
+lists.  A stage calls `_recover9` (P from Q1 + Q2) and `structure.abr9`
+(A, B, R1, R2) once each; both are straight-line arithmetic over local
+floats, with no numpy call and no call of the `mat3` helpers, whose
+expressions they repeat operation for operation.  Arrays are built only
+for the recorded samples.  `flow_rhs` and `recover_p` are the array
+wrappers of the same code.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nhflat.exterior import d, wedge
-from nhflat.mat3 import adjugate, cofactor9, det9, flat9
+from nhflat.mat3 import adjugate, flat9
 from nhflat.structure import (
     NhfStructure,
     SingularStructureError,
@@ -62,45 +67,64 @@ class FlowSingularityError(SingularStructureError):
         self.trajectory = trajectory
 
 
-def _adj_pt(lam, q1, q2):
-    """M = Adj(P^T) = -(Q1 + Q2)/lambda as a row-major list, and det M.
+def _recover9(lam, q1, q2, sign):
+    """P (row-major list) and det P from Q1, Q2; sign is +1.0 or -1.0.
 
+    M = Adj(P^T) = -(Q1 + Q2)/lambda gives det P = sign sqrt(det M) and,
+    from P^T = Adj(M) / det P, P = the cofactor matrix of M over det P.
     Raises SingularStructureError when det M <= 0: then no real P has
-    Adj(P^T) = M, since det Adj(P^T) = (det P)^2."""
-    m = [-(x + z) / lam for x, z in zip(q1, q2)]
-    det_m = det9(m)
+    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  Written out over local
+    variables like `abr9`, rounding as `mat3.det9` and `cofactor9` do."""
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
+    m00, m01, m02 = -(u00 + v00) / lam, -(u01 + v01) / lam, -(u02 + v02) / lam
+    m10, m11, m12 = -(u10 + v10) / lam, -(u11 + v11) / lam, -(u12 + v12) / lam
+    m20, m21, m22 = -(u20 + v20) / lam, -(u21 + v21) / lam, -(u22 + v22) / lam
+    c00, c01, c02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
+    c10, c11, c12 = m02 * m21 - m01 * m22, m00 * m22 - m02 * m20, m01 * m20 - m00 * m21
+    c20, c21, c22 = m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10
+    det_m = m00 * c00 - m01 * (m10 * m22 - m12 * m20) + m02 * c02
     if det_m <= 0:
         raise SingularStructureError(
             f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
         )
-    return m, det_m
-
-
-def _recover9(lam, q1, q2, sign):
-    """P (row-major list) and det P from Q1, Q2; sign is +1.0 or -1.0."""
-    m, det_m = _adj_pt(lam, q1, q2)
     det_p = math.sqrt(det_m) * sign
-    # P^T = Adj(M) / det P, so P is the cofactor matrix of M over det P
-    return [x / det_p for x in cofactor9(m)], det_p
+    return [
+        c00 / det_p, c01 / det_p, c02 / det_p,
+        c10 / det_p, c11 / det_p, c12 / det_p,
+        c20 / det_p, c21 / det_p, c22 / det_p,
+    ], det_p
 
 
-def _stage(lam, y, sign):
-    """One evaluation of the evolution equations on the flat state
-    y = [a, b, *Q1, *Q2]; returns (y', det P) with y' in the same layout.
+def _stage(lam, y, sign, k=None, c=0.0):
+    """One evaluation of the evolution equations at the flat state
+    y + c k (at y when k is None), y = [a, b, *Q1, *Q2]; returns y' in the
+    same layout.
 
-    Runs on plain floats: it recovers P from det M and the cofactor of M,
-    then evaluates A, B, R1 and R2."""
+    Runs on plain floats: `_recover9` gives P, `abr9` gives A, B, R1 and
+    R2, and
+        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
+    e = -2 lambda / det P."""
+    if k is not None:
+        y = [v + c * d for v, d in zip(y, k)]
     q1, q2 = y[2:11], y[11:20]
     p, det_p = _recover9(lam, q1, q2, sign)
     if abs(det_p) < SINGULAR_DETP:
         raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
     A, B, R1, R2 = abr9(y[0], y[1], q1, q2)
-    c = -2.0 * lam / det_p
-    return (
-        [c * A, c * B]
-        + [c * r + x for r, x in zip(R1, p)]
-        + [c * r - x for r, x in zip(R2, p)]
-    ), det_p
+    p00, p01, p02, p10, p11, p12, p20, p21, p22 = p
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R1
+    s00, s01, s02, s10, s11, s12, s20, s21, s22 = R2
+    e = -2.0 * lam / det_p
+    return [
+        e * A, e * B,
+        e * r00 + p00, e * r01 + p01, e * r02 + p02,
+        e * r10 + p10, e * r11 + p11, e * r12 + p12,
+        e * r20 + p20, e * r21 + p21, e * r22 + p22,
+        e * s00 - p00, e * s01 - p01, e * s02 - p02,
+        e * s10 - p10, e * s11 - p11, e * s12 - p12,
+        e * s20 - p20, e * s21 - p21, e * s22 - p22,
+    ]
 
 
 def _sign(det_p: float) -> float:
@@ -136,8 +160,7 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
         Q1' = -(2 lambda / det P) R1 + P
         Q2' = -(2 lambda / det P) R2 - P
     """
-    dy, _ = _stage(lam, _pack(a, b, Q1, Q2), _sign(det_p_sign))
-    return _unpack(dy)
+    return _unpack(_stage(lam, _pack(a, b, Q1, Q2), _sign(det_p_sign)))
 
 
 @dataclass
@@ -315,7 +338,9 @@ def integrate(
     """RK4 integration of the flow from a valid structure.
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
-    recording every record_every-th step.  Raises ValueError for a zero or
+    recording every record_every-th step and the last one.  The run ends
+    at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
+    last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than
     MAX_STEPS steps, and FlowSingularityError (carrying the partial
     trajectory) if |det P| drops below SINGULAR_DETP."""
@@ -332,8 +357,16 @@ def integrate(
     lam = initial.lam
     direction = 1.0 if t1 >= t0 else -1.0
     h = abs(h) * direction
-    n_steps = int(round(abs(t1 - t0) / abs(h)))
-    half, sixth = 0.5 * h, h / 6.0
+    ratio = abs(t1 - t0) / abs(h)
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) <= 1e-9 * ratio:
+        # h divides the span: n_steps full steps, the last ending at t0 + n h
+        h_last, t_last = h, t0 + n_steps * h
+    else:
+        # one more step, shortened so that the run ends at t1
+        n_steps = math.ceil(ratio)
+        h_last, t_last = t1 - (t0 + (n_steps - 1) * h), t1
+    step, half, sixth = h, 0.5 * h, h / 6.0
 
     y = _pack(initial.a, initial.b, initial.Q1, initial.Q2)
     sign = _sign(initial.det_p)
@@ -358,16 +391,20 @@ def integrate(
         traj.samples.append(sample(t0, y))
         for k in range(n_steps):
             t = t0 + k * h
-            k1, _ = _stage(lam, y, sign)
-            k2, _ = _stage(lam, [v + half * d for v, d in zip(y, k1)], sign)
-            k3, _ = _stage(lam, [v + half * d for v, d in zip(y, k2)], sign)
-            k4, _ = _stage(lam, [v + h * d for v, d in zip(y, k3)], sign)
+            if k == n_steps - 1:
+                step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
+            k1 = _stage(lam, y, sign)
+            k2 = _stage(lam, y, sign, k1, half)
+            k3 = _stage(lam, y, sign, k2, half)
+            k4 = _stage(lam, y, sign, k3, step)
             y = [
                 v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
             ]
-            _adj_pt(lam, y[2:11], y[11:])  # P must stay recoverable
-            if (k + 1) % record_every == 0 or k == n_steps - 1:
+            _recover9(lam, y[2:11], y[11:], sign)  # P must stay recoverable
+            if k == n_steps - 1:
+                traj.samples.append(sample(t_last, y))
+            elif (k + 1) % record_every == 0:
                 traj.samples.append(sample(t0 + (k + 1) * h, y))
     except SingularStructureError as exc:
         traj.terminated = "singular"

@@ -2,10 +2,11 @@
 polarized adjugate used for time derivatives of adjugates along the flow.
 
 Each formula is written once over row-major 9-sequences
-(m00, m01, m02, m10, ..., m22) of plain numbers, so that the flow's RK4
-stages run without a numpy call.  They need only +, - and *, so they are
-exact on ``fractions.Fraction`` entries.  ``det3`` and ``adjugate`` are
-the array wrappers."""
+(m00, m01, m02, m10, ..., m22) of plain numbers.  They need only +, -
+and *, so they are exact on ``fractions.Fraction`` entries.  ``det3`` and
+``adjugate`` are the array wrappers.  The flow's RK4 kernel
+(``structure.abr9``, ``flow._recover9``) writes the same expressions out
+inline instead of calling these, and rounds exactly as they do."""
 
 from __future__ import annotations
 

@@ -48,7 +48,7 @@ from nhflat.exterior import (
     wedge,
     wedge_all,
 )
-from nhflat.mat3 import adjugate, cofactor9, det3, det9, flat9, mul9, transpose9
+from nhflat.mat3 import adjugate, cofactor9, det3, flat9, mul9, transpose9
 
 #: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
@@ -115,8 +115,11 @@ def build_delta(P) -> Form:
     return invariant_three_form(0.0, 0.0, -adjPT, -adjPT)
 
 
-def q1_q2(lam: float, P, Q):
-    adjPT = adjugate(np.asarray(P, dtype=float).T)
+def q1_q2(lam: float, P, Q, adjPT=None):
+    """Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T);
+    pass `adjPT` when Adj(P^T) is already known."""
+    if adjPT is None:
+        adjPT = adjugate(np.asarray(P, dtype=float).T)
     Q = np.asarray(Q, dtype=float)
     return Q - 0.5 * lam * adjPT, -Q - 0.5 * lam * adjPT
 
@@ -138,19 +141,61 @@ def abr9(a, b, q1, q2):
         R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
-    Uses only +, - and *, so it is exact on ``fractions.Fraction`` input."""
-    g = mul9(transpose9(q1), q2)  # Q1^T Q2
-    tr12 = g[0] + g[4] + g[8]
+    Written out over local variables, since every RK4 stage of the flow
+    runs it: each entry is the expression `mat3.det9`, `cofactor9` and
+    `mul9` would give, so the result is the same to the last bit.  Uses
+    only +, - and *, so it is exact on ``fractions.Fraction`` input."""
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
+    # g = Q1^T Q2
+    g00 = u00 * v00 + u10 * v10 + u20 * v20
+    g01 = u00 * v01 + u10 * v11 + u20 * v21
+    g02 = u00 * v02 + u10 * v12 + u20 * v22
+    g10 = u01 * v00 + u11 * v10 + u21 * v20
+    g11 = u01 * v01 + u11 * v11 + u21 * v21
+    g12 = u01 * v02 + u11 * v12 + u21 * v22
+    g20 = u02 * v00 + u12 * v10 + u22 * v20
+    g21 = u02 * v01 + u12 * v11 + u22 * v21
+    g22 = u02 * v02 + u12 * v12 + u22 * v22
+    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
+    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
+    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
+    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
+    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
+    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
+    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
+    # det9's expansion along the first row; its middle minor is the
+    # negated cofactor, written out so that the sum rounds as in det9
+    det1 = u00 * k00 - u01 * (u10 * u22 - u12 * u20) + u02 * k02
+    det2 = v00 * c00 - v01 * (v10 * v22 - v12 * v20) + v02 * c02
+    tr12 = g00 + g11 + g22
     s = a * b + tr12
-    A = a * tr12 - 2 * det9(q1) - a * a * b
-    B = -(b * tr12 - 2 * det9(q2) - a * b * b)
-    # Adj(X^T) is the cofactor matrix of X; Q1 Q2^T Q1 = Q1 g^T, Q2 Q1^T Q2 = Q2 g
+    A = a * tr12 - 2 * det1 - a * a * b
+    B = -(b * tr12 - 2 * det2 - a * b * b)
     ta, tb = 2 * a, 2 * b
+    # Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
     R1 = [
-        -(s * x - ta * c - 2 * w)
-        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
+        -(s * u00 - ta * c00 - 2 * (u00 * g00 + u01 * g01 + u02 * g02)),
+        -(s * u01 - ta * c01 - 2 * (u00 * g10 + u01 * g11 + u02 * g12)),
+        -(s * u02 - ta * c02 - 2 * (u00 * g20 + u01 * g21 + u02 * g22)),
+        -(s * u10 - ta * c10 - 2 * (u10 * g00 + u11 * g01 + u12 * g02)),
+        -(s * u11 - ta * c11 - 2 * (u10 * g10 + u11 * g11 + u12 * g12)),
+        -(s * u12 - ta * c12 - 2 * (u10 * g20 + u11 * g21 + u12 * g22)),
+        -(s * u20 - ta * c20 - 2 * (u20 * g00 + u21 * g01 + u22 * g02)),
+        -(s * u21 - ta * c21 - 2 * (u20 * g10 + u21 * g11 + u22 * g12)),
+        -(s * u22 - ta * c22 - 2 * (u20 * g20 + u21 * g21 + u22 * g22)),
     ]
-    R2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
+    R2 = [
+        s * v00 - tb * k00 - 2 * (v00 * g00 + v01 * g10 + v02 * g20),
+        s * v01 - tb * k01 - 2 * (v00 * g01 + v01 * g11 + v02 * g21),
+        s * v02 - tb * k02 - 2 * (v00 * g02 + v01 * g12 + v02 * g22),
+        s * v10 - tb * k10 - 2 * (v10 * g00 + v11 * g10 + v12 * g20),
+        s * v11 - tb * k11 - 2 * (v10 * g01 + v11 * g11 + v12 * g21),
+        s * v12 - tb * k12 - 2 * (v10 * g02 + v11 * g12 + v12 * g22),
+        s * v20 - tb * k20 - 2 * (v20 * g00 + v21 * g10 + v22 * g20),
+        s * v21 - tb * k21 - 2 * (v20 * g01 + v21 * g11 + v22 * g21),
+        s * v22 - tb * k22 - 2 * (v20 * g02 + v21 * g12 + v22 * g22),
+    ]
     return A, B, R1, R2
 
 
@@ -326,7 +371,8 @@ class NhfStructure:
         if relative(self.det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {self.det_p} is singular")
         self.orientation = 1 if self.det_p > 0 else -1
-        self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q)
+        self.adj_pt = adjugate(self.P.T)  # Adj(P^T), read by the torsion predicates
+        self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q, self.adj_pt)
         self.omega = build_omega(self.P)
         self.gamma = invariant_three_form(self.a, self.b, self.Q1, self.Q2)
         self.A, self.B, self.R1, self.R2, self.R = compute_abr(

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nhflat.exterior import Form, d, inner, relative, wedge, wedge_tensor
-from nhflat.mat3 import adjugate
 from nhflat.structure import NhfStructure, InvalidStructureError, DEFAULT_TOL
 
 CLASSIFY_TOL = 1e-7
@@ -173,7 +172,6 @@ def _matrix_predicates(structure: NhfStructure):
     |w1+| / |lambda|, the rate w1+ against the rate w1- = 3 lambda / 4."""
     s, z = structure, structure.sizes
     lam, dp, w1p = s.lam, s.det_p, s.w1plus
-    adjPT = adjugate(s.P.T)
 
     # the size of a scalar multiple c X is |c| times the size of X
     k = 2.0 * dp / (3.0 * lam)
@@ -187,7 +185,7 @@ def _matrix_predicates(structure: NhfStructure):
     # 2 (det P)^2 w1+.  R is sized by R1 and R2, not by itself: R = R1 + R2
     # cancels to roundoff on w1w3 members, where the cancelled size would
     # inflate the residual.
-    r_w1 = (2.0 / 3.0) * dp * w1p * adjPT
+    r_w1 = (2.0 / 3.0) * dp * w1p * s.adj_pt
     cocoupled = relative(s.R - r_w1, z.r1, z.r2, r_w1)
     # w3 = 0: the four displayed conditions on A, B, R1, R2
     c = (2.0 / 3.0) * dp * w1p / lam

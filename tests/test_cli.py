@@ -155,6 +155,18 @@ class TestFlow:
         assert summary["terminated"] == "completed"
         assert summary["max_g2_resid"] < 1e-6
 
+    @pytest.mark.parametrize("t_end, h", [("0.01", "0.3"), ("0.3", "0.007"), ("-0.3", "0.007")])
+    def test_summary_ends_at_t_end(self, capsys, nk_record, tmp_path, t_end, h):
+        code, _, err = run(
+            capsys,
+            ["flow", nk_record, "--t-end", t_end, "--h", h,
+             "--out", str(tmp_path / "t.csv")],
+        )
+        summary = json.loads(err.strip().split("\n")[-1])
+        assert code == 0
+        assert summary["terminated"] == "completed"
+        assert summary["t_end"] == float(t_end)
+
     def test_singularity_exit3(self, capsys, nk_record, tmp_path):
         code, _, err = run(
             capsys,

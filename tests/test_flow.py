@@ -123,6 +123,34 @@ class TestIntegrate:
         assert err.value.trajectory.terminated == "singular"
         assert len(err.value.trajectory.samples) > 0
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("t_end, h, n_steps", [(0.01, 0.3, 1), (0.3, 0.007, 43)])
+    def test_run_ends_at_t_end_when_h_does_not_divide(self, sign, t_end, h, n_steps):
+        # the last step is shortened to end exactly at t_end
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, sign * t_end, h=h, record_every=10**9)
+        assert traj.terminated == "completed"
+        assert traj.samples[-1].t == sign * t_end
+        assert traj.to_record()["t_end"] == sign * t_end
+        ref = families.sine_cone_trajectory(sign * t_end)
+        end = traj.samples[-1].structure
+        assert np.max(np.abs(end.P - ref.P)) < 1e-6
+        # the same run, recording every step: full steps, then the short one
+        traj = flow.integrate(s0, 0.0, sign * t_end, h=h, record_every=1)
+        times = [sample.t for sample in traj.samples]
+        assert len(times) == n_steps + 1
+        assert times[:-1] == [sign * k * h for k in range(n_steps)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_step_count_kept_when_h_divides(self, sign):
+        # a span within a relative 1e-9 of 300 steps keeps 300 full steps
+        s0 = families.nearly_kahler(4.0)
+        for t_end in (0.3, 0.3 * (1 + 1e-12), 0.3 * (1 - 1e-12)):
+            traj = flow.integrate(s0, 0.0, sign * t_end, h=1e-3, record_every=100)
+            assert [sample.t for sample in traj.samples] == [
+                sign * k * 1e-3 for k in (0, 100, 200, 300)
+            ]
+
     def test_invalid_initial_rejected(self):
         from nhflat.structure import InvalidStructureError, NhfStructure
 

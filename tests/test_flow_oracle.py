@@ -4,14 +4,25 @@ The RK4 loop below is the per-stage numpy integration over the public
 array API (`flow_rhs`, `recover_p`); `flow.integrate` runs the same scheme
 on a flat list of floats and must reproduce it at every recorded sample.
 The 3x3 helpers and `compute_abr` are checked against numpy's determinant,
-the adjugate from 2x2 minors and the explicit matrix formulas."""
+the adjugate from 2x2 minors and the explicit matrix formulas.
+
+`composed_abr9`, `composed_recover9` and `composed_stage` are the flow
+kernel composed from the `mat3` 9-sequence helpers.  The straight-line
+`abr9`, `_recover9` and `_stage` write out the same expressions, so they
+must agree with them bit for bit, and so must every trajectory."""
+
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nhflat import families, flow
-from nhflat.mat3 import adjugate, det3
+from nhflat import families, flow, structure
+from nhflat.mat3 import adjugate, cofactor9, det3, det9, mul9, transpose9
 from nhflat.structure import (
+    SingularStructureError,
+    abr9,
     compute_abr,
     random_rotation,
     sample_random_structure,
@@ -126,3 +137,225 @@ def test_compute_abr_matches_numpy_formulas():
             assert np.max(np.abs(np.subtract(got, ref))) <= 1e-13 * size
         assert np.array_equal(R, R1 + R2)
 
+
+
+# -- the composed flow kernel -------------------------------------------
+
+
+def composed_abr9(a, b, q1, q2):
+    g = mul9(transpose9(q1), q2)  # Q1^T Q2
+    tr12 = g[0] + g[4] + g[8]
+    s = a * b + tr12
+    A = a * tr12 - 2 * det9(q1) - a * a * b
+    B = -(b * tr12 - 2 * det9(q2) - a * b * b)
+    ta, tb = 2 * a, 2 * b
+    R1 = [
+        -(s * x - ta * c - 2 * w)
+        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
+    ]
+    R2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
+    return A, B, R1, R2
+
+
+def composed_recover9(lam, q1, q2, sign):
+    m = [-(x + z) / lam for x, z in zip(q1, q2)]
+    det_m = det9(m)
+    if det_m <= 0:
+        raise SingularStructureError(
+            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
+        )
+    det_p = math.sqrt(det_m) * sign
+    return [x / det_p for x in cofactor9(m)], det_p
+
+
+def composed_stage(lam, y, sign, k=None, c=0.0):
+    if k is not None:
+        y = [v + c * d for v, d in zip(y, k)]
+    q1, q2 = y[2:11], y[11:20]
+    p, det_p = composed_recover9(lam, q1, q2, sign)
+    if abs(det_p) < flow.SINGULAR_DETP:
+        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
+    A, B, R1, R2 = composed_abr9(y[0], y[1], q1, q2)
+    e = -2.0 * lam / det_p
+    return (
+        [e * A, e * B]
+        + [e * r + x for r, x in zip(R1, p)]
+        + [e * r - x for r, x in zip(R2, p)]
+    )
+
+
+def random_states(seed, n=200):
+    """n flat states [a, b, *Q1, *Q2] whose entries span 1e-3..1e3 in size."""
+    rng = np.random.default_rng(seed)
+    sizes = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 20))
+    signs = rng.choice([-1.0, 1.0], size=(n, 20))
+    return (sizes * signs).tolist()
+
+
+def test_abr9_equals_composed_on_random_floats():
+    for y in random_states(30):
+        assert abr9(y[0], y[1], y[2:11], y[11:]) == composed_abr9(
+            y[0], y[1], y[2:11], y[11:]
+        )
+
+
+def test_abr9_exact_on_fractions():
+    for y in random_states(31, n=20):
+        y = [Fraction(v) for v in y]
+        got = abr9(y[0], y[1], y[2:11], y[11:])
+        assert got == composed_abr9(y[0], y[1], y[2:11], y[11:])
+        assert all(type(v) is Fraction for v in [got[0], got[1], *got[2], *got[3]])
+
+
+def same_outcome(fn, oracle, *args):
+    """Whether fn(*args) returns what oracle(*args) returns, or raises a
+    SingularStructureError with the same message; and which it was."""
+    try:
+        want = oracle(*args)
+    except SingularStructureError as exc:
+        with pytest.raises(SingularStructureError) as got:
+            fn(*args)
+        return str(got.value) == str(exc), "raised"
+    return fn(*args) == want, "returned"
+
+
+def test_recover9_equals_composed_on_random_floats():
+    lams = 10.0 ** np.random.default_rng(32).uniform(-3.0, 3.0, size=200)
+    outcomes = []
+    for y, lam in zip(random_states(33), lams):
+        for sign in (1.0, -1.0):
+            same, outcome = same_outcome(
+                flow._recover9, composed_recover9, lam, y[2:11], y[11:], sign
+            )
+            assert same
+            outcomes.append(outcome)
+    assert outcomes.count("returned") > 100 and "raised" in outcomes
+
+
+def test_stage_equals_composed_on_random_floats():
+    rng = np.random.default_rng(34)
+    outcomes = []
+    for y, k in zip(random_states(35), random_states(36)):
+        lam, c = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-1e-3, 1e-3)
+        for args in ((), (k, c)):
+            same, outcome = same_outcome(flow._stage, composed_stage, lam, y, 1.0, *args)
+            assert same
+            outcomes.append(outcome)
+    assert outcomes.count("returned") > 100 and "raised" in outcomes
+
+
+def rows_and_halt(initial, t_end, h, record_every=1):
+    """Every recorded row of one integrate run, and (t, message) of its halt."""
+    try:
+        traj = flow.integrate(initial, 0.0, t_end, h=h, record_every=record_every)
+        halt = None
+    except flow.FlowSingularityError as exc:
+        traj, halt = exc.trajectory, (exc.t, str(exc))
+    return [sample.row() for sample in traj.samples], halt
+
+
+def rows_and_halt_composed(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_stage", composed_stage)
+        m.setattr(flow, "_recover9", composed_recover9)
+        m.setattr(flow, "abr9", composed_abr9)
+        return rows_and_halt(*args)
+
+
+def rotated_nk(sign_p):
+    rng = np.random.default_rng(40 + sign_p)
+    return families.nearly_kahler(4.0, sign_p).rotated(
+        random_rotation(rng), random_rotation(rng)
+    )
+
+
+@pytest.mark.parametrize("sign_p", [1, -1])
+@pytest.mark.parametrize("t_end", [0.3, -0.3, 1.2])
+def test_integrate_bit_identical_rotated_nk(monkeypatch, sign_p, t_end):
+    initial = rotated_nk(sign_p)
+    record_every = 10 if abs(t_end) < 1 else 100
+    want = rows_and_halt_composed(monkeypatch, initial, t_end, 1e-3, record_every)
+    got = rows_and_halt(initial, t_end, 1e-3, record_every)
+    assert got == want
+    assert (want[1] is not None) == (t_end == 1.2)  # 1.2 runs into the halt
+
+
+def test_integrate_bit_identical_root_solve(monkeypatch):
+    initial = sample_random_structure(3, method="root-solve")
+    for t_end in (0.02, -0.02):
+        want = rows_and_halt_composed(monkeypatch, initial, t_end, 1e-3)
+        assert rows_and_halt(initial, t_end, 1e-3) == want
+        assert want[1] is None
+
+
+# (initial, t_end, h) -> (t, message) of the halt, as the composed kernel
+# gives them: |det P| < SINGULAR_DETP on the NK flow, and det M <= 0 in a
+# stage (h = 0.05) and after a step (h = 0.075) on a rotate-family sample
+HALTS = [
+    (("nk", 1), 1.2, 1e-3, 0.548, "det P = 9.931e-07 below threshold"),
+    (("nk", -1), -1.2, 1e-3, -0.548, "det P = -9.931e-07 below threshold"),
+    (("rf", 1), 3.0, 0.05, 0.2,
+     "Adj(P^T) has nonpositive determinant -1.325e-08; P is not recoverable"),
+    (("rf", 1), -3.0, 0.05, -0.15000000000000002,
+     "Adj(P^T) has nonpositive determinant -1.507e-06; P is not recoverable"),
+    (("rf", 1), 3.0, 0.075, 0.15,
+     "Adj(P^T) has nonpositive determinant -1.458e-10; P is not recoverable"),
+]
+
+
+@pytest.mark.parametrize("case", HALTS)
+def test_halts_keep_time_and_message(monkeypatch, case):
+    (kind, arg), t_end, h, t_halt, reason = case
+    if kind == "nk":
+        initial = families.nearly_kahler(4.0, arg)
+    else:
+        initial = sample_random_structure(arg)
+    # every step recorded, and none but the first: then only the check
+    # after each step sees det M <= 0 at the end of a step
+    for record_every in (1, 1000):
+        want = rows_and_halt_composed(monkeypatch, initial, t_end, h, record_every)
+        got = rows_and_halt(initial, t_end, h, record_every)
+        assert got == want
+        assert got[1] == (
+            t_halt, f"flow reached a singular point near t = {t_halt:.6f}: {reason}"
+        )
+
+
+def test_stage_calls_recover9_and_abr9_once(monkeypatch):
+    calls = {"_recover9": 0, "abr9": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(flow, "_recover9", counted("_recover9", flow._recover9))
+    monkeypatch.setattr(flow, "abr9", counted("abr9", flow.abr9))
+    s = rotated_nk(1)
+    y = flow._pack(s.a, s.b, s.Q1, s.Q2)
+    k = flow._stage(s.lam, y, 1.0)
+    flow._stage(s.lam, y, 1.0, k, 5e-4)
+    assert calls == {"_recover9": 2, "abr9": 2}
+
+
+def test_kernel_makes_no_other_python_call():
+    # the Python functions entered while one stage runs, and their callers
+    s = rotated_nk(1)
+    y = flow._pack(s.a, s.b, s.Q1, s.Q2)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.append((frame.f_back.f_code.co_name, frame.f_code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        flow._stage(s.lam, y, 1.0, y, 5e-4)
+    finally:
+        sys.setprofile(None)
+    calls = [(caller, callee) for caller, callee in seen if callee != "<listcomp>"]
+    assert calls[0] == ("test_kernel_makes_no_other_python_call", "_stage")
+    assert calls[1:] == [("_stage", "_recover9"), ("_stage", "abr9")]
+    assert flow.abr9 is structure.abr9
