@@ -102,10 +102,6 @@ class Form:
         f.coeffs[BASIS_INDEX[len(indices)][indices]] = coeff
         return f
 
-    @classmethod
-    def zero(cls, degree: int) -> "Form":
-        return cls(degree)
-
     def copy(self) -> "Form":
         return Form(self.degree, self.coeffs)
 
@@ -132,9 +128,6 @@ class Form:
 
     def max_abs(self) -> float:
         return max_abs(self.coeffs)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
 
     def __repr__(self):
         terms = []

@@ -7,7 +7,8 @@ structures sweeps out a nearly parallel G2-structure
     phi = dt ^ omega + gamma,    psi = omega^2 / 2 - dt ^ J gamma
 
 on (t0, t1) x S^3 x S^3 exactly when d phi = lambda psi and d psi = 0,
-which is what g2_residual measures.
+which is what g2_residual measures, from the state and its time
+derivatives alone (no derivative of P is formed).
 
 Inside `integrate` the state is one flat list of 20 Python floats,
 
@@ -33,16 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhflat.exterior import d, wedge
-from nhflat.mat3 import adjugate, flat9
+from nhflat.exterior import d
+from nhflat.mat3 import flat9
 from nhflat.structure import (
     NhfStructure,
     SingularStructureError,
     abr9,
-    build_j_gamma,
-    build_omega,
+    de_de_form,
     invariant_three_form,
-    normalization_residual,
 )
 
 SINGULAR_DETP = 1e-6
@@ -165,7 +164,8 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
 
 @dataclass
 class FlowSample:
-    """One stored point of an integrated trajectory."""
+    """One stored point of an integrated trajectory; norm_resid and
+    sym_resid are the structure's relative `validate` residuals."""
 
     t: float
     structure: NhfStructure
@@ -189,6 +189,8 @@ class Trajectory:
     lam: float
     samples: list = field(default_factory=list)
     terminated: str = "completed"
+    #: RK4 steps taken, recorded or not.
+    steps: int = 0
 
     @property
     def times(self):
@@ -217,73 +219,11 @@ class Trajectory:
             "terminated": self.terminated,
             "t_start": float(self.times[0]),
             "t_end": float(self.times[-1]),
-            "steps": len(self.samples) - 1,
+            "steps": self.steps,
             "max_norm_resid": max(s.norm_resid for s in self.samples),
             "max_sym_resid": max(s.sym_resid for s in self.samples),
             "max_g2_resid": max(s.g2_resid for s in self.samples),
         }
-
-
-def _derivative_forms(structure: NhfStructure, da, db, dQ1, dQ2):
-    """(omega', gamma', (omega^2)', (J gamma)') for given state derivatives.
-
-    P' is obtained by differentiating through M = Adj(P^T) = -(Q1+Q2)/lam:
-        (det P)' = tr(Adj(M) M') / (2 det P)
-        (P^T)'   = (Adj'(M) det P - Adj(M) (det P)') / (det P)^2
-    where Adj'(M) in direction M' is the polarized adjugate."""
-    from nhflat.mat3 import polarized_adjugate
-
-    lam = structure.lam
-    M = -(structure.Q1 + structure.Q2) / lam
-    dM = -(dQ1 + dQ2) / lam
-    det_p = structure.det_p
-    ddet_p = float(np.trace(adjugate(M) @ dM)) / (2.0 * det_p)
-    dPT = (polarized_adjugate(M, dM) * det_p - adjugate(M) * ddet_p) / det_p**2
-    dP = dPT.T
-
-    domega = build_omega(dP)
-    dgamma = invariant_three_form(da, db, dQ1, dQ2)
-    # (omega^2)' = 2 omega ^ omega'
-    domega2 = 2.0 * wedge(structure.omega, domega)
-    # (J gamma)' by differentiating (2/det P)(A e135 + B e246 + R1, R2)
-    dA, dB, dR1, dR2 = _abr_derivative(
-        structure.a, structure.b, structure.Q1, structure.Q2, da, db, dQ1, dQ2
-    )
-    djgamma = build_j_gamma(dA, dB, dR1, dR2, det_p) - (
-        ddet_p / det_p
-    ) * structure.Jgamma
-    return domega, dgamma, domega2, djgamma
-
-
-def _abr_derivative(a, b, Q1, Q2, da, db, dQ1, dQ2):
-    """Directional derivative of (A, B, R1, R2) at the state in the given
-    direction.
-
-    A, B, R1 and R2 are homogeneous cubics in the state, so the 5-point
-    central stencil
-        f'(0) = (f(-2e) - 8 f(-e) + 8 f(e) - f(2e)) / (12 e)
-    is exact for them up to rounding.  The step e is scaled so that e times
-    the direction is as large as the state, which keeps that rounding
-    relative to the size of the terms."""
-    x = _pack(a, b, Q1, Q2)
-    v = _pack(da, db, dQ1, dQ2)
-    v_size = max(abs(t) for t in v)
-    if v_size == 0.0:
-        return 0.0, 0.0, np.zeros((3, 3)), np.zeros((3, 3))
-    eps = max(abs(t) for t in x) / v_size
-
-    def f(k):
-        y = [xi + k * eps * vi for xi, vi in zip(x, v)]
-        A, B, R1, R2 = abr9(y[0], y[1], y[2:11], y[11:])
-        return [A, B, *R1, *R2]
-
-    m2, m1, p1, p2 = f(-2), f(-1), f(1), f(2)
-    return _unpack(
-        [
-            (l2 - 8.0 * l1 + 8.0 * u1 - u2) / (12.0 * eps)
-            for l2, l1, u1, u2 in zip(m2, m1, p1, p2)
-        ]
-    )
 
 
 def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
@@ -295,19 +235,20 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
                              + dt ^ (gamma' - d6 omega + lambda J gamma)
         d psi              = (1/2) d6 omega^2
                              + dt ^ ((1/2)(omega^2)' + d6 J gamma)
-    All four pieces must vanish."""
+    The t-slice pieces vanish for any (lambda, a, b, P, Q), so only the dt
+    pieces are evaluated; omega^2 = (2/lambda)(Q1 + Q2) on the de ^ de
+    slots gives (omega^2)'/2 = de_de_form((Q1' + Q2')/lambda).
+    With `flow_rhs` derivatives both dt pieces vanish to rounding on any
+    state, valid or not (the first is the evolution equation, the second
+    its exterior derivative), so along `integrate` g2_resid cannot see
+    drift off the valid set; norm_resid does."""
     lam = structure.lam
-    domega, dgamma, domega2, djgamma = _derivative_forms(
-        structure, da, db, dQ1, dQ2
-    )
-    om2 = structure.omega2
-    pieces = [
-        (d(structure.gamma) - 0.5 * lam * om2).max_abs(),
+    dgamma = invariant_three_form(da, db, dQ1, dQ2)
+    half_domega2 = de_de_form((np.asarray(dQ1) + np.asarray(dQ2)) / lam)
+    return max(
         (dgamma - d(structure.omega) + lam * structure.Jgamma).max_abs(),
-        0.5 * d(om2).max_abs(),
-        (0.5 * domega2 + d(structure.Jgamma)).max_abs(),
-    ]
-    return max(pieces)
+        (half_domega2 + d(structure.Jgamma)).max_abs(),
+    )
 
 
 def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
@@ -375,14 +316,14 @@ def integrate(
     def sample(t, y):
         a, b, Q1, Q2 = _unpack(y)
         P, det_p = recover_p(lam, Q1, Q2, sign)
-        Q = 0.5 * (Q1 - Q2)
-        s = NhfStructure(lam, a, b, P, Q)
+        s = NhfStructure(lam, a, b, P, 0.5 * (Q1 - Q2))
+        residuals = s.validate().residuals
         da, db, dQ1, dQ2 = flow_rhs(lam, a, b, Q1, Q2, det_p)
         return FlowSample(
             t=t,
             structure=s,
-            norm_resid=normalization_residual(a, b, Q1, Q2, det_p),
-            sym_resid=float(np.max(np.abs(Q.T @ P - P.T @ Q))),
+            norm_resid=residuals["normalization"],
+            sym_resid=residuals["qtp_symmetry"],
             g2_resid=g2_residual(s, da, db, dQ1, dQ2),
         )
 
@@ -402,6 +343,7 @@ def integrate(
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
             ]
             _recover9(lam, y[2:11], y[11:], sign)  # P must stay recoverable
+            traj.steps = k + 1
             if k == n_steps - 1:
                 traj.samples.append(sample(t_last, y))
             elif (k + 1) % record_every == 0:

@@ -1,5 +1,6 @@
 """Small helpers for real 3x3 matrices: determinant, adjugate and the
-polarized adjugate used for time derivatives of adjugates along the flow.
+polarized adjugate, the derivative of the adjugate (a public helper; the
+flow no longer uses it).
 
 Each formula is written once over row-major 9-sequences
 (m00, m01, m02, m10, ..., m22) of plain numbers.  They need only +, -

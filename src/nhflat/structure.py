@@ -103,16 +103,14 @@ def build_omega(P) -> Form:
     return Form(2, _OMEGA_BASIS @ np.ravel(np.asarray(P, dtype=float)))
 
 
+def de_de_form(M) -> Form:
+    """sum M_ij de^{2i-1} ^ de^{2j}."""
+    return Form(4, _DE_DE_BASIS @ np.ravel(np.asarray(M, dtype=float)))
+
+
 def omega_squared(P) -> Form:
     """Closed form of omega^2: -2 sum Adj(P^T)_ij de^{2i-1} ^ de^{2j}."""
-    adjPT = adjugate(np.asarray(P, dtype=float).T)
-    return Form(4, _DE_DE_BASIS @ (-2.0 * adjPT).ravel())
-
-
-def build_delta(P) -> Form:
-    """The symmetric potential with d(delta) = omega^2 and delta ^ omega = 0."""
-    adjPT = adjugate(np.asarray(P, dtype=float).T)
-    return invariant_three_form(0.0, 0.0, -adjPT, -adjPT)
+    return de_de_form(-2.0 * adjugate(np.asarray(P, dtype=float).T))
 
 
 def q1_q2(lam: float, P, Q, adjPT=None):

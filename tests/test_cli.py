@@ -167,6 +167,17 @@ class TestFlow:
         assert summary["terminated"] == "completed"
         assert summary["t_end"] == float(t_end)
 
+    def test_summary_counts_rk4_steps(self, capsys, nk_record, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["flow", nk_record, "--t-end", "0.3", "--record-every", "50",
+             "--out", str(tmp_path / "t.csv")],
+        )
+        summary = json.loads(err.strip().split("\n")[-1])
+        assert code == 0
+        assert summary["steps"] == 300
+        assert len((tmp_path / "t.csv").read_text().strip().split("\n")) == 1 + 7
+
     def test_singularity_exit3(self, capsys, nk_record, tmp_path):
         code, _, err = run(
             capsys,

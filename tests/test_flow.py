@@ -1,16 +1,17 @@
 """Flow integration, P recovery, G2 residual, CSV output."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from nhflat import families, flow
-from nhflat.mat3 import adjugate, det3
+from nhflat.exterior import d, relative, wedge
+from nhflat.mat3 import adjugate, det3, polarized_adjugate
 from nhflat.structure import (
+    NhfStructure,
     SingularStructureError,
-    abr9,
-    random_rotation,
+    build_omega,
+    de_de_form,
+    invariant_three_form,
     sample_random_structure,
 )
 
@@ -123,6 +124,21 @@ class TestIntegrate:
         assert err.value.trajectory.terminated == "singular"
         assert len(err.value.trajectory.samples) > 0
 
+    def test_steps_counts_rk4_steps(self):
+        # 50 steps, 6 samples
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, 0.05, h=1e-3, record_every=10)
+        assert len(traj.samples) == 6
+        assert traj.to_record()["steps"] == 50
+
+    def test_partial_trajectory_counts_completed_steps(self):
+        # the halt raises in the step from t, so the steps before it completed
+        s0 = families.nearly_kahler(4.0)
+        with pytest.raises(flow.FlowSingularityError) as err:
+            flow.integrate(s0, 0.0, 1.2, h=1e-3, record_every=100)
+        traj = err.value.trajectory
+        assert traj.to_record()["steps"] == round(err.value.t / 1e-3)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("t_end, h, n_steps", [(0.01, 0.3, 1), (0.3, 0.007, 43)])
     def test_run_ends_at_t_end_when_h_does_not_divide(self, sign, t_end, h, n_steps):
@@ -188,50 +204,46 @@ class TestIntegrate:
             flow.integrate(s0, 0.0, 0.01, record_every=record_every)
 
 
-class TestAbrDerivative:
-    """_abr_derivative against the exact derivative of the 9-tuple
-    polynomials evaluated on Fractions."""
+def p_chain_domega(s, dQ1, dQ2):
+    """omega' from P', which follows from M = Adj(P^T) = -(Q1 + Q2)/lambda:
+        (det P)' = tr(Adj(M) M') / (2 det P)
+        (P^T)'   = (Adj'(M) det P - Adj(M) (det P)') / (det P)^2
+    with Adj'(M) in direction M' the polarized adjugate."""
+    M = -(s.Q1 + s.Q2) / s.lam
+    dM = -(np.asarray(dQ1) + np.asarray(dQ2)) / s.lam
+    ddet_p = float(np.trace(adjugate(M) @ dM)) / (2.0 * s.det_p)
+    dPT = (polarized_adjugate(M, dM) * s.det_p - adjugate(M) * ddet_p) / s.det_p**2
+    return build_omega(dPT.T)
 
-    @staticmethod
-    def exact(x, v):
-        # f(x + t v) is cubic in t, so the forward 4-point formula
-        # f'(0) = (-11 f(0) + 18 f(1) - 9 f(2) + 2 f(3)) / 6 is exact
-        xf = [Fraction(t) for t in x]
-        vf = [Fraction(t) for t in v]
 
-        def f(k):
-            y = [xi + k * vi for xi, vi in zip(xf, vf)]
-            A, B, R1, R2 = abr9(y[0], y[1], y[2:11], y[11:])
-            return [A, B, *R1, *R2]
+def four_piece_g2_residual(s, da, db, dQ1, dQ2):
+    """The G2 residual with all four pieces and (omega^2)' = 2 omega ^ omega'
+    from the P' chain."""
+    om2 = s.omega2
+    dgamma = invariant_three_form(da, db, dQ1, dQ2)
+    domega2 = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
+    return max(
+        (d(s.gamma) - 0.5 * s.lam * om2).max_abs(),
+        (dgamma - d(s.omega) + s.lam * s.Jgamma).max_abs(),
+        0.5 * d(om2).max_abs(),
+        (0.5 * domega2 + d(s.Jgamma)).max_abs(),
+    )
 
-        return [
-            (-11 * f0 + 18 * f1 - 9 * f2 + 2 * f3) / 6
-            for f0, f1, f2, f3 in zip(f(0), f(1), f(2), f(3))
-        ]
 
-    def assert_exact(self, x, v):
-        got = flow._pack(*flow._abr_derivative(*flow._unpack(x), *flow._unpack(v)))
-        want = self.exact(x, v)
-        err = max(abs(Fraction(g) - w) for g, w in zip(got, want))
-        assert float(err / max(abs(w) for w in want)) <= 1e-12
+def dt_pieces(s, da, db, dQ1, dQ2):
+    """The two dt pieces of `g2_residual`, each relative to its terms."""
+    dgamma = invariant_three_form(da, db, dQ1, dQ2)
+    domega, ljg = d(s.omega), s.lam * s.Jgamma
+    half_domega2 = de_de_form((dQ1 + dQ2) / s.lam)
+    djg = d(s.Jgamma)
+    return (
+        relative(dgamma - domega + ljg, dgamma, domega, ljg),
+        relative(half_domega2 + djg, half_domega2, djg),
+    )
 
-    @pytest.mark.parametrize("lam", [4.0, 120.0])
-    def test_exact_on_scaled_flow_direction(self, lam):
-        # the rotated NK point at lambda = 4 scaled by c = lam / 4:
-        # (a, b, Q1, Q2) -> c^-3 (a, b, Q1, Q2), time derivatives -> c^-2
-        rng = np.random.default_rng(8)
-        g, h = random_rotation(rng), random_rotation(rng)
-        s = families.nearly_kahler(4.0).rotated(g, h)
-        deriv = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
-        c = lam / 4.0
-        x = [t / c**3 for t in flow._pack(s.a, s.b, s.Q1, s.Q2)]
-        v = [t / c**2 for t in flow._pack(*deriv)]
-        self.assert_exact(x, v)
 
-    def test_exact_on_random_direction(self):
-        s = sample_random_structure(4)
-        rng = np.random.default_rng(9)
-        self.assert_exact(flow._pack(s.a, s.b, s.Q1, s.Q2), rng.standard_normal(20).tolist())
+#: The sample times of `nhflat verify-g2` with its defaults.
+VERIFY_G2_TIMES = np.linspace(0.05, 0.3, 20)
 
 
 class TestG2Residual:
@@ -253,15 +265,76 @@ class TestG2Residual:
 
     def test_djgamma_is_minus_domega_wedge_omega(self):
         # the derived constraint d(J gamma) = -omega' ^ omega along flows
-        from nhflat.exterior import d, wedge
-
         for t in (-0.2, 0.1, 0.25):
             s = families.sine_cone_trajectory(t)
             deriv = families.sine_cone_derivative(t)
-            domega, _, _, _ = flow._derivative_forms(s, *deriv)
+            domega = p_chain_domega(s, *deriv[2:])
             lhs = d(s.Jgamma)
             rhs = -1.0 * wedge(domega, s.omega)
             assert (lhs - rhs).max_abs() < 1e-7
+
+    def test_dt_pieces_vanish_with_flow_rhs(self):
+        # both dt pieces hold on any state once the derivatives come from
+        # flow_rhs, so along `integrate` g2_resid cannot see drift
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(200):
+            P = rng.standard_normal((3, 3))
+            if abs(det3(P)) < 0.05:
+                continue
+            lam = rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0])
+            a, b = rng.standard_normal(2)
+            s = NhfStructure(lam, a, b, P, rng.standard_normal((3, 3)))
+            assert not s.validate().passed
+            deriv = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
+            worst = max(worst, *dt_pieces(s, *deriv))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "member, deriv, times",
+        [
+            (families.sine_cone_trajectory, families.sine_cone_derivative,
+             np.linspace(-0.25, 0.25, 11)),
+            (families.berger_trajectory, families.berger_derivative,
+             np.linspace(0.05, 0.3, 11)),
+        ],
+        ids=["sine-cone", "berger"],
+    )
+    def test_omega2_derivative_matches_p_chain(self, member, deriv, times):
+        for t in times:
+            s = member(float(t))
+            dQ1, dQ2 = deriv(float(t))[2:]
+            want = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
+            got = 2.0 * de_de_form((dQ1 + dQ2) / s.lam)
+            assert relative(got - want, want) <= 1e-12
+
+    def test_omega2_derivative_matches_p_chain_in_random_directions(self):
+        rng = np.random.default_rng(22)
+        for seed in range(20):
+            s = sample_random_structure(seed)
+            dQ1, dQ2 = rng.standard_normal((2, 3, 3))
+            want = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
+            got = 2.0 * de_de_form((dQ1 + dQ2) / s.lam)
+            assert relative(got - want, want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "member, deriv",
+        [
+            (families.sine_cone_trajectory, families.sine_cone_derivative),
+            (families.berger_trajectory, families.berger_derivative),
+        ],
+        ids=["sine-cone", "berger"],
+    )
+    def test_matches_four_piece_residual(self, member, deriv):
+        for t in VERIFY_G2_TIMES:
+            s = member(float(t))
+            dt = deriv(float(t))
+            old = four_piece_g2_residual(s, *dt)
+            new = flow.g2_residual(s, *dt)
+            # the terms compared: d omega, lambda J gamma and d(J gamma)
+            size = max(d(s.omega).max_abs(), abs(s.lam) * s.Jgamma.max_abs(),
+                       d(s.Jgamma).max_abs())
+            assert abs(new - old) <= 1e-12 * max(old, size)
 
 
 class TestTrajectoryOutput:

@@ -19,10 +19,10 @@ from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
     StructureError,
-    build_delta,
     build_gamma,
     build_omega,
     hitchin_j,
+    invariant_three_form,
     omega_component_matrix,
     omega_squared,
     q1_q2,
@@ -59,6 +59,12 @@ def test_omega_component_matrix_matches_monomials():
         want[i - 1, j - 1] = om.coeffs[n]
         want[j - 1, i - 1] = -om.coeffs[n]
     assert np.array_equal(W, want)
+
+
+def build_delta(P):
+    """The symmetric potential with d(delta) = omega^2 and delta ^ omega = 0."""
+    adjPT = adjugate(np.asarray(P, dtype=float).T)
+    return invariant_three_form(0.0, 0.0, -adjPT, -adjPT)
 
 
 def test_omega_squared_closed_form():

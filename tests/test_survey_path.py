@@ -21,7 +21,7 @@ from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
     _j_blocks,
-    build_delta,
+    invariant_three_form,
     random_rotation,
     sample_random_structure,
 )
@@ -88,10 +88,11 @@ DEFINING = ("qtp_symmetry", "normalization", "jgamma_wedge_omega")
 def implied_residuals(s):
     """The five residuals `validate` no longer computes, as it computed
     them: three are implied by the defining conditions, two (d gamma and
-    d delta) are identities of the parameterization."""
+    d delta, delta = -Adj(P^T) on both mixed slots) are identities of the
+    parameterization."""
     z, om, gam, jg, om2 = s.sizes, s.omega, s.gamma, s.Jgamma, s.omega2
     om3 = wedge(om2, om)
-    delta = build_delta(s.P)
+    delta = invariant_three_form(0.0, 0.0, -s.adj_pt, -s.adj_pt)
     return {
         "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
         "gamma_wedge_jgamma": relative(
@@ -154,6 +155,26 @@ def test_implied_residuals_follow_the_defining_ones():
                 assert implied["dgamma"] <= 1e-14 and implied["ddelta"] <= 1e-14
                 worst = max(worst, max(implied.values()) / max(defining, 1e-15))
     assert worst <= 10.0
+
+
+def test_t_slice_pieces_are_identities():
+    # d gamma - (lambda/2) omega^2 and d(omega^2), the t-slice pieces of
+    # d phi - lambda psi and d psi that `flow.g2_residual` does not
+    # compute, vanish at random, invalid parameters of any scale
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(200):
+        c = 10.0 ** rng.uniform(-3, 3)
+        P = rng.standard_normal((3, 3)) * c
+        if abs(np.linalg.det(P)) < 1e-3 * c**3:
+            continue
+        Q = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        s = NhfStructure(rng.uniform(0.1, 10.0) * rng.choice([-1, 1]), a, b, P, Q)
+        z = s.sizes
+        domega2 = relative(d(s.omega2), z.om * z.om)
+        worst = max(worst, implied_residuals(s)["dgamma"], domega2)
+    assert worst <= 1e-14
 
 
 # -- w2- ----------------------------------------------------------------------
