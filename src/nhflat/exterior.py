@@ -108,20 +108,20 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        return Form(self.degree, self.coeffs + other.coeffs)
+        return _form(self.degree, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Form") -> "Form":
         if self.degree != other.degree:
             raise ValueError("cannot subtract forms of different degree")
-        return Form(self.degree, self.coeffs - other.coeffs)
+        return _form(self.degree, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "Form":
-        return Form(self.degree, self.coeffs * float(scalar))
+        return _form(self.degree, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Form":
-        return Form(self.degree, -self.coeffs)
+        return _form(self.degree, -self.coeffs)
 
     def __getitem__(self, indices) -> float:
         return float(self.coeffs[BASIS_INDEX[self.degree][tuple(indices)]])
@@ -138,12 +138,21 @@ class Form:
         return f"Form({' '.join(terms) or '0'})"
 
 
+def _form(degree: int, coeffs: np.ndarray) -> Form:
+    """Form that takes ownership of a fresh float array of the right length,
+    without the checks and the copy of the public constructor."""
+    f = Form.__new__(Form)
+    f.degree = degree
+    f.coeffs = coeffs
+    return f
+
+
 def wedge(x: Form, y: Form) -> Form:
     """Graded-commutative exterior product; zero form when degrees exceed 6."""
     deg = x.degree + y.degree
     if deg > DIM:
         return Form(0)
-    return Form(deg, (wedge_tensor(x.degree, y.degree) @ y.coeffs) @ x.coeffs)
+    return _form(deg, (wedge_tensor(x.degree, y.degree) @ y.coeffs) @ x.coeffs)
 
 
 def wedge_all(*forms: Form) -> Form:
@@ -172,7 +181,7 @@ def d(x: Form) -> Form:
     """Exterior derivative defined by the fixed structure constants."""
     if x.degree >= DIM:
         return Form(0)
-    return Form(x.degree + 1, _d_matrix(x.degree) @ x.coeffs)
+    return _form(x.degree + 1, _d_matrix(x.degree) @ x.coeffs)
 
 
 @functools.cache
@@ -201,7 +210,7 @@ def contract(v, x: Form) -> Form:
         comps[int(v) - 1] = 1.0
     else:
         comps = np.asarray(v, dtype=float)
-    return Form(x.degree - 1, (_contract_tensor(x.degree) @ x.coeffs) @ comps)
+    return _form(x.degree - 1, (_contract_tensor(x.degree) @ x.coeffs) @ comps)
 
 
 def compound(M, k: int) -> np.ndarray:
@@ -218,13 +227,20 @@ def pullback(M, x: Form) -> Form:
     M = np.asarray(M, dtype=float)
     if M.shape != (DIM, DIM):
         raise ValueError("endomorphism must be 6x6")
-    return Form(x.degree, compound(M, x.degree).T @ x.coeffs)
+    return _form(x.degree, compound(M, x.degree).T @ x.coeffs)
 
 
 def max_abs(x) -> float:
-    """Largest |entry| of a number, array or form; NaN if any entry is NaN."""
+    """Largest |entry| of a number, list, array or form; NaN if any entry
+    is NaN."""
     if type(x) is float:
         return abs(x)
+    if type(x) is list:
+        # max() keeps a NaN only when it comes first; a sum of magnitudes
+        # is NaN exactly when an entry is
+        mags = list(map(abs, x))
+        total = sum(mags)
+        return total if total != total else max(mags)
     if isinstance(x, Form):
         x = x.coeffs
     if isinstance(x, np.ndarray) and x.ndim:
@@ -255,8 +271,12 @@ def relative(residual, *terms) -> float:
 
 
 def is_spd(g: np.ndarray) -> bool:
-    """Whether the symmetric part of g is positive definite."""
-    return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
+    """Whether the symmetric part of g is positive definite; False when
+    its eigenvalues cannot be computed (a NaN or infinite entry)."""
+    try:
+        return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
+    except np.linalg.LinAlgError:
+        return False
 
 
 def inverse_metric(g, spd: bool | None = None) -> np.ndarray:
@@ -292,7 +312,7 @@ def hodge(g, x: Form) -> Form:
     ginv = inverse_metric(g)
     vol = np.sqrt(np.linalg.det(g))
     k = x.degree
-    return Form(DIM - k, vol * (_complement(k) @ (compound(ginv, k) @ x.coeffs)))
+    return _form(DIM - k, vol * (_complement(k) @ (compound(ginv, k) @ x.coeffs)))
 
 
 @functools.cache

@@ -165,13 +165,15 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
 @dataclass
 class FlowSample:
     """One stored point of an integrated trajectory; norm_resid and
-    sym_resid are the structure's relative `validate` residuals."""
+    sym_resid are the structure's relative `validate` residuals and
+    `passed` is the verdict of that `validate` report."""
 
     t: float
     structure: NhfStructure
     norm_resid: float
     sym_resid: float
     g2_resid: float
+    passed: bool
 
     def row(self):
         s = self.structure
@@ -214,16 +216,26 @@ class Trajectory:
         return text
 
     def to_record(self) -> dict:
-        return {
+        """Summary of the run.  Each ``max_*`` residual comes with the time
+        ``t_max_*`` of the first sample that attains it;
+        ``invalid_samples`` counts the samples whose `validate` failed and
+        ``t_first_invalid`` is the time of the first of them (None if
+        every sample passed)."""
+        rec = {
             "lambda": self.lam,
             "terminated": self.terminated,
             "t_start": float(self.times[0]),
             "t_end": float(self.times[-1]),
             "steps": self.steps,
-            "max_norm_resid": max(s.norm_resid for s in self.samples),
-            "max_sym_resid": max(s.sym_resid for s in self.samples),
-            "max_g2_resid": max(s.g2_resid for s in self.samples),
         }
+        for name in ("norm_resid", "sym_resid", "g2_resid"):
+            worst = max(self.samples, key=lambda s: getattr(s, name))
+            rec[f"max_{name}"] = getattr(worst, name)
+            rec[f"t_max_{name}"] = worst.t
+        invalid = [s.t for s in self.samples if not s.passed]
+        rec["invalid_samples"] = len(invalid)
+        rec["t_first_invalid"] = invalid[0] if invalid else None
+        return rec
 
 
 def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
@@ -317,14 +329,15 @@ def integrate(
         a, b, Q1, Q2 = _unpack(y)
         P, det_p = recover_p(lam, Q1, Q2, sign)
         s = NhfStructure(lam, a, b, P, 0.5 * (Q1 - Q2))
-        residuals = s.validate().residuals
+        report = s.validate()
         da, db, dQ1, dQ2 = flow_rhs(lam, a, b, Q1, Q2, det_p)
         return FlowSample(
             t=t,
             structure=s,
-            norm_resid=residuals["normalization"],
-            sym_resid=residuals["qtp_symmetry"],
+            norm_resid=report.residuals["normalization"],
+            sym_resid=report.residuals["qtp_symmetry"],
             g2_resid=g2_residual(s, da, db, dQ1, dQ2),
+            passed=report.passed,
         )
 
     t = t0

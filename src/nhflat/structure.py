@@ -27,6 +27,7 @@ Conventions fixed here and relied on throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -48,7 +49,7 @@ from nhflat.exterior import (
     wedge,
     wedge_all,
 )
-from nhflat.mat3 import adjugate, cofactor9, det3, flat9, mul9, transpose9
+from nhflat.mat3 import adjugate, cofactor9, det3, det9, flat9, mul9, transpose9
 
 #: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
@@ -100,7 +101,7 @@ def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:
 
 def build_omega(P) -> Form:
     """omega = sum P_ij e^{2i-1} ^ e^{2j}."""
-    return Form(2, _OMEGA_BASIS @ np.ravel(np.asarray(P, dtype=float)))
+    return Form(2, _OMEGA_BASIS @ np.asarray(P, dtype=float).reshape(9))
 
 
 def de_de_form(M) -> Form:
@@ -108,16 +109,22 @@ def de_de_form(M) -> Form:
     return Form(4, _DE_DE_BASIS @ np.ravel(np.asarray(M, dtype=float)))
 
 
+def de_de_coords(x: Form) -> list:
+    """The row-major 9-list M of the de^{2i-1} ^ de^{2j} part of a 4-form x,
+    so that x = de_de_form(M) when x lies in their span.  Each basis form is
+    one monomial with sign +-1, so this is a signed selection of 9 of the
+    15 coefficients."""
+    return (_DE_DE_BASIS.T @ x.coeffs).tolist()
+
+
 def omega_squared(P) -> Form:
     """Closed form of omega^2: -2 sum Adj(P^T)_ij de^{2i-1} ^ de^{2j}."""
     return de_de_form(-2.0 * adjugate(np.asarray(P, dtype=float).T))
 
 
-def q1_q2(lam: float, P, Q, adjPT=None):
-    """Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T);
-    pass `adjPT` when Adj(P^T) is already known."""
-    if adjPT is None:
-        adjPT = adjugate(np.asarray(P, dtype=float).T)
+def q1_q2(lam: float, P, Q):
+    """Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T)."""
+    adjPT = adjugate(np.asarray(P, dtype=float).T)
     Q = np.asarray(Q, dtype=float)
     return Q - 0.5 * lam * adjPT, -Q - 0.5 * lam * adjPT
 
@@ -205,8 +212,24 @@ def compute_abr(a: float, b: float, Q1, Q2):
     return A, B, R1, R2, R1 + R2
 
 
+def _bracket9(a: float, b: float, q1, q2) -> float:
+    """`normalization_bracket` of Q1, Q2 given as row-major 9-sequences,
+    as `validate` computes it:
+
+        -(a b - tr(Q1^T Q2))^2 - 4 (a det Q2 + b det Q1) + 4 tr Adj(Q1^T Q2)"""
+    g = mul9(transpose9(q1), q2)
+    t = a * b - (g[0] + g[4] + g[8])
+    c = cofactor9(g)  # its diagonal is that of Adj(g)
+    return -(t * t) - 4.0 * (a * det9(q2) + b * det9(q1)) + 4.0 * (c[0] + c[4] + c[8])
+
+
 def normalization_bracket(a: float, b: float, Q1, Q2) -> float:
-    """Right-hand side of the normalization condition for (det P)^2."""
+    """Right-hand side of the normalization condition for (det P)^2.
+
+    The same polynomial as `_bracket9`, rounded through numpy's 3x3
+    products.  The root-solve sampler keeps this rounding: its least-squares
+    path, and so the point it returns, follows the last bit of its
+    constraint map."""
     Q1 = np.asarray(Q1, dtype=float)
     Q2 = np.asarray(Q2, dtype=float)
     tr12 = float(np.trace(Q1.T @ Q2))
@@ -222,31 +245,63 @@ def normalization_residual(a: float, b: float, Q1, Q2, det_p: float) -> float:
     return det_p * det_p - normalization_bracket(a, b, Q1, Q2)
 
 
-# _j_blocks' 36 block entries (oo, oe, eo, ee, each row-major) in the
-# order of the 6x6 matrix: the (i, j) entry of each block sits at
-# (2 i, 2 j), (2 i, 2 j + 1), (2 i + 1, 2 j), (2 i + 1, 2 j + 1)
-_J_BLOCK_ORDER = np.array(
-    [9 * (2 * (r % 2) + c % 2) + 3 * (r // 2) + c // 2 for r in range(6) for c in range(6)]
-)
-
-
 def _j_blocks(a: float, b: float, q1, q2) -> np.ndarray:
     """The block matrix (det P) J^T of the state (a, b, Q1, Q2), with Q1, Q2
     given as row-major 9-sequences; its blocks on the odd/even rows and
     columns are
 
         oo =  (a b - tr(Q1^T Q2)) Id + 2 Q2 Q1^T,   oe = -2 (a Q2 - Adj(Q1^T)),
-        eo =  2 (b Q1^T - Adj(Q2)),   ee = -(a b - tr(Q1^T Q2)) Id - 2 Q1^T Q2."""
-    ee = mul9(transpose9(q1), q2)  # Q1^T Q2, scaled below
-    t = a * b - (ee[0] + ee[4] + ee[8])
-    oo = [2 * x for x in mul9(q2, transpose9(q1))]
-    ee = [-2 * x for x in ee]
-    for k in (0, 4, 8):
-        oo[k] += t
-        ee[k] -= t
-    oe = [-2 * (a * x - c) for x, c in zip(q2, cofactor9(q1))]
-    eo = [2 * (b * x - c) for x, c in zip(transpose9(q1), transpose9(cofactor9(q2)))]
-    return np.array(oo + oe + eo + ee)[_J_BLOCK_ORDER].reshape(6, 6)
+        eo =  2 (b Q1^T - Adj(Q2)),   ee = -(a b - tr(Q1^T Q2)) Id - 2 Q1^T Q2,
+
+    the (i, j) entry of each at (2 i, 2 j), (2 i, 2 j + 1), (2 i + 1, 2 j)
+    and (2 i + 1, 2 j + 1).  Written out over local variables like `abr9`,
+    with the products, cofactors and rounding of `mat3.mul9` and
+    `cofactor9`."""
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
+    # g = Q1^T Q2 and h = Q2 Q1^T
+    g00 = u00 * v00 + u10 * v10 + u20 * v20
+    g01 = u00 * v01 + u10 * v11 + u20 * v21
+    g02 = u00 * v02 + u10 * v12 + u20 * v22
+    g10 = u01 * v00 + u11 * v10 + u21 * v20
+    g11 = u01 * v01 + u11 * v11 + u21 * v21
+    g12 = u01 * v02 + u11 * v12 + u21 * v22
+    g20 = u02 * v00 + u12 * v10 + u22 * v20
+    g21 = u02 * v01 + u12 * v11 + u22 * v21
+    g22 = u02 * v02 + u12 * v12 + u22 * v22
+    h00 = v00 * u00 + v01 * u01 + v02 * u02
+    h01 = v00 * u10 + v01 * u11 + v02 * u12
+    h02 = v00 * u20 + v01 * u21 + v02 * u22
+    h10 = v10 * u00 + v11 * u01 + v12 * u02
+    h11 = v10 * u10 + v11 * u11 + v12 * u12
+    h12 = v10 * u20 + v11 * u21 + v12 * u22
+    h20 = v20 * u00 + v21 * u01 + v22 * u02
+    h21 = v20 * u10 + v21 * u11 + v22 * u12
+    h22 = v20 * u20 + v21 * u21 + v22 * u22
+    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
+    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
+    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
+    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
+    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
+    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
+    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
+    t = a * b - (g00 + g11 + g22)
+    return np.array(
+        [
+            2 * h00 + t, -2 * (a * v00 - k00), 2 * h01, -2 * (a * v01 - k01),
+            2 * h02, -2 * (a * v02 - k02),
+            2 * (b * u00 - c00), -2 * g00 - t, 2 * (b * u10 - c10), -2 * g01,
+            2 * (b * u20 - c20), -2 * g02,
+            2 * h10, -2 * (a * v10 - k10), 2 * h11 + t, -2 * (a * v11 - k11),
+            2 * h12, -2 * (a * v12 - k12),
+            2 * (b * u01 - c01), -2 * g10, 2 * (b * u11 - c11), -2 * g11 - t,
+            2 * (b * u21 - c21), -2 * g12,
+            2 * h20, -2 * (a * v20 - k20), 2 * h21, -2 * (a * v21 - k21),
+            2 * h22 + t, -2 * (a * v22 - k22),
+            2 * (b * u02 - c02), -2 * g20, 2 * (b * u12 - c12), -2 * g21,
+            2 * (b * u22 - c22), -2 * g22 - t,
+        ]
+    ).reshape(6, 6)
 
 
 # (row, column) of the upper-triangle entry of each 2-monomial
@@ -325,6 +380,24 @@ class ValidationReport:
         return bad
 
 
+class Lists9(NamedTuple):
+    """Row-major 9-lists of P, Q, Adj(P^T), Q1, Q2, R1 and R2, the matrix
+    data the verdicts read."""
+
+    p: list
+    q: list
+    adj_pt: list
+    q1: list
+    q2: list
+    r1: list
+    r2: list
+
+
+# where omega, gamma, J gamma, J, Q1, Q2, (A, B), R1, R2, P and Q start in
+# the coefficients that `NhfStructure.sizes` concatenates
+_SIZE_OFFSETS = np.array([0, 15, 35, 55, 91, 100, 109, 111, 120, 129, 138])
+
+
 class Sizes(NamedTuple):
     """Largest |entry| of each factor the validity and torsion verdicts
     compare (see `exterior.relative`)."""
@@ -344,7 +417,9 @@ class Sizes(NamedTuple):
 class NhfStructure:
     """An invariant nearly half-flat structure with its derived cache.
 
-    The forms, J and g are computed on construction; the values that more
+    The forms, J and g are computed on construction, and so are the 3x3
+    data P, Q, Adj(P^T), Q1, Q2, R1 and R2, both as arrays and as the
+    row-major 9-lists `m9` that the verdicts read; the values that more
     than one verdict reads (`omega2`, `w1plus`, `sizes`, `metric_spd`,
     `metric_inverse`) are computed on first use.  Nothing is mutated after
     that, so instances are safe to share between threads (two threads may
@@ -359,26 +434,43 @@ class NhfStructure:
         self.lam = float(lam)
         self.a = float(a)
         self.b = float(b)
-        self.P = np.asarray(P, dtype=float).copy()
-        self.Q = np.asarray(Q, dtype=float).copy()
-        if self.P.shape != (3, 3) or self.Q.shape != (3, 3):
+        P = np.asarray(P, dtype=float)
+        Q = np.asarray(Q, dtype=float)
+        if P.shape != (3, 3) or Q.shape != (3, 3):
             raise StructureError("P and Q must be 3x3 matrices")
-        self.det_p = det3(self.P)
+        p, q = P.ravel().tolist(), Q.ravel().tolist()
+        self.det_p = det9(p)
         # a test of the shape of P, independent of its scale
-        n_p = max_abs(self.P)
+        n_p = max_abs(p)
         if relative(self.det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {self.det_p} is singular")
         self.orientation = 1 if self.det_p > 0 else -1
-        self.adj_pt = adjugate(self.P.T)  # Adj(P^T), read by the torsion predicates
-        self.Q1, self.Q2 = q1_q2(self.lam, self.P, self.Q, self.adj_pt)
-        self.omega = build_omega(self.P)
-        self.gamma = invariant_three_form(self.a, self.b, self.Q1, self.Q2)
-        self.A, self.B, self.R1, self.R2, self.R = compute_abr(
-            self.a, self.b, self.Q1, self.Q2
+        # Adj(P^T), Q1, Q2 (as `q1_q2`) and A, B, R1, R2 (as `compute_abr`)
+        adj = list(cofactor9(p))
+        h = 0.5 * self.lam
+        q1 = [x - h * c for x, c in zip(q, adj)]
+        q2 = [-x - h * c for x, c in zip(q, adj)]
+        self.A, self.B, r1, r2 = abr9(self.a, self.b, q1, q2)
+        self.m9 = Lists9(p, q, adj, q1, q2, r1, r2)
+        # one array of (a, b, Q1, Q2), (A, B, R1, R2), P, Q, Adj(P^T) and
+        # R: the coordinates of gamma and of (det P / 2) J gamma, then the
+        # rest of the 3x3 data; the public arrays are views of it
+        self._data = data = np.array(
+            [self.a, self.b] + q1 + q2 + [self.A, self.B] + r1 + r2 + p + q + adj
+            + [x + y for x, y in zip(r1, r2)]
         )
-        self.Jgamma = build_j_gamma(self.A, self.B, self.R1, self.R2, self.det_p)
+        self.Q1, self.Q2 = data[2:20].reshape(2, 3, 3)
+        self.R1, self.R2 = data[22:40].reshape(2, 3, 3)
+        self.P, self.Q, self.adj_pt, self.R = data[40:].reshape(4, 3, 3)
+        self.omega = build_omega(self.P)
+        # gamma and J gamma = (2/det P)(A, B, R1, R2) by one basis product;
+        # the basis is a signed permutation, so scaling after it is exact
+        # (up to the sign of a zero)
+        forms = data[:40].reshape(2, 20) @ _THREE_FORM_BASIS.T
+        forms[1] *= 2.0 / self.det_p
+        self.gamma, self.Jgamma = Form(3, forms[0]), Form(3, forms[1])
         # lenient J: residual recorded, reported through validate
-        self.J = _j_blocks(self.a, self.b, flat9(self.Q1), flat9(self.Q2)).T / self.det_p
+        self.J = _j_blocks(self.a, self.b, q1, q2).T / self.det_p
         self.j_squared_residual = max_abs(self.J @ self.J + np.eye(6))
         self.g = metric_from(self.omega, self.J)
 
@@ -401,8 +493,19 @@ class NhfStructure:
     @cached_property
     def sizes(self) -> Sizes:
         """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1, R2 and J."""
-        factors = (self.omega, self.gamma, self.Jgamma, self.P, self.Q, self.Q1, self.Q2)
-        return Sizes(*map(max_abs, factors + (self.R1, self.R2, self.J)))
+        factors = np.concatenate(
+            (
+                self.omega.coeffs,
+                self.gamma.coeffs,
+                self.Jgamma.coeffs,
+                self.J.ravel(),
+                self._data[2:58],  # Q1, Q2, A, B, R1, R2, P, Q
+            )
+        )
+        om, gam, jg, j, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
+            np.abs(factors), _SIZE_OFFSETS
+        ).tolist()
+        return Sizes(om, gam, jg, p, q, q1, q2, r1, r2, j)
 
     @cached_property
     def metric_spd(self) -> bool:
@@ -446,14 +549,17 @@ class NhfStructure:
         conditions."""
         # sizes of the factors (products, not powers: a float power raises
         # on overflow where a product gives inf)
-        z = self.sizes
+        z, m = self.sizes, self.m9
         n_a, n_b = abs(self.a), abs(self.b)
         n_ab = n_a * n_b + z.q1 * z.q2  # a b - tr(Q1^T Q2)
+        # Q^T P - P^T Q = G - G^T, G = Q^T P: zero on the diagonal and
+        # antisymmetric, so its three entries above the diagonal
+        g = mul9(transpose9(m.q), m.p)
         res = {
-            "qtp_symmetry": relative(self.Q.T @ self.P - self.P.T @ self.Q, z.q * z.p),
+            "qtp_symmetry": relative([g[1] - g[3], g[2] - g[6], g[5] - g[7]], z.q * z.p),
             # (det P)^2 against each term of normalization_bracket
             "normalization": relative(
-                normalization_residual(self.a, self.b, self.Q1, self.Q2, self.det_p),
+                self.det_p * self.det_p - _bracket9(self.a, self.b, m.q1, m.q2),
                 self.det_p * self.det_p,
                 n_ab * n_ab,
                 n_a * z.q2 * z.q2 * z.q2,
@@ -491,7 +597,7 @@ class NhfStructure:
             want = None if want is None else int(want)
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
-        if not np.isfinite(np.concatenate(([lam, a, b], P.ravel(), Q.ravel()))).all():
+        if not all(map(math.isfinite, [lam, a, b] + P.ravel().tolist() + Q.ravel().tolist())):
             fields = (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q))
             name = next(name for name, value in fields if not np.isfinite(value).all())
             raise StructureError(f"malformed structure record: {name} is not finite")

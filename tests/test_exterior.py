@@ -256,11 +256,17 @@ def test_form_inner_checks_metric():
 
 @pytest.mark.parametrize("shape", [(1,), (15,), (3, 3), (6, 6)])
 def test_relative_nan_at_any_position(shape):
-    # a NaN anywhere in the residual must fail every `relative(...) <= tol`
+    # a NaN anywhere in the residual must fail every `relative(...) <= tol`,
+    # given as an array or as a list (the 9-list verdicts), and a NaN in a
+    # list term must propagate like one in an array term
     for pos in range(int(np.prod(shape))):
         residual = np.ones(shape)
         residual.flat[pos] = np.nan
         assert np.isnan(relative(residual, 1.0))
+        assert np.isnan(relative(residual.ravel().tolist(), 1.0))
+        assert np.isnan(relative(1.0, residual.ravel().tolist()))
+    values = np.linspace(-3.0, 2.0, int(np.prod(shape)))
+    assert relative(values.tolist(), 1.0) == relative(values, 1.0) == 3.0
     for k in range(7):
         for pos in range(DIMS[k]):
             residual = Form(k, np.ones(DIMS[k]))

@@ -358,3 +358,49 @@ class TestTrajectoryOutput:
         rec = traj.to_record()
         assert rec["terminated"] == "completed"
         assert rec["t_end"] == pytest.approx(0.02)
+
+
+class TestInvalidSamples:
+    def test_drift_off_the_valid_set_is_flagged(self):
+        # NK at lambda = 4: the normalization drifts above the tolerance
+        # near t = 0.4 while the run completes
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, 0.5, h=1e-3, record_every=10)
+        rec = traj.to_record()
+        assert traj.terminated == "completed" and len(traj.samples) == 51
+        assert [s.passed for s in traj.samples] == [
+            s.structure.validate().passed for s in traj.samples
+        ]
+        assert rec["invalid_samples"] == 11
+        assert rec["t_first_invalid"] == pytest.approx(0.4)
+        assert all(not s.passed for s in traj.samples if s.t >= 0.4 - 1e-12)
+
+    def test_coarse_step_over_the_cone_tip_is_flagged(self):
+        # h = 0.05 steps past the collapse at t = pi/4 and reports
+        # completed; every sample after the start fails validate
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, 1.2, h=0.05)
+        rec = traj.to_record()
+        assert rec["terminated"] == "completed"
+        assert traj.samples[0].passed
+        assert not any(s.passed for s in traj.samples[1:])
+        assert rec["invalid_samples"] == len(traj.samples) - 1
+        assert rec["t_first_invalid"] == pytest.approx(0.05)
+        assert rec["max_g2_resid"] < 1e-15  # g2_resid cannot see it
+
+    def test_time_of_each_maximum(self):
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, 0.5, h=1e-3, record_every=10)
+        rec = traj.to_record()
+        for name in ("norm_resid", "sym_resid", "g2_resid"):
+            values = [getattr(s, name) for s in traj.samples]
+            k = values.index(max(values))
+            assert rec[f"max_{name}"] == values[k]
+            assert rec[f"t_max_{name}"] == traj.samples[k].t
+        # the normalization drift grows along the run
+        assert rec["t_max_norm_resid"] == pytest.approx(0.5)
+
+    def test_all_valid_run_has_no_invalid_time(self):
+        s0 = families.nearly_kahler(4.0)
+        rec = flow.integrate(s0, 0.0, 0.05, h=1e-3, record_every=10).to_record()
+        assert rec["invalid_samples"] == 0 and rec["t_first_invalid"] is None

@@ -253,6 +253,24 @@ class TestCachedValues:
             s.metric_inverse
 
 
+@pytest.mark.parametrize("entry", range(18))
+def test_nan_entry_fails_validation(entry):
+    # built directly, not through from_record, which rejects it: a NaN in
+    # any entry of P or Q fails every verdict instead of raising from the
+    # eigenvalue solver, and shows in the size of its matrix
+    from nhflat.torsion import extract_torsion
+
+    base = families.w1_family(1.0, 0.5)
+    P, Q = base.P.copy(), base.Q.copy()
+    (P if entry < 9 else Q).flat[entry % 9] = np.nan
+    s = NhfStructure(base.lam, base.a, base.b, P, Q)
+    report = s.validate()
+    assert not report.passed and not s.metric_spd
+    assert np.isnan(s.sizes.p if entry < 9 else s.sizes.q)
+    with pytest.raises(InvalidStructureError):
+        extract_torsion(s)
+
+
 def test_hitchin_j_matches_monomial_loop():
     # reference: K[m - 1, a - 1] from the 5-monomial missing index m of
     # (e_a -| gamma) ^ gamma, one entry at a time

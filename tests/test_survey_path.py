@@ -1,10 +1,11 @@
 """Oracles for the survey path: from_record, validate, extract_torsion.
 
 The routes the library replaced are kept here as references: the
-nine-residual validity verdict, the 22 x 15 least-squares w2- solve and
-the numpy assembly of the J blocks.  The samples are the benchmark's
-survey records (seed 7), the scale-covariance samples of
-test_scaling.py, the acceptance samples and root-solve samples."""
+nine-residual validity verdict, the 22 x 15 least-squares and the
+15 x 15 square w2- solves and the numpy assembly of the J blocks.  The
+samples are the benchmark's survey records (seed 7), the
+scale-covariance samples of test_scaling.py, the acceptance samples and
+root-solve samples."""
 
 import functools
 import importlib.util
@@ -15,17 +16,23 @@ import numpy as np
 import pytest
 
 from nhflat import families
-from nhflat.exterior import d, relative, wedge
+from nhflat.exterior import d, relative, wedge, wedge_tensor
 from nhflat.mat3 import adjugate, flat9
 from nhflat.structure import (
+    _DE_DE_BASIS,
     InvalidStructureError,
     NhfStructure,
+    _bracket9,
     _j_blocks,
+    de_de_coords,
+    de_de_form,
     invariant_three_form,
+    normalization_bracket,
+    normalization_residual,
     random_rotation,
     sample_random_structure,
 )
-from nhflat.torsion import _wedge_operator, extract_torsion, w2_minus_form
+from nhflat.torsion import extract_torsion, w2_minus_form
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALES = np.geomspace(1e-3, 1e3, 13)
@@ -157,6 +164,20 @@ def test_implied_residuals_follow_the_defining_ones():
     assert worst <= 10.0
 
 
+def test_validate_bracket_matches_array_bracket():
+    # validate's 9-list normalization bracket against the array one the
+    # root-solve sampler keeps, relative to the bracket's terms
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        Q1, Q2 = (rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3) for _ in range(2))
+        n1, n2 = np.max(np.abs(Q1)), np.max(np.abs(Q2))
+        n_ab = abs(a * b) + n1 * n2
+        terms = (n_ab * n_ab, abs(a) * n2**3, abs(b) * n1**3, (n1 * n2) ** 2)
+        got = _bracket9(a, b, flat9(Q1), flat9(Q2))
+        assert relative(got - normalization_bracket(a, b, Q1, Q2), *terms) <= 1e-14
+
+
 def test_t_slice_pieces_are_identities():
     # d gamma - (lambda/2) omega^2 and d(omega^2), the t-slice pieces of
     # d phi - lambda psi and d psi that `flow.g2_residual` does not
@@ -178,6 +199,12 @@ def test_t_slice_pieces_are_identities():
 
 
 # -- w2- ----------------------------------------------------------------------
+
+
+def _wedge_operator(fixed, k):
+    """Matrix of beta |-> beta ^ fixed on degree-k forms, rows indexed by
+    the (k + deg fixed)-monomials."""
+    return wedge_tensor(k, fixed.degree) @ fixed.coeffs
 
 
 def lstsq_w2_minus(s):
@@ -219,6 +246,7 @@ def test_root_solve_samples_have_nonzero_w2_minus():
 
 
 def test_extract_torsion_solves_once_without_lstsq(monkeypatch):
+    # w2- is in closed form: no solve and no lstsq
     calls = {"lstsq": 0, "solve": 0}
     lstsq, solve = np.linalg.lstsq, np.linalg.solve
 
@@ -235,7 +263,115 @@ def test_extract_torsion_solves_once_without_lstsq(monkeypatch):
     structures = survey_samples() + list(root_solve_samples())
     for s in structures:
         extract_torsion(s)
-    assert calls == {"lstsq": 0, "solve": len(structures)}
+    assert calls == {"lstsq": 0, "solve": 0}
+
+
+def square_solve_w2_minus(s):
+    """The former route: beta ^ omega = target solved as one 15 x 15 system,
+    the operator divided by the size of omega."""
+    z = s.sizes
+    target = d(s.Jgamma) + (2.0 / 3.0) * s.w1plus * s.omega2
+    return np.linalg.solve(_wedge_operator(s.omega, 2) / z.om, target.coeffs / z.om)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, root_solve_samples],
+    ids=["survey", "scaling", "root-solve"],
+)
+def test_closed_form_matches_square_solve(samples):
+    for s in samples():
+        beta, size = square_solve_w2_minus(s), lstsq_w2_minus(s)[1]
+        got = w2_minus_form(s).coeffs
+        assert relative(got - beta, beta, size) <= 1e-12
+
+
+def random_invalid_structures(seed, n=200):
+    """Structures of random (lambda, a, b, P, Q) over 12 orders of
+    magnitude, valid or not."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        c = 10.0 ** rng.uniform(-3, 3)
+        P = rng.standard_normal((3, 3)) * c
+        if abs(np.linalg.det(P)) < 1e-3 * c**3:
+            continue
+        Q = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        lam = rng.uniform(0.1, 10.0) * rng.choice([-1, 1])
+        out.append(NhfStructure(lam, a, b, P, Q))
+    return out
+
+
+def test_closed_form_inverts_wedge_with_omega():
+    # w1+ removes the omega^2 part of the target for any parameters, so the
+    # trace term of the closed form is exercised by bending J gamma as in
+    # test_non_primitive_w2_minus_raises; tol = inf returns beta unchecked
+    rng = np.random.default_rng(18)
+    for s in random_invalid_structures(16):
+        s.Jgamma = s.Jgamma + rng.uniform(-1.0, 1.0) * s.gamma
+        beta = square_solve_w2_minus(s)
+        got, _ = w2_minus_form(s, tol=np.inf, with_residual=True)
+        size = max(np.max(np.abs(beta)), lstsq_w2_minus(s)[1])
+        assert relative(got.coeffs - beta, size) <= 1e-12
+
+
+def test_validate_residuals_match_array_formulas():
+    # the 9-list residuals of validate against the numpy 3x3 formulas
+    for s in random_invalid_structures(17):
+        z, report = s.sizes, s.validate()
+        qtp = relative(s.Q.T @ s.P - s.P.T @ s.Q, z.q * z.p)
+        assert report.residuals["qtp_symmetry"] == pytest.approx(qtp, rel=1e-12, abs=1e-15)
+        n_ab = abs(s.a * s.b) + z.q1 * z.q2
+        norm = relative(
+            normalization_residual(s.a, s.b, s.Q1, s.Q2, s.det_p),
+            s.det_p**2, n_ab**2, abs(s.a) * z.q2**3, abs(s.b) * z.q1**3, (z.q1 * z.q2) ** 2,
+        )
+        assert report.residuals["normalization"] == pytest.approx(norm, rel=1e-12, abs=1e-15)
+
+
+def test_targets_lie_in_the_de_de_span():
+    # the closed form reads d(J gamma) and omega^2 on the 9 de ^ de slots
+    # only; the other 6 coordinates of both are exactly 0, valid or not
+    off_span = np.ones(15, dtype=bool)
+    off_span[np.flatnonzero(_DE_DE_BASIS.any(axis=1))] = False
+    assert off_span.sum() == 6
+    for s in random_invalid_structures(14):
+        for form in (d(s.Jgamma), s.omega2):
+            assert not form.coeffs[off_span].any()
+            assert np.array_equal(de_de_form(de_de_coords(form)).coeffs, form.coeffs)
+
+
+def test_survey_record_call_counts(monkeypatch):
+    # one survey record: no solve, one eigenvalue solve (the SPD verdict),
+    # one inverse (g^-1 for both torsion norms) and at most 7 wedges (J
+    # gamma ^ omega, omega^2, three w3 memberships, two w2- primitivity
+    # checks)
+    import nhflat
+
+    calls = dict.fromkeys(("solve", "lstsq", "eigvalsh", "inv", "wedge"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve", "lstsq", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    wrapped = counted("wedge", wedge)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nhflat") and getattr(module, "wedge", None) is wedge:
+            monkeypatch.setattr(module, "wedge", wrapped)
+    assert nhflat.exterior.wedge is wrapped
+    for rec in survey_records():
+        calls.update(dict.fromkeys(calls, 0))
+        s = NhfStructure.from_record(rec)
+        s.validate()
+        extract_torsion(s)
+        counts = [calls[name] for name in ("solve", "lstsq", "eigvalsh", "inv")]
+        assert counts == [0, 0, 1, 1] and calls["wedge"] <= 7
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3])
