@@ -249,15 +249,8 @@ def max_abs(x) -> float:
     return abs(float(x))
 
 
-def relative(residual, *terms) -> float:
-    """max |residual| over the largest |entry| among the terms it compares.
-
-    Every verdict of the package is ``relative(...) <= tol``.  Residual and
-    terms are numbers, arrays or forms.  The terms must be uncancelled: the
-    size of a product is the product of its factors' sizes, never the size
-    of a difference that can cancel to roundoff.  The quotient is then
-    invariant under any rescaling of the data that scales residual and
-    terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
+def term_size(*terms) -> float:
+    """The divisor of `relative`: the largest |entry| of the terms, >= 1e-300."""
     # the largest size as max() takes it, the first and then any larger
     # one, so that a NaN size counts exactly as it did through max()
     size = None
@@ -267,7 +260,19 @@ def relative(residual, *terms) -> float:
             size = n
     if size is None:
         size = 0.0
-    return max_abs(residual) / max(size, 1e-300)
+    return max(size, 1e-300)
+
+
+def relative(residual, *terms) -> float:
+    """max |residual| over the largest |entry| among the terms it compares.
+
+    Every verdict of the package is ``relative(...) <= tol``.  Residual and
+    terms are numbers, arrays or forms.  The terms must be uncancelled: the
+    size of a product is the product of its factors' sizes, never the size
+    of a difference that can cancel to roundoff.  The quotient is then
+    invariant under any rescaling of the data that scales residual and
+    terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
+    return max_abs(residual) / term_size(*terms)
 
 
 def is_spd(g: np.ndarray) -> bool:

@@ -131,7 +131,7 @@ def zero_scalar_family(branch: str):
     p = -inner * 5.0 * SQRT3 / 33.0
     if 36.0 * p * p + inner * 3.0 * SQRT3 * p >= 0:
         s = zero_scalar_structure(p, inner)
-        if s.validate().passed and s.metric_is_spd():
+        if s.validate().passed:
             return [s]
     raise FamilyRangeError(f"no admissible zero-scalar root on branch {branch!r}")
 

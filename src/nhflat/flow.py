@@ -37,6 +37,7 @@ import numpy as np
 from nhflat.exterior import d
 from nhflat.mat3 import flat9
 from nhflat.structure import (
+    InvalidStructureError,
     NhfStructure,
     SingularStructureError,
     abr9,
@@ -301,8 +302,6 @@ def integrate(
     if validate_initial:
         report = initial.validate()
         if not report.passed:
-            from nhflat.structure import InvalidStructureError
-
             raise InvalidStructureError(
                 f"initial structure invalid: worst residual {report.worst[1]:.3e}"
                 f" ({report.worst[0]})"

@@ -45,11 +45,12 @@ from nhflat.exterior import (
     is_spd,
     max_abs,
     relative,
+    term_size,
     volume_coefficient,
     wedge,
     wedge_all,
 )
-from nhflat.mat3 import adjugate, cofactor9, det3, det9, flat9, mul9, transpose9
+from nhflat.mat3 import adjugate, cofactor9, det9, flat9, mul9, transpose9
 
 #: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
@@ -224,25 +225,9 @@ def _bracket9(a: float, b: float, q1, q2) -> float:
 
 
 def normalization_bracket(a: float, b: float, Q1, Q2) -> float:
-    """Right-hand side of the normalization condition for (det P)^2.
-
-    The same polynomial as `_bracket9`, rounded through numpy's 3x3
-    products.  The root-solve sampler keeps this rounding: its least-squares
-    path, and so the point it returns, follows the last bit of its
-    constraint map."""
-    Q1 = np.asarray(Q1, dtype=float)
-    Q2 = np.asarray(Q2, dtype=float)
-    tr12 = float(np.trace(Q1.T @ Q2))
-    return (
-        -((a * b - tr12) ** 2)
-        - 4.0 * (a * det3(Q2) + b * det3(Q1))
-        + 4.0 * float(np.trace(adjugate(Q1.T @ Q2)))
-    )
-
-
-def normalization_residual(a: float, b: float, Q1, Q2, det_p: float) -> float:
-    """(det P)^2 minus the bracket; zero exactly when J^2 = -id."""
-    return det_p * det_p - normalization_bracket(a, b, Q1, Q2)
+    """`_bracket9` of Q1, Q2 given as 3x3 arrays: (det P)^2 equals it
+    exactly when J^2 = -id."""
+    return _bracket9(a, b, flat9(Q1), flat9(Q2))
 
 
 def _j_blocks(a: float, b: float, q1, q2) -> np.ndarray:
@@ -339,18 +324,9 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
     if tr2 >= 0:
         raise InvalidStructureError("gamma is not stable (tr K^2 >= 0)")
     J = K / np.sqrt(-tr2 / 6.0)
-    g = omega_component_matrix(omega) @ J
-    if np.linalg.eigvalsh(0.5 * (g + g.T)).min() < 0:
+    if not is_spd(omega_component_matrix(omega) @ J):
         J = -J
     return J
-
-
-def build_j_gamma(A: float, B: float, R1, R2, det_p: float) -> Form:
-    """J gamma = (2/det P)(A e135 + B e246 + R1, R2 on the mixed slots).
-
-    det P must be nonsingular; callers have checked it."""
-    s = 2.0 / det_p
-    return invariant_three_form(s * A, s * B, s * np.asarray(R1), s * np.asarray(R2))
 
 
 def metric_from(omega: Form, J: np.ndarray) -> np.ndarray:
@@ -531,43 +507,51 @@ class NhfStructure:
     def metric_is_spd(self) -> bool:
         return self.metric_spd
 
-    def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
-        """Relative residuals of the defining conditions of a valid
-        structure: Q^T P symmetric, the normalization, omega ^ J gamma = 0
-        and, reported apart as `metric_spd`, g positive definite.  The
-        J^2 = -id residual, computed at construction, is reported too.
-
-        Each residual is divided by the size of the terms it compares (the
-        size of a product is the product of its factors' sizes), so the
-        verdict does not change under the scaling (lambda, a, b, P, Q) ->
-        (c lambda, a/c^3, b/c^3, P/c^2, Q/c^3).  J is scale free, so the
-        J^2 = -id residual is taken as it is.
-
-        Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
-        for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
-        (2/3) omega^3 and the symmetry of g follow from the defining
-        conditions."""
+    def defining_residuals(self) -> np.ndarray:
+        """The defining conditions of a valid structure but the positive
+        definiteness of g, as 10 residuals: the 3 entries above the
+        diagonal of Q^T P - P^T Q, (det P)^2 minus the bracket, and the 6
+        coefficients of J gamma ^ omega.  Each is divided by the size of
+        the terms it compares, as `exterior.relative` divides, so none
+        changes under the scaling (lambda, a, b, P, Q) -> (c lambda,
+        a/c^3, b/c^3, P/c^2, Q/c^3)."""
         # sizes of the factors (products, not powers: a float power raises
         # on overflow where a product gives inf)
         z, m = self.sizes, self.m9
         n_a, n_b = abs(self.a), abs(self.b)
         n_ab = n_a * n_b + z.q1 * z.q2  # a b - tr(Q1^T Q2)
+        dp2 = self.det_p * self.det_p
         # Q^T P - P^T Q = G - G^T, G = Q^T P: zero on the diagonal and
         # antisymmetric, so its three entries above the diagonal
         g = mul9(transpose9(m.q), m.p)
+        res = np.empty(10)
+        res[:3] = [g[1] - g[3], g[2] - g[6], g[5] - g[7]]
+        res[:3] /= term_size(z.q * z.p)
+        # (det P)^2 against each term of the bracket
+        res[3] = (dp2 - _bracket9(self.a, self.b, m.q1, m.q2)) / term_size(
+            dp2, n_ab * n_ab, n_a * z.q2 * z.q2 * z.q2, n_b * z.q1 * z.q1 * z.q1,
+            z.q1 * z.q2 * z.q1 * z.q2,
+        )
+        res[4:] = wedge(self.Jgamma, self.omega).coeffs / term_size(z.jg * z.om)
+        return res
+
+    def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
+        """The largest |residual| of each block of `defining_residuals`,
+        as `qtp_symmetry`, `normalization` and `jgamma_wedge_omega`, and,
+        reported apart as `metric_spd`, whether g is positive definite.
+        The J^2 = -id residual, computed at construction, is reported too;
+        J is scale free, so it is taken as it is.
+
+        Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
+        for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
+        (2/3) omega^3 and the symmetry of g follow from the defining
+        conditions."""
+        r = self.defining_residuals().tolist()
         res = {
-            "qtp_symmetry": relative([g[1] - g[3], g[2] - g[6], g[5] - g[7]], z.q * z.p),
-            # (det P)^2 against each term of normalization_bracket
-            "normalization": relative(
-                self.det_p * self.det_p - _bracket9(self.a, self.b, m.q1, m.q2),
-                self.det_p * self.det_p,
-                n_ab * n_ab,
-                n_a * z.q2 * z.q2 * z.q2,
-                n_b * z.q1 * z.q1 * z.q1,
-                z.q1 * z.q2 * z.q1 * z.q2,
-            ),
+            "qtp_symmetry": max_abs(r[:3]),
+            "normalization": abs(r[3]),
             "j_squared": self.j_squared_residual,
-            "jgamma_wedge_omega": relative(wedge(self.Jgamma, self.omega), z.jg * z.om),
+            "jgamma_wedge_omega": max_abs(r[4:]),
         }
         return ValidationReport(residuals=res, metric_spd=self.metric_spd, tol=tol)
 
@@ -661,17 +645,49 @@ def _sample_family_member(rng) -> NhfStructure:
     return families.sine_cone_trajectory(t)
 
 
+#: Central-difference step of the root-solve sampler, relative to max|P|:
+#: eps^(1/3) leaves an error of about eps^(2/3) in the Jacobian.
+_DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+#: The valid P form a set of positive dimension, where the Jacobian has
+#: singular values that are 0 up to that error; lstsq drops those below
+#: sqrt(eps) times the largest.
+_RCOND = np.finfo(float).eps ** 0.5
+
+
+def _solve_p(lam: float, a: float, b: float, P, Q) -> NhfStructure:
+    """The root-solve iteration of `sample_random_structure` from P; the
+    structure where the largest |residual| stopped decreasing."""
+
+    def residuals(x):
+        return NhfStructure(lam, a, b, x.reshape(3, 3), Q).defining_residuals()
+
+    s = NhfStructure(lam, a, b, P, Q)
+    r = s.defining_residuals()
+    while True:
+        x = s.P.ravel()
+        h = _DIFF_STEP * max_abs(x)
+        jac = np.array([residuals(x + e) - residuals(x - e) for e in h * np.eye(9)]).T
+        step = np.linalg.lstsq(jac / (2.0 * h), -r, rcond=_RCOND)[0]
+        t = NhfStructure(lam, a, b, (x + step).reshape(3, 3), Q)
+        r_t = t.defining_residuals()
+        if not max_abs(r_t) < max_abs(r):
+            return s
+        s, r = t, r_t
+
+
 def sample_random_structure(seed, method: str = "rotate-family", max_retries: int = 50):
     """Random valid structure for property tests.
 
     "rotate-family" transports a random closed-form family member by a
     random SO(3) x SO(3) rotation (always valid, by equivariance).
     "root-solve" perturbs a, b, Q and P of a rotated family member by
-    about 10% each and solves the defining equations (Q^T P symmetric, the
-    normalization, omega ^ J gamma = 0) for P by `least_squares`, starting
-    from the perturbed P and keeping lambda, a, b and Q; a draw whose
-    solve does not converge or whose result is invalid is retried, up to
-    `max_retries` draws."""
+    about 10% each and solves the defining conditions
+    (`NhfStructure.defining_residuals`) for P, keeping lambda, a, b and Q:
+    min-norm Gauss-Newton steps (`np.linalg.lstsq` on a central-difference
+    Jacobian over the 9 entries of P) from the perturbed P, until the
+    largest |residual| stops decreasing.  The point reached is accepted
+    when it passes `validate`; a draw that is not accepted, or meets a
+    singular P on the way, is retried, up to `max_retries` draws."""
     rng = np.random.default_rng(seed)
     if method == "rotate-family":
         base = _sample_family_member(rng)
@@ -679,28 +695,7 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
     if method != "root-solve":
         raise ValueError(f"unknown sampling method: {method}")
 
-    from scipy.optimize import least_squares
-
-    def constraint_vector(x, lam, a, b, Q):
-        # The defining equations of a valid structure as a function of P:
-        # Q^T P symmetric (3), the normalization (1), and omega ^ J gamma = 0
-        # (6).  The last block is not implied by the first two: it removes
-        # the (2,0) + (0,2) part of omega with respect to J, which is what
-        # makes the metric symmetric.
-        P = x.reshape(3, 3)
-        dp = det3(P)
-        if abs(dp) < 1e-8:
-            return np.full(10, 1e3)
-        Q1, Q2 = q1_q2(lam, P, Q)
-        sym = (Q.T @ P - P.T @ Q)[np.triu_indices(3, 1)]
-        norm = [normalization_residual(a, b, Q1, Q2, dp)]
-        A, B, R1, R2, _ = compute_abr(a, b, Q1, Q2)
-        jg_om = wedge(build_j_gamma(A, B, R1, R2, dp), build_omega(P)).coeffs
-        return np.concatenate([sym, norm, jg_om])
-
     for _ in range(max_retries):
-        # Perturb a rotated family member off the closed-form locus, then
-        # solve the constraints for P by least squares.
         base = _sample_family_member(rng).rotated(
             random_rotation(rng), random_rotation(rng)
         )
@@ -708,21 +703,11 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
         a = base.a * (1.0 + eps * rng.standard_normal())
         b = base.b * (1.0 + eps * rng.standard_normal())
         Q = base.Q * (1.0 + eps * rng.standard_normal((3, 3)))
-        x0 = (base.P * (1.0 + eps * rng.standard_normal((3, 3)))).ravel()
-        sol = least_squares(
-            constraint_vector,
-            x0,
-            args=(base.lam, a, b, Q),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-        if np.max(np.abs(sol.fun)) > 1e-11:
-            continue
+        P = base.P * (1.0 + eps * rng.standard_normal((3, 3)))
         try:
-            s = NhfStructure(base.lam, a, b, sol.x.reshape(3, 3), Q)
+            s = _solve_p(base.lam, a, b, P, Q)
         except StructureError:
             continue
-        if s.validate().passed and s.metric_is_spd():
+        if s.validate().passed:
             return s
     raise SamplerExhaustedError(f"no valid structure after {max_retries} attempts")

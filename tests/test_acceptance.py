@@ -139,7 +139,7 @@ def test_08_berger_trajectory_documented_deviation():
     # G2 residual <= 1e-6 at 20 interior t.  The published data fails all
     # three by many orders of magnitude; these bounds pin the measured
     # failure so that any future repair of the data is noticed.
-    from nhflat.structure import normalization_residual
+    from nhflat.structure import normalization_bracket
 
     worst_norm = 0.0
     worst_ode = 0.0
@@ -147,7 +147,7 @@ def test_08_berger_trajectory_documented_deviation():
         s = families.berger_trajectory(t)
         worst_norm = max(
             worst_norm,
-            abs(normalization_residual(s.a, s.b, s.Q1, s.Q2, s.det_p)),
+            abs(s.det_p * s.det_p - normalization_bracket(s.a, s.b, s.Q1, s.Q2)),
         )
         da, db, dQ1, dQ2 = families.berger_derivative(t)
         ra, rb, rQ1, rQ2 = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)

@@ -361,11 +361,16 @@ class TestUsage:
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize is needed only by the root-solve sampler, imported lazily
+    # nhflat does not depend on scipy, the root-solve sampler included
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, nhflat, nhflat.cli; "
+        "nhflat.sample_random_structure(0, method='root-solve'); "
+        "print('scipy' in sys.modules)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, nhflat.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,

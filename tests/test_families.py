@@ -217,13 +217,11 @@ class TestBerger:
         assert s.P[0, 0] == pytest.approx(np.sin(np.pi / 6.0) / r5)
 
     def test_published_data_fails_normalization(self):
-        from nhflat.structure import normalization_residual
+        from nhflat.structure import normalization_bracket
 
         for t in (0.3, np.pi / 6.0, 0.8):
             s = families.berger_trajectory(t)
-            resid = abs(
-                normalization_residual(s.a, s.b, s.Q1, s.Q2, s.det_p)
-            )
+            resid = abs(s.det_p * s.det_p - normalization_bracket(s.a, s.b, s.Q1, s.Q2))
             assert resid > 1e-4  # measured ~2.5e-3
 
     def test_published_data_fails_validation(self):

@@ -165,6 +165,14 @@ class TestJ:
             Jh = hitchin_j(s.gamma, s.omega)
             assert np.max(np.abs(Jh - s.J)) < 1e-8
 
+    def test_root_solve_sampler_residuals_many_seeds(self):
+        # the Gauss-Newton loop runs until its residuals stop decreasing,
+        # i.e. to rounding, far below validate's default 1e-9
+        for seed in range(30):
+            report = sample_random_structure(seed, method="root-solve").validate()
+            assert report.passed
+            assert max(report.residuals.values()) <= 1e-10, seed
+
     def test_jgamma_closed_form_vs_slot_oracle(self):
         # The closed-form J gamma equals 2x the slot application of J to
         # gamma on all three slots; the factor 2 is part of the closed-form

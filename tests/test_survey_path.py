@@ -1,11 +1,11 @@
 """Oracles for the survey path: from_record, validate, extract_torsion.
 
 The routes the library replaced are kept here as references: the
-nine-residual validity verdict, the 22 x 15 least-squares and the
-15 x 15 square w2- solves and the numpy assembly of the J blocks.  The
-samples are the benchmark's survey records (seed 7), the
-scale-covariance samples of test_scaling.py, the acceptance samples and
-root-solve samples."""
+nine-residual validity verdict, the numpy normalization bracket, the
+22 x 15 least-squares and the 15 x 15 square w2- solves and the numpy
+assembly of the J blocks.  The samples are the benchmark's survey
+records (seed 7), the scale-covariance samples of test_scaling.py, the
+acceptance samples and root-solve samples."""
 
 import functools
 import importlib.util
@@ -17,7 +17,7 @@ import pytest
 
 from nhflat import families
 from nhflat.exterior import d, relative, wedge, wedge_tensor
-from nhflat.mat3 import adjugate, flat9
+from nhflat.mat3 import adjugate, det3, flat9
 from nhflat.structure import (
     _DE_DE_BASIS,
     InvalidStructureError,
@@ -27,8 +27,6 @@ from nhflat.structure import (
     de_de_coords,
     de_de_form,
     invariant_three_form,
-    normalization_bracket,
-    normalization_residual,
     random_rotation,
     sample_random_structure,
 )
@@ -121,6 +119,25 @@ def test_validate_computes_the_defining_conditions():
     assert set(report.residuals) == set(DEFINING) | {"j_squared"}
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, acceptance_samples],
+    ids=["survey", "scaling", "acceptance"],
+)
+def test_validate_reads_the_defining_residuals(samples):
+    # validate's three defining residuals are the block maxima of the one
+    # constraint map, to the bit
+    for s in samples():
+        r, report = s.defining_residuals(), s.validate()
+        blocks = {
+            "qtp_symmetry": r[:3],
+            "normalization": r[3:4],
+            "jgamma_wedge_omega": r[4:],
+        }
+        for name, block in blocks.items():
+            assert report.residuals[name] == float(np.max(np.abs(block))), name
+
+
 def test_construction_builds_no_delta():
     assert not hasattr(families.nearly_kahler(4.0), "delta")
 
@@ -164,9 +181,20 @@ def test_implied_residuals_follow_the_defining_ones():
     assert worst <= 10.0
 
 
+def array_bracket(a, b, Q1, Q2):
+    """The normalization bracket rounded through numpy's 3x3 products."""
+    Q1, Q2 = np.asarray(Q1, dtype=float), np.asarray(Q2, dtype=float)
+    tr12 = float(np.trace(Q1.T @ Q2))
+    return (
+        -((a * b - tr12) ** 2)
+        - 4.0 * (a * det3(Q2) + b * det3(Q1))
+        + 4.0 * float(np.trace(adjugate(Q1.T @ Q2)))
+    )
+
+
 def test_validate_bracket_matches_array_bracket():
-    # validate's 9-list normalization bracket against the array one the
-    # root-solve sampler keeps, relative to the bracket's terms
+    # validate's 9-list normalization bracket against the numpy one,
+    # relative to the bracket's terms
     rng = np.random.default_rng(15)
     for _ in range(200):
         a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
@@ -175,7 +203,7 @@ def test_validate_bracket_matches_array_bracket():
         n_ab = abs(a * b) + n1 * n2
         terms = (n_ab * n_ab, abs(a) * n2**3, abs(b) * n1**3, (n1 * n2) ** 2)
         got = _bracket9(a, b, flat9(Q1), flat9(Q2))
-        assert relative(got - normalization_bracket(a, b, Q1, Q2), *terms) <= 1e-14
+        assert relative(got - array_bracket(a, b, Q1, Q2), *terms) <= 1e-14
 
 
 def test_t_slice_pieces_are_identities():
@@ -317,17 +345,20 @@ def test_closed_form_inverts_wedge_with_omega():
 
 
 def test_validate_residuals_match_array_formulas():
-    # the 9-list residuals of validate against the numpy 3x3 formulas
+    # the residuals of validate against the numpy 3x3 formulas and the
+    # J gamma ^ omega form
     for s in random_invalid_structures(17):
         z, report = s.sizes, s.validate()
         qtp = relative(s.Q.T @ s.P - s.P.T @ s.Q, z.q * z.p)
         assert report.residuals["qtp_symmetry"] == pytest.approx(qtp, rel=1e-12, abs=1e-15)
         n_ab = abs(s.a * s.b) + z.q1 * z.q2
         norm = relative(
-            normalization_residual(s.a, s.b, s.Q1, s.Q2, s.det_p),
+            s.det_p * s.det_p - array_bracket(s.a, s.b, s.Q1, s.Q2),
             s.det_p**2, n_ab**2, abs(s.a) * z.q2**3, abs(s.b) * z.q1**3, (z.q1 * z.q2) ** 2,
         )
         assert report.residuals["normalization"] == pytest.approx(norm, rel=1e-12, abs=1e-15)
+        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.om)
+        assert report.residuals["jgamma_wedge_omega"] == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
 
 def test_targets_lie_in_the_de_de_span():
