@@ -18,6 +18,8 @@ import itertools
 
 import numpy as np
 
+from nhflat.mat3 import is_spd9
+
 DIM = 6
 #: Default bound on the relative residuals of every verdict (see `relative`).
 DEFAULT_TOL = 1e-9
@@ -276,12 +278,17 @@ def relative(residual, *terms) -> float:
 
 
 def is_spd(g: np.ndarray) -> bool:
-    """Whether the symmetric part of g is positive definite; False when
-    its eigenvalues cannot be computed (a NaN or infinite entry)."""
-    try:
-        return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
-    except np.linalg.LinAlgError:
-        return False
+    """Whether the symmetric part of the 6x6 matrix g is positive
+    definite, by `mat3.is_spd9` on the 3x3 blocks of g + g^T; False when
+    an entry is NaN or infinite."""
+    g = np.asarray(g, dtype=float)
+    h = (g + g.T).tolist()
+    r0, r1, r2 = h[0], h[1], h[2]
+    return is_spd9(
+        r0[:3] + r1[:3] + r2[:3],
+        r0[3:] + r1[3:] + r2[3:],
+        h[3][3:] + h[4][3:] + h[5][3:],
+    )
 
 
 def inverse_metric(g, spd: bool | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Small helpers for real 3x3 matrices: determinant, adjugate and the
 polarized adjugate, the derivative of the adjugate (a public helper; the
-flow no longer uses it).
+flow no longer uses it), and the package's one positive-definiteness test,
+on the 3x3 blocks of a symmetric 6x6 matrix (`is_spd9`).
 
 Each formula is written once over row-major 9-sequences
 (m00, m01, m02, m10, ..., m22) of plain numbers.  They need only +, -
@@ -10,6 +11,8 @@ and *, so they are exact on ``fractions.Fraction`` entries.  ``det3`` and
 inline instead of calling these, and rounds exactly as they do."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -62,6 +65,63 @@ def mul9(x, y):
 def transpose9(m):
     """Transpose of a row-major 9-sequence."""
     return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
+
+
+def _ldl3(x00, x01, x02, x11, x12, x22):
+    """The pivots d0, d1, d2 and the multipliers l10, l20, l21 of the
+    LDL^T factorization of the symmetric 3x3 matrix with upper triangle
+    (x00, x01, x02, x11, x12, x22), or None when a pivot is not > 0: the
+    matrix is not positive definite (or an entry is NaN)."""
+    if not x00 > 0:
+        return None
+    l10, l20 = x01 / x00, x02 / x00
+    d1 = x11 - x01 * l10
+    if not d1 > 0:
+        return None
+    l21 = (x12 - x02 * l10) / d1
+    d2 = x22 - x02 * l20 - d1 * l21 * l21
+    if not d2 > 0:
+        return None
+    return x00, d1, d2, l10, l20, l21
+
+
+def is_spd9(a, b, c) -> bool:
+    """Whether the symmetric 6x6 matrix [[A, B], [B^T, C]] is positive
+    definite, with A, B, C row-major 9-sequences (of A and C only the
+    upper triangles are read).
+
+    It is exactly when A and its Schur complement S = C - B^T A^-1 B are,
+    and a symmetric 3x3 matrix is positive definite exactly when the
+    pivots of its LDL^T factorization are all > 0.  The blocks are first
+    divided by their largest |entry|, so that the products stay in range
+    whatever the scale of the data.  False when an entry is NaN or
+    infinite."""
+    n = max(map(abs, (*a, *b, *c)))
+    if not 0.0 < n < math.inf:
+        return False
+    a00, a01, a02, _, a11, a12, _, _, a22 = (x / n for x in a)
+    f = _ldl3(a00, a01, a02, a11, a12, a22)
+    if f is None:
+        return False
+    d0, d1, d2, l10, l20, l21 = f
+    # Z = L^-1 B by forward substitution; B^T A^-1 B = Z^T D^-1 Z
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = (x / n for x in b)
+    z10, z11, z12 = b10 - l10 * b00, b11 - l10 * b01, b12 - l10 * b02
+    z20 = b20 - l20 * b00 - l21 * z10
+    z21 = b21 - l20 * b01 - l21 * z11
+    z22 = b22 - l20 * b02 - l21 * z12
+    y00, y01, y02 = b00 / d0, b01 / d0, b02 / d0
+    y10, y11, y12 = z10 / d1, z11 / d1, z12 / d1
+    y20, y21, y22 = z20 / d2, z21 / d2, z22 / d2
+    c00, c01, c02, _, c11, c12, _, _, c22 = (x / n for x in c)
+    return _ldl3(
+        c00 - (b00 * y00 + z10 * y10 + z20 * y20),
+        c01 - (b00 * y01 + z10 * y11 + z20 * y21),
+        c02 - (b00 * y02 + z10 * y12 + z20 * y22),
+        c11 - (b01 * y01 + z11 * y11 + z21 * y21),
+        c12 - (b01 * y02 + z11 * y12 + z21 * y22),
+        c22 - (b02 * y02 + z12 * y12 + z22 * y22),
+    ) is not None
 
 
 def flat9(m) -> list:

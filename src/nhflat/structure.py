@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from functools import cached_property
 from typing import NamedTuple
 
@@ -50,7 +51,7 @@ from nhflat.exterior import (
     wedge,
     wedge_all,
 )
-from nhflat.mat3 import adjugate, cofactor9, det9, flat9, mul9, transpose9
+from nhflat.mat3 import adjugate, cofactor9, det9, flat9, is_spd9, mul9, transpose9
 
 #: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
@@ -93,6 +94,11 @@ _THREE_FORM_BASIS = np.column_stack(
 )
 
 
+# the bases back: a form's 20-list (c135, c246, M1, M2) and 9-list X
+_THREE_FORM_COORDS = np.ascontiguousarray(_THREE_FORM_BASIS.T)
+_OMEGA_COORDS = np.ascontiguousarray(_OMEGA_BASIS.T)
+
+
 def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:
     """c135 e135 + c246 e246 + sum M1_ij de^{2i-1}^e^{2j} + M2_ij e^{2i-1}^de^{2j}."""
     M1 = np.asarray(M1, dtype=float)
@@ -105,17 +111,54 @@ def build_omega(P) -> Form:
     return Form(2, _OMEGA_BASIS @ np.asarray(P, dtype=float).reshape(9))
 
 
+def _dot(x, y) -> float:
+    return sum(map(mul, x, y))
+
+
+def three_form_coords(x: Form) -> list:
+    """The 20-list (c135, c246, M1, M2) of a 3-form x, row-major M1 and M2,
+    so that x = invariant_three_form(c135, c246, M1, M2) when x lies in
+    their span.  The basis is a signed permutation, so this is exact."""
+    return (_THREE_FORM_COORDS @ x.coeffs).tolist()
+
+
+def omega_coords(x: Form) -> list:
+    """The row-major 9-list X of a 2-form x, so that x = build_omega(X)
+    when x lies in the span of the e^{2i-1} ^ e^{2j}; a signed selection
+    of 9 of the 15 coefficients, so exact."""
+    return (_OMEGA_COORDS @ x.coeffs).tolist()
+
+
+def three_form_wedge_omega(m1, m2, x) -> list:
+    """The 6 coefficients, in basis order, of the 5-form
+    invariant_three_form(c135, c246, M1, M2) ^ build_omega(X), with M1, M2
+    and X row-major 9-sequences; c135 and c246 drop out.  They are the
+    entries above the diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T,
+    with signs."""
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = m1
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = m2
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
+    return [
+        # with U = M1^T X - X^T M1, V = M2 X^T - X M2^T, they are
+        # U01, -V01, -U02, V02, U12 and -V12
+        (u00 * x01 + u10 * x11 + u20 * x21) - (u01 * x00 + u11 * x10 + u21 * x20),
+        (v10 * x00 + v11 * x01 + v12 * x02) - (v00 * x10 + v01 * x11 + v02 * x12),
+        (u02 * x00 + u12 * x10 + u22 * x20) - (u00 * x02 + u10 * x12 + u20 * x22),
+        (v00 * x20 + v01 * x21 + v02 * x22) - (v20 * x00 + v21 * x01 + v22 * x02),
+        (u01 * x02 + u11 * x12 + u21 * x22) - (u02 * x01 + u12 * x11 + u22 * x21),
+        (v20 * x10 + v21 * x11 + v22 * x12) - (v10 * x20 + v11 * x21 + v12 * x22),
+    ]
+
+
+def three_form_volume(x, y) -> float:
+    """The e123456 coefficient of the wedge of the invariant 3-forms with
+    20-lists x and y (see `three_form_coords`)."""
+    return x[1] * y[0] - x[0] * y[1] + _dot(x[2:11], y[11:20]) - _dot(x[11:20], y[2:11])
+
+
 def de_de_form(M) -> Form:
     """sum M_ij de^{2i-1} ^ de^{2j}."""
     return Form(4, _DE_DE_BASIS @ np.ravel(np.asarray(M, dtype=float)))
-
-
-def de_de_coords(x: Form) -> list:
-    """The row-major 9-list M of the de^{2i-1} ^ de^{2j} part of a 4-form x,
-    so that x = de_de_form(M) when x lies in their span.  Each basis form is
-    one monomial with sign +-1, so this is a signed selection of 9 of the
-    15 coefficients."""
-    return (_DE_DE_BASIS.T @ x.coeffs).tolist()
 
 
 def omega_squared(P) -> Form:
@@ -224,24 +267,69 @@ def _bracket9(a: float, b: float, q1, q2) -> float:
     return -(t * t) - 4.0 * (a * det9(q2) + b * det9(q1)) + 4.0 * (c[0] + c[4] + c[8])
 
 
+def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
+    """The second derivative D^2 lambda[y, y] of the bracket lambda =
+    `_bracket9` at (a, b, Q1, Q2) in the direction of the 20-list
+    y = (ya, yb, Y1, Y2) (see `three_form_coords`); 3x3 data as row-major
+    9-sequences.  With g = Q1^T Q2, dg = Y1^T Q2 + Q1^T Y2, u = Y1^T Y2,
+    h = a b - tr g and e = ya b + a yb - tr dg, by the product rule
+
+        -2 e^2 - 4 h (ya yb - tr u) + 4 (tr dg)^2 + 8 tr g tr u
+        - 4 tr(dg^2) - 8 tr(g u)
+        - 8 (ya <Adj(Q2^T), Y2> + yb <Adj(Q1^T), Y1>
+             + a <Q2, Adj(Y2^T)> + b <Q1, Adj(Y1^T)>),
+
+    <X, Y> = tr(X^T Y), since D det(M)[Y] = <Adj(M^T), Y> and
+    D^2 det(M)[Y, Y] = 2 <M, Adj(Y^T)>.  Written out, not by differences,
+    which would lose the digits of the small factors.
+
+    It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
+    R1, R2) of `abr9`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
+    Hitchin's construction of the dual map gamma -> J gamma =
+    (2 / det P) F(gamma), F is the symplectic gradient of the quartic
+    invariant lambda / 2."""
+    ya, yb, y1, y2 = y[0], y[1], y[2:11], y[11:20]
+    q1t, y1t = transpose9(q1), transpose9(y1)
+    g = mul9(q1t, q2)
+    u = mul9(y1t, y2)
+    dg = [x + z for x, z in zip(mul9(y1t, q2), mul9(q1t, y2))]
+    t, tu, dt = g[0] + g[4] + g[8], u[0] + u[4] + u[8], dg[0] + dg[4] + dg[8]
+    e = ya * b + a * yb - dt
+    h = a * b - t
+    return (
+        -2.0 * e * e
+        - 4.0 * h * (ya * yb - tu)
+        + 4.0 * dt * dt
+        + 8.0 * t * tu
+        - 4.0 * _dot(dg, transpose9(dg))
+        - 8.0 * _dot(g, transpose9(u))
+        - 8.0 * (
+            ya * _dot(cofactor9(q2), y2)
+            + yb * _dot(cofactor9(q1), y1)
+            + a * _dot(q2, cofactor9(y2))
+            + b * _dot(q1, cofactor9(y1))
+        )
+    )
+
+
 def normalization_bracket(a: float, b: float, Q1, Q2) -> float:
     """`_bracket9` of Q1, Q2 given as 3x3 arrays: (det P)^2 equals it
     exactly when J^2 = -id."""
     return _bracket9(a, b, flat9(Q1), flat9(Q2))
 
 
-def _j_blocks(a: float, b: float, q1, q2) -> np.ndarray:
-    """The block matrix (det P) J^T of the state (a, b, Q1, Q2), with Q1, Q2
-    given as row-major 9-sequences; its blocks on the odd/even rows and
-    columns are
+def _j_blocks9(a: float, b: float, q1, q2):
+    """The blocks of the matrix (det P) J^T of the state (a, b, Q1, Q2) on
+    the odd/even rows and columns, as row-major 9-lists, with Q1, Q2 given
+    as row-major 9-sequences:
 
         oo =  (a b - tr(Q1^T Q2)) Id + 2 Q2 Q1^T,   oe = -2 (a Q2 - Adj(Q1^T)),
         eo =  2 (b Q1^T - Adj(Q2)),   ee = -(a b - tr(Q1^T Q2)) Id - 2 Q1^T Q2,
 
     the (i, j) entry of each at (2 i, 2 j), (2 i, 2 j + 1), (2 i + 1, 2 j)
-    and (2 i + 1, 2 j + 1).  Written out over local variables like `abr9`,
-    with the products, cofactors and rounding of `mat3.mul9` and
-    `cofactor9`."""
+    and (2 i + 1, 2 j + 1) of the matrix (see `_interleave`).  Written out
+    over local variables like `abr9`, with the products, cofactors and
+    rounding of `mat3.mul9` and `cofactor9`."""
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
     # g = Q1^T Q2 and h = Q2 Q1^T
@@ -271,22 +359,33 @@ def _j_blocks(a: float, b: float, q1, q2) -> np.ndarray:
     c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
     c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
     t = a * b - (g00 + g11 + g22)
-    return np.array(
-        [
-            2 * h00 + t, -2 * (a * v00 - k00), 2 * h01, -2 * (a * v01 - k01),
-            2 * h02, -2 * (a * v02 - k02),
-            2 * (b * u00 - c00), -2 * g00 - t, 2 * (b * u10 - c10), -2 * g01,
-            2 * (b * u20 - c20), -2 * g02,
-            2 * h10, -2 * (a * v10 - k10), 2 * h11 + t, -2 * (a * v11 - k11),
-            2 * h12, -2 * (a * v12 - k12),
-            2 * (b * u01 - c01), -2 * g10, 2 * (b * u11 - c11), -2 * g11 - t,
-            2 * (b * u21 - c21), -2 * g12,
-            2 * h20, -2 * (a * v20 - k20), 2 * h21, -2 * (a * v21 - k21),
-            2 * h22 + t, -2 * (a * v22 - k22),
-            2 * (b * u02 - c02), -2 * g20, 2 * (b * u12 - c12), -2 * g21,
-            2 * (b * u22 - c22), -2 * g22 - t,
-        ]
-    ).reshape(6, 6)
+    oo = [
+        2 * h00 + t, 2 * h01, 2 * h02,
+        2 * h10, 2 * h11 + t, 2 * h12,
+        2 * h20, 2 * h21, 2 * h22 + t,
+    ]
+    oe = [
+        -2 * (a * v00 - k00), -2 * (a * v01 - k01), -2 * (a * v02 - k02),
+        -2 * (a * v10 - k10), -2 * (a * v11 - k11), -2 * (a * v12 - k12),
+        -2 * (a * v20 - k20), -2 * (a * v21 - k21), -2 * (a * v22 - k22),
+    ]
+    eo = [
+        2 * (b * u00 - c00), 2 * (b * u10 - c10), 2 * (b * u20 - c20),
+        2 * (b * u01 - c01), 2 * (b * u11 - c11), 2 * (b * u21 - c21),
+        2 * (b * u02 - c02), 2 * (b * u12 - c12), 2 * (b * u22 - c22),
+    ]
+    ee = [
+        -2 * g00 - t, -2 * g01, -2 * g02,
+        -2 * g10, -2 * g11 - t, -2 * g12,
+        -2 * g20, -2 * g21, -2 * g22 - t,
+    ]
+    return oo, oe, eo, ee
+
+
+def _interleave(blocks) -> np.ndarray:
+    """The 6x6 array whose (2 i + r, 2 j + c) entry is entry (i, j) of
+    blocks[2 r + c], for four row-major 9-lists."""
+    return np.array(blocks).reshape(2, 2, 3, 3).transpose(2, 0, 3, 1).reshape(6, 6)
 
 
 # (row, column) of the upper-triangle entry of each 2-monomial
@@ -393,11 +492,14 @@ class Sizes(NamedTuple):
 class NhfStructure:
     """An invariant nearly half-flat structure with its derived cache.
 
-    The forms, J and g are computed on construction, and so are the 3x3
-    data P, Q, Adj(P^T), Q1, Q2, R1 and R2, both as arrays and as the
-    row-major 9-lists `m9` that the verdicts read; the values that more
-    than one verdict reads (`omega2`, `w1plus`, `sizes`, `metric_spd`,
-    `metric_inverse`) are computed on first use.  Nothing is mutated after
+    The forms and J are computed on construction, and so are the 3x3 data
+    P, Q, Adj(P^T), Q1, Q2, R1 and R2, both as arrays and as the row-major
+    9-lists `m9` that the verdicts read; the values that more than one
+    verdict reads (`omega2`, `w1plus`, `sizes`, `metric_spd`) are computed
+    on first use, and so are the metric `g` and its inverse
+    `metric_inverse`.  The SPD verdict `metric_spd` is decided on 3x3
+    blocks, products of P with the blocks of J, without g; no verdict
+    reads g or `metric_inverse`, which are there for callers.  Nothing is mutated after
     that, so instances are safe to share between threads (two threads may
     both compute a value on first use; they get the same value).
     Construction only rejects singular det P; use :meth:`validate` to test
@@ -446,9 +548,9 @@ class NhfStructure:
         forms[1] *= 2.0 / self.det_p
         self.gamma, self.Jgamma = Form(3, forms[0]), Form(3, forms[1])
         # lenient J: residual recorded, reported through validate
-        self.J = _j_blocks(self.a, self.b, q1, q2).T / self.det_p
+        self._j9 = _j_blocks9(self.a, self.b, q1, q2)
+        self.J = _interleave(self._j9).T / self.det_p
         self.j_squared_residual = max_abs(self.J @ self.J + np.eye(6))
-        self.g = metric_from(self.omega, self.J)
 
     # -- derived values, computed on first use ---------------------------
 
@@ -484,9 +586,30 @@ class NhfStructure:
         return Sizes(om, gam, jg, p, q, q1, q2, r1, r2, j)
 
     @cached_property
+    def g(self) -> np.ndarray:
+        """The induced metric g = W J as a 6x6 array, positive definite or
+        not (see `metric`)."""
+        return metric_from(self.omega, self.J)
+
+    @cached_property
     def metric_spd(self) -> bool:
-        """Whether g is positive definite (`exterior.is_spd`)."""
-        return is_spd(self.g)
+        """Whether g is positive definite, decided on 3x3 blocks by
+        `mat3.is_spd9`, without g.  On the odd and on the even coframe
+        indices W = [[0, P], [-P^T, 0]] and (det P) J = [[oo^T, eo^T],
+        [oe^T, ee^T]] (`_j_blocks9`), so (det P)(g + g^T) has the blocks
+
+            P oe^T + oe P^T,   P ee^T - oo P,   -(P^T eo^T + eo P),
+
+        taken here times the sign of det P."""
+        oo, oe, eo, ee = self._j9
+        p = self.m9.p if self.det_p > 0 else [-x for x in self.m9.p]
+        x = mul9(p, transpose9(oe))
+        y = mul9(transpose9(p), transpose9(eo))
+        return is_spd9(
+            [u + v for u, v in zip(x, transpose9(x))],
+            [u - v for u, v in zip(mul9(p, transpose9(ee)), mul9(oo, p))],
+            [-(u + v) for u, v in zip(y, transpose9(y))],
+        )
 
     @cached_property
     def metric_inverse(self) -> np.ndarray:
@@ -524,16 +647,17 @@ class NhfStructure:
         # Q^T P - P^T Q = G - G^T, G = Q^T P: zero on the diagonal and
         # antisymmetric, so its three entries above the diagonal
         g = mul9(transpose9(m.q), m.p)
-        res = np.empty(10)
-        res[:3] = [g[1] - g[3], g[2] - g[6], g[5] - g[7]]
-        res[:3] /= term_size(z.q * z.p)
+        size = term_size(z.q * z.p)
+        res = [(g[1] - g[3]) / size, (g[2] - g[6]) / size, (g[5] - g[7]) / size]
         # (det P)^2 against each term of the bracket
-        res[3] = (dp2 - _bracket9(self.a, self.b, m.q1, m.q2)) / term_size(
+        res.append((dp2 - _bracket9(self.a, self.b, m.q1, m.q2)) / term_size(
             dp2, n_ab * n_ab, n_a * z.q2 * z.q2 * z.q2, n_b * z.q1 * z.q1 * z.q1,
             z.q1 * z.q2 * z.q1 * z.q2,
-        )
-        res[4:] = wedge(self.Jgamma, self.omega).coeffs / term_size(z.jg * z.om)
-        return res
+        ))
+        jg = three_form_coords(self.Jgamma)
+        size = term_size(z.jg * z.om)
+        res += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], m.p)]
+        return np.array(res)
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """The largest |residual| of each block of `defining_residuals`,

@@ -10,12 +10,20 @@ w3 (a 3-form in the 12-dimensional module).  They are pinned down by
 and the module memberships w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0,
 w2- ^ gamma = 0, w2- ^ omega^2 = 0.
 
-Both equations are solved in closed form on the matrix data; no linear
-system is solved.  d(omega) = invariant_three_form(0, 0, P, -P) exactly,
-so w3 is one invariant 3-form of the 3x3 data (`w3_form`).  For w2-, the
-right-hand side t = d(J gamma) + (2/3) w1+ omega^2 lies in the span of
-the de^{2i-1} ^ de^{2j} (its other 6 coordinates are exactly 0 for
-invariant forms), t = de_de_form(T).  Polarizing
+Everything is computed in closed form on the matrix data: no linear
+system is solved, and no form is wedged, differentiated or contracted
+with the metric.  An invariant 3-form has the coordinates (c, d, M1, M2)
+of `invariant_three_form`, a 20-list, and a 2-form in the span of
+omega's slots the 9-list X of `build_omega`; the bases are a signed
+permutation and a signed selection, so `three_form_coords` and
+`omega_coords` read them off a form exactly.
+
+w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
+invariant 3-form of the 3x3 data (`w3_form`).
+
+w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
+side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
+of J gamma minus (4/3) w1+ Adj(P^T).  Polarizing
 omega^2 = de_de_form(-2 Adj(P^T)) gives
 
     build_omega(X) ^ omega = de_de_form(-D Adj(P^T)[X^T]),
@@ -26,6 +34,41 @@ and with A = P^T, S = -T the derivative of the adjugate,
 
 inverts to H = tau A - A S A / det P with tau = tr(S A) / (2 det P);
 w2- = build_omega(H^T) (`w2_minus_form`).
+
+The module memberships are checked on coordinates, vol(.) the e123456
+coefficient:
+
+* (c, d, M1, M2) ^ build_omega(X) has the 6 coefficients above the
+  diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T
+  (`structure.three_form_wedge_omega`): w3 ^ omega, w2- ^ gamma, and
+  J gamma ^ omega in `NhfStructure.validate`;
+* vol(x ^ y) = x1 y0 - x0 y1 + sum_k (x[2+k] y[11+k] - x[11+k] y[2+k])
+  for two 20-lists (`structure.three_form_volume`): w3 ^ gamma and
+  w3 ^ J gamma;
+* vol(build_omega(X) ^ de_de_form(M)) = -sum_k X_k M_k: w2- ^ omega^2,
+  with M = -2 Adj(P^T).
+
+The norms in the scalar curvature need no inverse metric, because both
+forms lie in known SU(3)-modules (Chiossi and Salamon, "The intrinsic
+torsion of SU(3) and G2 structures", 2002).  vol(omega^3) = 6 det P.
+w2- is a primitive (1,1)-form, so *w2- = -w2- ^ omega and
+
+    |w2-|^2 = -6 vol(w2- ^ w2- ^ omega) / vol(omega^3)
+            = -2 <Adj(X^T), P> / det P,   <X, Y> = tr(X^T Y).
+
+w3 lies in the 12-dimensional module.  There *w3 = J w3, J acting on
+forms as `exterior.pullback(J, .)`, and there the derivative of the dual
+map gamma -> J gamma = (2 / det P) F(gamma) at fixed det P, with
+F = (A, B, R1, R2) of `structure.abr9`, is -2 J (Hitchin, "Stable forms
+and special metrics", 2001).  So, for the 20-list y of w3,
+
+    |w3|^2 = 6 vol(w3 ^ J w3) / vol(omega^3) = -vol(y ^ D F[y]) / (det P)^2
+           = -D^2 lambda[y, y] / (2 (det P)^2),
+
+since vol(y ^ D F[y]) is half the second derivative of the
+normalization bracket lambda, Hitchin's quartic invariant of the 3-form
+(`structure.bracket_hessian9`).  The positive definiteness of g is
+decided on its 3x3 blocks (`NhfStructure.metric_spd`).
 """
 
 from __future__ import annotations
@@ -35,15 +78,19 @@ from operator import mul
 
 import numpy as np
 
-from nhflat.exterior import Form, d, inner, relative, wedge
-from nhflat.mat3 import mul9, transpose9
+from nhflat.exterior import Form, d, max_abs, relative
+from nhflat.mat3 import cofactor9, mul9, transpose9
 from nhflat.structure import (
     DEFAULT_TOL,
     InvalidStructureError,
     NhfStructure,
+    bracket_hessian9,
     build_omega,
-    de_de_coords,
     invariant_three_form,
+    omega_coords,
+    three_form_coords,
+    three_form_volume,
+    three_form_wedge_omega,
 )
 
 CLASSIFY_TOL = 1e-7
@@ -91,22 +138,23 @@ def w3_form(
         e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
 
     w3 ^ omega, w3 ^ gamma and w3 ^ J gamma must vanish relative to the
-    size of w3's uncancelled terms times the size of the other factor.
-    With ``with_residual`` returns (w3, that relative residual)."""
+    size of w3's uncancelled terms times the size of the other factor;
+    they are computed on coordinates (see the module docstring), J gamma's
+    read off `structure.Jgamma`.  With ``with_residual`` returns (w3, that
+    relative residual)."""
     s, w1p, z, m = structure, structure.w1plus, structure.sizes, structure.m9
     c = 1.5 * s.lam / s.det_p
-    w3 = invariant_three_form(
-        -w1p * s.a - c * s.A,
-        -w1p * s.b - c * s.B,
-        [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)],
-        [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)],
-    )
+    y1 = [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)]
+    y2 = [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
+    y = [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B] + y1 + y2
+    w3 = invariant_three_form(y[0], y[1], y1, y2)
     # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
     size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
+    gamma = [s.a, s.b] + m.q1 + m.q2
     bad = max(
-        relative(wedge(w3, s.omega), size * z.om),
-        relative(wedge(w3, s.gamma), size * z.gam),
-        relative(wedge(w3, s.Jgamma), size * z.jg),
+        relative(three_form_wedge_omega(y1, y2, m.p), size * z.om),
+        relative(three_form_volume(y, gamma), size * z.gam),
+        relative(three_form_volume(y, three_form_coords(s.Jgamma)), size * z.jg),
     )
     if not bad <= tol:
         raise InvalidStructureError(
@@ -125,9 +173,11 @@ def w2_minus_form(
     beta |-> beta ^ omega is invertible on 2-forms when omega is
     nondegenerate (the Lefschetz isomorphism), and here its inverse is
     explicit.  t lies in the span of the de^{2i-1} ^ de^{2j}: its other 6
-    coordinates are exactly 0 for invariant forms, so t = de_de_form(T)
-    with T read off t by `de_de_coords`.  omega^2 = de_de_form(-2 Adj(P^T))
-    polarizes to build_omega(X) ^ omega = de_de_form(-D Adj(P^T)[X^T]), D
+    coordinates are exactly 0 for invariant forms, and t = de_de_form(T)
+    with T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) the coordinates of
+    J gamma, since d(c, d, M1, M2) = de_de_form(M1 + M2) and
+    omega^2 = de_de_form(-2 Adj(P^T)).  The latter polarizes to
+    build_omega(X) ^ omega = de_de_form(-D Adj(P^T)[X^T]), D
     the derivative.  With A = P^T, inverting
 
         D Adj(A)[H] = det A (tr(A^-1 H) A^-1 - A^-1 H A^-1) = S = -T
@@ -138,22 +188,26 @@ def w2_minus_form(
         H^T = P T^T P / det P - (tr(T^T P) / (2 det P)) P.
 
     T is read from the J gamma form, not from R1 and R2, so that w2- and
-    its check follow the J gamma the structure holds.  The
-    primitivity residuals are relative like `w3_form`'s membership check
-    and raise InvalidStructureError above `tol`.  With ``with_residual``
+    its check follow the J gamma the structure holds.  The primitivity
+    residuals, computed on coordinates (see the module docstring), are
+    relative like `w3_form`'s membership check and raise
+    InvalidStructureError above `tol`.  With ``with_residual``
     returns (w2-, the relative primitivity residual)."""
-    w1p, z, p, dp = structure.w1plus, structure.sizes, structure.m9.p, structure.det_p
-    gam, om2 = structure.gamma, structure.omega2
-    t = de_de_coords(d(structure.Jgamma) + (2.0 / 3.0) * w1p * om2)
+    w1p, z, m, dp = structure.w1plus, structure.sizes, structure.m9, structure.det_p
+    p = m.p
+    jg = three_form_coords(structure.Jgamma)
+    k = (4.0 / 3.0) * w1p
+    t = [x + y - k * c for x, y, c in zip(jg[2:11], jg[11:20], m.adj_pt)]
     tau = sum(map(mul, t, p)) / (2.0 * dp)
     ptp = mul9(mul9(p, transpose9(t)), p)
-    beta = build_omega([x / dp - tau * y for x, y in zip(ptp, p)])
+    x = [u / dp - tau * v for u, v in zip(ptp, p)]
+    beta = build_omega(x)
     # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
     # over |omega| too: where w2- = 0, beta itself is roundoff
-    size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
+    size = max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
     bad = max(
-        relative(wedge(beta, gam), size * z.gam),
-        relative(wedge(beta, om2), size * z.om * z.om),
+        relative(three_form_wedge_omega(m.q1, m.q2, x), size * z.gam),
+        relative(2.0 * sum(map(mul, x, m.adj_pt)), size * z.om * z.om),
     )
     if not bad <= tol:
         raise InvalidStructureError(
@@ -162,23 +216,40 @@ def w2_minus_form(
     return (beta, bad) if with_residual else beta
 
 
+def w2_minus_norm2(structure: NhfStructure, w2m: Form) -> float:
+    """|w2-|^2 = -2 <Adj(X^T), P> / det P for w2- = build_omega(X), a
+    primitive (1,1)-form (see the module docstring)."""
+    p = structure.m9.p
+    return -2.0 * sum(map(mul, cofactor9(omega_coords(w2m)), p)) / structure.det_p
+
+
+def w3_norm2(structure: NhfStructure, w3: Form) -> float:
+    """|w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2) for w3 in the
+    12-dimensional module, y its 20-list (see the module docstring)."""
+    s, m, dp = structure, structure.m9, structure.det_p
+    return -bracket_hessian9(s.a, s.b, m.q1, m.q2, three_form_coords(w3)) / (2.0 * dp * dp)
+
+
 def scalar_curvature(
     structure: NhfStructure, torsion=None, tol: float = DEFAULT_TOL
 ) -> float:
     """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2.
 
-    Norms are the tensor norms induced by the structure metric, both taken
-    with the structure's one checked inverse metric.  Without `torsion`,
-    w2- and w3 are computed here and checked at `tol`."""
+    The norms are those of the structure metric, in closed form on the
+    coordinates of the forms (`w2_minus_norm2`, `w3_norm2`).  Without
+    `torsion`, w2- and w3 are computed here and checked at `tol`; with it,
+    their coordinates are read off its forms.  Raises
+    InvalidStructureError when g is not positive definite."""
     if torsion is None:
         w1p = structure.w1plus
         w2m = w2_minus_form(structure, tol)
         w3 = w3_form(structure, tol)
     else:
         w1p, w2m, w3 = torsion.w1plus, torsion.w2minus, torsion.w3
-    ginv = structure.metric_inverse
-    n2 = inner(ginv, w2m, w2m)
-    n3 = inner(ginv, w3, w3)
+    if not structure.metric_spd:
+        raise InvalidStructureError("induced metric is not positive definite")
+    n2 = w2_minus_norm2(structure, w2m)
+    n3 = w3_norm2(structure, w3)
     return (
         (10.0 / 3.0) * w1p * w1p
         + 15.0 * structure.lam**2 / 8.0

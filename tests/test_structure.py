@@ -18,6 +18,7 @@ from nhflat import families
 from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
+    SingularStructureError,
     StructureError,
     build_gamma,
     build_omega,
@@ -295,3 +296,40 @@ def test_hitchin_j_matches_monomial_loop():
         if np.linalg.eigvalsh(0.5 * (g + g.T)).min() < 0:
             J = -J
         np.testing.assert_array_equal(hitchin_j(s.gamma, s.omega), J)
+
+
+# numpy warns on the inf and NaN arithmetic; only exceptions are checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, 1e-300])
+@pytest.mark.parametrize("entry", range(18))
+def test_extreme_entry_outcomes(entry, value):
+    # built directly, not through from_record: each entry of P or Q of a
+    # W1 member set to a non-finite or extreme value.  Construction,
+    # validate and extract_torsion end in a verdict or a StructureError,
+    # never in another exception (a numpy error).  A non-finite entry, or 1e300 in Q,
+    # fails validation with an indefinite metric; 1e300 in P makes P
+    # singular by shape.  1e-300 in place of a zero entry leaves the
+    # structure valid; in place of a nonzero one it makes P singular, or
+    # leaves Q an invalid structure with a positive definite metric.
+    from nhflat.torsion import extract_torsion
+
+    base = families.w1_family(1.0, 0.5)
+    P, Q = base.P.copy(), base.Q.copy()
+    target = P if entry < 9 else Q
+    was_zero = target.flat[entry % 9] == 0.0
+    target.flat[entry % 9] = value
+    singular = entry < 9 and (value == 1e300 or (value == 1e-300 and not was_zero))
+    if singular:
+        with pytest.raises(SingularStructureError):
+            NhfStructure(base.lam, base.a, base.b, P, Q)
+        return
+    s = NhfStructure(base.lam, base.a, base.b, P, Q)
+    report = s.validate()
+    if value == 1e-300 and was_zero:
+        assert report.passed and s.metric_spd
+        assert extract_torsion(s).class_label == "W1"
+        return
+    assert not report.passed
+    assert s.metric_spd is (value == 1e-300)
+    with pytest.raises(InvalidStructureError):
+        extract_torsion(s)

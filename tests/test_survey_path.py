@@ -2,35 +2,53 @@
 
 The routes the library replaced are kept here as references: the
 nine-residual validity verdict, the numpy normalization bracket, the
-22 x 15 least-squares and the 15 x 15 square w2- solves and the numpy
-assembly of the J blocks.  The samples are the benchmark's survey
-records (seed 7), the scale-covariance samples of test_scaling.py, the
-acceptance samples and root-solve samples."""
+22 x 15 least-squares and the 15 x 15 square w2- solves, the numpy
+assembly of the J blocks, the eigenvalue test of positive definiteness,
+the torsion norms by contraction with g^-1, and the membership checks by
+`wedge` and `d`.  The samples are the benchmark's survey records (seed
+7), the scale-covariance samples of test_scaling.py, the acceptance
+samples and root-solve samples."""
 
 import functools
 import importlib.util
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nhflat import families
-from nhflat.exterior import d, relative, wedge, wedge_tensor
+from nhflat import exterior, families
+from nhflat.exterior import d, inner, inverse_metric, is_spd, relative, wedge, wedge_tensor
 from nhflat.mat3 import adjugate, det3, flat9
 from nhflat.structure import (
     _DE_DE_BASIS,
     InvalidStructureError,
     NhfStructure,
     _bracket9,
-    _j_blocks,
-    de_de_coords,
+    _interleave,
+    _j_blocks9,
+    abr9,
+    bracket_hessian9,
+    build_omega,
     de_de_form,
     invariant_three_form,
+    omega_coords,
     random_rotation,
     sample_random_structure,
+    three_form_coords,
+    three_form_volume,
+    three_form_wedge_omega,
 )
-from nhflat.torsion import extract_torsion, w2_minus_form
+from nhflat.torsion import (
+    TorsionData,
+    extract_torsion,
+    scalar_curvature,
+    w2_minus_form,
+    w2_minus_norm2,
+    w3_form,
+    w3_norm2,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALES = np.geomspace(1e-3, 1e3, 13)
@@ -370,17 +388,18 @@ def test_targets_lie_in_the_de_de_span():
     for s in random_invalid_structures(14):
         for form in (d(s.Jgamma), s.omega2):
             assert not form.coeffs[off_span].any()
-            assert np.array_equal(de_de_form(de_de_coords(form)).coeffs, form.coeffs)
+            # each basis form is one monomial with sign +-1
+            coords = _DE_DE_BASIS.T @ form.coeffs
+            assert np.array_equal(de_de_form(coords).coeffs, form.coeffs)
 
 
 def test_survey_record_call_counts(monkeypatch):
-    # one survey record: no solve, one eigenvalue solve (the SPD verdict),
-    # one inverse (g^-1 for both torsion norms) and at most 7 wedges (J
-    # gamma ^ omega, omega^2, three w3 memberships, two w2- primitivity
-    # checks)
-    import nhflat
-
-    calls = dict.fromkeys(("solve", "lstsq", "eigvalsh", "inv", "wedge"), 0)
+    # one survey record: no solve, eigenvalue solve or inverse, and no
+    # wedge, d or metric contraction; every check and norm is computed on
+    # the coordinates of the forms
+    linalg = ("solve", "lstsq", "eigvalsh", "inv")
+    forms = {"wedge": wedge, "d": d, "inner": inner}
+    calls = dict.fromkeys(linalg + tuple(forms), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -389,20 +408,20 @@ def test_survey_record_call_counts(monkeypatch):
 
         return wrapper
 
-    for name in ("solve", "lstsq", "eigvalsh", "inv"):
+    for name in linalg:
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    wrapped = counted("wedge", wedge)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nhflat") and getattr(module, "wedge", None) is wedge:
-            monkeypatch.setattr(module, "wedge", wrapped)
-    assert nhflat.exterior.wedge is wrapped
+    for name, fn in forms.items():
+        wrapped = counted(name, fn)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("nhflat") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+        assert getattr(exterior, name) is wrapped
     for rec in survey_records():
         calls.update(dict.fromkeys(calls, 0))
         s = NhfStructure.from_record(rec)
         s.validate()
         extract_torsion(s)
-        counts = [calls[name] for name in ("solve", "lstsq", "eigvalsh", "inv")]
-        assert counts == [0, 0, 1, 1] and calls["wedge"] <= 7
+        assert calls == dict.fromkeys(calls, 0)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e-3])
@@ -441,5 +460,219 @@ def test_j_blocks_match_numpy_assembly():
         # sizes of the products the entries are sums of
         terms = (a * b, n1 * n2, a * n2, b * n1, n1 * n1, n2 * n2)
         want = numpy_j_blocks(a, b, Q1, Q2)
-        got = _j_blocks(a, b, flat9(Q1), flat9(Q2))
+        got = _interleave(_j_blocks9(a, b, flat9(Q1), flat9(Q2)))
         assert relative(got - want, *terms) <= 1e-15
+
+
+# -- positive definiteness ----------------------------------------------------
+
+
+def eigvalsh_spd(g):
+    """The former SPD verdict: the smallest eigenvalue of the symmetric
+    part of g is > 0; False where the eigenvalues cannot be computed."""
+    try:
+        return bool(np.linalg.eigvalsh(0.5 * (g + g.T)).min() > 0)
+    except np.linalg.LinAlgError:
+        return False
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_block_spd_matches_eigvalsh(c):
+    # the block verdict of the structure and `exterior.is_spd` on the 6x6
+    # g both equal the eigenvalue verdict, at every scale of the data
+    verdicts = []
+    for base in random_invalid_structures(19):
+        s = scaled(base, c)
+        want = eigvalsh_spd(s.g)
+        assert s.metric_spd is want and is_spd(s.g) is want
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_is_spd_rejects_non_finite_entries():
+    g = families.nearly_kahler(4.0).g
+    assert is_spd(g)
+    for value in (np.nan, np.inf, -np.inf):
+        for k in (0, 7, 35):
+            bad = g.copy()
+            bad.flat[k] = value
+            assert not is_spd(bad) and not eigvalsh_spd(bad)
+
+
+# -- torsion norms ------------------------------------------------------------
+
+
+def inner_norms(s, data):
+    """The former route: |w2-|^2 and |w3|^2 by contraction with g^-1."""
+    ginv = inverse_metric(s.g)
+    return inner(ginv, data.w2minus, data.w2minus), inner(ginv, data.w3, data.w3)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, acceptance_samples, root_solve_samples],
+    ids=["survey", "scaling", "acceptance", "root-solve"],
+)
+def test_norms_match_inner_oracle(samples):
+    # both norms and s against the contraction with g^-1, relative to the
+    # terms of s (s vanishes on the zero scalar curvature family, and a
+    # norm of a form that vanishes is roundoff)
+    checked = 0
+    for s in samples():
+        if not s.validate().passed:
+            continue  # the Berger data
+        data = extract_torsion(s)
+        n2, n3 = inner_norms(s, data)
+        w1p = data.w1plus
+        terms = ((10.0 / 3.0) * w1p * w1p, 15.0 * s.lam**2 / 8.0, 0.5 * n2, 0.5 * n3)
+        want = terms[0] + terms[1] - terms[2] - terms[3]
+        assert relative(data.s - want, *terms) <= 1e-12
+        assert relative(w2_minus_norm2(s, data.w2minus) - n2, *terms) <= 1e-12
+        assert relative(w3_norm2(s, data.w3) - n3, *terms) <= 1e-12
+        checked += 1
+    assert checked
+
+
+def abr_derivative(x, y):
+    """D F[y] at x, F = (A, B, R1, R2) of `abr9`, for 20-lists x and y.  F
+    is cubic, so F(x + y) - F(x - y) = 2 D F[y] + 2 F(y); evaluated on
+    Fractions, where abr9 is exact."""
+
+    def f(v):
+        A, B, R1, R2 = abr9(v[0], v[1], v[2:11], v[11:20])
+        return [A, B, *R1, *R2]
+
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    plus = f([u + v for u, v in zip(x, y)])
+    minus = f([u - v for u, v in zip(x, y)])
+    return [float((p - m) / 2 - q) for p, m, q in zip(plus, minus, f(y))]
+
+
+def test_bracket_hessian_is_the_dual_map_derivative():
+    # D^2 lambda[y, y] = 2 vol(y ^ D F[y]) at random points and directions
+    # of any scale, relative to the size of the terms |x|^2 |y|^2
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        x = rng.standard_normal(20) * 10.0 ** rng.uniform(-3, 3)
+        y = rng.standard_normal(20) * 10.0 ** rng.uniform(-3, 3)
+        got = bracket_hessian9(x[0], x[1], x[2:11].tolist(), x[11:].tolist(), y.tolist())
+        want = 2.0 * three_form_volume(y.tolist(), abr_derivative(x.tolist(), y.tolist()))
+        size = np.max(np.abs(x)) ** 2 * np.max(np.abs(y)) ** 2
+        assert relative(got - want, size) <= 1e-12
+
+
+def w3_norm_by_dual_map(s, w3):
+    """|w3|^2 = -vol(y ^ D F[y]) / (det P)^2."""
+    y = three_form_coords(w3)
+    m = s.m9
+    return -three_form_volume(y, abr_derivative([s.a, s.b] + m.q1 + m.q2, y)) / s.det_p**2
+
+
+def test_w3_norm_by_dual_map():
+    for s in survey_samples()[:20] + list(root_solve_samples()):
+        data = extract_torsion(s)
+        terms = (data.w1plus**2, s.lam**2, w3_norm2(s, data.w3))
+        assert relative(w3_norm_by_dual_map(s, data.w3) - w3_norm2(s, data.w3), *terms) <= 1e-12
+
+
+# -- the checks on coordinates ------------------------------------------------
+
+
+def test_coordinate_identities():
+    # the identities the checks rest on, on random data of any scale, each
+    # relative to the product of its factors' sizes
+    def n(x):
+        return float(np.max(np.abs(x)))
+
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        c135, c246 = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        M1, M2, X, M = (
+            rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3) for _ in range(4)
+        )
+        gam = invariant_three_form(c135, c246, M1, M2)
+        y = [c135, c246] + flat9(M1) + flat9(M2)
+        # coordinates are exact
+        assert three_form_coords(gam) == y
+        assert omega_coords(build_omega(X)) == flat9(X)
+        # d(c, d, M1, M2) = de_de_form(M1 + M2), to the bit
+        assert np.array_equal(d(gam).coeffs, de_de_form(M1 + M2).coeffs)
+        # 3-form ^ 2-form
+        want = wedge(gam, build_omega(X)).coeffs
+        got = np.array(three_form_wedge_omega(flat9(M1), flat9(M2), flat9(X)))
+        assert relative(got - want, n(X) * max(n(M1), n(M2))) <= 1e-14
+        # 3-form ^ 3-form
+        z = rng.standard_normal(20) * 10.0 ** rng.uniform(-3, 3)
+        vol = wedge(gam, invariant_three_form(z[0], z[1], z[2:11], z[11:])).coeffs[0]
+        assert relative(three_form_volume(y, z.tolist()) - vol, n(y) * n(z)) <= 1e-14
+        # 2-form ^ 4-form
+        vol = wedge(build_omega(X), de_de_form(M)).coeffs[0]
+        assert relative(-np.sum(X * M) - vol, n(X) * n(M)) <= 1e-14
+
+
+def test_coordinate_checks_match_wedge_forms():
+    # every residual computed on coordinates against its wedge and d form,
+    # with J gamma bent as in test_non_primitive_w2_minus_raises so that
+    # the checks read it from s.Jgamma; tol = inf returns the residuals
+    rng = np.random.default_rng(22)
+    for s in random_invalid_structures(23):
+        s.Jgamma = s.Jgamma + rng.uniform(-1.0, 1.0) * s.gamma
+        z, w1p = s.sizes, s.w1plus
+
+        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.om)
+        got = s.validate().residuals["jgamma_wedge_omega"]
+        assert got == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
+
+        w3, got = w3_form(s, tol=np.inf, with_residual=True)
+        size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
+        want = max(
+            relative(wedge(w3, s.omega), size * z.om),
+            relative(wedge(w3, s.gamma), size * z.gam),
+            relative(wedge(w3, s.Jgamma), size * z.jg),
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+        beta, got = w2_minus_form(s, tol=np.inf, with_residual=True)
+        size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
+        want = max(
+            relative(wedge(beta, s.gamma), size * z.gam),
+            relative(wedge(beta, s.omega2), size * z.om * z.om),
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+# -- scalar curvature -----------------------------------------------------------
+
+
+def test_scalar_curvature_raises_on_indefinite_metric():
+    # the forms are computed unchecked (tol = inf), so the raise is the
+    # one of the metric, with or without `torsion`
+    structures = [s for s in random_invalid_structures(24) if not s.metric_spd]
+    assert structures
+    for s in structures[:20]:
+        with pytest.raises(InvalidStructureError, match="positive definite"):
+            scalar_curvature(s, tol=np.inf)
+        torsion = TorsionData(
+            s.w1plus, 0.75 * s.lam, w2_minus_form(s, tol=np.inf), w3_form(s, tol=np.inf), 0.0, ""
+        )
+        with pytest.raises(InvalidStructureError, match="positive definite"):
+            scalar_curvature(s, torsion)
+
+
+def test_scalar_curvature_reads_the_given_forms():
+    # with `torsion`, the norms are those of the forms it holds: doubled
+    # forms give four times the norms
+    for s in survey_samples()[:10] + list(root_solve_samples()):
+        data = extract_torsion(s)
+        n2, n3 = w2_minus_norm2(s, data.w2minus), w3_norm2(s, data.w3)
+        doubled = TorsionData(
+            data.w1plus, data.w1minus, 2.0 * data.w2minus, 2.0 * data.w3, 0.0, ""
+        )
+        want = data.s - 1.5 * (n2 + n3)
+        terms = (data.w1plus**2, s.lam**2, n2, n3)
+        assert relative(scalar_curvature(s, doubled) - want, *terms) <= 1e-14
+
+
+def test_extract_torsion_s_is_scalar_curvature():
+    for s in survey_samples() + list(root_solve_samples()):
+        assert extract_torsion(s).s == scalar_curvature(s)
