@@ -6,58 +6,60 @@ parameterization of the structures (``structure``), torsion extraction and
 classification (``torsion``), closed-form solution families (``families``)
 and the evolution flow lifting them to nearly parallel G2-structures
 (``flow``).
+
+The names below are loaded on first access (PEP 562), so ``import nhflat``
+imports none of the modules, and numpy only where a name needs it.
 """
 
-from nhflat.exterior import Form, contract, d, form_inner, hodge, pullback, wedge
-from nhflat.structure import (
-    InvalidStructureError,
-    NhfStructure,
-    SingularStructureError,
-    StructureError,
-    ValidationReport,
-    hitchin_j,
-    sample_random_structure,
-)
-from nhflat.torsion import (
-    ClassReport,
-    TorsionData,
-    classify,
-    extract_torsion,
-    rotate_to_half_flat,
-    scalar_curvature,
-    w1_plus,
-)
-from nhflat.flow import FlowSingularityError, Trajectory, g2_residual, integrate
-from nhflat import families, flow
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Form",
-    "wedge",
-    "d",
-    "contract",
-    "pullback",
-    "hodge",
-    "form_inner",
-    "NhfStructure",
-    "ValidationReport",
-    "StructureError",
-    "InvalidStructureError",
-    "SingularStructureError",
-    "hitchin_j",
-    "sample_random_structure",
-    "TorsionData",
-    "ClassReport",
-    "extract_torsion",
-    "classify",
-    "scalar_curvature",
-    "w1_plus",
-    "rotate_to_half_flat",
-    "Trajectory",
-    "FlowSingularityError",
-    "integrate",
-    "g2_residual",
-    "families",
-    "flow",
-]
+# name -> the module that defines it
+_ORIGIN = {
+    "Form": "exterior",
+    "wedge": "exterior",
+    "d": "exterior",
+    "contract": "exterior",
+    "pullback": "exterior",
+    "hodge": "exterior",
+    "form_inner": "exterior",
+    "NhfStructure": "structure",
+    "ValidationReport": "structure",
+    "StructureError": "structure",
+    "InvalidStructureError": "structure",
+    "SingularStructureError": "structure",
+    "hitchin_j": "structure",
+    "sample_random_structure": "structure",
+    "TorsionData": "torsion",
+    "ClassReport": "torsion",
+    "extract_torsion": "torsion",
+    "classify": "torsion",
+    "scalar_curvature": "torsion",
+    "w1_plus": "torsion",
+    "rotate_to_half_flat": "torsion",
+    "Trajectory": "flow",
+    "FlowSingularityError": "flow",
+    "integrate": "flow",
+    "g2_residual": "flow",
+    "families": None,
+    "flow": None,
+}
+
+__all__ = list(_ORIGIN)
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _ORIGIN[name]
+    if module is None:  # a submodule
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

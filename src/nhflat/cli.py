@@ -18,6 +18,9 @@ below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
 form under- or overflows, and ``verify-g2 --samples`` below 1.  Output
 JSON is strict: a result with a non-finite number exits 1 instead of
 printing NaN or Infinity.
+
+``check``, ``classify`` and ``flow`` run on Python floats and do not
+import numpy; ``family``, ``rotate`` and ``verify-g2`` do.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
-import numpy as np
-
-from nhflat import families, flow
+from nhflat import flow
 from nhflat.structure import (
     DEFAULT_TOL,
     NhfStructure,
@@ -177,7 +179,7 @@ def cmd_flow(args) -> int:
             traj = exc.trajectory
             summary = traj.to_record() if traj.samples else {}
             summary["terminated"] = "singular"
-            summary["last_good_t"] = float(traj.times[-1]) if traj.samples else None
+            summary["last_good_t"] = float(traj.samples[-1].t) if traj.samples else None
             print(f"flow singularity near t = {exc.t:.6f}", file=sys.stderr)
             summaries.append(summary)
             code = EXIT_SINGULAR
@@ -213,6 +215,8 @@ def cmd_family(args) -> int:
 
 
 def _family_members(args):
+    from nhflat import families
+
     name = args.name
     if name == "nk":
         return [families.nearly_kahler(args.lam, sign_p=args.sign_p)]
@@ -260,6 +264,10 @@ def cmd_verify_g2(args) -> int:
     Evaluates the trajectory and its analytic derivative at interior
     samples, reporting the evolution ODE residual and the max-abs residual
     of d(phi) = lambda psi, d(psi) = 0."""
+    import numpy as np
+
+    from nhflat import families
+
     tol = _tolerance(args)
     if args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
@@ -385,6 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numpy_quiet(func):
+    """np.errstate(all="ignore") for the commands that use numpy, and no
+    context for those that run on Python floats (`FLOAT_COMMANDS`)."""
+    if func in FLOAT_COMMANDS:
+        return nullcontext()
+    import numpy as np
+
+    return np.errstate(all="ignore")
+
+
+def _numerical_errors() -> tuple:
+    """The errors of a numerical failure: ArithmeticError, which a Python
+    float's division by zero or overflow raises, and numpy's LinAlgError
+    when numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return (ArithmeticError,) if np is None else (ArithmeticError, np.linalg.LinAlgError)
+
+
+#: The commands that run on Python floats and do not import numpy.
+FLOAT_COMMANDS = (cmd_check, cmd_classify, cmd_flow)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -394,8 +424,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         # non-finite intermediate values are reported by the strict JSON
-        # output and the error lines below, not by numpy warnings
-        with np.errstate(all="ignore"):
+        # output and the error lines below, not by numpy warnings; the
+        # commands that run on Python floats leave numpy unloaded
+        with _numpy_quiet(args.func):
             return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
@@ -405,7 +436,7 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

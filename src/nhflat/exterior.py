@@ -9,6 +9,9 @@ constants
     de2 = e46,  de4 = -e26,  de6 = e24.
 
 The positive orientation is e123456; all Hodge signs follow from it.
+The bases and structure constants are those of `coframe`, and the
+tolerance policy (`DEFAULT_TOL`, `max_abs`, `term_size`, `relative`) is
+that of `tolerance`; both are re-exported here.
 """
 
 from __future__ import annotations
@@ -18,47 +21,14 @@ import itertools
 
 import numpy as np
 
+from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIM, DIMS, _merge
 from nhflat.mat3 import is_spd9
+from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
 
-DIM = 6
-#: Default bound on the relative residuals of every verdict (see `relative`).
-DEFAULT_TOL = 1e-9
-
-#: degree -> list of ascending index tuples (1-based indices)
-BASIS = {k: list(itertools.combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)}
-#: degree -> {tuple: position}
-BASIS_INDEX = {k: {mono: n for n, mono in enumerate(BASIS[k])} for k in range(DIM + 1)}
-DIMS = [len(BASIS[k]) for k in range(DIM + 1)]
 # degree -> (DIMS[k], k) array of the 0-based coframe indices of each monomial
 _INDEX_ARRAY = {
     k: np.array(BASIS[k], dtype=np.intp).reshape(DIMS[k], k) - 1 for k in range(DIM + 1)
 }
-
-# differential of each coframe element: index -> (2-index tuple, sign)
-COFRAME_DIFFERENTIAL = {
-    1: ((3, 5), 1),
-    2: ((4, 6), 1),
-    3: ((1, 5), -1),
-    4: ((2, 6), -1),
-    5: ((1, 3), 1),
-    6: ((2, 4), 1),
-}
-
-
-def _merge(left: tuple, right: tuple):
-    """Merge two ascending index tuples into an ascending tuple with the
-    sign of the shuffle, or None if an index repeats."""
-    if set(left) & set(right):
-        return None, 0
-    merged = left + right
-    order = sorted(range(len(merged)), key=lambda n: merged[n])
-    sign = 1
-    # parity by counting inversions (tuples have length <= 6)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return tuple(merged[n] for n in order), sign
 
 
 @functools.cache
@@ -230,51 +200,6 @@ def pullback(M, x: Form) -> Form:
     if M.shape != (DIM, DIM):
         raise ValueError("endomorphism must be 6x6")
     return _form(x.degree, compound(M, x.degree).T @ x.coeffs)
-
-
-def max_abs(x) -> float:
-    """Largest |entry| of a number, list, array or form; NaN if any entry
-    is NaN."""
-    if type(x) is float:
-        return abs(x)
-    if type(x) is list:
-        # max() keeps a NaN only when it comes first; a sum of magnitudes
-        # is NaN exactly when an entry is
-        mags = list(map(abs, x))
-        total = sum(mags)
-        return total if total != total else max(mags)
-    if isinstance(x, Form):
-        x = x.coeffs
-    if isinstance(x, np.ndarray) and x.ndim:
-        # np.max without its Python-level dispatch; NaN propagates the same
-        return float(np.maximum.reduce(np.abs(x), axis=None))
-    return abs(float(x))
-
-
-def term_size(*terms) -> float:
-    """The divisor of `relative`: the largest |entry| of the terms, >= 1e-300."""
-    # the largest size as max() takes it, the first and then any larger
-    # one, so that a NaN size counts exactly as it did through max()
-    size = None
-    for t in terms:
-        n = abs(t) if type(t) is float else max_abs(t)
-        if size is None or n > size:
-            size = n
-    if size is None:
-        size = 0.0
-    return max(size, 1e-300)
-
-
-def relative(residual, *terms) -> float:
-    """max |residual| over the largest |entry| among the terms it compares.
-
-    Every verdict of the package is ``relative(...) <= tol``.  Residual and
-    terms are numbers, arrays or forms.  The terms must be uncancelled: the
-    size of a product is the product of its factors' sizes, never the size
-    of a difference that can cancel to roundoff.  The quotient is then
-    invariant under any rescaling of the data that scales residual and
-    terms alike.  A NaN residual gives NaN, which fails every ``<= tol``."""
-    return max_abs(residual) / term_size(*terms)
 
 
 def is_spd(g: np.ndarray) -> bool:

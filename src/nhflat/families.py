@@ -23,15 +23,18 @@ class FamilyRangeError(StructureError):
 
 def _closed_form(build):
     """Family constructor that raises FamilyRangeError, not an arithmetic
-    error or a member with non-finite entries, where its closed form under-
-    or overflows (nearly_kahler at lambda = 1e-110: lambda^3 is 0)."""
+    error or a member with a non-finite entry or det P, where its closed
+    form under- or overflows (nearly_kahler at lambda = 1e-110: lambda^3 is
+    0; at lambda = 1e-60: det P is inf)."""
 
     @functools.wraps(build)
     def member(*args, **kwargs):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 s = build(*args, **kwargs)
-            finite = all(np.isfinite(v).all() for v in (s.lam, s.a, s.b, s.P, s.Q))
+            finite = all(
+                np.isfinite(v).all() for v in (s.lam, s.a, s.b, s.det_p, s.P, s.Q)
+            )
         except ArithmeticError:
             finite = False
         if not finite:

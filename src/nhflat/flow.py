@@ -20,9 +20,10 @@ the shifted state y + c k itself, so the RK4 loop builds no shifted
 lists.  A stage calls `_recover9` (P from Q1 + Q2) and `structure.abr9`
 (A, B, R1, R2) once each; both are straight-line arithmetic over local
 floats, with no numpy call and no call of the `mat3` helpers, whose
-expressions they repeat operation for operation.  Arrays are built only
-for the recorded samples.  `flow_rhs` and `recover_p` are the array
-wrappers of the same code.
+expressions they repeat operation for operation.  The recorded samples,
+their residuals and `g2_residual` are computed from the list state too,
+so `integrate` does not import numpy.  `flow_rhs` and `recover_p` are the
+array wrappers of the same code.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from nhflat.exterior import d
 from nhflat.mat3 import flat9
 from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
     SingularStructureError,
     abr9,
-    de_de_form,
-    invariant_three_form,
 )
+from nhflat.tolerance import max_abs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SINGULAR_DETP = 1e-6
 #: Most RK4 steps one `integrate` call takes, |t1 - t0| / |h|.
@@ -138,6 +139,8 @@ def _pack(a, b, Q1, Q2) -> list:
 
 def _unpack(y):
     """(a, b, Q1, Q2) with 3x3 arrays from a flat state."""
+    import numpy as np
+
     return y[0], y[1], np.array(y[2:11]).reshape(3, 3), np.array(y[11:]).reshape(3, 3)
 
 
@@ -146,6 +149,8 @@ def recover_p(lam: float, Q1: np.ndarray, Q2: np.ndarray, det_p_prev: float):
 
     (det P)^2 = det Adj(P^T); the sign of det P is chosen to continue the
     previous value, which keeps P continuous along a flow line."""
+    import numpy as np
+
     p, det_p = _recover9(lam, flat9(Q1), flat9(Q2), _sign(det_p_prev))
     return np.array(p).reshape(3, 3), det_p
 
@@ -177,12 +182,12 @@ class FlowSample:
     passed: bool
 
     def row(self):
-        s = self.structure
+        s, m = self.structure, self.structure.m9
         return (
             [self.t, s.a, s.b]
-            + list(s.Q1.ravel())
-            + list(s.Q2.ravel())
-            + list(s.P.ravel())
+            + m.q1
+            + m.q2
+            + m.p
             + [self.norm_resid, self.sym_resid, self.g2_resid]
         )
 
@@ -197,10 +202,14 @@ class Trajectory:
 
     @property
     def times(self):
+        import numpy as np
+
         return np.array([s.t for s in self.samples])
 
     def structure_at(self, t: float) -> NhfStructure:
         """Stored structure at the sample time closest to t."""
+        import numpy as np
+
         k = int(np.argmin(np.abs(self.times - t)))
         return self.samples[k].structure
 
@@ -225,8 +234,8 @@ class Trajectory:
         rec = {
             "lambda": self.lam,
             "terminated": self.terminated,
-            "t_start": float(self.times[0]),
-            "t_end": float(self.times[-1]),
+            "t_start": float(self.samples[0].t),
+            "t_end": float(self.samples[-1].t),
             "steps": self.steps,
         }
         for name in ("norm_resid", "sym_resid", "g2_resid"):
@@ -254,14 +263,25 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
     With `flow_rhs` derivatives both dt pieces vanish to rounding on any
     state, valid or not (the first is the evolution equation, the second
     its exterior derivative), so along `integrate` g2_resid cannot see
-    drift off the valid set; norm_resid does."""
-    lam = structure.lam
-    dgamma = invariant_three_form(da, db, dQ1, dQ2)
-    half_domega2 = de_de_form((np.asarray(dQ1) + np.asarray(dQ2)) / lam)
-    return max(
-        (dgamma - d(structure.omega) + lam * structure.Jgamma).max_abs(),
-        (half_domega2 + d(structure.Jgamma)).max_abs(),
+    drift off the valid set; norm_resid does.
+
+    Both pieces are computed on coordinates (`structure.three_form_coords`):
+    d omega = (0, 0, P, -P), and d(c, d, M1, M2) = de_de_form(M1 + M2) is
+    zero off the de ^ de slots.  So the first piece has the coordinates
+    (a', b', Q1' - P, Q2' + P) + lambda jg and the second
+    (Q1' + Q2')/lambda + M1 + M2 of jg, jg the 20-list of J gamma.  The
+    bases are signed permutations and selections, so these are the
+    forms' coefficients up to sign, to the bit.  dQ1 and dQ2 are 3x3
+    arrays or row-major 9-sequences."""
+    lam, p, jg = structure.lam, structure.m9.p, structure.jgamma_coords
+    dq1, dq2 = flat9(dQ1), flat9(dQ2)
+    first = (
+        [float(da) + lam * jg[0], float(db) + lam * jg[1]]
+        + [u - x + lam * j for u, x, j in zip(dq1, p, jg[2:11])]
+        + [v + x + lam * j for v, x, j in zip(dq2, p, jg[11:20])]
     )
+    second = [(u + v) / lam + (j + k) for u, v, j, k in zip(dq1, dq2, jg[2:11], jg[11:20])]
+    return max(max_abs(first), max_abs(second))
 
 
 def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
@@ -320,22 +340,23 @@ def integrate(
         h_last, t_last = t1 - (t0 + (n_steps - 1) * h), t1
     step, half, sixth = h, 0.5 * h, h / 6.0
 
-    y = _pack(initial.a, initial.b, initial.Q1, initial.Q2)
+    y = [initial.a, initial.b] + initial.m9.q1 + initial.m9.q2
     sign = _sign(initial.det_p)
     traj = Trajectory(lam=lam)
 
     def sample(t, y):
-        a, b, Q1, Q2 = _unpack(y)
-        P, det_p = recover_p(lam, Q1, Q2, sign)
-        s = NhfStructure(lam, a, b, P, 0.5 * (Q1 - Q2))
+        q1, q2 = y[2:11], y[11:20]
+        p, _ = _recover9(lam, q1, q2, sign)
+        q = [0.5 * (u - v) for u, v in zip(q1, q2)]
+        s = NhfStructure(lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9]))
         report = s.validate()
-        da, db, dQ1, dQ2 = flow_rhs(lam, a, b, Q1, Q2, det_p)
+        dy = _stage(lam, y, sign)
         return FlowSample(
             t=t,
             structure=s,
             norm_resid=report.residuals["normalization"],
             sym_resid=report.residuals["qtp_symmetry"],
-            g2_resid=g2_residual(s, da, db, dQ1, dQ2),
+            g2_resid=g2_residual(s, dy[0], dy[1], dy[2:11], dy[11:20]),
             passed=report.passed,
         )
 

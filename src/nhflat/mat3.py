@@ -1,20 +1,22 @@
-"""Small helpers for real 3x3 matrices: determinant, adjugate and the
-polarized adjugate, the derivative of the adjugate (a public helper; the
-flow no longer uses it), and the package's one positive-definiteness test,
-on the 3x3 blocks of a symmetric 6x6 matrix (`is_spd9`).
+"""Small helpers for real 3x3 matrices, and the package's one
+positive-definiteness test, on the 3x3 blocks of a symmetric 6x6 matrix
+(`is_spd9`).
 
 Each formula is written once over row-major 9-sequences
-(m00, m01, m02, m10, ..., m22) of plain numbers.  They need only +, -
-and *, so they are exact on ``fractions.Fraction`` entries.  ``det3`` and
-``adjugate`` are the array wrappers.  The flow's RK4 kernel
-(``structure.abr9``, ``flow._recover9``) writes the same expressions out
-inline instead of calling these, and rounds exactly as they do."""
+(m00, m01, m02, m10, ..., m22) of plain numbers: the determinant
+(`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`) and the
+transpose (`transpose9`).  They need only +, - and *, so they are exact
+on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
+sequence, or a 9-sequence, into such a list, without numpy.  `det3`, `adjugate` and
+`polarized_adjugate` are wrappers that take 3x3 arrays, and the last two
+give arrays; numpy is imported only when they run.  The
+flow's RK4 kernel (``structure.abr9``, ``flow._recover9``) writes the
+9-sequence expressions out inline instead of calling these helpers, and
+rounds exactly as they do."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 
 def det9(m):
@@ -125,24 +127,32 @@ def is_spd9(a, b, c) -> bool:
 
 
 def flat9(m) -> list:
-    """The entries of a 3x3 array-like as a row-major list of floats."""
-    return np.asarray(m, dtype=float).ravel().tolist()
+    """The entries of a 3x3 array or nested sequence, or of a row-major
+    9-sequence, as a row-major list of floats."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    if len(rows) == 9:
+        return [float(x) for x in rows]
+    return [float(x) for row in rows for x in row]
 
 
 def det3(m) -> float:
     return det9(flat9(m))
 
 
-def adjugate(m) -> np.ndarray:
+def adjugate(m):
     """Transpose cofactor matrix; M @ adjugate(M) = det(M) * I for every M,
     singular ones included."""
+    import numpy as np
+
     return np.array(cofactor9(flat9(np.transpose(m)))).reshape(3, 3)
 
 
-def polarized_adjugate(p, x) -> np.ndarray:
+def polarized_adjugate(p, x):
     """Mixed bilinear term of the adjugate: Adj(P+X) - Adj(P) - Adj(X).
 
     Equals d/dt Adj(P + tX) at t=0 since the adjugate is quadratic."""
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
     return adjugate(p + x) - adjugate(p) - adjugate(x)

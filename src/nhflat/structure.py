@@ -28,30 +28,20 @@ Conventions fixed here and relied on throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from operator import mul
 from functools import cached_property
-from typing import NamedTuple
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIM, DIMS, _merge
+from nhflat.mat3 import cofactor9, det9, flat9, is_spd9, mul9, transpose9
+from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
 
-from nhflat.exterior import (
-    DEFAULT_TOL,
-    DIM,
-    BASIS,
-    COFRAME_DIFFERENTIAL,
-    Form,
-    contract,
-    inverse_metric,
-    is_spd,
-    max_abs,
-    relative,
-    term_size,
-    volume_coefficient,
-    wedge,
-    wedge_all,
-)
-from nhflat.mat3 import adjugate, cofactor9, det9, flat9, is_spd9, mul9, transpose9
+if TYPE_CHECKING:
+    import numpy as np
+
+    from nhflat.exterior import Form
 
 #: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
 SINGULAR_DETP = 1e-12
@@ -69,46 +59,75 @@ class InvalidStructureError(StructureError):
     """The parameters violate the validity constraints beyond tolerance."""
 
 
-def _e(i: int) -> Form:
-    return Form.monomial((i,))
+def _e(i: int):
+    """e^i as (monomial, sign)."""
+    return (i,), 1
 
 
-def _de(i: int) -> Form:
-    pair, sign = COFRAME_DIFFERENTIAL[i]
-    return Form.monomial(pair, sign)
+def _de(i: int):
+    """de^i as (monomial, sign)."""
+    return COFRAME_DIFFERENTIAL[i]
 
 
-# Fixed basis matrices of the invariant forms; column 3 i + j holds the
-# (i, j) entry's monomial combination (0-based i, j).
-_OMEGA_BASIS = np.column_stack(
-    [wedge(_e(2 * i + 1), _e(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+def _wedge_table(factors) -> tuple:
+    """(position, sign) in the basis of its degree of the product of each
+    pair of signed monomials: the product is sign * that basis monomial."""
+    table = []
+    for (left, s_left), (right, s_right) in factors:
+        mono, sign = _merge(left, right)
+        table.append((BASIS_INDEX[len(mono)][mono], s_left * s_right * sign))
+    return tuple(table)
+
+
+# The bases of the invariant forms as signed-permutation tables: entry n of
+# the coordinate list of a form is the coefficient of its basis form, a
+# single monomial times a sign, at (position, sign) = table[n].  Entry
+# 3 i + j (0-based i, j) of a 3x3 matrix is the one of its (i, j) slot.
+_OMEGA_TABLE = _wedge_table(
+    (_e(2 * i + 1), _e(2 * j + 2)) for i in range(3) for j in range(3)
 )
-_DE_DE_BASIS = np.column_stack(
-    [wedge(_de(2 * i + 1), _de(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+_DE_DE_TABLE = _wedge_table(
+    (_de(2 * i + 1), _de(2 * j + 2)) for i in range(3) for j in range(3)
 )
-# columns: e135, e246, de^{2i-1}^e^{2j}, e^{2i-1}^de^{2j}
-_THREE_FORM_BASIS = np.column_stack(
-    [Form.monomial((1, 3, 5)).coeffs, Form.monomial((2, 4, 6)).coeffs]
-    + [wedge(_de(2 * i + 1), _e(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
-    + [wedge(_e(2 * i + 1), _de(2 * j + 2)).coeffs for i in range(3) for j in range(3)]
+# entries: e135, e246, de^{2i-1}^e^{2j}, e^{2i-1}^de^{2j}
+_THREE_FORM_TABLE = (
+    (BASIS_INDEX[3][(1, 3, 5)], 1),
+    (BASIS_INDEX[3][(2, 4, 6)], 1),
+) + _wedge_table(
+    [(_de(2 * i + 1), _e(2 * j + 2)) for i in range(3) for j in range(3)]
+    + [(_e(2 * i + 1), _de(2 * j + 2)) for i in range(3) for j in range(3)]
 )
 
 
-# the bases back: a form's 20-list (c135, c246, M1, M2) and 9-list X
-_THREE_FORM_COORDS = np.ascontiguousarray(_THREE_FORM_BASIS.T)
-_OMEGA_COORDS = np.ascontiguousarray(_OMEGA_BASIS.T)
+def _table_form(degree: int, table, values) -> Form:
+    """The form with sign * values[n] at (position, sign) = table[n] and 0
+    elsewhere; exact, and a zero coefficient is +0.0, as in a sum of
+    products."""
+    import numpy as np
+
+    from nhflat.exterior import _form
+
+    coeffs = [0.0] * DIMS[degree]
+    for (k, sign), v in zip(table, values):
+        coeffs[k] = sign * v + 0.0
+    return _form(degree, np.array(coeffs))
+
+
+def _table_coords(table, x: Form) -> list:
+    """The coordinate list of the form x read off through table (see
+    `_table_form`); exact."""
+    c = x.coeffs.tolist()
+    return [sign * c[k] for k, sign in table]
 
 
 def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:
     """c135 e135 + c246 e246 + sum M1_ij de^{2i-1}^e^{2j} + M2_ij e^{2i-1}^de^{2j}."""
-    M1 = np.asarray(M1, dtype=float)
-    M2 = np.asarray(M2, dtype=float)
-    return Form(3, _THREE_FORM_BASIS @ np.concatenate([[c135, c246], M1.ravel(), M2.ravel()]))
+    return _table_form(3, _THREE_FORM_TABLE, [float(c135), float(c246)] + flat9(M1) + flat9(M2))
 
 
 def build_omega(P) -> Form:
     """omega = sum P_ij e^{2i-1} ^ e^{2j}."""
-    return Form(2, _OMEGA_BASIS @ np.asarray(P, dtype=float).reshape(9))
+    return _table_form(2, _OMEGA_TABLE, flat9(P))
 
 
 def _dot(x, y) -> float:
@@ -119,14 +138,14 @@ def three_form_coords(x: Form) -> list:
     """The 20-list (c135, c246, M1, M2) of a 3-form x, row-major M1 and M2,
     so that x = invariant_three_form(c135, c246, M1, M2) when x lies in
     their span.  The basis is a signed permutation, so this is exact."""
-    return (_THREE_FORM_COORDS @ x.coeffs).tolist()
+    return _table_coords(_THREE_FORM_TABLE, x)
 
 
 def omega_coords(x: Form) -> list:
     """The row-major 9-list X of a 2-form x, so that x = build_omega(X)
     when x lies in the span of the e^{2i-1} ^ e^{2j}; a signed selection
     of 9 of the 15 coefficients, so exact."""
-    return (_OMEGA_COORDS @ x.coeffs).tolist()
+    return _table_coords(_OMEGA_TABLE, x)
 
 
 def three_form_wedge_omega(m1, m2, x) -> list:
@@ -158,17 +177,19 @@ def three_form_volume(x, y) -> float:
 
 def de_de_form(M) -> Form:
     """sum M_ij de^{2i-1} ^ de^{2j}."""
-    return Form(4, _DE_DE_BASIS @ np.ravel(np.asarray(M, dtype=float)))
+    return _table_form(4, _DE_DE_TABLE, flat9(M))
 
 
 def omega_squared(P) -> Form:
     """Closed form of omega^2: -2 sum Adj(P^T)_ij de^{2i-1} ^ de^{2j}."""
-    return de_de_form(-2.0 * adjugate(np.asarray(P, dtype=float).T))
+    return de_de_form([-2.0 * x for x in cofactor9(flat9(P))])
 
 
 def q1_q2(lam: float, P, Q):
     """Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T)."""
-    adjPT = adjugate(np.asarray(P, dtype=float).T)
+    import numpy as np
+
+    adjPT = np.array(cofactor9(flat9(P))).reshape(3, 3)
     Q = np.asarray(Q, dtype=float)
     return Q - 0.5 * lam * adjPT, -Q - 0.5 * lam * adjPT
 
@@ -251,8 +272,7 @@ def abr9(a, b, q1, q2):
 def compute_abr(a: float, b: float, Q1, Q2):
     """The scalars A, B and matrices R1, R2, R entering J gamma and the flow."""
     A, B, R1, R2 = abr9(float(a), float(b), flat9(Q1), flat9(Q2))
-    R1 = np.array(R1).reshape(3, 3)
-    R2 = np.array(R2).reshape(3, 3)
+    R1, R2 = _array3x3(R1), _array3x3(R2)
     return A, B, R1, R2, R1 + R2
 
 
@@ -382,21 +402,63 @@ def _j_blocks9(a: float, b: float, q1, q2):
     return oo, oe, eo, ee
 
 
+def _mul_add9(x, y, u, v) -> list:
+    """X Y + U V of row-major 9-sequences, as a row-major 9-list."""
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
+    y00, y01, y02, y10, y11, y12, y20, y21, y22 = y
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = v
+    return [
+        x00 * y00 + x01 * y10 + x02 * y20 + u00 * v00 + u01 * v10 + u02 * v20,
+        x00 * y01 + x01 * y11 + x02 * y21 + u00 * v01 + u01 * v11 + u02 * v21,
+        x00 * y02 + x01 * y12 + x02 * y22 + u00 * v02 + u01 * v12 + u02 * v22,
+        x10 * y00 + x11 * y10 + x12 * y20 + u10 * v00 + u11 * v10 + u12 * v20,
+        x10 * y01 + x11 * y11 + x12 * y21 + u10 * v01 + u11 * v11 + u12 * v21,
+        x10 * y02 + x11 * y12 + x12 * y22 + u10 * v02 + u11 * v12 + u12 * v22,
+        x20 * y00 + x21 * y10 + x22 * y20 + u20 * v00 + u21 * v10 + u22 * v20,
+        x20 * y01 + x21 * y11 + x22 * y21 + u20 * v01 + u21 * v11 + u22 * v21,
+        x20 * y02 + x21 * y12 + x22 * y22 + u20 * v02 + u21 * v12 + u22 * v22,
+    ]
+
+
+def _j_squared_residual9(oo, oe, eo, ee) -> float:
+    """max |J^2 + id| for the matrix J^T with the blocks oo, oe, eo, ee on
+    the odd/even rows and columns (see `_j_blocks9`).  Reordering the
+    coframe and transposing change neither the identity nor the largest
+    |entry|, so it is the largest |entry| of L^2 + id, L = [[oo, oe],
+    [eo, ee]], computed block by block."""
+    tl = _mul_add9(oo, oo, oe, eo)
+    br = _mul_add9(eo, oe, ee, ee)
+    for k in (0, 4, 8):
+        tl[k] += 1.0
+        br[k] += 1.0
+    return max_abs(tl + _mul_add9(oo, oe, oe, ee) + _mul_add9(eo, oo, ee, eo) + br)
+
+
+def _array3x3(x) -> np.ndarray:
+    """A row-major 9-list as a 3x3 array."""
+    import numpy as np
+
+    return np.array(x).reshape(3, 3)
+
+
 def _interleave(blocks) -> np.ndarray:
     """The 6x6 array whose (2 i + r, 2 j + c) entry is entry (i, j) of
     blocks[2 r + c], for four row-major 9-lists."""
+    import numpy as np
+
     return np.array(blocks).reshape(2, 2, 3, 3).transpose(2, 0, 3, 1).reshape(6, 6)
-
-
-# (row, column) of the upper-triangle entry of each 2-monomial
-_PAIR_ROWS, _PAIR_COLS = (np.array(ix) - 1 for ix in zip(*BASIS[2]))
 
 
 def omega_component_matrix(omega: Form) -> np.ndarray:
     """Skew component matrix W with W[k,l] = omega(e_k, e_l)."""
+    import numpy as np
+
+    # (row, column) of the upper-triangle entry of each 2-monomial
+    rows, cols = (np.array(ix) - 1 for ix in zip(*BASIS[2]))
     W = np.zeros((6, 6))
-    W[_PAIR_ROWS, _PAIR_COLS] = omega.coeffs
-    W[_PAIR_COLS, _PAIR_ROWS] = -omega.coeffs
+    W[rows, cols] = omega.coeffs
+    W[cols, rows] = -omega.coeffs
     return W
 
 
@@ -406,6 +468,10 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
 
     Normalized by tr(K^2) and sign-fixed so that omega(., J.) is positive
     definite."""
+    import numpy as np
+
+    from nhflat.exterior import contract, is_spd, volume_coefficient, wedge, wedge_all
+
     if gamma.degree != 3 or omega.degree != 2:
         raise ValueError("hitchin_j expects a 3-form and a 2-form")
     om3 = volume_coefficient(wedge_all(omega, omega, omega))
@@ -468,14 +534,9 @@ class Lists9(NamedTuple):
     r2: list
 
 
-# where omega, gamma, J gamma, J, Q1, Q2, (A, B), R1, R2, P and Q start in
-# the coefficients that `NhfStructure.sizes` concatenates
-_SIZE_OFFSETS = np.array([0, 15, 35, 55, 91, 100, 109, 111, 120, 129, 138])
-
-
 class Sizes(NamedTuple):
     """Largest |entry| of each factor the validity and torsion verdicts
-    compare (see `exterior.relative`)."""
+    compare (see `tolerance.relative`)."""
 
     om: float
     gam: float
@@ -489,22 +550,39 @@ class Sizes(NamedTuple):
     j: float
 
 
+def _matrix9(m) -> list:
+    """The entries of a 3x3 matrix, an array or nested sequences, as a
+    row-major list of floats; StructureError if it is not 3x3."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    try:
+        square = len(rows) == 3 and all(len(row) == 3 for row in rows)
+    except TypeError:
+        square = False
+    if not square:
+        raise StructureError("P and Q must be 3x3 matrices")
+    return [float(x) for row in rows for x in row]
+
+
 class NhfStructure:
     """An invariant nearly half-flat structure with its derived cache.
 
-    The forms and J are computed on construction, and so are the 3x3 data
-    P, Q, Adj(P^T), Q1, Q2, R1 and R2, both as arrays and as the row-major
-    9-lists `m9` that the verdicts read; the values that more than one
-    verdict reads (`omega2`, `w1plus`, `sizes`, `metric_spd`) are computed
-    on first use, and so are the metric `g` and its inverse
-    `metric_inverse`.  The SPD verdict `metric_spd` is decided on 3x3
-    blocks, products of P with the blocks of J, without g; no verdict
-    reads g or `metric_inverse`, which are there for callers.  Nothing is mutated after
-    that, so instances are safe to share between threads (two threads may
-    both compute a value on first use; they get the same value).
-    Construction only rejects singular det P; use :meth:`validate` to test
-    the remaining constraints (so that invalid records can still be
-    diagnosed)."""
+    Construction works on Python floats and row-major 9-lists only: it
+    computes det P and the 3x3 data P, Q, Adj(P^T), Q1, Q2, R1 and R2, kept
+    as the 9-lists `m9` that the verdicts read, the 20-list
+    `jgamma_coords` of J gamma (see `three_form_coords`), the blocks of J
+    and the J^2 = -id residual.  Everything else is computed on first use:
+    the values that more than one verdict reads (`w1plus`, `sizes`,
+    `metric_spd`), and the numpy views for callers, the arrays P, Q, Q1,
+    Q2, R1, R2, R, adj_pt, J, the metric `g` and its inverse
+    `metric_inverse` and the forms omega, gamma, J gamma and `omega2`.  No
+    verdict reads an array or a form, so checking and classifying a
+    structure does not import numpy.  The SPD verdict `metric_spd` is
+    decided on 3x3 blocks, products of P with the blocks of J, without g.
+    Nothing is mutated after that, so instances are safe to share between
+    threads (two threads may both compute a value on first use; they get
+    the same value).  Construction only rejects singular det P; use
+    :meth:`validate` to test the remaining constraints (so that invalid
+    records can still be diagnosed)."""
 
     def __init__(self, lam: float, a: float, b: float, P, Q):
         if lam == 0:
@@ -512,17 +590,13 @@ class NhfStructure:
         self.lam = float(lam)
         self.a = float(a)
         self.b = float(b)
-        P = np.asarray(P, dtype=float)
-        Q = np.asarray(Q, dtype=float)
-        if P.shape != (3, 3) or Q.shape != (3, 3):
-            raise StructureError("P and Q must be 3x3 matrices")
-        p, q = P.ravel().tolist(), Q.ravel().tolist()
-        self.det_p = det9(p)
+        p, q = _matrix9(P), _matrix9(Q)
+        self.det_p = det_p = det9(p)
         # a test of the shape of P, independent of its scale
         n_p = max_abs(p)
-        if relative(self.det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
-            raise SingularStructureError(f"det P = {self.det_p} is singular")
-        self.orientation = 1 if self.det_p > 0 else -1
+        if relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
+            raise SingularStructureError(f"det P = {det_p} is singular")
+        self.orientation = 1 if det_p > 0 else -1
         # Adj(P^T), Q1, Q2 (as `q1_q2`) and A, B, R1, R2 (as `compute_abr`)
         adj = list(cofactor9(p))
         h = 0.5 * self.lam
@@ -530,27 +604,14 @@ class NhfStructure:
         q2 = [-x - h * c for x, c in zip(q, adj)]
         self.A, self.B, r1, r2 = abr9(self.a, self.b, q1, q2)
         self.m9 = Lists9(p, q, adj, q1, q2, r1, r2)
-        # one array of (a, b, Q1, Q2), (A, B, R1, R2), P, Q, Adj(P^T) and
-        # R: the coordinates of gamma and of (det P / 2) J gamma, then the
-        # rest of the 3x3 data; the public arrays are views of it
-        self._data = data = np.array(
-            [self.a, self.b] + q1 + q2 + [self.A, self.B] + r1 + r2 + p + q + adj
-            + [x + y for x, y in zip(r1, r2)]
-        )
-        self.Q1, self.Q2 = data[2:20].reshape(2, 3, 3)
-        self.R1, self.R2 = data[22:40].reshape(2, 3, 3)
-        self.P, self.Q, self.adj_pt, self.R = data[40:].reshape(4, 3, 3)
-        self.omega = build_omega(self.P)
-        # gamma and J gamma = (2/det P)(A, B, R1, R2) by one basis product;
-        # the basis is a signed permutation, so scaling after it is exact
-        # (up to the sign of a zero)
-        forms = data[:40].reshape(2, 20) @ _THREE_FORM_BASIS.T
-        forms[1] *= 2.0 / self.det_p
-        self.gamma, self.Jgamma = Form(3, forms[0]), Form(3, forms[1])
-        # lenient J: residual recorded, reported through validate
+        # J gamma = (2/det P)(A, B, R1, R2) on the slots of gamma's (a, b, Q1, Q2)
+        f = 2.0 / det_p
+        self.jgamma_coords = [f * x for x in [self.A, self.B] + r1 + r2]
+        # lenient J: residual recorded, reported through validate.  _j9 are
+        # the blocks of (det P) J^T, _jt9 those of J^T
         self._j9 = _j_blocks9(self.a, self.b, q1, q2)
-        self.J = _interleave(self._j9).T / self.det_p
-        self.j_squared_residual = max_abs(self.J @ self.J + np.eye(6))
+        self._jt9 = [[x / det_p for x in block] for block in self._j9]
+        self.j_squared_residual = _j_squared_residual9(*self._jt9)
 
     # -- derived values, computed on first use ---------------------------
 
@@ -559,31 +620,93 @@ class NhfStructure:
         return 0.75 * self.lam
 
     @cached_property
+    def P(self) -> np.ndarray:
+        return _array3x3(self.m9.p)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return _array3x3(self.m9.q)
+
+    @cached_property
+    def Q1(self) -> np.ndarray:
+        return _array3x3(self.m9.q1)
+
+    @cached_property
+    def Q2(self) -> np.ndarray:
+        return _array3x3(self.m9.q2)
+
+    @cached_property
+    def R1(self) -> np.ndarray:
+        return _array3x3(self.m9.r1)
+
+    @cached_property
+    def R2(self) -> np.ndarray:
+        return _array3x3(self.m9.r2)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return _array3x3([x + y for x, y in zip(self.m9.r1, self.m9.r2)])
+
+    @cached_property
+    def adj_pt(self) -> np.ndarray:
+        return _array3x3(self.m9.adj_pt)
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        """J as a 6x6 array, the endomorphism of the tangent space."""
+        return _interleave(self._jt9).T
+
+    @cached_property
+    def omega(self) -> Form:
+        return build_omega(self.m9.p)
+
+    @cached_property
+    def gamma(self) -> Form:
+        m = self.m9
+        return invariant_three_form(self.a, self.b, m.q1, m.q2)
+
+    @cached_property
+    def Jgamma(self) -> Form:
+        m = self.m9
+        return invariant_three_form(self.A, self.B, m.r1, m.r2) * (2.0 / self.det_p)
+
+    @cached_property
     def omega2(self) -> Form:
         """omega ^ omega."""
+        from nhflat.exterior import wedge
+
         return wedge(self.omega, self.omega)
 
     @cached_property
     def w1plus(self) -> float:
         """w1+ = tr(P^T R) / (2 (det P)^2)."""
-        return float(np.trace(self.P.T @ self.R)) / (2.0 * self.det_p * self.det_p)
+        m = self.m9
+        p, r = m.p, [x + y for x, y in zip(m.r1, m.r2)]
+        # the trace of P^T R, column by column
+        tr = (
+            (p[0] * r[0] + p[3] * r[3] + p[6] * r[6])
+            + (p[1] * r[1] + p[4] * r[4] + p[7] * r[7])
+            + (p[2] * r[2] + p[5] * r[5] + p[8] * r[8])
+        )
+        return tr / (2.0 * self.det_p * self.det_p)
 
     @cached_property
     def sizes(self) -> Sizes:
         """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1, R2 and J."""
-        factors = np.concatenate(
-            (
-                self.omega.coeffs,
-                self.gamma.coeffs,
-                self.Jgamma.coeffs,
-                self.J.ravel(),
-                self._data[2:58],  # Q1, Q2, A, B, R1, R2, P, Q
-            )
+        m = self.m9
+        p = max_abs(m.p)  # omega's coefficients are those of P and zeros
+        return Sizes(
+            om=p,
+            gam=max_abs([self.a, self.b] + m.q1 + m.q2),
+            jg=max_abs(self.jgamma_coords),
+            p=p,
+            q=max_abs(m.q),
+            q1=max_abs(m.q1),
+            q2=max_abs(m.q2),
+            r1=max_abs(m.r1),
+            r2=max_abs(m.r2),
+            j=max_abs([x for block in self._jt9 for x in block]),
         )
-        om, gam, jg, j, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
-            np.abs(factors), _SIZE_OFFSETS
-        ).tolist()
-        return Sizes(om, gam, jg, p, q, q1, q2, r1, r2, j)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -616,9 +739,13 @@ class NhfStructure:
         """g^-1 by `exterior.inverse_metric`; raises InvalidStructureError
         if g is not positive definite and ValueError if it is not
         symmetric."""
+        from nhflat.exterior import inverse_metric
+
         return inverse_metric(self.metric(), spd=True)
 
     def omega_cubed(self) -> Form:
+        from nhflat.exterior import wedge
+
         return wedge(self.omega, self.omega2)
 
     def metric(self) -> np.ndarray:
@@ -630,12 +757,12 @@ class NhfStructure:
     def metric_is_spd(self) -> bool:
         return self.metric_spd
 
-    def defining_residuals(self) -> np.ndarray:
+    def defining_residuals(self) -> list:
         """The defining conditions of a valid structure but the positive
-        definiteness of g, as 10 residuals: the 3 entries above the
-        diagonal of Q^T P - P^T Q, (det P)^2 minus the bracket, and the 6
-        coefficients of J gamma ^ omega.  Each is divided by the size of
-        the terms it compares, as `exterior.relative` divides, so none
+        definiteness of g, as a list of 10 residuals: the 3 entries above
+        the diagonal of Q^T P - P^T Q, (det P)^2 minus the bracket, and the
+        6 coefficients of J gamma ^ omega.  Each is divided by the size of
+        the terms it compares, as `tolerance.relative` divides, so none
         changes under the scaling (lambda, a, b, P, Q) -> (c lambda,
         a/c^3, b/c^3, P/c^2, Q/c^3)."""
         # sizes of the factors (products, not powers: a float power raises
@@ -654,10 +781,10 @@ class NhfStructure:
             dp2, n_ab * n_ab, n_a * z.q2 * z.q2 * z.q2, n_b * z.q1 * z.q1 * z.q1,
             z.q1 * z.q2 * z.q1 * z.q2,
         ))
-        jg = three_form_coords(self.Jgamma)
+        jg = self.jgamma_coords
         size = term_size(z.jg * z.om)
         res += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], m.p)]
-        return np.array(res)
+        return res
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """The largest |residual| of each block of `defining_residuals`,
@@ -670,7 +797,7 @@ class NhfStructure:
         for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
         (2/3) omega^3 and the symmetry of g follow from the defining
         conditions."""
-        r = self.defining_residuals().tolist()
+        r = self.defining_residuals()
         res = {
             "qtp_symmetry": max_abs(r[:3]),
             "normalization": abs(r[3]),
@@ -682,12 +809,13 @@ class NhfStructure:
     # -- serialization ---------------------------------------------------
 
     def to_record(self) -> dict:
+        p, q = self.m9.p, self.m9.q
         return {
             "lambda": self.lam,
             "a": self.a,
             "b": self.b,
-            "P": self.P.tolist(),
-            "Q": self.Q.tolist(),
+            "P": [p[0:3], p[3:6], p[6:9]],
+            "Q": [q[0:3], q[3:6], q[6:9]],
             "orientation": self.orientation,
         }
 
@@ -699,16 +827,18 @@ class NhfStructure:
             lam = float(rec["lambda"])
             a = float(rec["a"])
             b = float(rec["b"])
-            P = np.asarray(rec["P"], dtype=float)
-            Q = np.asarray(rec["Q"], dtype=float)
+            P, Q = rec["P"], rec["Q"]
+            fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", _matrix9(P)),
+                      ("Q", _matrix9(Q)))
             want = rec.get("orientation")
             want = None if want is None else int(want)
+        except StructureError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
-        if not all(map(math.isfinite, [lam, a, b] + P.ravel().tolist() + Q.ravel().tolist())):
-            fields = (("lambda", lam), ("a", a), ("b", b), ("P", P), ("Q", Q))
-            name = next(name for name, value in fields if not np.isfinite(value).all())
-            raise StructureError(f"malformed structure record: {name} is not finite")
+        for name, values in fields:
+            if not all(map(math.isfinite, values)):
+                raise StructureError(f"malformed structure record: {name} is not finite")
         s = cls(lam, a, b, P, Q)
         if want is not None and want != s.orientation:
             raise StructureError(
@@ -718,6 +848,8 @@ class NhfStructure:
 
     def rotated(self, gmat, hmat) -> "NhfStructure":
         """Transport by (g, h) in SO(3) x SO(3): P -> g P h^T, Q -> g Q h^T."""
+        import numpy as np
+
         gmat = np.asarray(gmat, dtype=float)
         hmat = np.asarray(hmat, dtype=float)
         return NhfStructure(
@@ -733,6 +865,8 @@ class NhfStructure:
 
 def random_rotation(rng) -> np.ndarray:
     """Haar-ish random SO(3) element via QR with positive determinant."""
+    import numpy as np
+
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q @ np.diag(np.sign(np.diag(r)))
     if np.linalg.det(q) < 0:
@@ -745,6 +879,8 @@ class SamplerExhaustedError(StructureError):
 
 
 def _sample_family_member(rng) -> NhfStructure:
+    import numpy as np
+
     from nhflat import families
 
     pick = rng.integers(0, 5)
@@ -771,29 +907,30 @@ def _sample_family_member(rng) -> NhfStructure:
 
 #: Central-difference step of the root-solve sampler, relative to max|P|:
 #: eps^(1/3) leaves an error of about eps^(2/3) in the Jacobian.
-_DIFF_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+_DIFF_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 #: The valid P form a set of positive dimension, where the Jacobian has
 #: singular values that are 0 up to that error; lstsq drops those below
 #: sqrt(eps) times the largest.
-_RCOND = np.finfo(float).eps ** 0.5
+_RCOND = sys.float_info.epsilon ** 0.5
 
 
 def _solve_p(lam: float, a: float, b: float, P, Q) -> NhfStructure:
     """The root-solve iteration of `sample_random_structure` from P; the
     structure where the largest |residual| stopped decreasing."""
+    import numpy as np
 
     def residuals(x):
-        return NhfStructure(lam, a, b, x.reshape(3, 3), Q).defining_residuals()
+        return np.array(NhfStructure(lam, a, b, x.reshape(3, 3), Q).defining_residuals())
 
     s = NhfStructure(lam, a, b, P, Q)
-    r = s.defining_residuals()
+    r = np.array(s.defining_residuals())
     while True:
         x = s.P.ravel()
         h = _DIFF_STEP * max_abs(x)
         jac = np.array([residuals(x + e) - residuals(x - e) for e in h * np.eye(9)]).T
         step = np.linalg.lstsq(jac / (2.0 * h), -r, rcond=_RCOND)[0]
         t = NhfStructure(lam, a, b, (x + step).reshape(3, 3), Q)
-        r_t = t.defining_residuals()
+        r_t = np.array(t.defining_residuals())
         if not max_abs(r_t) < max_abs(r):
             return s
         s, r = t, r_t
@@ -812,6 +949,8 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
     largest |residual| stops decreasing.  The point reached is accepted
     when it passes `validate`; a draw that is not accepted, or meets a
     singular P on the way, is retried, up to `max_retries` draws."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if method == "rotate-family":
         base = _sample_family_member(rng)

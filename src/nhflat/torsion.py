@@ -16,10 +16,14 @@ with the metric.  An invariant 3-form has the coordinates (c, d, M1, M2)
 of `invariant_three_form`, a 20-list, and a 2-form in the span of
 omega's slots the 9-list X of `build_omega`; the bases are a signed
 permutation and a signed selection, so `three_form_coords` and
-`omega_coords` read them off a form exactly.
+`omega_coords` read them off a form exactly.  The torsion forms are
+computed as such coordinate lists of Python floats (`w3_coords`,
+`w2_minus_coords`), so `extract_torsion`, `classify` and
+`scalar_curvature` do not import numpy; `w3_form`, `w2_minus_form` and
+`TorsionData` build the forms from them.
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
-invariant 3-form of the 3x3 data (`w3_form`).
+invariant 3-form of the 3x3 data (`w3_coords`).
 
 w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
 side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
@@ -33,7 +37,7 @@ and with A = P^T, S = -T the derivative of the adjugate,
     D Adj(A)[H] = det A (tr(A^-1 H) A^-1 - A^-1 H A^-1),
 
 inverts to H = tau A - A S A / det P with tau = tr(S A) / (2 det P);
-w2- = build_omega(H^T) (`w2_minus_form`).
+w2- = build_omega(H^T) (`w2_minus_coords`).
 
 The module memberships are checked on coordinates, vol(.) the e123456
 coefficient:
@@ -75,10 +79,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from nhflat.exterior import Form, d, max_abs, relative
 from nhflat.mat3 import cofactor9, mul9, transpose9
 from nhflat.structure import (
     DEFAULT_TOL,
@@ -92,6 +94,10 @@ from nhflat.structure import (
     three_form_volume,
     three_form_wedge_omega,
 )
+from nhflat.tolerance import max_abs, relative
+
+if TYPE_CHECKING:
+    from nhflat.exterior import Form
 
 CLASSIFY_TOL = 1e-7
 
@@ -100,13 +106,27 @@ CLASS_LABELS = ("W1-", "W1", "W1-+W3", "W1+W3", "W1-+W2-+W3", "W1+W2-+W3")
 
 @dataclass
 class TorsionData:
+    """The torsion of a structure.  w2- and w3 are held as coordinates, the
+    row-major 9-list X of w2- = build_omega(X) and the 20-list of w3 (see
+    `structure.three_form_coords`); the forms `w2minus` and `w3` are built
+    from them on access."""
+
     w1plus: float
     w1minus: float
-    w2minus: Form
-    w3: Form
+    w2minus_coords: list
+    w3_coords: list
     s: float
     class_label: str
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def w2minus(self) -> Form:
+        return build_omega(self.w2minus_coords)
+
+    @property
+    def w3(self) -> Form:
+        y = self.w3_coords
+        return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
     def to_record(self) -> dict:
         return {
@@ -125,14 +145,14 @@ def w1_plus(structure: NhfStructure) -> float:
     return structure.w1plus
 
 
-def w3_form(
-    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
-):
-    """w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma, with membership check.
+def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
+    """The 20-list of w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma and
+    the relative residual of its membership check; raises
+    InvalidStructureError when that residual exceeds `tol`.
 
     d(omega) = invariant_three_form(0, 0, P, -P) exactly and J gamma is
-    (2/det P)(A, B, R1, R2) on gamma's slots, so w3 is the invariant
-    3-form of the coordinates below, with c = 3 lambda / (2 det P):
+    (2/det P)(A, B, R1, R2) on gamma's slots, so w3 has the coordinates
+    below, with c = 3 lambda / (2 det P):
 
         e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
         e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
@@ -140,35 +160,43 @@ def w3_form(
     w3 ^ omega, w3 ^ gamma and w3 ^ J gamma must vanish relative to the
     size of w3's uncancelled terms times the size of the other factor;
     they are computed on coordinates (see the module docstring), J gamma's
-    read off `structure.Jgamma`.  With ``with_residual`` returns (w3, that
-    relative residual)."""
+    read off `NhfStructure.jgamma_coords`."""
     s, w1p, z, m = structure, structure.w1plus, structure.sizes, structure.m9
     c = 1.5 * s.lam / s.det_p
     y1 = [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)]
     y2 = [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
     y = [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B] + y1 + y2
-    w3 = invariant_three_form(y[0], y[1], y1, y2)
     # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
     size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
     gamma = [s.a, s.b] + m.q1 + m.q2
     bad = max(
         relative(three_form_wedge_omega(y1, y2, m.p), size * z.om),
         relative(three_form_volume(y, gamma), size * z.gam),
-        relative(three_form_volume(y, three_form_coords(s.Jgamma)), size * z.jg),
+        relative(three_form_volume(y, s.jgamma_coords), size * z.jg),
     )
     if not bad <= tol:
         raise InvalidStructureError(
             f"w3 membership residual {bad:.3e} exceeds tolerance"
         )
+    return y, bad
+
+
+def w3_form(
+    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
+):
+    """w3 as a form, from `w3_coords`, with its membership check.  With
+    ``with_residual`` returns (w3, the relative membership residual)."""
+    y, bad = w3_coords(structure, tol)
+    w3 = invariant_three_form(y[0], y[1], y[2:11], y[11:20])
     return (w3, bad) if with_residual else w3
 
 
-def w2_minus_form(
-    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
-):
-    """w2- from w2- ^ omega = t, t = d(J gamma) + (2/3) w1+ omega^2, in
-    closed form; then checks that w2- is primitive: w2- ^ gamma = 0 and
-    w2- ^ omega^2 = 0.
+def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
+    """The row-major 9-list X of w2- = build_omega(X), from w2- ^ omega = t,
+    t = d(J gamma) + (2/3) w1+ omega^2, in closed form, and the relative
+    residual of the check that w2- is primitive: w2- ^ gamma = 0 and
+    w2- ^ omega^2 = 0; raises InvalidStructureError when that residual
+    exceeds `tol`.
 
     beta |-> beta ^ omega is invertible on 2-forms when omega is
     nondegenerate (the Lefschetz isomorphism), and here its inverse is
@@ -187,21 +215,18 @@ def w2_minus_form(
 
         H^T = P T^T P / det P - (tr(T^T P) / (2 det P)) P.
 
-    T is read from the J gamma form, not from R1 and R2, so that w2- and
-    its check follow the J gamma the structure holds.  The primitivity
-    residuals, computed on coordinates (see the module docstring), are
-    relative like `w3_form`'s membership check and raise
-    InvalidStructureError above `tol`.  With ``with_residual``
-    returns (w2-, the relative primitivity residual)."""
+    T is read from the coordinates of J gamma, not from R1 and R2, so that
+    w2- and its check follow the J gamma the structure holds.  The
+    primitivity residuals, computed on coordinates (see the module
+    docstring), are relative like `w3_coords`' membership check."""
     w1p, z, m, dp = structure.w1plus, structure.sizes, structure.m9, structure.det_p
     p = m.p
-    jg = three_form_coords(structure.Jgamma)
+    jg = structure.jgamma_coords
     k = (4.0 / 3.0) * w1p
     t = [x + y - k * c for x, y, c in zip(jg[2:11], jg[11:20], m.adj_pt)]
     tau = sum(map(mul, t, p)) / (2.0 * dp)
     ptp = mul9(mul9(p, transpose9(t)), p)
     x = [u / dp - tau * v for u, v in zip(ptp, p)]
-    beta = build_omega(x)
     # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
     # over |omega| too: where w2- = 0, beta itself is roundoff
     size = max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
@@ -213,21 +238,56 @@ def w2_minus_form(
         raise InvalidStructureError(
             f"w2- primitivity residual {bad:.3e} exceeds tolerance"
         )
+    return x, bad
+
+
+def w2_minus_form(
+    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
+):
+    """w2- as a form, from `w2_minus_coords`, with its primitivity check.
+    With ``with_residual`` returns (w2-, the relative primitivity
+    residual)."""
+    x, bad = w2_minus_coords(structure, tol)
+    beta = build_omega(x)
     return (beta, bad) if with_residual else beta
+
+
+def _w2_minus_norm2(structure: NhfStructure, x) -> float:
+    """|w2-|^2 of w2- = build_omega(X), X a row-major 9-list."""
+    return -2.0 * sum(map(mul, cofactor9(x), structure.m9.p)) / structure.det_p
+
+
+def _w3_norm2(structure: NhfStructure, y) -> float:
+    """|w3|^2 of the w3 with the 20-list y."""
+    s, m, dp = structure, structure.m9, structure.det_p
+    return -bracket_hessian9(s.a, s.b, m.q1, m.q2, y) / (2.0 * dp * dp)
 
 
 def w2_minus_norm2(structure: NhfStructure, w2m: Form) -> float:
     """|w2-|^2 = -2 <Adj(X^T), P> / det P for w2- = build_omega(X), a
     primitive (1,1)-form (see the module docstring)."""
-    p = structure.m9.p
-    return -2.0 * sum(map(mul, cofactor9(omega_coords(w2m)), p)) / structure.det_p
+    return _w2_minus_norm2(structure, omega_coords(w2m))
 
 
 def w3_norm2(structure: NhfStructure, w3: Form) -> float:
     """|w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2) for w3 in the
     12-dimensional module, y its 20-list (see the module docstring)."""
-    s, m, dp = structure, structure.m9, structure.det_p
-    return -bracket_hessian9(s.a, s.b, m.q1, m.q2, three_form_coords(w3)) / (2.0 * dp * dp)
+    return _w3_norm2(structure, three_form_coords(w3))
+
+
+def _scalar(structure: NhfStructure, w1p: float, x, y) -> float:
+    """s from w1+ and the coordinates x of w2- and y of w3; raises
+    InvalidStructureError when g is not positive definite."""
+    if not structure.metric_spd:
+        raise InvalidStructureError("induced metric is not positive definite")
+    n2 = _w2_minus_norm2(structure, x)
+    n3 = _w3_norm2(structure, y)
+    return (
+        (10.0 / 3.0) * w1p * w1p
+        + 15.0 * structure.lam**2 / 8.0
+        - 0.5 * n2
+        - 0.5 * n3
+    )
 
 
 def scalar_curvature(
@@ -238,44 +298,34 @@ def scalar_curvature(
     The norms are those of the structure metric, in closed form on the
     coordinates of the forms (`w2_minus_norm2`, `w3_norm2`).  Without
     `torsion`, w2- and w3 are computed here and checked at `tol`; with it,
-    their coordinates are read off its forms.  Raises
+    their coordinates are read off its forms `w2minus` and `w3`.  Raises
     InvalidStructureError when g is not positive definite."""
     if torsion is None:
         w1p = structure.w1plus
-        w2m = w2_minus_form(structure, tol)
-        w3 = w3_form(structure, tol)
+        x = w2_minus_coords(structure, tol)[0]
+        y = w3_coords(structure, tol)[0]
     else:
-        w1p, w2m, w3 = torsion.w1plus, torsion.w2minus, torsion.w3
-    if not structure.metric_spd:
-        raise InvalidStructureError("induced metric is not positive definite")
-    n2 = w2_minus_norm2(structure, w2m)
-    n3 = w3_norm2(structure, w3)
-    return (
-        (10.0 / 3.0) * w1p * w1p
-        + 15.0 * structure.lam**2 / 8.0
-        - 0.5 * n2
-        - 0.5 * n3
-    )
+        w1p = torsion.w1plus
+        x, y = omega_coords(torsion.w2minus), three_form_coords(torsion.w3)
+    return _scalar(structure, w1p, x, y)
 
 
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
     """All torsion data plus the relative residuals of the two checks that
-    pin it down: "domega" is the w3 membership residual of `w3_form`,
-    "djgamma" the w2- primitivity residual of `w2_minus_form`."""
-    w3, rec_domega = w3_form(structure, tol, with_residual=True)
-    w2m, rec_djgamma = w2_minus_form(structure, tol, with_residual=True)
-    data = TorsionData(
-        w1plus=structure.w1plus,
+    pin it down: "domega" is the w3 membership residual of `w3_coords`,
+    "djgamma" the w2- primitivity residual of `w2_minus_coords`."""
+    y, rec_domega = w3_coords(structure, tol)
+    x, rec_djgamma = w2_minus_coords(structure, tol)
+    w1p = structure.w1plus
+    return TorsionData(
+        w1plus=w1p,
         w1minus=0.75 * structure.lam,
-        w2minus=w2m,
-        w3=w3,
-        s=0.0,
-        class_label="",
+        w2minus_coords=x,
+        w3_coords=y,
+        s=_scalar(structure, w1p, x, y),
+        class_label=classify(structure, tol=max(tol, CLASSIFY_TOL)).label,
         residuals={"domega": rec_domega, "djgamma": rec_djgamma},
     )
-    data.s = scalar_curvature(structure, data)
-    data.class_label = classify(structure, tol=max(tol, CLASSIFY_TOL)).label
-    return data
 
 
 @dataclass
@@ -365,6 +415,10 @@ def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):
     Requires w2- = 0.  Returns (theta, gamma_theta, relative residual of
     d gamma_theta = 0) with theta = arctan(3 lambda / (4 w1+)); theta = pi/2
     when w1+ = 0.  Both "= 0" verdicts are those of `classify`."""
+    import numpy as np
+
+    from nhflat.exterior import d
+
     report = classify(structure, tol=max(tol, CLASSIFY_TOL))
     if "W2-" in report.label:
         raise InvalidStructureError(

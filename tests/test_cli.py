@@ -10,6 +10,7 @@ import pytest
 
 from nhflat import families
 from nhflat.cli import main
+from nhflat.structure import random_rotation
 
 
 @pytest.fixture
@@ -224,6 +225,18 @@ class TestFlow:
         assert "Traceback" not in err
 
 
+def rescaled(s, c):
+    """The record of s under (lambda, a, b, P, Q) -> (c lambda, a/c^3,
+    b/c^3, P/c^2, Q/c^3), which keeps every verdict."""
+    return {
+        "lambda": c * s.lam,
+        "a": s.a / c**3,
+        "b": s.b / c**3,
+        "P": (s.P / c**2).tolist(),
+        "Q": (s.Q / c**3).tolist(),
+    }
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -240,8 +253,9 @@ def _nan_summary(self):
 
 
 # (argv with {nk} for the nearly Kahler record, {nan} and {inf} for records
-# with a non-finite number, {huge} for one whose det P overflows and
-# {orientation} for one whose orientation is not a number,
+# with a non-finite number, {huge} for one whose det P overflows, {tiny}
+# for the nearly Kahler structure rescaled so that (det P)^2 underflows
+# and {orientation} for one whose orientation is not a number,
 # NHF_TOL or None, function to patch to NaN, exit)
 BAD_INPUTS = {
     "nhf_tol_abc": (["check", "{nk}"], "abc", None, 2),
@@ -254,6 +268,8 @@ BAD_INPUTS = {
     "record_nan_p": (["check", "{nan}"], None, None, 2),
     "record_inf_lambda": (["classify", "{inf}"], None, None, 2),
     "record_overflow": (["check", "{huge}"], None, None, 1),
+    # valid, but w1+ divides by (det P)^2 = 0: a numerical failure
+    "record_det_p_squared_underflow": (["check", "{tiny}"], None, None, 1),
     "record_bad_orientation": (["rotate", "{orientation}"], None, None, 2),
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
@@ -295,6 +311,7 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "huge": {k: v for k, v in nk.items() if k != "orientation"}
         | {"P": (1e110 * np.eye(3)).tolist()},
         "inf": nk | {"lambda": float("inf")},
+        "tiny": rescaled(families.nearly_kahler(4.0), 1e27),
         "orientation": nk | {"orientation": "x"},
     }
     paths = {"csv": str(tmp_path / "t.csv")}
@@ -360,15 +377,11 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
 
-def test_import_does_not_load_scipy_optimize():
-    # nhflat does not depend on scipy, the root-solve sampler included
+def fresh_python(code):
+    """Run code in a new interpreter that imports nhflat from src; its
+    stdout."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, nhflat, nhflat.cli; "
-        "nhflat.sample_random_structure(0, method='root-solve'); "
-        "print('scipy' in sys.modules)"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -376,4 +389,89 @@ def test_import_does_not_load_scipy_optimize():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_import_does_not_load_scipy_optimize():
+    # nhflat does not depend on scipy, the root-solve sampler included
+    code = (
+        "import sys, nhflat, nhflat.cli; "
+        "nhflat.sample_random_structure(0, method='root-solve'); "
+        "print('scipy' in sys.modules)"
+    )
+    assert fresh_python(code).strip() == "False"
+
+
+def test_check_classify_flow_do_not_load_numpy(tmp_path):
+    # they run on Python floats: numpy is imported neither by `import
+    # nhflat` nor by the three commands, on the nearly Kahler record and
+    # on a rotated w1w3 record; `family` imports it when it runs
+    rng = np.random.default_rng(5)
+    records = {
+        "nk": families.nearly_kahler(4.0),
+        "w1w3": families.w1w3_family(0.01).rotated(random_rotation(rng), random_rotation(rng)),
+    }
+    paths = []
+    for name, s in records.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(s.to_record(), fh)
+    csv = str(tmp_path / "x.csv")
+    code = f"""
+import contextlib, io, json, sys
+import nhflat
+seen = [["import nhflat", 0, "numpy" in sys.modules]]
+from nhflat.cli import main
+runs = [[c, p] for p in {paths!r} for c in ("check", "classify")]
+runs += [["flow", p, "--t-end", "0.01", "--out", {csv!r}] for p in {paths!r}]
+runs.append(["family", "--name", "nk"])
+for argv in runs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    seen.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(seen))
+print(out.getvalue())
+"""
+    first, family_out = fresh_python(code).split("\n", 1)
+    seen = json.loads(first)
+    assert seen[:-1] == [["import nhflat", 0, False]] + [
+        [command, 0, False] for command in ("check", "classify") * 2 + ("flow", "flow")
+    ]
+    assert seen[-1] == ["family", 0, True]
+    assert json.loads(family_out) == families.nearly_kahler(4.0).to_record()
+
+
+def test_lazy_exports():
+    # every name of __all__ resolves through the module __getattr__ of
+    # nhflat (PEP 562) to the object of its defining module, is listed by
+    # dir(nhflat) before it is loaded, and `from nhflat import *` binds it
+    code = """
+import importlib, json, sys
+import nhflat
+names = list(nhflat.__all__)
+out = {"unloaded": [n for n in names if n in vars(nhflat)],
+       "in_dir": all(n in dir(nhflat) for n in names)}
+resolved = {n: getattr(nhflat, n) for n in names}
+origin = {n: getattr(importlib.import_module("nhflat." + nhflat._ORIGIN[n]), n)
+          for n in names if nhflat._ORIGIN[n]}
+out["same_object"] = all(resolved[n] is v for n, v in origin.items())
+out["modules"] = [resolved[n].__name__ for n in names if nhflat._ORIGIN[n] is None]
+namespace = {}
+exec("from nhflat import *", namespace)
+out["star"] = sorted(n for n in namespace if not n.startswith("__")) == sorted(names)
+try:
+    nhflat.no_such_name
+except AttributeError:
+    out["missing_raises"] = True
+print(json.dumps(out))
+"""
+    out = json.loads(fresh_python(code))
+    assert out == {
+        "unloaded": [],
+        "in_dir": True,
+        "same_object": True,
+        "modules": ["nhflat.families", "nhflat.flow"],
+        "star": True,
+        "missing_raises": True,
+    }

@@ -9,7 +9,10 @@ the adjugate from 2x2 minors and the explicit matrix formulas.
 `composed_abr9`, `composed_recover9` and `composed_stage` are the flow
 kernel composed from the `mat3` 9-sequence helpers.  The straight-line
 `abr9`, `_recover9` and `_stage` write out the same expressions, so they
-must agree with them bit for bit, and so must every trajectory."""
+must agree with them bit for bit, and so must every trajectory.
+
+`form_g2_residual` is `flow.g2_residual` on forms, by `d`; the coordinate
+version must equal it to the bit."""
 
 import math
 import sys
@@ -19,11 +22,15 @@ import numpy as np
 import pytest
 
 from nhflat import families, flow, structure
+from nhflat.exterior import d
+from nhflat.flow import g2_residual
 from nhflat.mat3 import adjugate, cofactor9, det3, det9, mul9, transpose9
 from nhflat.structure import (
     SingularStructureError,
     abr9,
     compute_abr,
+    de_de_form,
+    invariant_three_form,
     random_rotation,
     sample_random_structure,
 )
@@ -359,3 +366,81 @@ def test_kernel_makes_no_other_python_call():
     assert calls[0] == ("test_kernel_makes_no_other_python_call", "_stage")
     assert calls[1:] == [("_stage", "_recover9"), ("_stage", "abr9")]
     assert flow.abr9 is structure.abr9
+
+
+# -- g2_residual ---------------------------------------------------------------
+
+
+def form_g2_residual(structure, da, db, dQ1, dQ2):
+    """The two dt pieces of `flow.g2_residual` as forms: gamma' - d omega +
+    lambda J gamma and (omega^2)'/2 + d(J gamma), by `d` on the invariant
+    forms, with their max-norms."""
+    lam = structure.lam
+    dgamma = invariant_three_form(da, db, dQ1, dQ2)
+    half_domega2 = de_de_form((np.asarray(dQ1) + np.asarray(dQ2)) / lam)
+    return max(
+        (dgamma - d(structure.omega) + lam * structure.Jgamma).max_abs(),
+        (half_domega2 + d(structure.Jgamma)).max_abs(),
+    )
+
+
+def assert_g2_residual_bit_identical(monkeypatch, initial, t_end, h=1e-3):
+    """Integrate with every step recorded; each g2_residual that integrate
+    evaluates, and the one of the flow derivatives of each recorded
+    structure, must equal the form oracle.  Returns the number of samples."""
+    calls = []
+
+    def checked(s, *dt):
+        got = g2_residual(s, *dt)
+        calls.append(got == form_g2_residual(s, *dt))
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(flow, "g2_residual", checked)
+        traj = flow.integrate(initial, 0.0, t_end, h=h, record_every=1)
+    assert len(calls) == len(traj.samples) and all(calls)
+    for sample in traj.samples:
+        s = sample.structure
+        dt = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
+        assert g2_residual(s, *dt) == form_g2_residual(s, *dt)
+    return len(traj.samples)
+
+
+def benchmark_flow_starts(seed=1):
+    """The four trajectories of the flow benchmark at `seed`, drawn as it
+    draws them: the nearly Kahler point at lambda = 4 for both signs of
+    det P, rotated, run forwards and backwards for 300 steps."""
+    rng = np.random.default_rng(seed)
+    combos = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    starts = []
+    for k in rng.permutation(len(combos)):
+        sign_p, direction = combos[k]
+        s = families.nearly_kahler(4.0, sign_p).rotated(
+            random_rotation(rng), random_rotation(rng)
+        )
+        starts.append((s, direction * 0.3))
+    return starts
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_g2_residual_equals_form_oracle_on_benchmark_trajectories(monkeypatch, k):
+    initial, t_end = benchmark_flow_starts()[k]
+    assert assert_g2_residual_bit_identical(monkeypatch, initial, t_end) == 301
+
+
+def test_g2_residual_equals_form_oracle_root_solve(monkeypatch):
+    initial = sample_random_structure(3, method="root-solve")
+    for t_end in (0.02, -0.02):
+        assert assert_g2_residual_bit_identical(monkeypatch, initial, t_end) == 21
+
+
+def test_g2_residual_equals_form_oracle_on_arbitrary_derivatives():
+    # not only flow derivatives: random (a', b', Q1', Q2'), as 3x3 arrays
+    # and as row-major 9-lists
+    rng = np.random.default_rng(31)
+    for s in [sample_random_structure(seed) for seed in range(10)]:
+        da, db = rng.standard_normal(2)
+        dQ1, dQ2 = rng.standard_normal((2, 3, 3))
+        want = form_g2_residual(s, da, db, dQ1, dQ2)
+        assert g2_residual(s, da, db, dQ1, dQ2) == want
+        assert g2_residual(s, da, db, dQ1.ravel().tolist(), dQ2.ravel().tolist()) == want

@@ -1,5 +1,7 @@
-"""Smoke test of the benchmark's traced mode: the tracer rebinds the
-traced nhflat functions by name, so renaming or removing one breaks it."""
+"""Smoke tests of the benchmark: its traced mode, where the tracer rebinds
+the traced nhflat functions by name, so that renaming or removing one
+breaks it, and the cli workload, whose processes run the console entry
+point."""
 
 import json
 import os
@@ -46,3 +48,20 @@ def test_traced_flow_run():
     assert result["correct"] is True
     for name in TRACED:
         assert f"{name}.calls" in result["metrics"], name
+
+
+def test_cli_run():
+    # the cli workload end to end: its processes start, and every answer
+    # is right; no timing is asserted
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cli", "--seed", "1",
+         "--seconds", "0.1", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["success_rate"]["value"] == 1.0

@@ -19,12 +19,22 @@ import numpy as np
 import pytest
 
 from nhflat import exterior, families
-from nhflat.exterior import d, inner, inverse_metric, is_spd, relative, wedge, wedge_tensor
+from nhflat.exterior import (
+    COFRAME_DIFFERENTIAL,
+    Form,
+    d,
+    inner,
+    inverse_metric,
+    is_spd,
+    relative,
+    wedge,
+    wedge_tensor,
+)
 from nhflat.mat3 import adjugate, det3, flat9
 from nhflat.structure import (
-    _DE_DE_BASIS,
     InvalidStructureError,
     NhfStructure,
+    Sizes,
     _bracket9,
     _interleave,
     _j_blocks9,
@@ -349,13 +359,20 @@ def random_invalid_structures(seed, n=200):
     return out
 
 
+def bend_jgamma(s, c):
+    """Put J gamma + c gamma in place of the J gamma of s: the form and the
+    coordinates `jgamma_coords` that the checks read alike."""
+    s.Jgamma = s.Jgamma + c * s.gamma
+    s.jgamma_coords = three_form_coords(s.Jgamma)
+
+
 def test_closed_form_inverts_wedge_with_omega():
     # w1+ removes the omega^2 part of the target for any parameters, so the
     # trace term of the closed form is exercised by bending J gamma as in
     # test_non_primitive_w2_minus_raises; tol = inf returns beta unchecked
     rng = np.random.default_rng(18)
     for s in random_invalid_structures(16):
-        s.Jgamma = s.Jgamma + rng.uniform(-1.0, 1.0) * s.gamma
+        bend_jgamma(s, rng.uniform(-1.0, 1.0))
         beta = square_solve_w2_minus(s)
         got, _ = w2_minus_form(s, tol=np.inf, with_residual=True)
         size = max(np.max(np.abs(beta)), lstsq_w2_minus(s)[1])
@@ -382,6 +399,7 @@ def test_validate_residuals_match_array_formulas():
 def test_targets_lie_in_the_de_de_span():
     # the closed form reads d(J gamma) and omega^2 on the 9 de ^ de slots
     # only; the other 6 coordinates of both are exactly 0, valid or not
+    _DE_DE_BASIS = np.column_stack([de_de_form(e).coeffs for e in np.eye(9)])
     off_span = np.ones(15, dtype=bool)
     off_span[np.flatnonzero(_DE_DE_BASIS.any(axis=1))] = False
     assert off_span.sum() == 6
@@ -432,7 +450,7 @@ def test_non_primitive_w2_minus_raises(c):
     for s in (families.nearly_kahler(4.0), root_solve_samples()[1]):
         w2_minus_form(s)
         bent = NhfStructure(s.lam, s.a, s.b, s.P, s.Q)
-        bent.Jgamma = s.Jgamma + c * s.gamma
+        bend_jgamma(bent, c)
         with pytest.raises(InvalidStructureError, match="primitivity"):
             w2_minus_form(bent)
 
@@ -462,6 +480,74 @@ def test_j_blocks_match_numpy_assembly():
         want = numpy_j_blocks(a, b, Q1, Q2)
         got = _interleave(_j_blocks9(a, b, flat9(Q1), flat9(Q2)))
         assert relative(got - want, *terms) <= 1e-15
+
+
+def numpy_sizes(s):
+    """The former `NhfStructure.sizes`: one np.maximum.reduceat over the
+    coefficients of omega, gamma and J gamma, the entries of J and the 3x3
+    data."""
+    factors = np.concatenate(
+        [s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs, s.J.ravel()]
+        + [x.ravel() for x in (s.Q1, s.Q2, np.array([s.A, s.B]), s.R1, s.R2, s.P, s.Q)]
+    )
+    offsets = [0, 15, 35, 55, 91, 100, 109, 111, 120, 129, 138]
+    om, gam, jg, j, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
+        np.abs(factors), offsets
+    ).tolist()
+    return Sizes(om, gam, jg, p, q, q1, q2, r1, r2, j)
+
+
+ALL_SAMPLES = pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, acceptance_samples, root_solve_samples],
+    ids=["survey", "scaling", "acceptance", "root-solve"],
+)
+
+
+@ALL_SAMPLES
+def test_sizes_match_numpy_reduceat(samples):
+    for s in samples():
+        assert s.sizes == numpy_sizes(s)
+
+
+@ALL_SAMPLES
+def test_j_squared_residual_matches_numpy_product(samples):
+    # the block products against the 6x6 product J @ J, relative to the
+    # size of the terms, |J|^2 and 1
+    for s in samples():
+        want = float(np.max(np.abs(s.J @ s.J + np.eye(6))))
+        assert relative(s.j_squared_residual - want, s.sizes.j**2, 1.0) <= 1e-15
+
+
+def test_basis_tables_match_wedge_products():
+    # the signed-permutation tables against the former basis matrices,
+    # whose columns are wedge products of coframe monomials
+    def e(i):
+        return Form.monomial((i,))
+
+    def de(i):
+        return Form.monomial(*COFRAME_DIFFERENTIAL[i])
+
+    pairs = [(i, j) for i in (1, 3, 5) for j in (2, 4, 6)]
+    omega = np.column_stack([wedge(e(i), e(j)).coeffs for i, j in pairs])
+    de_de = np.column_stack([wedge(de(i), de(j)).coeffs for i, j in pairs])
+    three = np.column_stack(
+        [Form.monomial((1, 3, 5)).coeffs, Form.monomial((2, 4, 6)).coeffs]
+        + [wedge(de(i), e(j)).coeffs for i, j in pairs]
+        + [wedge(e(i), de(j)).coeffs for i, j in pairs]
+    )
+    units9, units20 = np.eye(9), np.eye(20)
+    assert np.array_equal(np.column_stack([build_omega(u).coeffs for u in units9]), omega)
+    assert np.array_equal(np.column_stack([de_de_form(u).coeffs for u in units9]), de_de)
+    got = np.column_stack(
+        [invariant_three_form(u[0], u[1], u[2:11], u[11:]).coeffs for u in units20]
+    )
+    assert np.array_equal(got, three)
+    # each a signed permutation or selection: the coordinates read back
+    for u in units9:
+        assert omega_coords(build_omega(u)) == u.tolist()
+    for u in units20:
+        assert three_form_coords(invariant_three_form(u[0], u[1], u[2:11], u[11:])) == u.tolist()
 
 
 # -- positive definiteness ----------------------------------------------------
@@ -613,10 +699,10 @@ def test_coordinate_identities():
 def test_coordinate_checks_match_wedge_forms():
     # every residual computed on coordinates against its wedge and d form,
     # with J gamma bent as in test_non_primitive_w2_minus_raises so that
-    # the checks read it from s.Jgamma; tol = inf returns the residuals
+    # the checks read it from s.jgamma_coords; tol = inf returns the residuals
     rng = np.random.default_rng(22)
     for s in random_invalid_structures(23):
-        s.Jgamma = s.Jgamma + rng.uniform(-1.0, 1.0) * s.gamma
+        bend_jgamma(s, rng.uniform(-1.0, 1.0))
         z, w1p = s.sizes, s.w1plus
 
         jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.om)
@@ -653,7 +739,12 @@ def test_scalar_curvature_raises_on_indefinite_metric():
         with pytest.raises(InvalidStructureError, match="positive definite"):
             scalar_curvature(s, tol=np.inf)
         torsion = TorsionData(
-            s.w1plus, 0.75 * s.lam, w2_minus_form(s, tol=np.inf), w3_form(s, tol=np.inf), 0.0, ""
+            s.w1plus,
+            0.75 * s.lam,
+            omega_coords(w2_minus_form(s, tol=np.inf)),
+            three_form_coords(w3_form(s, tol=np.inf)),
+            0.0,
+            "",
         )
         with pytest.raises(InvalidStructureError, match="positive definite"):
             scalar_curvature(s, torsion)
@@ -666,7 +757,12 @@ def test_scalar_curvature_reads_the_given_forms():
         data = extract_torsion(s)
         n2, n3 = w2_minus_norm2(s, data.w2minus), w3_norm2(s, data.w3)
         doubled = TorsionData(
-            data.w1plus, data.w1minus, 2.0 * data.w2minus, 2.0 * data.w3, 0.0, ""
+            data.w1plus,
+            data.w1minus,
+            omega_coords(2.0 * data.w2minus),
+            three_form_coords(2.0 * data.w3),
+            0.0,
+            "",
         )
         want = data.s - 1.5 * (n2 + n3)
         terms = (data.w1plus**2, s.lam**2, n2, n3)
