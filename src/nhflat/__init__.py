@@ -20,16 +20,11 @@ _ORIGIN = {
     "Form": "exterior",
     "wedge": "exterior",
     "d": "exterior",
-    "contract": "exterior",
-    "pullback": "exterior",
-    "hodge": "exterior",
-    "form_inner": "exterior",
     "NhfStructure": "structure",
     "ValidationReport": "structure",
     "StructureError": "structure",
     "InvalidStructureError": "structure",
     "SingularStructureError": "structure",
-    "hitchin_j": "structure",
     "sample_random_structure": "structure",
     "TorsionData": "torsion",
     "ClassReport": "torsion",

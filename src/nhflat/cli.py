@@ -157,11 +157,10 @@ def cmd_flow(args) -> int:
     except ValueError as exc:
         _usage_error(str(exc))
     tol = _tolerance(args)
-    inputs = list(args.input)
-    batch = len(inputs) > 1
-    code = EXIT_OK
-    summaries = []
-    for k, path in enumerate(inputs):
+    # every input is loaded and validated before any is integrated, so a
+    # bad input leaves no partial output behind
+    structures = []
+    for path in args.input:
         s = _load_structure(path)
         report = s.validate(tol=tol)
         if not report.passed:
@@ -171,6 +170,11 @@ def cmd_flow(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INVALID
+        structures.append(s)
+    batch = len(structures) > 1
+    code = EXIT_OK
+    summaries = []
+    for k, s in enumerate(structures):
         try:
             traj = flow.integrate(
                 s, args.t_start, args.t_end, h=args.h, record_every=args.record_every

@@ -8,7 +8,7 @@ constants
     de1 = e35,  de3 = -e15,  de5 = e13,
     de2 = e46,  de4 = -e26,  de6 = e24.
 
-The positive orientation is e123456; all Hodge signs follow from it.
+The positive orientation is e123456.
 The bases and structure constants are those of `coframe`, and the
 tolerance policy (`DEFAULT_TOL`, `max_abs`, `term_size`, `relative`) is
 that of `tolerance`; both are re-exported here.
@@ -24,11 +24,6 @@ import numpy as np
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIM, DIMS, _merge
 from nhflat.mat3 import is_spd9
 from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
-
-# degree -> (DIMS[k], k) array of the 0-based coframe indices of each monomial
-_INDEX_ARRAY = {
-    k: np.array(BASIS[k], dtype=np.intp).reshape(DIMS[k], k) - 1 for k in range(DIM + 1)
-}
 
 
 @functools.cache
@@ -127,13 +122,6 @@ def wedge(x: Form, y: Form) -> Form:
     return _form(deg, (wedge_tensor(x.degree, y.degree) @ y.coeffs) @ x.coeffs)
 
 
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 @functools.cache
 def _d_matrix(k: int) -> np.ndarray:
     """Matrix of d on degree-k forms (k < 6): the Leibniz extension of the
@@ -156,52 +144,6 @@ def d(x: Form) -> Form:
     return _form(x.degree + 1, _d_matrix(x.degree) @ x.coeffs)
 
 
-@functools.cache
-def _contract_tensor(k: int) -> np.ndarray:
-    """Sign tensor C[r, a, n] of the interior product of the a-th dual frame
-    vector with the n-th degree-k monomial onto the r-th degree-(k - 1)
-    monomial (k >= 1)."""
-    C = np.zeros((DIMS[k - 1], DIM, DIMS[k]))
-    for n, mono in enumerate(BASIS[k]):
-        for j, idx in enumerate(mono):
-            C[BASIS_INDEX[k - 1][mono[:j] + mono[j + 1:]], idx - 1, n] = (-1) ** j
-    C.flags.writeable = False
-    return C
-
-
-def contract(v, x: Form) -> Form:
-    """Interior product v -| x for a tangent vector v.
-
-    v is either a 1-based basis index or a length-6 component vector in the
-    dual basis e_1..e_6.
-    """
-    if x.degree == 0:
-        return Form(0)
-    if np.isscalar(v):
-        comps = np.zeros(DIM)
-        comps[int(v) - 1] = 1.0
-    else:
-        comps = np.asarray(v, dtype=float)
-    return _form(x.degree - 1, (_contract_tensor(x.degree) @ x.coeffs) @ comps)
-
-
-def compound(M, k: int) -> np.ndarray:
-    """k-th compound matrix of the 6x6 matrix M: C[I, J] = det M[I, J] over
-    the degree-k monomials I, J."""
-    idx = _INDEX_ARRAY[k]
-    M = np.asarray(M, dtype=float)
-    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def pullback(M, x: Form) -> Form:
-    """Apply the endomorphism M of the coframe (e^i -> sum_j M[i,j] e^j) to
-    every slot of x.  Multiplicative over wedge; identity acts trivially."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (DIM, DIM):
-        raise ValueError("endomorphism must be 6x6")
-    return _form(x.degree, compound(M, x.degree).T @ x.coeffs)
-
-
 def is_spd(g: np.ndarray) -> bool:
     """Whether the symmetric part of the 6x6 matrix g is positive
     definite, by `mat3.is_spd9` on the 3x3 blocks of g + g^T; False when
@@ -216,40 +158,17 @@ def is_spd(g: np.ndarray) -> bool:
     )
 
 
-def inverse_metric(g, spd: bool | None = None) -> np.ndarray:
+def inverse_metric(g) -> np.ndarray:
     """Inverse of the coframe metric g; ValueError unless g is a symmetric
-    positive definite 6x6 matrix.  `spd` is the verdict of `is_spd(g)`
-    when the caller already has it."""
+    positive definite 6x6 matrix."""
     g = np.asarray(g, dtype=float)
     if g.shape != (DIM, DIM):
         raise ValueError("metric must be 6x6")
     if not relative(g - g.T, g) <= DEFAULT_TOL:
         raise ValueError("metric must be symmetric")
-    if not (is_spd(g) if spd is None else spd):
+    if not is_spd(g):
         raise ValueError("metric must be positive definite")
     return np.linalg.inv(g)
-
-
-@functools.cache
-def _complement(k: int) -> np.ndarray:
-    """Signed permutation taking e^I to sign * e^{Ic}, where
-    e^I ^ e^{Ic} = sign * e123456."""
-    comp = np.zeros((DIMS[DIM - k], DIMS[k]))
-    for n, mono in enumerate(BASIS[k]):
-        rest = tuple(i for i in range(1, DIM + 1) if i not in mono)
-        _, sign = _merge(mono, rest)
-        comp[BASIS_INDEX[DIM - k][rest], n] = sign
-    comp.flags.writeable = False
-    return comp
-
-
-def hodge(g, x: Form) -> Form:
-    """Riemannian Hodge star of x for the SPD coframe metric g, with
-    positive volume form e123456."""
-    ginv = inverse_metric(g)
-    vol = np.sqrt(np.linalg.det(g))
-    k = x.degree
-    return _form(DIM - k, vol * (_complement(k) @ (compound(ginv, k) @ x.coeffs)))
 
 
 @functools.cache
@@ -291,14 +210,12 @@ def inner(M: np.ndarray, x: Form, y: Form) -> float:
 
 def form_inner(g, x: Form, y: Form) -> float:
     """Pointwise inner product of equal-degree forms induced by g, with
-    orthonormal monomials of an orthonormal coframe having unit norm."""
+    orthonormal monomials of an orthonormal coframe having unit norm.
+
+    No workload calls it; it stays only because the benchmark's tracer
+    (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
+    retargets the tracer.  It is all that keeps `inner`, `_scatter`,
+    `inverse_metric` and `is_spd` here."""
     if x.degree != y.degree:
         raise ValueError("degree mismatch in form inner product")
     return inner(inverse_metric(g), x, y)
-
-
-def volume_coefficient(x: Form) -> float:
-    """Coefficient of e123456 in a 6-form."""
-    if x.degree != DIM:
-        raise ValueError("not a 6-form")
-    return float(x.coeffs[0])

@@ -101,17 +101,6 @@ def zero_scalar_structure(p: float, inner_sign: int, sign_q: int = 1) -> NhfStru
     return NhfStructure(4.0, 0.0, 0.0, p * np.eye(3), q * np.eye(3))
 
 
-def zero_scalar_closed_s(p: float, formula_sign: int) -> float:
-    """Published closed-form scalar curvature candidates for the family:
-    s = 2 (72 p^4 + 105 p +- 5 sqrt(3)) / (3 p).
-
-    Kept for the record only.  These expressions match neither the torsion
-    formula applied to the family nor the Levi-Civita scalar curvature of
-    the family's own displayed metric; see zero_scalar_family for the
-    expression that does."""
-    return 2.0 * (72.0 * p**4 + 105.0 * p + formula_sign * 5.0 * SQRT3) / (3.0 * p)
-
-
 def zero_scalar_s(p: float, inner_sign: int) -> float:
     """Scalar curvature of the torsion formula along the family.
 

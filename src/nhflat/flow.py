@@ -148,7 +148,11 @@ def recover_p(lam: float, Q1: np.ndarray, Q2: np.ndarray, det_p_prev: float):
     """Invert Adj(P^T) = -(Q1 + Q2)/lambda for P.
 
     (det P)^2 = det Adj(P^T); the sign of det P is chosen to continue the
-    previous value, which keeps P continuous along a flow line."""
+    previous value, which keeps P continuous along a flow line.
+
+    Nothing in the package calls it; it stays only because the benchmark's
+    tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
+    retargets the tracer.  `_recover9` is the computation."""
     import numpy as np
 
     p, det_p = _recover9(lam, flat9(Q1), flat9(Q2), _sign(det_p_prev))
@@ -200,19 +204,6 @@ class Trajectory:
     #: RK4 steps taken, recorded or not.
     steps: int = 0
 
-    @property
-    def times(self):
-        import numpy as np
-
-        return np.array([s.t for s in self.samples])
-
-    def structure_at(self, t: float) -> NhfStructure:
-        """Stored structure at the sample time closest to t."""
-        import numpy as np
-
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.samples[k].structure
-
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -259,13 +250,14 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
                              + dt ^ ((1/2)(omega^2)' + d6 J gamma)
     The t-slice pieces vanish for any (lambda, a, b, P, Q), so only the dt
     pieces are evaluated; omega^2 = (2/lambda)(Q1 + Q2) on the de ^ de
-    slots gives (omega^2)'/2 = de_de_form((Q1' + Q2')/lambda).
+    slots gives (omega^2)'/2 = de_de_form((Q1' + Q2')/lambda), where
+    de_de_form(M) = sum M_ij de^{2i-1} ^ de^{2j}.
     With `flow_rhs` derivatives both dt pieces vanish to rounding on any
     state, valid or not (the first is the evolution equation, the second
     its exterior derivative), so along `integrate` g2_resid cannot see
     drift off the valid set; norm_resid does.
 
-    Both pieces are computed on coordinates (`structure.three_form_coords`):
+    Both pieces are computed on coordinates (`structure.invariant_three_form`):
     d omega = (0, 0, P, -P), and d(c, d, M1, M2) = de_de_form(M1 + M2) is
     zero off the de ^ de slots.  So the first piece has the coordinates
     (a', b', Q1' - P, Q2' + P) + lambda jg and the second

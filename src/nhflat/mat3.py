@@ -7,12 +7,16 @@ Each formula is written once over row-major 9-sequences
 (`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`) and the
 transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
-sequence, or a 9-sequence, into such a list, without numpy.  `det3`, `adjugate` and
-`polarized_adjugate` are wrappers that take 3x3 arrays, and the last two
-give arrays; numpy is imported only when they run.  The
-flow's RK4 kernel (``structure.abr9``, ``flow._recover9``) writes the
-9-sequence expressions out inline instead of calling these helpers, and
-rounds exactly as they do."""
+sequence, or a 9-sequence, into such a list, without numpy.  The flow's
+RK4 kernel (``structure.abr9``, ``flow._recover9``) writes the 9-sequence
+expressions out inline instead of calling these helpers, and rounds
+exactly as they do.
+
+`det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
+arrays, and the last two give arrays; numpy is imported only when they
+run.  Nothing in the package calls them.  They stay only because the
+benchmark's tracer (``perfbench/tracer.py``) binds them by name, until
+ROADMAP item 1 retargets the tracer."""
 
 from __future__ import annotations
 

@@ -34,7 +34,7 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIM, DIMS, _merge
+from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
 from nhflat.mat3 import cofactor9, det9, flat9, is_spd9, mul9, transpose9
 from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
 
@@ -86,9 +86,6 @@ def _wedge_table(factors) -> tuple:
 _OMEGA_TABLE = _wedge_table(
     (_e(2 * i + 1), _e(2 * j + 2)) for i in range(3) for j in range(3)
 )
-_DE_DE_TABLE = _wedge_table(
-    (_de(2 * i + 1), _de(2 * j + 2)) for i in range(3) for j in range(3)
-)
 # entries: e135, e246, de^{2i-1}^e^{2j}, e^{2i-1}^de^{2j}
 _THREE_FORM_TABLE = (
     (BASIS_INDEX[3][(1, 3, 5)], 1),
@@ -113,15 +110,11 @@ def _table_form(degree: int, table, values) -> Form:
     return _form(degree, np.array(coeffs))
 
 
-def _table_coords(table, x: Form) -> list:
-    """The coordinate list of the form x read off through table (see
-    `_table_form`); exact."""
-    c = x.coeffs.tolist()
-    return [sign * c[k] for k, sign in table]
-
-
 def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:
-    """c135 e135 + c246 e246 + sum M1_ij de^{2i-1}^e^{2j} + M2_ij e^{2i-1}^de^{2j}."""
+    """c135 e135 + c246 e246 + sum M1_ij de^{2i-1}^e^{2j} + M2_ij e^{2i-1}^de^{2j}.
+
+    The 20-list (c135, c246, M1, M2), row-major M1 and M2, is the
+    coordinate list of an invariant 3-form throughout the package."""
     return _table_form(3, _THREE_FORM_TABLE, [float(c135), float(c246)] + flat9(M1) + flat9(M2))
 
 
@@ -132,20 +125,6 @@ def build_omega(P) -> Form:
 
 def _dot(x, y) -> float:
     return sum(map(mul, x, y))
-
-
-def three_form_coords(x: Form) -> list:
-    """The 20-list (c135, c246, M1, M2) of a 3-form x, row-major M1 and M2,
-    so that x = invariant_three_form(c135, c246, M1, M2) when x lies in
-    their span.  The basis is a signed permutation, so this is exact."""
-    return _table_coords(_THREE_FORM_TABLE, x)
-
-
-def omega_coords(x: Form) -> list:
-    """The row-major 9-list X of a 2-form x, so that x = build_omega(X)
-    when x lies in the span of the e^{2i-1} ^ e^{2j}; a signed selection
-    of 9 of the 15 coefficients, so exact."""
-    return _table_coords(_OMEGA_TABLE, x)
 
 
 def three_form_wedge_omega(m1, m2, x) -> list:
@@ -171,35 +150,8 @@ def three_form_wedge_omega(m1, m2, x) -> list:
 
 def three_form_volume(x, y) -> float:
     """The e123456 coefficient of the wedge of the invariant 3-forms with
-    20-lists x and y (see `three_form_coords`)."""
+    20-lists x and y (see `invariant_three_form`)."""
     return x[1] * y[0] - x[0] * y[1] + _dot(x[2:11], y[11:20]) - _dot(x[11:20], y[2:11])
-
-
-def de_de_form(M) -> Form:
-    """sum M_ij de^{2i-1} ^ de^{2j}."""
-    return _table_form(4, _DE_DE_TABLE, flat9(M))
-
-
-def omega_squared(P) -> Form:
-    """Closed form of omega^2: -2 sum Adj(P^T)_ij de^{2i-1} ^ de^{2j}."""
-    return de_de_form([-2.0 * x for x in cofactor9(flat9(P))])
-
-
-def q1_q2(lam: float, P, Q):
-    """Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T)."""
-    import numpy as np
-
-    adjPT = np.array(cofactor9(flat9(P))).reshape(3, 3)
-    Q = np.asarray(Q, dtype=float)
-    return Q - 0.5 * lam * adjPT, -Q - 0.5 * lam * adjPT
-
-
-def build_gamma(lam: float, a: float, b: float, P, Q) -> Form:
-    """gamma = a e135 + b e246 + sum (Q1)_ij de^{2i-1}^e^{2j} + (Q2)_ij e^{2i-1}^de^{2j}.
-
-    Satisfies d(gamma) = (lam/2) omega^2 identically, for any parameters."""
-    Q1, Q2 = q1_q2(lam, P, Q)
-    return invariant_three_form(a, b, Q1, Q2)
 
 
 def abr9(a, b, q1, q2):
@@ -270,15 +222,19 @@ def abr9(a, b, q1, q2):
 
 
 def compute_abr(a: float, b: float, Q1, Q2):
-    """The scalars A, B and matrices R1, R2, R entering J gamma and the flow."""
+    """The scalars A, B and matrices R1, R2, R entering J gamma and the flow.
+
+    Nothing in the package calls it; it stays only because the benchmark's
+    tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
+    retargets the tracer.  `abr9` is the computation."""
     A, B, R1, R2 = abr9(float(a), float(b), flat9(Q1), flat9(Q2))
     R1, R2 = _array3x3(R1), _array3x3(R2)
     return A, B, R1, R2, R1 + R2
 
 
 def _bracket9(a: float, b: float, q1, q2) -> float:
-    """`normalization_bracket` of Q1, Q2 given as row-major 9-sequences,
-    as `validate` computes it:
+    """The normalization bracket of (a, b, Q1, Q2), with Q1, Q2 given as
+    row-major 9-sequences: (det P)^2 equals it exactly when J^2 = -id.
 
         -(a b - tr(Q1^T Q2))^2 - 4 (a det Q2 + b det Q1) + 4 tr Adj(Q1^T Q2)"""
     g = mul9(transpose9(q1), q2)
@@ -290,7 +246,7 @@ def _bracket9(a: float, b: float, q1, q2) -> float:
 def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
     """The second derivative D^2 lambda[y, y] of the bracket lambda =
     `_bracket9` at (a, b, Q1, Q2) in the direction of the 20-list
-    y = (ya, yb, Y1, Y2) (see `three_form_coords`); 3x3 data as row-major
+    y = (ya, yb, Y1, Y2) (see `invariant_three_form`); 3x3 data as row-major
     9-sequences.  With g = Q1^T Q2, dg = Y1^T Q2 + Q1^T Y2, u = Y1^T Y2,
     h = a b - tr g and e = ya b + a yb - tr dg, by the product rule
 
@@ -330,12 +286,6 @@ def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
             + b * _dot(q1, cofactor9(y1))
         )
     )
-
-
-def normalization_bracket(a: float, b: float, Q1, Q2) -> float:
-    """`_bracket9` of Q1, Q2 given as 3x3 arrays: (det P)^2 equals it
-    exactly when J^2 = -id."""
-    return _bracket9(a, b, flat9(Q1), flat9(Q2))
 
 
 def _j_blocks9(a: float, b: float, q1, q2):
@@ -462,43 +412,6 @@ def omega_component_matrix(omega: Form) -> np.ndarray:
     return W
 
 
-def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
-    """Almost complex structure from the stable-form construction
-    K(X) = (X -| gamma) ^ gamma, an independent check of the closed-form J.
-
-    Normalized by tr(K^2) and sign-fixed so that omega(., J.) is positive
-    definite."""
-    import numpy as np
-
-    from nhflat.exterior import contract, is_spd, volume_coefficient, wedge, wedge_all
-
-    if gamma.degree != 3 or omega.degree != 2:
-        raise ValueError("hitchin_j expects a 3-form and a 2-form")
-    om3 = volume_coefficient(wedge_all(omega, omega, omega))
-    n_om = omega.max_abs()
-    if relative(om3, n_om * n_om * n_om) <= SINGULAR_DETP:
-        raise SingularStructureError("omega^3 = 0")
-    f5 = np.column_stack(
-        [wedge(contract(a, gamma), gamma).coeffs for a in range(1, DIM + 1)]
-    )
-    # BASIS[5] lists the 5-monomials missing index 6, 5, ..., 1; row m - 1
-    # of K is the coefficient of the one missing m, with sign (-1)^(m - 1)
-    K = f5[::-1]
-    K[1::2] *= -1.0
-    tr2 = float(np.trace(K @ K))
-    if tr2 >= 0:
-        raise InvalidStructureError("gamma is not stable (tr K^2 >= 0)")
-    J = K / np.sqrt(-tr2 / 6.0)
-    if not is_spd(omega_component_matrix(omega) @ J):
-        J = -J
-    return J
-
-
-def metric_from(omega: Form, J: np.ndarray) -> np.ndarray:
-    """g(X, Y) = omega(X, JY) as a 6x6 matrix."""
-    return omega_component_matrix(omega) @ J
-
-
 @dataclass
 class ValidationReport:
     residuals: dict
@@ -569,15 +482,15 @@ class NhfStructure:
     Construction works on Python floats and row-major 9-lists only: it
     computes det P and the 3x3 data P, Q, Adj(P^T), Q1, Q2, R1 and R2, kept
     as the 9-lists `m9` that the verdicts read, the 20-list
-    `jgamma_coords` of J gamma (see `three_form_coords`), the blocks of J
+    `jgamma_coords` of J gamma (see `invariant_three_form`), the blocks of J
     and the J^2 = -id residual.  Everything else is computed on first use:
     the values that more than one verdict reads (`w1plus`, `sizes`,
     `metric_spd`), and the numpy views for callers, the arrays P, Q, Q1,
-    Q2, R1, R2, R, adj_pt, J, the metric `g` and its inverse
-    `metric_inverse` and the forms omega, gamma, J gamma and `omega2`.  No
-    verdict reads an array or a form, so checking and classifying a
-    structure does not import numpy.  The SPD verdict `metric_spd` is
-    decided on 3x3 blocks, products of P with the blocks of J, without g.
+    Q2, R1, R2, R, adj_pt and J and the forms omega, gamma and J gamma.
+    :meth:`metric` builds g on each call.  No verdict reads an array or a
+    form, so checking and classifying a structure does not import numpy.
+    The SPD verdict `metric_spd` is decided on 3x3 blocks, products of P
+    with the blocks of J, without g.
     Nothing is mutated after that, so instances are safe to share between
     threads (two threads may both compute a value on first use; they get
     the same value).  Construction only rejects singular det P; use
@@ -597,7 +510,7 @@ class NhfStructure:
         if relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {det_p} is singular")
         self.orientation = 1 if det_p > 0 else -1
-        # Adj(P^T), Q1, Q2 (as `q1_q2`) and A, B, R1, R2 (as `compute_abr`)
+        # Adj(P^T), Q1, Q2 and A, B, R1, R2 (as `compute_abr`)
         adj = list(cofactor9(p))
         h = 0.5 * self.lam
         q1 = [x - h * c for x, c in zip(q, adj)]
@@ -671,13 +584,6 @@ class NhfStructure:
         return invariant_three_form(self.A, self.B, m.r1, m.r2) * (2.0 / self.det_p)
 
     @cached_property
-    def omega2(self) -> Form:
-        """omega ^ omega."""
-        from nhflat.exterior import wedge
-
-        return wedge(self.omega, self.omega)
-
-    @cached_property
     def w1plus(self) -> float:
         """w1+ = tr(P^T R) / (2 (det P)^2)."""
         m = self.m9
@@ -709,12 +615,6 @@ class NhfStructure:
         )
 
     @cached_property
-    def g(self) -> np.ndarray:
-        """The induced metric g = W J as a 6x6 array, positive definite or
-        not (see `metric`)."""
-        return metric_from(self.omega, self.J)
-
-    @cached_property
     def metric_spd(self) -> bool:
         """Whether g is positive definite, decided on 3x3 blocks by
         `mat3.is_spd9`, without g.  On the odd and on the even coframe
@@ -734,28 +634,12 @@ class NhfStructure:
             [-(u + v) for u, v in zip(y, transpose9(y))],
         )
 
-    @cached_property
-    def metric_inverse(self) -> np.ndarray:
-        """g^-1 by `exterior.inverse_metric`; raises InvalidStructureError
-        if g is not positive definite and ValueError if it is not
-        symmetric."""
-        from nhflat.exterior import inverse_metric
-
-        return inverse_metric(self.metric(), spd=True)
-
-    def omega_cubed(self) -> Form:
-        from nhflat.exterior import wedge
-
-        return wedge(self.omega, self.omega2)
-
     def metric(self) -> np.ndarray:
-        """The induced metric; raises if it is not positive definite."""
+        """The induced metric g = W J as a 6x6 array; raises
+        InvalidStructureError if it is not positive definite."""
         if not self.metric_spd:
             raise InvalidStructureError("induced metric is not positive definite")
-        return self.g.copy()
-
-    def metric_is_spd(self) -> bool:
-        return self.metric_spd
+        return omega_component_matrix(self.omega) @ self.J
 
     def defining_residuals(self) -> list:
         """The defining conditions of a valid structure but the positive

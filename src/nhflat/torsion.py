@@ -15,12 +15,12 @@ system is solved, and no form is wedged, differentiated or contracted
 with the metric.  An invariant 3-form has the coordinates (c, d, M1, M2)
 of `invariant_three_form`, a 20-list, and a 2-form in the span of
 omega's slots the 9-list X of `build_omega`; the bases are a signed
-permutation and a signed selection, so `three_form_coords` and
-`omega_coords` read them off a form exactly.  The torsion forms are
-computed as such coordinate lists of Python floats (`w3_coords`,
-`w2_minus_coords`), so `extract_torsion`, `classify` and
-`scalar_curvature` do not import numpy; `w3_form`, `w2_minus_form` and
-`TorsionData` build the forms from them.
+permutation and a signed selection, so the coordinates are a form's
+coefficients up to sign.  de_de_form(M) below is sum M_ij de^{2i-1} ^
+de^{2j}.  The torsion forms are computed as such coordinate lists of
+Python floats (`w3_coords`, `w2_minus_coords`), so `extract_torsion`,
+`classify` and `scalar_curvature` do not import numpy; `w3_form`,
+`w2_minus_form` and `TorsionData` build the forms from them.
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
 invariant 3-form of the 3x3 data (`w3_coords`).
@@ -61,10 +61,11 @@ w2- is a primitive (1,1)-form, so *w2- = -w2- ^ omega and
             = -2 <Adj(X^T), P> / det P,   <X, Y> = tr(X^T Y).
 
 w3 lies in the 12-dimensional module.  There *w3 = J w3, J acting on
-forms as `exterior.pullback(J, .)`, and there the derivative of the dual
-map gamma -> J gamma = (2 / det P) F(gamma) at fixed det P, with
-F = (A, B, R1, R2) of `structure.abr9`, is -2 J (Hitchin, "Stable forms
-and special metrics", 2001).  So, for the 20-list y of w3,
+forms by applying the endomorphism J of the coframe to every slot (the
+oracle `pullback(J, .)` of tests/oracles.py), and there the derivative
+of the dual map gamma -> J gamma = (2 / det P) F(gamma) at fixed det P,
+with F = (A, B, R1, R2) of `structure.abr9`, is -2 J (Hitchin, "Stable
+forms and special metrics", 2001).  So, for the 20-list y of w3,
 
     |w3|^2 = 6 vol(w3 ^ J w3) / vol(omega^3) = -vol(y ^ D F[y]) / (det P)^2
            = -D^2 lambda[y, y] / (2 (det P)^2),
@@ -89,8 +90,6 @@ from nhflat.structure import (
     bracket_hessian9,
     build_omega,
     invariant_three_form,
-    omega_coords,
-    three_form_coords,
     three_form_volume,
     three_form_wedge_omega,
 )
@@ -108,8 +107,8 @@ CLASS_LABELS = ("W1-", "W1", "W1-+W3", "W1+W3", "W1-+W2-+W3", "W1+W2-+W3")
 class TorsionData:
     """The torsion of a structure.  w2- and w3 are held as coordinates, the
     row-major 9-list X of w2- = build_omega(X) and the 20-list of w3 (see
-    `structure.three_form_coords`); the forms `w2minus` and `w3` are built
-    from them on access."""
+    `structure.invariant_three_form`); the forms `w2minus` and `w3` are
+    built from them on access."""
 
     w1plus: float
     w1minus: float
@@ -253,26 +252,17 @@ def w2_minus_form(
 
 
 def _w2_minus_norm2(structure: NhfStructure, x) -> float:
-    """|w2-|^2 of w2- = build_omega(X), X a row-major 9-list."""
+    """|w2-|^2 = -2 <Adj(X^T), P> / det P of the primitive (1,1)-form
+    w2- = build_omega(X), X a row-major 9-list (see the module
+    docstring)."""
     return -2.0 * sum(map(mul, cofactor9(x), structure.m9.p)) / structure.det_p
 
 
 def _w3_norm2(structure: NhfStructure, y) -> float:
-    """|w3|^2 of the w3 with the 20-list y."""
+    """|w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2) of the w3 in the
+    12-dimensional module with the 20-list y (see the module docstring)."""
     s, m, dp = structure, structure.m9, structure.det_p
     return -bracket_hessian9(s.a, s.b, m.q1, m.q2, y) / (2.0 * dp * dp)
-
-
-def w2_minus_norm2(structure: NhfStructure, w2m: Form) -> float:
-    """|w2-|^2 = -2 <Adj(X^T), P> / det P for w2- = build_omega(X), a
-    primitive (1,1)-form (see the module docstring)."""
-    return _w2_minus_norm2(structure, omega_coords(w2m))
-
-
-def w3_norm2(structure: NhfStructure, w3: Form) -> float:
-    """|w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2) for w3 in the
-    12-dimensional module, y its 20-list (see the module docstring)."""
-    return _w3_norm2(structure, three_form_coords(w3))
 
 
 def _scalar(structure: NhfStructure, w1p: float, x, y) -> float:
@@ -290,24 +280,16 @@ def _scalar(structure: NhfStructure, w1p: float, x, y) -> float:
     )
 
 
-def scalar_curvature(
-    structure: NhfStructure, torsion=None, tol: float = DEFAULT_TOL
-) -> float:
+def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float:
     """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2.
 
     The norms are those of the structure metric, in closed form on the
-    coordinates of the forms (`w2_minus_norm2`, `w3_norm2`).  Without
-    `torsion`, w2- and w3 are computed here and checked at `tol`; with it,
-    their coordinates are read off its forms `w2minus` and `w3`.  Raises
-    InvalidStructureError when g is not positive definite."""
-    if torsion is None:
-        w1p = structure.w1plus
-        x = w2_minus_coords(structure, tol)[0]
-        y = w3_coords(structure, tol)[0]
-    else:
-        w1p = torsion.w1plus
-        x, y = omega_coords(torsion.w2minus), three_form_coords(torsion.w3)
-    return _scalar(structure, w1p, x, y)
+    coordinates of the forms (`_w2_minus_norm2`, `_w3_norm2`); w2- and w3
+    are computed here and checked at `tol`.  Raises InvalidStructureError
+    when g is not positive definite."""
+    x = w2_minus_coords(structure, tol)[0]
+    y = w3_coords(structure, tol)[0]
+    return _scalar(structure, structure.w1plus, x, y)
 
 
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:

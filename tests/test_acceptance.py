@@ -22,11 +22,7 @@ import pytest
 
 from nhflat import families, flow
 from nhflat.exterior import BASIS, Form, d, wedge
-from nhflat.structure import (
-    hitchin_j,
-    random_rotation,
-    sample_random_structure,
-)
+from nhflat.structure import _bracket9, random_rotation, sample_random_structure
 from nhflat.torsion import (
     classify,
     extract_torsion,
@@ -34,6 +30,7 @@ from nhflat.torsion import (
     scalar_curvature,
     w1_plus,
 )
+from oracles import hitchin_j, structure_at
 
 SQRT3 = np.sqrt(3.0)
 
@@ -139,15 +136,13 @@ def test_08_berger_trajectory_documented_deviation():
     # G2 residual <= 1e-6 at 20 interior t.  The published data fails all
     # three by many orders of magnitude; these bounds pin the measured
     # failure so that any future repair of the data is noticed.
-    from nhflat.structure import normalization_bracket
-
     worst_norm = 0.0
     worst_ode = 0.0
     for t in np.linspace(0.05, np.pi / 3.0 - 0.05, 20):
         s = families.berger_trajectory(t)
         worst_norm = max(
             worst_norm,
-            abs(s.det_p * s.det_p - normalization_bracket(s.a, s.b, s.Q1, s.Q2)),
+            abs(s.det_p * s.det_p - _bracket9(s.a, s.b, s.m9.q1, s.m9.q2)),
         )
         da, db, dQ1, dQ2 = families.berger_derivative(t)
         ra, rb, rQ1, rQ2 = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
@@ -168,7 +163,7 @@ def test_08_berger_trajectory_documented_deviation():
 def test_09_sine_cone_reproduction():
     s0 = families.nearly_kahler(4.0)
     traj = flow.integrate(s0, 0.0, 0.3, h=1e-3, record_every=50)
-    num = traj.structure_at(0.3)
+    num = structure_at(traj, 0.3)
     ref = families.sine_cone_trajectory(0.3)
     assert abs(num.a - ref.a) <= 1e-6
     assert abs(num.b - ref.b) <= 1e-6
@@ -179,7 +174,7 @@ def test_09_sine_cone_reproduction():
     errs = []
     for h in (4e-3, 1e-3):
         tr = flow.integrate(s0, 0.0, 0.2, h=h, record_every=10**9)
-        e = np.max(np.abs(tr.structure_at(0.2).Q1 - families.sine_cone_trajectory(0.2).Q1))
+        e = np.max(np.abs(structure_at(tr, 0.2).Q1 - families.sine_cone_trajectory(0.2).Q1))
         errs.append(e)
     order = np.log(errs[0] / errs[1]) / np.log(4.0)
     assert 3.7 <= order <= 4.3

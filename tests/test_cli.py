@@ -203,6 +203,26 @@ class TestFlow:
         assert (tmp_path / "b_0.csv").exists()
         assert (tmp_path / "b_1.csv").exists()
 
+    @pytest.mark.parametrize("second, want", [("invalid", 1), ("missing", 2)])
+    def test_batch_checks_every_input_first(self, capsys, nk_record, tmp_path, second, want):
+        # a bad second input stops the run before the first is integrated:
+        # one error line, its exit code, no summary and no CSV
+        rec = families.nearly_kahler(4.0).to_record()
+        rec["a"] *= 1.5
+        bad = tmp_path / "bad.json"
+        if second == "invalid":
+            bad.write_text(json.dumps(rec))
+        code, out, err = run(
+            capsys,
+            ["flow", nk_record, str(bad), "--t-end", "0.01", "--h", "0.005",
+             "--out", str(tmp_path / "t.csv")],
+        )
+        assert code == want
+        assert out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_single_input_writes_out_path(self, capsys, nk_record, tmp_path):
         out_csv = tmp_path / "x.csv"
         code, _, _ = run(

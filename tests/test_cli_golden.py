@@ -21,7 +21,7 @@ import pytest
 
 from nhflat.cli import main
 from nhflat.structure import NhfStructure
-from nhflat.torsion import extract_torsion, w2_minus_norm2, w3_norm2
+from nhflat.torsion import _w2_minus_norm2, _w3_norm2, extract_torsion
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden")
 FAMILIES = ("nk", "w1", "w1w3", "zero-scalar", "sine-cone")
@@ -52,8 +52,8 @@ def term_sizes(record):
         "s": max(
             (10.0 / 3.0) * w1p_terms * w1p_terms,
             15.0 * s.lam**2 / 8.0,
-            abs(w2_minus_norm2(s, data.w2minus)) / 2.0,
-            abs(w3_norm2(s, data.w3)) / 2.0,
+            abs(_w2_minus_norm2(s, data.w2minus_coords)) / 2.0,
+            abs(_w3_norm2(s, data.w3_coords)) / 2.0,
         ),
     }
 

@@ -10,10 +10,10 @@ from nhflat.structure import (
     NhfStructure,
     SingularStructureError,
     build_omega,
-    de_de_form,
     invariant_three_form,
     sample_random_structure,
 )
+from oracles import de_de_form, structure_at
 
 
 class TestRecoverP:
@@ -79,7 +79,7 @@ class TestIntegrate:
     def test_matches_sine_cone(self):
         s0 = families.nearly_kahler(4.0)
         traj = flow.integrate(s0, 0.0, 0.3, h=1e-3, record_every=50)
-        num = traj.structure_at(0.3)
+        num = structure_at(traj, 0.3)
         ref = families.sine_cone_trajectory(0.3)
         assert abs(num.a - ref.a) < 1e-6
         assert abs(num.b - ref.b) < 1e-6
@@ -91,7 +91,7 @@ class TestIntegrate:
         s0 = families.nearly_kahler(4.0)
         traj = flow.integrate(s0, 0.0, -0.25, h=1e-3, record_every=50)
         ref = families.sine_cone_trajectory(-0.25)
-        assert np.max(np.abs(traj.structure_at(-0.25).P - ref.P)) < 1e-6
+        assert np.max(np.abs(structure_at(traj, -0.25).P - ref.P)) < 1e-6
 
     def test_fourth_order_convergence(self):
         s0 = families.nearly_kahler(4.0)
@@ -99,7 +99,7 @@ class TestIntegrate:
         steps = [4e-3, 2e-3, 1e-3]
         for h in steps:
             traj = flow.integrate(s0, 0.0, 0.2, h=h, record_every=10**9)
-            num = traj.structure_at(0.2)
+            num = structure_at(traj, 0.2)
             ref = families.sine_cone_trajectory(0.2)
             errs.append(
                 max(np.max(np.abs(num.Q1 - ref.Q1)), abs(num.a - ref.a))
@@ -219,7 +219,7 @@ def p_chain_domega(s, dQ1, dQ2):
 def four_piece_g2_residual(s, da, db, dQ1, dQ2):
     """The G2 residual with all four pieces and (omega^2)' = 2 omega ^ omega'
     from the P' chain."""
-    om2 = s.omega2
+    om2 = wedge(s.omega, s.omega)
     dgamma = invariant_three_form(da, db, dQ1, dQ2)
     domega2 = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
     return max(

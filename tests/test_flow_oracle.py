@@ -29,11 +29,11 @@ from nhflat.structure import (
     SingularStructureError,
     abr9,
     compute_abr,
-    de_de_form,
     invariant_three_form,
     random_rotation,
     sample_random_structure,
 )
+from oracles import de_de_form
 
 REL_TOL = 1e-13
 

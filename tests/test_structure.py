@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from nhflat.exterior import (
-    BASIS,
-    Form,
-    contract,
-    d,
-    is_spd,
-    pullback,
-    volume_coefficient,
-    wedge,
-)
+from nhflat.exterior import BASIS, Form, d, is_spd, wedge
 from nhflat.mat3 import adjugate, det3
 from nhflat import families
 from nhflat.structure import (
@@ -20,15 +11,19 @@ from nhflat.structure import (
     NhfStructure,
     SingularStructureError,
     StructureError,
-    build_gamma,
     build_omega,
-    hitchin_j,
     invariant_three_form,
     omega_component_matrix,
-    omega_squared,
-    q1_q2,
     random_rotation,
     sample_random_structure,
+)
+from oracles import (
+    contract,
+    hitchin_j,
+    induced_metric,
+    omega_squared,
+    pullback,
+    volume_coefficient,
 )
 
 
@@ -95,7 +90,7 @@ def test_dgamma_identity_any_parameters():
         P = random_p(rng)
         Q = rng.standard_normal((3, 3))
         a, b = rng.standard_normal(2)
-        gamma = build_gamma(lam, a, b, P, Q)
+        gamma = NhfStructure(lam, a, b, P, Q).gamma
         assert (d(gamma) - 0.5 * lam * omega_squared(P)).max_abs() < 1e-10
 
 
@@ -104,7 +99,8 @@ def test_q1_q2_split():
     lam = 2.0
     P = random_p(rng)
     Q = rng.standard_normal((3, 3))
-    Q1, Q2 = q1_q2(lam, P, Q)
+    s = NhfStructure(lam, 0.0, 0.0, P, Q)
+    Q1, Q2 = s.Q1, s.Q2
     assert np.allclose(Q1 - Q2, 2.0 * Q)
     assert np.allclose(Q1 + Q2, -lam * adjugate(P.T))
 
@@ -134,7 +130,7 @@ class TestValidation:
         for seed in range(5):
             s = sample_random_structure(seed)
             lhs = wedge(s.gamma, s.Jgamma)
-            rhs = (2.0 / 3.0) * s.omega_cubed()
+            rhs = (2.0 / 3.0) * wedge(s.omega, wedge(s.omega, s.omega))
             assert (lhs - rhs).max_abs() < 1e-9
 
     def test_metric_spd_and_compatible(self):
@@ -227,7 +223,7 @@ class TestEquivariance:
             s = sample_random_structure(seed)
             report = s.validate(tol=1e-9)
             assert report.passed, (seed, report.worst)
-            assert s.metric_is_spd()
+            assert s.metric_spd
 
 
 class TestCachedValues:
@@ -235,18 +231,15 @@ class TestCachedValues:
         samples = [sample_random_structure(seed) for seed in range(10)]
         samples.append(families.nearly_kahler(-3.0))
         for s in samples:
-            assert np.array_equal(s.omega2.coeffs, wedge(s.omega, s.omega).coeffs)
             assert s.w1plus == float(np.trace(s.P.T @ s.R)) / (2.0 * s.det_p * s.det_p)
             factors = (s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs)
             factors += (s.P, s.Q, s.Q1, s.Q2, s.R1, s.R2, s.J)
             assert tuple(s.sizes) == tuple(float(np.max(np.abs(m))) for m in factors)
-            assert s.metric_spd is is_spd(s.g) is s.metric_is_spd()
-            assert np.array_equal(s.metric_inverse, np.linalg.inv(s.g))
+            assert s.metric_spd is is_spd(induced_metric(s))
 
     def test_computed_once(self):
         s = sample_random_structure(3)
-        for name in ("omega2", "sizes", "metric_inverse"):
-            assert getattr(s, name) is getattr(s, name)
+        assert s.sizes is s.sizes
 
     def test_indefinite_metric_has_no_inverse(self):
         rng = np.random.default_rng(4)
@@ -256,10 +249,10 @@ class TestCachedValues:
             )
             for _ in range(100)
         )
-        s = next(t for t in draws if not is_spd(t.g))
+        s = next(t for t in draws if not is_spd(induced_metric(t)))
         assert not s.metric_spd and not s.validate().passed
         with pytest.raises(InvalidStructureError):
-            s.metric_inverse
+            np.linalg.inv(s.metric())
 
 
 @pytest.mark.parametrize("entry", range(18))

@@ -41,24 +41,21 @@ from nhflat.structure import (
     abr9,
     bracket_hessian9,
     build_omega,
-    de_de_form,
     invariant_three_form,
-    omega_coords,
     random_rotation,
     sample_random_structure,
-    three_form_coords,
     three_form_volume,
     three_form_wedge_omega,
 )
 from nhflat.torsion import (
-    TorsionData,
+    _w2_minus_norm2,
+    _w3_norm2,
     extract_torsion,
     scalar_curvature,
     w2_minus_form,
-    w2_minus_norm2,
     w3_form,
-    w3_norm2,
 )
+from oracles import de_de_form, induced_metric, omega_coords, three_form_coords
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALES = np.geomspace(1e-3, 1e3, 13)
@@ -123,9 +120,11 @@ def implied_residuals(s):
     them: three are implied by the defining conditions, two (d gamma and
     d delta, delta = -Adj(P^T) on both mixed slots) are identities of the
     parameterization."""
-    z, om, gam, jg, om2 = s.sizes, s.omega, s.gamma, s.Jgamma, s.omega2
+    z, om, gam, jg = s.sizes, s.omega, s.gamma, s.Jgamma
+    om2 = wedge(om, om)
     om3 = wedge(om2, om)
     delta = invariant_three_form(0.0, 0.0, -s.adj_pt, -s.adj_pt)
+    g = induced_metric(s)
     return {
         "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
         "gamma_wedge_jgamma": relative(
@@ -133,7 +132,7 @@ def implied_residuals(s):
         ),
         "dgamma": relative(d(gam) - 0.5 * s.lam * om2, z.gam, s.lam * z.om * z.om),
         "ddelta": relative(d(delta) - om2, delta, z.om * z.om),
-        "metric_symmetry": relative(s.g - s.g.T, z.om * z.j),
+        "metric_symmetry": relative(g - g.T, z.om * z.j),
     }
 
 
@@ -249,7 +248,7 @@ def test_t_slice_pieces_are_identities():
         a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
         s = NhfStructure(rng.uniform(0.1, 10.0) * rng.choice([-1, 1]), a, b, P, Q)
         z = s.sizes
-        domega2 = relative(d(s.omega2), z.om * z.om)
+        domega2 = relative(d(wedge(s.omega, s.omega)), z.om * z.om)
         worst = max(worst, implied_residuals(s)["dgamma"], domega2)
     assert worst <= 1e-14
 
@@ -269,12 +268,13 @@ def lstsq_w2_minus(s):
     size of its operator, solved by least squares.  Returns beta and the
     size of the target over |omega|."""
     z, w1p = s.sizes, s.w1plus
-    target = d(s.Jgamma) + (2.0 / 3.0) * w1p * s.omega2
+    om2 = wedge(s.omega, s.omega)
+    target = d(s.Jgamma) + (2.0 / 3.0) * w1p * om2
     A = np.vstack(
         [
             _wedge_operator(s.omega, 2) / z.om,
             _wedge_operator(s.gamma, 2) / z.gam,
-            _wedge_operator(s.omega2, 2) / (z.om * z.om),
+            _wedge_operator(om2, 2) / (z.om * z.om),
         ]
     )
     rhs = np.concatenate([target.coeffs / z.om, np.zeros(7)])
@@ -326,7 +326,7 @@ def square_solve_w2_minus(s):
     """The former route: beta ^ omega = target solved as one 15 x 15 system,
     the operator divided by the size of omega."""
     z = s.sizes
-    target = d(s.Jgamma) + (2.0 / 3.0) * s.w1plus * s.omega2
+    target = d(s.Jgamma) + (2.0 / 3.0) * s.w1plus * wedge(s.omega, s.omega)
     return np.linalg.solve(_wedge_operator(s.omega, 2) / z.om, target.coeffs / z.om)
 
 
@@ -404,7 +404,7 @@ def test_targets_lie_in_the_de_de_span():
     off_span[np.flatnonzero(_DE_DE_BASIS.any(axis=1))] = False
     assert off_span.sum() == 6
     for s in random_invalid_structures(14):
-        for form in (d(s.Jgamma), s.omega2):
+        for form in (d(s.Jgamma), wedge(s.omega, s.omega)):
             assert not form.coeffs[off_span].any()
             # each basis form is one monomial with sign +-1
             coords = _DE_DE_BASIS.T @ form.coeffs
@@ -569,14 +569,15 @@ def test_block_spd_matches_eigvalsh(c):
     verdicts = []
     for base in random_invalid_structures(19):
         s = scaled(base, c)
-        want = eigvalsh_spd(s.g)
-        assert s.metric_spd is want and is_spd(s.g) is want
+        g = induced_metric(s)
+        want = eigvalsh_spd(g)
+        assert s.metric_spd is want and is_spd(g) is want
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
 
 
 def test_is_spd_rejects_non_finite_entries():
-    g = families.nearly_kahler(4.0).g
+    g = families.nearly_kahler(4.0).metric()
     assert is_spd(g)
     for value in (np.nan, np.inf, -np.inf):
         for k in (0, 7, 35):
@@ -590,7 +591,7 @@ def test_is_spd_rejects_non_finite_entries():
 
 def inner_norms(s, data):
     """The former route: |w2-|^2 and |w3|^2 by contraction with g^-1."""
-    ginv = inverse_metric(s.g)
+    ginv = inverse_metric(induced_metric(s))
     return inner(ginv, data.w2minus, data.w2minus), inner(ginv, data.w3, data.w3)
 
 
@@ -613,8 +614,8 @@ def test_norms_match_inner_oracle(samples):
         terms = ((10.0 / 3.0) * w1p * w1p, 15.0 * s.lam**2 / 8.0, 0.5 * n2, 0.5 * n3)
         want = terms[0] + terms[1] - terms[2] - terms[3]
         assert relative(data.s - want, *terms) <= 1e-12
-        assert relative(w2_minus_norm2(s, data.w2minus) - n2, *terms) <= 1e-12
-        assert relative(w3_norm2(s, data.w3) - n3, *terms) <= 1e-12
+        assert relative(_w2_minus_norm2(s, data.w2minus_coords) - n2, *terms) <= 1e-12
+        assert relative(_w3_norm2(s, data.w3_coords) - n3, *terms) <= 1e-12
         checked += 1
     assert checked
 
@@ -657,8 +658,9 @@ def w3_norm_by_dual_map(s, w3):
 def test_w3_norm_by_dual_map():
     for s in survey_samples()[:20] + list(root_solve_samples()):
         data = extract_torsion(s)
-        terms = (data.w1plus**2, s.lam**2, w3_norm2(s, data.w3))
-        assert relative(w3_norm_by_dual_map(s, data.w3) - w3_norm2(s, data.w3), *terms) <= 1e-12
+        n3 = _w3_norm2(s, data.w3_coords)
+        terms = (data.w1plus**2, s.lam**2, n3)
+        assert relative(w3_norm_by_dual_map(s, data.w3) - n3, *terms) <= 1e-12
 
 
 # -- the checks on coordinates ------------------------------------------------
@@ -722,7 +724,7 @@ def test_coordinate_checks_match_wedge_forms():
         size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
         want = max(
             relative(wedge(beta, s.gamma), size * z.gam),
-            relative(wedge(beta, s.omega2), size * z.om * z.om),
+            relative(wedge(beta, wedge(s.omega, s.omega)), size * z.om * z.om),
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -732,41 +734,12 @@ def test_coordinate_checks_match_wedge_forms():
 
 def test_scalar_curvature_raises_on_indefinite_metric():
     # the forms are computed unchecked (tol = inf), so the raise is the
-    # one of the metric, with or without `torsion`
+    # one of the metric
     structures = [s for s in random_invalid_structures(24) if not s.metric_spd]
     assert structures
     for s in structures[:20]:
         with pytest.raises(InvalidStructureError, match="positive definite"):
             scalar_curvature(s, tol=np.inf)
-        torsion = TorsionData(
-            s.w1plus,
-            0.75 * s.lam,
-            omega_coords(w2_minus_form(s, tol=np.inf)),
-            three_form_coords(w3_form(s, tol=np.inf)),
-            0.0,
-            "",
-        )
-        with pytest.raises(InvalidStructureError, match="positive definite"):
-            scalar_curvature(s, torsion)
-
-
-def test_scalar_curvature_reads_the_given_forms():
-    # with `torsion`, the norms are those of the forms it holds: doubled
-    # forms give four times the norms
-    for s in survey_samples()[:10] + list(root_solve_samples()):
-        data = extract_torsion(s)
-        n2, n3 = w2_minus_norm2(s, data.w2minus), w3_norm2(s, data.w3)
-        doubled = TorsionData(
-            data.w1plus,
-            data.w1minus,
-            omega_coords(2.0 * data.w2minus),
-            three_form_coords(2.0 * data.w3),
-            0.0,
-            "",
-        )
-        want = data.s - 1.5 * (n2 + n3)
-        terms = (data.w1plus**2, s.lam**2, n2, n3)
-        assert relative(scalar_curvature(s, doubled) - want, *terms) <= 1e-14
 
 
 def test_extract_torsion_s_is_scalar_curvature():

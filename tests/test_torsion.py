@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nhflat import exterior, families
-from nhflat.exterior import d, form_inner, pullback, wedge
+from nhflat.exterior import d, form_inner, wedge
 from nhflat.structure import NhfStructure, sample_random_structure
 from nhflat.torsion import (
     classify,
@@ -17,6 +17,7 @@ from nhflat.torsion import (
     w2_minus_form,
     w3_form,
 )
+from oracles import pullback
 
 SQRT3 = np.sqrt(3.0)
 
