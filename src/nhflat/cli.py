@@ -177,7 +177,8 @@ def cmd_flow(args) -> int:
     for k, s in enumerate(structures):
         try:
             traj = flow.integrate(
-                s, args.t_start, args.t_end, h=args.h, record_every=args.record_every
+                s, args.t_start, args.t_end, h=args.h,
+                record_every=args.record_every, tol=tol,
             )
         except flow.FlowSingularityError as exc:
             traj = exc.trajectory

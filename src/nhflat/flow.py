@@ -41,7 +41,7 @@ from nhflat.structure import (
     SingularStructureError,
     abr9,
 )
-from nhflat.tolerance import max_abs
+from nhflat.tolerance import DEFAULT_TOL, max_abs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -299,25 +299,26 @@ def integrate(
     t1: float,
     h: float = 1e-3,
     record_every: int = 1,
-    validate_initial: bool = True,
+    tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """RK4 integration of the flow from a valid structure.
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
-    recording every record_every-th step and the last one.  The run ends
+    recording every record_every-th step and the last one.  The initial
+    structure must pass `validate(tol)`, else InvalidStructureError, and
+    each sample's `passed` is its verdict at `tol`.  The run ends
     at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
     last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than
     MAX_STEPS steps, and FlowSingularityError (carrying the partial
     trajectory) if |det P| drops below SINGULAR_DETP."""
     check_step(h, record_every, t0, t1)
-    if validate_initial:
-        report = initial.validate()
-        if not report.passed:
-            raise InvalidStructureError(
-                f"initial structure invalid: worst residual {report.worst[1]:.3e}"
-                f" ({report.worst[0]})"
-            )
+    report = initial.validate(tol)
+    if not report.passed:
+        raise InvalidStructureError(
+            f"initial structure invalid: worst residual {report.worst[1]:.3e}"
+            f" ({report.worst[0]})"
+        )
     lam = initial.lam
     direction = 1.0 if t1 >= t0 else -1.0
     h = abs(h) * direction
@@ -341,7 +342,7 @@ def integrate(
         p, _ = _recover9(lam, q1, q2, sign)
         q = [0.5 * (u - v) for u, v in zip(q1, q2)]
         s = NhfStructure(lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9]))
-        report = s.validate()
+        report = s.validate(tol)
         dy = _stage(lam, y, sign)
         return FlowSample(
             t=t,

@@ -352,37 +352,20 @@ def _j_blocks9(a: float, b: float, q1, q2):
     return oo, oe, eo, ee
 
 
-def _mul_add9(x, y, u, v) -> list:
-    """X Y + U V of row-major 9-sequences, as a row-major 9-list."""
-    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
-    y00, y01, y02, y10, y11, y12, y20, y21, y22 = y
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = v
-    return [
-        x00 * y00 + x01 * y10 + x02 * y20 + u00 * v00 + u01 * v10 + u02 * v20,
-        x00 * y01 + x01 * y11 + x02 * y21 + u00 * v01 + u01 * v11 + u02 * v21,
-        x00 * y02 + x01 * y12 + x02 * y22 + u00 * v02 + u01 * v12 + u02 * v22,
-        x10 * y00 + x11 * y10 + x12 * y20 + u10 * v00 + u11 * v10 + u12 * v20,
-        x10 * y01 + x11 * y11 + x12 * y21 + u10 * v01 + u11 * v11 + u12 * v21,
-        x10 * y02 + x11 * y12 + x12 * y22 + u10 * v02 + u11 * v12 + u12 * v22,
-        x20 * y00 + x21 * y10 + x22 * y20 + u20 * v00 + u21 * v10 + u22 * v20,
-        x20 * y01 + x21 * y11 + x22 * y21 + u20 * v01 + u21 * v11 + u22 * v21,
-        x20 * y02 + x21 * y12 + x22 * y22 + u20 * v02 + u21 * v12 + u22 * v22,
-    ]
+def _j_squared_residual9(blocks, det_p: float) -> float:
+    """|(J^2)_11 + 1| for the matrix (det P) J^T with the blocks oo, oe, eo,
+    ee on the odd/even rows and columns (see `_j_blocks9`): row 1 of J^T
+    times its column 1, each entry divided by det P first, so that no
+    (det P)^2 can underflow.
 
-
-def _j_squared_residual9(oo, oe, eo, ee) -> float:
-    """max |J^2 + id| for the matrix J^T with the blocks oo, oe, eo, ee on
-    the odd/even rows and columns (see `_j_blocks9`).  Reordering the
-    coframe and transposing change neither the identity nor the largest
-    |entry|, so it is the largest |entry| of L^2 + id, L = [[oo, oe],
-    [eo, ee]], computed block by block."""
-    tl = _mul_add9(oo, oo, oe, eo)
-    br = _mul_add9(eo, oe, ee, ee)
-    for k in (0, 4, 8):
-        tl[k] += 1.0
-        br[k] += 1.0
-    return max_abs(tl + _mul_add9(oo, oe, oe, ee) + _mul_add9(eo, oo, ee, eo) + br)
+    By Hitchin's identity for the stable 3-form gamma, L^2 = -bracket id
+    for L = (det P) J^T and every state (a, b, Q1, Q2) (see `_bracket9`),
+    so J^2 + id = (1 - bracket / (det P)^2) id: this one entry is, up to
+    rounding, the largest |entry| of J^2 + id."""
+    oo, oe, eo, _ = blocks
+    row = [x / det_p for x in oo[0:3] + oe[0:3]]
+    col = [x / det_p for x in oo[0::3] + eo[0::3]]
+    return abs(_dot(row, col) + 1.0)
 
 
 def _array3x3(x) -> np.ndarray:
@@ -460,7 +443,6 @@ class Sizes(NamedTuple):
     q2: float
     r1: float
     r2: float
-    j: float
 
 
 def _matrix9(m) -> list:
@@ -481,12 +463,12 @@ class NhfStructure:
 
     Construction works on Python floats and row-major 9-lists only: it
     computes det P and the 3x3 data P, Q, Adj(P^T), Q1, Q2, R1 and R2, kept
-    as the 9-lists `m9` that the verdicts read, the 20-list
-    `jgamma_coords` of J gamma (see `invariant_three_form`), the blocks of J
-    and the J^2 = -id residual.  Everything else is computed on first use:
-    the values that more than one verdict reads (`w1plus`, `sizes`,
-    `metric_spd`), and the numpy views for callers, the arrays P, Q, Q1,
-    Q2, R1, R2, R, adj_pt and J and the forms omega, gamma and J gamma.
+    as the 9-lists `m9` that the verdicts read, and the 20-list
+    `jgamma_coords` of J gamma (see `invariant_three_form`).  Everything
+    else is computed on first use: the blocks of J, the J^2 = -id
+    residual, the values that more than one verdict reads (`w1plus`,
+    `sizes`, `metric_spd`), and the numpy views for callers, the arrays P,
+    Q, Q1, Q2 and J and the forms omega, gamma and J gamma.
     :meth:`metric` builds g on each call.  No verdict reads an array or a
     form, so checking and classifying a structure does not import numpy.
     The SPD verdict `metric_spd` is decided on 3x3 blocks, products of P
@@ -520,13 +502,20 @@ class NhfStructure:
         # J gamma = (2/det P)(A, B, R1, R2) on the slots of gamma's (a, b, Q1, Q2)
         f = 2.0 / det_p
         self.jgamma_coords = [f * x for x in [self.A, self.B] + r1 + r2]
-        # lenient J: residual recorded, reported through validate.  _j9 are
-        # the blocks of (det P) J^T, _jt9 those of J^T
-        self._j9 = _j_blocks9(self.a, self.b, q1, q2)
-        self._jt9 = [[x / det_p for x in block] for block in self._j9]
-        self.j_squared_residual = _j_squared_residual9(*self._jt9)
 
     # -- derived values, computed on first use ---------------------------
+
+    @cached_property
+    def _j9(self) -> tuple:
+        """The blocks of (det P) J^T (see `_j_blocks9`)."""
+        m = self.m9
+        return _j_blocks9(self.a, self.b, m.q1, m.q2)
+
+    @cached_property
+    def j_squared_residual(self) -> float:
+        """|(J^2)_11 + 1|, the largest |entry| of J^2 + id (see
+        `_j_squared_residual9`)."""
+        return _j_squared_residual9(self._j9, self.det_p)
 
     @property
     def w1_minus(self) -> float:
@@ -549,25 +538,9 @@ class NhfStructure:
         return _array3x3(self.m9.q2)
 
     @cached_property
-    def R1(self) -> np.ndarray:
-        return _array3x3(self.m9.r1)
-
-    @cached_property
-    def R2(self) -> np.ndarray:
-        return _array3x3(self.m9.r2)
-
-    @cached_property
-    def R(self) -> np.ndarray:
-        return _array3x3([x + y for x, y in zip(self.m9.r1, self.m9.r2)])
-
-    @cached_property
-    def adj_pt(self) -> np.ndarray:
-        return _array3x3(self.m9.adj_pt)
-
-    @cached_property
     def J(self) -> np.ndarray:
         """J as a 6x6 array, the endomorphism of the tangent space."""
-        return _interleave(self._jt9).T
+        return _interleave(self._j9).T / self.det_p
 
     @cached_property
     def omega(self) -> Form:
@@ -598,7 +571,7 @@ class NhfStructure:
 
     @cached_property
     def sizes(self) -> Sizes:
-        """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1, R2 and J."""
+        """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1 and R2."""
         m = self.m9
         p = max_abs(m.p)  # omega's coefficients are those of P and zeros
         return Sizes(
@@ -611,7 +584,6 @@ class NhfStructure:
             q2=max_abs(m.q2),
             r1=max_abs(m.r1),
             r2=max_abs(m.r2),
-            j=max_abs([x for block in self._jt9 for x in block]),
         )
 
     @cached_property
@@ -674,8 +646,8 @@ class NhfStructure:
         """The largest |residual| of each block of `defining_residuals`,
         as `qtp_symmetry`, `normalization` and `jgamma_wedge_omega`, and,
         reported apart as `metric_spd`, whether g is positive definite.
-        The J^2 = -id residual, computed at construction, is reported too;
-        J is scale free, so it is taken as it is.
+        The J^2 = -id residual `j_squared_residual` is reported too; J is
+        scale free, so it is taken as it is.
 
         Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
         for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =

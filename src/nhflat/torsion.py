@@ -180,14 +180,10 @@ def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
     return y, bad
 
 
-def w3_form(
-    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
-):
-    """w3 as a form, from `w3_coords`, with its membership check.  With
-    ``with_residual`` returns (w3, the relative membership residual)."""
-    y, bad = w3_coords(structure, tol)
-    w3 = invariant_three_form(y[0], y[1], y[2:11], y[11:20])
-    return (w3, bad) if with_residual else w3
+def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
+    """w3 as a form, from `w3_coords`, with its membership check."""
+    y = w3_coords(structure, tol)[0]
+    return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
 
 def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
@@ -240,15 +236,9 @@ def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
     return x, bad
 
 
-def w2_minus_form(
-    structure: NhfStructure, tol: float = DEFAULT_TOL, with_residual: bool = False
-):
-    """w2- as a form, from `w2_minus_coords`, with its primitivity check.
-    With ``with_residual`` returns (w2-, the relative primitivity
-    residual)."""
-    x, bad = w2_minus_coords(structure, tol)
-    beta = build_omega(x)
-    return (beta, bad) if with_residual else beta
+def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
+    """w2- as a form, from `w2_minus_coords`, with its primitivity check."""
+    return build_omega(w2_minus_coords(structure, tol)[0])
 
 
 def _w2_minus_norm2(structure: NhfStructure, x) -> float:
@@ -301,7 +291,7 @@ def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Torsio
     w1p = structure.w1plus
     return TorsionData(
         w1plus=w1p,
-        w1minus=0.75 * structure.lam,
+        w1minus=structure.w1_minus,
         w2minus_coords=x,
         w3_coords=y,
         s=_scalar(structure, w1p, x, y),

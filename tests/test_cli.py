@@ -192,6 +192,25 @@ class TestFlow:
         code, _, _ = run(capsys, ["flow", bad_record, "--t-end", "0.05"])
         assert code == 1
 
+    def test_tol_governs_the_run(self, capsys, tmp_path):
+        # P_11 raised by 1e-8 gives j_squared 6.7e-9: invalid at the
+        # default 1e-9, valid at --tol 1e-6, at the start and on every sample
+        rec = families.nearly_kahler(4.0).to_record()
+        rec["P"][0][0] *= 1.0 + 1e-8
+        path, out_csv = tmp_path / "near.json", tmp_path / "t.csv"
+        path.write_text(json.dumps(rec))
+        code, _, err = run(
+            capsys,
+            ["--tol", "1e-6", "flow", str(path), "--t-end", "0.01", "--out", str(out_csv)],
+        )
+        assert code == 0, err
+        summary = json.loads(err.strip().split("\n")[-1])
+        assert summary["terminated"] == "completed"
+        assert summary["invalid_samples"] == 0
+        assert len(out_csv.read_text().strip().split("\n")) == 1 + 11
+        code, _, _ = run(capsys, ["flow", str(path), "--t-end", "0.01"])
+        assert code == 1
+
     def test_batch(self, capsys, nk_record, tmp_path):
         out_csv = tmp_path / "b.csv"
         code, _, err = run(

@@ -17,6 +17,7 @@ their terms."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nhflat.cli import main
@@ -47,7 +48,7 @@ def term_sizes(record):
     z = s.sizes
     w1p_terms = z.p * max(z.r1, z.r2) / (2.0 * s.det_p * s.det_p)
     return {
-        "j_squared": max(1.0, z.j * z.j),
+        "j_squared": max(1.0, float(np.max(np.abs(s.J))) ** 2),
         "w1plus": w1p_terms,
         "s": max(
             (10.0 / 3.0) * w1p_terms * w1p_terms,

@@ -231,9 +231,10 @@ class TestCachedValues:
         samples = [sample_random_structure(seed) for seed in range(10)]
         samples.append(families.nearly_kahler(-3.0))
         for s in samples:
-            assert s.w1plus == float(np.trace(s.P.T @ s.R)) / (2.0 * s.det_p * s.det_p)
+            R1, R2 = (np.reshape(x, (3, 3)) for x in (s.m9.r1, s.m9.r2))
+            assert s.w1plus == float(np.trace(s.P.T @ (R1 + R2))) / (2.0 * s.det_p * s.det_p)
             factors = (s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs)
-            factors += (s.P, s.Q, s.Q1, s.Q2, s.R1, s.R2, s.J)
+            factors += (s.P, s.Q, s.Q1, s.Q2, R1, R2)
             assert tuple(s.sizes) == tuple(float(np.max(np.abs(m))) for m in factors)
             assert s.metric_spd is is_spd(induced_metric(s))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhflat import exterior, families
+from nhflat import exterior, families, structure
 from nhflat.exterior import (
     COFRAME_DIFFERENTIAL,
     Form,
@@ -52,7 +52,9 @@ from nhflat.torsion import (
     _w3_norm2,
     extract_torsion,
     scalar_curvature,
+    w2_minus_coords,
     w2_minus_form,
+    w3_coords,
     w3_form,
 )
 from oracles import de_de_form, induced_metric, omega_coords, three_form_coords
@@ -123,7 +125,8 @@ def implied_residuals(s):
     z, om, gam, jg = s.sizes, s.omega, s.gamma, s.Jgamma
     om2 = wedge(om, om)
     om3 = wedge(om2, om)
-    delta = invariant_three_form(0.0, 0.0, -s.adj_pt, -s.adj_pt)
+    adj_pt = np.reshape(s.m9.adj_pt, (3, 3))
+    delta = invariant_three_form(0.0, 0.0, -adj_pt, -adj_pt)
     g = induced_metric(s)
     return {
         "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
@@ -132,7 +135,7 @@ def implied_residuals(s):
         ),
         "dgamma": relative(d(gam) - 0.5 * s.lam * om2, z.gam, s.lam * z.om * z.om),
         "ddelta": relative(d(delta) - om2, delta, z.om * z.om),
-        "metric_symmetry": relative(g - g.T, z.om * z.j),
+        "metric_symmetry": relative(g - g.T, z.om * np.max(np.abs(s.J))),
     }
 
 
@@ -374,7 +377,7 @@ def test_closed_form_inverts_wedge_with_omega():
     for s in random_invalid_structures(16):
         bend_jgamma(s, rng.uniform(-1.0, 1.0))
         beta = square_solve_w2_minus(s)
-        got, _ = w2_minus_form(s, tol=np.inf, with_residual=True)
+        got = w2_minus_form(s, tol=np.inf)
         size = max(np.max(np.abs(beta)), lstsq_w2_minus(s)[1])
         assert relative(got.coeffs - beta, size) <= 1e-12
 
@@ -484,17 +487,17 @@ def test_j_blocks_match_numpy_assembly():
 
 def numpy_sizes(s):
     """The former `NhfStructure.sizes`: one np.maximum.reduceat over the
-    coefficients of omega, gamma and J gamma, the entries of J and the 3x3
-    data."""
+    coefficients of omega, gamma and J gamma and the 3x3 data."""
+    m = s.m9
     factors = np.concatenate(
-        [s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs, s.J.ravel()]
-        + [x.ravel() for x in (s.Q1, s.Q2, np.array([s.A, s.B]), s.R1, s.R2, s.P, s.Q)]
+        [s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs]
+        + [np.array(x) for x in (m.q1, m.q2, [s.A, s.B], m.r1, m.r2, m.p, m.q)]
     )
-    offsets = [0, 15, 35, 55, 91, 100, 109, 111, 120, 129, 138]
-    om, gam, jg, j, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
+    offsets = [0, 15, 35, 55, 64, 73, 75, 84, 93, 102]
+    om, gam, jg, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
         np.abs(factors), offsets
     ).tolist()
-    return Sizes(om, gam, jg, p, q, q1, q2, r1, r2, j)
+    return Sizes(om, gam, jg, p, q, q1, q2, r1, r2)
 
 
 ALL_SAMPLES = pytest.mark.parametrize(
@@ -512,11 +515,44 @@ def test_sizes_match_numpy_reduceat(samples):
 
 @ALL_SAMPLES
 def test_j_squared_residual_matches_numpy_product(samples):
-    # the block products against the 6x6 product J @ J, relative to the
-    # size of the terms, |J|^2 and 1
+    # the one entry (J^2)_11 + 1 against the largest of the 6x6 product
+    # J @ J + id, relative to the size of the terms, |J|^2 and 1
     for s in samples():
         want = float(np.max(np.abs(s.J @ s.J + np.eye(6))))
-        assert relative(s.j_squared_residual - want, s.sizes.j**2, 1.0) <= 1e-15
+        assert relative(s.j_squared_residual - want, np.max(np.abs(s.J)) ** 2, 1.0) <= 1e-15
+
+
+def test_j_blocks_square_to_minus_the_bracket():
+    # Hitchin's identity: L^2 = -bracket id for L = (det P) J^T and every
+    # state (a, b, Q1, Q2), valid or not, which is why one entry of J^2 + id
+    # is its largest
+    states = survey_samples() + random_invalid_structures(24)
+    for s in states:
+        m = s.m9
+        L = _interleave(_j_blocks9(s.a, s.b, m.q1, m.q2))
+        want = -_bracket9(s.a, s.b, m.q1, m.q2) * np.eye(6)
+        assert relative(L @ L - want, np.max(np.abs(L)) ** 2, 1.0) <= 1e-14
+
+
+def test_j_blocks_built_on_first_use(monkeypatch):
+    # construction and the defining residuals build no J; validate and
+    # extract_torsion build its blocks once, for j_squared and metric_spd
+    calls = []
+    j_blocks9 = structure._j_blocks9
+
+    def counted(*args):
+        calls.append(args)
+        return j_blocks9(*args)
+
+    monkeypatch.setattr(structure, "_j_blocks9", counted)
+    for rec in survey_records():
+        s = NhfStructure.from_record(rec)
+        s.defining_residuals()
+        assert calls == []
+        s.validate()
+        extract_torsion(s)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_basis_tables_match_wedge_products():
@@ -711,7 +747,7 @@ def test_coordinate_checks_match_wedge_forms():
         got = s.validate().residuals["jgamma_wedge_omega"]
         assert got == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
-        w3, got = w3_form(s, tol=np.inf, with_residual=True)
+        w3, got = w3_form(s, tol=np.inf), w3_coords(s, tol=np.inf)[1]
         size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
         want = max(
             relative(wedge(w3, s.omega), size * z.om),
@@ -720,7 +756,7 @@ def test_coordinate_checks_match_wedge_forms():
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-        beta, got = w2_minus_form(s, tol=np.inf, with_residual=True)
+        beta, got = w2_minus_form(s, tol=np.inf), w2_minus_coords(s, tol=np.inf)[1]
         size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
         want = max(
             relative(wedge(beta, s.gamma), size * z.gam),
