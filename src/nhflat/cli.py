@@ -14,13 +14,15 @@ overrides the default tolerance; a value that is not a finite number
 > 0 exits 2.  Other usage errors that exit 2: a record with a non-finite
 number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
 below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
-``flow.MAX_STEPS`` steps, ``family`` with a parameter at which the closed
-form under- or overflows, and ``verify-g2 --samples`` below 1.  Output
-JSON is strict: a result with a non-finite number exits 1 instead of
-printing NaN or Infinity.
+``flow.MAX_STEPS`` steps, ``family`` without the option its ``--name``
+needs or with a parameter at which the closed form under- or overflows,
+and ``verify-g2`` with ``--samples`` below 1 or a non-finite
+``--t-start`` / ``--t-end``.  Output JSON is strict: a result with a
+non-finite number exits 1 instead of printing NaN or Infinity.
 
-``check``, ``classify`` and ``flow`` run on Python floats and do not
-import numpy; ``family``, ``rotate`` and ``verify-g2`` do.
+Every subcommand runs on Python floats and none imports numpy.  A Python
+float's division by zero or overflowing power raises ArithmeticError,
+which exits 1 as a numerical failure.
 """
 
 from __future__ import annotations
@@ -30,16 +32,18 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
 
 from nhflat import flow
+from nhflat.mat3 import flat9
 from nhflat.structure import (
     DEFAULT_TOL,
     NhfStructure,
     StructureError,
     InvalidStructureError,
+    three_form_coeffs,
 )
 from nhflat import torsion as torsion_mod
+from nhflat.tolerance import max_abs
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,7 +110,7 @@ def cmd_check(args) -> int:
     s = _load_structure(args.input)
     report = s.validate(tol=tol)
     payload = {
-        "residuals": {k: float(v) for k, v in report.residuals.items()},
+        "residuals": dict(report.residuals),
         "metric_spd": report.metric_spd,
         "valid": report.passed,
         "tolerance": tol,
@@ -139,9 +143,7 @@ def cmd_classify(args) -> int:
         {
             "class": cls.label,
             "nearly_kahler": cls.nearly_kahler,
-            "predicate_residuals": {
-                k: float(v) for k, v in cls.predicate_residuals.items()
-            },
+            "predicate_residuals": dict(cls.predicate_residuals),
             "w1plus": torsion_mod.w1_plus(s),
             "w1minus": s.w1_minus,
             "s": torsion_mod.scalar_curvature(s, tol=tol),
@@ -209,35 +211,31 @@ def _batch_path(out: str, index: int, batch: bool) -> str:
 
 
 def cmd_family(args) -> int:
-    try:
-        members = _family_members(args)
-    except (StructureError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = [m.to_record() for m in members]
-    _emit(records if len(records) != 1 else records[0], args.out)
-    return EXIT_OK
-
-
-def _family_members(args):
     from nhflat import families
 
     name = args.name
-    if name == "nk":
-        return [families.nearly_kahler(args.lam, sign_p=args.sign_p)]
-    if name == "w1":
-        return [families.w1_family(args.lam, args.p, sign_q=args.sign_q)]
-    if name == "w1w3":
-        return [families.w1w3_family(args.a, sign_p=args.sign_p)]
-    if name == "zero-scalar":
-        if args.branch is None:
-            raise families.FamilyRangeError("zero-scalar requires --branch plus|minus")
-        return families.zero_scalar_family(args.branch)
-    if name == "berger":
-        return [families.berger_trajectory(args.t)]
-    if name == "sine-cone":
-        return [families.sine_cone_trajectory(args.t, sign_p=args.sign_p)]
-    raise families.FamilyRangeError(f"unknown family {name!r}")
+    # the option each family reads, which has no default
+    need = {"w1": "p", "w1w3": "a", "zero-scalar": "branch", "berger": "t", "sine-cone": "t"}
+    if name in need and getattr(args, need[name]) is None:
+        _usage_error(f"{name} requires --{need[name]}")
+    try:
+        if name == "nk":
+            members = [families.nearly_kahler(args.lam, sign_p=args.sign_p)]
+        elif name == "w1":
+            members = [families.w1_family(args.lam, args.p, sign_q=args.sign_q)]
+        elif name == "w1w3":
+            members = [families.w1w3_family(args.a, sign_p=args.sign_p)]
+        elif name == "zero-scalar":
+            members = families.zero_scalar_family(args.branch)
+        elif name == "berger":
+            members = [families.berger_trajectory(args.t)]
+        else:
+            members = [families.sine_cone_trajectory(args.t, sign_p=args.sign_p)]
+    except StructureError as exc:
+        _usage_error(str(exc))
+    records = [m.to_record() for m in members]
+    _emit(records if len(records) != 1 else records[0], args.out)
+    return EXIT_OK
 
 
 def cmd_rotate(args) -> int:
@@ -256,11 +254,22 @@ def cmd_rotate(args) -> int:
         {
             "theta": theta,
             "dgamma_theta_max": residual,
-            "gamma_theta": gamma_theta.coeffs.tolist(),
+            "gamma_theta": three_form_coeffs(gamma_theta),
         },
         args.out,
     )
     return EXIT_OK if residual <= tol else EXIT_INVALID
+
+
+def _sample_times(t0: float, t1: float, n: int) -> list:
+    """np.linspace(t0, t1, n), to the bit: t0 + k (t1 - t0) / (n - 1), the
+    last point t1."""
+    if n == 1:
+        return [0.0 * (t1 - t0) + t0]
+    step = (t1 - t0) / (n - 1)
+    if step == 0:  # numpy's order where the step underflows
+        return [k / (n - 1) * (t1 - t0) + t0 for k in range(n - 1)] + [t1]
+    return [k * step + t0 for k in range(n - 1)] + [t1]
 
 
 def cmd_verify_g2(args) -> int:
@@ -269,40 +278,29 @@ def cmd_verify_g2(args) -> int:
     Evaluates the trajectory and its analytic derivative at interior
     samples, reporting the evolution ODE residual and the max-abs residual
     of d(phi) = lambda psi, d(psi) = 0."""
-    import numpy as np
-
     from nhflat import families
 
     tol = _tolerance(args)
     if args.samples < 1:
         _usage_error(f"--samples must be at least 1, got {args.samples}")
+    t0, t1 = args.t_start, args.t_end
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        _usage_error(f"--t-start and --t-end must be finite, got {t0} and {t1}")
     if args.family == "sine-cone":
-        member = lambda t: families.sine_cone_trajectory(t)
-        deriv = lambda t: families.sine_cone_derivative(t)
-        t0, t1 = (args.t_start, args.t_end)
-    elif args.family == "berger":
-        member = families.berger_trajectory
-        deriv = families.berger_derivative
-        t0, t1 = (args.t_start, args.t_end)
+        member, deriv = families.sine_cone_trajectory, families.sine_cone_derivative
     else:
-        print(f"error: unknown trajectory {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
-    ts = np.linspace(t0, t1, args.samples)
+        member, deriv = families.berger_trajectory, families.berger_derivative
     worst_ode = 0.0
     worst_g2 = 0.0
     worst_valid = 0.0
-    for t in ts:
-        s = member(float(t))
+    for t in _sample_times(t0, t1, args.samples):
+        s = member(t)
         worst_valid = max(worst_valid, s.validate().worst[1])
-        da, db, dQ1, dQ2 = deriv(float(t))
+        da, db, dQ1, dQ2 = deriv(t)
+        m = s.m9
         try:
-            ra, rb, rQ1, rQ2 = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)
-            ode = max(
-                abs(da - ra),
-                abs(db - rb),
-                float(np.max(np.abs(dQ1 - rQ1))),
-                float(np.max(np.abs(dQ2 - rQ2))),
-            )
+            r = flow._stage(s.lam, [s.a, s.b] + m.q1 + m.q2, s.orientation)
+            ode = max_abs([u - v for u, v in zip([da, db] + flat9(dQ1) + flat9(dQ2), r)])
             g2 = flow.g2_residual(s, da, db, dQ1, dQ2)
         except StructureError as exc:
             print(f"error at t = {t:.4f}: {exc}", file=sys.stderr)
@@ -398,28 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numpy_quiet(func):
-    """np.errstate(all="ignore") for the commands that use numpy, and no
-    context for those that run on Python floats (`FLOAT_COMMANDS`)."""
-    if func in FLOAT_COMMANDS:
-        return nullcontext()
-    import numpy as np
-
-    return np.errstate(all="ignore")
-
-
-def _numerical_errors() -> tuple:
-    """The errors of a numerical failure: ArithmeticError, which a Python
-    float's division by zero or overflow raises, and numpy's LinAlgError
-    when numpy is loaded."""
-    np = sys.modules.get("numpy")
-    return (ArithmeticError,) if np is None else (ArithmeticError, np.linalg.LinAlgError)
-
-
-#: The commands that run on Python floats and do not import numpy.
-FLOAT_COMMANDS = (cmd_check, cmd_classify, cmd_flow)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -428,11 +404,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        # non-finite intermediate values are reported by the strict JSON
-        # output and the error lines below, not by numpy warnings; the
-        # commands that run on Python floats leave numpy unloaded
-        with _numpy_quiet(args.func):
-            return args.func(args)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except flow.FlowSingularityError as exc:
@@ -441,7 +413,7 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except _numerical_errors() as exc:
+    except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

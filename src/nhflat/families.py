@@ -4,38 +4,55 @@ These are the reference points everything else is tested against: the
 unique invariant nearly Kahler structure, the one-parameter families with
 torsion in W1 and in W1- + W3, the zero scalar curvature solutions, and
 the Berger / sine-cone trajectories that solve the evolution equations.
+
+Runs on `math` and Python floats: P and Q are handed to `NhfStructure` as
+nested 3x3 lists, and the derivatives of the trajectories return dQ1 and
+dQ2 in that layout, the one of a record's P and Q.  A multiple x Id is
+`_eye(x)`, whose off-diagonal entries are x * 0: a record of a member
+with x < 0 has -0.0 there.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import math
 
 from nhflat.structure import NhfStructure, StructureError
 
-SQRT3 = np.sqrt(3.0)
+SQRT3 = math.sqrt(3.0)
 
 
 class FamilyRangeError(StructureError):
     """Parameter outside the family's admissible range."""
 
 
+def _eye(x) -> list:
+    """x Id as nested lists."""
+    return [[x * (i == j) for j in range(3)] for i in range(3)]
+
+
+def _diag(values) -> list:
+    """The diagonal matrix of three values as nested lists."""
+    return [[v if i == j else 0.0 for j in range(3)] for i, v in enumerate(values)]
+
+
 def _closed_form(build):
     """Family constructor that raises FamilyRangeError, not an arithmetic
     error or a member with a non-finite entry or det P, where its closed
     form under- or overflows (nearly_kahler at lambda = 1e-110: lambda^3 is
-    0; at lambda = 1e-60: det P is inf)."""
+    0; at lambda = 1e-60: det P is inf).  The arguments, all numbers, are
+    taken as Python floats, so that a numpy scalar raises as a float does;
+    the ValueError caught is that of `math.cos` at an infinite angle."""
 
     @functools.wraps(build)
     def member(*args, **kwargs):
         try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                s = build(*args, **kwargs)
-            finite = all(
-                np.isfinite(v).all() for v in (s.lam, s.a, s.b, s.det_p, s.P, s.Q)
-            )
-        except ArithmeticError:
+            s = build(*map(float, args), **{k: float(v) for k, v in kwargs.items()})
+            m = s.m9
+            finite = all(map(math.isfinite, [s.lam, s.a, s.b, s.det_p] + m.p + m.q))
+        except StructureError:
+            raise
+        except (ArithmeticError, ValueError):
             finite = False
         if not finite:
             raise FamilyRangeError(
@@ -55,7 +72,7 @@ def nearly_kahler(lam: float, sign_p: int = 1) -> NhfStructure:
         raise FamilyRangeError("lambda must be nonzero")
     p = sign_p * 4.0 * SQRT3 / (9.0 * lam * lam)
     ab = 16.0 / (27.0 * lam**3)
-    return NhfStructure(lam, ab, ab, p * np.eye(3), np.zeros((3, 3)))
+    return NhfStructure(lam, ab, ab, _eye(p), _eye(0.0))
 
 
 @_closed_form
@@ -68,9 +85,9 @@ def w1_family(lam: float, p: float, sign_q: int = 1) -> NhfStructure:
         raise FamilyRangeError(
             f"|p| must lie in (0, {4.0 * SQRT3 / (9.0 * lam * lam):.6g})"
         )
-    q = sign_q * p * np.sqrt(disc) / 6.0
+    q = sign_q * p * math.sqrt(disc) / 6.0
     ab = lam * p * p
-    return NhfStructure(lam, ab, ab, p * np.eye(3), q * np.eye(3))
+    return NhfStructure(lam, ab, ab, _eye(p), _eye(q))
 
 
 @_closed_form
@@ -82,15 +99,15 @@ def w1w3_family(a: float, sign_p: int = 1) -> NhfStructure:
         raise FamilyRangeError("requires a > 1/256")
     b = 512.0 * a * a / den
     q = 128.0 * a * a / den
-    p = sign_p * 8.0 * a / np.sqrt(den)
-    return NhfStructure(4.0, a, b, p * np.eye(3), q * np.eye(3))
+    p = sign_p * 8.0 * a / math.sqrt(den)
+    return NhfStructure(4.0, a, b, _eye(p), _eye(q))
 
 
 def _zero_scalar_q(p: float, inner_sign: int) -> float:
     disc = 36.0 * p * p + inner_sign * 3.0 * SQRT3 * p
     if disc < 0:
         raise FamilyRangeError("q is not real at this p")
-    return p * np.sqrt(disc) / 3.0
+    return p * math.sqrt(disc) / 3.0
 
 
 @_closed_form
@@ -98,7 +115,7 @@ def zero_scalar_structure(p: float, inner_sign: int, sign_q: int = 1) -> NhfStru
     """Single member of the a = b = 0, P = p Id, Q = q Id, lambda = 4 family
     with q^2 = 4 p^4 + inner_sign * p^3 / sqrt(3)."""
     q = sign_q * _zero_scalar_q(p, inner_sign)
-    return NhfStructure(4.0, 0.0, 0.0, p * np.eye(3), q * np.eye(3))
+    return NhfStructure(4.0, 0.0, 0.0, _eye(p), _eye(q))
 
 
 def zero_scalar_s(p: float, inner_sign: int) -> float:
@@ -132,41 +149,30 @@ def zero_scalar_family(branch: str):
 def berger_trajectory(t: float) -> NhfStructure:
     """The cohomogeneity-one slice of the homogeneous nearly parallel
     structure on the Berger space, lambda = 6/sqrt(5), t in (0, pi/3)."""
-    r5 = np.sqrt(5.0)
-    a = (7.0 - 2.0 * np.cos(3.0 * t)) / (20.0 * r5)
-    b = -(7.0 + 2.0 * np.cos(3.0 * t)) / (20.0 * r5)
-    angles = np.array([t, t - 2.0 * np.pi / 3.0, t + 2.0 * np.pi / 3.0])
-    P = np.diag(np.sin(angles)) / r5
-    Q = np.diag(np.cos(angles)) / (5.0 * r5)
+    r5 = math.sqrt(5.0)
+    a = (7.0 - 2.0 * math.cos(3.0 * t)) / (20.0 * r5)
+    b = -(7.0 + 2.0 * math.cos(3.0 * t)) / (20.0 * r5)
+    angles = (t, t - 2.0 * math.pi / 3.0, t + 2.0 * math.pi / 3.0)
+    P = _diag([math.sin(x) / r5 for x in angles])
+    Q = _diag([math.cos(x) / (5.0 * r5) for x in angles])
     return NhfStructure(6.0 / r5, a, b, P, Q)
 
 
 def berger_derivative(t: float):
     """Analytic t-derivative of (a, b, Q1, Q2) along the Berger trajectory."""
-    r5 = np.sqrt(5.0)
-    lam = 6.0 / r5
-    da = 6.0 * np.sin(3.0 * t) / (20.0 * r5)
-    db = 6.0 * np.sin(3.0 * t) / (20.0 * r5)
-    angles = np.array([t, t - 2.0 * np.pi / 3.0, t + 2.0 * np.pi / 3.0])
-    dP = np.diag(np.cos(angles)) / r5
-    dQ = -np.diag(np.sin(angles)) / (5.0 * r5)
+    r5 = math.sqrt(5.0)
+    h = 0.5 * (6.0 / r5)  # lambda / 2
+    da = 6.0 * math.sin(3.0 * t) / (20.0 * r5)
+    angles = (t, t - 2.0 * math.pi / 3.0, t + 2.0 * math.pi / 3.0)
+    s = [math.sin(x) for x in angles]
+    c = [math.cos(x) for x in angles]
+    dq = [-x / (5.0 * r5) for x in s]
     # Adj of a diagonal matrix is the product of the other two entries;
     # its derivative follows by the product rule
-    s = np.sin(angles)
-    c = np.cos(angles)
-    dadj = (
-        np.diag(
-            [
-                c[1] * s[2] + s[1] * c[2],
-                c[0] * s[2] + s[0] * c[2],
-                c[0] * s[1] + s[0] * c[1],
-            ]
-        )
-        / 5.0
-    )
-    dQ1 = dQ - 0.5 * lam * dadj
-    dQ2 = -dQ - 0.5 * lam * dadj
-    return da, db, dQ1, dQ2
+    dadj = [(c[j] * s[k] + s[j] * c[k]) / 5.0 for j, k in ((1, 2), (0, 2), (0, 1))]
+    dQ1 = _diag([x - h * y for x, y in zip(dq, dadj)])
+    dQ2 = _diag([-x - h * y for x, y in zip(dq, dadj)])
+    return da, da, dQ1, dQ2
 
 
 @_closed_form
@@ -178,25 +184,23 @@ def sine_cone_trajectory(t: float, sign_p: int = 1) -> NhfStructure:
     The sign of q is the one that actually solves the evolution equations
     from the nearly Kahler point (q'(0) = -1/(36 sqrt 3) < 0) and gives
     w1+ = 6 cot(2t + pi/2)."""
-    c = np.cos(2.0 * t)
+    c = math.cos(2.0 * t)
     if abs(c) < 1e-12:
         raise FamilyRangeError("degenerate time: cos(2t) = 0")
     ab = c**4 / 108.0
     p = sign_p * SQRT3 / 36.0 * c * c
-    q = -sign_p * SQRT3 / 216.0 * c**3 * np.sin(2.0 * t)
-    return NhfStructure(4.0, ab, ab, p * np.eye(3), q * np.eye(3))
+    q = -sign_p * SQRT3 / 216.0 * c**3 * math.sin(2.0 * t)
+    return NhfStructure(4.0, ab, ab, _eye(p), _eye(q))
 
 
 def sine_cone_derivative(t: float, sign_p: int = 1):
     """Analytic t-derivative of (a, b, Q1, Q2) along the sine-cone path."""
     lam = 4.0
-    c, s = np.cos(2.0 * t), np.sin(2.0 * t)
+    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
     dab = -8.0 * c**3 * s / 108.0
     dp = sign_p * SQRT3 / 36.0 * (-4.0 * c * s)
     dq = -sign_p * SQRT3 / 216.0 * (-6.0 * c * c * s * s + 2.0 * c**4)
     p = sign_p * SQRT3 / 36.0 * c * c
     # Adj(P^T) = p^2 Id for P = p Id, so d/dt Adj = 2 p p' Id
-    dadj = 2.0 * p * dp * np.eye(3)
-    dQ1 = dq * np.eye(3) - 0.5 * lam * dadj
-    dQ2 = -dq * np.eye(3) - 0.5 * lam * dadj
-    return dab, dab, dQ1, dQ2
+    dadj = 2.0 * p * dp
+    return dab, dab, _eye(dq - 0.5 * lam * dadj), _eye(-dq - 0.5 * lam * dadj)

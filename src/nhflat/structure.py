@@ -96,18 +96,35 @@ _THREE_FORM_TABLE = (
 )
 
 
+def _table_coeffs(degree: int, table, values) -> list:
+    """The coefficients, in basis order, of the form with sign * values[n]
+    at (position, sign) = table[n] and 0 elsewhere; exact, and a zero
+    coefficient is +0.0, as in a sum of products."""
+    coeffs = [0.0] * DIMS[degree]
+    for (k, sign), v in zip(table, values):
+        coeffs[k] = sign * v + 0.0
+    return coeffs
+
+
 def _table_form(degree: int, table, values) -> Form:
-    """The form with sign * values[n] at (position, sign) = table[n] and 0
-    elsewhere; exact, and a zero coefficient is +0.0, as in a sum of
-    products."""
+    """The form with the coefficients `_table_coeffs`."""
     import numpy as np
 
     from nhflat.exterior import _form
 
-    coeffs = [0.0] * DIMS[degree]
-    for (k, sign), v in zip(table, values):
-        coeffs[k] = sign * v + 0.0
-    return _form(degree, np.array(coeffs))
+    return _form(degree, np.array(_table_coeffs(degree, table, values)))
+
+
+def three_form_coeffs(y) -> list:
+    """The 20 coefficients, in basis order, of the invariant 3-form with the
+    20-list y (see `invariant_three_form`)."""
+    return _table_coeffs(3, _THREE_FORM_TABLE, y)
+
+
+def omega_coeffs(x) -> list:
+    """The 15 coefficients, in basis order, of build_omega(X), X a row-major
+    9-list."""
+    return _table_coeffs(2, _OMEGA_TABLE, x)
 
 
 def invariant_three_form(c135: float, c246: float, M1, M2) -> Form:

@@ -78,6 +78,7 @@ decided on its 3x3 blocks (`NhfStructure.metric_spd`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import mul
 from typing import TYPE_CHECKING
@@ -90,6 +91,8 @@ from nhflat.structure import (
     bracket_hessian9,
     build_omega,
     invariant_three_form,
+    omega_coeffs,
+    three_form_coeffs,
     three_form_volume,
     three_form_wedge_omega,
 )
@@ -131,8 +134,8 @@ class TorsionData:
         return {
             "w1plus": self.w1plus,
             "w1minus": self.w1minus,
-            "w2minus": self.w2minus.coeffs.tolist(),
-            "w3": self.w3.coeffs.tolist(),
+            "w2minus": omega_coeffs(self.w2minus_coords),
+            "w3": three_form_coeffs(self.w3_coords),
             "s": self.s,
             "class": self.class_label,
             "residuals": dict(self.residuals),
@@ -386,11 +389,11 @@ def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):
 
     Requires w2- = 0.  Returns (theta, gamma_theta, relative residual of
     d gamma_theta = 0) with theta = arctan(3 lambda / (4 w1+)); theta = pi/2
-    when w1+ = 0.  Both "= 0" verdicts are those of `classify`."""
-    import numpy as np
-
-    from nhflat.exterior import d
-
+    when w1+ = 0.  Both "= 0" verdicts are those of `classify`.
+    gamma_theta = cos(theta) gamma + sin(theta) J gamma is returned as its
+    20-list (see `structure.invariant_three_form`); d of the 3-form with the
+    20-list (c, d, M1, M2) is de_de_form(M1 + M2), so the residual is read
+    off M1 + M2."""
     report = classify(structure, tol=max(tol, CLASSIFY_TOL))
     if "W2-" in report.label:
         raise InvalidStructureError(
@@ -399,10 +402,12 @@ def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):
             "no closed rotation exists"
         )
     if report.w1plus_zero:
-        theta = 0.5 * np.pi
+        theta = 0.5 * math.pi
     else:
-        theta = float(np.arctan(3.0 * structure.lam / (4.0 * w1_plus(structure))))
-    cos_gamma = np.cos(theta) * structure.gamma
-    sin_jgamma = np.sin(theta) * structure.Jgamma
-    gamma_theta = cos_gamma + sin_jgamma
-    return theta, gamma_theta, relative(d(gamma_theta), cos_gamma, sin_jgamma)
+        theta = math.atan(3.0 * structure.lam / (4.0 * structure.w1plus))
+    m = structure.m9
+    cos_gamma = [math.cos(theta) * x for x in [structure.a, structure.b] + m.q1 + m.q2]
+    sin_jgamma = [math.sin(theta) * x for x in structure.jgamma_coords]
+    gamma_theta = [u + v for u, v in zip(cos_gamma, sin_jgamma)]
+    d_gamma_theta = [u + v for u, v in zip(gamma_theta[2:11], gamma_theta[11:20])]
+    return theta, gamma_theta, relative(d_gamma_theta, cos_gamma, sin_jgamma)

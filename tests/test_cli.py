@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nhflat import families
+from nhflat import cli, families
 from nhflat.cli import main
 from nhflat.structure import random_rotation
 
@@ -129,8 +129,12 @@ class TestFamily:
         assert "1/256" in err
 
     def test_missing_param_exit2(self, capsys):
-        code, _, _ = run(capsys, ["family", "--name", "w1"])
-        assert code == 2
+        # one error line that names the option the family needs
+        for name, option in [("w1", "--p"), ("w1w3", "--a"), ("zero-scalar", "--branch"),
+                             ("berger", "--t"), ("sine-cone", "--t")]:
+            code, out, err = run(capsys, ["family", "--name", name])
+            assert (code, out) == (2, "")
+            assert err == f"error: {name} requires {option}\n"
 
 
 class TestFlow:
@@ -313,6 +317,15 @@ BAD_INPUTS = {
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
+    "verify_g2_t_start_nan": (
+        ["verify-g2", "--family", "sine-cone", "--t-start", "nan"], None, None, 2
+    ),
+    "verify_g2_t_end_inf": (["verify-g2", "--family", "berger", "--t-end", "inf"], None, None, 2),
+    "family_w1_without_p": (["family", "--name", "w1"], None, None, 2),
+    "family_w1w3_without_a": (["family", "--name", "w1w3"], None, None, 2),
+    "family_zero_scalar_without_branch": (["family", "--name", "zero-scalar"], None, None, 2),
+    "family_berger_without_t": (["family", "--name", "berger"], None, None, 2),
+    "family_sine_cone_without_t": (["family", "--name", "sine-cone"], None, None, 2),
     "flow_t_end_inf": (["flow", "{nk}", "--t-end", "inf"], None, None, 2),
     "flow_t_start_nan": (
         ["flow", "{nk}", "--t-start", "nan", "--t-end", "0.01"], None, None, 2
@@ -408,6 +421,22 @@ class TestVerifyG2:
         assert payload["max_ode_resid"] > 1.0
 
 
+@pytest.mark.parametrize(
+    "t0, t1",
+    [(0.05, 0.3), (0.3, -0.25), (-1.7, 2.9), (0.2, 0.2), (0.0, -0.0), (0.0, 5e-324),
+     (0.0, 1.5e-323), (-1e308, 1e308), (1e-300, 3e-300)],
+)
+def test_sample_times_are_linspace(t0, t1):
+    # verify-g2's sample times, including where the step underflows to 0
+    # and where t1 - t0 overflows
+    for n in (1, 2, 3, 7, 20, 101):
+        with np.errstate(all="ignore"):
+            want = np.linspace(t0, t1, n).tolist()
+        got = cli._sample_times(t0, t1, n)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert [np.signbit(x) for x in got] == [np.signbit(x) for x in want]
+
+
 class TestUsage:
     def test_no_subcommand_exit2(self, capsys):
         assert main([]) == 2
@@ -442,9 +471,9 @@ def test_import_does_not_load_scipy_optimize():
 
 
 def test_check_classify_flow_do_not_load_numpy(tmp_path):
-    # they run on Python floats: numpy is imported neither by `import
-    # nhflat` nor by the three commands, on the nearly Kahler record and
-    # on a rotated w1w3 record; `family` imports it when it runs
+    # every subcommand runs on Python floats: numpy is imported neither by
+    # `import nhflat` nor by any of the six commands (`family` with every
+    # name), run on the nearly Kahler record and on a rotated w1w3 record
     rng = np.random.default_rng(5)
     records = {
         "nk": families.nearly_kahler(4.0),
@@ -456,29 +485,41 @@ def test_check_classify_flow_do_not_load_numpy(tmp_path):
         with open(paths[-1], "w") as fh:
             json.dump(s.to_record(), fh)
     csv = str(tmp_path / "x.csv")
+    runs = [[c, p] for p in paths for c in ("check", "classify", "rotate")]
+    runs += [["flow", p, "--t-end", "0.01", "--out", csv] for p in paths]
+    runs += [
+        ["family", "--name", "nk"],
+        ["family", "--name", "w1", "--lambda", "1", "--p", "0.5"],
+        ["family", "--name", "w1w3", "--a", "0.01", "--sign-p", "-1"],
+        ["family", "--name", "zero-scalar", "--branch", "plus"],
+        ["family", "--name", "berger", "--t", "0.3"],
+        ["family", "--name", "sine-cone", "--t", "0.2"],
+        ["verify-g2", "--family", "sine-cone"],
+        ["verify-g2", "--family", "berger"],
+    ]
     code = f"""
 import contextlib, io, json, sys
 import nhflat
 seen = [["import nhflat", 0, "numpy" in sys.modules]]
 from nhflat.cli import main
-runs = [[c, p] for p in {paths!r} for c in ("check", "classify")]
-runs += [["flow", p, "--t-end", "0.01", "--out", {csv!r}] for p in {paths!r}]
-runs.append(["family", "--name", "nk"])
-for argv in runs:
+outs = []
+for argv in {runs!r}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     seen.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(seen))
-print(out.getvalue())
+    outs.append(out.getvalue())
+print(json.dumps([seen, outs]))
 """
-    first, family_out = fresh_python(code).split("\n", 1)
-    seen = json.loads(first)
-    assert seen[:-1] == [["import nhflat", 0, False]] + [
-        [command, 0, False] for command in ("check", "classify") * 2 + ("flow", "flow")
+    seen, outs = json.loads(fresh_python(code))
+    # the Berger data fails verify-g2 as documented (TestVerifyG2)
+    exits = [0] * (len(runs) - 1) + [1]
+    assert seen == [["import nhflat", 0, False]] + [
+        [argv[0], want, False] for argv, want in zip(runs, exits)
     ]
-    assert seen[-1] == ["family", 0, True]
-    assert json.loads(family_out) == families.nearly_kahler(4.0).to_record()
+    assert json.loads(outs[runs.index(["family", "--name", "nk"])]) == (
+        families.nearly_kahler(4.0).to_record()
+    )
 
 
 def test_lazy_exports():

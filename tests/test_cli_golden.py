@@ -12,7 +12,13 @@ The CSV and the flow summary must match byte for byte.  Of the JSON of
 be identical, and so must every number but three that were BLAS products
 before and are sums in Python now: ``residuals.j_squared`` (J @ J),
 ``w1plus`` (tr(P^T R)) and ``s``.  These must agree to 1e-12 relative to
-their terms."""
+their terms.
+
+``commands.json`` holds the exit code, stdout and stderr of ``family``
+(every name, both signs, and parameters out of range), ``rotate`` (the
+five records) and ``verify-g2`` (both trajectories) as they were when
+these commands ran on numpy (f9f0ab2); ``{golden}`` in an argv stands for
+this directory.  They must match byte for byte."""
 
 import json
 import os
@@ -96,3 +102,16 @@ def test_flow_matches_golden_bytes(family, capsys, tmp_path):
     assert got == golden(family)["flow"]
     with open(os.path.join(GOLDEN, f"{family}.flow.csv")) as fh:
         assert out.read_text() == fh.read()
+
+
+def commands():
+    with open(os.path.join(GOLDEN, "commands.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "case", commands(), ids=lambda c: " ".join(c["argv"]).replace("{golden}/", "")
+)
+def test_family_rotate_verify_g2_match_golden_bytes(case, capsys):
+    got = run(capsys, [arg.format(golden=GOLDEN) for arg in case["argv"]])
+    assert got == {key: case[key] for key in ("exit", "stdout", "stderr")}

@@ -66,8 +66,15 @@ class TestNearlyKahler:
         with pytest.raises(families.FamilyRangeError):
             families.nearly_kahler(0.0)
 
-    @pytest.mark.parametrize("lam", [1e-110, -1e-110, 1e-60, np.nan])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lam",
+        [1e-110, -1e-110, 1e-60, np.nan,
+         pytest.param(np.float64(1e-110), id="numpy-1e-110"),
+         pytest.param(np.float64(1e-60), id="numpy-1e-60")],
+    )
     def test_unrepresentable_lambda_rejected(self, lam):
+        # a numpy scalar raises as a float does, with no RuntimeWarning
         # lambda^3 underflows to 0 at 1e-110; det P overflows at 1e-60
         with pytest.raises(families.FamilyRangeError, match="under- or overflows"):
             families.nearly_kahler(lam)
@@ -193,7 +200,7 @@ class TestSineCone:
         da, db, dQ1, dQ2 = families.sine_cone_derivative(0.0)
         assert da == pytest.approx(0.0, abs=1e-15)
         assert db == pytest.approx(0.0, abs=1e-15)
-        dq = 0.5 * (dQ1[0, 0] - dQ2[0, 0])
+        dq = 0.5 * (dQ1[0][0] - dQ2[0][0])
         assert dq == pytest.approx(-SQRT3 / 108.0, abs=1e-12)
 
     def test_w1plus_cotangent_law(self):

@@ -305,7 +305,7 @@ class TestG2Residual:
             s = member(float(t))
             dQ1, dQ2 = deriv(float(t))[2:]
             want = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
-            got = 2.0 * de_de_form((dQ1 + dQ2) / s.lam)
+            got = 2.0 * de_de_form(np.add(dQ1, dQ2) / s.lam)
             assert relative(got - want, want) <= 1e-12
 
     def test_omega2_derivative_matches_p_chain_in_random_directions(self):

@@ -7,7 +7,7 @@ import pytest
 
 from nhflat import exterior, families
 from nhflat.exterior import d, form_inner, wedge
-from nhflat.structure import NhfStructure, sample_random_structure
+from nhflat.structure import NhfStructure, invariant_three_form, sample_random_structure
 from nhflat.torsion import (
     classify,
     extract_torsion,
@@ -31,6 +31,16 @@ class TestDecomposition:
             data = extract_torsion(s)
             assert data.residuals["domega"] < 1e-9
             assert data.residuals["djgamma"] < 1e-9
+
+    def test_record_holds_the_coefficients_of_the_forms(self):
+        # to_record reads the coordinate lists; the forms agree to the bit
+        samples = [sample_random_structure(seed) for seed in range(3)]
+        samples += [sample_random_structure(seed, method="root-solve") for seed in range(2)]
+        for s in samples:
+            data = extract_torsion(s)
+            record = data.to_record()
+            assert record["w2minus"] == data.w2minus.coeffs.tolist()
+            assert record["w3"] == data.w3.coeffs.tolist()
 
     def test_w3_module_membership(self):
         for seed in range(5):
@@ -161,17 +171,38 @@ class TestRotation:
             lam = rng.uniform(0.5, 2.0)
             pmax = 4.0 * SQRT3 / (9.0 * lam * lam)
             s = families.w1_family(lam, rng.uniform(0.2, 0.9) * pmax)
-            theta, gamma_theta, residual = rotate_to_half_flat(s)
+            theta, y, residual = rotate_to_half_flat(s)
             w1p = w1_plus(s)
             assert theta == pytest.approx(np.arctan(3.0 * lam / (4.0 * w1p)))
             assert residual < 1e-9
-            assert d(gamma_theta).max_abs() < 1e-9
+            # gamma_theta is a 20-list; d of its form is the oracle
+            assert d(invariant_three_form(y[0], y[1], y[2:11], y[11:20])).max_abs() < 1e-9
 
     def test_w1pluszero_gives_pi_over_two(self):
         s = families.w1w3_family(0.01)
         theta, gamma_theta, residual = rotate_to_half_flat(s)
         assert theta == pytest.approx(np.pi / 2.0)
         assert residual < 1e-9
+
+    def test_coordinates_match_the_form_oracle(self):
+        # gamma_theta's coefficients and the residual are those of
+        # cos(theta) gamma + sin(theta) J gamma as forms, with d of the
+        # exterior algebra, to the bit
+        from nhflat.structure import random_rotation, three_form_coeffs
+
+        rng = np.random.default_rng(11)
+        for k in range(20):
+            lam = rng.uniform(0.5, 2.5)
+            pmax = 4.0 * SQRT3 / (9.0 * lam * lam)
+            base = (families.w1_family(lam, rng.uniform(0.1, 0.95) * pmax) if k % 2
+                    else families.w1w3_family(1.0 / 256.0 + rng.uniform(1e-3, 0.2)))
+            s = base.rotated(random_rotation(rng), random_rotation(rng))
+            theta, y, residual = rotate_to_half_flat(s)
+            cos_gamma = np.cos(theta) * s.gamma
+            sin_jgamma = np.sin(theta) * s.Jgamma
+            form = cos_gamma + sin_jgamma
+            assert three_form_coeffs(y) == form.coeffs.tolist()
+            assert residual == exterior.relative(d(form), cos_gamma, sin_jgamma)
 
     def test_nonzero_w2_rejected(self):
         from nhflat.structure import InvalidStructureError
