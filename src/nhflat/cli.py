@@ -16,9 +16,10 @@ number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
 below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
 ``flow.MAX_STEPS`` steps, ``family`` without the option its ``--name``
 needs or with a parameter at which the closed form under- or overflows,
-and ``verify-g2`` with ``--samples`` below 1 or a non-finite
-``--t-start`` / ``--t-end``.  Output JSON is strict: a result with a
-non-finite number exits 1 instead of printing NaN or Infinity.
+``verify-g2`` with ``--samples`` below 1 or a non-finite
+``--t-start`` / ``--t-end``, and an ``--out`` path that cannot be
+written.  Output JSON is strict: a result with a non-finite number exits
+1 instead of printing NaN or Infinity.
 
 Every subcommand runs on Python floats and none imports numpy.  A Python
 float's division by zero or overflowing power raises ArithmeticError,
@@ -96,11 +97,19 @@ def _dumps(payload, **kwargs) -> str:
         raise SystemExit(EXIT_INVALID)
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to the file path; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _usage_error(f"cannot write output: {exc}")
+
+
 def _emit(payload, out=None):
     text = _dumps(payload, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -174,8 +183,8 @@ def cmd_flow(args) -> int:
             return EXIT_INVALID
         structures.append(s)
     batch = len(structures) > 1
-    code = EXIT_OK
-    summaries = []
+    # stderr is written last, so that an unwritable --out is its one line
+    code, notes, summaries = EXIT_OK, [], []
     for k, s in enumerate(structures):
         try:
             traj = flow.integrate(
@@ -187,18 +196,18 @@ def cmd_flow(args) -> int:
             summary = traj.to_record() if traj.samples else {}
             summary["terminated"] = "singular"
             summary["last_good_t"] = float(traj.samples[-1].t) if traj.samples else None
-            print(f"flow singularity near t = {exc.t:.6f}", file=sys.stderr)
+            notes.append(f"flow singularity near t = {exc.t:.6f}")
             summaries.append(summary)
             code = EXIT_SINGULAR
             if args.out and traj.samples:
-                traj.to_csv(_batch_path(args.out, k, batch))
+                _write(_batch_path(args.out, k, batch), traj.to_csv())
             continue
         summaries.append(traj.to_record())
         if args.out:
-            traj.to_csv(_batch_path(args.out, k, batch))
+            _write(_batch_path(args.out, k, batch), traj.to_csv())
         else:
             sys.stdout.write(traj.to_csv())
-    for text in [_dumps(summary) for summary in summaries]:
+    for text in notes + [_dumps(summary) for summary in summaries]:
         print(text, file=sys.stderr)
     return code
 

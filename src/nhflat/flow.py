@@ -31,8 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from nhflat.mat3 import flat9
 from nhflat.structure import (
@@ -172,8 +171,7 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
     return _unpack(_stage(lam, _pack(a, b, Q1, Q2), _sign(det_p_sign)))
 
 
-@dataclass
-class FlowSample:
+class FlowSample(NamedTuple):
     """One stored point of an integrated trajectory; norm_resid and
     sym_resid are the structure's relative `validate` residuals and
     `passed` is the verdict of that `validate` report."""
@@ -196,13 +194,15 @@ class FlowSample:
         )
 
 
-@dataclass
 class Trajectory:
-    lam: float
-    samples: list = field(default_factory=list)
-    terminated: str = "completed"
-    #: RK4 steps taken, recorded or not.
-    steps: int = 0
+    """The samples of an `integrate` run, how it ended (``terminated``:
+    "completed" or "singular") and the RK4 steps taken, recorded or not."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.samples = []
+        self.terminated = "completed"
+        self.steps = 0
 
     def to_csv(self, path=None) -> str:
         buf = io.StringIO()
@@ -335,7 +335,7 @@ def integrate(
 
     y = [initial.a, initial.b] + initial.m9.q1 + initial.m9.q2
     sign = _sign(initial.det_p)
-    traj = Trajectory(lam=lam)
+    traj = Trajectory(lam)
 
     def sample(t, y):
         q1, q2 = y[2:11], y[11:20]

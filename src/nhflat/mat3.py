@@ -7,10 +7,10 @@ Each formula is written once over row-major 9-sequences
 (`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`) and the
 transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
-sequence, or a 9-sequence, into such a list, without numpy.  The flow's
-RK4 kernel (``structure.abr9``, ``flow._recover9``) writes the 9-sequence
-expressions out inline instead of calling these helpers, and rounds
-exactly as they do.
+sequence, or a 9-sequence, into such a list, without numpy.  The package
+computes every 3x3 product, cofactor and determinant with them, except in
+the flow's RK4 kernel (``structure.abr9``, ``flow._recover9``), which
+writes their expressions out inline and rounds exactly as they do.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

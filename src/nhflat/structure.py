@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
@@ -150,19 +149,10 @@ def three_form_wedge_omega(m1, m2, x) -> list:
     and X row-major 9-sequences; c135 and c246 drop out.  They are the
     entries above the diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T,
     with signs."""
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = m1
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = m2
-    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
-    return [
-        # with U = M1^T X - X^T M1, V = M2 X^T - X M2^T, they are
-        # U01, -V01, -U02, V02, U12 and -V12
-        (u00 * x01 + u10 * x11 + u20 * x21) - (u01 * x00 + u11 * x10 + u21 * x20),
-        (v10 * x00 + v11 * x01 + v12 * x02) - (v00 * x10 + v01 * x11 + v02 * x12),
-        (u02 * x00 + u12 * x10 + u22 * x20) - (u00 * x02 + u10 * x12 + u20 * x22),
-        (v00 * x20 + v01 * x21 + v02 * x22) - (v20 * x00 + v21 * x01 + v22 * x02),
-        (u01 * x02 + u11 * x12 + u21 * x22) - (u02 * x01 + u12 * x11 + u22 * x21),
-        (v20 * x10 + v21 * x11 + v22 * x12) - (v10 * x20 + v11 * x21 + v12 * x22),
-    ]
+    g = mul9(transpose9(m1), x)
+    h = mul9(m2, transpose9(x))
+    # with U = g - g^T, V = h - h^T, they are U01, -V01, -U02, V02, U12 and -V12
+    return [g[1] - g[3], h[3] - h[1], g[6] - g[2], h[2] - h[6], g[5] - g[7], h[7] - h[5]]
 
 
 def three_form_volume(x, y) -> float:
@@ -314,58 +304,17 @@ def _j_blocks9(a: float, b: float, q1, q2):
         eo =  2 (b Q1^T - Adj(Q2)),   ee = -(a b - tr(Q1^T Q2)) Id - 2 Q1^T Q2,
 
     the (i, j) entry of each at (2 i, 2 j), (2 i, 2 j + 1), (2 i + 1, 2 j)
-    and (2 i + 1, 2 j + 1) of the matrix (see `_interleave`).  Written out
-    over local variables like `abr9`, with the products, cofactors and
-    rounding of `mat3.mul9` and `cofactor9`."""
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
-    # g = Q1^T Q2 and h = Q2 Q1^T
-    g00 = u00 * v00 + u10 * v10 + u20 * v20
-    g01 = u00 * v01 + u10 * v11 + u20 * v21
-    g02 = u00 * v02 + u10 * v12 + u20 * v22
-    g10 = u01 * v00 + u11 * v10 + u21 * v20
-    g11 = u01 * v01 + u11 * v11 + u21 * v21
-    g12 = u01 * v02 + u11 * v12 + u21 * v22
-    g20 = u02 * v00 + u12 * v10 + u22 * v20
-    g21 = u02 * v01 + u12 * v11 + u22 * v21
-    g22 = u02 * v02 + u12 * v12 + u22 * v22
-    h00 = v00 * u00 + v01 * u01 + v02 * u02
-    h01 = v00 * u10 + v01 * u11 + v02 * u12
-    h02 = v00 * u20 + v01 * u21 + v02 * u22
-    h10 = v10 * u00 + v11 * u01 + v12 * u02
-    h11 = v10 * u10 + v11 * u11 + v12 * u12
-    h12 = v10 * u20 + v11 * u21 + v12 * u22
-    h20 = v20 * u00 + v21 * u01 + v22 * u02
-    h21 = v20 * u10 + v21 * u11 + v22 * u12
-    h22 = v20 * u20 + v21 * u21 + v22 * u22
-    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
-    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
-    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
-    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
-    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
-    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
-    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
-    t = a * b - (g00 + g11 + g22)
-    oo = [
-        2 * h00 + t, 2 * h01, 2 * h02,
-        2 * h10, 2 * h11 + t, 2 * h12,
-        2 * h20, 2 * h21, 2 * h22 + t,
-    ]
-    oe = [
-        -2 * (a * v00 - k00), -2 * (a * v01 - k01), -2 * (a * v02 - k02),
-        -2 * (a * v10 - k10), -2 * (a * v11 - k11), -2 * (a * v12 - k12),
-        -2 * (a * v20 - k20), -2 * (a * v21 - k21), -2 * (a * v22 - k22),
-    ]
-    eo = [
-        2 * (b * u00 - c00), 2 * (b * u10 - c10), 2 * (b * u20 - c20),
-        2 * (b * u01 - c01), 2 * (b * u11 - c11), 2 * (b * u21 - c21),
-        2 * (b * u02 - c02), 2 * (b * u12 - c12), 2 * (b * u22 - c22),
-    ]
-    ee = [
-        -2 * g00 - t, -2 * g01, -2 * g02,
-        -2 * g10, -2 * g11 - t, -2 * g12,
-        -2 * g20, -2 * g21, -2 * g22 - t,
-    ]
+    and (2 i + 1, 2 j + 1) of the matrix (see `_interleave`)."""
+    q1t = transpose9(q1)
+    g, h = mul9(q1t, q2), mul9(q2, q1t)
+    t = a * b - (g[0] + g[4] + g[8])
+    oo = [2 * x for x in h]
+    ee = [-2 * x for x in g]
+    for i in (0, 4, 8):  # + t Id and - t Id
+        oo[i] += t
+        ee[i] -= t
+    oe = [-2 * (a * v - x) for v, x in zip(q2, cofactor9(q1))]
+    eo = [2 * (b * u - x) for u, x in zip(q1t, transpose9(cofactor9(q2)))]
     return oo, oe, eo, ee
 
 
@@ -412,8 +361,9 @@ def omega_component_matrix(omega: Form) -> np.ndarray:
     return W
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """The residuals, SPD verdict and tolerance of `NhfStructure.validate`."""
+
     residuals: dict
     metric_spd: bool
     tol: float
@@ -449,9 +399,9 @@ class Lists9(NamedTuple):
 
 class Sizes(NamedTuple):
     """Largest |entry| of each factor the validity and torsion verdicts
-    compare (see `tolerance.relative`)."""
+    compare (see `tolerance.relative`); omega's is that of P, since its
+    coefficients are those of P and zeros."""
 
-    om: float
     gam: float
     jg: float
     p: float
@@ -577,25 +527,17 @@ class NhfStructure:
     def w1plus(self) -> float:
         """w1+ = tr(P^T R) / (2 (det P)^2)."""
         m = self.m9
-        p, r = m.p, [x + y for x, y in zip(m.r1, m.r2)]
-        # the trace of P^T R, column by column
-        tr = (
-            (p[0] * r[0] + p[3] * r[3] + p[6] * r[6])
-            + (p[1] * r[1] + p[4] * r[4] + p[7] * r[7])
-            + (p[2] * r[2] + p[5] * r[5] + p[8] * r[8])
-        )
-        return tr / (2.0 * self.det_p * self.det_p)
+        g = mul9(transpose9(m.p), [x + y for x, y in zip(m.r1, m.r2)])
+        return (g[0] + g[4] + g[8]) / (2.0 * self.det_p * self.det_p)
 
     @cached_property
     def sizes(self) -> Sizes:
-        """Sizes of omega, gamma, J gamma, P, Q, Q1, Q2, R1 and R2."""
+        """Sizes of gamma, J gamma, P (and omega), Q, Q1, Q2, R1 and R2."""
         m = self.m9
-        p = max_abs(m.p)  # omega's coefficients are those of P and zeros
         return Sizes(
-            om=p,
             gam=max_abs([self.a, self.b] + m.q1 + m.q2),
             jg=max_abs(self.jgamma_coords),
-            p=p,
+            p=max_abs(m.p),
             q=max_abs(m.q),
             q1=max_abs(m.q1),
             q2=max_abs(m.q2),
@@ -655,7 +597,7 @@ class NhfStructure:
             z.q1 * z.q2 * z.q1 * z.q2,
         ))
         jg = self.jgamma_coords
-        size = term_size(z.jg * z.om)
+        size = term_size(z.jg * z.p)
         res += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], m.p)]
         return res
 

@@ -79,9 +79,8 @@ decided on its 3x3 blocks (`NhfStructure.metric_spd`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from nhflat.mat3 import cofactor9, mul9, transpose9
 from nhflat.structure import (
@@ -106,8 +105,7 @@ CLASSIFY_TOL = 1e-7
 CLASS_LABELS = ("W1-", "W1", "W1-+W3", "W1+W3", "W1-+W2-+W3", "W1+W2-+W3")
 
 
-@dataclass
-class TorsionData:
+class TorsionData(NamedTuple):
     """The torsion of a structure.  w2- and w3 are held as coordinates, the
     row-major 9-list X of w2- = build_omega(X) and the 20-list of w3 (see
     `structure.invariant_three_form`); the forms `w2minus` and `w3` are
@@ -119,7 +117,7 @@ class TorsionData:
     w3_coords: list
     s: float
     class_label: str
-    residuals: dict = field(default_factory=dict)
+    residuals: dict
 
     @property
     def w2minus(self) -> Form:
@@ -169,10 +167,10 @@ def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
     y2 = [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
     y = [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B] + y1 + y2
     # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
-    size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
+    size = max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
     gamma = [s.a, s.b] + m.q1 + m.q2
     bad = max(
-        relative(three_form_wedge_omega(y1, y2, m.p), size * z.om),
+        relative(three_form_wedge_omega(y1, y2, m.p), size * z.p),
         relative(three_form_volume(y, gamma), size * z.gam),
         relative(three_form_volume(y, s.jgamma_coords), size * z.jg),
     )
@@ -227,10 +225,10 @@ def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
     x = [u / dp - tau * v for u, v in zip(ptp, p)]
     # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
     # over |omega| too: where w2- = 0, beta itself is roundoff
-    size = max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
+    size = max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
     bad = max(
         relative(three_form_wedge_omega(m.q1, m.q2, x), size * z.gam),
-        relative(2.0 * sum(map(mul, x, m.adj_pt)), size * z.om * z.om),
+        relative(2.0 * sum(map(mul, x, m.adj_pt)), size * z.p * z.p),
     )
     if not bad <= tol:
         raise InvalidStructureError(
@@ -303,8 +301,9 @@ def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Torsio
     )
 
 
-@dataclass
-class ClassReport:
+class ClassReport(NamedTuple):
+    """The label of `classify`, its four verdicts and their residuals."""
+
     label: str
     nearly_kahler: bool
     w1plus_zero: bool

@@ -335,6 +335,16 @@ BAD_INPUTS = {
     "family_lambda_underflow": (
         ["family", "--name", "nk", "--lambda", "1e-110"], None, None, 2
     ),
+    "check_out_unwritable": (["check", "{nk}", "--out", "{unwritable}"], None, None, 2),
+    "family_out_unwritable": (["family", "--name", "nk", "--out", "{unwritable}"], None, None, 2),
+    "flow_out_unwritable": (
+        ["flow", "{nk}", "--t-end", "0.002", "--out", "{unwritable}"], None, None, 2
+    ),
+    # the nearly Kahler flow at lambda = 4 turns singular near t = 0.548
+    "flow_singular_out_unwritable": (
+        ["flow", "{nk}", "--t-end", "1", "--record-every", "1000", "--out", "{unwritable}"],
+        None, None, 2,
+    ),
     "nan_in_classify_output": (
         ["classify", "{nk}"],
         None,
@@ -366,7 +376,7 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "tiny": rescaled(families.nearly_kahler(4.0), 1e27),
         "orientation": nk | {"orientation": "x"},
     }
-    paths = {"csv": str(tmp_path / "t.csv")}
+    paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
@@ -473,7 +483,9 @@ def test_import_does_not_load_scipy_optimize():
 def test_check_classify_flow_do_not_load_numpy(tmp_path):
     # every subcommand runs on Python floats: numpy is imported neither by
     # `import nhflat` nor by any of the six commands (`family` with every
-    # name), run on the nearly Kahler record and on a rotated w1w3 record
+    # name), run on the nearly Kahler record and on a rotated w1w3 record;
+    # nor are dataclasses and the inspect module it imports, since the
+    # result records are NamedTuples
     rng = np.random.default_rng(5)
     records = {
         "nk": families.nearly_kahler(4.0),
@@ -500,22 +512,24 @@ def test_check_classify_flow_do_not_load_numpy(tmp_path):
     code = f"""
 import contextlib, io, json, sys
 import nhflat
-seen = [["import nhflat", 0, "numpy" in sys.modules]]
+def loaded():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+seen = [["import nhflat", 0, loaded()]]
 from nhflat.cli import main
 outs = []
 for argv in {runs!r}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    seen.append([argv[0], code, "numpy" in sys.modules])
+    seen.append([argv[0], code, loaded()])
     outs.append(out.getvalue())
 print(json.dumps([seen, outs]))
 """
     seen, outs = json.loads(fresh_python(code))
     # the Berger data fails verify-g2 as documented (TestVerifyG2)
     exits = [0] * (len(runs) - 1) + [1]
-    assert seen == [["import nhflat", 0, False]] + [
-        [argv[0], want, False] for argv, want in zip(runs, exits)
+    assert seen == [["import nhflat", 0, []]] + [
+        [argv[0], want, []] for argv, want in zip(runs, exits)
     ]
     assert json.loads(outs[runs.index(["family", "--name", "nk"])]) == (
         families.nearly_kahler(4.0).to_record()

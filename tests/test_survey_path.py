@@ -129,13 +129,13 @@ def implied_residuals(s):
     delta = invariant_three_form(0.0, 0.0, -adj_pt, -adj_pt)
     g = induced_metric(s)
     return {
-        "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.om),
+        "gamma_wedge_omega": relative(wedge(gam, om), z.gam * z.p),
         "gamma_wedge_jgamma": relative(
-            wedge(gam, jg) - (2.0 / 3.0) * om3, z.gam * z.jg, z.om * z.om * z.om
+            wedge(gam, jg) - (2.0 / 3.0) * om3, z.gam * z.jg, z.p * z.p * z.p
         ),
-        "dgamma": relative(d(gam) - 0.5 * s.lam * om2, z.gam, s.lam * z.om * z.om),
-        "ddelta": relative(d(delta) - om2, delta, z.om * z.om),
-        "metric_symmetry": relative(g - g.T, z.om * np.max(np.abs(s.J))),
+        "dgamma": relative(d(gam) - 0.5 * s.lam * om2, z.gam, s.lam * z.p * z.p),
+        "ddelta": relative(d(delta) - om2, delta, z.p * z.p),
+        "metric_symmetry": relative(g - g.T, z.p * np.max(np.abs(s.J))),
     }
 
 
@@ -251,7 +251,7 @@ def test_t_slice_pieces_are_identities():
         a, b = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
         s = NhfStructure(rng.uniform(0.1, 10.0) * rng.choice([-1, 1]), a, b, P, Q)
         z = s.sizes
-        domega2 = relative(d(wedge(s.omega, s.omega)), z.om * z.om)
+        domega2 = relative(d(wedge(s.omega, s.omega)), z.p * z.p)
         worst = max(worst, implied_residuals(s)["dgamma"], domega2)
     assert worst <= 1e-14
 
@@ -275,14 +275,14 @@ def lstsq_w2_minus(s):
     target = d(s.Jgamma) + (2.0 / 3.0) * w1p * om2
     A = np.vstack(
         [
-            _wedge_operator(s.omega, 2) / z.om,
+            _wedge_operator(s.omega, 2) / z.p,
             _wedge_operator(s.gamma, 2) / z.gam,
-            _wedge_operator(om2, 2) / (z.om * z.om),
+            _wedge_operator(om2, 2) / (z.p * z.p),
         ]
     )
-    rhs = np.concatenate([target.coeffs / z.om, np.zeros(7)])
+    rhs = np.concatenate([target.coeffs / z.p, np.zeros(7)])
     beta, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return beta, max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om
+    return beta, max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p
 
 
 @pytest.mark.parametrize(
@@ -330,7 +330,7 @@ def square_solve_w2_minus(s):
     the operator divided by the size of omega."""
     z = s.sizes
     target = d(s.Jgamma) + (2.0 / 3.0) * s.w1plus * wedge(s.omega, s.omega)
-    return np.linalg.solve(_wedge_operator(s.omega, 2) / z.om, target.coeffs / z.om)
+    return np.linalg.solve(_wedge_operator(s.omega, 2) / z.p, target.coeffs / z.p)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +395,7 @@ def test_validate_residuals_match_array_formulas():
             s.det_p**2, n_ab**2, abs(s.a) * z.q2**3, abs(s.b) * z.q1**3, (z.q1 * z.q2) ** 2,
         )
         assert report.residuals["normalization"] == pytest.approx(norm, rel=1e-12, abs=1e-15)
-        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.om)
+        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.p)
         assert report.residuals["jgamma_wedge_omega"] == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
 
@@ -487,7 +487,8 @@ def test_j_blocks_match_numpy_assembly():
 
 def numpy_sizes(s):
     """The former `NhfStructure.sizes`: one np.maximum.reduceat over the
-    coefficients of omega, gamma and J gamma and the 3x3 data."""
+    coefficients of omega, gamma and J gamma and the 3x3 data; the size of
+    omega and the `Sizes` of the rest."""
     m = s.m9
     factors = np.concatenate(
         [s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs]
@@ -497,7 +498,7 @@ def numpy_sizes(s):
     om, gam, jg, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
         np.abs(factors), offsets
     ).tolist()
-    return Sizes(om, gam, jg, p, q, q1, q2, r1, r2)
+    return om, Sizes(gam, jg, p, q, q1, q2, r1, r2)
 
 
 ALL_SAMPLES = pytest.mark.parametrize(
@@ -510,7 +511,9 @@ ALL_SAMPLES = pytest.mark.parametrize(
 @ALL_SAMPLES
 def test_sizes_match_numpy_reduceat(samples):
     for s in samples():
-        assert s.sizes == numpy_sizes(s)
+        om, sizes = numpy_sizes(s)
+        assert s.sizes == sizes
+        assert om == sizes.p  # omega is sized by P
 
 
 @ALL_SAMPLES
@@ -743,24 +746,24 @@ def test_coordinate_checks_match_wedge_forms():
         bend_jgamma(s, rng.uniform(-1.0, 1.0))
         z, w1p = s.sizes, s.w1plus
 
-        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.om)
+        jg_om = relative(wedge(s.Jgamma, s.omega), z.jg * z.p)
         got = s.validate().residuals["jgamma_wedge_omega"]
         assert got == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
         w3, got = w3_form(s, tol=np.inf), w3_coords(s, tol=np.inf)[1]
-        size = max(z.om, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
+        size = max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
         want = max(
-            relative(wedge(w3, s.omega), size * z.om),
+            relative(wedge(w3, s.omega), size * z.p),
             relative(wedge(w3, s.gamma), size * z.gam),
             relative(wedge(w3, s.Jgamma), size * z.jg),
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
         beta, got = w2_minus_form(s, tol=np.inf), w2_minus_coords(s, tol=np.inf)[1]
-        size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.om * z.om) / z.om)
+        size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
         want = max(
             relative(wedge(beta, s.gamma), size * z.gam),
-            relative(wedge(beta, wedge(s.omega, s.omega)), size * z.om * z.om),
+            relative(wedge(beta, wedge(s.omega, s.omega)), size * z.p * z.p),
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
