@@ -18,23 +18,30 @@ below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
 needs or with a parameter at which the closed form under- or overflows,
 ``verify-g2`` with ``--samples`` below 1 or a non-finite
 ``--t-start`` / ``--t-end``, and an ``--out`` path that cannot be
-written.  Output JSON is strict: a result with a non-finite number exits
-1 instead of printing NaN or Infinity.
+written (``flow`` checks its paths before it integrates).  Output JSON
+is strict: a result with a non-finite number exits 1 instead of printing
+NaN or Infinity.
 
 Every subcommand runs on Python floats and none imports numpy.  A Python
 float's division by zero or overflowing power raises ArithmeticError,
 which exits 1 as a numerical failure.
+
+Each subcommand imports the nhflat modules it runs inside its own
+function, so a process loads only those beside ``structure`` and its
+helpers: ``check`` (for a valid record), ``classify`` and ``rotate`` load
+``torsion``, ``flow`` loads ``flow``, ``family`` loads ``families`` and
+``verify-g2`` both of the last two.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 
-from nhflat import flow
 from nhflat.mat3 import flat9
 from nhflat.structure import (
     DEFAULT_TOL,
@@ -43,7 +50,6 @@ from nhflat.structure import (
     InvalidStructureError,
     three_form_coeffs,
 )
-from nhflat import torsion as torsion_mod
 from nhflat.tolerance import max_abs
 
 EXIT_OK = 0
@@ -106,6 +112,22 @@ def _write(path: str, text: str) -> None:
         _usage_error(f"cannot write output: {exc}")
 
 
+def _check_writable(path: str) -> None:
+    """Exit 2 as `_write` would if path cannot be written, creating nothing:
+    the path must not be a directory, and it or else its directory must be
+    writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    _usage_error(f"cannot write output: {OSError(code, os.strerror(code), path)}")
+
+
 def _emit(payload, out=None):
     text = _dumps(payload, indent=2)
     if out:
@@ -125,7 +147,9 @@ def cmd_check(args) -> int:
         "tolerance": tol,
     }
     if report.passed:
-        data = torsion_mod.extract_torsion(s, tol)
+        from nhflat import torsion
+
+        data = torsion.extract_torsion(s, tol)
         payload.update(
             {
                 "class": data.class_label,
@@ -141,21 +165,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from nhflat import torsion
+
     tol = _tolerance(args)
     s = _load_structure(args.input)
     report = s.validate(tol=tol)
     if not report.passed:
         _emit({"valid": False, "failing": report.failing()}, args.out)
         return EXIT_INVALID
-    cls = torsion_mod.classify(s, tol=max(tol, torsion_mod.CLASSIFY_TOL))
+    cls = torsion.classify(s, tol=max(tol, torsion.CLASSIFY_TOL))
     _emit(
         {
             "class": cls.label,
             "nearly_kahler": cls.nearly_kahler,
             "predicate_residuals": dict(cls.predicate_residuals),
-            "w1plus": torsion_mod.w1_plus(s),
+            "w1plus": torsion.w1_plus(s),
             "w1minus": s.w1_minus,
-            "s": torsion_mod.scalar_curvature(s, tol=tol),
+            "s": torsion.scalar_curvature(s, tol=tol),
         },
         args.out,
     )
@@ -163,13 +189,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from nhflat import flow
+
     try:
         flow.check_step(args.h, args.record_every, args.t_start, args.t_end)
     except ValueError as exc:
         _usage_error(str(exc))
     tol = _tolerance(args)
-    # every input is loaded and validated before any is integrated, so a
-    # bad input leaves no partial output behind
+    # every input is loaded and validated, and every output path checked,
+    # before any is integrated, so a bad input or path exits at once and
+    # leaves no partial output behind
     structures = []
     for path in args.input:
         s = _load_structure(path)
@@ -183,6 +212,9 @@ def cmd_flow(args) -> int:
             return EXIT_INVALID
         structures.append(s)
     batch = len(structures) > 1
+    if args.out:
+        for k in range(len(structures)):
+            _check_writable(_batch_path(args.out, k, batch))
     # stderr is written last, so that an unwritable --out is its one line
     code, notes, summaries = EXIT_OK, [], []
     for k, s in enumerate(structures):
@@ -248,6 +280,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_rotate(args) -> int:
+    from nhflat import torsion
+
     tol = _tolerance(args)
     s = _load_structure(args.input)
     report = s.validate(tol=tol)
@@ -255,7 +289,7 @@ def cmd_rotate(args) -> int:
         _emit({"valid": False, "failing": report.failing()}, args.out)
         return EXIT_INVALID
     try:
-        theta, gamma_theta, residual = torsion_mod.rotate_to_half_flat(s, tol=tol)
+        theta, gamma_theta, residual = torsion.rotate_to_half_flat(s, tol=tol)
     except InvalidStructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -287,7 +321,7 @@ def cmd_verify_g2(args) -> int:
     Evaluates the trajectory and its analytic derivative at interior
     samples, reporting the evolution ODE residual and the max-abs residual
     of d(phi) = lambda psi, d(psi) = 0."""
-    from nhflat import families
+    from nhflat import families, flow
 
     tol = _tolerance(args)
     if args.samples < 1:
@@ -416,9 +450,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except flow.FlowSingularityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -28,8 +28,6 @@ array wrappers of the same code.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -205,6 +203,9 @@ class Trajectory:
         self.steps = 0
 
     def to_csv(self, path=None) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

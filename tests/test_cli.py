@@ -257,6 +257,33 @@ class TestFlow:
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["x.csv"]
 
     @pytest.mark.parametrize(
+        "out, inputs, make_dir",
+        [
+            ("no-dir/t.csv", 1, None),
+            ("t.csv", 1, "t.csv"),
+            # the second of two outputs, t_1.csv, is a directory
+            ("t.csv", 2, "t_1.csv"),
+        ],
+    )
+    def test_unwritable_out_exits_before_integrating(
+        self, capsys, monkeypatch, nk_record, tmp_path, out, inputs, make_dir
+    ):
+        def no_integration(*args, **kwargs):
+            pytest.fail("integrate ran although --out cannot be written")
+
+        monkeypatch.setattr("nhflat.flow.integrate", no_integration)
+        if make_dir:
+            (tmp_path / make_dir).mkdir()
+        code, out_text, err = run(
+            capsys, ["flow", *[nk_record] * inputs, "--t-end", "1", "--out", str(tmp_path / out)]
+        )
+        assert code == 2
+        assert out_text == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), err
+        assert [str(p) for p in tmp_path.rglob("*") if p.is_file()] == [nk_record]
+
+    @pytest.mark.parametrize(
         "option", [["--h", "0"], ["--h", "nan"], ["--record-every", "0"]]
     )
     def test_bad_step_options_exit2(self, capsys, nk_record, option):
@@ -534,6 +561,34 @@ print(json.dumps([seen, outs]))
     assert json.loads(outs[runs.index(["family", "--name", "nk"])]) == (
         families.nearly_kahler(4.0).to_record()
     )
+
+
+def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
+    # one interpreter per subcommand, so that each sees only the modules
+    # its own command imported: check and classify leave out flow and csv,
+    # an invalid record needs no torsion, flow needs no torsion, and
+    # verify-g2 reads flow's kernel but writes no CSV
+    base = ["nhflat", "nhflat.cli", "nhflat.coframe", "nhflat.mat3", "nhflat.structure",
+            "nhflat.tolerance"]
+    runs = [
+        (["check", nk_record], 0, base + ["nhflat.torsion"], False),
+        (["check", bad_record], 1, base, False),
+        (["classify", nk_record], 0, base + ["nhflat.torsion"], False),
+        (["flow", nk_record, "--t-end", "0.01", "--out", str(tmp_path / "t.csv")], 0,
+         base + ["nhflat.flow"], True),
+        (["verify-g2", "--family", "sine-cone"], 0,
+         base + ["nhflat.families", "nhflat.flow"], False),
+    ]
+    for argv, want_code, want_modules, want_csv in runs:
+        code = f"""
+import contextlib, io, json, sys
+from nhflat.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "nhflat"),
+                  "csv" in sys.modules]))
+"""
+        assert json.loads(fresh_python(code)) == [want_code, sorted(want_modules), want_csv], argv
 
 
 def test_lazy_exports():
