@@ -16,9 +16,9 @@ number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
 below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
 ``flow.MAX_STEPS`` steps, ``family`` without the option its ``--name``
 needs or with a parameter at which the closed form under- or overflows,
-``verify-g2`` with ``--samples`` below 1 or a non-finite
-``--t-start`` / ``--t-end``, and an ``--out`` path that cannot be
-written (``flow`` checks its paths before it integrates).  Output JSON
+``verify-g2`` with ``--samples`` below 1 or above ``flow.MAX_STEPS`` or a
+non-finite ``--t-start`` / ``--t-end``, and an ``--out`` path that cannot
+be written (``flow`` checks its paths before it integrates).  Output JSON
 is strict: a result with a non-finite number exits 1 instead of printing
 NaN or Infinity.
 
@@ -304,15 +304,17 @@ def cmd_rotate(args) -> int:
     return EXIT_OK if residual <= tol else EXIT_INVALID
 
 
-def _sample_times(t0: float, t1: float, n: int) -> list:
-    """np.linspace(t0, t1, n), to the bit: t0 + k (t1 - t0) / (n - 1), the
-    last point t1."""
+def _sample_times(t0: float, t1: float, n: int):
+    """The points of np.linspace(t0, t1, n), to the bit, one at a time:
+    t0 + k (t1 - t0) / (n - 1), the last point t1."""
     if n == 1:
-        return [0.0 * (t1 - t0) + t0]
+        yield 0.0 * (t1 - t0) + t0
+        return
     step = (t1 - t0) / (n - 1)
-    if step == 0:  # numpy's order where the step underflows
-        return [k / (n - 1) * (t1 - t0) + t0 for k in range(n - 1)] + [t1]
-    return [k * step + t0 for k in range(n - 1)] + [t1]
+    for k in range(n - 1):
+        # where the step underflows to 0, numpy scales k / (n - 1) instead
+        yield (k * step if step else k / (n - 1) * (t1 - t0)) + t0
+    yield t1
 
 
 def cmd_verify_g2(args) -> int:
@@ -324,8 +326,8 @@ def cmd_verify_g2(args) -> int:
     from nhflat import families, flow
 
     tol = _tolerance(args)
-    if args.samples < 1:
-        _usage_error(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= flow.MAX_STEPS:
+        _usage_error(f"--samples must lie in [1, {flow.MAX_STEPS:.0e}], got {args.samples}")
     t0, t1 = args.t_start, args.t_end
     if not (math.isfinite(t0) and math.isfinite(t1)):
         _usage_error(f"--t-start and --t-end must be finite, got {t0} and {t1}")

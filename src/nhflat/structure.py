@@ -408,8 +408,6 @@ class Sizes(NamedTuple):
     q: float
     q1: float
     q2: float
-    r1: float
-    r2: float
 
 
 def _matrix9(m) -> list:
@@ -532,7 +530,7 @@ class NhfStructure:
 
     @cached_property
     def sizes(self) -> Sizes:
-        """Sizes of gamma, J gamma, P (and omega), Q, Q1, Q2, R1 and R2."""
+        """Sizes of gamma, J gamma, P (and omega), Q, Q1 and Q2."""
         m = self.m9
         return Sizes(
             gam=max_abs([self.a, self.b] + m.q1 + m.q2),
@@ -541,8 +539,6 @@ class NhfStructure:
             q=max_abs(m.q),
             q1=max_abs(m.q1),
             q2=max_abs(m.q2),
-            r1=max_abs(m.r1),
-            r2=max_abs(m.r2),
         )
 
     @cached_property

@@ -17,13 +17,17 @@ of `invariant_three_form`, a 20-list, and a 2-form in the span of
 omega's slots the 9-list X of `build_omega`; the bases are a signed
 permutation and a signed selection, so the coordinates are a form's
 coefficients up to sign.  de_de_form(M) below is sum M_ij de^{2i-1} ^
-de^{2j}.  The torsion forms are computed as such coordinate lists of
-Python floats (`w3_coords`, `w2_minus_coords`), so `extract_torsion`,
-`classify` and `scalar_curvature` do not import numpy; `w3_form`,
-`w2_minus_form` and `TorsionData` build the forms from them.
+de^{2j}.  The torsion forms are computed once each, as such coordinate
+lists of Python floats (`_w3`, `_w2_minus`), with the size of the terms
+they are compared with; so `extract_torsion`, `classify` and
+`scalar_curvature` do not import numpy, and `w3_form`, `w2_minus_form`
+and `TorsionData` build the forms from them.  The torsion class is read
+off the same lists: a form vanishes exactly when its coordinates do, so
+w3 = 0 is relative(y, size) <= tol for the 20-list y of w3, and w2- = 0
+likewise for its 9-list X (`classify`).
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
-invariant 3-form of the 3x3 data (`w3_coords`).
+invariant 3-form of the 3x3 data (`_w3`).
 
 w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
 side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
@@ -37,7 +41,7 @@ and with A = P^T, S = -T the derivative of the adjugate,
     D Adj(A)[H] = det A (tr(A^-1 H) A^-1 - A^-1 H A^-1),
 
 inverts to H = tau A - A S A / det P with tau = tr(S A) / (2 det P);
-w2- = build_omega(H^T) (`w2_minus_coords`).
+w2- = build_omega(H^T) (`_w2_minus`).
 
 The module memberships are checked on coordinates, vol(.) the e123456
 coefficient:
@@ -145,40 +149,48 @@ def w1_plus(structure: NhfStructure) -> float:
     return structure.w1plus
 
 
-def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
-    """The 20-list of w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma and
-    the relative residual of its membership check; raises
-    InvalidStructureError when that residual exceeds `tol`.
+def _w3(structure: NhfStructure):
+    """The 20-list y of w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma and
+    the size of its terms d(omega), w1+ gamma and (3 lambda / 4) J gamma,
+    which every relative residual that reads y is divided by.
 
     d(omega) = invariant_three_form(0, 0, P, -P) exactly and J gamma is
     (2/det P)(A, B, R1, R2) on gamma's slots, so w3 has the coordinates
     below, with c = 3 lambda / (2 det P):
 
         e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
-        e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
-
-    w3 ^ omega, w3 ^ gamma and w3 ^ J gamma must vanish relative to the
-    size of w3's uncancelled terms times the size of the other factor;
-    they are computed on coordinates (see the module docstring), J gamma's
-    read off `NhfStructure.jgamma_coords`."""
+        e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2."""
     s, w1p, z, m = structure, structure.w1plus, structure.sizes, structure.m9
     c = 1.5 * s.lam / s.det_p
-    y1 = [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)]
-    y2 = [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
-    y = [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B] + y1 + y2
-    # the size of w3 is that of its terms d(omega), w1+ gamma, (3/4) lambda J gamma
-    size = max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
-    gamma = [s.a, s.b] + m.q1 + m.q2
+    y = (
+        [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B]
+        + [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)]
+        + [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
+    )
+    return y, max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
+
+
+def _w3_membership(structure: NhfStructure, y, size: float, tol: float) -> float:
+    """The relative residual of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0,
+    on coordinates (see the module docstring), J gamma's read off
+    `NhfStructure.jgamma_coords`; raises InvalidStructureError when it
+    exceeds `tol`."""
+    s, z, m = structure, structure.sizes, structure.m9
     bad = max(
-        relative(three_form_wedge_omega(y1, y2, m.p), size * z.p),
-        relative(three_form_volume(y, gamma), size * z.gam),
+        relative(three_form_wedge_omega(y[2:11], y[11:20], m.p), size * z.p),
+        relative(three_form_volume(y, [s.a, s.b] + m.q1 + m.q2), size * z.gam),
         relative(three_form_volume(y, s.jgamma_coords), size * z.jg),
     )
     if not bad <= tol:
-        raise InvalidStructureError(
-            f"w3 membership residual {bad:.3e} exceeds tolerance"
-        )
-    return y, bad
+        raise InvalidStructureError(f"w3 membership residual {bad:.3e} exceeds tolerance")
+    return bad
+
+
+def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
+    """The 20-list of w3 (`_w3`) and the relative residual of its membership
+    check; raises InvalidStructureError when that residual exceeds `tol`."""
+    y, size = _w3(structure)
+    return y, _w3_membership(structure, y, size, tol)
 
 
 def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
@@ -187,37 +199,24 @@ def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
     return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
 
-def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
+def _w2_minus(structure: NhfStructure):
     """The row-major 9-list X of w2- = build_omega(X), from w2- ^ omega = t,
-    t = d(J gamma) + (2/3) w1+ omega^2, in closed form, and the relative
-    residual of the check that w2- is primitive: w2- ^ gamma = 0 and
-    w2- ^ omega^2 = 0; raises InvalidStructureError when that residual
-    exceeds `tol`.
+    t = d(J gamma) + (2/3) w1+ omega^2, and the size of the terms it is
+    compared with, which every relative residual that reads X is divided
+    by.
 
     beta |-> beta ^ omega is invertible on 2-forms when omega is
     nondegenerate (the Lefschetz isomorphism), and here its inverse is
-    explicit.  t lies in the span of the de^{2i-1} ^ de^{2j}: its other 6
-    coordinates are exactly 0 for invariant forms, and t = de_de_form(T)
-    with T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) the coordinates of
-    J gamma, since d(c, d, M1, M2) = de_de_form(M1 + M2) and
-    omega^2 = de_de_form(-2 Adj(P^T)).  The latter polarizes to
-    build_omega(X) ^ omega = de_de_form(-D Adj(P^T)[X^T]), D
-    the derivative.  With A = P^T, inverting
+    explicit (see the module docstring):
 
-        D Adj(A)[H] = det A (tr(A^-1 H) A^-1 - A^-1 H A^-1) = S = -T
+        X = H^T = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
 
-    gives tr(A^-1 H) = tau = tr(S A) / (2 det P) and
-    H = tau A - A S A / det P, and w2- = build_omega(H^T), that is
-
-        H^T = P T^T P / det P - (tr(T^T P) / (2 det P)) P.
-
-    T is read from the coordinates of J gamma, not from R1 and R2, so that
-    w2- and its check follow the J gamma the structure holds.  The
-    primitivity residuals, computed on coordinates (see the module
-    docstring), are relative like `w3_coords`' membership check."""
+    with T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) the coordinates
+    of J gamma.  T is read from `NhfStructure.jgamma_coords`, not from R1
+    and R2, so that w2- and its check follow the J gamma the structure
+    holds."""
     w1p, z, m, dp = structure.w1plus, structure.sizes, structure.m9, structure.det_p
-    p = m.p
-    jg = structure.jgamma_coords
+    p, jg = m.p, structure.jgamma_coords
     k = (4.0 / 3.0) * w1p
     t = [x + y - k * c for x, y, c in zip(jg[2:11], jg[11:20], m.adj_pt)]
     tau = sum(map(mul, t, p)) / (2.0 * dp)
@@ -225,16 +224,29 @@ def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
     x = [u / dp - tau * v for u, v in zip(ptp, p)]
     # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
     # over |omega| too: where w2- = 0, beta itself is roundoff
-    size = max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
+    return x, max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
+
+
+def _w2_minus_primitivity(structure: NhfStructure, x, size: float, tol: float) -> float:
+    """The relative residual of w2- ^ gamma = 0 and w2- ^ omega^2 = 0, on
+    coordinates (see the module docstring); raises InvalidStructureError
+    when it exceeds `tol`."""
+    z, m = structure.sizes, structure.m9
     bad = max(
         relative(three_form_wedge_omega(m.q1, m.q2, x), size * z.gam),
         relative(2.0 * sum(map(mul, x, m.adj_pt)), size * z.p * z.p),
     )
     if not bad <= tol:
-        raise InvalidStructureError(
-            f"w2- primitivity residual {bad:.3e} exceeds tolerance"
-        )
-    return x, bad
+        raise InvalidStructureError(f"w2- primitivity residual {bad:.3e} exceeds tolerance")
+    return bad
+
+
+def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
+    """The 9-list X of w2- (`_w2_minus`) and the relative residual of the
+    check that w2- is primitive; raises InvalidStructureError when that
+    residual exceeds `tol`."""
+    x, size = _w2_minus(structure)
+    return x, _w2_minus_primitivity(structure, x, size, tol)
 
 
 def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
@@ -261,14 +273,8 @@ def _scalar(structure: NhfStructure, w1p: float, x, y) -> float:
     InvalidStructureError when g is not positive definite."""
     if not structure.metric_spd:
         raise InvalidStructureError("induced metric is not positive definite")
-    n2 = _w2_minus_norm2(structure, x)
-    n3 = _w3_norm2(structure, y)
-    return (
-        (10.0 / 3.0) * w1p * w1p
-        + 15.0 * structure.lam**2 / 8.0
-        - 0.5 * n2
-        - 0.5 * n3
-    )
+    n2, n3 = _w2_minus_norm2(structure, x), _w3_norm2(structure, y)
+    return (10.0 / 3.0) * w1p * w1p + 15.0 * structure.lam**2 / 8.0 - 0.5 * n2 - 0.5 * n3
 
 
 def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float:
@@ -286,9 +292,12 @@ def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
     """All torsion data plus the relative residuals of the two checks that
     pin it down: "domega" is the w3 membership residual of `w3_coords`,
-    "djgamma" the w2- primitivity residual of `w2_minus_coords`."""
-    y, rec_domega = w3_coords(structure, tol)
-    x, rec_djgamma = w2_minus_coords(structure, tol)
+    "djgamma" the w2- primitivity residual of `w2_minus_coords`.  The label
+    is that of `classify`, read off the same coordinates."""
+    y, y_size = _w3(structure)
+    rec_domega = _w3_membership(structure, y, y_size, tol)
+    x, x_size = _w2_minus(structure)
+    rec_djgamma = _w2_minus_primitivity(structure, x, x_size, tol)
     w1p = structure.w1plus
     return TorsionData(
         w1plus=w1p,
@@ -296,7 +305,7 @@ def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Torsio
         w2minus_coords=x,
         w3_coords=y,
         s=_scalar(structure, w1p, x, y),
-        class_label=classify(structure, tol=max(tol, CLASSIFY_TOL)).label,
+        class_label=_report(structure, y, y_size, x, x_size, max(tol, CLASSIFY_TOL)).label,
         residuals={"domega": rec_domega, "djgamma": rec_djgamma},
     )
 
@@ -312,75 +321,42 @@ class ClassReport(NamedTuple):
     predicate_residuals: dict
 
 
-def _matrix_predicates(structure: NhfStructure):
-    """Relative residuals of the closed-form torsion-vanishing conditions,
-    on the structure's 9-lists (`NhfStructure.m9`).
-
-    Each residual is divided by the size of the terms being compared
-    (`relative`), so the verdict is scale invariant; the w1+ = 0 test is
-    |w1+| / |lambda|, the rate w1+ against the rate w1- = 3 lambda / 4."""
-    s, z, m = structure, structure.sizes, structure.m9
-    lam, dp, w1p = s.lam, s.det_p, s.w1plus
-
-    # the size of a scalar multiple c X is |c| times the size of X
-    k = 2.0 * dp / (3.0 * lam)
-    nk = relative(
-        [s.A, s.B]
-        + [r - k * p for r, p in zip(m.r1, m.p)]
-        + [r + k * p for r, p in zip(m.r2, m.p)],
-        z.r1, z.r2, abs(k) * z.p, s.A, s.B,
-    )
-    w1p_zero = relative(w1p, lam)
-    # w2- = 0: R = (tr(P^T R) / (3 det P)) Adj(P^T), where tr(P^T R) is
-    # 2 (det P)^2 w1+.  R is sized by R1 and R2, not by itself: R = R1 + R2
-    # cancels to roundoff on w1w3 members, where the cancelled size would
-    # inflate the residual.
-    cw = (2.0 / 3.0) * dp * w1p
-    r_w1 = [cw * x for x in m.adj_pt]
-    cocoupled = relative(
-        [r1 + r2 - x for r1, r2, x in zip(m.r1, m.r2, r_w1)], z.r1, z.r2, r_w1
-    )
-    # w3 = 0: the four displayed conditions on A, B, R1, R2
-    c = (2.0 / 3.0) * dp * w1p / lam
-    e, tp, tq = 1.0 / (3.0 * lam), 2.0 * dp, 2.0 * dp * w1p
-    t1 = [e * (tp * p - tq * q) for p, q in zip(m.p, m.q1)]
-    t2 = [e * (tp * p + tq * q) for p, q in zip(m.p, m.q2)]
-    coupled = relative(
-        [s.A + c * s.a, s.B + c * s.b]
-        + [r - t for r, t in zip(m.r1, t1)]
-        + [r + t for r, t in zip(m.r2, t2)],
-        z.r1, z.r2, t1, t2, s.A, s.B, c * s.a, c * s.b,
-    )
-    return {
-        "nearly_kahler": nk,
-        "w1plus_zero": w1p_zero,
-        "w2minus_zero": cocoupled,
-        "w3_zero": coupled,
-    }
-
-
-def classify(structure: NhfStructure, tol: float = CLASSIFY_TOL) -> ClassReport:
-    """Torsion class label from the matrix-level predicates."""
-    res = _matrix_predicates(structure)
-    w1p0 = res["w1plus_zero"] <= tol
-    w30 = res["w3_zero"] <= tol
-    w2m0 = res["w2minus_zero"] <= tol
-    nk = res["nearly_kahler"] <= tol
-    if w30:
-        # w3 = 0 forces w2- = 0 for these structures
-        label = "W1-" if w1p0 else "W1"
-    elif w2m0:
-        label = "W1-+W3" if w1p0 else "W1+W3"
-    else:
-        label = "W1-+W2-+W3" if w1p0 else "W1+W2-+W3"
+def _report(structure: NhfStructure, y, y_size, x, x_size, tol) -> ClassReport:
+    """`classify` on the coordinates and sizes of `_w3` and `_w2_minus`."""
+    w1p_res = relative(structure.w1plus, structure.lam)
+    w3_res = relative(y, y_size)
+    w2m_res = relative(x, x_size)
+    w1p0, w30, w2m0 = w1p_res <= tol, w3_res <= tol, w2m_res <= tol
+    # CLASS_LABELS in pairs (w1+ = 0, w1+ != 0); w3 = 0 forces w2- = 0 here
+    pair = 0 if w30 else 1 if w2m0 else 2
     return ClassReport(
-        label=label,
-        nearly_kahler=nk,
+        label=CLASS_LABELS[2 * pair + (not w1p0)],
+        nearly_kahler=w1p0 and w30,
         w1plus_zero=w1p0,
         w3_zero=w30,
         w2minus_zero=w2m0,
-        predicate_residuals=res,
+        predicate_residuals={
+            "nearly_kahler": max_abs([w1p_res, w3_res]),  # NaN if either is
+            "w1plus_zero": w1p_res,
+            "w2minus_zero": w2m_res,
+            "w3_zero": w3_res,
+        },
     )
+
+
+def classify(structure: NhfStructure, tol: float = CLASSIFY_TOL) -> ClassReport:
+    """The torsion class: which of w1+, w3 and w2- vanish.
+
+    A torsion form vanishes exactly when its coordinates do, so w3 = 0 and
+    w2- = 0 are decided on the coordinates of `_w3` and `_w2_minus`,
+    relative to the size of their terms, and w1+ = 0 as
+    |w1+| / |lambda| <= tol, the rate w1+ against the rate
+    w1- = 3 lambda / 4.  Nearly Kahler is w1+ = 0 and w3 = 0, the label
+    W1-; its residual is the larger of those two.  The membership checks
+    are `extract_torsion`'s and validity is `validate`'s."""
+    y, y_size = _w3(structure)
+    x, x_size = _w2_minus(structure)
+    return _report(structure, y, y_size, x, x_size, tol)
 
 
 def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):

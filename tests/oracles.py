@@ -14,6 +14,8 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   `three_form_coords`), the metric g = W J whether it is positive definite
   or not (`induced_metric`) and J from Hitchin's stable-form construction
   (`hitchin_j`);
+* the torsion class from the closed-form vanishing conditions on the
+  matrices A, B, R1 and R2 (`matrix_predicates`, `matrix_class`);
 * the flow: the stored structure nearest a time (`structure_at`).
 """
 
@@ -37,7 +39,7 @@ from nhflat.structure import (
     _wedge_table,
     omega_component_matrix,
 )
-from nhflat.tolerance import relative
+from nhflat.tolerance import max_abs, relative
 
 # -- exterior algebra ---------------------------------------------------------
 
@@ -200,6 +202,71 @@ def hitchin_j(gamma: Form, omega: Form) -> np.ndarray:
     if not is_spd(omega_component_matrix(omega) @ J):
         J = -J
     return J
+
+
+# -- the torsion class ----------------------------------------------------------
+
+
+def matrix_predicates(s) -> dict:
+    """Relative residuals of the torsion-vanishing conditions written on
+    the structure's 9-lists (`NhfStructure.m9`) rather than on the
+    coordinates of w3 and w2-: nearly Kahler, w1+ = 0, w2- = 0 and w3 = 0.
+
+    Each residual is divided by the size of the terms being compared, and
+    the w1+ = 0 test is |w1+| / |lambda|.  Algebraically the w3 residual
+    vector is y / (-c), y the 20-list of w3 and c = 3 lambda / (2 det P),
+    and the w2- one is (det P / 2) T, of which the 9-list of w2- is an
+    invertible linear image."""
+    m = s.m9
+    lam, dp, w1p = s.lam, s.det_p, s.w1plus
+    r1, r2, p = max_abs(m.r1), max_abs(m.r2), s.sizes.p
+
+    # the size of a scalar multiple c X is |c| times the size of X
+    k = 2.0 * dp / (3.0 * lam)
+    nk = relative(
+        [s.A, s.B]
+        + [r - k * x for r, x in zip(m.r1, m.p)]
+        + [r + k * x for r, x in zip(m.r2, m.p)],
+        r1, r2, abs(k) * p, s.A, s.B,
+    )
+    # w2- = 0: R = (tr(P^T R) / (3 det P)) Adj(P^T), where tr(P^T R) is
+    # 2 (det P)^2 w1+.  R is sized by R1 and R2, not by itself: R = R1 + R2
+    # cancels to roundoff on w1w3 members.
+    cw = (2.0 / 3.0) * dp * w1p
+    r_w1 = [cw * x for x in m.adj_pt]
+    cocoupled = relative(
+        [u + v - x for u, v, x in zip(m.r1, m.r2, r_w1)], r1, r2, r_w1
+    )
+    # w3 = 0: four conditions on A, B, R1, R2
+    c = (2.0 / 3.0) * dp * w1p / lam
+    e, tp, tq = 1.0 / (3.0 * lam), 2.0 * dp, 2.0 * dp * w1p
+    t1 = [e * (tp * x - tq * q) for x, q in zip(m.p, m.q1)]
+    t2 = [e * (tp * x + tq * q) for x, q in zip(m.p, m.q2)]
+    coupled = relative(
+        [s.A + c * s.a, s.B + c * s.b]
+        + [r - t for r, t in zip(m.r1, t1)]
+        + [r + t for r, t in zip(m.r2, t2)],
+        r1, r2, t1, t2, s.A, s.B, c * s.a, c * s.b,
+    )
+    return {
+        "nearly_kahler": nk,
+        "w1plus_zero": relative(w1p, lam),
+        "w2minus_zero": cocoupled,
+        "w3_zero": coupled,
+    }
+
+
+def matrix_class(s, tol: float = 1e-7):
+    """(label, nearly Kahler verdict) from `matrix_predicates` at `tol`."""
+    res = matrix_predicates(s)
+    w1p0 = res["w1plus_zero"] <= tol
+    if res["w3_zero"] <= tol:
+        label = "W1-" if w1p0 else "W1"
+    elif res["w2minus_zero"] <= tol:
+        label = "W1-+W3" if w1p0 else "W1+W3"
+    else:
+        label = "W1-+W2-+W3" if w1p0 else "W1+W2-+W3"
+    return label, res["nearly_kahler"] <= tol
 
 
 # -- the flow -------------------------------------------------------------------

@@ -344,6 +344,14 @@ BAD_INPUTS = {
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
+    # more samples than flow.MAX_STEPS: rejected before any time is made
+    "verify_g2_samples_1e8_plus_1": (
+        ["verify-g2", "--family", "sine-cone", "--samples", "100000001"], None, None, 2
+    ),
+    "verify_g2_samples_1e20": (
+        ["verify-g2", "--family", "berger", "--samples", "100000000000000000000"],
+        None, None, 2,
+    ),
     "verify_g2_t_start_nan": (
         ["verify-g2", "--family", "sine-cone", "--t-start", "nan"], None, None, 2
     ),
@@ -469,7 +477,7 @@ def test_sample_times_are_linspace(t0, t1):
     for n in (1, 2, 3, 7, 20, 101):
         with np.errstate(all="ignore"):
             want = np.linspace(t0, t1, n).tolist()
-        got = cli._sample_times(t0, t1, n)
+        got = list(cli._sample_times(t0, t1, n))
         assert np.array_equal(got, want, equal_nan=True)
         assert [np.signbit(x) for x in got] == [np.signbit(x) for x in want]
 

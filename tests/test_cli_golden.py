@@ -14,6 +14,13 @@ before and are sums in Python now: ``residuals.j_squared`` (J @ J),
 ``w1plus`` (tr(P^T R)) and ``s``.  These must agree to 1e-12 relative to
 their terms.
 
+The four ``predicate_residuals`` numbers in the ``classify`` stdout of
+w1, w1w3, zero-scalar and sine-cone were regenerated in October 2026, on
+top of 6957a06, when ``classify`` came to read the class off the
+coordinates of w3 and w2- instead of off conditions on the matrices A, B,
+R1 and R2 (now ``oracles.matrix_predicates``).  Every verdict, label and
+other byte stayed, and nk's residuals did not move.
+
 ``commands.json`` holds the exit code, stdout and stderr of ``family``
 (every name, both signs, and parameters out of range), ``rotate`` (the
 five records) and ``verify-g2`` (both trajectories) as they were when
@@ -28,6 +35,7 @@ import pytest
 
 from nhflat.cli import main
 from nhflat.structure import NhfStructure
+from nhflat.tolerance import max_abs
 from nhflat.torsion import _w2_minus_norm2, _w3_norm2, extract_torsion
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden")
@@ -51,8 +59,8 @@ def term_sizes(record):
     tr(P^T R) / (2 (det P)^2), and the four terms of s."""
     s = NhfStructure.from_record(record)
     data = extract_torsion(s)
-    z = s.sizes
-    w1p_terms = z.p * max(z.r1, z.r2) / (2.0 * s.det_p * s.det_p)
+    r_size = max(max_abs(s.m9.r1), max_abs(s.m9.r2))
+    w1p_terms = s.sizes.p * r_size / (2.0 * s.det_p * s.det_p)
     return {
         "j_squared": max(1.0, float(np.max(np.abs(s.J))) ** 2),
         "w1plus": w1p_terms,

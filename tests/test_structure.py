@@ -233,7 +233,7 @@ class TestCachedValues:
         for s in samples:
             R1, R2 = (np.reshape(x, (3, 3)) for x in (s.m9.r1, s.m9.r2))
             assert s.w1plus == float(np.trace(s.P.T @ (R1 + R2))) / (2.0 * s.det_p * s.det_p)
-            factors = (s.gamma.coeffs, s.Jgamma.coeffs, s.P, s.Q, s.Q1, s.Q2, R1, R2)
+            factors = (s.gamma.coeffs, s.Jgamma.coeffs, s.P, s.Q, s.Q1, s.Q2)
             assert tuple(s.sizes) == tuple(float(np.max(np.abs(m))) for m in factors)
             assert s.sizes.p == float(np.max(np.abs(s.omega.coeffs)))
             assert s.metric_spd is is_spd(induced_metric(s))

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhflat import exterior, families, structure
+from nhflat import exterior, families, structure, torsion
 from nhflat.exterior import (
     COFRAME_DIFFERENTIAL,
     Form,
@@ -50,6 +50,7 @@ from nhflat.structure import (
 from nhflat.torsion import (
     _w2_minus_norm2,
     _w3_norm2,
+    classify,
     extract_torsion,
     scalar_curvature,
     w2_minus_coords,
@@ -57,7 +58,13 @@ from nhflat.torsion import (
     w3_coords,
     w3_form,
 )
-from oracles import de_de_form, induced_metric, omega_coords, three_form_coords
+from oracles import (
+    de_de_form,
+    induced_metric,
+    matrix_class,
+    omega_coords,
+    three_form_coords,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALES = np.geomspace(1e-3, 1e3, 13)
@@ -492,13 +499,13 @@ def numpy_sizes(s):
     m = s.m9
     factors = np.concatenate(
         [s.omega.coeffs, s.gamma.coeffs, s.Jgamma.coeffs]
-        + [np.array(x) for x in (m.q1, m.q2, [s.A, s.B], m.r1, m.r2, m.p, m.q)]
+        + [np.array(x) for x in (m.q1, m.q2, m.p, m.q)]
     )
-    offsets = [0, 15, 35, 55, 64, 73, 75, 84, 93, 102]
-    om, gam, jg, q1, q2, _, r1, r2, p, q = np.maximum.reduceat(
+    offsets = [0, 15, 35, 55, 64, 73, 82]
+    om, gam, jg, q1, q2, p, q = np.maximum.reduceat(
         np.abs(factors), offsets
     ).tolist()
-    return om, Sizes(gam, jg, p, q, q1, q2, r1, r2)
+    return om, Sizes(gam, jg, p, q, q1, q2)
 
 
 ALL_SAMPLES = pytest.mark.parametrize(
@@ -784,3 +791,53 @@ def test_scalar_curvature_raises_on_indefinite_metric():
 def test_extract_torsion_s_is_scalar_curvature():
     for s in survey_samples() + list(root_solve_samples()):
         assert extract_torsion(s).s == scalar_curvature(s)
+
+
+# -- the torsion class ----------------------------------------------------------
+
+
+def rotated_w1w3_samples():
+    """The rotated w1w3 members of test_torsion's
+    TestClassify.test_rotated_w1w3_keeps_label, where R = R1 + R2 cancels
+    to roundoff."""
+    samples = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = 1.0 / 256.0 + rng.uniform(0.002, 0.05)
+        s = families.w1w3_family(a, sign_p=int(rng.choice([-1, 1])))
+        samples.append(s.rotated(random_rotation(rng), random_rotation(rng)))
+    return samples
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, rotated_w1w3_samples],
+    ids=["survey", "scaling", "rotated-w1w3"],
+)
+def test_classify_matches_matrix_predicates(samples):
+    # the class read off the coordinates of w3 and w2- against the
+    # conditions on A, B, R1 and R2 that those coordinates restate
+    for s in samples():
+        report = classify(s)
+        assert (report.label, report.nearly_kahler) == matrix_class(s)
+        assert report.nearly_kahler == (report.label == "W1-")
+        assert extract_torsion(s).class_label == report.label
+
+
+def test_extract_torsion_builds_each_form_once(monkeypatch):
+    # the label is read off the y and X that the checks and s used
+    calls = {"_w3": 0, "_w2_minus": 0}
+
+    def counted(name, fn):
+        def wrapper(s):
+            calls[name] += 1
+            return fn(s)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(torsion, name, counted(name, getattr(torsion, name)))
+    for s in survey_samples():
+        calls.update(dict.fromkeys(calls, 0))
+        extract_torsion(s)
+        assert calls == {"_w3": 1, "_w2_minus": 1}
