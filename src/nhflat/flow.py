@@ -17,10 +17,12 @@ Inside `integrate` the state is one flat list of 20 Python floats,
 with Q1 and Q2 row-major (y[2:11] and y[11:20]).  Each RK4 stage is one
 call of `_stage(lam, y, sign, k, c)`, which evaluates the equations at
 the shifted state y + c k itself, so the RK4 loop builds no shifted
-lists.  A stage calls `_recover9` (P from Q1 + Q2) and `structure.abr9`
-(A, B, R1, R2) once each; both are straight-line arithmetic over local
-floats, with no numpy call and no call of the `mat3` helpers, whose
-expressions they repeat operation for operation.  The recorded samples,
+lists.  `_stage` is one straight-line body over local floats: it
+recovers P as `_recover9` does and computes A, B, R1 and R2 as
+`structure.abr9` does, with the same expressions (those of the `mat3`
+helpers), and calls no Python function.  `integrate` evaluates each
+state once: its y' is both the derivative of its sample and the k1 of
+the next step, so n steps take 4n + 1 stages.  The recorded samples,
 their residuals and `g2_residual` are computed from the list state too,
 so `integrate` does not import numpy.  `flow_rhs` and `recover_p` are the
 array wrappers of the same code.
@@ -31,13 +33,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat.mat3 import flat9
-from nhflat.structure import (
-    InvalidStructureError,
-    NhfStructure,
-    SingularStructureError,
-    abr9,
-)
+from nhflat.mat3 import cofactor9, det9, flat9
+from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
 from nhflat.tolerance import DEFAULT_TOL, max_abs
 
 if TYPE_CHECKING:
@@ -71,51 +68,121 @@ def _recover9(lam, q1, q2, sign):
     M = Adj(P^T) = -(Q1 + Q2)/lambda gives det P = sign sqrt(det M) and,
     from P^T = Adj(M) / det P, P = the cofactor matrix of M over det P.
     Raises SingularStructureError when det M <= 0: then no real P has
-    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  Written out over local
-    variables like `abr9`, rounding as `mat3.det9` and `cofactor9` do."""
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
-    m00, m01, m02 = -(u00 + v00) / lam, -(u01 + v01) / lam, -(u02 + v02) / lam
-    m10, m11, m12 = -(u10 + v10) / lam, -(u11 + v11) / lam, -(u12 + v12) / lam
-    m20, m21, m22 = -(u20 + v20) / lam, -(u21 + v21) / lam, -(u22 + v22) / lam
-    c00, c01, c02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
-    c10, c11, c12 = m02 * m21 - m01 * m22, m00 * m22 - m02 * m20, m01 * m20 - m00 * m21
-    c20, c21, c22 = m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10
-    det_m = m00 * c00 - m01 * (m10 * m22 - m12 * m20) + m02 * c02
+    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  `_stage` writes the
+    same expressions out inline."""
+    m = [-(u + v) / lam for u, v in zip(q1, q2)]
+    det_m = det9(m)
     if det_m <= 0:
         raise SingularStructureError(
             f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
         )
     det_p = math.sqrt(det_m) * sign
-    return [
-        c00 / det_p, c01 / det_p, c02 / det_p,
-        c10 / det_p, c11 / det_p, c12 / det_p,
-        c20 / det_p, c21 / det_p, c22 / det_p,
-    ], det_p
+    return [x / det_p for x in cofactor9(m)], det_p
 
 
 def _stage(lam, y, sign, k=None, c=0.0):
     """One evaluation of the evolution equations at the flat state
     y + c k (at y when k is None), y = [a, b, *Q1, *Q2]; returns y' in the
-    same layout.
-
-    Runs on plain floats: `_recover9` gives P, `abr9` gives A, B, R1 and
-    R2, and
+    same layout:
         (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
-    e = -2 lambda / det P."""
+    e = -2 lambda / det P.
+
+    One straight-line body over local floats, which builds no list but
+    its result and calls no Python function: P and det P are computed
+    with the expressions of `_recover9`, and A, B, R1 and R2 with those of
+    `structure.abr9` (u = Q1, v = Q2), so the result is theirs to the
+    last bit.  Raises SingularStructureError as `_recover9` does, and when
+    |det P| < SINGULAR_DETP."""
+    (a, b,
+     u00, u01, u02, u10, u11, u12, u20, u21, u22,
+     v00, v01, v02, v10, v11, v12, v20, v21, v22) = y
     if k is not None:
-        y = [v + c * d for v, d in zip(y, k)]
-    q1, q2 = y[2:11], y[11:20]
-    p, det_p = _recover9(lam, q1, q2, sign)
+        (da, db,
+         du00, du01, du02, du10, du11, du12, du20, du21, du22,
+         dv00, dv01, dv02, dv10, dv11, dv12, dv20, dv21, dv22) = k
+        a += c * da
+        b += c * db
+        u00 += c * du00
+        u01 += c * du01
+        u02 += c * du02
+        u10 += c * du10
+        u11 += c * du11
+        u12 += c * du12
+        u20 += c * du20
+        u21 += c * du21
+        u22 += c * du22
+        v00 += c * dv00
+        v01 += c * dv01
+        v02 += c * dv02
+        v10 += c * dv10
+        v11 += c * dv11
+        v12 += c * dv12
+        v20 += c * dv20
+        v21 += c * dv21
+        v22 += c * dv22
+    # M = -(Q1 + Q2)/lambda, its cofactor matrix (n..) and det M
+    m00, m01, m02 = -(u00 + v00) / lam, -(u01 + v01) / lam, -(u02 + v02) / lam
+    m10, m11, m12 = -(u10 + v10) / lam, -(u11 + v11) / lam, -(u12 + v12) / lam
+    m20, m21, m22 = -(u20 + v20) / lam, -(u21 + v21) / lam, -(u22 + v22) / lam
+    n00, n01, n02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
+    n10, n11, n12 = m02 * m21 - m01 * m22, m00 * m22 - m02 * m20, m01 * m20 - m00 * m21
+    n20, n21, n22 = m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10
+    det_m = m00 * n00 - m01 * (m10 * m22 - m12 * m20) + m02 * n02
+    if det_m <= 0:
+        raise SingularStructureError(
+            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
+        )
+    det_p = math.sqrt(det_m) * sign
     if abs(det_p) < SINGULAR_DETP:
         raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
-    A, B, R1, R2 = abr9(y[0], y[1], q1, q2)
-    p00, p01, p02, p10, p11, p12, p20, p21, p22 = p
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = R1
-    s00, s01, s02, s10, s11, s12, s20, s21, s22 = R2
+    p00, p01, p02 = n00 / det_p, n01 / det_p, n02 / det_p
+    p10, p11, p12 = n10 / det_p, n11 / det_p, n12 / det_p
+    p20, p21, p22 = n20 / det_p, n21 / det_p, n22 / det_p
+    # g = Q1^T Q2
+    g00 = u00 * v00 + u10 * v10 + u20 * v20
+    g01 = u00 * v01 + u10 * v11 + u20 * v21
+    g02 = u00 * v02 + u10 * v12 + u20 * v22
+    g10 = u01 * v00 + u11 * v10 + u21 * v20
+    g11 = u01 * v01 + u11 * v11 + u21 * v21
+    g12 = u01 * v02 + u11 * v12 + u21 * v22
+    g20 = u02 * v00 + u12 * v10 + u22 * v20
+    g21 = u02 * v01 + u12 * v11 + u22 * v21
+    g22 = u02 * v02 + u12 * v12 + u22 * v22
+    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
+    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
+    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
+    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
+    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
+    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
+    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
+    det1 = u00 * k00 - u01 * (u10 * u22 - u12 * u20) + u02 * k02
+    det2 = v00 * c00 - v01 * (v10 * v22 - v12 * v20) + v02 * c02
+    tr12 = g00 + g11 + g22
+    s = a * b + tr12
+    ta, tb = 2 * a, 2 * b
+    # R1 and R2, with Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
+    r00 = -(s * u00 - ta * c00 - 2 * (u00 * g00 + u01 * g01 + u02 * g02))
+    r01 = -(s * u01 - ta * c01 - 2 * (u00 * g10 + u01 * g11 + u02 * g12))
+    r02 = -(s * u02 - ta * c02 - 2 * (u00 * g20 + u01 * g21 + u02 * g22))
+    r10 = -(s * u10 - ta * c10 - 2 * (u10 * g00 + u11 * g01 + u12 * g02))
+    r11 = -(s * u11 - ta * c11 - 2 * (u10 * g10 + u11 * g11 + u12 * g12))
+    r12 = -(s * u12 - ta * c12 - 2 * (u10 * g20 + u11 * g21 + u12 * g22))
+    r20 = -(s * u20 - ta * c20 - 2 * (u20 * g00 + u21 * g01 + u22 * g02))
+    r21 = -(s * u21 - ta * c21 - 2 * (u20 * g10 + u21 * g11 + u22 * g12))
+    r22 = -(s * u22 - ta * c22 - 2 * (u20 * g20 + u21 * g21 + u22 * g22))
+    s00 = s * v00 - tb * k00 - 2 * (v00 * g00 + v01 * g10 + v02 * g20)
+    s01 = s * v01 - tb * k01 - 2 * (v00 * g01 + v01 * g11 + v02 * g21)
+    s02 = s * v02 - tb * k02 - 2 * (v00 * g02 + v01 * g12 + v02 * g22)
+    s10 = s * v10 - tb * k10 - 2 * (v10 * g00 + v11 * g10 + v12 * g20)
+    s11 = s * v11 - tb * k11 - 2 * (v10 * g01 + v11 * g11 + v12 * g21)
+    s12 = s * v12 - tb * k12 - 2 * (v10 * g02 + v11 * g12 + v12 * g22)
+    s20 = s * v20 - tb * k20 - 2 * (v20 * g00 + v21 * g10 + v22 * g20)
+    s21 = s * v21 - tb * k21 - 2 * (v20 * g01 + v21 * g11 + v22 * g21)
+    s22 = s * v22 - tb * k22 - 2 * (v20 * g02 + v21 * g12 + v22 * g22)
     e = -2.0 * lam / det_p
     return [
-        e * A, e * B,
+        e * (a * tr12 - 2 * det1 - a * a * b),
+        e * -(b * tr12 - 2 * det2 - a * b * b),
         e * r00 + p00, e * r01 + p01, e * r02 + p02,
         e * r10 + p10, e * r11 + p11, e * r12 + p12,
         e * r20 + p20, e * r21 + p21, e * r22 + p22,
@@ -311,8 +378,11 @@ def integrate(
     at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
     last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than
-    MAX_STEPS steps, and FlowSingularityError (carrying the partial
-    trajectory) if |det P| drops below SINGULAR_DETP."""
+    MAX_STEPS steps.  Raises FlowSingularityError, carrying the partial
+    trajectory, where the flow turns singular: |det P| drops below
+    SINGULAR_DETP in a stage, P cannot be recovered (det M <= 0, in a
+    stage or after a step), or a sample's P is singular at construction
+    (`NhfStructure`)."""
     check_step(h, record_every, t0, t1)
     report = initial.validate(tol)
     if not report.passed:
@@ -338,13 +408,17 @@ def integrate(
     sign = _sign(initial.det_p)
     traj = Trajectory(lam)
 
-    def sample(t, y):
+    def sample(t, y, dy):
+        """The sample at (t, y).  dy is y' at y, or None where `_stage`
+        raised there: then it is evaluated after the checks of the
+        structure, so that their halts come first."""
         q1, q2 = y[2:11], y[11:20]
         p, _ = _recover9(lam, q1, q2, sign)
         q = [0.5 * (u - v) for u, v in zip(q1, q2)]
-        s = NhfStructure(lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9]))
+        s = NhfStructure(lam, y[0], y[1], p, q, _flat=True)
         report = s.validate(tol)
-        dy = _stage(lam, y, sign)
+        if dy is None:
+            dy = _stage(lam, y, sign)
         return FlowSample(
             t=t,
             structure=s,
@@ -354,14 +428,27 @@ def integrate(
             passed=report.passed,
         )
 
+    def derivative(y):
+        """y' at y, or None where `_stage` raises."""
+        try:
+            return _stage(lam, y, sign)
+        except SingularStructureError:
+            return None
+
+    # Each state's y' is evaluated once: it is the derivative of the
+    # state's sample and the k1 of the next step.  Where it raises, the
+    # halt is reported where the checks in their stepwise order report
+    # it: det M <= 0 after the step, at the step's time; else the sample
+    # of the state or, unrecorded, the k1 of the next step.
     t = t0
     try:
-        traj.samples.append(sample(t0, y))
+        dy = derivative(y)
+        traj.samples.append(sample(t0, y, dy))
         for k in range(n_steps):
             t = t0 + k * h
             if k == n_steps - 1:
                 step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
-            k1 = _stage(lam, y, sign)
+            k1 = dy if dy is not None else _stage(lam, y, sign)
             k2 = _stage(lam, y, sign, k1, half)
             k3 = _stage(lam, y, sign, k2, half)
             k4 = _stage(lam, y, sign, k3, step)
@@ -369,12 +456,14 @@ def integrate(
                 v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
             ]
-            _recover9(lam, y[2:11], y[11:], sign)  # P must stay recoverable
+            dy = derivative(y)
+            if dy is None:
+                _recover9(lam, y[2:11], y[11:], sign)  # P must stay recoverable
             traj.steps = k + 1
             if k == n_steps - 1:
-                traj.samples.append(sample(t_last, y))
+                traj.samples.append(sample(t_last, y, dy))
             elif (k + 1) % record_every == 0:
-                traj.samples.append(sample(t0 + (k + 1) * h, y))
+                traj.samples.append(sample(t0 + (k + 1) * h, y, dy))
     except SingularStructureError as exc:
         traj.terminated = "singular"
         raise FlowSingularityError(

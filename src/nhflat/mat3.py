@@ -9,8 +9,9 @@ transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
 sequence, or a 9-sequence, into such a list, without numpy.  The package
 computes every 3x3 product, cofactor and determinant with them, except in
-the flow's RK4 kernel (``structure.abr9``, ``flow._recover9``), which
-writes their expressions out inline and rounds exactly as they do.
+``structure.abr9`` (A, B, R1, R2 at construction) and the flow's RK4
+stage ``flow._stage``, which write their expressions out inline and
+round exactly as they do.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

@@ -170,10 +170,11 @@ def abr9(a, b, q1, q2):
         R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
-    Written out over local variables, since every RK4 stage of the flow
-    runs it: each entry is the expression `mat3.det9`, `cofactor9` and
-    `mul9` would give, so the result is the same to the last bit.  Uses
-    only +, - and *, so it is exact on ``fractions.Fraction`` input."""
+    Written out over local variables: each entry is the expression
+    `mat3.det9`, `cofactor9` and `mul9` would give, so the result is the
+    same to the last bit, and `flow._stage` writes out the same
+    expressions again inline.  Uses only +, - and *, so it is exact on
+    ``fractions.Fraction`` input."""
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
     # g = Q1^T Q2
@@ -444,13 +445,16 @@ class NhfStructure:
     :meth:`validate` to test the remaining constraints (so that invalid
     records can still be diagnosed)."""
 
-    def __init__(self, lam: float, a: float, b: float, P, Q):
+    def __init__(self, lam: float, a: float, b: float, P, Q, *, _flat=False):
+        # _flat: P and Q are already row-major 9-lists of floats, as
+        # `_matrix9` gives them (the private path of `from_record` and
+        # `flow.integrate`, which have them parsed)
         if lam == 0:
             raise StructureError("lambda must be nonzero")
         self.lam = float(lam)
         self.a = float(a)
         self.b = float(b)
-        p, q = _matrix9(P), _matrix9(Q)
+        p, q = (P, Q) if _flat else (_matrix9(P), _matrix9(Q))
         self.det_p = det_p = det9(p)
         # a test of the shape of P, independent of its scale
         n_p = max_abs(p)
@@ -638,9 +642,8 @@ class NhfStructure:
             lam = float(rec["lambda"])
             a = float(rec["a"])
             b = float(rec["b"])
-            P, Q = rec["P"], rec["Q"]
-            fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", _matrix9(P)),
-                      ("Q", _matrix9(Q)))
+            p, q = _matrix9(rec["P"]), _matrix9(rec["Q"])
+            fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", p), ("Q", q))
             want = rec.get("orientation")
             want = None if want is None else int(want)
         except StructureError:
@@ -650,7 +653,7 @@ class NhfStructure:
         for name, values in fields:
             if not all(map(math.isfinite, values)):
                 raise StructureError(f"malformed structure record: {name} is not finite")
-        s = cls(lam, a, b, P, Q)
+        s = cls(lam, a, b, p, q, _flat=True)
         if want is not None and want != s.orientation:
             raise StructureError(
                 f"record orientation {want} contradicts sign(det P) = {s.orientation}"

@@ -8,8 +8,11 @@ the adjugate from 2x2 minors and the explicit matrix formulas.
 
 `composed_abr9`, `composed_recover9` and `composed_stage` are the flow
 kernel composed from the `mat3` 9-sequence helpers.  The straight-line
-`abr9`, `_recover9` and `_stage` write out the same expressions, so they
-must agree with them bit for bit, and so must every trajectory.
+`abr9` and `_stage` write out the same expressions, so they must agree
+with them bit for bit, and so must every trajectory (`_recover9` is
+composed from the helpers itself).  `stepwise_rows_and_halt` is the RK4
+loop in its stepwise order, with no derivative reused; `integrate` must
+give its rows and halts.
 
 `form_g2_residual` is `flow.g2_residual` on forms, by `d`; the coordinate
 version must equal it to the bit."""
@@ -265,7 +268,6 @@ def rows_and_halt_composed(monkeypatch, *args):
     with monkeypatch.context() as m:
         m.setattr(flow, "_stage", composed_stage)
         m.setattr(flow, "_recover9", composed_recover9)
-        m.setattr(flow, "abr9", composed_abr9)
         return rows_and_halt(*args)
 
 
@@ -328,30 +330,144 @@ def test_halts_keep_time_and_message(monkeypatch, case):
         )
 
 
-def test_stage_calls_recover9_and_abr9_once(monkeypatch):
-    calls = {"_recover9": 0, "abr9": 0}
+def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
+    """`rows_and_halt` of the RK4 loop in its stepwise order: each step
+    evaluates its k1 afresh, checks after it that P is recoverable, and
+    each sample evaluates its own derivative.  `integrate` evaluates each
+    state once and must give the same rows and halts."""
+    lam, t0, t1 = initial.lam, 0.0, t_end
+    h = abs(h) * (1.0 if t1 >= t0 else -1.0)
+    ratio = abs(t1 - t0) / abs(h)
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) <= 1e-9 * ratio:
+        h_last, t_last = h, t0 + n_steps * h
+    else:
+        n_steps = math.ceil(ratio)
+        h_last, t_last = t1 - (t0 + (n_steps - 1) * h), t1
+    step, half, sixth = h, 0.5 * h, h / 6.0
+    y = [initial.a, initial.b] + initial.m9.q1 + initial.m9.q2
+    sign = 1.0 if initial.det_p >= 0 else -1.0
+    rows = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def sample(t, y):
+        q1, q2 = y[2:11], y[11:20]
+        p, _ = flow._recover9(lam, q1, q2, sign)
+        q = [0.5 * (u - v) for u, v in zip(q1, q2)]
+        s = structure.NhfStructure(
+            lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9])
+        )
+        report = s.validate()
+        dy = flow._stage(lam, y, sign)
+        rows.append(flow.FlowSample(
+            t=t,
+            structure=s,
+            norm_resid=report.residuals["normalization"],
+            sym_resid=report.residuals["qtp_symmetry"],
+            g2_resid=g2_residual(s, dy[0], dy[1], dy[2:11], dy[11:20]),
+            passed=report.passed,
+        ).row())
 
-        return wrapper
+    t = t0
+    try:
+        sample(t0, y)
+        for k in range(n_steps):
+            t = t0 + k * h
+            if k == n_steps - 1:
+                step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
+            k1 = flow._stage(lam, y, sign)
+            k2 = flow._stage(lam, y, sign, k1, half)
+            k3 = flow._stage(lam, y, sign, k2, half)
+            k4 = flow._stage(lam, y, sign, k3, step)
+            y = [
+                v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+            ]
+            flow._recover9(lam, y[2:11], y[11:], sign)
+            if k == n_steps - 1:
+                sample(t_last, y)
+            elif (k + 1) % record_every == 0:
+                sample(t0 + (k + 1) * h, y)
+    except SingularStructureError as exc:
+        return rows, (t, f"flow reached a singular point near t = {t:.6f}: {exc}")
+    return rows, None
 
-    monkeypatch.setattr(flow, "_recover9", counted("_recover9", flow._recover9))
-    monkeypatch.setattr(flow, "abr9", counted("abr9", flow.abr9))
+
+@pytest.mark.parametrize("case", HALTS)
+def test_integrate_equals_stepwise_loop_on_halts(case):
+    (kind, arg), t_end, h, t_halt, _ = case
+    if kind == "nk":
+        initial = families.nearly_kahler(4.0, arg)
+    else:
+        initial = sample_random_structure(arg)
+    for record_every in (1, 1000):
+        want = stepwise_rows_and_halt(initial, t_end, h, record_every)
+        assert rows_and_halt(initial, t_end, h, record_every) == want
+        assert want[1][0] == t_halt
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("record_every", [1, 50])
+def test_integrate_equals_stepwise_loop_on_benchmark_trajectories(k, record_every):
+    initial, t_end = benchmark_flow_starts()[k]
+    want = stepwise_rows_and_halt(initial, t_end, 1e-3, record_every)
+    assert rows_and_halt(initial, t_end, 1e-3, record_every) == want
+    assert want[1] is None and len(want[0]) == 1 + 300 // record_every
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 1000])
+@pytest.mark.parametrize("n", [0, 4, 10])
+def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_every, n):
+    # no flow above reaches the threshold first at a state rather than in a
+    # step, so a stage is made to raise at the state after step n: the
+    # halt belongs to the sample there when it is recorded, else to the
+    # next step
+    initial, stage, states = rotated_nk(1), flow._stage, []
+
+    def recording(lam, y, sign, k=None, c=0.0):
+        if k is None and y not in states:
+            states.append(y)
+        return stage(lam, y, sign, k, c)
+
+    def halting(lam, y, sign, k=None, c=0.0):
+        if k is None and y == states[n]:
+            raise SingularStructureError("det P = 1.000e-06 below threshold")
+        return stage(lam, y, sign, k, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_stage", recording)
+        flow.integrate(initial, 0.0, 0.01, h=1e-3)
+    assert len(states) == 11
+    monkeypatch.setattr(flow, "_stage", halting)
+    want = stepwise_rows_and_halt(initial, 0.01, 1e-3, record_every)
+    assert rows_and_halt(initial, 0.01, 1e-3, record_every) == want
+    recorded = n % record_every == 0 or n == 10
+    assert want[1][0] == (n - 1 if recorded and n else n) * 1e-3
+    assert len(want[0]) == 1 + (n - 1) // record_every if n else not want[0]
+
+
+@pytest.mark.parametrize("record_every", [1, 1000])
+def test_integrate_evaluates_each_state_once(monkeypatch, record_every):
+    # k2, k3, k4 and the y' of the new state per step, and y' of the start
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return stage(*args)
+
+    stage = flow._stage
+    monkeypatch.setattr(flow, "_stage", counted)
+    n = 40
+    traj = flow.integrate(rotated_nk(1), 0.0, n * 1e-3, h=1e-3, record_every=record_every)
+    assert traj.steps == n
+    assert len(calls) == 4 * n + 1
+
+
+def test_stage_enters_no_python_function():
+    # the Python functions entered, and their callers, while a stage runs
+    # at a state, at a shifted state and where it raises
     s = rotated_nk(1)
     y = flow._pack(s.a, s.b, s.Q1, s.Q2)
-    k = flow._stage(s.lam, y, 1.0)
-    flow._stage(s.lam, y, 1.0, k, 5e-4)
-    assert calls == {"_recover9": 2, "abr9": 2}
-
-
-def test_kernel_makes_no_other_python_call():
-    # the Python functions entered while one stage runs, and their callers
-    s = rotated_nk(1)
-    y = flow._pack(s.a, s.b, s.Q1, s.Q2)
-    seen = []
+    seen, raised = [], []
 
     def profile(frame, event, arg):
         if event == "call":
@@ -359,13 +475,18 @@ def test_kernel_makes_no_other_python_call():
 
     sys.setprofile(profile)
     try:
+        flow._stage(s.lam, y, 1.0)
         flow._stage(s.lam, y, 1.0, y, 5e-4)
+        try:
+            flow._stage(s.lam, y, 1.0, y, -1.0)  # the zero state: det M = 0
+        except SingularStructureError as exc:
+            raised.append(str(exc))
     finally:
         sys.setprofile(None)
-    calls = [(caller, callee) for caller, callee in seen if callee != "<listcomp>"]
-    assert calls[0] == ("test_kernel_makes_no_other_python_call", "_stage")
-    assert calls[1:] == [("_stage", "_recover9"), ("_stage", "abr9")]
-    assert flow.abr9 is structure.abr9
+    assert seen == [("test_stage_enters_no_python_function", "_stage")] * 3
+    assert raised == [
+        "Adj(P^T) has nonpositive determinant 0.000e+00; P is not recoverable"
+    ]
 
 
 # -- g2_residual ---------------------------------------------------------------

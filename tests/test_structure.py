@@ -5,7 +5,7 @@ import pytest
 
 from nhflat.exterior import BASIS, Form, d, is_spd, wedge
 from nhflat.mat3 import adjugate, det3
-from nhflat import families
+from nhflat import families, structure
 from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
@@ -201,6 +201,25 @@ class TestRecord:
     def test_malformed_record(self):
         with pytest.raises(StructureError):
             NhfStructure.from_record({"lambda": 4.0})
+
+    def test_record_parses_p_and_q_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return matrix9(m)
+
+        rec, matrix9 = sample_random_structure(7).to_record(), structure._matrix9
+        monkeypatch.setattr(structure, "_matrix9", counted)
+        t = NhfStructure.from_record(rec)
+        assert calls == [rec["P"], rec["Q"]]
+        assert t.m9.p == [x for row in rec["P"] for x in row]
+        assert t.m9.q == [x for row in rec["Q"] for x in row]
+
+    def test_flat_nine_lists_are_not_3x3(self):
+        s = families.nearly_kahler(4.0)
+        with pytest.raises(StructureError, match="P and Q must be 3x3 matrices"):
+            NhfStructure(s.lam, s.a, s.b, s.m9.p, s.m9.q)
 
 
 class TestEquivariance:
