@@ -31,7 +31,6 @@ _ORIGIN = {
     "extract_torsion": "torsion",
     "classify": "torsion",
     "scalar_curvature": "torsion",
-    "w1_plus": "torsion",
     "rotate_to_half_flat": "torsion",
     "Trajectory": "flow",
     "FlowSingularityError": "flow",

@@ -179,7 +179,7 @@ def cmd_classify(args) -> int:
             "class": cls.label,
             "nearly_kahler": cls.nearly_kahler,
             "predicate_residuals": dict(cls.predicate_residuals),
-            "w1plus": torsion.w1_plus(s),
+            "w1plus": s.w1plus,
             "w1minus": s.w1_minus,
             "s": torsion.scalar_curvature(s, tol=tol),
         },

@@ -18,9 +18,9 @@ with Q1 and Q2 row-major (y[2:11] and y[11:20]).  Each RK4 stage is one
 call of `_stage(lam, y, sign, k, c)`, which evaluates the equations at
 the shifted state y + c k itself, so the RK4 loop builds no shifted
 lists.  `_stage` is one straight-line body over local floats: it
-recovers P as `_recover9` does and computes A, B, R1 and R2 as
-`structure.abr9` does, with the same expressions (those of the `mat3`
-helpers), and calls no Python function.  `integrate` evaluates each
+recovers P as `_recover9` does, with the same expressions (those of the
+`mat3` helpers), and makes one call, of `structure.abr`, the kernel of
+F = (A, B, R1, R2) that construction calls too.  `integrate` evaluates each
 state once: its y' is both the derivative of its sample and the k1 of
 the next step, so n steps take 4n + 1 stages.  The recorded samples,
 their residuals and `g2_residual` are computed from the list state too,
@@ -34,7 +34,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from nhflat.mat3 import cofactor9, det9, flat9
-from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
+from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError, abr
 from nhflat.tolerance import DEFAULT_TOL, max_abs
 
 if TYPE_CHECKING:
@@ -88,11 +88,11 @@ def _stage(lam, y, sign, k=None, c=0.0):
     e = -2 lambda / det P.
 
     One straight-line body over local floats, which builds no list but
-    its result and calls no Python function: P and det P are computed
-    with the expressions of `_recover9`, and A, B, R1 and R2 with those of
-    `structure.abr9` (u = Q1, v = Q2), so the result is theirs to the
-    last bit.  Raises SingularStructureError as `_recover9` does, and when
-    |det P| < SINGULAR_DETP."""
+    its result: P and det P are computed with the expressions of
+    `_recover9`, so they are its to the last bit, and F = (A, B, R1, R2)
+    is the 20-tuple of one call of `structure.abr` (u = Q1, v = Q2), the
+    only Python function it enters.  Raises SingularStructureError as
+    `_recover9` does, and when |det P| < SINGULAR_DETP, before `abr`."""
     (a, b,
      u00, u01, u02, u10, u11, u12, u20, u21, u22,
      v00, v01, v02, v10, v11, v12, v20, v21, v22) = y
@@ -138,51 +138,17 @@ def _stage(lam, y, sign, k=None, c=0.0):
     p00, p01, p02 = n00 / det_p, n01 / det_p, n02 / det_p
     p10, p11, p12 = n10 / det_p, n11 / det_p, n12 / det_p
     p20, p21, p22 = n20 / det_p, n21 / det_p, n22 / det_p
-    # g = Q1^T Q2
-    g00 = u00 * v00 + u10 * v10 + u20 * v20
-    g01 = u00 * v01 + u10 * v11 + u20 * v21
-    g02 = u00 * v02 + u10 * v12 + u20 * v22
-    g10 = u01 * v00 + u11 * v10 + u21 * v20
-    g11 = u01 * v01 + u11 * v11 + u21 * v21
-    g12 = u01 * v02 + u11 * v12 + u21 * v22
-    g20 = u02 * v00 + u12 * v10 + u22 * v20
-    g21 = u02 * v01 + u12 * v11 + u22 * v21
-    g22 = u02 * v02 + u12 * v12 + u22 * v22
-    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
-    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
-    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
-    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
-    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
-    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
-    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
-    det1 = u00 * k00 - u01 * (u10 * u22 - u12 * u20) + u02 * k02
-    det2 = v00 * c00 - v01 * (v10 * v22 - v12 * v20) + v02 * c02
-    tr12 = g00 + g11 + g22
-    s = a * b + tr12
-    ta, tb = 2 * a, 2 * b
-    # R1 and R2, with Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
-    r00 = -(s * u00 - ta * c00 - 2 * (u00 * g00 + u01 * g01 + u02 * g02))
-    r01 = -(s * u01 - ta * c01 - 2 * (u00 * g10 + u01 * g11 + u02 * g12))
-    r02 = -(s * u02 - ta * c02 - 2 * (u00 * g20 + u01 * g21 + u02 * g22))
-    r10 = -(s * u10 - ta * c10 - 2 * (u10 * g00 + u11 * g01 + u12 * g02))
-    r11 = -(s * u11 - ta * c11 - 2 * (u10 * g10 + u11 * g11 + u12 * g12))
-    r12 = -(s * u12 - ta * c12 - 2 * (u10 * g20 + u11 * g21 + u12 * g22))
-    r20 = -(s * u20 - ta * c20 - 2 * (u20 * g00 + u21 * g01 + u22 * g02))
-    r21 = -(s * u21 - ta * c21 - 2 * (u20 * g10 + u21 * g11 + u22 * g12))
-    r22 = -(s * u22 - ta * c22 - 2 * (u20 * g20 + u21 * g21 + u22 * g22))
-    s00 = s * v00 - tb * k00 - 2 * (v00 * g00 + v01 * g10 + v02 * g20)
-    s01 = s * v01 - tb * k01 - 2 * (v00 * g01 + v01 * g11 + v02 * g21)
-    s02 = s * v02 - tb * k02 - 2 * (v00 * g02 + v01 * g12 + v02 * g22)
-    s10 = s * v10 - tb * k10 - 2 * (v10 * g00 + v11 * g10 + v12 * g20)
-    s11 = s * v11 - tb * k11 - 2 * (v10 * g01 + v11 * g11 + v12 * g21)
-    s12 = s * v12 - tb * k12 - 2 * (v10 * g02 + v11 * g12 + v12 * g22)
-    s20 = s * v20 - tb * k20 - 2 * (v20 * g00 + v21 * g10 + v22 * g20)
-    s21 = s * v21 - tb * k21 - 2 * (v20 * g01 + v21 * g11 + v22 * g21)
-    s22 = s * v22 - tb * k22 - 2 * (v20 * g02 + v21 * g12 + v22 * g22)
+    (A, B,
+     r00, r01, r02, r10, r11, r12, r20, r21, r22,
+     s00, s01, s02, s10, s11, s12, s20, s21, s22) = abr(
+        a, b,
+        u00, u01, u02, u10, u11, u12, u20, u21, u22,
+        v00, v01, v02, v10, v11, v12, v20, v21, v22,
+    )
     e = -2.0 * lam / det_p
     return [
-        e * (a * tr12 - 2 * det1 - a * a * b),
-        e * -(b * tr12 - 2 * det2 - a * b * b),
+        e * A,
+        e * B,
         e * r00 + p00, e * r01 + p01, e * r02 + p02,
         e * r10 + p10, e * r11 + p11, e * r12 + p12,
         e * r20 + p20, e * r21 + p21, e * r22 + p22,

@@ -9,9 +9,9 @@ transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
 sequence, or a 9-sequence, into such a list, without numpy.  The package
 computes every 3x3 product, cofactor and determinant with them, except in
-``structure.abr9`` (A, B, R1, R2 at construction) and the flow's RK4
-stage ``flow._stage``, which write their expressions out inline and
-round exactly as they do.
+``structure.abr`` (F = (A, B, R1, R2), which construction and the flow's
+RK4 stage call) and the P recovery of that stage, ``flow._stage``, which
+write their expressions out inline and round exactly as they do.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

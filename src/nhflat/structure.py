@@ -161,22 +161,26 @@ def three_form_volume(x, y) -> float:
     return x[1] * y[0] - x[0] * y[1] + _dot(x[2:11], y[11:20]) - _dot(x[11:20], y[2:11])
 
 
-def abr9(a, b, q1, q2):
-    """A, B and the row-major 9-lists R1, R2 of the state (a, b, Q1, Q2),
-    with Q1, Q2 given as row-major 9-sequences:
+def abr(a, b,
+        u00, u01, u02, u10, u11, u12, u20, u21, u22,
+        v00, v01, v02, v10, v11, v12, v20, v21, v22):
+    """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
+    coordinate layout of `invariant_three_form`: a, b, then Q1 = (u..) and
+    Q2 = (v..) row-major, and A, B, then R1 and R2 row-major:
 
         A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
         B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
         R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
+    J gamma = (2 / det P) F, and the flow's evolution equations
+    gamma' = d omega - lambda J gamma read F too, so construction and the
+    RK4 stage `flow._stage` both call it: it is the one place F is
+    written out.
     Written out over local variables: each entry is the expression
     `mat3.det9`, `cofactor9` and `mul9` would give, so the result is the
-    same to the last bit, and `flow._stage` writes out the same
-    expressions again inline.  Uses only +, - and *, so it is exact on
+    same to the last bit.  Uses only +, - and *, so it is exact on
     ``fractions.Fraction`` input."""
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
     # g = Q1^T Q2
     g00 = u00 * v00 + u10 * v10 + u20 * v20
     g01 = u00 * v01 + u10 * v11 + u20 * v21
@@ -200,11 +204,11 @@ def abr9(a, b, q1, q2):
     det2 = v00 * c00 - v01 * (v10 * v22 - v12 * v20) + v02 * c02
     tr12 = g00 + g11 + g22
     s = a * b + tr12
-    A = a * tr12 - 2 * det1 - a * a * b
-    B = -(b * tr12 - 2 * det2 - a * b * b)
     ta, tb = 2 * a, 2 * b
-    # Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
-    R1 = [
+    # A, B, R1 and R2, with Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
+    return (
+        a * tr12 - 2 * det1 - a * a * b,
+        -(b * tr12 - 2 * det2 - a * b * b),
         -(s * u00 - ta * c00 - 2 * (u00 * g00 + u01 * g01 + u02 * g02)),
         -(s * u01 - ta * c01 - 2 * (u00 * g10 + u01 * g11 + u02 * g12)),
         -(s * u02 - ta * c02 - 2 * (u00 * g20 + u01 * g21 + u02 * g22)),
@@ -214,8 +218,6 @@ def abr9(a, b, q1, q2):
         -(s * u20 - ta * c20 - 2 * (u20 * g00 + u21 * g01 + u22 * g02)),
         -(s * u21 - ta * c21 - 2 * (u20 * g10 + u21 * g11 + u22 * g12)),
         -(s * u22 - ta * c22 - 2 * (u20 * g20 + u21 * g21 + u22 * g22)),
-    ]
-    R2 = [
         s * v00 - tb * k00 - 2 * (v00 * g00 + v01 * g10 + v02 * g20),
         s * v01 - tb * k01 - 2 * (v00 * g01 + v01 * g11 + v02 * g21),
         s * v02 - tb * k02 - 2 * (v00 * g02 + v01 * g12 + v02 * g22),
@@ -225,8 +227,7 @@ def abr9(a, b, q1, q2):
         s * v20 - tb * k20 - 2 * (v20 * g00 + v21 * g10 + v22 * g20),
         s * v21 - tb * k21 - 2 * (v20 * g01 + v21 * g11 + v22 * g21),
         s * v22 - tb * k22 - 2 * (v20 * g02 + v21 * g12 + v22 * g22),
-    ]
-    return A, B, R1, R2
+    )
 
 
 def compute_abr(a: float, b: float, Q1, Q2):
@@ -234,10 +235,10 @@ def compute_abr(a: float, b: float, Q1, Q2):
 
     Nothing in the package calls it; it stays only because the benchmark's
     tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
-    retargets the tracer.  `abr9` is the computation."""
-    A, B, R1, R2 = abr9(float(a), float(b), flat9(Q1), flat9(Q2))
-    R1, R2 = _array3x3(R1), _array3x3(R2)
-    return A, B, R1, R2, R1 + R2
+    retargets the tracer.  `abr` is the computation."""
+    f = abr(float(a), float(b), *flat9(Q1), *flat9(Q2))
+    R1, R2 = _array3x3(f[2:11]), _array3x3(f[11:])
+    return f[0], f[1], R1, R2, R1 + R2
 
 
 def _bracket9(a: float, b: float, q1, q2) -> float:
@@ -268,7 +269,7 @@ def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
     which would lose the digits of the small factors.
 
     It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
-    R1, R2) of `abr9`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
+    R1, R2) of `abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
     Hitchin's construction of the dual map gamma -> J gamma =
     (2 / det P) F(gamma), F is the symplectic gradient of the quartic
     invariant lambda / 2."""
@@ -461,16 +462,17 @@ class NhfStructure:
         if relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {det_p} is singular")
         self.orientation = 1 if det_p > 0 else -1
-        # Adj(P^T), Q1, Q2 and A, B, R1, R2 (as `compute_abr`)
+        # Adj(P^T), Q1, Q2 and F = (A, B, R1, R2) (as `compute_abr`)
         adj = list(cofactor9(p))
         h = 0.5 * self.lam
         q1 = [x - h * c for x, c in zip(q, adj)]
         q2 = [-x - h * c for x, c in zip(q, adj)]
-        self.A, self.B, r1, r2 = abr9(self.a, self.b, q1, q2)
-        self.m9 = Lists9(p, q, adj, q1, q2, r1, r2)
-        # J gamma = (2/det P)(A, B, R1, R2) on the slots of gamma's (a, b, Q1, Q2)
-        f = 2.0 / det_p
-        self.jgamma_coords = [f * x for x in [self.A, self.B] + r1 + r2]
+        f = abr(self.a, self.b, *q1, *q2)
+        self.A, self.B = f[0], f[1]
+        self.m9 = Lists9(p, q, adj, q1, q2, list(f[2:11]), list(f[11:]))
+        # J gamma = (2/det P) F on the slots of gamma's (a, b, Q1, Q2)
+        c = 2.0 / det_p
+        self.jgamma_coords = [c * x for x in f]
 
     # -- derived values, computed on first use ---------------------------
 
@@ -645,7 +647,11 @@ class NhfStructure:
             p, q = _matrix9(rec["P"]), _matrix9(rec["Q"])
             fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", p), ("Q", q))
             want = rec.get("orientation")
-            want = None if want is None else int(want)
+            # +-1 as given, not converted: True == 1, and no string equals 1
+            if want is not None and (isinstance(want, bool) or want not in (1, -1)):
+                raise StructureError(
+                    f"malformed structure record: orientation must be 1 or -1, got {want!r}"
+                )
         except StructureError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

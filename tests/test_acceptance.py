@@ -28,7 +28,6 @@ from nhflat.torsion import (
     extract_torsion,
     rotate_to_half_flat,
     scalar_curvature,
-    w1_plus,
 )
 from oracles import hitchin_j, structure_at
 
@@ -125,7 +124,7 @@ def test_07_half_flat_rotation_w1_samples():
         lam = rng.uniform(0.5, 2.5)
         pmax = 4.0 * SQRT3 / (9.0 * lam * lam)
         s = families.w1_family(lam, rng.uniform(0.15, 0.9) * pmax)
-        w1p = w1_plus(s)
+        w1p = s.w1plus
         theta, gamma_theta, residual = rotate_to_half_flat(s)
         assert theta == pytest.approx(np.arctan(3.0 * lam / (4.0 * w1p)))
         assert residual <= 1e-9
@@ -181,7 +180,7 @@ def test_09_sine_cone_reproduction():
     # w1+ along the trajectory equals 6 cot(2t + pi/2) within 1e-5
     for sample in traj.samples:
         expected = 6.0 / np.tan(2.0 * sample.t + np.pi / 2.0)
-        assert w1_plus(sample.structure) == pytest.approx(expected, abs=1e-5)
+        assert sample.structure.w1plus == pytest.approx(expected, abs=1e-5)
 
 
 def test_10_equivariance_200_rotations():
@@ -197,7 +196,7 @@ def test_10_equivariance_200_rotations():
         t = s.rotated(random_rotation(rng), random_rotation(rng))
         assert t.validate(tol=1e-9).passed
         assert t.det_p == pytest.approx(s.det_p, abs=1e-8)
-        assert w1_plus(t) == pytest.approx(w1_plus(s), abs=1e-8)
+        assert t.w1plus == pytest.approx(s.w1plus, abs=1e-8)
         assert scalar_curvature(t) == pytest.approx(scalar_curvature(s), abs=1e-8)
 
 

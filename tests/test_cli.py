@@ -325,8 +325,8 @@ def _nan_summary(self):
 # (argv with {nk} for the nearly Kahler record, {nan} and {inf} for records
 # with a non-finite number, {huge} for one whose det P overflows, {tiny}
 # for the nearly Kahler structure rescaled so that (det P)^2 underflows
-# and {orientation} for one whose orientation is not a number,
-# NHF_TOL or None, function to patch to NaN, exit)
+# and {orientation...} for ones whose orientation is not a number equal
+# to +-1, NHF_TOL or None, function to patch to NaN, exit)
 BAD_INPUTS = {
     "nhf_tol_abc": (["check", "{nk}"], "abc", None, 2),
     "nhf_tol_nan": (["check", "{nk}"], "nan", None, 2),
@@ -341,6 +341,10 @@ BAD_INPUTS = {
     # valid, but w1+ divides by (det P)^2 = 0: a numerical failure
     "record_det_p_squared_underflow": (["check", "{tiny}"], None, None, 1),
     "record_bad_orientation": (["rotate", "{orientation}"], None, None, 2),
+    "record_bad_orientation_1_5": (["check", "{orientation_1_5}"], None, None, 2),
+    "record_bad_orientation_str_1": (["check", "{orientation_str_1}"], None, None, 2),
+    "record_bad_orientation_true": (["check", "{orientation_true}"], None, None, 2),
+    "record_bad_orientation_minus_0_5": (["check", "{orientation_minus_0_5}"], None, None, 2),
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
@@ -410,6 +414,10 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "inf": nk | {"lambda": float("inf")},
         "tiny": rescaled(families.nearly_kahler(4.0), 1e27),
         "orientation": nk | {"orientation": "x"},
+        "orientation_1_5": nk | {"orientation": 1.5},
+        "orientation_str_1": nk | {"orientation": "1"},
+        "orientation_true": nk | {"orientation": True},
+        "orientation_minus_0_5": nk | {"orientation": -0.5},
     }
     paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():
@@ -426,6 +434,8 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if case.startswith("record_bad_orientation"):
+        assert lines[0].startswith("error: malformed structure record: "), err
     assert out == "" or _strict_json(out) is not None
 
 

@@ -8,7 +8,7 @@ the adjugate from 2x2 minors and the explicit matrix formulas.
 
 `composed_abr9`, `composed_recover9` and `composed_stage` are the flow
 kernel composed from the `mat3` 9-sequence helpers.  The straight-line
-`abr9` and `_stage` write out the same expressions, so they must agree
+`abr` and `_stage` write out the same expressions, so they must agree
 with them bit for bit, and so must every trajectory (`_recover9` is
 composed from the helpers itself).  `stepwise_rows_and_halt` is the RK4
 loop in its stepwise order, with no derivative reused; `integrate` must
@@ -30,7 +30,7 @@ from nhflat.flow import g2_residual
 from nhflat.mat3 import adjugate, cofactor9, det3, det9, mul9, transpose9
 from nhflat.structure import (
     SingularStructureError,
-    abr9,
+    abr,
     compute_abr,
     invariant_three_form,
     random_rotation,
@@ -202,19 +202,28 @@ def random_states(seed, n=200):
     return (sizes * signs).tolist()
 
 
+def composed_f(y):
+    """F = (A, B, R1, R2) of `composed_abr9` as one 20-tuple, the layout of
+    `abr`."""
+    A, B, R1, R2 = composed_abr9(y[0], y[1], y[2:11], y[11:])
+    return (A, B, *R1, *R2)
+
+
 def test_abr9_equals_composed_on_random_floats():
     for y in random_states(30):
-        assert abr9(y[0], y[1], y[2:11], y[11:]) == composed_abr9(
-            y[0], y[1], y[2:11], y[11:]
-        )
+        assert abr(*y) == composed_f(y)
 
 
 def test_abr9_exact_on_fractions():
     for y in random_states(31, n=20):
         y = [Fraction(v) for v in y]
-        got = abr9(y[0], y[1], y[2:11], y[11:])
-        assert got == composed_abr9(y[0], y[1], y[2:11], y[11:])
-        assert all(type(v) is Fraction for v in [got[0], got[1], *got[2], *got[3]])
+        got = abr(*y)
+        assert got == composed_f(y)
+        assert all(type(v) is Fraction for v in got)
+
+
+def test_flow_and_construction_share_one_kernel():
+    assert flow.abr is structure.abr
 
 
 def same_outcome(fn, oracle, *args):
@@ -462,7 +471,7 @@ def test_integrate_evaluates_each_state_once(monkeypatch, record_every):
     assert len(calls) == 4 * n + 1
 
 
-def test_stage_enters_no_python_function():
+def test_stage_enters_only_abr():
     # the Python functions entered, and their callers, while a stage runs
     # at a state, at a shifted state and where it raises
     s = rotated_nk(1)
@@ -483,7 +492,8 @@ def test_stage_enters_no_python_function():
             raised.append(str(exc))
     finally:
         sys.setprofile(None)
-    assert seen == [("test_stage_enters_no_python_function", "_stage")] * 3
+    here = "test_stage_enters_only_abr"
+    assert seen == [(here, "_stage"), ("_stage", "abr")] * 2 + [(here, "_stage")]
     assert raised == [
         "Adj(P^T) has nonpositive determinant 0.000e+00; P is not recoverable"
     ]

@@ -38,7 +38,7 @@ from nhflat.structure import (
     _bracket9,
     _interleave,
     _j_blocks9,
-    abr9,
+    abr,
     bracket_hessian9,
     build_omega,
     invariant_three_form,
@@ -667,18 +667,14 @@ def test_norms_match_inner_oracle(samples):
 
 
 def abr_derivative(x, y):
-    """D F[y] at x, F = (A, B, R1, R2) of `abr9`, for 20-lists x and y.  F
+    """D F[y] at x, F = (A, B, R1, R2) of `abr`, for 20-lists x and y.  F
     is cubic, so F(x + y) - F(x - y) = 2 D F[y] + 2 F(y); evaluated on
-    Fractions, where abr9 is exact."""
-
-    def f(v):
-        A, B, R1, R2 = abr9(v[0], v[1], v[2:11], v[11:20])
-        return [A, B, *R1, *R2]
+    Fractions, where abr is exact."""
 
     x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
-    plus = f([u + v for u, v in zip(x, y)])
-    minus = f([u - v for u, v in zip(x, y)])
-    return [float((p - m) / 2 - q) for p, m, q in zip(plus, minus, f(y))]
+    plus = abr(*[u + v for u, v in zip(x, y)])
+    minus = abr(*[u - v for u, v in zip(x, y)])
+    return [float((p - m) / 2 - q) for p, m, q in zip(plus, minus, abr(*y))]
 
 
 def test_bracket_hessian_is_the_dual_map_derivative():

@@ -13,7 +13,6 @@ from nhflat.torsion import (
     extract_torsion,
     rotate_to_half_flat,
     scalar_curvature,
-    w1_plus,
     w2_minus_coords,
     w2_minus_form,
     w3_coords,
@@ -141,7 +140,7 @@ class TestClassify:
     def test_small_detp_not_misclassified(self):
         # regression: tiny det P must not mask a large w1+
         s = families.w1_family(4.0, 0.03)
-        assert abs(w1_plus(s)) > 1.0
+        assert abs(s.w1plus) > 1.0
         assert classify(s).label == "W1"
 
     def test_rotated_w1w3_keeps_label(self):
@@ -172,7 +171,7 @@ class TestRotation:
             pmax = 4.0 * SQRT3 / (9.0 * lam * lam)
             s = families.w1_family(lam, rng.uniform(0.2, 0.9) * pmax)
             theta, y, residual = rotate_to_half_flat(s)
-            w1p = w1_plus(s)
+            w1p = s.w1plus
             assert theta == pytest.approx(np.arctan(3.0 * lam / (4.0 * w1p)))
             assert residual < 1e-9
             # gamma_theta is a 20-list; d of its form is the oracle
