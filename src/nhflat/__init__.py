@@ -33,7 +33,6 @@ _ORIGIN = {
     "scalar_curvature": "torsion",
     "rotate_to_half_flat": "torsion",
     "Trajectory": "flow",
-    "FlowSingularityError": "flow",
     "integrate": "flow",
     "g2_residual": "flow",
     "families": None,

@@ -2,7 +2,8 @@
 
 Subcommands: check, classify, flow, family, rotate, verify-g2.
 Exit codes: 0 pass, 1 invalid structure / failed verification, 2 usage or
-parse error, 3 flow singularity.  A usage error prints one line
+parse error, 3 flow singularity (the samples recorded before it are
+written as a completed run's are).  A usage error prints one line
 ``error: ...`` on stderr.
 
 Tolerances are relative: every verdict divides a residual by the size of
@@ -218,23 +219,18 @@ def cmd_flow(args) -> int:
     # stderr is written last, so that an unwritable --out is its one line
     code, notes, summaries = EXIT_OK, [], []
     for k, s in enumerate(structures):
-        try:
-            traj = flow.integrate(
-                s, args.t_start, args.t_end, h=args.h,
-                record_every=args.record_every, tol=tol,
-            )
-        except flow.FlowSingularityError as exc:
-            traj = exc.trajectory
-            summary = traj.to_record() if traj.samples else {}
-            summary["terminated"] = "singular"
+        traj = flow.integrate(
+            s, args.t_start, args.t_end, h=args.h,
+            record_every=args.record_every, tol=tol,
+        )
+        summary = traj.to_record()
+        if traj.halt is not None:
             summary["last_good_t"] = float(traj.samples[-1].t) if traj.samples else None
-            notes.append(f"flow singularity near t = {exc.t:.6f}")
-            summaries.append(summary)
+            notes.append(f"flow singularity near t = {traj.halt[0]:.6f}")
             code = EXIT_SINGULAR
-            if args.out and traj.samples:
-                _write(_batch_path(args.out, k, batch), traj.to_csv())
+        summaries.append(summary)
+        if not traj.samples:
             continue
-        summaries.append(traj.to_record())
         if args.out:
             _write(_batch_path(args.out, k, batch), traj.to_csv())
         else:

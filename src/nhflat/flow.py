@@ -22,7 +22,9 @@ recovers P as `_recover9` does, with the same expressions (those of the
 `mat3` helpers), and makes one call, of `structure.abr`, the kernel of
 F = (A, B, R1, R2) that construction calls too.  `integrate` evaluates each
 state once: its y' is both the derivative of its sample and the k1 of
-the next step, so n steps take 4n + 1 stages.  The recorded samples,
+the next step, so n steps take 4n + 1 stages.  Where a stage raises,
+the run stops and `integrate` returns what it has, marked singular.
+The recorded samples,
 their residuals and `g2_residual` are computed from the list state too,
 so `integrate` does not import numpy.  `flow_rhs` and `recover_p` are the
 array wrappers of the same code.
@@ -51,15 +53,6 @@ CSV_COLUMNS = (
     + [f"P_{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
     + ["norm_resid", "sym_resid", "g2_resid"]
 )
-
-
-class FlowSingularityError(SingularStructureError):
-    """det P collapsed below the singularity threshold during the flow."""
-
-    def __init__(self, message, t=None, trajectory=None):
-        super().__init__(message)
-        self.t = t
-        self.trajectory = trajectory
 
 
 def _recover9(lam, q1, q2, sign):
@@ -227,15 +220,19 @@ class FlowSample(NamedTuple):
 
 class Trajectory:
     """The samples of an `integrate` run, how it ended (``terminated``:
-    "completed" or "singular") and the RK4 steps taken, recorded or not."""
+    "completed" or "singular") and the RK4 steps taken, recorded or not.
+    ``halt`` is (t, reason) of a singular end, the start time of the step
+    in which the run stopped and the SingularStructureError message, and
+    None for a completed run."""
 
     def __init__(self, lam: float):
         self.lam = lam
         self.samples = []
         self.terminated = "completed"
+        self.halt = None
         self.steps = 0
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
         import csv
         import io
 
@@ -244,29 +241,27 @@ class Trajectory:
         writer.writerow(CSV_COLUMNS)
         for s in self.samples:
             writer.writerow([f"{v:.12g}" for v in s.row()])
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return buf.getvalue()
 
     def to_record(self) -> dict:
         """Summary of the run.  Each ``max_*`` residual comes with the time
         ``t_max_*`` of the first sample that attains it;
         ``invalid_samples`` counts the samples whose `validate` failed and
         ``t_first_invalid`` is the time of the first of them (None if
-        every sample passed)."""
+        every sample passed).  A run without samples has the same keys,
+        with None for every time and residual."""
+        samples = self.samples
         rec = {
             "lambda": self.lam,
             "terminated": self.terminated,
-            "t_start": float(self.samples[0].t),
-            "t_end": float(self.samples[-1].t),
+            "t_start": float(samples[0].t) if samples else None,
+            "t_end": float(samples[-1].t) if samples else None,
             "steps": self.steps,
         }
         for name in ("norm_resid", "sym_resid", "g2_resid"):
-            worst = max(self.samples, key=lambda s: getattr(s, name))
-            rec[f"max_{name}"] = getattr(worst, name)
-            rec[f"t_max_{name}"] = worst.t
+            worst = max(self.samples, key=lambda s: getattr(s, name), default=None)
+            rec[f"max_{name}"] = getattr(worst, name) if worst else None
+            rec[f"t_max_{name}"] = worst.t if worst else None
         invalid = [s.t for s in self.samples if not s.passed]
         rec["invalid_samples"] = len(invalid)
         rec["t_first_invalid"] = invalid[0] if invalid else None
@@ -344,11 +339,16 @@ def integrate(
     at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
     last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than
-    MAX_STEPS steps.  Raises FlowSingularityError, carrying the partial
-    trajectory, where the flow turns singular: |det P| drops below
-    SINGULAR_DETP in a stage, P cannot be recovered (det M <= 0, in a
-    stage or after a step), or a sample's P is singular at construction
-    (`NhfStructure`)."""
+    MAX_STEPS steps.
+
+    A singular end is returned, not raised: where a stage raises
+    SingularStructureError (|det P| < SINGULAR_DETP, or det M <= 0 so
+    that P cannot be recovered), or a sample's P is singular at
+    construction (`NhfStructure`), the run stops and the trajectory has
+    ``terminated == "singular"`` and ``halt == (t, reason)``: t is the
+    start time t0 + k h of the step in which it stopped, whatever
+    record_every is, ``steps`` counts the k steps before it and
+    ``samples`` the states recorded before it."""
     check_step(h, record_every, t0, t1)
     report = initial.validate(tol)
     if not report.passed:
@@ -375,16 +375,12 @@ def integrate(
     traj = Trajectory(lam)
 
     def sample(t, y, dy):
-        """The sample at (t, y).  dy is y' at y, or None where `_stage`
-        raised there: then it is evaluated after the checks of the
-        structure, so that their halts come first."""
+        """The sample at (t, y), whose y' is dy."""
         q1, q2 = y[2:11], y[11:20]
         p, _ = _recover9(lam, q1, q2, sign)
         q = [0.5 * (u - v) for u, v in zip(q1, q2)]
         s = NhfStructure(lam, y[0], y[1], p, q, _flat=True)
         report = s.validate(tol)
-        if dy is None:
-            dy = _stage(lam, y, sign)
         return FlowSample(
             t=t,
             structure=s,
@@ -394,47 +390,30 @@ def integrate(
             passed=report.passed,
         )
 
-    def derivative(y):
-        """y' at y, or None where `_stage` raises."""
-        try:
-            return _stage(lam, y, sign)
-        except SingularStructureError:
-            return None
-
-    # Each state's y' is evaluated once: it is the derivative of the
-    # state's sample and the k1 of the next step.  Where it raises, the
-    # halt is reported where the checks in their stepwise order report
-    # it: det M <= 0 after the step, at the step's time; else the sample
-    # of the state or, unrecorded, the k1 of the next step.
+    # dy, each state's y', is evaluated once: it is the derivative of the
+    # state's sample and the k1 of the next step.
     t = t0
     try:
-        dy = derivative(y)
+        dy = _stage(lam, y, sign)
         traj.samples.append(sample(t0, y, dy))
         for k in range(n_steps):
             t = t0 + k * h
             if k == n_steps - 1:
                 step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
-            k1 = dy if dy is not None else _stage(lam, y, sign)
-            k2 = _stage(lam, y, sign, k1, half)
+            k2 = _stage(lam, y, sign, dy, half)
             k3 = _stage(lam, y, sign, k2, half)
             k4 = _stage(lam, y, sign, k3, step)
             y = [
                 v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-                for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+                for v, d1, d2, d3, d4 in zip(y, dy, k2, k3, k4)
             ]
-            dy = derivative(y)
-            if dy is None:
-                _recover9(lam, y[2:11], y[11:], sign)  # P must stay recoverable
-            traj.steps = k + 1
+            dy = _stage(lam, y, sign)
             if k == n_steps - 1:
                 traj.samples.append(sample(t_last, y, dy))
             elif (k + 1) % record_every == 0:
                 traj.samples.append(sample(t0 + (k + 1) * h, y, dy))
+            traj.steps = k + 1
     except SingularStructureError as exc:
         traj.terminated = "singular"
-        raise FlowSingularityError(
-            f"flow reached a singular point near t = {t:.6f}: {exc}",
-            t=t,
-            trajectory=traj,
-        ) from exc
+        traj.halt = (t, str(exc))
     return traj

@@ -192,6 +192,17 @@ class TestFlow:
         assert code == 3
         assert "singular" in err
 
+    def test_singular_run_writes_partial_csv_to_stdout(self, capsys, nk_record, tmp_path):
+        # without --out the CSV goes to stdout, also where the run halts
+        argv = ["flow", nk_record, "--t-end", "1.2", "--record-every", "100"]
+        out_csv = tmp_path / "t.csv"
+        code, _, err_file = run(capsys, argv + ["--out", str(out_csv)])
+        assert code == 3
+        code, out, err = run(capsys, argv)
+        assert code == 3 and err == err_file
+        assert out == out_csv.read_text()
+        assert len(out.splitlines()) == 1 + 6
+
     def test_invalid_initial_exit1(self, capsys, bad_record):
         code, _, _ = run(capsys, ["flow", bad_record, "--t-end", "0.05"])
         assert code == 1

@@ -7,6 +7,7 @@ from nhflat import families, flow
 from nhflat.exterior import d, relative, wedge
 from nhflat.mat3 import adjugate, det3, polarized_adjugate
 from nhflat.structure import (
+    InvalidStructureError,
     NhfStructure,
     SingularStructureError,
     build_omega,
@@ -117,12 +118,26 @@ class TestIntegrate:
 
     def test_singularity_halt(self):
         s0 = families.nearly_kahler(4.0)
-        with pytest.raises(flow.FlowSingularityError) as err:
-            flow.integrate(s0, 0.0, 1.2, h=1e-3, record_every=100)
+        traj = flow.integrate(s0, 0.0, 1.2, h=1e-3, record_every=100)
         # det P = (sqrt(3)/36 cos^2 2t)^3 crosses 1e-6 near t = 0.549
-        assert err.value.t == pytest.approx(0.549, abs=0.01)
-        assert err.value.trajectory.terminated == "singular"
-        assert len(err.value.trajectory.samples) > 0
+        t, reason = traj.halt
+        assert t == pytest.approx(0.549, abs=0.01)
+        assert reason == "det P = 9.931e-07 below threshold"
+        assert traj.terminated == "singular"
+        assert len(traj.samples) > 0
+
+    def test_singular_end_is_returned_and_bad_arguments_raise(self):
+        # a run into the halt returns; bad arguments for the same run raise
+        s0 = families.nearly_kahler(4.0)
+        assert flow.integrate(s0, 0.0, 1.2, h=1e-3).terminated == "singular"
+        assert flow.integrate(s0, 0.0, 0.01).halt is None
+        assert not hasattr(flow, "FlowSingularityError")
+        for h in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                flow.integrate(s0, 0.0, 1.2, h=h)
+        bad = NhfStructure(s0.lam, 1.5 * s0.a, s0.b, s0.P, s0.Q)
+        with pytest.raises(InvalidStructureError):
+            flow.integrate(bad, 0.0, 1.2)
 
     def test_steps_counts_rk4_steps(self):
         # 50 steps, 6 samples
@@ -132,12 +147,10 @@ class TestIntegrate:
         assert traj.to_record()["steps"] == 50
 
     def test_partial_trajectory_counts_completed_steps(self):
-        # the halt raises in the step from t, so the steps before it completed
+        # the halt is in the step from t, so the steps before it completed
         s0 = families.nearly_kahler(4.0)
-        with pytest.raises(flow.FlowSingularityError) as err:
-            flow.integrate(s0, 0.0, 1.2, h=1e-3, record_every=100)
-        traj = err.value.trajectory
-        assert traj.to_record()["steps"] == round(err.value.t / 1e-3)
+        traj = flow.integrate(s0, 0.0, 1.2, h=1e-3, record_every=100)
+        assert traj.to_record()["steps"] == round(traj.halt[0] / 1e-3)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("t_end, h, n_steps", [(0.01, 0.3, 1), (0.3, 0.007, 43)])
@@ -349,15 +362,27 @@ class TestTrajectoryOutput:
         assert len(lines) == 1 + len(traj.samples)
         assert all(len(line.split(",")) == len(flow.CSV_COLUMNS) for line in lines)
 
-    def test_csv_file_and_json_record(self, tmp_path):
+    def test_csv_text_and_json_record(self):
         s0 = families.nearly_kahler(4.0)
         traj = flow.integrate(s0, 0.0, 0.02, h=1e-3, record_every=5)
-        out = tmp_path / "traj.csv"
-        traj.to_csv(out)
-        assert out.read_text().startswith("t,a,b")
+        assert traj.to_csv().startswith("t,a,b")
         rec = traj.to_record()
         assert rec["terminated"] == "completed"
         assert rec["t_end"] == pytest.approx(0.02)
+
+    def test_record_of_a_run_without_samples(self):
+        # valid, but |det P| = 4.6e-13 is below SINGULAR_DETP: the first
+        # stage halts and the run records no sample
+        s0 = families.nearly_kahler(100.0)
+        traj = flow.integrate(s0, 0.0, 0.01, h=1e-3)
+        assert traj.samples == [] and traj.steps == 0
+        assert traj.halt == (0.0, "det P = 4.562e-13 below threshold")
+        rec = traj.to_record()
+        completed = flow.integrate(families.nearly_kahler(4.0), 0.0, 0.001)
+        assert rec.keys() == completed.to_record().keys()
+        assert rec["terminated"] == "singular" and rec["lambda"] == 100.0
+        assert rec["steps"] == 0 and rec["invalid_samples"] == 0
+        assert {v for k, v in rec.items() if k.startswith(("t_", "max_"))} == {None}
 
 
 class TestInvalidSamples:

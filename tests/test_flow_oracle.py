@@ -12,7 +12,7 @@ kernel composed from the `mat3` 9-sequence helpers.  The straight-line
 with them bit for bit, and so must every trajectory (`_recover9` is
 composed from the helpers itself).  `stepwise_rows_and_halt` is the RK4
 loop in its stepwise order, with no derivative reused; `integrate` must
-give its rows and halts.
+give its rows, and its halts on every real flow.
 
 `form_g2_residual` is `flow.g2_residual` on forms, by `d`; the coordinate
 version must equal it to the bit."""
@@ -264,13 +264,9 @@ def test_stage_equals_composed_on_random_floats():
 
 
 def rows_and_halt(initial, t_end, h, record_every=1):
-    """Every recorded row of one integrate run, and (t, message) of its halt."""
-    try:
-        traj = flow.integrate(initial, 0.0, t_end, h=h, record_every=record_every)
-        halt = None
-    except flow.FlowSingularityError as exc:
-        traj, halt = exc.trajectory, (exc.t, str(exc))
-    return [sample.row() for sample in traj.samples], halt
+    """Every recorded row of one integrate run, and (t, reason) of its halt."""
+    traj = flow.integrate(initial, 0.0, t_end, h=h, record_every=record_every)
+    return [sample.row() for sample in traj.samples], traj.halt
 
 
 def rows_and_halt_composed(monkeypatch, *args):
@@ -306,7 +302,7 @@ def test_integrate_bit_identical_root_solve(monkeypatch):
         assert want[1] is None
 
 
-# (initial, t_end, h) -> (t, message) of the halt, as the composed kernel
+# (initial, t_end, h) -> (t, reason) of the halt, as the composed kernel
 # gives them: |det P| < SINGULAR_DETP on the NK flow, and det M <= 0 in a
 # stage (h = 0.05) and after a step (h = 0.075) on a rotate-family sample
 HALTS = [
@@ -328,22 +324,22 @@ def test_halts_keep_time_and_message(monkeypatch, case):
         initial = families.nearly_kahler(4.0, arg)
     else:
         initial = sample_random_structure(arg)
-    # every step recorded, and none but the first: then only the check
-    # after each step sees det M <= 0 at the end of a step
+    # every step recorded, and none but the first: then only the y' of
+    # the state a step ends in sees det M <= 0 at the end of a step
     for record_every in (1, 1000):
         want = rows_and_halt_composed(monkeypatch, initial, t_end, h, record_every)
         got = rows_and_halt(initial, t_end, h, record_every)
         assert got == want
-        assert got[1] == (
-            t_halt, f"flow reached a singular point near t = {t_halt:.6f}: {reason}"
-        )
+        assert got[1] == (t_halt, reason)
 
 
 def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
     """`rows_and_halt` of the RK4 loop in its stepwise order: each step
     evaluates its k1 afresh, checks after it that P is recoverable, and
     each sample evaluates its own derivative.  `integrate` evaluates each
-    state once and must give the same rows and halts."""
+    state once and must give the same rows, and the same halts but where
+    a stage raises first at the state a step ends in: there `integrate`
+    halts in that step whether or not the state is recorded."""
     lam, t0, t1 = initial.lam, 0.0, t_end
     h = abs(h) * (1.0 if t1 >= t0 else -1.0)
     ratio = abs(t1 - t0) / abs(h)
@@ -397,7 +393,7 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
             elif (k + 1) % record_every == 0:
                 sample(t0 + (k + 1) * h, y)
     except SingularStructureError as exc:
-        return rows, (t, f"flow reached a singular point near t = {t:.6f}: {exc}")
+        return rows, (t, str(exc))
     return rows, None
 
 
@@ -427,9 +423,10 @@ def test_integrate_equals_stepwise_loop_on_benchmark_trajectories(k, record_ever
 @pytest.mark.parametrize("n", [0, 4, 10])
 def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_every, n):
     # no flow above reaches the threshold first at a state rather than in a
-    # step, so a stage is made to raise at the state after step n: the
-    # halt belongs to the sample there when it is recorded, else to the
-    # next step
+    # step, so a stage is made to raise at the state after step n: the run
+    # halts in step n, from (n - 1) h, recorded or not (the stepwise loop
+    # halts in the next step where the state is not recorded), and at the
+    # start for n = 0
     initial, stage, states = rotated_nk(1), flow._stage, []
 
     def recording(lam, y, sign, k=None, c=0.0):
@@ -447,11 +444,13 @@ def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_
         flow.integrate(initial, 0.0, 0.01, h=1e-3)
     assert len(states) == 11
     monkeypatch.setattr(flow, "_stage", halting)
-    want = stepwise_rows_and_halt(initial, 0.01, 1e-3, record_every)
-    assert rows_and_halt(initial, 0.01, 1e-3, record_every) == want
-    recorded = n % record_every == 0 or n == 10
-    assert want[1][0] == (n - 1 if recorded and n else n) * 1e-3
-    assert len(want[0]) == 1 + (n - 1) // record_every if n else not want[0]
+    rows, _ = stepwise_rows_and_halt(initial, 0.01, 1e-3, record_every)
+    traj = flow.integrate(initial, 0.0, 0.01, h=1e-3, record_every=record_every)
+    assert [sample.row() for sample in traj.samples] == rows
+    assert len(rows) == 1 + (n - 1) // record_every if n else not rows
+    steps = max(n - 1, 0)
+    assert traj.halt == (steps * 1e-3, "det P = 1.000e-06 below threshold")
+    assert traj.steps == steps and traj.terminated == "singular"
 
 
 @pytest.mark.parametrize("record_every", [1, 1000])
