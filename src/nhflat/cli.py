@@ -3,8 +3,9 @@
 Subcommands: check, classify, flow, family, rotate, verify-g2.
 Exit codes: 0 pass, 1 invalid structure / failed verification, 2 usage or
 parse error, 3 flow singularity (the samples recorded before it are
-written as a completed run's are).  A usage error prints one line
-``error: ...`` on stderr.
+written as a completed run's are, and stderr has one line
+``flow singularity near t = ...: <reason>`` for each input that halted).
+A usage error prints one line ``error: ...`` on stderr.
 
 Tolerances are relative: every verdict divides a residual by the size of
 the terms it compares and passes when the quotient is at most the
@@ -18,8 +19,10 @@ below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
 ``flow.MAX_STEPS`` steps, ``family`` without the option its ``--name``
 needs or with a parameter at which the closed form under- or overflows,
 ``verify-g2`` with ``--samples`` below 1 or above ``flow.MAX_STEPS`` or a
-non-finite ``--t-start`` / ``--t-end``, and an ``--out`` path that cannot
-be written (``flow`` checks its paths before it integrates).  Output JSON
+non-finite ``--t-start`` / ``--t-end``, ``flow`` with several inputs and
+no ``--out`` (their CSVs would run together on stdout; with ``--out``
+each input gets a file), and an ``--out`` path that cannot be written
+(``flow`` checks its arguments and paths before it integrates).  Output JSON
 is strict: a result with a non-finite number exits 1 instead of printing
 NaN or Infinity.
 
@@ -196,6 +199,8 @@ def cmd_flow(args) -> int:
         flow.check_step(args.h, args.record_every, args.t_start, args.t_end)
     except ValueError as exc:
         _usage_error(str(exc))
+    if len(args.input) > 1 and not args.out:
+        _usage_error("flow with several inputs needs --out, one CSV file per input")
     tol = _tolerance(args)
     # every input is loaded and validated, and every output path checked,
     # before any is integrated, so a bad input or path exits at once and
@@ -226,7 +231,7 @@ def cmd_flow(args) -> int:
         summary = traj.to_record()
         if traj.halt is not None:
             summary["last_good_t"] = float(traj.samples[-1].t) if traj.samples else None
-            notes.append(f"flow singularity near t = {traj.halt[0]:.6f}")
+            notes.append(f"flow singularity near t = {traj.halt[0]:.6f}: {traj.halt[1]}")
             code = EXIT_SINGULAR
         summaries.append(summary)
         if not traj.samples:

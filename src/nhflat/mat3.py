@@ -8,10 +8,14 @@ Each formula is written once over row-major 9-sequences
 transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
 sequence, or a 9-sequence, into such a list, without numpy.  The package
-computes every 3x3 product, cofactor and determinant with them, except in
-``structure.abr`` (F = (A, B, R1, R2), which construction and the flow's
-RK4 stage call) and the P recovery of that stage, ``flow._stage``, which
-write their expressions out inline and round exactly as they do.
+computes every 3x3 product, cofactor and determinant with them, either
+directly or through the straight-line kernels of ``nhflat._kernels``
+(``structure.abr``, F = (A, B, R1, R2), which construction and the flow's
+RK4 stage call, and ``j_verdicts``, what the J^2 = -id and SPD verdicts
+read), which ``tools/gen_kernels.py`` generates by tracing compositions
+of these helpers, so that they round exactly as the helpers do.  The one
+exception is the P recovery of that stage, ``flow._stage``, which writes
+its expressions out inline.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they
@@ -106,13 +110,16 @@ def is_spd9(a, b, c) -> bool:
     n = max(map(abs, (*a, *b, *c)))
     if not 0.0 < n < math.inf:
         return False
-    a00, a01, a02, _, a11, a12, _, _, a22 = (x / n for x in a)
-    f = _ldl3(a00, a01, a02, a11, a12, a22)
+    a00, a01, a02, _, a11, a12, _, _, a22 = a
+    f = _ldl3(a00 / n, a01 / n, a02 / n, a11 / n, a12 / n, a22 / n)
     if f is None:
         return False
     d0, d1, d2, l10, l20, l21 = f
     # Z = L^-1 B by forward substitution; B^T A^-1 B = Z^T D^-1 Z
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = (x / n for x in b)
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    b00, b01, b02 = b00 / n, b01 / n, b02 / n
+    b10, b11, b12 = b10 / n, b11 / n, b12 / n
+    b20, b21, b22 = b20 / n, b21 / n, b22 / n
     z10, z11, z12 = b10 - l10 * b00, b11 - l10 * b01, b12 - l10 * b02
     z20 = b20 - l20 * b00 - l21 * z10
     z21 = b21 - l20 * b01 - l21 * z11
@@ -120,14 +127,14 @@ def is_spd9(a, b, c) -> bool:
     y00, y01, y02 = b00 / d0, b01 / d0, b02 / d0
     y10, y11, y12 = z10 / d1, z11 / d1, z12 / d1
     y20, y21, y22 = z20 / d2, z21 / d2, z22 / d2
-    c00, c01, c02, _, c11, c12, _, _, c22 = (x / n for x in c)
+    c00, c01, c02, _, c11, c12, _, _, c22 = c
     return _ldl3(
-        c00 - (b00 * y00 + z10 * y10 + z20 * y20),
-        c01 - (b00 * y01 + z10 * y11 + z20 * y21),
-        c02 - (b00 * y02 + z10 * y12 + z20 * y22),
-        c11 - (b01 * y01 + z11 * y11 + z21 * y21),
-        c12 - (b01 * y02 + z11 * y12 + z21 * y22),
-        c22 - (b02 * y02 + z12 * y12 + z22 * y22),
+        c00 / n - (b00 * y00 + z10 * y10 + z20 * y20),
+        c01 / n - (b00 * y01 + z10 * y11 + z20 * y21),
+        c02 / n - (b00 * y02 + z10 * y12 + z20 * y22),
+        c11 / n - (b01 * y01 + z11 * y11 + z21 * y21),
+        c12 / n - (b01 * y02 + z11 * y12 + z21 * y22),
+        c22 / n - (b02 * y02 + z12 * y12 + z22 * y22),
     ) is not None
 
 

@@ -33,6 +33,7 @@ from functools import cached_property
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
+from nhflat._kernels import abr, j_verdicts
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
 from nhflat.mat3 import cofactor9, det9, flat9, is_spd9, mul9, transpose9
 from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
@@ -161,75 +162,6 @@ def three_form_volume(x, y) -> float:
     return x[1] * y[0] - x[0] * y[1] + _dot(x[2:11], y[11:20]) - _dot(x[11:20], y[2:11])
 
 
-def abr(a, b,
-        u00, u01, u02, u10, u11, u12, u20, u21, u22,
-        v00, v01, v02, v10, v11, v12, v20, v21, v22):
-    """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
-    coordinate layout of `invariant_three_form`: a, b, then Q1 = (u..) and
-    Q2 = (v..) row-major, and A, B, then R1 and R2 row-major:
-
-        A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
-        B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
-        R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
-        R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
-
-    J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too, so construction and the
-    RK4 stage `flow._stage` both call it: it is the one place F is
-    written out.
-    Written out over local variables: each entry is the expression
-    `mat3.det9`, `cofactor9` and `mul9` would give, so the result is the
-    same to the last bit.  Uses only +, - and *, so it is exact on
-    ``fractions.Fraction`` input."""
-    # g = Q1^T Q2
-    g00 = u00 * v00 + u10 * v10 + u20 * v20
-    g01 = u00 * v01 + u10 * v11 + u20 * v21
-    g02 = u00 * v02 + u10 * v12 + u20 * v22
-    g10 = u01 * v00 + u11 * v10 + u21 * v20
-    g11 = u01 * v01 + u11 * v11 + u21 * v21
-    g12 = u01 * v02 + u11 * v12 + u21 * v22
-    g20 = u02 * v00 + u12 * v10 + u22 * v20
-    g21 = u02 * v01 + u12 * v11 + u22 * v21
-    g22 = u02 * v02 + u12 * v12 + u22 * v22
-    # cofactor matrices Adj(Q1^T) = (k..) and Adj(Q2^T) = (c..)
-    k00, k01, k02 = u11 * u22 - u12 * u21, u12 * u20 - u10 * u22, u10 * u21 - u11 * u20
-    k10, k11, k12 = u02 * u21 - u01 * u22, u00 * u22 - u02 * u20, u01 * u20 - u00 * u21
-    k20, k21, k22 = u01 * u12 - u02 * u11, u02 * u10 - u00 * u12, u00 * u11 - u01 * u10
-    c00, c01, c02 = v11 * v22 - v12 * v21, v12 * v20 - v10 * v22, v10 * v21 - v11 * v20
-    c10, c11, c12 = v02 * v21 - v01 * v22, v00 * v22 - v02 * v20, v01 * v20 - v00 * v21
-    c20, c21, c22 = v01 * v12 - v02 * v11, v02 * v10 - v00 * v12, v00 * v11 - v01 * v10
-    # det9's expansion along the first row; its middle minor is the
-    # negated cofactor, written out so that the sum rounds as in det9
-    det1 = u00 * k00 - u01 * (u10 * u22 - u12 * u20) + u02 * k02
-    det2 = v00 * c00 - v01 * (v10 * v22 - v12 * v20) + v02 * c02
-    tr12 = g00 + g11 + g22
-    s = a * b + tr12
-    ta, tb = 2 * a, 2 * b
-    # A, B, R1 and R2, with Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
-    return (
-        a * tr12 - 2 * det1 - a * a * b,
-        -(b * tr12 - 2 * det2 - a * b * b),
-        -(s * u00 - ta * c00 - 2 * (u00 * g00 + u01 * g01 + u02 * g02)),
-        -(s * u01 - ta * c01 - 2 * (u00 * g10 + u01 * g11 + u02 * g12)),
-        -(s * u02 - ta * c02 - 2 * (u00 * g20 + u01 * g21 + u02 * g22)),
-        -(s * u10 - ta * c10 - 2 * (u10 * g00 + u11 * g01 + u12 * g02)),
-        -(s * u11 - ta * c11 - 2 * (u10 * g10 + u11 * g11 + u12 * g12)),
-        -(s * u12 - ta * c12 - 2 * (u10 * g20 + u11 * g21 + u12 * g22)),
-        -(s * u20 - ta * c20 - 2 * (u20 * g00 + u21 * g01 + u22 * g02)),
-        -(s * u21 - ta * c21 - 2 * (u20 * g10 + u21 * g11 + u22 * g12)),
-        -(s * u22 - ta * c22 - 2 * (u20 * g20 + u21 * g21 + u22 * g22)),
-        s * v00 - tb * k00 - 2 * (v00 * g00 + v01 * g10 + v02 * g20),
-        s * v01 - tb * k01 - 2 * (v00 * g01 + v01 * g11 + v02 * g21),
-        s * v02 - tb * k02 - 2 * (v00 * g02 + v01 * g12 + v02 * g22),
-        s * v10 - tb * k10 - 2 * (v10 * g00 + v11 * g10 + v12 * g20),
-        s * v11 - tb * k11 - 2 * (v10 * g01 + v11 * g11 + v12 * g21),
-        s * v12 - tb * k12 - 2 * (v10 * g02 + v11 * g12 + v12 * g22),
-        s * v20 - tb * k20 - 2 * (v20 * g00 + v21 * g10 + v22 * g20),
-        s * v21 - tb * k21 - 2 * (v20 * g01 + v21 * g11 + v22 * g21),
-        s * v22 - tb * k22 - 2 * (v20 * g02 + v21 * g12 + v22 * g22),
-    )
-
-
 def compute_abr(a: float, b: float, Q1, Q2):
     """The scalars A, B and matrices R1, R2, R entering J gamma and the flow.
 
@@ -318,22 +250,6 @@ def _j_blocks9(a: float, b: float, q1, q2):
     oe = [-2 * (a * v - x) for v, x in zip(q2, cofactor9(q1))]
     eo = [2 * (b * u - x) for u, x in zip(q1t, transpose9(cofactor9(q2)))]
     return oo, oe, eo, ee
-
-
-def _j_squared_residual9(blocks, det_p: float) -> float:
-    """|(J^2)_11 + 1| for the matrix (det P) J^T with the blocks oo, oe, eo,
-    ee on the odd/even rows and columns (see `_j_blocks9`): row 1 of J^T
-    times its column 1, each entry divided by det P first, so that no
-    (det P)^2 can underflow.
-
-    By Hitchin's identity for the stable 3-form gamma, L^2 = -bracket id
-    for L = (det P) J^T and every state (a, b, Q1, Q2) (see `_bracket9`),
-    so J^2 + id = (1 - bracket / (det P)^2) id: this one entry is, up to
-    rounding, the largest |entry| of J^2 + id."""
-    oo, oe, eo, _ = blocks
-    row = [x / det_p for x in oo[0:3] + oe[0:3]]
-    col = [x / det_p for x in oo[0::3] + eo[0::3]]
-    return abs(_dot(row, col) + 1.0)
 
 
 def _array3x3(x) -> np.ndarray:
@@ -431,15 +347,19 @@ class NhfStructure:
     Construction works on Python floats and row-major 9-lists only: it
     computes det P and the 3x3 data P, Q, Adj(P^T), Q1, Q2, R1 and R2, kept
     as the 9-lists `m9` that the verdicts read, and the 20-list
-    `jgamma_coords` of J gamma (see `invariant_three_form`).  Everything
-    else is computed on first use: the blocks of J, the J^2 = -id
-    residual, the values that more than one verdict reads (`w1plus`,
-    `sizes`, `metric_spd`), and the numpy views for callers, the arrays P,
-    Q, Q1, Q2 and J and the forms omega, gamma and J gamma.
-    :meth:`metric` builds g on each call.  No verdict reads an array or a
-    form, so checking and classifying a structure does not import numpy.
-    The SPD verdict `metric_spd` is decided on 3x3 blocks, products of P
-    with the blocks of J, without g.
+    `jgamma_coords` of J gamma (see `invariant_three_form`); F = (A, B,
+    R1, R2) is one call of the generated kernel `abr`.  Everything else is
+    computed on first use: the J^2 = -id residual, the values that more
+    than one verdict reads (`w1plus`, `sizes`, `metric_spd`), and the numpy
+    views for callers, the arrays P, Q, Q1, Q2 and J and the forms omega,
+    gamma and J gamma.  :meth:`metric` builds g on each call.  No verdict
+    reads an array or a form, so checking and classifying a structure does
+    not import numpy.  The J^2 = -id residual and the SPD verdict
+    `metric_spd` read one call of the generated kernel `j_verdicts`
+    (``nhflat._kernels``, traced from compositions of the `mat3` helpers
+    by ``tools/gen_kernels.py``): (J^2)_11 + 1, and the 3x3 blocks,
+    products of P with the blocks of J, on which `mat3.is_spd9` decides
+    without g.
     Nothing is mutated after that, so instances are safe to share between
     threads (two threads may both compute a value on first use; they get
     the same value).  Construction only rejects singular det P; use
@@ -477,16 +397,19 @@ class NhfStructure:
     # -- derived values, computed on first use ---------------------------
 
     @cached_property
-    def _j9(self) -> tuple:
-        """The blocks of (det P) J^T (see `_j_blocks9`)."""
+    def _j_verdicts(self) -> tuple:
+        """(J^2)_11 + 1 and the three blocks of |det P| (g + g^T) that
+        `mat3.is_spd9` reads, from one call of the generated kernel
+        `_kernels.j_verdicts`."""
         m = self.m9
-        return _j_blocks9(self.a, self.b, m.q1, m.q2)
+        p = m.p if self.det_p > 0 else [-x for x in m.p]
+        return j_verdicts(self.a, self.b, m.q1, m.q2, p, self.det_p)
 
     @cached_property
     def j_squared_residual(self) -> float:
-        """|(J^2)_11 + 1|, the largest |entry| of J^2 + id (see
-        `_j_squared_residual9`)."""
-        return _j_squared_residual9(self._j9, self.det_p)
+        """|(J^2)_11 + 1|, the largest |entry| of J^2 + id up to rounding,
+        by Hitchin's identity (see `_kernels.j_verdicts`)."""
+        return abs(self._j_verdicts[0])
 
     @property
     def w1_minus(self) -> float:
@@ -511,7 +434,8 @@ class NhfStructure:
     @cached_property
     def J(self) -> np.ndarray:
         """J as a 6x6 array, the endomorphism of the tangent space."""
-        return _interleave(self._j9).T / self.det_p
+        m = self.m9
+        return _interleave(_j_blocks9(self.a, self.b, m.q1, m.q2)).T / self.det_p
 
     @cached_property
     def omega(self) -> Form:
@@ -550,22 +474,11 @@ class NhfStructure:
     @cached_property
     def metric_spd(self) -> bool:
         """Whether g is positive definite, decided on 3x3 blocks by
-        `mat3.is_spd9`, without g.  On the odd and on the even coframe
-        indices W = [[0, P], [-P^T, 0]] and (det P) J = [[oo^T, eo^T],
-        [oe^T, ee^T]] (`_j_blocks9`), so (det P)(g + g^T) has the blocks
-
-            P oe^T + oe P^T,   P ee^T - oo P,   -(P^T eo^T + eo P),
-
-        taken here times the sign of det P."""
-        oo, oe, eo, ee = self._j9
-        p = self.m9.p if self.det_p > 0 else [-x for x in self.m9.p]
-        x = mul9(p, transpose9(oe))
-        y = mul9(transpose9(p), transpose9(eo))
-        return is_spd9(
-            [u + v for u, v in zip(x, transpose9(x))],
-            [u - v for u, v in zip(mul9(p, transpose9(ee)), mul9(oo, p))],
-            [-(u + v) for u, v in zip(y, transpose9(y))],
-        )
+        `mat3.is_spd9`, without g: the blocks of |det P| (g + g^T),
+        products of P with the blocks of (det P) J^T (see
+        `_kernels.j_verdicts`)."""
+        _, a, b, c = self._j_verdicts
+        return is_spd9(a, b, c)
 
     def metric(self) -> np.ndarray:
         """The induced metric g = W J as a 6x6 array; raises

@@ -191,6 +191,10 @@ class TestFlow:
         )
         assert code == 3
         assert "singular" in err
+        # the halt line names the time and the reason, the step's det P
+        lines = err.splitlines()
+        assert lines[0] == "flow singularity near t = 0.548000: det P = 9.931e-07 below threshold"
+        assert json.loads(lines[1])["terminated"] == "singular"
 
     def test_singular_run_writes_partial_csv_to_stdout(self, capsys, nk_record, tmp_path):
         # without --out the CSV goes to stdout, also where the run halts
@@ -236,6 +240,20 @@ class TestFlow:
         assert code == 0
         assert (tmp_path / "b_0.csv").exists()
         assert (tmp_path / "b_1.csv").exists()
+
+    def test_batch_without_out_is_a_usage_error(self, capsys, nk_record, monkeypatch):
+        # several CSVs cannot share stdout: exit 2 with one error line,
+        # before anything is integrated
+        from nhflat import flow
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(flow, "integrate", integrate)
+        code, out, err = run(capsys, ["flow", nk_record, nk_record, "--t-end", "0.01"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: flow with several inputs needs --out, one CSV file per input\n"
 
     @pytest.mark.parametrize("second, want", [("invalid", 1), ("missing", 2)])
     def test_batch_checks_every_input_first(self, capsys, nk_record, tmp_path, second, want):
@@ -597,8 +615,8 @@ def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # its own command imported: check and classify leave out flow and csv,
     # an invalid record needs no torsion, flow needs no torsion, and
     # verify-g2 reads flow's kernel but writes no CSV
-    base = ["nhflat", "nhflat.cli", "nhflat.coframe", "nhflat.mat3", "nhflat.structure",
-            "nhflat.tolerance"]
+    base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.mat3",
+            "nhflat.structure", "nhflat.tolerance"]
     runs = [
         (["check", nk_record], 0, base + ["nhflat.torsion"], False),
         (["check", bad_record], 1, base, False),

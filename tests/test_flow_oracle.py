@@ -8,8 +8,9 @@ the adjugate from 2x2 minors and the explicit matrix formulas.
 
 `composed_abr9`, `composed_recover9` and `composed_stage` are the flow
 kernel composed from the `mat3` 9-sequence helpers.  The straight-line
-`abr` and `_stage` write out the same expressions, so they must agree
-with them bit for bit, and so must every trajectory (`_recover9` is
+`abr` is generated from the same composition (``tools/gen_kernels.py``)
+and `_stage` writes out the same expressions, so they must agree with
+them bit for bit, and so must every trajectory (`_recover9` is
 composed from the helpers itself).  `stepwise_rows_and_halt` is the RK4
 loop in its stepwise order, with no derivative reused; `integrate` must
 give its rows, and its halts on every real flow.

@@ -1,0 +1,137 @@
+"""The generated kernels of ``nhflat._kernels`` against their composed forms.
+
+``tools/gen_kernels.py`` traces each composed form and writes the kernel;
+here the kernels are run beside the composed forms, on the survey records,
+the scale-covariance samples of test_scaling.py, the acceptance samples and
+random states, and must agree with them to the bit.  The file must be what
+the generator writes today."""
+
+import importlib.util
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from nhflat import _kernels, families, structure
+from nhflat.mat3 import is_spd9
+from nhflat.structure import NhfStructure, random_rotation
+from test_survey_path import acceptance_samples, scaling_samples, survey_samples
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REGENERATE = "python tools/gen_kernels.py"
+
+
+def load_generator():
+    path = os.path.join(ROOT, "tools", "gen_kernels.py")
+    spec = importlib.util.spec_from_file_location("gen_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = load_generator()
+
+
+def bits(value):
+    """The floats of a number or nested sequence, as their reprs, so that
+    -0.0, inf and NaN compare too."""
+    if isinstance(value, (tuple, list)):
+        return [r for v in value for r in bits(v)]
+    return [repr(value)]
+
+
+def j_args(s):
+    """The arguments of `j_verdicts` for the structure s, as
+    `NhfStructure._j_verdicts` passes them."""
+    m = s.m9
+    p = m.p if s.det_p > 0 else [-x for x in m.p]
+    return s.a, s.b, m.q1, m.q2, p, s.det_p
+
+
+def test_kernels_file_is_current():
+    with open(gen.TARGET) as fh:
+        current = fh.read()
+    assert current == gen.generate(), f"src/nhflat/_kernels.py is not current; run: {REGENERATE}"
+
+
+def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
+    stale = tmp_path / "_kernels.py"
+    stale.write_text(gen.generate().replace("t1 ", "t_1 ", 1))
+    monkeypatch.setattr(gen, "TARGET", str(stale))
+    assert gen.main(["--check"]) == 1
+    assert REGENERATE in capsys.readouterr().err
+    assert gen.main([]) == 0
+    assert stale.read_text() == gen.generate()
+    assert gen.main(["--check"]) == 0
+
+
+def test_trace_rejects_a_branch():
+    def guarded(a):
+        return (a if a > 0 else -a,)
+
+    def absolute(a):
+        return (abs(a),)
+
+    for form in (guarded, absolute):
+        with pytest.raises(TypeError):
+            gen.emit(gen.Kernel("k", form, ("a",), True))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, scaling_samples, acceptance_samples],
+    ids=["survey", "scaling", "acceptance"],
+)
+def test_j_verdicts_equal_composed_form_on_samples(samples):
+    for s in samples():
+        args = j_args(s)
+        want = gen.composed_j_verdicts(*args)
+        assert bits(_kernels.j_verdicts(*args)) == bits(want)
+        assert repr(s.j_squared_residual) == repr(abs(want[0]))
+        assert s.metric_spd is is_spd9(*want[1:])
+
+
+def random_kernel_states(seed, n):
+    """n argument lists (a, b, Q1, Q2, P, det P) of 30 floats whose sizes
+    span 1e-5 ... 1e5, with about one entry in ten an exact zero (det P
+    never is)."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 30))
+    values[:, :29][rng.random((n, 29)) < 0.1] = 0.0
+    return [(v[0], v[1], v[2:11], v[11:20], v[20:29], v[29]) for v in values.tolist()]
+
+
+def test_kernels_equal_composed_forms_on_random_states():
+    verdicts = []
+    for a, b, q1, q2, p, det_p in random_kernel_states(40, 20000):
+        want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
+        assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
+        assert bits(_kernels.abr(a, b, *q1, *q2)) == bits(gen.composed_abr(a, b, q1, q2))
+        verdicts.append(is_spd9(*want[1:]))
+    # most random states are not SPD, but some are
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_structure_reads_the_generated_kernels():
+    assert structure.abr is _kernels.abr
+    assert structure.j_verdicts is _kernels.j_verdicts
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("sign_p", [1, -1])
+def test_non_finite_entry_is_not_spd(value, sign_p):
+    rng = np.random.default_rng(41)
+    base = families.nearly_kahler(4.0, sign_p).rotated(random_rotation(rng), random_rotation(rng))
+    assert base.metric_spd
+    fields = [("a", None), ("b", None)] + [(m, k) for m in ("P", "Q") for k in range(9)]
+    for name, k in fields:
+        x = {"a": base.a, "b": base.b, "P": base.P.copy(), "Q": base.Q.copy()}
+        if k is None:
+            x[name] = value
+        else:
+            x[name].flat[k] = value
+        s = NhfStructure(base.lam, x["a"], x["b"], x["P"], x["Q"])
+        assert s.metric_spd is False, (name, k)
+        assert not s.validate().passed

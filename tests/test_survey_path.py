@@ -546,15 +546,15 @@ def test_j_blocks_square_to_minus_the_bracket():
 
 def test_j_blocks_built_on_first_use(monkeypatch):
     # construction and the defining residuals build no J; validate and
-    # extract_torsion build its blocks once, for j_squared and metric_spd
+    # extract_torsion run the J kernel once, for j_squared and metric_spd
     calls = []
-    j_blocks9 = structure._j_blocks9
+    j_verdicts = structure.j_verdicts
 
     def counted(*args):
         calls.append(args)
-        return j_blocks9(*args)
+        return j_verdicts(*args)
 
-    monkeypatch.setattr(structure, "_j_blocks9", counted)
+    monkeypatch.setattr(structure, "j_verdicts", counted)
     for rec in survey_records():
         s = NhfStructure.from_record(rec)
         s.defining_residuals()
