@@ -23,8 +23,9 @@ def abr(
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
     J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too, so construction and the
-    RK4 stage `flow._stage` both call it.  Uses only +, - and *, so it is
+    gamma' = d omega - lambda J gamma read F too: construction calls
+    this kernel, and the flow's kernels (``nhflat._flow_kernels``) are
+    traced from the same composed form.  Uses only +, - and *, so it is
     exact on ``fractions.Fraction`` input."""
     t0 = u00 * v00 + u10 * v10 + u20 * v20
     t1 = u00 * v01 + u10 * v11 + u20 * v21

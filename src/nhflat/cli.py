@@ -345,7 +345,7 @@ def cmd_verify_g2(args) -> int:
         da, db, dQ1, dQ2 = deriv(t)
         m = s.m9
         try:
-            r = flow._stage(s.lam, [s.a, s.b] + m.q1 + m.q2, s.orientation)
+            r = flow.stage(s.lam, s.orientation, [s.a, s.b] + m.q1 + m.q2)
             ode = max_abs([u - v for u, v in zip([da, db] + flat9(dQ1) + flat9(dQ2), r)])
             g2 = flow.g2_residual(s, da, db, dQ1, dQ2)
         except StructureError as exc:

@@ -10,24 +10,22 @@ on (t0, t1) x S^3 x S^3 exactly when d phi = lambda psi and d psi = 0,
 which is what g2_residual measures, from the state and its time
 derivatives alone (no derivative of P is formed).
 
-Inside `integrate` the state is one flat list of 20 Python floats,
+Inside `integrate` the state is a flat sequence of 20 Python floats,
 
-    y = [a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33]
+    y = (a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33)
 
-with Q1 and Q2 row-major (y[2:11] and y[11:20]).  Each RK4 stage is one
-call of `_stage(lam, y, sign, k, c)`, which evaluates the equations at
-the shifted state y + c k itself, so the RK4 loop builds no shifted
-lists.  `_stage` is one straight-line body over local floats: it
-recovers P as `_recover9` does, with the same expressions (those of the
-`mat3` helpers), and makes one call, of `structure.abr`, the kernel of
-F = (A, B, R1, R2) that construction calls too.  `integrate` evaluates each
-state once: its y' is both the derivative of its sample and the k1 of
-the next step, so n steps take 4n + 1 stages.  Where a stage raises,
-the run stops and `integrate` returns what it has, marked singular.
-The recorded samples,
-their residuals and `g2_residual` are computed from the list state too,
-so `integrate` does not import numpy.  `flow_rhs` and `recover_p` are the
-array wrappers of the same code.
+with Q1 and Q2 row-major (y[2:11] and y[11:20]).  The arithmetic is
+that of two generated kernels (``nhflat._flow_kernels``, written by
+``tools/gen_kernels.py`` from composed forms over the `mat3` helpers and
+`_recover9`, so bit-identical to them): `stage` evaluates the equations
+at a state, and `rk4_step` takes a whole RK4 step, its four stages in
+one call.  Each state's y' is evaluated once: it is both the derivative
+of its sample and the k1 of the next step, so n steps take 4n + 1
+stages.  Where a stage raises, the run stops and `integrate` returns
+what it has, marked singular.  The recorded samples, their residuals and
+`g2_residual` are computed from the flat state too, so `integrate` does
+not import numpy.  `flow_rhs` and `recover_p` are the array wrappers of
+the same code.
 """
 
 from __future__ import annotations
@@ -35,13 +33,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from nhflat._flow_kernels import rk4_step, stage
 from nhflat.mat3 import cofactor9, det9, flat9
-from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError, abr
+from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
 from nhflat.tolerance import DEFAULT_TOL, max_abs
 
 if TYPE_CHECKING:
     import numpy as np
 
+#: A stage raises where |det P| is below it (the kernels are generated
+#: with its value).
 SINGULAR_DETP = 1e-6
 #: Most RK4 steps one `integrate` call takes, |t1 - t0| / |h|.
 MAX_STEPS = 10**8
@@ -61,8 +62,8 @@ def _recover9(lam, q1, q2, sign):
     M = Adj(P^T) = -(Q1 + Q2)/lambda gives det P = sign sqrt(det M) and,
     from P^T = Adj(M) / det P, P = the cofactor matrix of M over det P.
     Raises SingularStructureError when det M <= 0: then no real P has
-    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  `_stage` writes the
-    same expressions out inline."""
+    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  The flow's kernels
+    are traced from it."""
     m = [-(u + v) / lam for u, v in zip(q1, q2)]
     det_m = det9(m)
     if det_m <= 0:
@@ -71,84 +72,6 @@ def _recover9(lam, q1, q2, sign):
         )
     det_p = math.sqrt(det_m) * sign
     return [x / det_p for x in cofactor9(m)], det_p
-
-
-def _stage(lam, y, sign, k=None, c=0.0):
-    """One evaluation of the evolution equations at the flat state
-    y + c k (at y when k is None), y = [a, b, *Q1, *Q2]; returns y' in the
-    same layout:
-        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
-    e = -2 lambda / det P.
-
-    One straight-line body over local floats, which builds no list but
-    its result: P and det P are computed with the expressions of
-    `_recover9`, so they are its to the last bit, and F = (A, B, R1, R2)
-    is the 20-tuple of one call of `structure.abr` (u = Q1, v = Q2), the
-    only Python function it enters.  Raises SingularStructureError as
-    `_recover9` does, and when |det P| < SINGULAR_DETP, before `abr`."""
-    (a, b,
-     u00, u01, u02, u10, u11, u12, u20, u21, u22,
-     v00, v01, v02, v10, v11, v12, v20, v21, v22) = y
-    if k is not None:
-        (da, db,
-         du00, du01, du02, du10, du11, du12, du20, du21, du22,
-         dv00, dv01, dv02, dv10, dv11, dv12, dv20, dv21, dv22) = k
-        a += c * da
-        b += c * db
-        u00 += c * du00
-        u01 += c * du01
-        u02 += c * du02
-        u10 += c * du10
-        u11 += c * du11
-        u12 += c * du12
-        u20 += c * du20
-        u21 += c * du21
-        u22 += c * du22
-        v00 += c * dv00
-        v01 += c * dv01
-        v02 += c * dv02
-        v10 += c * dv10
-        v11 += c * dv11
-        v12 += c * dv12
-        v20 += c * dv20
-        v21 += c * dv21
-        v22 += c * dv22
-    # M = -(Q1 + Q2)/lambda, its cofactor matrix (n..) and det M
-    m00, m01, m02 = -(u00 + v00) / lam, -(u01 + v01) / lam, -(u02 + v02) / lam
-    m10, m11, m12 = -(u10 + v10) / lam, -(u11 + v11) / lam, -(u12 + v12) / lam
-    m20, m21, m22 = -(u20 + v20) / lam, -(u21 + v21) / lam, -(u22 + v22) / lam
-    n00, n01, n02 = m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20
-    n10, n11, n12 = m02 * m21 - m01 * m22, m00 * m22 - m02 * m20, m01 * m20 - m00 * m21
-    n20, n21, n22 = m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10
-    det_m = m00 * n00 - m01 * (m10 * m22 - m12 * m20) + m02 * n02
-    if det_m <= 0:
-        raise SingularStructureError(
-            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
-        )
-    det_p = math.sqrt(det_m) * sign
-    if abs(det_p) < SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
-    p00, p01, p02 = n00 / det_p, n01 / det_p, n02 / det_p
-    p10, p11, p12 = n10 / det_p, n11 / det_p, n12 / det_p
-    p20, p21, p22 = n20 / det_p, n21 / det_p, n22 / det_p
-    (A, B,
-     r00, r01, r02, r10, r11, r12, r20, r21, r22,
-     s00, s01, s02, s10, s11, s12, s20, s21, s22) = abr(
-        a, b,
-        u00, u01, u02, u10, u11, u12, u20, u21, u22,
-        v00, v01, v02, v10, v11, v12, v20, v21, v22,
-    )
-    e = -2.0 * lam / det_p
-    return [
-        e * A,
-        e * B,
-        e * r00 + p00, e * r01 + p01, e * r02 + p02,
-        e * r10 + p10, e * r11 + p11, e * r12 + p12,
-        e * r20 + p20, e * r21 + p21, e * r22 + p22,
-        e * s00 - p00, e * s01 - p01, e * s02 - p02,
-        e * s10 - p10, e * s11 - p11, e * s12 - p12,
-        e * s20 - p20, e * s21 - p21, e * s22 - p22,
-    ]
 
 
 def _sign(det_p: float) -> float:
@@ -192,7 +115,7 @@ def flow_rhs(lam: float, a, b, Q1, Q2, det_p_sign: float = 1.0):
         Q1' = -(2 lambda / det P) R1 + P
         Q2' = -(2 lambda / det P) R2 - P
     """
-    return _unpack(_stage(lam, _pack(a, b, Q1, Q2), _sign(det_p_sign)))
+    return _unpack(stage(lam, _sign(det_p_sign), _pack(a, b, Q1, Q2)))
 
 
 class FlowSample(NamedTuple):
@@ -368,7 +291,6 @@ def integrate(
         # one more step, shortened so that the run ends at t1
         n_steps = math.ceil(ratio)
         h_last, t_last = t1 - (t0 + (n_steps - 1) * h), t1
-    step, half, sixth = h, 0.5 * h, h / 6.0
 
     y = [initial.a, initial.b] + initial.m9.q1 + initial.m9.q2
     sign = _sign(initial.det_p)
@@ -394,20 +316,11 @@ def integrate(
     # state's sample and the k1 of the next step.
     t = t0
     try:
-        dy = _stage(lam, y, sign)
+        dy = stage(lam, sign, y)
         traj.samples.append(sample(t0, y, dy))
         for k in range(n_steps):
             t = t0 + k * h
-            if k == n_steps - 1:
-                step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
-            k2 = _stage(lam, y, sign, dy, half)
-            k3 = _stage(lam, y, sign, k2, half)
-            k4 = _stage(lam, y, sign, k3, step)
-            y = [
-                v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-                for v, d1, d2, d3, d4 in zip(y, dy, k2, k3, k4)
-            ]
-            dy = _stage(lam, y, sign)
+            y, dy = rk4_step(lam, sign, y, dy, h if k < n_steps - 1 else h_last)
             if k == n_steps - 1:
                 traj.samples.append(sample(t_last, y, dy))
             elif (k + 1) % record_every == 0:

@@ -9,13 +9,14 @@ transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
 sequence, or a 9-sequence, into such a list, without numpy.  The package
 computes every 3x3 product, cofactor and determinant with them, either
-directly or through the straight-line kernels of ``nhflat._kernels``
-(``structure.abr``, F = (A, B, R1, R2), which construction and the flow's
-RK4 stage call, and ``j_verdicts``, what the J^2 = -id and SPD verdicts
-read), which ``tools/gen_kernels.py`` generates by tracing compositions
-of these helpers, so that they round exactly as the helpers do.  The one
-exception is the P recovery of that stage, ``flow._stage``, which writes
-its expressions out inline.
+directly or through straight-line kernels that ``tools/gen_kernels.py``
+generates by tracing compositions of these helpers, so that they round
+exactly as the helpers do: those of ``nhflat._kernels`` (``abr``,
+F = (A, B, R1, R2), which construction calls, and ``j_verdicts``, what
+the J^2 = -id and SPD verdicts read) and those of
+``nhflat._flow_kernels`` (the flow's ``stage`` and ``rk4_step``, with
+the recovery of P and F).  No 3x3 expression is written out by hand
+elsewhere.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they
@@ -105,10 +106,13 @@ def is_spd9(a, b, c) -> bool:
     and a symmetric 3x3 matrix is positive definite exactly when the
     pivots of its LDL^T factorization are all > 0.  The blocks are first
     divided by their largest |entry|, so that the products stay in range
-    whatever the scale of the data.  False when an entry is NaN or
-    infinite."""
-    n = max(map(abs, (*a, *b, *c)))
-    if not 0.0 < n < math.inf:
+    whatever the scale of the data.  False when any of the 27 entries
+    is NaN or infinite."""
+    entries = (*a, *b, *c)
+    n = max(map(abs, entries))
+    # max passes over a NaN that is not the first entry; the sum of finite
+    # entries and a NaN is NaN
+    if not 0.0 < n < math.inf or math.isnan(sum(entries)):
         return False
     a00, a01, a02, _, a11, a12, _, _, a22 = a
     f = _ldl3(a00 / n, a01 / n, a02 / n, a11 / n, a12 / n, a22 / n)

@@ -612,9 +612,9 @@ print(json.dumps([seen, outs]))
 
 def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # one interpreter per subcommand, so that each sees only the modules
-    # its own command imported: check and classify leave out flow and csv,
-    # an invalid record needs no torsion, flow needs no torsion, and
-    # verify-g2 reads flow's kernel but writes no CSV
+    # its own command imported: check and classify leave out flow, its
+    # kernels and csv, an invalid record needs no torsion, flow needs no
+    # torsion, and verify-g2 reads flow's stage kernel but writes no CSV
     base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.mat3",
             "nhflat.structure", "nhflat.tolerance"]
     runs = [
@@ -622,9 +622,9 @@ def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
         (["check", bad_record], 1, base, False),
         (["classify", nk_record], 0, base + ["nhflat.torsion"], False),
         (["flow", nk_record, "--t-end", "0.01", "--out", str(tmp_path / "t.csv")], 0,
-         base + ["nhflat.flow"], True),
+         base + ["nhflat._flow_kernels", "nhflat.flow"], True),
         (["verify-g2", "--family", "sine-cone"], 0,
-         base + ["nhflat.families", "nhflat.flow"], False),
+         base + ["nhflat._flow_kernels", "nhflat.families", "nhflat.flow"], False),
     ]
     for argv, want_code, want_modules, want_csv in runs:
         code = f"""

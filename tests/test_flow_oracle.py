@@ -1,19 +1,22 @@
-"""Oracles for the scalar flow kernel.
+"""Oracles for the flow's kernels.
 
 The RK4 loop below is the per-stage numpy integration over the public
 array API (`flow_rhs`, `recover_p`); `flow.integrate` runs the same scheme
-on a flat list of floats and must reproduce it at every recorded sample.
-The 3x3 helpers and `compute_abr` are checked against numpy's determinant,
-the adjugate from 2x2 minors and the explicit matrix formulas.
+on a flat sequence of floats and must reproduce it at every recorded
+sample.  The 3x3 helpers and `compute_abr` are checked against numpy's
+determinant, the adjugate from 2x2 minors and the explicit matrix
+formulas.
 
-`composed_abr9`, `composed_recover9` and `composed_stage` are the flow
-kernel composed from the `mat3` 9-sequence helpers.  The straight-line
-`abr` is generated from the same composition (``tools/gen_kernels.py``)
-and `_stage` writes out the same expressions, so they must agree with
-them bit for bit, and so must every trajectory (`_recover9` is
-composed from the helpers itself).  `stepwise_rows_and_halt` is the RK4
-loop in its stepwise order, with no derivative reused; `integrate` must
-give its rows, and its halts on every real flow.
+`composed_abr9` and `composed_recover9` are F and the P recovery composed
+from the `mat3` 9-sequence helpers, as `abr` and `flow._recover9` must
+compute them, bit for bit.  The flow's kernels `stage` and `rk4_step`
+are generated (``tools/gen_kernels.py``) from the composed forms there,
+`composed_stage` and `composed_rk4_step`, and must agree with them bit
+for bit, halts included; so must every trajectory that `integrate`
+takes with them, against the same loop run on the composed forms
+(`rows_and_halt_composed`).  `stepwise_rows_and_halt` is the RK4 loop on
+`composed_stage` in its stepwise order, with no derivative reused;
+`integrate` must give its rows, and its halts on every real flow.
 
 `form_g2_residual` is `flow.g2_residual` on forms, by `d`; the coordinate
 version must equal it to the bit."""
@@ -38,6 +41,7 @@ from nhflat.structure import (
     sample_random_structure,
 )
 from oracles import de_de_form
+from test_kernels import gen
 
 REL_TOL = 1e-13
 
@@ -179,22 +183,6 @@ def composed_recover9(lam, q1, q2, sign):
     return [x / det_p for x in cofactor9(m)], det_p
 
 
-def composed_stage(lam, y, sign, k=None, c=0.0):
-    if k is not None:
-        y = [v + c * d for v, d in zip(y, k)]
-    q1, q2 = y[2:11], y[11:20]
-    p, det_p = composed_recover9(lam, q1, q2, sign)
-    if abs(det_p) < flow.SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
-    A, B, R1, R2 = composed_abr9(y[0], y[1], q1, q2)
-    e = -2.0 * lam / det_p
-    return (
-        [e * A, e * B]
-        + [e * r + x for r, x in zip(R1, p)]
-        + [e * r - x for r, x in zip(R2, p)]
-    )
-
-
 def random_states(seed, n=200):
     """n flat states [a, b, *Q1, *Q2] whose entries span 1e-3..1e3 in size."""
     rng = np.random.default_rng(seed)
@@ -221,10 +209,6 @@ def test_abr9_exact_on_fractions():
         got = abr(*y)
         assert got == composed_f(y)
         assert all(type(v) is Fraction for v in got)
-
-
-def test_flow_and_construction_share_one_kernel():
-    assert flow.abr is structure.abr
 
 
 def same_outcome(fn, oracle, *args):
@@ -257,11 +241,33 @@ def test_stage_equals_composed_on_random_floats():
     outcomes = []
     for y, k in zip(random_states(35), random_states(36)):
         lam, c = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-1e-3, 1e-3)
-        for args in ((), (k, c)):
-            same, outcome = same_outcome(flow._stage, composed_stage, lam, y, 1.0, *args)
+        for state in (y, [v + c * d for v, d in zip(y, k)]):
+            same, outcome = same_outcome(flow.stage, gen.composed_stage, lam, 1.0, state)
             assert same
             outcomes.append(outcome)
     assert outcomes.count("returned") > 100 and "raised" in outcomes
+
+
+def test_rk4_step_equals_composed_on_random_floats(monkeypatch):
+    # the pass of the composed step in which each raise comes, 1 ... 4
+    rng = np.random.default_rng(40)
+    stage, calls, passes = gen.composed_stage, [], []
+
+    def counted(*args):
+        calls.append(None)
+        return stage(*args)
+
+    monkeypatch.setattr(gen, "composed_stage", counted)
+    for y, dy in zip(random_states(41), random_states(42)):
+        lam, h = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.0)
+        for sign in (1.0, -1.0):
+            calls.clear()
+            same, outcome = same_outcome(
+                flow.rk4_step, gen.composed_rk4_step, lam, sign, y, dy, h
+            )
+            assert same
+            passes.append(len(calls) if outcome == "raised" else 0)
+    assert passes.count(0) > 50 and all(k in passes for k in (1, 2, 3, 4))
 
 
 def rows_and_halt(initial, t_end, h, record_every=1):
@@ -270,9 +276,17 @@ def rows_and_halt(initial, t_end, h, record_every=1):
     return [sample.row() for sample in traj.samples], traj.halt
 
 
+def run_composed(m):
+    """Make `integrate` run its RK4 loop on `composed_stage` and
+    `composed_rk4_step`, in the monkeypatch context m.  The forms are
+    looked up when they run, so a test can patch `gen.composed_stage`."""
+    m.setattr(flow, "stage", lambda lam, sign, y: gen.composed_stage(lam, sign, y))
+    m.setattr(flow, "rk4_step", gen.composed_rk4_step)
+
+
 def rows_and_halt_composed(monkeypatch, *args):
     with monkeypatch.context() as m:
-        m.setattr(flow, "_stage", composed_stage)
+        run_composed(m)
         m.setattr(flow, "_recover9", composed_recover9)
         return rows_and_halt(*args)
 
@@ -355,6 +369,10 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
     sign = 1.0 if initial.det_p >= 0 else -1.0
     rows = []
 
+    def at(c, k):
+        """y' at y + c k."""
+        return gen.composed_stage(lam, sign, [v + c * d for v, d in zip(y, k)])
+
     def sample(t, y):
         q1, q2 = y[2:11], y[11:20]
         p, _ = flow._recover9(lam, q1, q2, sign)
@@ -363,7 +381,7 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
             lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9])
         )
         report = s.validate()
-        dy = flow._stage(lam, y, sign)
+        dy = gen.composed_stage(lam, sign, y)
         rows.append(flow.FlowSample(
             t=t,
             structure=s,
@@ -380,10 +398,10 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
             t = t0 + k * h
             if k == n_steps - 1:
                 step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
-            k1 = flow._stage(lam, y, sign)
-            k2 = flow._stage(lam, y, sign, k1, half)
-            k3 = flow._stage(lam, y, sign, k2, half)
-            k4 = flow._stage(lam, y, sign, k3, step)
+            k1 = gen.composed_stage(lam, sign, y)
+            k2 = at(half, k1)
+            k3 = at(half, k2)
+            k4 = at(step, k3)
             y = [
                 v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
                 for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
@@ -427,24 +445,30 @@ def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_
     # step, so a stage is made to raise at the state after step n: the run
     # halts in step n, from (n - 1) h, recorded or not (the stepwise loop
     # halts in the next step where the state is not recorded), and at the
-    # start for n = 0
-    initial, stage, states = rotated_nk(1), flow._stage, []
+    # start for n = 0.  Both loops run on `composed_stage`.
+    initial, stage, step, states = rotated_nk(1), gen.composed_stage, gen.composed_rk4_step, []
 
-    def recording(lam, y, sign, k=None, c=0.0):
-        if k is None and y not in states:
-            states.append(y)
-        return stage(lam, y, sign, k, c)
+    def recording(lam, sign, y):
+        states.append(list(y))
+        return stage(lam, sign, y)
 
-    def halting(lam, y, sign, k=None, c=0.0):
-        if k is None and y == states[n]:
+    def recording_step(*args):
+        y, dy = step(*args)
+        states.append(list(y))
+        return y, dy
+
+    def halting(lam, sign, y):
+        if list(y) == states[n]:
             raise SingularStructureError("det P = 1.000e-06 below threshold")
-        return stage(lam, y, sign, k, c)
+        return stage(lam, sign, y)
 
     with monkeypatch.context() as m:
-        m.setattr(flow, "_stage", recording)
+        m.setattr(flow, "stage", recording)
+        m.setattr(flow, "rk4_step", recording_step)
         flow.integrate(initial, 0.0, 0.01, h=1e-3)
     assert len(states) == 11
-    monkeypatch.setattr(flow, "_stage", halting)
+    run_composed(monkeypatch)
+    monkeypatch.setattr(gen, "composed_stage", halting)
     rows, _ = stepwise_rows_and_halt(initial, 0.01, 1e-3, record_every)
     traj = flow.integrate(initial, 0.0, 0.01, h=1e-3, record_every=record_every)
     assert [sample.row() for sample in traj.samples] == rows
@@ -463,19 +487,21 @@ def test_integrate_evaluates_each_state_once(monkeypatch, record_every):
         calls.append(None)
         return stage(*args)
 
-    stage = flow._stage
-    monkeypatch.setattr(flow, "_stage", counted)
+    stage = gen.composed_stage
+    run_composed(monkeypatch)
+    monkeypatch.setattr(gen, "composed_stage", counted)
     n = 40
     traj = flow.integrate(rotated_nk(1), 0.0, n * 1e-3, h=1e-3, record_every=record_every)
     assert traj.steps == n
     assert len(calls) == 4 * n + 1
 
 
-def test_stage_enters_only_abr():
-    # the Python functions entered, and their callers, while a stage runs
-    # at a state, at a shifted state and where it raises
+def test_kernels_enter_no_python_function():
+    # the Python functions entered while the kernels run at a state, at
+    # a shifted state and where they raise
     s = rotated_nk(1)
     y = flow._pack(s.a, s.b, s.Q1, s.Q2)
+    dy = flow.stage(s.lam, 1.0, y)
     seen, raised = [], []
 
     def profile(frame, event, arg):
@@ -484,19 +510,26 @@ def test_stage_enters_only_abr():
 
     sys.setprofile(profile)
     try:
-        flow._stage(s.lam, y, 1.0)
-        flow._stage(s.lam, y, 1.0, y, 5e-4)
-        try:
-            flow._stage(s.lam, y, 1.0, y, -1.0)  # the zero state: det M = 0
-        except SingularStructureError as exc:
-            raised.append(str(exc))
+        flow.stage(s.lam, 1.0, y)
+        flow.rk4_step(s.lam, 1.0, y, dy, 1e-3)
+        for kernel, args in ((flow.stage, ([0.0] * 20,)), (flow.rk4_step, (y, y, -2.0))):
+            try:
+                kernel(s.lam, 1.0, *args)  # the zero state: det M = 0
+            except SingularStructureError as exc:
+                raised.append(str(exc))
     finally:
         sys.setprofile(None)
-    here = "test_stage_enters_only_abr"
-    assert seen == [(here, "_stage"), ("_stage", "abr")] * 2 + [(here, "_stage")]
+    here = "test_kernels_enter_no_python_function"
+    assert seen == [(here, "stage"), (here, "rk4_step")] * 2
     assert raised == [
         "Adj(P^T) has nonpositive determinant 0.000e+00; P is not recoverable"
-    ]
+    ] * 2
+
+
+@pytest.mark.parametrize("kernel", ["stage", "rk4_step"])
+def test_kernels_read_fewer_than_256_locals(kernel):
+    # a local numbered 256 or more costs an extended opcode at every use
+    assert getattr(flow, kernel).__code__.co_nlocals < 256
 
 
 # -- g2_residual ---------------------------------------------------------------

@@ -3,10 +3,12 @@
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
 the scale-covariance samples of test_scaling.py, the acceptance samples and
-random states, and must agree with them to the bit.  The file must be what
-the generator writes today."""
+random states, and must agree with them to the bit.  The flow's kernels
+(``nhflat._flow_kernels``) are checked in test_flow_oracle.py.  Both
+generated files must be what the generator writes today."""
 
 import importlib.util
+import math
 import os
 import sys
 
@@ -50,33 +52,69 @@ def j_args(s):
     return s.a, s.b, m.q1, m.q2, p, s.det_p
 
 
-def test_kernels_file_is_current():
-    with open(gen.TARGET) as fh:
+@pytest.mark.parametrize("module", gen.MODULES, ids=lambda m: os.path.basename(m.path))
+def test_kernels_file_is_current(module):
+    with open(os.path.join(ROOT, module.path)) as fh:
         current = fh.read()
-    assert current == gen.generate(), f"src/nhflat/_kernels.py is not current; run: {REGENERATE}"
+    assert current == gen.generate(module), f"{module.path} is not current; run: {REGENERATE}"
 
 
 def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
-    stale = tmp_path / "_kernels.py"
-    stale.write_text(gen.generate().replace("t1 ", "t_1 ", 1))
-    monkeypatch.setattr(gen, "TARGET", str(stale))
-    assert gen.main(["--check"]) == 1
-    assert REGENERATE in capsys.readouterr().err
-    assert gen.main([]) == 0
-    assert stale.read_text() == gen.generate()
-    assert gen.main(["--check"]) == 0
+    # each file stale in turn, then both: --check names each stale file
+    # and writes nothing, and the script makes both current
+    monkeypatch.setattr(gen, "ROOT", str(tmp_path))
+    paths = [tmp_path / m.path for m in gen.MODULES]
+    paths[0].parent.mkdir(parents=True)
+    for stale in [[0], [1], [0, 1]]:
+        for k, (module, path) in enumerate(zip(gen.MODULES, paths)):
+            source = gen.generate(module)
+            path.write_text(source.replace("t1 ", "t_1 ", 1) if k in stale else source)
+        assert gen.main(["--check"]) == 1
+        err = capsys.readouterr().err
+        assert all((gen.MODULES[k].path in err) is (k in stale) for k in range(2))
+        assert REGENERATE in err
+        assert "t_1 " in paths[stale[0]].read_text()
+        assert gen.main([]) == 0
+        assert [p.read_text() for p in paths] == [gen.generate(m) for m in gen.MODULES]
+        assert gen.main(["--check"]) == 0
 
 
 def test_trace_rejects_a_branch():
+    # a branch that does not raise, a guard's branch that computes, and a
+    # function the trace has no node for
     def guarded(a):
         return (a if a > 0 else -a,)
 
-    def absolute(a):
-        return (abs(a),)
+    def computing(a):
+        if a < 0:
+            raise ValueError(f"{-a:.3e}")
+        return (a,)
 
-    for form in (guarded, absolute):
+    def exponential(a):
+        return (math.exp(a),)
+
+    for form in (guarded, computing, exponential):
         with pytest.raises(TypeError):
             gen.emit(gen.Kernel("k", form, ("a",), True))
+
+
+def test_guard_keeps_its_place_and_message():
+    def form(a, b):
+        c = a * b
+        if abs(c) >= 2:
+            raise ValueError(f"|a b| = {c:.2e} is {{large}}")
+        return (c * c + math.sqrt(b),)
+
+    source, imports = gen.emit(gen.Kernel("k", form, ("a", "b"), True, floats=True))
+    assert imports == {"math": {"sqrt"}}
+    namespace = {"sqrt": math.sqrt}
+    exec(source, namespace)
+    kernel = namespace["k"]
+    assert kernel(0.5, 3.0) == form(0.5, 3.0)
+    with pytest.raises(ValueError) as raised:
+        kernel(1.0, 3.0)
+    assert str(raised.value) == "|a b| = 3.00e+00 is {large}"
+    assert "2.0" in source and "t0 = a * b" in source
 
 
 @pytest.mark.parametrize(
@@ -135,3 +173,21 @@ def test_non_finite_entry_is_not_spd(value, sign_p):
         s = NhfStructure(base.lam, x["a"], x["b"], x["P"], x["Q"])
         assert s.metric_spd is False, (name, k)
         assert not s.validate().passed
+
+
+def test_nan_entry_is_not_spd():
+    # a NaN in any of the 27 entries, the lower triangles of A and C
+    # (which the factorization does not read) included
+    eye = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    assert is_spd9([1.0, 0.0, 0.0, float("nan"), 1.0, 0.0, 0.0, 0.0, 1.0], [0.0] * 9, eye) is False
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        m = rng.standard_normal((6, 6))
+        g = m @ m.T + 6.0 * np.eye(6)
+        blocks = (g[:3, :3], g[:3, 3:], g[3:, 3:])
+        entries = [x for block in blocks for x in block.ravel().tolist()]
+        assert is_spd9(entries[0:9], entries[9:18], entries[18:27]) is True
+        for k in range(27):
+            x = entries.copy()
+            x[k] = float("nan")
+            assert is_spd9(x[0:9], x[9:18], x[18:27]) is False, k

@@ -1,37 +1,49 @@
-"""Generate ``src/nhflat/_kernels.py``, the package's straight-line
-kernels, from the composed forms in this file.
+"""Generate the package's straight-line kernels from the composed forms in
+this file: ``src/nhflat/_kernels.py`` (`abr`, `j_verdicts`) and
+``src/nhflat/_flow_kernels.py`` (`stage`, `rk4_step`).
 
-    python tools/gen_kernels.py          # write src/nhflat/_kernels.py
-    python tools/gen_kernels.py --check  # exit 1 if that file is not current
+    python tools/gen_kernels.py          # write both files
+    python tools/gen_kernels.py --check  # exit 1 if either file is not current
 
 A composed form is plain Python over the `mat3` helpers.  `trace` runs it
-once on symbolic values: each +, -, *, / and unary - it computes becomes a
-node of an expression graph, and an operation already made on the same
-operands, in the same order, is the node made then.  `emit` writes the
-graph as one function: a value used more than once gets a name, the rest
-are written inline, each with the grouping of the trace.  No operand is
-reordered and every constant keeps its type, so a kernel rounds as its
-composed form does, to the last bit, and is exact on
-``fractions.Fraction`` input wherever the composed form is.  A kernel has
-no branch: a comparison or ``abs`` of a traced value raises here.
+once on symbolic values: each +, -, *, /, unary -, `abs` and `math.sqrt`
+it computes becomes a node of an expression graph, and an operation
+already made on the same operands, in the same order, is the node made
+then.  `emit` writes the graph as one function: a value used more than
+once gets a name, the rest are written inline, each with the grouping of
+the trace.  No operand is reordered, so a kernel rounds as its composed
+form does, to the last bit.  A kernel keeps the type of every constant,
+and is exact on ``fractions.Fraction`` input wherever the composed form
+is, unless it is marked `floats`: then it is only called on floats, and
+an integer constant is written as a float (``2.0 * x`` is ``2 * x`` for a
+float x, and Python specializes float by float arithmetic).
 
-The script imports ``nhflat.structure``, which imports the kernels it
-writes, so a ``_kernels.py`` that cannot be imported must be restored
-(from git) before the script can run."""
+A comparison of traced values is a guard: ``if x <= 0: raise E(msg)``,
+whose branch must raise before it computes anything.  The trace takes
+every guard's branch once, to read the exception and its message, in
+which each traced value formatted with ``{x:spec}`` is written back as
+that value.  A kernel keeps each guard where the trace met it, after the
+named values computed before it.  Any other branch on a traced value
+raises here.
+
+The script imports ``nhflat.flow``, which imports the kernels it writes,
+so a generated file that cannot be imported must be restored (from git)
+before the script can run."""
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TARGET = os.path.join(ROOT, "src", "nhflat", "_kernels.py")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from nhflat import flow  # noqa: E402
 from nhflat.mat3 import cofactor9, det9, mul9, transpose9  # noqa: E402
-from nhflat.structure import _j_blocks9  # noqa: E402
+from nhflat.structure import SingularStructureError, _j_blocks9  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
 
@@ -47,8 +59,9 @@ def composed_abr(a, b, q1, q2):
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
     J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too, so construction and the
-    RK4 stage `flow._stage` both call it.  Uses only +, - and *, so it is
+    gamma' = d omega - lambda J gamma read F too: construction calls
+    this kernel, and the flow's kernels (``nhflat._flow_kernels``) are
+    traced from the same composed form.  Uses only +, - and *, so it is
     exact on ``fractions.Fraction`` input."""
     g = mul9(transpose9(q1), q2)  # Q1^T Q2
     tr12 = g[0] + g[4] + g[8]
@@ -107,32 +120,104 @@ def composed_j_verdicts(a, b, q1, q2, p, det_p):
     )
 
 
+def composed_stage(lam, sign, y):
+    """One evaluation of the evolution equations at the flat state
+    y = (a, b, *Q1, *Q2); returns y' in the same layout:
+        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
+    e = -2 lambda / det P, with P and det P those of `flow._recover9`
+    (sign is the sign of det P) and F = (A, B, R1, R2) that of `abr`.
+    Raises SingularStructureError as `_recover9` does, and when
+    |det P| < `flow.SINGULAR_DETP`, before F."""
+    q1, q2 = y[2:11], y[11:20]
+    p, det_p = flow._recover9(lam, q1, q2, sign)
+    if abs(det_p) < flow.SINGULAR_DETP:
+        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
+    f = composed_abr(y[0], y[1], q1, q2)
+    e = -2.0 * lam / det_p
+    return (
+        e * f[0],
+        e * f[1],
+        *[e * r + x for r, x in zip(f[2:11], p)],
+        *[e * r - x for r, x in zip(f[11:20], p)],
+    )
+
+
+def composed_pass(lam, sign, y, d, c):
+    """One pass of `rk4_step`: the state z = y + c d and its y'
+    (`composed_stage`), as (z, z')."""
+    z = tuple(v + c * x for v, x in zip(y, d))
+    return z, composed_stage(lam, sign, z)
+
+
+def composed_rk4_step(lam, sign, y, dy, h):
+    """One classical RK4 step of size h from the flat state y, whose y' is
+    dy (the step's k1); returns the state it reaches and that state's y',
+    the next step's k1, as (y_next, dy_next).  Its four passes evaluate
+    the equations (`composed_stage`) at y + (h/2) k1, y + (h/2) k2,
+    y + h k3 and y_next = y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with the sum
+    added left to right.  Raises SingularStructureError where a pass
+    does."""
+    half = 0.5 * h
+    _, k2 = composed_pass(lam, sign, y, dy, half)
+    _, k3 = composed_pass(lam, sign, y, k2, half)
+    _, k4 = composed_pass(lam, sign, y, k3, h)
+    total = [d1 + 2 * d2 + 2 * d3 + d4 for d1, d2, d3, d4 in zip(dy, k2, k3, k4)]
+    return composed_pass(lam, sign, y, total, h / 6.0)
+
+
+# -- the kernels ----------------------------------------------------------------
+
+ENTRIES = [f"{i}{j}" for i in range(3) for j in range(3)]
+
+
+def nine(prefix):
+    """The names prefix00 ... prefix22 of a row-major 3x3 matrix's entries."""
+    return tuple(prefix + ij for ij in ENTRIES)
+
+
+#: The names of a flat flow state's entries, a, b, Q1 = (u..), Q2 = (v..).
+STATE = ("a", "b", *nine("u"), *nine("v"))
+
+
 class Kernel(NamedTuple):
     """A kernel to generate: its name, its composed form and the form's
-    parameters, each a scalar's name or (name, prefix) for a row-major
-    9-sequence whose entries are called prefix00 ... prefix22 in the
-    kernel.  With `flat`, those entries are the kernel's parameters; else
-    it takes the sequence and unpacks it."""
+    parameters, each a scalar's name or (name, entries) for a sequence
+    whose entries are called by the names in `entries` in the kernel.
+    With `flat`, those entries are the kernel's parameters; else it takes
+    the sequence and unpacks it.  With `floats`, an integer constant is
+    written as a float."""
 
     name: str
     form: object
     params: tuple
-    flat: bool
+    flat: bool = False
+    floats: bool = False
 
 
-KERNELS = (
-    Kernel("abr", composed_abr, ("a", "b", ("q1", "u"), ("q2", "v")), True),
-    Kernel(
-        "j_verdicts",
-        composed_j_verdicts,
-        ("a", "b", ("q1", "u"), ("q2", "v"), ("p", "p"), "det_p"),
-        False,
-    ),
+class Module(NamedTuple):
+    """A generated file: its path under the repository root, its
+    docstring and its kernels, each a `Kernel` or `RK4_STEP`; it imports
+    what its kernels use."""
+
+    path: str
+    doc: str
+    kernels: tuple
+
+
+#: The RK4 step is `composed_pass` traced once and emitted inside a loop
+#: over its four passes (`emit_rk4_step`).
+RK4_STEP = Kernel(
+    "rk4_step",
+    composed_pass,
+    ("lam", "sign", ("y", STATE), ("dy", tuple("d" + x for x in STATE)), "c"),
+    floats=True,
 )
 
 # -- tracing --------------------------------------------------------------------
 
-ENTRIES = [f"{i}{j}" for i in range(3) for j in range(3)]
+
+class TraceError(TypeError):
+    """A composed form that cannot be written as a kernel."""
 
 
 class Sym:
@@ -170,16 +255,58 @@ class Sym:
     def __neg__(self):
         return self.graph.node(("neg", self.id))
 
+    def __abs__(self):
+        return self.graph.node(("abs", self.id))
+
+    def __lt__(self, other):
+        return Cond(self.graph, "<", self, other)
+
+    def __le__(self, other):
+        return Cond(self.graph, "<=", self, other)
+
+    def __gt__(self, other):
+        return Cond(self.graph, ">", self, other)
+
+    def __ge__(self, other):
+        return Cond(self.graph, ">=", self, other)
+
+    def __eq__(self, other):
+        return Cond(self.graph, "==", self, other)
+
+    def __ne__(self, other):
+        return Cond(self.graph, "!=", self, other)
+
+    __hash__ = None
+
+    def __format__(self, spec):
+        # a marker that `emit` writes back as {value:spec}
+        return f"\0{self.id}:{spec}\0"
+
     def __bool__(self):
-        raise TypeError("a kernel has no branch on a traced value")
+        raise TraceError("a kernel has no branch on a traced value but a guard")
+
+
+class Cond:
+    """A comparison (op, x, y) of traced values; its truth is a guard."""
+
+    __slots__ = ("graph", "key")
+
+    def __init__(self, graph, op, x, y):
+        self.graph, self.key = graph, (op, graph.operand(x), graph.operand(y))
+
+    def __bool__(self):
+        return self.graph.guard(self.key)
 
 
 class Graph:
     """The nodes of a trace, in the order they were made: ("in", name),
-    ("const", type, repr), ("neg", x) or (op, x, y), x and y node ids."""
+    ("const", type, repr), ("neg", x), ("abs", x), ("sqrt", x) or
+    (op, x, y), x and y node ids; and its guards, each (position, cond),
+    the number of nodes made before it and its comparison (op, x, y).
+    Only the guard numbered `take` is true."""
 
-    def __init__(self):
-        self.nodes, self.ids = [], {}
+    def __init__(self, take=None):
+        self.nodes, self.ids, self.guards, self.take = [], {}, [], take
 
     def node(self, key) -> Sym:
         i = self.ids.get(key)
@@ -192,23 +319,67 @@ class Graph:
         if isinstance(x, Sym):
             return x.id
         if type(x) not in (int, float) or x != x or x in (float("inf"), float("-inf")):
-            raise TypeError(f"a kernel constant must be a finite int or float, not {x!r}")
+            raise TraceError(f"a kernel constant must be a finite int or float, not {x!r}")
         return self.node(("const", type(x).__name__, repr(x))).id
 
     def op(self, op, x, y) -> Sym:
         return self.node((op, self.operand(x), self.operand(y)))
 
+    def guard(self, cond) -> bool:
+        self.guards.append((len(self.nodes), cond))
+        return len(self.guards) - 1 == self.take
 
-def trace(kernel):
-    """The graph of the kernel's composed form and its result, with every
-    traced value in place."""
-    graph = Graph()
+
+class Guard(NamedTuple):
+    """A guard of a trace: where it is, its comparison, and the class and
+    message of the exception its branch raises."""
+
+    position: int
+    cond: tuple
+    error: type
+    message: str
+
+
+def _run(kernel, graph):
+    """The kernel's composed form run on the graph's inputs, with
+    `math.sqrt` of a traced value a node."""
     args = [
         graph.node(("in", p)) if isinstance(p, str)
-        else [graph.node(("in", p[1] + ij)) for ij in ENTRIES]
+        else [graph.node(("in", name)) for name in p[1]]
         for p in kernel.params
     ]
-    return graph, kernel.form(*args)
+    sqrt = math.sqrt
+
+    def traced_sqrt(x):
+        return graph.node(("sqrt", x.id)) if isinstance(x, Sym) else sqrt(x)
+
+    math.sqrt = traced_sqrt
+    try:
+        return kernel.form(*args)
+    finally:
+        math.sqrt = sqrt
+
+
+def _raised(kernel, i) -> Guard:
+    """Guard i of the kernel's trace, read by taking its branch."""
+    graph = Graph(take=i)
+    try:
+        _run(kernel, graph)
+    except TraceError:
+        raise
+    except Exception as exc:
+        if len(graph.guards) == i + 1 and len(graph.nodes) == graph.guards[i][0]:
+            return Guard(*graph.guards[i], type(exc), str(exc))
+    raise TraceError(f"the branch of guard {i} of {kernel.name} must raise, computing nothing")
+
+
+def trace(kernel):
+    """The graph of the kernel's composed form, with its guards, and the
+    form's result, with every traced value in place."""
+    graph = Graph()
+    result = _run(kernel, graph)
+    graph.guards = [_raised(kernel, i) for i in range(len(graph.guards))]
+    return graph, result
 
 
 def _leaves(result):
@@ -221,15 +392,31 @@ def _leaves(result):
 
 PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 UNARY, ATOM = 3, 4
+#: The functions a trace has nodes for, and the module a kernel imports
+#: each from (None for a builtin).
+FUNCTIONS = {"abs": None, "sqrt": "math"}
 
 
-def emit(kernel) -> str:
-    """The source of the kernel's function."""
-    graph, result = trace(kernel)
-    nodes = graph.nodes
-    # each use of a node by another reachable node or by the result
+def _message_parts(message):
+    """The literal text and the (node, format spec) pairs of a message, in
+    turn: literal, pair, literal, ..."""
+    parts = message.split("\0")
+    pairs = [part.split(":", 1) for part in parts[1::2]]
+    return parts[0::2], [(int(i), spec) for i, spec in pairs]
+
+
+def _body(kernel, graph, roots, indent):
+    """The lines that compute a trace's nodes reachable from `roots` (node
+    ids) and from its guards, at `indent`, with each value used more than
+    once named and each guard in place; `ref`, which writes a node as a
+    name or an expression, with its precedence; and the modules whose
+    names the lines use, as {module: names}."""
+    nodes, guards = graph.nodes, graph.guards
+    # each use of a node by another reachable node, by a guard or by a root
+    stack = list(roots)
+    for g in guards:
+        stack += [g.cond[1], g.cond[2]] + [i for i, _ in _message_parts(g.message)[1]]
     uses = [0] * len(nodes)
-    stack = [leaf.id for leaf in _leaves(result)]
     for i in stack:
         uses[i] += 1
     seen = set()
@@ -241,7 +428,7 @@ def emit(kernel) -> str:
         for j in nodes[i][1:] if nodes[i][0] not in ("in", "const") else ():
             uses[j] += 1
             stack.append(j)
-    names = {}
+    names, imports = {}, {}
 
     def expr(i):
         """Node i as an expression and its precedence."""
@@ -249,10 +436,19 @@ def emit(kernel) -> str:
         if key[0] == "in":
             return key[1], ATOM
         if key[0] == "const":
-            return key[2], UNARY if key[2].startswith("-") else ATOM
+            text = key[2]
+            if kernel.floats and key[1] == "int":
+                if float(int(text)) != int(text):
+                    raise TraceError(f"the constant {text} has no float")
+                text = repr(float(int(text)))
+            return text, UNARY if text.startswith("-") else ATOM
         if key[0] == "neg":
             text, prec = ref(key[1])
             return "-" + (text if prec > UNARY else f"({text})"), UNARY
+        if key[0] in FUNCTIONS:
+            if FUNCTIONS[key[0]]:
+                imports.setdefault(FUNCTIONS[key[0]], set()).add(key[0])
+            return f"{key[0]}({ref(key[1])[0]})", ATOM
         op, x, y = key
         (left, lp), (right, rp) = ref(x), ref(y)
         if lp < PREC[op]:
@@ -264,46 +460,174 @@ def emit(kernel) -> str:
     def ref(i):
         return (names[i], ATOM) if i in names else expr(i)
 
+    pad = " " * indent
+    lines, pending = [], list(guards)
+
+    def place_guards(before):
+        while pending and pending[0].position <= before:
+            g = pending.pop(0)
+            op, x, y = g.cond
+            error = g.error
+            if error.__module__ != "builtins":
+                imports.setdefault(error.__module__, set()).add(error.__name__)
+            text, pairs = _message_parts(g.message)
+            if any(i >= g.position for i, _ in pairs):
+                raise TraceError("a message may only show values computed before its guard")
+            fields = [
+                t.replace("\\", "\\\\").replace('"', '\\"').replace("{", "{{").replace("}", "}}")
+                for t in text
+            ]
+            for k, (i, spec) in enumerate(pairs):
+                fields[k] += "{" + ref(i)[0] + (":" + spec if spec else "") + "}"
+            message = ("f" if pairs else "") + '"' + "".join(fields) + '"'
+            lines.append(f"{pad}if {ref(x)[0]} {op} {ref(y)[0]}:")
+            raise_line = f"{pad}    raise {error.__name__}({message})"
+            if len(raise_line) > 99:
+                raise_line = (
+                    f"{pad}    raise {error.__name__}(\n{pad}        {message}\n{pad}    )"
+                )
+            lines.append(raise_line)
+
+    for i in sorted(seen):
+        if uses[i] > 1 and nodes[i][0] not in ("in", "const"):
+            place_guards(i)
+            text = expr(i)[0]
+            names[i] = f"t{len(names)}"
+            lines.append(f"{pad}{names[i]} = {text}")
+    place_guards(len(nodes))
+
+    def inputs(i):
+        """The inputs that node i, written as `ref` writes it, reads."""
+        if i in names or nodes[i][0] == "const":
+            return set()
+        if nodes[i][0] == "in":
+            return {nodes[i][1]}
+        return set().union(*(inputs(j) for j in nodes[i][1:]))
+
+    return lines, ref, inputs, imports
+
+
+def _assign(groups, value, indent):
+    """`name, ... = value` at `indent`, the names in groups, one group to
+    a line if one line is wider than 99 characters."""
+    pad = " " * indent
+    line = f"{pad}{', '.join(n for g in groups for n in g)} = {value}"
+    if len(line) <= 99:
+        return [line]
+    rows = [", ".join(g) for g in groups]
+    return (
+        [f"{pad}({rows[0]},"]
+        + [f"{pad} {row}," for row in rows[1:-1]]
+        + [f"{pad} {rows[-1]}) = {value}"]
+    )
+
+
+def _groups(entries):
+    """Entry names in rows: the leading scalars, then each 3x3 matrix's."""
+    k = len(entries) % 9
+    return ([list(entries[:k])] if k else []) + [
+        list(entries[i:i + 9]) for i in range(k, len(entries), 9)
+    ]
+
+
+def _signature(kernel):
+    """The head of the kernel's function and the lines that unpack its
+    sequence parameters."""
     # the parameters in groups, for a signature too long for one line:
     # the scalars next to each other, and each flat 9-sequence
-    groups, body = [[]], []
+    groups, unpack = [[]], []
     for p in kernel.params:
         if isinstance(p, str):
             groups[-1].append(p)
             continue
-        name, prefix = p
-        entries = [prefix + ij for ij in ENTRIES]
+        name, entries = p
         if kernel.flat:
-            groups += [entries, []]
+            groups += [list(entries), []]
         else:
             groups[-1].append(name)
-            body.append(f"    {', '.join(entries)} = {name}")
+            unpack += _assign(_groups(entries), name, 4)
     sig = [", ".join(g) for g in groups if g]
-    for i in sorted(seen):
-        if uses[i] > 1 and nodes[i][0] not in ("in", "const"):
-            text = expr(i)[0]
-            names[i] = f"t{len(names)}"
-            body.append(f"    {names[i]} = {text}")
-
-    def returned(item, indent):
-        pad = " " * indent
-        if isinstance(item, Sym):
-            return [f"{pad}{ref(item.id)[0]},"]
-        lines = [f"{pad}("]
-        for x in item:
-            lines += returned(x, indent + 4)
-        return lines + [f"{pad}),"]
-
-    ret = returned(result, 4)
-    ret[0], ret[-1] = "    return (", "    )"
     head = f"def {kernel.name}({', '.join(sig)}):"
     if len(head) > 99:
         head = f"def {kernel.name}(\n        " + ",\n        ".join(sig) + "):"
+    return head, unpack
+
+
+def _returned(item, indent):
+    pad = " " * indent
+    if isinstance(item, str):
+        return [f"{pad}{item},"]
+    lines = [f"{pad}("]
+    for x in item:
+        lines += _returned(x, indent + 4)
+    return lines + [f"{pad}),"]
+
+
+def _names(result, ref):
+    """The result with each traced value written as `ref` writes it."""
+    if isinstance(result, Sym):
+        return ref(result.id)[0]
+    return [_names(item, ref) for item in result]
+
+
+def emit(kernel):
+    """The source of the kernel's function and the modules whose names it
+    uses, as {module: names}."""
+    graph, result = trace(kernel)
+    body, ref, _, imports = _body(kernel, graph, [s.id for s in _leaves(result)], 4)
+    head, unpack = _signature(kernel)
+    ret = _returned(_names(result, ref), 4)
+    ret[0], ret[-1] = "    return (", "    )"
     doc = kernel.form.__doc__
-    return "\n".join([head, f'    """{doc}"""'] + body + ret) + "\n"
+    return "\n".join([head, f'    """{doc}"""'] + unpack + body + ret) + "\n", imports
 
 
-HEADER = '''\
+def emit_rk4_step(kernel):
+    """The source of `rk4_step(lam, sign, y, dy, h)`, the form of
+    `composed_rk4_step`, and the modules whose names it uses.
+
+    The body of one pass (`composed_pass`, traced) is written once, in a
+    loop over the passes' (c, w): (h/2, 2.0), (h/2, 2.0), (h, 1.0) and
+    (h/6, None).  Each pass evaluates the equations at y + c d, with d
+    the direction the pass before left (k1 = dy for the first), stores
+    the y' it finds (k2, k3, k4) as the next direction and adds w times
+    it to the sum k1 + 2 k2 + 2 k3 + k4; the third pass leaves the sum as
+    the direction of the fourth, which is at y_next and returns it with
+    its y'.  A kernel that unrolled the passes would have a name for
+    each value of each pass, past the 256 locals a function reads
+    without an extended opcode, and be slower."""
+    graph, (z, dz) = trace(kernel)
+    y, d = kernel.params[2][1], kernel.params[3][1]
+    s = tuple("s" + x for x in STATE)
+    body, ref, inputs, imports = _body(kernel, graph, [v.id for v in z + dz], 8)
+    # the directions are overwritten from the first y' on, so nothing
+    # after the named values may read them
+    if any(inputs(v.id) & set(d) for v in dz) or any(ref(v.id)[1] != ATOM for v in z):
+        raise TraceError("a pass must name its state before it writes a direction")
+    lines = [
+        "def rk4_step(lam, sign, y, dy, h):",
+        f'    """{composed_rk4_step.__doc__}"""',
+        *_assign(_groups(y), "y", 4),
+        *_assign(_groups(d), "dy", 4),
+        *_assign(_groups(s), "dy", 4),
+        "    half = 0.5 * h",
+        "    for c, w in ((half, 2.0), (half, 2.0), (h, 1.0), (h / 6.0, None)):",
+        *body,
+        *[f"        {x} = {ref(v.id)[0]}" for x, v in zip(d, dz)],
+        "        if w is None:",
+        "            return (",
+        *[f"                {', '.join(row)}," for row in _groups([ref(v.id)[0] for v in z])],
+        "            ), (",
+        *[f"                {', '.join(row)}," for row in _groups(d)],
+        "            )",
+        *[f"        {x} += w * {k}" for x, k in zip(s, d)],
+        "        if w == 1.0:",
+        *[f"            {x} = {k}" for x, k in zip(d, s)],
+    ]
+    return "\n".join(lines) + "\n", imports
+
+
+KERNELS_DOC = '''\
 """Straight-line kernels of the package.  GENERATED by tools/gen_kernels.py
 from the composed forms there, over the `mat3` helpers: do not edit.  To
 change a kernel, change its composed form and run
@@ -315,32 +639,79 @@ operations on the same operands in the same order, so the results agree
 to the last bit."""
 '''
 
+FLOW_KERNELS_DOC = '''\
+"""The flow's straight-line kernels: `stage`, one evaluation of the
+evolution equations, and `rk4_step`, one RK4 step.  GENERATED by
+tools/gen_kernels.py from the composed forms there, over the `mat3`
+helpers and `flow._recover9`: do not edit.  To change a kernel, change
+its composed form and run
 
-def generate() -> str:
-    """The source of ``_kernels.py``."""
-    return "\n\n".join([HEADER] + [emit(k) for k in KERNELS])
+    python tools/gen_kernels.py
+
+Each kernel computes what its composed form computes, with the same
+operations on the same operands in the same order, so the results agree
+to the last bit; they take floats only, so their integer constants are
+written as floats.  Only `nhflat.flow` imports this module."""
+'''
+
+MODULES = (
+    Module(
+        os.path.join("src", "nhflat", "_kernels.py"),
+        KERNELS_DOC,
+        (
+            Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v"))), True),
+            Kernel(
+                "j_verdicts",
+                composed_j_verdicts,
+                ("a", "b", ("q1", nine("u")), ("q2", nine("v")), ("p", nine("p")), "det_p"),
+            ),
+        ),
+    ),
+    Module(
+        os.path.join("src", "nhflat", "_flow_kernels.py"),
+        FLOW_KERNELS_DOC,
+        (Kernel("stage", composed_stage, ("lam", "sign", ("y", STATE)), floats=True), RK4_STEP),
+    ),
+)
+
+
+def generate(module) -> str:
+    """The source of the module's file."""
+    sources, imports = [], {}
+    for kernel in module.kernels:
+        source, used = emit_rk4_step(kernel) if kernel is RK4_STEP else emit(kernel)
+        sources.append(source)
+        for name, items in used.items():
+            imports.setdefault(name, set()).update(items)
+    # the standard library first, then the package, as isort orders them
+    blocks = [
+        f"from {name} import {', '.join(sorted(imports[name]))}\n"
+        for name in sorted(imports, key=lambda n: (n.startswith("nhflat"), n))
+    ]
+    head = module.doc + ("\n" + "\n".join(blocks) if blocks else "")
+    return "\n\n".join([head] + sources)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="exit 1, writing nothing, if the file is not what this script writes",
+        help="exit 1, writing nothing, if a file is not what this script writes",
     )
     args = parser.parse_args(argv)
-    source = generate()
-    if not args.check:
-        with open(TARGET, "w") as fh:
-            fh.write(source)
-        return 0
-    with open(TARGET) as fh:
-        if fh.read() == source:
-            return 0
-    print(
-        f"{os.path.relpath(TARGET, ROOT)} is not current; run: python tools/gen_kernels.py",
-        file=sys.stderr,
-    )
-    return 1
+    stale = []
+    for module in MODULES:
+        path, source = os.path.join(ROOT, module.path), generate(module)
+        if not args.check:
+            with open(path, "w") as fh:
+                fh.write(source)
+            continue
+        with open(path) as fh:
+            if fh.read() != source:
+                stale.append(module.path)
+    for path in stale:
+        print(f"{path} is not current; run: python tools/gen_kernels.py", file=sys.stderr)
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":
