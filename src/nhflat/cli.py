@@ -98,6 +98,19 @@ def _load_structure(path: str) -> NhfStructure:
         _usage_error(str(exc))
 
 
+def _load_valid(args):
+    """The structure of args.input and the tolerance of args; if the
+    structure fails validation, emit {"valid": false, "failing": [...]}
+    and exit 1."""
+    tol = _tolerance(args)
+    s = _load_structure(args.input)
+    report = s.validate(tol=tol)
+    if not report.passed:
+        _emit({"valid": False, "failing": report.failing()}, args.out)
+        raise SystemExit(EXIT_INVALID)
+    return s, tol
+
+
 def _dumps(payload, **kwargs) -> str:
     """Strict JSON text of payload; a non-finite number exits 1."""
     try:
@@ -171,12 +184,7 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     from nhflat import torsion
 
-    tol = _tolerance(args)
-    s = _load_structure(args.input)
-    report = s.validate(tol=tol)
-    if not report.passed:
-        _emit({"valid": False, "failing": report.failing()}, args.out)
-        return EXIT_INVALID
+    s, tol = _load_valid(args)
     cls = torsion.classify(s, tol=max(tol, torsion.CLASSIFY_TOL))
     _emit(
         {
@@ -283,12 +291,7 @@ def cmd_family(args) -> int:
 def cmd_rotate(args) -> int:
     from nhflat import torsion
 
-    tol = _tolerance(args)
-    s = _load_structure(args.input)
-    report = s.validate(tol=tol)
-    if not report.passed:
-        _emit({"valid": False, "failing": report.failing()}, args.out)
-        return EXIT_INVALID
+    s, tol = _load_valid(args)
     try:
         theta, gamma_theta, residual = torsion.rotate_to_half_flat(s, tol=tol)
     except InvalidStructureError as exc:

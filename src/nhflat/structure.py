@@ -369,7 +369,13 @@ class NhfStructure:
     def __init__(self, lam: float, a: float, b: float, P, Q, *, _flat=False):
         # _flat: P and Q are already row-major 9-lists of floats, as
         # `_matrix9` gives them (the private path of `from_record` and
-        # `flow.integrate`, which have them parsed)
+        # `flow.integrate`, which have them parsed).  Their entries may
+        # also be complex: the root-solve sampler's Jacobian is the
+        # complex step of `defining_residuals` over P (see `_solve_p`).
+        # So the value path stays analytic, +, -, * and / only: no
+        # float(), comparison or `math` call on an entry, and sizes are
+        # moduli.  A canonical scale (ROADMAP item 3) must scale entries
+        # as x * 2.0**-e, not with `math.ldexp`.
         if lam == 0:
             raise StructureError("lambda must be nonzero")
         self.lam = float(lam)
@@ -381,7 +387,7 @@ class NhfStructure:
         n_p = max_abs(p)
         if relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
             raise SingularStructureError(f"det P = {det_p} is singular")
-        self.orientation = 1 if det_p > 0 else -1
+        self.orientation = 1 if det_p.real > 0 else -1
         # Adj(P^T), Q1, Q2 and F = (A, B, R1, R2) (as `compute_abr`)
         adj = list(cofactor9(p))
         h = 0.5 * self.lam
@@ -638,38 +644,52 @@ def _sample_family_member(rng) -> NhfStructure:
     return families.sine_cone_trajectory(t)
 
 
-#: Central-difference step of the root-solve sampler, relative to max|P|:
-#: eps^(1/3) leaves an error of about eps^(2/3) in the Jacobian.
-_DIFF_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 #: The valid P form a set of positive dimension, where the Jacobian has
-#: singular values that are 0 up to that error; lstsq drops those below
-#: sqrt(eps) times the largest.
+#: singular values that are 0 up to rounding; lstsq drops those below
+#: sqrt(eps) times the largest.  numpy's default cut (`rcond=None`, about
+#: 10 eps times the largest) is too fine: on seeds 0-29, one ulp on every
+#: input of the accepted draw then moved the point reached by more than
+#: 1e-9 in 35 of 60 runs, up to 8e-5 relative, and seeds 18 and 28 ended
+#: with residuals above 1e-10 (6.4e-10 and 2.7e-10).
 _RCOND = sys.float_info.epsilon ** 0.5
+#: Draws of `sample_random_structure(method="root-solve")` before it gives up.
+_MAX_DRAWS = 50
 
 
 def _solve_p(lam: float, a: float, b: float, P, Q) -> NhfStructure:
     """The root-solve iteration of `sample_random_structure` from P; the
-    structure where the largest |residual| stopped decreasing."""
+    structure where the largest |residual| stopped decreasing.
+
+    Column k of the Jacobian is the complex step Im r(P + i h e_k) / h of
+    the residuals r = `NhfStructure.defining_residuals`, with h = 1e-100
+    max|P|: construction and the residuals use only +, -, * and / on the
+    entries, so they run on complex P, and the term sizes they divide by
+    are moduli, which the step does not move.  It is the Jacobian of the
+    numerators over their sizes, exact to rounding, with no difference
+    step to choose; at a root it is the derivative of r."""
     import numpy as np
 
-    def residuals(x):
-        return np.array(NhfStructure(lam, a, b, x.reshape(3, 3), Q).defining_residuals())
-
     s = NhfStructure(lam, a, b, P, Q)
-    r = np.array(s.defining_residuals())
+    q = s.m9.q
+    r = s.defining_residuals()
     while True:
-        x = s.P.ravel()
-        h = _DIFF_STEP * max_abs(x)
-        jac = np.array([residuals(x + e) - residuals(x - e) for e in h * np.eye(9)]).T
-        step = np.linalg.lstsq(jac / (2.0 * h), -r, rcond=_RCOND)[0]
-        t = NhfStructure(lam, a, b, (x + step).reshape(3, 3), Q)
-        r_t = np.array(t.defining_residuals())
+        p = s.m9.p
+        h = 1e-100 * max_abs(p)
+        jac = np.array([
+            NhfStructure(
+                lam, a, b, p[:k] + [complex(p[k], h)] + p[k + 1:], q, _flat=True
+            ).defining_residuals()
+            for k in range(9)
+        ]).imag.T / h
+        step = np.linalg.lstsq(jac, np.negative(r), rcond=_RCOND)[0]
+        t = NhfStructure(lam, a, b, [x + d for x, d in zip(p, step.tolist())], q, _flat=True)
+        r_t = t.defining_residuals()
         if not max_abs(r_t) < max_abs(r):
             return s
         s, r = t, r_t
 
 
-def sample_random_structure(seed, method: str = "rotate-family", max_retries: int = 50):
+def sample_random_structure(seed, method: str = "rotate-family"):
     """Random valid structure for property tests.
 
     "rotate-family" transports a random closed-form family member by a
@@ -677,11 +697,13 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
     "root-solve" perturbs a, b, Q and P of a rotated family member by
     about 10% each and solves the defining conditions
     (`NhfStructure.defining_residuals`) for P, keeping lambda, a, b and Q:
-    min-norm Gauss-Newton steps (`np.linalg.lstsq` on a central-difference
-    Jacobian over the 9 entries of P) from the perturbed P, until the
-    largest |residual| stops decreasing.  The point reached is accepted
-    when it passes `validate`; a draw that is not accepted, or meets a
-    singular P on the way, is retried, up to `max_retries` draws."""
+    min-norm Gauss-Newton steps (`np.linalg.lstsq` on the complex-step
+    Jacobian of the residuals over the 9 entries of P, see `_solve_p`)
+    from the perturbed P, until the largest |residual| stops decreasing.
+    The point reached is accepted when it passes `validate`; a draw that
+    is not accepted, or meets a singular P on the way, is retried, up to
+    `_MAX_DRAWS` draws, after which SamplerExhaustedError is raised.
+    ValueError for any other method."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -691,7 +713,7 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
     if method != "root-solve":
         raise ValueError(f"unknown sampling method: {method}")
 
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         base = _sample_family_member(rng).rotated(
             random_rotation(rng), random_rotation(rng)
         )
@@ -706,4 +728,4 @@ def sample_random_structure(seed, method: str = "rotate-family", max_retries: in
             continue
         if s.validate().passed:
             return s
-    raise SamplerExhaustedError(f"no valid structure after {max_retries} attempts")
+    raise SamplerExhaustedError(f"no valid structure after {_MAX_DRAWS} attempts")

@@ -13,7 +13,8 @@ DEFAULT_TOL = 1e-9
 
 def max_abs(x) -> float:
     """Largest |entry| of a number, list, array or form; NaN if any entry
-    is NaN."""
+    is NaN.  Entries may be complex, and |entry| is then the modulus, a
+    float."""
     if type(x) is float:
         return abs(x)
     if type(x) is list:
@@ -28,7 +29,7 @@ def max_abs(x) -> float:
         import numpy as np
 
         return float(np.maximum.reduce(np.abs(x), axis=None))
-    return abs(float(x))
+    return float(abs(x))
 
 
 def term_size(*terms) -> float:

@@ -1,5 +1,7 @@
 """Structure parameterization, derived tensors, validation, sampling."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from nhflat import families, structure
 from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
+    SamplerExhaustedError,
     SingularStructureError,
     StructureError,
     build_omega,
@@ -346,3 +349,130 @@ def test_extreme_entry_outcomes(entry, value):
     assert s.metric_spd is (value == 1e-300)
     with pytest.raises(InvalidStructureError):
         extract_torsion(s)
+
+
+# -- the root-solve sampler ----------------------------------------------
+
+
+def test_root_solve_sampler_exhausted(monkeypatch):
+    # every draw fails: SamplerExhaustedError after exactly 50 solves
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise StructureError("no root")
+
+    monkeypatch.setattr(structure, "_solve_p", fail)
+    with pytest.raises(SamplerExhaustedError, match="after 50 attempts"):
+        sample_random_structure(0, method="root-solve")
+    assert len(calls) == 50
+
+
+def test_unknown_sampling_method():
+    with pytest.raises(ValueError, match="unknown sampling method") as exc:
+        sample_random_structure(0, method="newton")
+    assert not isinstance(exc.value, StructureError)
+
+
+def root_solve_start(seed):
+    """The arguments (lambda, a, b, P, Q) of the `_solve_p` call whose
+    result `sample_random_structure(seed, method="root-solve")` returns
+    (its last), and that result."""
+    calls = []
+    solve = structure._solve_p
+
+    def record(*args):
+        calls.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_solve_p", record)
+        s = sample_random_structure(seed, method="root-solve")
+    return calls[-1], s
+
+
+def test_root_solve_point_does_not_depend_on_rounding():
+    # one ulp up, then down, on every input of the accepted draw moves the
+    # point reached by far less than the solution set's extent; with the
+    # central-difference Jacobian 4 of these seeds moved by more than 1e-7
+    for seed in range(30):
+        (lam, a, b, P, Q), s = root_solve_start(seed)
+        p = np.array(s.m9.p)
+        for to in (np.inf, -np.inf):
+            t = structure._solve_p(lam, *(np.nextafter(x, to) for x in (a, b, P, Q)))
+            move = np.max(np.abs(np.array(t.m9.p) - p)) / np.max(np.abs(p))
+            assert move <= 1e-7, (seed, to, move)
+
+
+def test_solve_p_builds_nine_structures_per_jacobian(monkeypatch):
+    # 1 start, then per step 9 complex-step columns and 1 trial point
+    residuals = NhfStructure.defining_residuals
+    calls, solves = [0], [0]
+    lstsq = np.linalg.lstsq
+
+    def count_residuals(self):
+        calls[0] += 1
+        return residuals(self)
+
+    def count_lstsq(*args, **kwargs):
+        solves[0] += 1
+        return lstsq(*args, **kwargs)
+
+    (lam, a, b, P, Q), _ = root_solve_start(2)
+    monkeypatch.setattr(NhfStructure, "defining_residuals", count_residuals)
+    monkeypatch.setattr(np.linalg, "lstsq", count_lstsq)
+    structure._solve_p(lam, a, b, P, Q)
+    assert solves[0] > 0
+    assert calls[0] == 1 + 10 * solves[0]
+
+
+def complex_step(s, k, h):
+    """`defining_residuals` of s with P_k moved to P_k + i h."""
+    p = list(s.m9.p)
+    p[k] = complex(p[k], h)
+    return NhfStructure(s.lam, s.a, s.b, p, s.m9.q, _flat=True).defining_residuals()
+
+
+@cache
+def jacobian_samples():
+    return tuple(sample_random_structure(seed) for seed in range(20)) + tuple(
+        sample_random_structure(seed, method="root-solve") for seed in range(20)
+    )
+
+
+def test_complex_step_jacobian_matches_central_differences():
+    # the Jacobian `_solve_p` reads, Im r(P + i h e_k) / h, against
+    # central differences with the step eps^(1/3) max|P|, whose error of
+    # about eps^(2/3) dominates the difference
+    for n, s in enumerate(jacobian_samples()):
+        p, q = s.m9.p, s.m9.q
+        h = 1e-100 * max(map(abs, p))
+        exact = np.array([complex_step(s, k, h) for k in range(9)]).imag / h
+        step = np.finfo(float).eps ** (1.0 / 3.0) * max(map(abs, p))
+
+        def residuals(k, sign):
+            x = list(p)
+            x[k] += sign * step
+            return NhfStructure(s.lam, s.a, s.b, x, q, _flat=True).defining_residuals()
+
+        diff = np.array(
+            [np.subtract(residuals(k, 1), residuals(k, -1)) for k in range(9)]
+        ) / (2.0 * step)
+        assert np.max(np.abs(exact - diff)) <= 1e-5 * np.max(np.abs(exact)), n
+
+
+def test_complex_step_real_parts_are_the_float_residuals():
+    # the value path of construction and `defining_residuals` is analytic:
+    # a float(), a comparison or a math call on it would change the real
+    # parts or raise
+    rng = np.random.default_rng(11)
+    structures = list(jacobian_samples())
+    for _ in range(50):
+        lam = rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0])
+        a, b = rng.standard_normal(2)
+        structures.append(NhfStructure(lam, a, b, random_p(rng), rng.standard_normal((3, 3))))
+    for n, s in enumerate(structures):
+        r = s.defining_residuals()
+        h = 1e-100 * max(map(abs, s.m9.p))
+        for k in range(9):
+            assert np.real(complex_step(s, k, h)).tolist() == r, (n, k)
