@@ -7,8 +7,8 @@ structures sweeps out a nearly parallel G2-structure
     phi = dt ^ omega + gamma,    psi = omega^2 / 2 - dt ^ J gamma
 
 on (t0, t1) x S^3 x S^3 exactly when d phi = lambda psi and d psi = 0,
-which is what g2_residual measures, from the state and its time
-derivatives alone (no derivative of P is formed).
+which is what g2_residual measures, relative to the terms, from the
+state and its time derivatives alone (no derivative of P is formed).
 
 Inside `integrate` the state is a flat sequence of 20 Python floats,
 
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from nhflat._flow_kernels import rk4_step, stage
 from nhflat.mat3 import cofactor9, det9, flat9
 from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
-from nhflat.tolerance import DEFAULT_TOL, max_abs
+from nhflat.tolerance import DEFAULT_TOL, max_abs, relative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,8 +191,9 @@ class Trajectory:
         return rec
 
 
-def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
-    """Max-norm violation of d phi = lambda psi and d psi = 0 at one time.
+def g2_pieces(structure: NhfStructure, da, db, dQ1, dQ2) -> tuple:
+    """The evolution and closure pieces of d phi = lambda psi and
+    d psi = 0 at one time, each relative to its terms (`relative`).
 
     With phi = dt ^ omega + gamma and psi = omega^2/2 - dt ^ J gamma the
     two equations split into t-slice components:
@@ -203,29 +204,35 @@ def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
     The t-slice pieces vanish for any (lambda, a, b, P, Q), so only the dt
     pieces are evaluated; omega^2 = (2/lambda)(Q1 + Q2) on the de ^ de
     slots gives (omega^2)'/2 = de_de_form((Q1' + Q2')/lambda), where
-    de_de_form(M) = sum M_ij de^{2i-1} ^ de^{2j}.
-    With `flow_rhs` derivatives both dt pieces vanish to rounding on any
-    state, valid or not (the first is the evolution equation, the second
-    its exterior derivative), so along `integrate` g2_resid cannot see
-    drift off the valid set; norm_resid does.
+    de_de_form(M) = sum M_ij de^{2i-1} ^ de^{2j}.  The first piece is the
+    evolution equation that `stage` evaluates, with the structure's own P.
 
-    Both pieces are computed on coordinates (`structure.invariant_three_form`):
+    Both are computed on coordinates (`structure.invariant_three_form`):
     d omega = (0, 0, P, -P), and d(c, d, M1, M2) = de_de_form(M1 + M2) is
-    zero off the de ^ de slots.  So the first piece has the coordinates
-    (a', b', Q1' - P, Q2' + P) + lambda jg and the second
-    (Q1' + Q2')/lambda + M1 + M2 of jg, jg the 20-list of J gamma.  The
-    bases are signed permutations and selections, so these are the
-    forms' coefficients up to sign, to the bit.  dQ1 and dQ2 are 3x3
+    zero off the de ^ de slots.  So, jg the 20-list of J gamma, the first
+    piece is gamma' - d omega + lambda jg over the sizes of gamma', P and
+    |lambda| |jg|, and the second (Q1' + Q2')/lambda + M1 + M2 of jg over
+    those of Q1'/lambda, Q2'/lambda and jg's M1 and M2; the forms'
+    coefficients are these up to sign, to the bit.  dQ1 and dQ2 are 3x3
     arrays or row-major 9-sequences."""
-    lam, p, jg = structure.lam, structure.m9.p, structure.jgamma_coords
-    dq1, dq2 = flat9(dQ1), flat9(dQ2)
-    first = (
-        [float(da) + lam * jg[0], float(db) + lam * jg[1]]
-        + [u - x + lam * j for u, x, j in zip(dq1, p, jg[2:11])]
-        + [v + x + lam * j for v, x, j in zip(dq2, p, jg[11:20])]
-    )
+    lam, z, p, jg = structure.lam, structure.sizes, structure.m9.p, structure.jgamma_coords
+    da, db, dq1, dq2 = float(da), float(db), flat9(dQ1), flat9(dQ2)
+    domega = [0.0, 0.0] + p + [-x for x in p]
+    first = [u - w + lam * j for u, w, j in zip([da, db] + dq1 + dq2, domega, jg)]
     second = [(u + v) / lam + (j + k) for u, v, j, k in zip(dq1, dq2, jg[2:11], jg[11:20])]
-    return max(max_abs(first), max_abs(second))
+    n_dq = max_abs(dq1 + dq2)
+    return (
+        relative(first, abs(da), abs(db), n_dq, z.p, abs(lam) * z.jg),
+        relative(second, n_dq / abs(lam), jg[2:]),
+    )
+
+
+def g2_residual(structure: NhfStructure, da, db, dQ1, dQ2) -> float:
+    """The larger of the two `g2_pieces`.  With `flow_rhs` derivatives both
+    vanish to rounding on any state, valid or not (the evolution equation
+    and its exterior derivative), so along `integrate` g2_resid cannot see
+    drift off the valid set; norm_resid does."""
+    return max(g2_pieces(structure, da, db, dQ1, dQ2))
 
 
 def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
@@ -258,7 +265,8 @@ def integrate(
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
     recording every record_every-th step and the last one.  The initial
     structure must pass `validate(tol)`, else InvalidStructureError, and
-    each sample's `passed` is its verdict at `tol`.  The run ends
+    each sample's `passed` is its verdict at `tol`; its g2_resid is the
+    relative `g2_residual` of its state and y'.  The run ends
     at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
     last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than

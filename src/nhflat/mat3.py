@@ -7,7 +7,8 @@ Each formula is written once over row-major 9-sequences
 (`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`) and the
 transpose (`transpose9`).  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
-sequence, or a 9-sequence, into such a list, without numpy.  The package
+sequence (`is3x3`), or a 9-sequence, into such a list, without numpy, and
+raises ValueError for any other shape.  The package
 computes every 3x3 product, cofactor and determinant with them, either
 directly or through straight-line kernels that ``tools/gen_kernels.py``
 generates by tracing compositions of these helpers, so that they round
@@ -142,13 +143,27 @@ def is_spd9(a, b, c) -> bool:
     ) is not None
 
 
+def is3x3(rows) -> bool:
+    """Whether rows is a sequence of 3 sequences of 3 entries."""
+    try:
+        return len(rows) == 3 and all(len(row) == 3 for row in rows)
+    except TypeError:
+        return False
+
+
 def flat9(m) -> list:
     """The entries of a 3x3 array or nested sequence, or of a row-major
-    9-sequence, as a row-major list of floats."""
+    9-sequence, as a row-major list of floats; ValueError for any other
+    shape, or an entry that is not a number."""
     rows = m.tolist() if hasattr(m, "tolist") else m
-    if len(rows) == 9:
-        return [float(x) for x in rows]
-    return [float(x) for row in rows for x in row]
+    try:
+        if len(rows) == 9:
+            return [float(x) for x in rows]
+        if is3x3(rows):
+            return [float(x) for row in rows for x in row]
+    except TypeError:
+        pass
+    raise ValueError("expected a 3x3 matrix or a row-major 9-sequence of numbers")
 
 
 def det3(m) -> float:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from nhflat._kernels import abr, j_verdicts
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
-from nhflat.mat3 import cofactor9, det9, flat9, is_spd9, mul9, transpose9
+from nhflat.mat3 import cofactor9, det9, flat9, is3x3, is_spd9, mul9, transpose9
 from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
 
 if TYPE_CHECKING:
@@ -330,13 +330,10 @@ class Sizes(NamedTuple):
 
 def _matrix9(m) -> list:
     """The entries of a 3x3 matrix, an array or nested sequences, as a
-    row-major list of floats; StructureError if it is not 3x3."""
+    row-major list of floats; StructureError if it is not 3x3 (a flat
+    9-list included)."""
     rows = m.tolist() if hasattr(m, "tolist") else m
-    try:
-        square = len(rows) == 3 and all(len(row) == 3 for row in rows)
-    except TypeError:
-        square = False
-    if not square:
+    if not is3x3(rows):
         raise StructureError("P and Q must be 3x3 matrices")
     return [float(x) for row in rows for x in row]
 

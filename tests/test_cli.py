@@ -10,7 +10,7 @@ import pytest
 
 from nhflat import cli, families
 from nhflat.cli import main
-from nhflat.structure import random_rotation
+from nhflat.structure import DEFAULT_TOL, random_rotation
 
 
 @pytest.fixture
@@ -504,6 +504,29 @@ class TestVerifyG2:
         assert payload["passed"] is False
         assert payload["max_ode_resid"] > 1.0
 
+    @pytest.mark.parametrize(
+        "argv, want_code",
+        [
+            (["verify-g2", "--family", "sine-cone", "--t-start", "0.1", "--t-end", "0.9",
+              "--samples", "7"], 0),
+            (["verify-g2", "--family", "sine-cone", "--t-start", "0.6", "--t-end", "1.0",
+              "--samples", "9"], 0),
+            (["--tol", "1e-3", "verify-g2", "--family", "berger"], 1),
+        ],
+        ids=["sine-cone-0.1-0.9", "sine-cone-0.6-1.0", "berger-tol-1e-3"],
+    )
+    def test_relative_bound_is_the_tolerance(self, capsys, monkeypatch, argv, want_code):
+        # the residuals are relative, so the sine cone passes where |det P|
+        # is far below the flow's halt (8e-8 at t = 0.633), and the bound
+        # is the tolerance itself
+        monkeypatch.delenv("NHF_TOL", raising=False)
+        tol = float(argv[1]) if argv[0] == "--tol" else DEFAULT_TOL
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (want_code, "")
+        payload = json.loads(out)
+        assert payload["passed"] is (want_code == 0)
+        assert payload["bound"] == tol
+
 
 @pytest.mark.parametrize(
     "t0, t1",
@@ -614,7 +637,7 @@ def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # one interpreter per subcommand, so that each sees only the modules
     # its own command imported: check and classify leave out flow, its
     # kernels and csv, an invalid record needs no torsion, flow needs no
-    # torsion, and verify-g2 reads flow's stage kernel but writes no CSV
+    # torsion, and verify-g2 reads flow's G2 pieces but writes no CSV
     base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.mat3",
             "nhflat.structure", "nhflat.tolerance"]
     runs = [

@@ -25,7 +25,20 @@ other byte stayed, and nk's residuals did not move.
 (every name, both signs, and parameters out of range), ``rotate`` (the
 five records) and ``verify-g2`` (both trajectories) as they were when
 these commands ran on numpy (f9f0ab2); ``{golden}`` in an argv stands for
-this directory.  They must match byte for byte."""
+this directory.  They must match byte for byte.
+
+The G2 residuals were regenerated in October 2026, on top of 3754f80,
+when the two dt pieces of the G2 check (`flow.g2_pieces`) came to be
+divided by the size of their terms and ``verify-g2`` to read them and
+compare with the tolerance alone: the ``g2_resid`` column of all five
+``<family>.flow.csv``, ``max_g2_resid`` in all five flow summaries and
+``t_max_g2_resid`` in zero-scalar's (0.028 -> 0.029), and in the 14
+``verify-g2`` entries of ``commands.json`` ``bound`` (1e-06 -> 1e-09,
+0.001 unchanged), ``max_ode_resid`` and ``max_g2_resid``.  The two
+sine-cone entries that stopped at the flow's |det P| halt
+(``--t-start 0.1 --t-end 0.9 --samples 7`` and ``--t-start 0.6
+--t-end 1.0 --samples 9``) became exit-0 JSON.  Every other byte
+stayed."""
 
 import json
 import os

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nhflat import families, flow
-from nhflat.exterior import d, relative, wedge
+from nhflat.exterior import d, relative, term_size, wedge
 from nhflat.mat3 import adjugate, det3, polarized_adjugate
 from nhflat.structure import (
     InvalidStructureError,
@@ -231,15 +231,20 @@ def p_chain_domega(s, dQ1, dQ2):
 
 def four_piece_g2_residual(s, da, db, dQ1, dQ2):
     """The G2 residual with all four pieces and (omega^2)' = 2 omega ^ omega'
-    from the P' chain."""
+    from the P' chain.  The pieces of d phi - lambda psi are divided by the
+    size of the evolution piece's terms (gamma', d omega, lambda J gamma)
+    and those of d psi by the closure piece's (Q1'/lambda, Q2'/lambda and
+    J gamma's M1 and M2), as in `flow.g2_pieces`."""
     om2 = wedge(s.omega, s.omega)
     dgamma = invariant_three_form(da, db, dQ1, dQ2)
     domega2 = 2.0 * wedge(s.omega, p_chain_domega(s, dQ1, dQ2))
+    evolution = term_size(dgamma, d(s.omega), s.lam * s.Jgamma)
+    closure = term_size(np.asarray(dQ1) / s.lam, np.asarray(dQ2) / s.lam, s.jgamma_coords[2:])
     return max(
-        (d(s.gamma) - 0.5 * s.lam * om2).max_abs(),
-        (dgamma - d(s.omega) + s.lam * s.Jgamma).max_abs(),
-        0.5 * d(om2).max_abs(),
-        (0.5 * domega2 + d(s.Jgamma)).max_abs(),
+        (d(s.gamma) - 0.5 * s.lam * om2).max_abs() / evolution,
+        (dgamma - d(s.omega) + s.lam * s.Jgamma).max_abs() / evolution,
+        0.5 * d(om2).max_abs() / closure,
+        (0.5 * domega2 + d(s.Jgamma)).max_abs() / closure,
     )
 
 
@@ -344,10 +349,8 @@ class TestG2Residual:
             dt = deriv(float(t))
             old = four_piece_g2_residual(s, *dt)
             new = flow.g2_residual(s, *dt)
-            # the terms compared: d omega, lambda J gamma and d(J gamma)
-            size = max(d(s.omega).max_abs(), abs(s.lam) * s.Jgamma.max_abs(),
-                       d(s.Jgamma).max_abs())
-            assert abs(new - old) <= 1e-12 * max(old, size)
+            # both relative to the terms compared, whose size is then 1
+            assert abs(new - old) <= 1e-12 * max(old, 1.0)
 
 
 class TestTrajectoryOutput:

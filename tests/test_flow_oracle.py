@@ -18,8 +18,9 @@ takes with them, against the same loop run on the composed forms
 `composed_stage` in its stepwise order, with no derivative reused;
 `integrate` must give its rows, and its halts on every real flow.
 
-`form_g2_residual` is `flow.g2_residual` on forms, by `d`; the coordinate
-version must equal it to the bit."""
+`form_g2_residual` is `flow.g2_residual` on forms, by `d`, with the term
+sizes read off the forms; the coordinate version must equal it to the
+bit."""
 
 import math
 import sys
@@ -40,6 +41,7 @@ from nhflat.structure import (
     random_rotation,
     sample_random_structure,
 )
+from nhflat.tolerance import relative
 from oracles import de_de_form
 from test_kernels import gen
 
@@ -538,13 +540,23 @@ def test_kernels_read_fewer_than_256_locals(kernel):
 def form_g2_residual(structure, da, db, dQ1, dQ2):
     """The two dt pieces of `flow.g2_residual` as forms: gamma' - d omega +
     lambda J gamma and (omega^2)'/2 + d(J gamma), by `d` on the invariant
-    forms, with their max-norms."""
-    lam = structure.lam
+    forms, each relative to the sizes of its terms read off the forms:
+    gamma', d omega and lambda J gamma, and de_de_form(Q1'/lambda),
+    de_de_form(Q2'/lambda) and the coefficients of J gamma on the slots of
+    M1 and M2."""
+    lam, jgamma = structure.lam, structure.Jgamma
     dgamma = invariant_three_form(da, db, dQ1, dQ2)
+    domega = d(structure.omega)
     half_domega2 = de_de_form((np.asarray(dQ1) + np.asarray(dQ2)) / lam)
+    m_slots = invariant_three_form(0.0, 0.0, np.ones((3, 3)), np.ones((3, 3))).coeffs != 0
     return max(
-        (dgamma - d(structure.omega) + lam * structure.Jgamma).max_abs(),
-        (half_domega2 + d(structure.Jgamma)).max_abs(),
+        relative(dgamma - domega + lam * jgamma, dgamma, domega, lam * jgamma),
+        relative(
+            half_domega2 + d(jgamma),
+            de_de_form(np.asarray(dQ1) / lam),
+            de_de_form(np.asarray(dQ2) / lam),
+            jgamma.coeffs[m_slots],
+        ),
     )
 
 

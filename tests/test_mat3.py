@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nhflat.mat3 import adjugate, det3, polarized_adjugate
+from nhflat import families, flow
+from nhflat.mat3 import adjugate, det3, flat9, polarized_adjugate
+from nhflat.structure import invariant_three_form
 
 
 def test_det3_matches_numpy():
@@ -49,3 +51,23 @@ def test_polarized_adjugate_exact_decomposition():
     lhs = adjugate(p + x)
     rhs = adjugate(p) + adjugate(x) + polarized_adjugate(p, x)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+BAD_SHAPES = {
+    "3x2": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+    "4-list": [1.0, 2.0, 3.0, 4.0],
+    "3x3x1": [[[1.0]] * 3] * 3,
+    "number": 1.0,
+}
+
+
+@pytest.mark.parametrize("m", BAD_SHAPES.values(), ids=BAD_SHAPES.keys())
+def test_flat9_rejects_other_shapes(m):
+    # a zip over the entries would silently cut to the shorter side
+    zero = [[0.0] * 3] * 3
+    with pytest.raises(ValueError, match="3x3 matrix"):
+        flat9(m)
+    with pytest.raises(ValueError, match="3x3 matrix"):
+        flow.g2_residual(families.nearly_kahler(4.0), 0.0, 0.0, m, zero)
+    with pytest.raises(ValueError, match="3x3 matrix"):
+        invariant_three_form(0.0, 0.0, zero, m)

@@ -6,13 +6,14 @@ The defining equations are exactly covariant under
 
 under which w1+ scales by c and s by c^2.  Validity and the torsion class
 must therefore not change with c, and w1+ / c and s / c^2 must not move
-beyond rounding.
+beyond rounding.  Along a trajectory the time derivatives of
+(a, b, Q1, Q2) scale by c^-2, and the relative G2 residuals must not move.
 """
 
 import numpy as np
 import pytest
 
-from nhflat import families
+from nhflat import families, flow
 from nhflat.structure import NhfStructure, sample_random_structure
 from nhflat.torsion import classify, extract_torsion, rotate_to_half_flat
 
@@ -70,3 +71,26 @@ def test_rotation_scale_covariant(c):
 def test_nearly_kahler_predicates_scale_free(c):
     report = classify(scaled(families.nearly_kahler(4.0), c))
     assert report.label == "W1-" and report.nearly_kahler
+
+
+@pytest.mark.parametrize(
+    "member, deriv",
+    [
+        (families.berger_trajectory, families.berger_derivative),
+        (families.sine_cone_trajectory, families.sine_cone_derivative),
+    ],
+    ids=["berger", "sine-cone"],
+)
+@pytest.mark.parametrize("t", [0.15, 0.3, 0.6])
+def test_g2_pieces_scale_free(member, deriv, t):
+    # Berger's pieces are about 1 (it does not solve the equations), the
+    # sine cone's about 1e-16
+    base, (da, db, dQ1, dQ2) = member(t), deriv(t)
+    want = flow.g2_pieces(base, da, db, dQ1, dQ2)
+    for c in SCALES:
+        k = c**-2
+        got = flow.g2_pieces(
+            scaled(base, c), k * da, k * db, k * np.asarray(dQ1), k * np.asarray(dQ2)
+        )
+        for g, w in zip(got, want):
+            assert abs(g - w) <= RTOL * max(w, 1.0), f"c = {c:g}"
