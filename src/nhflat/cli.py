@@ -11,21 +11,22 @@ Tolerances are relative: every verdict divides a residual by the size of
 the terms it compares and passes when the quotient is at most the
 tolerance, so it does not depend on the scale of the structure.  The
 residuals that ``check``, ``classify``, ``rotate`` and ``verify-g2``
-report are these relative residuals, and ``verify-g2``'s ``bound`` is the
-tolerance itself.  ``--tol`` or else the environment variable NHF_TOL
-overrides the default tolerance; a value that is not a finite number
-> 0 exits 2.  Other usage errors that exit 2: a record with a non-finite
-number, ``flow`` with a zero or non-finite ``--h``, ``--record-every``
-below 1, a non-finite ``--t-start`` / ``--t-end`` or more than
-``flow.MAX_STEPS`` steps, ``family`` without the option its ``--name``
-needs or with a parameter at which the closed form under- or overflows,
-``verify-g2`` with ``--samples`` below 1 or above ``flow.MAX_STEPS`` or a
-non-finite ``--t-start`` / ``--t-end``, ``flow`` with several inputs and
-no ``--out`` (their CSVs would run together on stdout; with ``--out``
-each input gets a file), and an ``--out`` path that cannot be written
-(``flow`` checks its arguments and paths before it integrates).  Output JSON
-is strict: a result with a non-finite number exits 1 instead of printing
-NaN or Infinity.
+report are these relative residuals, and ``verify-g2``'s ``bound`` is
+the tolerance itself.  ``--tol`` or else the environment variable
+NHF_TOL overrides the default tolerance of every verdict, the torsion
+class included; a value that is not a finite number > 0 exits 2.  Other
+usage errors that exit 2: a record with a non-finite number, ``flow``
+with a zero or non-finite ``--h``, ``--record-every`` below 1, a
+non-finite ``--t-start`` / ``--t-end`` or more than ``flow.MAX_STEPS``
+steps, ``family`` without the option its ``--name`` needs or with a
+parameter at which the closed form under- or overflows, ``verify-g2``
+with ``--samples`` below 1 or above ``flow.MAX_STEPS`` or a non-finite
+``--t-start`` / ``--t-end``, ``flow`` with several inputs and no
+``--out`` (their CSVs would run together on stdout; with ``--out`` each
+input gets a file), and an ``--out`` path that cannot be written
+(``flow`` checks its arguments and paths before it integrates).  Output
+JSON is strict: a result with a non-finite number exits 1 instead of
+printing NaN or Infinity.
 
 Every subcommand runs on Python floats and none imports numpy.  A Python
 float's division by zero or overflowing power raises ArithmeticError,
@@ -54,6 +55,7 @@ from nhflat.structure import (
     InvalidStructureError,
     three_form_coeffs,
 )
+from nhflat.tolerance import badness
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -184,15 +186,15 @@ def cmd_classify(args) -> int:
     from nhflat import torsion
 
     s, tol = _load_valid(args)
-    cls = torsion.classify(s, tol=max(tol, torsion.CLASSIFY_TOL))
+    data = torsion.extract_torsion(s, tol)
     _emit(
         {
-            "class": cls.label,
-            "nearly_kahler": cls.nearly_kahler,
-            "predicate_residuals": dict(cls.predicate_residuals),
-            "w1plus": s.w1plus,
-            "w1minus": s.w1_minus,
-            "s": torsion.scalar_curvature(s, tol=tol),
+            "class": data.class_label,
+            "nearly_kahler": data.report.nearly_kahler,
+            "predicate_residuals": dict(data.report.predicate_residuals),
+            "w1plus": data.w1plus,
+            "w1minus": data.w1minus,
+            "s": data.s,
         },
         args.out,
     )
@@ -344,10 +346,10 @@ def cmd_verify_g2(args) -> int:
         s = member(t)
         report = s.validate(tol)
         valid = valid and report.passed
-        worst_valid = max(worst_valid, report.worst[1])
+        worst_valid = max(worst_valid, report.worst[1], key=badness)
         ode, closure = flow.g2_pieces(s, *deriv(t))
-        worst_ode = max(worst_ode, ode)
-        worst_g2 = max(worst_g2, ode, closure)
+        worst_ode = max(worst_ode, ode, key=badness)
+        worst_g2 = max(worst_g2, ode, closure, key=badness)
     ok = valid and worst_ode <= tol and worst_g2 <= tol
     _emit(
         {

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from nhflat._flow_kernels import rk4_step, stage
 from nhflat.mat3 import cofactor9, det9, flat9
 from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
-from nhflat.tolerance import DEFAULT_TOL, max_abs, relative
+from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -167,10 +167,10 @@ class Trajectory:
         return buf.getvalue()
 
     def to_record(self) -> dict:
-        """Summary of the run.  Each ``max_*`` residual comes with the time
-        ``t_max_*`` of the first sample that attains it;
-        ``invalid_samples`` counts the samples whose `validate` failed and
-        ``t_first_invalid`` is the time of the first of them (None if
+        """Summary of the run.  Each ``max_*`` residual, NaN if any sample's
+        is, comes with the time ``t_max_*`` of the first sample that attains
+        it; ``invalid_samples`` counts the samples whose `validate` failed
+        and ``t_first_invalid`` is the time of the first of them (None if
         every sample passed).  A run without samples has the same keys,
         with None for every time and residual."""
         samples = self.samples
@@ -182,7 +182,7 @@ class Trajectory:
             "steps": self.steps,
         }
         for name in ("norm_resid", "sym_resid", "g2_resid"):
-            worst = max(self.samples, key=lambda s: getattr(s, name), default=None)
+            worst = max(self.samples, key=lambda s: badness(getattr(s, name)), default=None)
             rec[f"max_{name}"] = getattr(worst, name) if worst else None
             rec[f"t_max_{name}"] = worst.t if worst else None
         invalid = [s.t for s in self.samples if not s.passed]

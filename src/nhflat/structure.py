@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from nhflat._kernels import abr, j_verdicts
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
 from nhflat.mat3 import cofactor9, det9, flat9, is3x3, is_spd9, mul9, transpose9
-from nhflat.tolerance import DEFAULT_TOL, max_abs, relative, term_size
+from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative, term_size
 
 if TYPE_CHECKING:
     import numpy as np
@@ -280,7 +280,9 @@ def omega_component_matrix(omega: Form) -> np.ndarray:
 
 
 class ValidationReport(NamedTuple):
-    """The residuals, SPD verdict and tolerance of `NhfStructure.validate`."""
+    """The residuals, SPD verdict and tolerance of `NhfStructure.validate`.
+    A residual fails unless it is at most `tol`, so a NaN fails, and it is
+    the `worst` (`tolerance.badness`)."""
 
     residuals: dict
     metric_spd: bool
@@ -292,11 +294,11 @@ class ValidationReport(NamedTuple):
 
     @property
     def worst(self):
-        name = max(self.residuals, key=lambda k: self.residuals[k])
+        name = max(self.residuals, key=lambda k: badness(self.residuals[k]))
         return name, self.residuals[name]
 
     def failing(self):
-        bad = [k for k, v in self.residuals.items() if v > self.tol]
+        bad = [k for k, v in self.residuals.items() if not v <= self.tol]
         if not self.metric_spd:
             bad.append("metric_spd")
         return bad

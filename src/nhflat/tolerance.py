@@ -32,6 +32,12 @@ def max_abs(x) -> float:
     return float(abs(x))
 
 
+def badness(residual: float) -> tuple:
+    """The key under which max() picks the worst residual: NaN ranks above
+    every number, since it fails every ``<= tol``."""
+    return (residual != residual, residual)
+
+
 def term_size(*terms) -> float:
     """The divisor of `relative`: the largest |entry| of the terms, >= 1e-300."""
     # the largest size as max() takes it, the first and then any larger

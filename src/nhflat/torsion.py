@@ -17,14 +17,16 @@ of `invariant_three_form`, a 20-list, and a 2-form in the span of
 omega's slots the 9-list X of `build_omega`; the bases are a signed
 permutation and a signed selection, so the coordinates are a form's
 coefficients up to sign.  de_de_form(M) below is sum M_ij de^{2i-1} ^
-de^{2j}.  The torsion forms are computed once each, as such coordinate
-lists of Python floats (`_w3`, `_w2_minus`), with the size of the terms
-they are compared with; so `extract_torsion`, `classify` and
-`scalar_curvature` do not import numpy, and `w3_form`, `w2_minus_form`
-and `TorsionData` build the forms from them.  The torsion class is read
-off the same lists: a form vanishes exactly when its coordinates do, so
-w3 = 0 is relative(y, size) <= tol for the 20-list y of w3, and w2- = 0
-likewise for its 9-list X (`classify`).
+de^{2j}.  The torsion forms are computed as such coordinate lists of
+Python floats (`_w3`, `_w2_minus`), with the size of the terms they are
+compared with.  `extract_torsion` is the one pass over a structure: it
+computes each list once, checks its module membership, and reads the
+scalar curvature and the torsion class off the same lists, all at the
+caller's `tol`; `scalar_curvature` is its `s`.  None of this imports
+numpy; `w3_form`, `w2_minus_form` and `TorsionData` build the forms from
+the lists.  A form vanishes exactly when its coordinates do, so w3 = 0 is
+relative(y, size) <= tol for the 20-list y of w3, and w2- = 0 likewise
+for its 9-list X (`classify`).
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
 invariant 3-form of the 3x3 data (`_w3`).
@@ -104,24 +106,37 @@ from nhflat.tolerance import max_abs, relative
 if TYPE_CHECKING:
     from nhflat.exterior import Form
 
-CLASSIFY_TOL = 1e-7
-
 CLASS_LABELS = ("W1-", "W1", "W1-+W3", "W1+W3", "W1-+W2-+W3", "W1+W2-+W3")
+
+
+class ClassReport(NamedTuple):
+    """The label of `classify`, its four verdicts and their residuals."""
+
+    label: str
+    nearly_kahler: bool
+    w1plus_zero: bool
+    w3_zero: bool
+    w2minus_zero: bool
+    predicate_residuals: dict
 
 
 class TorsionData(NamedTuple):
     """The torsion of a structure.  w2- and w3 are held as coordinates, the
     row-major 9-list X of w2- = build_omega(X) and the 20-list of w3 (see
     `structure.invariant_three_form`); the forms `w2minus` and `w3` are
-    built from them on access."""
+    built from them on access.  `report` is their `classify` verdict."""
 
     w1plus: float
     w1minus: float
     w2minus_coords: list
     w3_coords: list
     s: float
-    class_label: str
+    report: ClassReport
     residuals: dict
+
+    @property
+    def class_label(self) -> str:
+        return self.report.label
 
     @property
     def w2minus(self) -> Form:
@@ -181,16 +196,10 @@ def _w3_membership(structure: NhfStructure, y, size: float, tol: float) -> float
     return bad
 
 
-def w3_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
-    """The 20-list of w3 (`_w3`) and the relative residual of its membership
-    check; raises InvalidStructureError when that residual exceeds `tol`."""
-    y, size = _w3(structure)
-    return y, _w3_membership(structure, y, size, tol)
-
-
 def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w3 as a form, from `w3_coords`, with its membership check."""
-    y = w3_coords(structure, tol)[0]
+    """w3 as a form, from `_w3`, with its membership check at `tol`."""
+    y, size = _w3(structure)
+    _w3_membership(structure, y, size, tol)
     return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
 
@@ -236,17 +245,11 @@ def _w2_minus_primitivity(structure: NhfStructure, x, size: float, tol: float) -
     return bad
 
 
-def w2_minus_coords(structure: NhfStructure, tol: float = DEFAULT_TOL):
-    """The 9-list X of w2- (`_w2_minus`) and the relative residual of the
-    check that w2- is primitive; raises InvalidStructureError when that
-    residual exceeds `tol`."""
-    x, size = _w2_minus(structure)
-    return x, _w2_minus_primitivity(structure, x, size, tol)
-
-
 def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w2- as a form, from `w2_minus_coords`, with its primitivity check."""
-    return build_omega(w2_minus_coords(structure, tol)[0])
+    """w2- as a form, from `_w2_minus`, with its primitivity check at `tol`."""
+    x, size = _w2_minus(structure)
+    _w2_minus_primitivity(structure, x, size, tol)
+    return build_omega(x)
 
 
 def _w2_minus_norm2(structure: NhfStructure, x) -> float:
@@ -263,57 +266,36 @@ def _w3_norm2(structure: NhfStructure, y) -> float:
     return -bracket_hessian9(s.a, s.b, m.q1, m.q2, y) / (2.0 * dp * dp)
 
 
-def _scalar(structure: NhfStructure, w1p: float, x, y) -> float:
-    """s from w1+ and the coordinates x of w2- and y of w3; raises
-    InvalidStructureError when g is not positive definite."""
-    if not structure.metric_spd:
-        raise InvalidStructureError("induced metric is not positive definite")
-    n2, n3 = _w2_minus_norm2(structure, x), _w3_norm2(structure, y)
-    return (10.0 / 3.0) * w1p * w1p + 15.0 * structure.lam**2 / 8.0 - 0.5 * n2 - 0.5 * n3
-
-
 def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float:
-    """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2.
-
-    The norms are those of the structure metric, in closed form on the
-    coordinates of the forms (`_w2_minus_norm2`, `_w3_norm2`); w2- and w3
-    are computed here and checked at `tol`.  Raises InvalidStructureError
-    when g is not positive definite."""
-    x = w2_minus_coords(structure, tol)[0]
-    y = w3_coords(structure, tol)[0]
-    return _scalar(structure, structure.w1plus, x, y)
+    """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2, the
+    `s` of `extract_torsion`, which checks w2- and w3 at `tol`.  Raises
+    InvalidStructureError when g is not positive definite."""
+    return extract_torsion(structure, tol).s
 
 
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
-    """All torsion data plus the relative residuals of the two checks that
-    pin it down: "domega" is the w3 membership residual of `w3_coords`,
-    "djgamma" the w2- primitivity residual of `w2_minus_coords`.  The label
-    is that of `classify`, read off the same coordinates."""
+    """The one pass that computes and checks the torsion: w3 and w2- once
+    each, their checks at `tol` ("domega" the w3 membership residual,
+    "djgamma" the w2- primitivity residual), and s and the `classify`
+    report at `tol` off the same coordinates.  Raises InvalidStructureError
+    when a check fails or g is not positive definite."""
     y, y_size = _w3(structure)
     rec_domega = _w3_membership(structure, y, y_size, tol)
     x, x_size = _w2_minus(structure)
     rec_djgamma = _w2_minus_primitivity(structure, x, x_size, tol)
+    if not structure.metric_spd:
+        raise InvalidStructureError("induced metric is not positive definite")
     w1p = structure.w1plus
+    n2, n3 = _w2_minus_norm2(structure, x), _w3_norm2(structure, y)
     return TorsionData(
         w1plus=w1p,
         w1minus=structure.w1_minus,
         w2minus_coords=x,
         w3_coords=y,
-        s=_scalar(structure, w1p, x, y),
-        class_label=_report(structure, y, y_size, x, x_size, max(tol, CLASSIFY_TOL)).label,
+        s=(10.0 / 3.0) * w1p * w1p + 15.0 * structure.lam**2 / 8.0 - 0.5 * n2 - 0.5 * n3,
+        report=_report(structure, y, y_size, x, x_size, tol),
         residuals={"domega": rec_domega, "djgamma": rec_djgamma},
     )
-
-
-class ClassReport(NamedTuple):
-    """The label of `classify`, its four verdicts and their residuals."""
-
-    label: str
-    nearly_kahler: bool
-    w1plus_zero: bool
-    w3_zero: bool
-    w2minus_zero: bool
-    predicate_residuals: dict
 
 
 def _report(structure: NhfStructure, y, y_size, x, x_size, tol) -> ClassReport:
@@ -339,7 +321,7 @@ def _report(structure: NhfStructure, y, y_size, x, x_size, tol) -> ClassReport:
     )
 
 
-def classify(structure: NhfStructure, tol: float = CLASSIFY_TOL) -> ClassReport:
+def classify(structure: NhfStructure, tol: float = DEFAULT_TOL) -> ClassReport:
     """The torsion class: which of w1+, w3 and w2- vanish.
 
     A torsion form vanishes exactly when its coordinates do, so w3 = 0 and
@@ -364,7 +346,7 @@ def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):
     20-list (see `structure.invariant_three_form`); d of the 3-form with the
     20-list (c, d, M1, M2) is de_de_form(M1 + M2), so the residual is read
     off M1 + M2."""
-    report = classify(structure, tol=max(tol, CLASSIFY_TOL))
+    report = classify(structure, tol)
     if "W2-" in report.label:
         raise InvalidStructureError(
             f"w2- is not zero (relative residual "

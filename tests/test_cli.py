@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from nhflat import cli, families
+from nhflat import cli, families, flow, torsion
 from nhflat.cli import main
-from nhflat.structure import DEFAULT_TOL, random_rotation
+from nhflat.structure import DEFAULT_TOL, NhfStructure, ValidationReport, random_rotation
 
 
 @pytest.fixture
@@ -95,6 +95,45 @@ def test_tolerance_reaches_torsion_checks(command, capsys, tmp_path, monkeypatch
     # validation passes at 1e-8 (worst residual 5.5e-9), the w3 check not
     code, _, err = run(capsys, ["--tol", "1e-8", command, str(path)])
     assert code == 1 and "w3 membership residual" in err
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_tolerance_reaches_the_class(command, capsys, tmp_path):
+    # |w1+| / |lambda| = 5.0e-8 on this sine-cone member: w1+ = 0 at
+    # --tol 1e-7, and not at --tol 1e-8
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(families.sine_cone_trajectory(1.67e-8).to_record()))
+    for tol, label in (("1e-8", "W1"), ("1e-7", "W1-")):
+        code, out, _ = run(capsys, ["--tol", tol, command, str(path)])
+        assert code == 0
+        assert json.loads(out)["class"] == label
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_one_torsion_pass(command, capsys, nk_record, monkeypatch):
+    # the class, w1+, w1- and s come from one extract_torsion pass, which
+    # computes w3 and w2- once each
+    calls = {"_w3": 0, "_w2_minus": 0}
+
+    def counted(name, fn):
+        def wrapper(s):
+            calls[name] += 1
+            return fn(s)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(torsion, name, counted(name, getattr(torsion, name)))
+    assert run(capsys, [command, nk_record])[0] == 0
+    assert calls == {"_w3": 1, "_w2_minus": 1}
+
+
+def test_flow_names_a_nan_residual_as_worst(capsys, nk_record, monkeypatch):
+    report = ValidationReport({"j_squared": 2.2e-16, "normalization": float("nan")}, True, 1e-9)
+    monkeypatch.setattr(NhfStructure, "validate", lambda self, tol=DEFAULT_TOL: report)
+    code, _, err = run(capsys, ["flow", nk_record, "--t-end", "0.01"])
+    assert code == 1
+    assert "(worst residual nan in normalization)" in err
 
 
 class TestFamily:
@@ -343,7 +382,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _nan_scalar_curvature(*args, **kwargs):
+def _nan_w3_norm2(*args, **kwargs):
     return float("nan")
 
 
@@ -416,7 +455,7 @@ BAD_INPUTS = {
     "nan_in_classify_output": (
         ["classify", "{nk}"],
         None,
-        ("nhflat.torsion.scalar_curvature", _nan_scalar_curvature),
+        ("nhflat.torsion._w3_norm2", _nan_w3_norm2),
         1,
     ),
     "nan_in_flow_summary": (
@@ -480,6 +519,21 @@ class TestRotate:
 
 
 class TestVerifyG2:
+    def test_nan_piece_fails(self, capsys, monkeypatch):
+        # a NaN evolution piece on one sample is the worst, so the run
+        # cannot pass; strict JSON then exits 1
+        pieces, seen = flow.g2_pieces, []
+
+        def nan_on_second(s, *deriv):
+            seen.append(s)
+            ode, closure = pieces(s, *deriv)
+            return (float("nan") if len(seen) == 2 else ode), closure
+
+        monkeypatch.setattr(flow, "g2_pieces", nan_on_second)
+        code, out, err = run(capsys, ["verify-g2", "--family", "sine-cone", "--samples", "4"])
+        assert (code, out) == (1, "")
+        assert "non-finite" in err
+
     def test_sine_cone_passes(self, capsys):
         code, out, _ = run(
             capsys,

@@ -10,6 +10,7 @@ from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
     SingularStructureError,
+    ValidationReport,
     build_omega,
     invariant_three_form,
     sample_random_structure,
@@ -427,6 +428,22 @@ class TestInvalidSamples:
             assert rec[f"t_max_{name}"] == traj.samples[k].t
         # the normalization drift grows along the run
         assert rec["t_max_norm_resid"] == pytest.approx(0.5)
+
+    def test_nan_sample_is_the_maximum(self):
+        # a NaN residual on sample 2 of 4 is the worst of the run
+        s0 = families.nearly_kahler(4.0)
+        traj = flow.integrate(s0, 0.0, 0.003, h=1e-3)
+        assert len(traj.samples) == 4
+        traj.samples[1] = traj.samples[1]._replace(norm_resid=float("nan"))
+        rec = traj.to_record()
+        assert np.isnan(rec["max_norm_resid"])
+        assert rec["t_max_norm_resid"] == traj.samples[1].t
+
+    def test_initial_nan_residual_is_the_worst(self, monkeypatch):
+        report = ValidationReport({"j_squared": 2.2e-16, "normalization": np.nan}, True, 1e-9)
+        monkeypatch.setattr(NhfStructure, "validate", lambda self, tol=1e-9: report)
+        with pytest.raises(InvalidStructureError, match=r"worst residual nan \(normalization\)"):
+            flow.integrate(families.nearly_kahler(4.0), 0.0, 0.01)
 
     def test_all_valid_run_has_no_invalid_time(self):
         s0 = families.nearly_kahler(4.0)

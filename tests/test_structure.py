@@ -14,6 +14,7 @@ from nhflat.structure import (
     SamplerExhaustedError,
     SingularStructureError,
     StructureError,
+    ValidationReport,
     build_omega,
     invariant_three_form,
     omega_component_matrix,
@@ -276,6 +277,22 @@ class TestCachedValues:
         assert not s.metric_spd and not s.validate().passed
         with pytest.raises(InvalidStructureError):
             np.linalg.inv(s.metric())
+
+
+def test_nan_residual_fails_and_is_the_worst():
+    # a NaN residual fails `<= tol` and outranks every number, wherever it
+    # stands among the residuals
+    nan = float("nan")
+    for residuals in (
+        {"j_squared": 2.2e-16, "normalization": nan, "symmetry": 1e-3},
+        {"normalization": nan, "j_squared": 2.2e-16, "symmetry": 1e-3},
+        {"j_squared": 2.2e-16, "symmetry": 1e-3, "normalization": nan},
+    ):
+        report = ValidationReport(residuals, True, 1e-9)
+        assert not report.passed
+        assert report.failing() == [k for k in residuals if k != "j_squared"]
+        name, value = report.worst
+        assert name == "normalization" and value != value
 
 
 @pytest.mark.parametrize("entry", range(18))

@@ -53,9 +53,7 @@ from nhflat.torsion import (
     classify,
     extract_torsion,
     scalar_curvature,
-    w2_minus_coords,
     w2_minus_form,
-    w3_coords,
     w3_form,
 )
 from oracles import (
@@ -753,7 +751,8 @@ def test_coordinate_checks_match_wedge_forms():
         got = s.validate().residuals["jgamma_wedge_omega"]
         assert got == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
-        w3, got = w3_form(s, tol=np.inf), w3_coords(s, tol=np.inf)[1]
+        w3 = w3_form(s, tol=np.inf)
+        got = torsion._w3_membership(s, *torsion._w3(s), np.inf)
         size = max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
         want = max(
             relative(wedge(w3, s.omega), size * z.p),
@@ -762,7 +761,8 @@ def test_coordinate_checks_match_wedge_forms():
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
-        beta, got = w2_minus_form(s, tol=np.inf), w2_minus_coords(s, tol=np.inf)[1]
+        beta = w2_minus_form(s, tol=np.inf)
+        got = torsion._w2_minus_primitivity(s, *torsion._w2_minus(s), np.inf)
         size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
         want = max(
             relative(wedge(beta, s.gamma), size * z.gam),

@@ -5,17 +5,20 @@ import sys
 import numpy as np
 import pytest
 
-from nhflat import exterior, families
+from nhflat import exterior, families, torsion
 from nhflat.exterior import d, form_inner, wedge
-from nhflat.structure import NhfStructure, invariant_three_form, sample_random_structure
+from nhflat.structure import (
+    DEFAULT_TOL,
+    NhfStructure,
+    invariant_three_form,
+    sample_random_structure,
+)
 from nhflat.torsion import (
     classify,
     extract_torsion,
     rotate_to_half_flat,
     scalar_curvature,
-    w2_minus_coords,
     w2_minus_form,
-    w3_coords,
     w3_form,
 )
 from oracles import pullback
@@ -25,11 +28,28 @@ SQRT3 = np.sqrt(3.0)
 
 class TestDecomposition:
     def test_reconstruction_residuals(self):
-        for seed in range(10):
+        # the checks pass on the rotate-family samples, and every torsion
+        # form that vanishes on the sample's family has a residual of at
+        # most 1e-12, far below DEFAULT_TOL: the headroom on which deciding
+        # the class at the one tolerance rests.  The family is the
+        # sampler's first draw: nk, w1, w1w3, zero-scalar, sine-cone.
+        label = ("W1-", "W1", "W1-+W3", "W1+W3", "W1")
+        vanishing = (
+            ("w1plus_zero", "w3_zero", "w2minus_zero"),
+            ("w3_zero", "w2minus_zero"),
+            ("w1plus_zero", "w2minus_zero"),
+            ("w2minus_zero",),
+            ("w3_zero", "w2minus_zero"),
+        )
+        for seed in range(100):
             s = sample_random_structure(seed)
             data = extract_torsion(s)
             assert data.residuals["domega"] < 1e-9
             assert data.residuals["djgamma"] < 1e-9
+            family = np.random.default_rng(seed).integers(0, 5)
+            assert data.class_label == label[family], seed
+            for name in vanishing[family]:
+                assert data.report.predicate_residuals[name] <= 1e-12, (seed, name)
 
     def test_record_holds_the_coefficients_of_the_forms(self):
         # to_record reads the coordinate lists; the forms agree to the bit
@@ -241,8 +261,8 @@ class TestDerivedOnce:
         for seed in range(5):
             s = sample_random_structure(seed)
             data = extract_torsion(s)
-            domega = w3_coords(s)[1]
-            djgamma = w2_minus_coords(s)[1]
+            domega = torsion._w3_membership(s, *torsion._w3(s), DEFAULT_TOL)
+            djgamma = torsion._w2_minus_primitivity(s, *torsion._w2_minus(s), DEFAULT_TOL)
             assert data.residuals == {"domega": domega, "djgamma": djgamma}
 
     def test_metric_checked_and_inverted_once(self, monkeypatch):
