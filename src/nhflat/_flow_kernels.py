@@ -1,14 +1,14 @@
-"""The flow's straight-line kernels: `stage`, one evaluation of the
-evolution equations, and `rk4_step`, one RK4 step.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and `flow._recover9`: do not edit.  To change a kernel, change
-its composed form and run
+"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
+by tools/gen_kernels.py from the composed step there, whose four stages
+are `flow.stage` (over `flow._recover9` and the composed F of the `mat3`
+helpers): do not edit.  To change it, change `flow.stage` or the
+composed forms and run
 
     python tools/gen_kernels.py
 
-Each kernel computes what its composed form computes, with the same
+The kernel computes what its composed form computes, with the same
 operations on the same operands in the same order, so the results agree
-to the last bit; they take floats only, so their integer constants are
+to the last bit; it takes floats only, so its integer constants are
 written as floats.  Only `nhflat.flow` imports this module."""
 
 from math import sqrt
@@ -16,99 +16,11 @@ from math import sqrt
 from nhflat.structure import SingularStructureError
 
 
-def stage(lam, sign, y):
-    """One evaluation of the evolution equations at the flat state
-    y = (a, b, *Q1, *Q2); returns y' in the same layout:
-        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
-    e = -2 lambda / det P, with P and det P those of `flow._recover9`
-    (sign is the sign of det P) and F = (A, B, R1, R2) that of `abr`.
-    Raises SingularStructureError as `_recover9` does, and when
-    |det P| < `flow.SINGULAR_DETP`, before F."""
-    (a, b,
-     u00, u01, u02, u10, u11, u12, u20, u21, u22,
-     v00, v01, v02, v10, v11, v12, v20, v21, v22) = y
-    t0 = -(u00 + v00) / lam
-    t1 = -(u01 + v01) / lam
-    t2 = -(u02 + v02) / lam
-    t3 = -(u10 + v10) / lam
-    t4 = -(u11 + v11) / lam
-    t5 = -(u12 + v12) / lam
-    t6 = -(u20 + v20) / lam
-    t7 = -(u21 + v21) / lam
-    t8 = -(u22 + v22) / lam
-    t9 = t4 * t8 - t5 * t7
-    t10 = t3 * t8
-    t11 = t5 * t6
-    t12 = t3 * t7 - t4 * t6
-    t13 = t0 * t9 - t1 * (t10 - t11) + t2 * t12
-    if t13 <= 0.0:
-        raise SingularStructureError(
-            f"Adj(P^T) has nonpositive determinant {t13:.3e}; P is not recoverable"
-        )
-    t14 = sqrt(t13) * sign
-    t15 = t9 / t14
-    t16 = (t11 - t10) / t14
-    t17 = t12 / t14
-    t18 = (t2 * t7 - t1 * t8) / t14
-    t19 = (t0 * t8 - t2 * t6) / t14
-    t20 = (t1 * t6 - t0 * t7) / t14
-    t21 = (t1 * t5 - t2 * t4) / t14
-    t22 = (t2 * t3 - t0 * t5) / t14
-    t23 = (t0 * t4 - t1 * t3) / t14
-    if abs(t14) < 1e-06:
-        raise SingularStructureError(f"det P = {t14:.3e} below threshold")
-    t24 = u00 * v00 + u10 * v10 + u20 * v20
-    t25 = u00 * v01 + u10 * v11 + u20 * v21
-    t26 = u00 * v02 + u10 * v12 + u20 * v22
-    t27 = u01 * v00 + u11 * v10 + u21 * v20
-    t28 = u01 * v01 + u11 * v11 + u21 * v21
-    t29 = u01 * v02 + u11 * v12 + u21 * v22
-    t30 = u02 * v00 + u12 * v10 + u22 * v20
-    t31 = u02 * v01 + u12 * v11 + u22 * v21
-    t32 = u02 * v02 + u12 * v12 + u22 * v22
-    t33 = t24 + t28 + t32
-    t34 = a * b
-    t35 = t34 + t33
-    t36 = 2.0 * a
-    t37 = 2.0 * b
-    t38 = v11 * v22 - v12 * v21
-    t39 = v12 * v20
-    t40 = v10 * v22
-    t41 = v10 * v21 - v11 * v20
-    t42 = u11 * u22 - u12 * u21
-    t43 = u12 * u20
-    t44 = u10 * u22
-    t45 = u10 * u21 - u11 * u20
-    t46 = -2.0 * lam / t14
-    return (
-        t46 * (a * t33 - 2.0 * (u00 * t42 - u01 * (t44 - t43) + u02 * t45) - a * a * b),
-        t46 * -(b * t33 - 2.0 * (v00 * t38 - v01 * (t40 - t39) + v02 * t41) - t34 * b),
-        t46 * -(t35 * u00 - t36 * t38 - 2.0 * (u00 * t24 + u01 * t25 + u02 * t26)) + t15,
-        t46 * -(t35 * u01 - t36 * (t39 - t40) - 2.0 * (u00 * t27 + u01 * t28 + u02 * t29)) + t16,
-        t46 * -(t35 * u02 - t36 * t41 - 2.0 * (u00 * t30 + u01 * t31 + u02 * t32)) + t17,
-        t46 * -(t35 * u10 - t36 * (v02 * v21 - v01 * v22) - 2.0 * (u10 * t24 + u11 * t25 + u12 * t26)) + t18,
-        t46 * -(t35 * u11 - t36 * (v00 * v22 - v02 * v20) - 2.0 * (u10 * t27 + u11 * t28 + u12 * t29)) + t19,
-        t46 * -(t35 * u12 - t36 * (v01 * v20 - v00 * v21) - 2.0 * (u10 * t30 + u11 * t31 + u12 * t32)) + t20,
-        t46 * -(t35 * u20 - t36 * (v01 * v12 - v02 * v11) - 2.0 * (u20 * t24 + u21 * t25 + u22 * t26)) + t21,
-        t46 * -(t35 * u21 - t36 * (v02 * v10 - v00 * v12) - 2.0 * (u20 * t27 + u21 * t28 + u22 * t29)) + t22,
-        t46 * -(t35 * u22 - t36 * (v00 * v11 - v01 * v10) - 2.0 * (u20 * t30 + u21 * t31 + u22 * t32)) + t23,
-        t46 * (t35 * v00 - t37 * t42 - 2.0 * (v00 * t24 + v01 * t27 + v02 * t30)) - t15,
-        t46 * (t35 * v01 - t37 * (t43 - t44) - 2.0 * (v00 * t25 + v01 * t28 + v02 * t31)) - t16,
-        t46 * (t35 * v02 - t37 * t45 - 2.0 * (v00 * t26 + v01 * t29 + v02 * t32)) - t17,
-        t46 * (t35 * v10 - t37 * (u02 * u21 - u01 * u22) - 2.0 * (v10 * t24 + v11 * t27 + v12 * t30)) - t18,
-        t46 * (t35 * v11 - t37 * (u00 * u22 - u02 * u20) - 2.0 * (v10 * t25 + v11 * t28 + v12 * t31)) - t19,
-        t46 * (t35 * v12 - t37 * (u01 * u20 - u00 * u21) - 2.0 * (v10 * t26 + v11 * t29 + v12 * t32)) - t20,
-        t46 * (t35 * v20 - t37 * (u01 * u12 - u02 * u11) - 2.0 * (v20 * t24 + v21 * t27 + v22 * t30)) - t21,
-        t46 * (t35 * v21 - t37 * (u02 * u10 - u00 * u12) - 2.0 * (v20 * t25 + v21 * t28 + v22 * t31)) - t22,
-        t46 * (t35 * v22 - t37 * (u00 * u11 - u01 * u10) - 2.0 * (v20 * t26 + v21 * t29 + v22 * t32)) - t23,
-    )
-
-
 def rk4_step(lam, sign, y, dy, h):
     """One classical RK4 step of size h from the flat state y, whose y' is
     dy (the step's k1); returns the state it reaches and that state's y',
     the next step's k1, as (y_next, dy_next).  Its four passes evaluate
-    the equations (`composed_stage`) at y + (h/2) k1, y + (h/2) k2,
+    the equations (`flow.stage`) at y + (h/2) k1, y + (h/2) k2,
     y + h k3 and y_next = y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with the sum
     added left to right.  Raises SingularStructureError where a pass
     does."""

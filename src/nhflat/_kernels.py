@@ -9,10 +9,7 @@ operations on the same operands in the same order, so the results agree
 to the last bit."""
 
 
-def abr(
-        a, b,
-        u00, u01, u02, u10, u11, u12, u20, u21, u22,
-        v00, v01, v02, v10, v11, v12, v20, v21, v22):
+def abr(a, b, q1, q2):
     """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
     coordinate layout of `invariant_three_form`: a, b, then Q1 = (u..) and
     Q2 = (v..) row-major, and A, B, then R1 and R2 row-major:
@@ -23,10 +20,13 @@ def abr(
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
     J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too: construction calls
-    this kernel, and the flow's kernels (``nhflat._flow_kernels``) are
-    traced from the same composed form.  Uses only +, - and *, so it is
-    exact on ``fractions.Fraction`` input."""
+    gamma' = d omega - lambda J gamma read F too: construction and
+    `flow.stage` call this kernel, and the flow's `rk4_step`
+    (``nhflat._flow_kernels``) is traced from the same composed form.
+    Uses only +, - and *, so it is exact on ``fractions.Fraction``
+    input."""
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
     t0 = u00 * v00 + u10 * v10 + u20 * v20
     t1 = u00 * v01 + u10 * v11 + u20 * v21
     t2 = u00 * v02 + u10 * v12 + u20 * v22

@@ -14,18 +14,19 @@ Inside `integrate` the state is a flat sequence of 20 Python floats,
 
     y = (a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33)
 
-with Q1 and Q2 row-major (y[2:11] and y[11:20]).  The arithmetic is
-that of two generated kernels (``nhflat._flow_kernels``, written by
-``tools/gen_kernels.py`` from composed forms over the `mat3` helpers and
-`_recover9`, so bit-identical to them): `stage` evaluates the equations
-at a state, and `rk4_step` takes a whole RK4 step, its four stages in
-one call.  Each state's y' is evaluated once: it is both the derivative
-of its sample and the k1 of the next step, so n steps take 4n + 1
-stages.  Where a stage raises, the run stops and `integrate` returns
-what it has, marked singular.  The recorded samples, their residuals and
-`g2_residual` are computed from the flat state too, so `integrate` does
-not import numpy.  `flow_rhs` and `recover_p` are the array wrappers of
-the same code.
+with Q1 and Q2 row-major (y[2:11] and y[11:20]).  `stage` evaluates the
+equations at a state, from `_recover9` and the kernel `abr`, and is
+their one written form.  `rk4_step` takes a whole RK4 step, its four
+stages in one call: it is the one generated kernel of
+``nhflat._flow_kernels``, which ``tools/gen_kernels.py`` traces from
+`stage` over the `mat3` helpers, so it computes each stage bit for bit
+as `stage` does.  Each state's y' is evaluated once: it is both the
+derivative of its sample and the k1 of the next step, so n steps take
+4n + 1 stages, the first of them a call of `stage`.  Where a stage
+raises, the run stops and `integrate` returns what it has, marked
+singular.  The recorded samples, their residuals and `g2_residual` are
+computed from the flat state too, so `integrate` does not import numpy.
+`flow_rhs` and `recover_p` are the array wrappers of the same code.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._flow_kernels import rk4_step, stage
+from nhflat._flow_kernels import rk4_step
+from nhflat._kernels import abr
 from nhflat.mat3 import cofactor9, det9, flat9
 from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
 from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative
@@ -41,7 +43,7 @@ from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative
 if TYPE_CHECKING:
     import numpy as np
 
-#: A stage raises where |det P| is below it (the kernels are generated
+#: A stage raises where |det P| is below it (`rk4_step` is generated
 #: with its value).
 SINGULAR_DETP = 1e-6
 #: Most RK4 steps one `integrate` call takes, |t1 - t0| / |h|.
@@ -62,8 +64,7 @@ def _recover9(lam, q1, q2, sign):
     M = Adj(P^T) = -(Q1 + Q2)/lambda gives det P = sign sqrt(det M) and,
     from P^T = Adj(M) / det P, P = the cofactor matrix of M over det P.
     Raises SingularStructureError when det M <= 0: then no real P has
-    Adj(P^T) = M, since det Adj(P^T) = (det P)^2.  The flow's kernels
-    are traced from it."""
+    Adj(P^T) = M, since det Adj(P^T) = (det P)^2."""
     m = [-(u + v) / lam for u, v in zip(q1, q2)]
     det_m = det9(m)
     if det_m <= 0:
@@ -72,6 +73,28 @@ def _recover9(lam, q1, q2, sign):
         )
     det_p = math.sqrt(det_m) * sign
     return [x / det_p for x in cofactor9(m)], det_p
+
+
+def stage(lam, sign, y):
+    """One evaluation of the evolution equations at the flat state
+    y = (a, b, *Q1, *Q2); returns y' in the same layout:
+        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
+    e = -2 lambda / det P, with P and det P those of `_recover9` (sign is
+    the sign of det P) and F = (A, B, R1, R2) that of `abr`.  Raises
+    SingularStructureError as `_recover9` does, and when
+    |det P| < SINGULAR_DETP, before F.  `rk4_step` is traced from it."""
+    q1, q2 = y[2:11], y[11:20]
+    p, det_p = _recover9(lam, q1, q2, sign)
+    if abs(det_p) < SINGULAR_DETP:
+        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
+    f = abr(y[0], y[1], q1, q2)
+    e = -2.0 * lam / det_p
+    return (
+        e * f[0],
+        e * f[1],
+        *[e * r + x for r, x in zip(f[2:11], p)],
+        *[e * r - x for r, x in zip(f[11:20], p)],
+    )
 
 
 def _sign(det_p: float) -> float:

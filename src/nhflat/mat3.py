@@ -14,10 +14,10 @@ directly or through straight-line kernels that ``tools/gen_kernels.py``
 generates by tracing compositions of these helpers, so that they round
 exactly as the helpers do: those of ``nhflat._kernels`` (``abr``,
 F = (A, B, R1, R2), which construction calls, and ``j_verdicts``, what
-the J^2 = -id and SPD verdicts read) and those of
-``nhflat._flow_kernels`` (the flow's ``stage`` and ``rk4_step``, with
-the recovery of P and F).  No 3x3 expression is written out by hand
-elsewhere.
+the J^2 = -id and SPD verdicts read) and that of
+``nhflat._flow_kernels`` (the flow's ``rk4_step``, traced through
+``flow.stage`` with the recovery of P and F).  No 3x3 expression is
+written out by hand elsewhere.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

@@ -168,7 +168,7 @@ def compute_abr(a: float, b: float, Q1, Q2):
     Nothing in the package calls it; it stays only because the benchmark's
     tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
     retargets the tracer.  `abr` is the computation."""
-    f = abr(float(a), float(b), *flat9(Q1), *flat9(Q2))
+    f = abr(float(a), float(b), flat9(Q1), flat9(Q2))
     R1, R2 = _array3x3(f[2:11]), _array3x3(f[11:])
     return f[0], f[1], R1, R2, R1 + R2
 
@@ -392,7 +392,7 @@ class NhfStructure:
         h = 0.5 * self.lam
         q1 = [x - h * c for x, c in zip(q, adj)]
         q2 = [-x - h * c for x, c in zip(q, adj)]
-        f = abr(self.a, self.b, *q1, *q2)
+        f = abr(self.a, self.b, q1, q2)
         self.A, self.B = f[0], f[1]
         self.m9 = Lists9(p, q, adj, q1, q2, list(f[2:11]), list(f[11:]))
         # J gamma = (2/det P) F on the slots of gamma's (a, b, Q1, Q2)

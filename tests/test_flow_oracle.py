@@ -9,14 +9,15 @@ formulas.
 
 `composed_abr9` and `composed_recover9` are F and the P recovery composed
 from the `mat3` 9-sequence helpers, as `abr` and `flow._recover9` must
-compute them, bit for bit.  The flow's kernels `stage` and `rk4_step`
-are generated (``tools/gen_kernels.py``) from the composed forms there,
-`composed_stage` and `composed_rk4_step`, and must agree with them bit
-for bit, halts included; so must every trajectory that `integrate`
-takes with them, against the same loop run on the composed forms
-(`rows_and_halt_composed`).  `stepwise_rows_and_halt` is the RK4 loop on
-`composed_stage` in its stepwise order, with no derivative reused;
-`integrate` must give its rows, and its halts on every real flow.
+compute them, bit for bit.  `flow.stage`, one evaluation of the
+equations, is written by hand; the flow's kernel `rk4_step` is generated
+(``tools/gen_kernels.py``) from `composed_rk4_step` there, whose passes
+call `flow.stage`, and must agree with it bit for bit, halts included;
+so must every trajectory that `integrate` takes with it, against the
+same loop run on the composed step (`rows_and_halt_composed`).
+`stepwise_rows_and_halt` is the RK4 loop on `flow.stage` in its stepwise
+order, with no derivative reused; `integrate` must give its rows, and
+its halts on every real flow.
 
 `form_g2_residual` is `flow.g2_residual` on forms, by `d`, with the term
 sizes read off the forms; the coordinate version must equal it to the
@@ -202,13 +203,13 @@ def composed_f(y):
 
 def test_abr9_equals_composed_on_random_floats():
     for y in random_states(30):
-        assert abr(*y) == composed_f(y)
+        assert abr(y[0], y[1], y[2:11], y[11:]) == composed_f(y)
 
 
 def test_abr9_exact_on_fractions():
     for y in random_states(31, n=20):
         y = [Fraction(v) for v in y]
-        got = abr(*y)
+        got = abr(y[0], y[1], y[2:11], y[11:])
         assert got == composed_f(y)
         assert all(type(v) is Fraction for v in got)
 
@@ -238,28 +239,16 @@ def test_recover9_equals_composed_on_random_floats():
     assert outcomes.count("returned") > 100 and "raised" in outcomes
 
 
-def test_stage_equals_composed_on_random_floats():
-    rng = np.random.default_rng(34)
-    outcomes = []
-    for y, k in zip(random_states(35), random_states(36)):
-        lam, c = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-1e-3, 1e-3)
-        for state in (y, [v + c * d for v, d in zip(y, k)]):
-            same, outcome = same_outcome(flow.stage, gen.composed_stage, lam, 1.0, state)
-            assert same
-            outcomes.append(outcome)
-    assert outcomes.count("returned") > 100 and "raised" in outcomes
-
-
 def test_rk4_step_equals_composed_on_random_floats(monkeypatch):
     # the pass of the composed step in which each raise comes, 1 ... 4
     rng = np.random.default_rng(40)
-    stage, calls, passes = gen.composed_stage, [], []
+    stage, calls, passes = flow.stage, [], []
 
     def counted(*args):
         calls.append(None)
         return stage(*args)
 
-    monkeypatch.setattr(gen, "composed_stage", counted)
+    monkeypatch.setattr(flow, "stage", counted)
     for y, dy in zip(random_states(41), random_states(42)):
         lam, h = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.0)
         for sign in (1.0, -1.0):
@@ -279,10 +268,9 @@ def rows_and_halt(initial, t_end, h, record_every=1):
 
 
 def run_composed(m):
-    """Make `integrate` run its RK4 loop on `composed_stage` and
-    `composed_rk4_step`, in the monkeypatch context m.  The forms are
-    looked up when they run, so a test can patch `gen.composed_stage`."""
-    m.setattr(flow, "stage", lambda lam, sign, y: gen.composed_stage(lam, sign, y))
+    """Make `integrate` run its RK4 loop on `composed_rk4_step`, in the
+    monkeypatch context m.  Its passes and `integrate` look `flow.stage`
+    up when they run, so a test can patch `flow.stage`."""
     m.setattr(flow, "rk4_step", gen.composed_rk4_step)
 
 
@@ -373,7 +361,7 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
 
     def at(c, k):
         """y' at y + c k."""
-        return gen.composed_stage(lam, sign, [v + c * d for v, d in zip(y, k)])
+        return flow.stage(lam, sign, [v + c * d for v, d in zip(y, k)])
 
     def sample(t, y):
         q1, q2 = y[2:11], y[11:20]
@@ -383,7 +371,7 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
             lam, y[0], y[1], (p[0:3], p[3:6], p[6:9]), (q[0:3], q[3:6], q[6:9])
         )
         report = s.validate()
-        dy = gen.composed_stage(lam, sign, y)
+        dy = flow.stage(lam, sign, y)
         rows.append(flow.FlowSample(
             t=t,
             structure=s,
@@ -400,7 +388,7 @@ def stepwise_rows_and_halt(initial, t_end, h, record_every=1):
             t = t0 + k * h
             if k == n_steps - 1:
                 step, half, sixth = h_last, 0.5 * h_last, h_last / 6.0
-            k1 = gen.composed_stage(lam, sign, y)
+            k1 = flow.stage(lam, sign, y)
             k2 = at(half, k1)
             k3 = at(half, k2)
             k4 = at(step, k3)
@@ -447,8 +435,9 @@ def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_
     # step, so a stage is made to raise at the state after step n: the run
     # halts in step n, from (n - 1) h, recorded or not (the stepwise loop
     # halts in the next step where the state is not recorded), and at the
-    # start for n = 0.  Both loops run on `composed_stage`.
-    initial, stage, step, states = rotated_nk(1), gen.composed_stage, gen.composed_rk4_step, []
+    # start for n = 0.  The states are recorded with the kernel
+    # `rk4_step`, which calls no `flow.stage`; both loops then run on it.
+    initial, stage, step, states = rotated_nk(1), flow.stage, flow.rk4_step, []
 
     def recording(lam, sign, y):
         states.append(list(y))
@@ -470,7 +459,7 @@ def test_integrate_equals_stepwise_loop_where_a_state_halts(monkeypatch, record_
         flow.integrate(initial, 0.0, 0.01, h=1e-3)
     assert len(states) == 11
     run_composed(monkeypatch)
-    monkeypatch.setattr(gen, "composed_stage", halting)
+    monkeypatch.setattr(flow, "stage", halting)
     rows, _ = stepwise_rows_and_halt(initial, 0.01, 1e-3, record_every)
     traj = flow.integrate(initial, 0.0, 0.01, h=1e-3, record_every=record_every)
     assert [sample.row() for sample in traj.samples] == rows
@@ -489,9 +478,9 @@ def test_integrate_evaluates_each_state_once(monkeypatch, record_every):
         calls.append(None)
         return stage(*args)
 
-    stage = gen.composed_stage
+    stage = flow.stage
     run_composed(monkeypatch)
-    monkeypatch.setattr(gen, "composed_stage", counted)
+    monkeypatch.setattr(flow, "stage", counted)
     n = 40
     traj = flow.integrate(rotated_nk(1), 0.0, n * 1e-3, h=1e-3, record_every=record_every)
     assert traj.steps == n
@@ -499,8 +488,8 @@ def test_integrate_evaluates_each_state_once(monkeypatch, record_every):
 
 
 def test_kernels_enter_no_python_function():
-    # the Python functions entered while the kernels run at a state, at
-    # a shifted state and where they raise
+    # the Python functions entered while `rk4_step` runs a step and where
+    # it raises
     s = rotated_nk(1)
     y = flow._pack(s.a, s.b, s.Q1, s.Q2)
     dy = flow.stage(s.lam, 1.0, y)
@@ -512,26 +501,21 @@ def test_kernels_enter_no_python_function():
 
     sys.setprofile(profile)
     try:
-        flow.stage(s.lam, 1.0, y)
         flow.rk4_step(s.lam, 1.0, y, dy, 1e-3)
-        for kernel, args in ((flow.stage, ([0.0] * 20,)), (flow.rk4_step, (y, y, -2.0))):
-            try:
-                kernel(s.lam, 1.0, *args)  # the zero state: det M = 0
-            except SingularStructureError as exc:
-                raised.append(str(exc))
+        try:
+            flow.rk4_step(s.lam, 1.0, y, y, -2.0)  # first pass at zero: det M = 0
+        except SingularStructureError as exc:
+            raised.append(str(exc))
     finally:
         sys.setprofile(None)
     here = "test_kernels_enter_no_python_function"
-    assert seen == [(here, "stage"), (here, "rk4_step")] * 2
-    assert raised == [
-        "Adj(P^T) has nonpositive determinant 0.000e+00; P is not recoverable"
-    ] * 2
+    assert seen == [(here, "rk4_step")] * 2
+    assert raised == ["Adj(P^T) has nonpositive determinant 0.000e+00; P is not recoverable"]
 
 
-@pytest.mark.parametrize("kernel", ["stage", "rk4_step"])
-def test_kernels_read_fewer_than_256_locals(kernel):
+def test_kernels_read_fewer_than_256_locals():
     # a local numbered 256 or more costs an extended opcode at every use
-    assert getattr(flow, kernel).__code__.co_nlocals < 256
+    assert flow.rk4_step.__code__.co_nlocals < 256
 
 
 # -- g2_residual ---------------------------------------------------------------

@@ -3,11 +3,13 @@
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
 the scale-covariance samples of test_scaling.py, the acceptance samples and
-random states, and must agree with them to the bit.  The flow's kernels
-(``nhflat._flow_kernels``) are checked in test_flow_oracle.py.  Both
-generated files must be what the generator writes today."""
+random states, and must agree with them to the bit.  The flow's kernel
+(``nhflat._flow_kernels``) is checked in test_flow_oracle.py.  Both
+generated files must be what the generator writes today, and what one
+run of it writes must be current."""
 
 import importlib.util
+import inspect
 import math
 import os
 import sys
@@ -79,6 +81,33 @@ def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
         assert gen.main(["--check"]) == 0
 
 
+def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
+    # an edit of composed_abr reaches both files in one run: `rk4_step` is
+    # traced through `flow.stage`, whose `abr` the trace binds to the
+    # composed form, not to the kernel imported with `flow`
+    source = inspect.getsource(gen.composed_abr)
+    assert source.count("s = a * b + tr12") == 1
+    namespace = dict(vars(gen))
+    exec(source.replace("s = a * b + tr12", "s = b * a + tr12"), namespace)
+    regrouped = namespace["composed_abr"]
+    kernels = gen.MODULES[0].kernels
+    modules = (
+        gen.MODULES[0]._replace(kernels=(kernels[0]._replace(form=regrouped), *kernels[1:])),
+        *gen.MODULES[1:],
+    )
+    monkeypatch.setattr(gen, "composed_abr", regrouped)
+    monkeypatch.setattr(gen, "MODULES", modules)
+    monkeypatch.setattr(gen, "ROOT", str(tmp_path))
+    paths = [tmp_path / m.path for m in modules]
+    paths[0].parent.mkdir(parents=True)
+    assert gen.main([]) == 0
+    written = [p.read_text() for p in paths]
+    # a and b are t0 and t1 in a pass of rk4_step; neither file has the
+    # product in this order today
+    assert "b * a + " in written[0] and "t1 * t0 + " in written[1]
+    assert gen.main(["--check"]) == 0
+
+
 def test_trace_rejects_a_branch():
     # a branch that does not raise, a guard's branch that computes, and a
     # function the trace has no node for
@@ -95,7 +124,7 @@ def test_trace_rejects_a_branch():
 
     for form in (guarded, computing, exponential):
         with pytest.raises(TypeError):
-            gen.emit(gen.Kernel("k", form, ("a",), True))
+            gen.emit(gen.Kernel("k", form, ("a",)))
 
 
 def test_guard_keeps_its_place_and_message():
@@ -105,7 +134,7 @@ def test_guard_keeps_its_place_and_message():
             raise ValueError(f"|a b| = {c:.2e} is {{large}}")
         return (c * c + math.sqrt(b),)
 
-    source, imports = gen.emit(gen.Kernel("k", form, ("a", "b"), True, floats=True))
+    source, imports = gen.emit(gen.Kernel("k", form, ("a", "b"), floats=True))
     assert imports == {"math": {"sqrt"}}
     namespace = {"sqrt": math.sqrt}
     exec(source, namespace)
@@ -146,7 +175,7 @@ def test_kernels_equal_composed_forms_on_random_states():
     for a, b, q1, q2, p, det_p in random_kernel_states(40, 20000):
         want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
         assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
-        assert bits(_kernels.abr(a, b, *q1, *q2)) == bits(gen.composed_abr(a, b, q1, q2))
+        assert bits(_kernels.abr(a, b, q1, q2)) == bits(gen.composed_abr(a, b, q1, q2))
         verdicts.append(is_spd9(*want[1:]))
     # most random states are not SPD, but some are
     assert any(verdicts) and not all(verdicts)

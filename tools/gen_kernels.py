@@ -1,6 +1,7 @@
 """Generate the package's straight-line kernels from the composed forms in
 this file: ``src/nhflat/_kernels.py`` (`abr`, `j_verdicts`) and
-``src/nhflat/_flow_kernels.py`` (`stage`, `rk4_step`).
+``src/nhflat/_flow_kernels.py`` (`rk4_step`, whose stages are the
+hand-written `flow.stage`, traced with F = `composed_abr`).
 
     python tools/gen_kernels.py          # write both files
     python tools/gen_kernels.py --check  # exit 1 if either file is not current
@@ -43,7 +44,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from nhflat import flow  # noqa: E402
 from nhflat.mat3 import cofactor9, det9, mul9, transpose9  # noqa: E402
-from nhflat.structure import SingularStructureError, _j_blocks9  # noqa: E402
+from nhflat.structure import _j_blocks9  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
 
@@ -59,10 +60,11 @@ def composed_abr(a, b, q1, q2):
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
     J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too: construction calls
-    this kernel, and the flow's kernels (``nhflat._flow_kernels``) are
-    traced from the same composed form.  Uses only +, - and *, so it is
-    exact on ``fractions.Fraction`` input."""
+    gamma' = d omega - lambda J gamma read F too: construction and
+    `flow.stage` call this kernel, and the flow's `rk4_step`
+    (``nhflat._flow_kernels``) is traced from the same composed form.
+    Uses only +, - and *, so it is exact on ``fractions.Fraction``
+    input."""
     g = mul9(transpose9(q1), q2)  # Q1^T Q2
     tr12 = g[0] + g[4] + g[8]
     s = a * b + tr12
@@ -120,40 +122,18 @@ def composed_j_verdicts(a, b, q1, q2, p, det_p):
     )
 
 
-def composed_stage(lam, sign, y):
-    """One evaluation of the evolution equations at the flat state
-    y = (a, b, *Q1, *Q2); returns y' in the same layout:
-        (a', b', Q1', Q2') = e (A, B, R1, R2) + (0, 0, P, -P),
-    e = -2 lambda / det P, with P and det P those of `flow._recover9`
-    (sign is the sign of det P) and F = (A, B, R1, R2) that of `abr`.
-    Raises SingularStructureError as `_recover9` does, and when
-    |det P| < `flow.SINGULAR_DETP`, before F."""
-    q1, q2 = y[2:11], y[11:20]
-    p, det_p = flow._recover9(lam, q1, q2, sign)
-    if abs(det_p) < flow.SINGULAR_DETP:
-        raise SingularStructureError(f"det P = {det_p:.3e} below threshold")
-    f = composed_abr(y[0], y[1], q1, q2)
-    e = -2.0 * lam / det_p
-    return (
-        e * f[0],
-        e * f[1],
-        *[e * r + x for r, x in zip(f[2:11], p)],
-        *[e * r - x for r, x in zip(f[11:20], p)],
-    )
-
-
 def composed_pass(lam, sign, y, d, c):
     """One pass of `rk4_step`: the state z = y + c d and its y'
-    (`composed_stage`), as (z, z')."""
+    (`flow.stage`), as (z, z')."""
     z = tuple(v + c * x for v, x in zip(y, d))
-    return z, composed_stage(lam, sign, z)
+    return z, flow.stage(lam, sign, z)
 
 
 def composed_rk4_step(lam, sign, y, dy, h):
     """One classical RK4 step of size h from the flat state y, whose y' is
     dy (the step's k1); returns the state it reaches and that state's y',
     the next step's k1, as (y_next, dy_next).  Its four passes evaluate
-    the equations (`composed_stage`) at y + (h/2) k1, y + (h/2) k2,
+    the equations (`flow.stage`) at y + (h/2) k1, y + (h/2) k2,
     y + h k3 and y_next = y + (h/6)(k1 + 2 k2 + 2 k3 + k4), with the sum
     added left to right.  Raises SingularStructureError where a pass
     does."""
@@ -181,16 +161,14 @@ STATE = ("a", "b", *nine("u"), *nine("v"))
 
 class Kernel(NamedTuple):
     """A kernel to generate: its name, its composed form and the form's
-    parameters, each a scalar's name or (name, entries) for a sequence
-    whose entries are called by the names in `entries` in the kernel.
-    With `flat`, those entries are the kernel's parameters; else it takes
-    the sequence and unpacks it.  With `floats`, an integer constant is
-    written as a float."""
+    parameters, each a scalar's name or (name, entries) for a sequence,
+    which the kernel takes and unpacks, calling its entries by the names
+    in `entries`.  With `floats`, an integer constant is written as a
+    float."""
 
     name: str
     form: object
     params: tuple
-    flat: bool = False
     floats: bool = False
 
 
@@ -342,22 +320,24 @@ class Guard(NamedTuple):
 
 def _run(kernel, graph):
     """The kernel's composed form run on the graph's inputs, with
-    `math.sqrt` of a traced value a node."""
+    `math.sqrt` of a traced value a node and `flow.abr` bound to
+    `composed_abr`: `flow.stage` is traced through F's composed form, not
+    through the `abr` kernel that `flow` imports."""
     args = [
         graph.node(("in", p)) if isinstance(p, str)
         else [graph.node(("in", name)) for name in p[1]]
         for p in kernel.params
     ]
-    sqrt = math.sqrt
+    sqrt, abr = math.sqrt, flow.abr
 
     def traced_sqrt(x):
         return graph.node(("sqrt", x.id)) if isinstance(x, Sym) else sqrt(x)
 
-    math.sqrt = traced_sqrt
+    math.sqrt, flow.abr = traced_sqrt, composed_abr
     try:
         return kernel.form(*args)
     finally:
-        math.sqrt = sqrt
+        math.sqrt, flow.abr = sqrt, abr
 
 
 def _raised(kernel, i) -> Guard:
@@ -533,24 +513,15 @@ def _groups(entries):
 def _signature(kernel):
     """The head of the kernel's function and the lines that unpack its
     sequence parameters."""
-    # the parameters in groups, for a signature too long for one line:
-    # the scalars next to each other, and each flat 9-sequence
-    groups, unpack = [[]], []
+    names, unpack = [], []
     for p in kernel.params:
         if isinstance(p, str):
-            groups[-1].append(p)
+            names.append(p)
             continue
         name, entries = p
-        if kernel.flat:
-            groups += [list(entries), []]
-        else:
-            groups[-1].append(name)
-            unpack += _assign(_groups(entries), name, 4)
-    sig = [", ".join(g) for g in groups if g]
-    head = f"def {kernel.name}({', '.join(sig)}):"
-    if len(head) > 99:
-        head = f"def {kernel.name}(\n        " + ",\n        ".join(sig) + "):"
-    return head, unpack
+        names.append(name)
+        unpack += _assign(_groups(entries), name, 4)
+    return f"def {kernel.name}({', '.join(names)}):", unpack
 
 
 def _returned(item, indent):
@@ -640,17 +611,17 @@ to the last bit."""
 '''
 
 FLOW_KERNELS_DOC = '''\
-"""The flow's straight-line kernels: `stage`, one evaluation of the
-evolution equations, and `rk4_step`, one RK4 step.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and `flow._recover9`: do not edit.  To change a kernel, change
-its composed form and run
+"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
+by tools/gen_kernels.py from the composed step there, whose four stages
+are `flow.stage` (over `flow._recover9` and the composed F of the `mat3`
+helpers): do not edit.  To change it, change `flow.stage` or the
+composed forms and run
 
     python tools/gen_kernels.py
 
-Each kernel computes what its composed form computes, with the same
+The kernel computes what its composed form computes, with the same
 operations on the same operands in the same order, so the results agree
-to the last bit; they take floats only, so their integer constants are
+to the last bit; it takes floats only, so its integer constants are
 written as floats.  Only `nhflat.flow` imports this module."""
 '''
 
@@ -659,7 +630,7 @@ MODULES = (
         os.path.join("src", "nhflat", "_kernels.py"),
         KERNELS_DOC,
         (
-            Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v"))), True),
+            Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v")))),
             Kernel(
                 "j_verdicts",
                 composed_j_verdicts,
@@ -670,7 +641,7 @@ MODULES = (
     Module(
         os.path.join("src", "nhflat", "_flow_kernels.py"),
         FLOW_KERNELS_DOC,
-        (Kernel("stage", composed_stage, ("lam", "sign", ("y", STATE)), floats=True), RK4_STEP),
+        (RK4_STEP,),
     ),
 )
 
