@@ -14,7 +14,10 @@ equations, is written by hand; the flow's kernel `rk4_step` is generated
 (``tools/gen_kernels.py``) from `composed_rk4_step` there, whose passes
 call `flow.stage`, and must agree with it bit for bit, halts included;
 so must every trajectory that `integrate` takes with it, against the
-same loop run on the composed step (`rows_and_halt_composed`).
+same loop run on the composed step (`rows_and_halt_composed`).  A step
+of size 0 is at its start in every pass, so it must return the y' of
+`flow.stage` there, and the two |det P| guards must halt on the same
+side of `SINGULAR_DETP`.
 `stepwise_rows_and_halt` is the RK4 loop on `flow.stage` in its stepwise
 order, with no derivative reused; `integrate` must give its rows, and
 its halts on every real flow.
@@ -259,6 +262,53 @@ def test_rk4_step_equals_composed_on_random_floats(monkeypatch):
             assert same
             passes.append(len(calls) if outcome == "raised" else 0)
     assert passes.count(0) > 50 and all(k in passes for k in (1, 2, 3, 4))
+
+
+def zero_step(lam, sign, y, dy):
+    """`rk4_step` of size 0 from y: the state it reaches, which must be y,
+    and that state's y'."""
+    y_next, dy_next = flow.rk4_step(lam, sign, y, dy, 0.0)
+    return list(y_next), tuple(dy_next)
+
+
+def test_zero_step_returns_stage_on_random_floats():
+    # every pass of a step of size 0 is at y, so the generated kernel gives
+    # the y' of the hand-written equations, or raises as they do
+    rng = np.random.default_rng(43)
+    outcomes = []
+    for y, dy in zip(random_states(44), random_states(45)):
+        lam = 10.0 ** rng.uniform(-3.0, 3.0)
+        for sign in (1.0, -1.0):
+            same, outcome = same_outcome(
+                lambda *args: zero_step(*args, dy)[1], flow.stage, lam, sign, y
+            )
+            assert same
+            if outcome == "returned":
+                assert zero_step(lam, sign, y, dy)[0] == list(y)
+            outcomes.append(outcome)
+    assert outcomes.count("returned") > 100 and "raised" in outcomes
+
+
+@pytest.mark.parametrize("sign_p", [1, -1])
+def test_guards_agree_at_the_threshold(sign_p):
+    # Q1 and Q2 scaled by c scale det P by c^(3/2): states just below and
+    # just above |det P| = SINGULAR_DETP halt, or not, in both forms alike
+    s = rotated_nk(sign_p)
+    sign = float(sign_p)
+    y0 = flow._pack(s.a, s.b, s.Q1, s.Q2)
+    det_p0 = flow._recover9(s.lam, y0[2:11], y0[11:], sign)[1]
+    for factor, halts in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        c = (factor * flow.SINGULAR_DETP / abs(det_p0)) ** (2.0 / 3.0)
+        y = y0[:2] + [c * v for v in y0[2:]]
+        det_p = flow._recover9(s.lam, y[2:11], y[11:], sign)[1]
+        assert (abs(det_p) < flow.SINGULAR_DETP) == halts
+        same, outcome = same_outcome(
+            lambda *args: zero_step(*args, y)[1], flow.stage, s.lam, sign, y
+        )
+        assert same and outcome == ("raised" if halts else "returned")
+        if halts:
+            with pytest.raises(SingularStructureError, match="below threshold$"):
+                flow.stage(s.lam, sign, y)
 
 
 def rows_and_halt(initial, t_end, h, record_every=1):
