@@ -23,8 +23,10 @@ def abr(a, b, q1, q2):
     gamma' = d omega - lambda J gamma read F too: construction and
     `flow.stage` call this kernel, and the flow's `rk4_step`
     (``nhflat._flow_kernels``) is traced from the same composed form.
-    Uses only +, - and *, so it is exact on ``fractions.Fraction``
-    input."""
+    It uses only +, - and * and integer constants, so the composed form
+    is exact on ``fractions.Fraction`` input; the kernel `abr` writes
+    each constant as a float and equals it, to the bit, on floats and
+    complex numbers."""
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
     t0 = u00 * v00 + u10 * v10 + u20 * v20
@@ -39,8 +41,8 @@ def abr(a, b, q1, q2):
     t9 = t0 + t4 + t8
     t10 = a * b
     t11 = t10 + t9
-    t12 = 2 * a
-    t13 = 2 * b
+    t12 = 2.0 * a
+    t13 = 2.0 * b
     t14 = v11 * v22 - v12 * v21
     t15 = v12 * v20
     t16 = v10 * v22
@@ -50,26 +52,26 @@ def abr(a, b, q1, q2):
     t20 = u10 * u22
     t21 = u10 * u21 - u11 * u20
     return (
-        a * t9 - 2 * (u00 * t18 - u01 * (t20 - t19) + u02 * t21) - a * a * b,
-        -(b * t9 - 2 * (v00 * t14 - v01 * (t16 - t15) + v02 * t17) - t10 * b),
-        -(t11 * u00 - t12 * t14 - 2 * (u00 * t0 + u01 * t1 + u02 * t2)),
-        -(t11 * u01 - t12 * (t15 - t16) - 2 * (u00 * t3 + u01 * t4 + u02 * t5)),
-        -(t11 * u02 - t12 * t17 - 2 * (u00 * t6 + u01 * t7 + u02 * t8)),
-        -(t11 * u10 - t12 * (v02 * v21 - v01 * v22) - 2 * (u10 * t0 + u11 * t1 + u12 * t2)),
-        -(t11 * u11 - t12 * (v00 * v22 - v02 * v20) - 2 * (u10 * t3 + u11 * t4 + u12 * t5)),
-        -(t11 * u12 - t12 * (v01 * v20 - v00 * v21) - 2 * (u10 * t6 + u11 * t7 + u12 * t8)),
-        -(t11 * u20 - t12 * (v01 * v12 - v02 * v11) - 2 * (u20 * t0 + u21 * t1 + u22 * t2)),
-        -(t11 * u21 - t12 * (v02 * v10 - v00 * v12) - 2 * (u20 * t3 + u21 * t4 + u22 * t5)),
-        -(t11 * u22 - t12 * (v00 * v11 - v01 * v10) - 2 * (u20 * t6 + u21 * t7 + u22 * t8)),
-        t11 * v00 - t13 * t18 - 2 * (v00 * t0 + v01 * t3 + v02 * t6),
-        t11 * v01 - t13 * (t19 - t20) - 2 * (v00 * t1 + v01 * t4 + v02 * t7),
-        t11 * v02 - t13 * t21 - 2 * (v00 * t2 + v01 * t5 + v02 * t8),
-        t11 * v10 - t13 * (u02 * u21 - u01 * u22) - 2 * (v10 * t0 + v11 * t3 + v12 * t6),
-        t11 * v11 - t13 * (u00 * u22 - u02 * u20) - 2 * (v10 * t1 + v11 * t4 + v12 * t7),
-        t11 * v12 - t13 * (u01 * u20 - u00 * u21) - 2 * (v10 * t2 + v11 * t5 + v12 * t8),
-        t11 * v20 - t13 * (u01 * u12 - u02 * u11) - 2 * (v20 * t0 + v21 * t3 + v22 * t6),
-        t11 * v21 - t13 * (u02 * u10 - u00 * u12) - 2 * (v20 * t1 + v21 * t4 + v22 * t7),
-        t11 * v22 - t13 * (u00 * u11 - u01 * u10) - 2 * (v20 * t2 + v21 * t5 + v22 * t8),
+        a * t9 - 2.0 * (u00 * t18 - u01 * (t20 - t19) + u02 * t21) - a * a * b,
+        -(b * t9 - 2.0 * (v00 * t14 - v01 * (t16 - t15) + v02 * t17) - t10 * b),
+        -(t11 * u00 - t12 * t14 - 2.0 * (u00 * t0 + u01 * t1 + u02 * t2)),
+        -(t11 * u01 - t12 * (t15 - t16) - 2.0 * (u00 * t3 + u01 * t4 + u02 * t5)),
+        -(t11 * u02 - t12 * t17 - 2.0 * (u00 * t6 + u01 * t7 + u02 * t8)),
+        -(t11 * u10 - t12 * (v02 * v21 - v01 * v22) - 2.0 * (u10 * t0 + u11 * t1 + u12 * t2)),
+        -(t11 * u11 - t12 * (v00 * v22 - v02 * v20) - 2.0 * (u10 * t3 + u11 * t4 + u12 * t5)),
+        -(t11 * u12 - t12 * (v01 * v20 - v00 * v21) - 2.0 * (u10 * t6 + u11 * t7 + u12 * t8)),
+        -(t11 * u20 - t12 * (v01 * v12 - v02 * v11) - 2.0 * (u20 * t0 + u21 * t1 + u22 * t2)),
+        -(t11 * u21 - t12 * (v02 * v10 - v00 * v12) - 2.0 * (u20 * t3 + u21 * t4 + u22 * t5)),
+        -(t11 * u22 - t12 * (v00 * v11 - v01 * v10) - 2.0 * (u20 * t6 + u21 * t7 + u22 * t8)),
+        t11 * v00 - t13 * t18 - 2.0 * (v00 * t0 + v01 * t3 + v02 * t6),
+        t11 * v01 - t13 * (t19 - t20) - 2.0 * (v00 * t1 + v01 * t4 + v02 * t7),
+        t11 * v02 - t13 * t21 - 2.0 * (v00 * t2 + v01 * t5 + v02 * t8),
+        t11 * v10 - t13 * (u02 * u21 - u01 * u22) - 2.0 * (v10 * t0 + v11 * t3 + v12 * t6),
+        t11 * v11 - t13 * (u00 * u22 - u02 * u20) - 2.0 * (v10 * t1 + v11 * t4 + v12 * t7),
+        t11 * v12 - t13 * (u01 * u20 - u00 * u21) - 2.0 * (v10 * t2 + v11 * t5 + v12 * t8),
+        t11 * v20 - t13 * (u01 * u12 - u02 * u11) - 2.0 * (v20 * t0 + v21 * t3 + v22 * t6),
+        t11 * v21 - t13 * (u02 * u10 - u00 * u12) - 2.0 * (v20 * t1 + v21 * t4 + v22 * t7),
+        t11 * v22 - t13 * (u00 * u11 - u01 * u10) - 2.0 * (v20 * t2 + v21 * t5 + v22 * t8),
     )
 
 
@@ -98,42 +100,42 @@ def j_verdicts(a, b, q1, q2, p, det_p):
     t1 = u01 * v01 + u11 * v11 + u21 * v21
     t2 = u02 * v02 + u12 * v12 + u22 * v22
     t3 = a * b - (t0 + t1 + t2)
-    t4 = 2 * (v00 * u10 + v01 * u11 + v02 * u12)
-    t5 = 2 * (v00 * u20 + v01 * u21 + v02 * u22)
-    t6 = 2 * (v10 * u00 + v11 * u01 + v12 * u02)
-    t7 = 2 * (v10 * u20 + v11 * u21 + v12 * u22)
-    t8 = 2 * (v20 * u00 + v21 * u01 + v22 * u02)
-    t9 = 2 * (v20 * u10 + v21 * u11 + v22 * u12)
-    t10 = -2 * (u00 * v01 + u10 * v11 + u20 * v21)
-    t11 = -2 * (u00 * v02 + u10 * v12 + u20 * v22)
-    t12 = -2 * (u01 * v00 + u11 * v10 + u21 * v20)
-    t13 = -2 * (u01 * v02 + u11 * v12 + u21 * v22)
-    t14 = -2 * (u02 * v00 + u12 * v10 + u22 * v20)
-    t15 = -2 * (u02 * v01 + u12 * v11 + u22 * v21)
-    t16 = 2 * (v00 * u00 + v01 * u01 + v02 * u02) + t3
-    t17 = -2 * t0 - t3
-    t18 = 2 * (v10 * u10 + v11 * u11 + v12 * u12) + t3
-    t19 = -2 * t1 - t3
-    t20 = 2 * (v20 * u20 + v21 * u21 + v22 * u22) + t3
-    t21 = -2 * t2 - t3
-    t22 = -2 * (a * v00 - (u11 * u22 - u12 * u21))
-    t23 = -2 * (a * v01 - (u12 * u20 - u10 * u22))
-    t24 = -2 * (a * v02 - (u10 * u21 - u11 * u20))
-    t25 = -2 * (a * v10 - (u02 * u21 - u01 * u22))
-    t26 = -2 * (a * v11 - (u00 * u22 - u02 * u20))
-    t27 = -2 * (a * v12 - (u01 * u20 - u00 * u21))
-    t28 = -2 * (a * v20 - (u01 * u12 - u02 * u11))
-    t29 = -2 * (a * v21 - (u02 * u10 - u00 * u12))
-    t30 = -2 * (a * v22 - (u00 * u11 - u01 * u10))
-    t31 = 2 * (b * u00 - (v11 * v22 - v12 * v21))
-    t32 = 2 * (b * u10 - (v02 * v21 - v01 * v22))
-    t33 = 2 * (b * u20 - (v01 * v12 - v02 * v11))
-    t34 = 2 * (b * u01 - (v12 * v20 - v10 * v22))
-    t35 = 2 * (b * u11 - (v00 * v22 - v02 * v20))
-    t36 = 2 * (b * u21 - (v02 * v10 - v00 * v12))
-    t37 = 2 * (b * u02 - (v10 * v21 - v11 * v20))
-    t38 = 2 * (b * u12 - (v01 * v20 - v00 * v21))
-    t39 = 2 * (b * u22 - (v00 * v11 - v01 * v10))
+    t4 = 2.0 * (v00 * u10 + v01 * u11 + v02 * u12)
+    t5 = 2.0 * (v00 * u20 + v01 * u21 + v02 * u22)
+    t6 = 2.0 * (v10 * u00 + v11 * u01 + v12 * u02)
+    t7 = 2.0 * (v10 * u20 + v11 * u21 + v12 * u22)
+    t8 = 2.0 * (v20 * u00 + v21 * u01 + v22 * u02)
+    t9 = 2.0 * (v20 * u10 + v21 * u11 + v22 * u12)
+    t10 = -2.0 * (u00 * v01 + u10 * v11 + u20 * v21)
+    t11 = -2.0 * (u00 * v02 + u10 * v12 + u20 * v22)
+    t12 = -2.0 * (u01 * v00 + u11 * v10 + u21 * v20)
+    t13 = -2.0 * (u01 * v02 + u11 * v12 + u21 * v22)
+    t14 = -2.0 * (u02 * v00 + u12 * v10 + u22 * v20)
+    t15 = -2.0 * (u02 * v01 + u12 * v11 + u22 * v21)
+    t16 = 2.0 * (v00 * u00 + v01 * u01 + v02 * u02) + t3
+    t17 = -2.0 * t0 - t3
+    t18 = 2.0 * (v10 * u10 + v11 * u11 + v12 * u12) + t3
+    t19 = -2.0 * t1 - t3
+    t20 = 2.0 * (v20 * u20 + v21 * u21 + v22 * u22) + t3
+    t21 = -2.0 * t2 - t3
+    t22 = -2.0 * (a * v00 - (u11 * u22 - u12 * u21))
+    t23 = -2.0 * (a * v01 - (u12 * u20 - u10 * u22))
+    t24 = -2.0 * (a * v02 - (u10 * u21 - u11 * u20))
+    t25 = -2.0 * (a * v10 - (u02 * u21 - u01 * u22))
+    t26 = -2.0 * (a * v11 - (u00 * u22 - u02 * u20))
+    t27 = -2.0 * (a * v12 - (u01 * u20 - u00 * u21))
+    t28 = -2.0 * (a * v20 - (u01 * u12 - u02 * u11))
+    t29 = -2.0 * (a * v21 - (u02 * u10 - u00 * u12))
+    t30 = -2.0 * (a * v22 - (u00 * u11 - u01 * u10))
+    t31 = 2.0 * (b * u00 - (v11 * v22 - v12 * v21))
+    t32 = 2.0 * (b * u10 - (v02 * v21 - v01 * v22))
+    t33 = 2.0 * (b * u20 - (v01 * v12 - v02 * v11))
+    t34 = 2.0 * (b * u01 - (v12 * v20 - v10 * v22))
+    t35 = 2.0 * (b * u11 - (v00 * v22 - v02 * v20))
+    t36 = 2.0 * (b * u21 - (v02 * v10 - v00 * v12))
+    t37 = 2.0 * (b * u02 - (v10 * v21 - v11 * v20))
+    t38 = 2.0 * (b * u12 - (v01 * v20 - v00 * v21))
+    t39 = 2.0 * (b * u22 - (v00 * v11 - v01 * v10))
     t40 = t16 / det_p
     t41 = p00 * t22 + p01 * t23 + p02 * t24
     t42 = p00 * t25 + p01 * t26 + p02 * t27

@@ -13,8 +13,12 @@ tolerance, so it does not depend on the scale of the structure.  The
 residuals that ``check``, ``classify``, ``rotate`` and ``verify-g2``
 report are these relative residuals, and ``verify-g2``'s ``bound`` is
 the tolerance itself.  ``--tol`` or else the environment variable
-NHF_TOL overrides the default tolerance of every verdict, the torsion
-class included; a value that is not a finite number > 0 exits 2.  Other
+NHF_TOL overrides the default tolerance of every verdict of ``check``,
+``classify``, ``flow``, ``rotate`` and ``verify-g2``, the torsion class
+included; a value that is not a finite number > 0 exits 2.  ``--tol`` is
+an option of ``nhflat`` itself and goes before the subcommand:
+``nhflat --tol 1e-6 check rec.json``, not ``nhflat check rec.json --tol
+1e-6``, which exits 2 with ``unrecognized arguments``.  Other
 usage errors that exit 2: a record with a non-finite number, ``flow``
 with a zero or non-finite ``--h``, ``--record-every`` below 1, a
 non-finite ``--t-start`` / ``--t-end`` or more than ``flow.MAX_STEPS``

@@ -40,16 +40,22 @@ def _closed_form(build):
     """Family constructor that raises FamilyRangeError, not an arithmetic
     error or a member with a non-finite entry or det P, where its closed
     form under- or overflows (nearly_kahler at lambda = 1e-110: lambda^3 is
-    0; at lambda = 1e-60: det P is inf).  The arguments, all numbers, are
-    taken as Python floats, so that a numpy scalar raises as a float does;
-    the ValueError caught is that of `math.cos` at an infinite angle."""
+    0; at lambda = 1e-60: det P is inf) or an argument is not finite,
+    which it rejects before the constructor can raise an error of its own
+    (nearly_kahler at lambda = inf: det P = 0).  The arguments, all
+    numbers, are taken as Python floats, so that a numpy scalar raises as
+    a float does; the ValueError caught is that of `math.cos` at an angle
+    that overflows (berger_trajectory at t = 1e308)."""
 
     @functools.wraps(build)
     def member(*args, **kwargs):
         try:
-            s = build(*map(float, args), **{k: float(v) for k, v in kwargs.items()})
-            m = s.m9
-            finite = all(map(math.isfinite, [s.lam, s.a, s.b, s.det_p] + m.p + m.q))
+            args, kwargs = [*map(float, args)], {k: float(v) for k, v in kwargs.items()}
+            finite = all(map(math.isfinite, [*args, *kwargs.values()]))
+            if finite:
+                s = build(*args, **kwargs)
+                m = s.m9
+                finite = all(map(math.isfinite, [s.lam, s.a, s.b, s.det_p] + m.p + m.q))
         except StructureError:
             raise
         except (ArithmeticError, ValueError):

@@ -16,12 +16,19 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   (`hitchin_j`);
 * the torsion class from the closed-form vanishing conditions on the
   matrices A, B, R1 and R2 (`matrix_predicates`, `matrix_class`);
-* the flow: the stored structure nearest a time (`structure_at`).
+* the flow: the stored structure nearest a time (`structure_at`);
+* the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
+  the generated kernels must equal, and which, keeping their integer
+  constants, are exact on ``fractions.Fraction`` input where they use
+  only +, - and * (`gen.composed_abr`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -277,3 +284,21 @@ def structure_at(traj, t: float):
     to t."""
     times = np.array([s.t for s in traj.samples])
     return traj.samples[int(np.argmin(np.abs(times - t)))].structure
+
+
+# -- the composed forms of the generated kernels --------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_generator():
+    """``tools/gen_kernels.py`` as a module, registered as ``gen_kernels``."""
+    path = os.path.join(ROOT, "tools", "gen_kernels.py")
+    spec = importlib.util.spec_from_file_location("gen_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = load_generator()

@@ -10,7 +10,13 @@ import pytest
 
 from nhflat import cli, families, flow, torsion
 from nhflat.cli import main
-from nhflat.structure import DEFAULT_TOL, NhfStructure, ValidationReport, random_rotation
+from nhflat.structure import (
+    DEFAULT_TOL,
+    NhfStructure,
+    ValidationReport,
+    random_rotation,
+    sample_random_structure,
+)
 
 
 @pytest.fixture
@@ -76,6 +82,16 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", str(path)])
         assert code == 0
         assert json.loads(out)["class"] == "W1"
+
+
+@pytest.mark.parametrize("command", ["classify", "rotate"])
+def test_invalid_record_names_the_failing_checks(command, capsys, bad_record):
+    code, out, err = run(capsys, [command, bad_record])
+    payload = json.loads(out)
+    assert (code, err) == (1, "")
+    assert sorted(payload) == ["failing", "valid"]
+    assert payload["valid"] is False
+    assert "qtp_symmetry" in payload["failing"]
 
 
 @pytest.mark.parametrize("command", ["check", "classify"])
@@ -516,6 +532,15 @@ class TestRotate:
         assert code == 0
         payload = json.loads(out)
         assert payload["dgamma_theta_max"] < 1e-9
+
+    def test_nonzero_w2_minus_is_one_error_line(self, capsys, tmp_path):
+        # a valid structure of class W1+W2-+W3 has no half-flat rotation
+        path = tmp_path / "w2.json"
+        path.write_text(json.dumps(sample_random_structure(0, method="root-solve").to_record()))
+        code, out, err = run(capsys, ["rotate", str(path)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: w2- is not zero (relative residual")
 
 
 class TestVerifyG2:

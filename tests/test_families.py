@@ -69,13 +69,14 @@ class TestNearlyKahler:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "lam",
-        [1e-110, -1e-110, 1e-60, np.nan,
+        [1e-110, -1e-110, 1e-60, np.nan, np.inf,
          pytest.param(np.float64(1e-110), id="numpy-1e-110"),
          pytest.param(np.float64(1e-60), id="numpy-1e-60")],
     )
     def test_unrepresentable_lambda_rejected(self, lam):
         # a numpy scalar raises as a float does, with no RuntimeWarning
-        # lambda^3 underflows to 0 at 1e-110; det P overflows at 1e-60
+        # lambda^3 underflows to 0 at 1e-110; det P overflows at 1e-60; at
+        # inf the constructor would find det P = 0 and call it singular
         with pytest.raises(families.FamilyRangeError, match="under- or overflows"):
             families.nearly_kahler(lam)
 
@@ -86,6 +87,9 @@ class TestW1Family:
             families.w1_family(1.0, 0.0)
         with pytest.raises(families.FamilyRangeError):
             families.w1_family(1.0, 10.0)
+        # not the constructor's range error, "|p| must lie in (0, 0)"
+        with pytest.raises(families.FamilyRangeError, match="under- or overflows"):
+            families.w1_family(np.inf, 0.1)
 
     def test_endpoint_is_nearly_kahler(self):
         lam = 2.0

@@ -28,7 +28,6 @@ bit."""
 
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,8 +45,7 @@ from nhflat.structure import (
     sample_random_structure,
 )
 from nhflat.tolerance import relative
-from oracles import de_de_form
-from test_kernels import gen
+from oracles import de_de_form, gen
 
 REL_TOL = 1e-13
 
@@ -207,14 +205,6 @@ def composed_f(y):
 def test_abr9_equals_composed_on_random_floats():
     for y in random_states(30):
         assert abr(y[0], y[1], y[2:11], y[11:]) == composed_f(y)
-
-
-def test_abr9_exact_on_fractions():
-    for y in random_states(31, n=20):
-        y = [Fraction(v) for v in y]
-        got = abr(y[0], y[1], y[2:11], y[11:])
-        assert got == composed_f(y)
-        assert all(type(v) is Fraction for v in got)
 
 
 def same_outcome(fn, oracle, *args):

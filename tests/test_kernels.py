@@ -2,17 +2,16 @@
 
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
-the scale-covariance samples of test_scaling.py, the acceptance samples and
-random states, and must agree with them to the bit.  The flow's kernel
+the scale-covariance samples of test_scaling.py, the acceptance samples,
+random float states and the complex states of a complex step, and must
+agree with them to the bit.  The flow's kernel
 (``nhflat._flow_kernels``) is checked in test_flow_oracle.py.  Both
 generated files must be what the generator writes today, and what one
 run of it writes must be current."""
 
-import importlib.util
 import inspect
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -20,22 +19,10 @@ import pytest
 from nhflat import _kernels, families, structure
 from nhflat.mat3 import is_spd9
 from nhflat.structure import NhfStructure, random_rotation
+from oracles import ROOT, gen
 from test_survey_path import acceptance_samples, scaling_samples, survey_samples
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REGENERATE = "python tools/gen_kernels.py"
-
-
-def load_generator():
-    path = os.path.join(ROOT, "tools", "gen_kernels.py")
-    spec = importlib.util.spec_from_file_location("gen_kernels", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = load_generator()
 
 
 def bits(value):
@@ -109,8 +96,8 @@ def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
 
 
 def test_trace_rejects_a_branch():
-    # a branch that does not raise, a guard's branch that computes, and a
-    # function the trace has no node for
+    # a branch that does not raise, a guard's branch that computes, a
+    # function the trace has no node for, and constants with no float
     def guarded(a):
         return (a if a > 0 else -a,)
 
@@ -122,7 +109,10 @@ def test_trace_rejects_a_branch():
     def exponential(a):
         return (math.exp(a),)
 
-    for form in (guarded, computing, exponential):
+    def inexact(a):
+        return (a * (2**53 + 1), a * 10**400)
+
+    for form in (guarded, computing, exponential, inexact):
         with pytest.raises(TypeError):
             gen.emit(gen.Kernel("k", form, ("a",)))
 
@@ -134,7 +124,7 @@ def test_guard_keeps_its_place_and_message():
             raise ValueError(f"|a b| = {c:.2e} is {{large}}")
         return (c * c + math.sqrt(b),)
 
-    source, imports = gen.emit(gen.Kernel("k", form, ("a", "b"), floats=True))
+    source, imports = gen.emit(gen.Kernel("k", form, ("a", "b")))
     assert imports == {"math": {"sqrt"}}
     namespace = {"sqrt": math.sqrt}
     exec(source, namespace)
@@ -144,6 +134,15 @@ def test_guard_keeps_its_place_and_message():
         kernel(1.0, 3.0)
     assert str(raised.value) == "|a b| = 3.00e+00 is {large}"
     assert "2.0" in source and "t0 = a * b" in source
+    assert '"""' not in source  # the form has no docstring, so the kernel has none
+
+
+def test_docstring_does_not_depend_on_its_indent(monkeypatch):
+    # Python 3.13 strips a docstring's indent as it compiles it
+    kernel = gen.MODULES[0].kernels[0]
+    want = gen.emit(kernel)
+    monkeypatch.setattr(kernel.form, "__doc__", inspect.cleandoc(kernel.form.__doc__))
+    assert gen.emit(kernel) == want
 
 
 @pytest.mark.parametrize(
@@ -179,6 +178,29 @@ def test_kernels_equal_composed_forms_on_random_states():
         verdicts.append(is_spd9(*want[1:]))
     # most random states are not SPD, but some are
     assert any(verdicts) and not all(verdicts)
+
+
+def random_complex_states(seed, n):
+    """n argument lists (a, b, Q1, Q2, P, det P) of 30 complex numbers,
+    as a complex step makes them: the real parts' sizes span 1e-3 ... 1e3,
+    and the imaginary parts' sizes span 1e-120 ... 1 on about 30% of the
+    entries and are exact zeros on the rest."""
+    rng = np.random.default_rng(seed)
+    re = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 30))
+    im = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-120.0, 0.0, (n, 30))
+    im[rng.random((n, 30)) >= 0.3] = 0.0
+    states = [list(map(complex, x, y)) for x, y in zip(re.tolist(), im.tolist())]
+    return [(v[0], v[1], v[2:11], v[11:20], v[20:29], v[29]) for v in states]
+
+
+def test_kernels_equal_composed_forms_on_complex_states():
+    # the root-solve sampler's complex-step Jacobian runs `abr` on complex
+    # states; there a float constant multiplies as the composed form's
+    # integer constant does, to the bit
+    for a, b, q1, q2, p, det_p in random_complex_states(43, 3000):
+        assert bits(_kernels.abr(a, b, q1, q2)) == bits(gen.composed_abr(a, b, q1, q2))
+        want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
+        assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
 
 
 def test_structure_reads_the_generated_kernels():

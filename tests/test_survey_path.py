@@ -38,7 +38,6 @@ from nhflat.structure import (
     _bracket9,
     _interleave,
     _j_blocks9,
-    abr,
     bracket_hessian9,
     build_omega,
     invariant_three_form,
@@ -57,14 +56,15 @@ from nhflat.torsion import (
     w3_form,
 )
 from oracles import (
+    ROOT,
     de_de_form,
+    gen,
     induced_metric,
     matrix_class,
     omega_coords,
     three_form_coords,
 )
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALES = np.geomspace(1e-3, 1e3, 13)
 
 
@@ -667,10 +667,11 @@ def test_norms_match_inner_oracle(samples):
 def abr_derivative(x, y):
     """D F[y] at x, F = (A, B, R1, R2) of `abr`, for 20-lists x and y.  F
     is cubic, so F(x + y) - F(x - y) = 2 D F[y] + 2 F(y); evaluated on
-    Fractions, where abr is exact."""
+    Fractions by the composed form `gen.composed_abr`, which is exact
+    there (the kernel `abr` writes its constants as floats)."""
 
     def f(z):
-        return abr(z[0], z[1], z[2:11], z[11:])
+        return gen.composed_abr(z[0], z[1], z[2:11], z[11:])
 
     x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
     plus = f([u + v for u, v in zip(x, y)])

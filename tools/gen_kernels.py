@@ -13,11 +13,12 @@ already made on the same operands, in the same order, is the node made
 then.  `emit` writes the graph as one function: a value used more than
 once gets a name, the rest are written inline, each with the grouping of
 the trace.  No operand is reordered, so a kernel rounds as its composed
-form does, to the last bit.  A kernel keeps the type of every constant,
-and is exact on ``fractions.Fraction`` input wherever the composed form
-is, unless it is marked `floats`: then it is only called on floats, and
-an integer constant is written as a float (``2.0 * x`` is ``2 * x`` for a
-float x, and Python specializes float by float arithmetic).
+form does, to the last bit.  A kernel takes floats, or complex numbers
+if its form has no guard or `math.sqrt` (`abr`, `j_verdicts`), and
+writes each constant as a float (``2.0 * x`` is ``2 * x`` for a float or
+complex x; Python specializes float by float arithmetic).  A composed
+form keeps its integer constants: where it is exact on
+``fractions.Fraction`` input, it is the tests' oracle; the kernel is not.
 
 A comparison of traced values is a guard: ``if x <= 0: raise E(msg)``,
 whose branch must raise before it computes anything.  The trace takes
@@ -34,9 +35,11 @@ before the script can run."""
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
+import textwrap
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,8 +66,10 @@ def composed_abr(a, b, q1, q2):
     gamma' = d omega - lambda J gamma read F too: construction and
     `flow.stage` call this kernel, and the flow's `rk4_step`
     (``nhflat._flow_kernels``) is traced from the same composed form.
-    Uses only +, - and *, so it is exact on ``fractions.Fraction``
-    input."""
+    It uses only +, - and * and integer constants, so the composed form
+    is exact on ``fractions.Fraction`` input; the kernel `abr` writes
+    each constant as a float and equals it, to the bit, on floats and
+    complex numbers."""
     g = mul9(transpose9(q1), q2)  # Q1^T Q2
     tr12 = g[0] + g[4] + g[8]
     s = a * b + tr12
@@ -147,12 +152,9 @@ def composed_rk4_step(lam, sign, y, dy, h):
 
 # -- the kernels ----------------------------------------------------------------
 
-ENTRIES = [f"{i}{j}" for i in range(3) for j in range(3)]
-
-
 def nine(prefix):
     """The names prefix00 ... prefix22 of a row-major 3x3 matrix's entries."""
-    return tuple(prefix + ij for ij in ENTRIES)
+    return tuple(f"{prefix}{i}{j}" for i in range(3) for j in range(3))
 
 
 #: The names of a flat flow state's entries, a, b, Q1 = (u..), Q2 = (v..).
@@ -163,13 +165,12 @@ class Kernel(NamedTuple):
     """A kernel to generate: its name, its composed form and the form's
     parameters, each a scalar's name or (name, entries) for a sequence,
     which the kernel takes and unpacks, calling its entries by the names
-    in `entries`.  With `floats`, an integer constant is written as a
-    float."""
+    in `entries`.  It takes floats, or complex numbers if the form has no
+    guard or `math.sqrt`, and writes each constant as a float."""
 
     name: str
     form: object
     params: tuple
-    floats: bool = False
 
 
 class Module(NamedTuple):
@@ -188,7 +189,6 @@ RK4_STEP = Kernel(
     "rk4_step",
     composed_pass,
     ("lam", "sign", ("y", STATE), ("dy", tuple("d" + x for x in STATE)), "c"),
-    floats=True,
 )
 
 # -- tracing --------------------------------------------------------------------
@@ -278,7 +278,7 @@ class Cond:
 
 class Graph:
     """The nodes of a trace, in the order they were made: ("in", name),
-    ("const", type, repr), ("neg", x), ("abs", x), ("sqrt", x) or
+    ("const", repr of a float), ("neg", x), ("abs", x), ("sqrt", x) or
     (op, x, y), x and y node ids; and its guards, each (position, cond),
     the number of nodes made before it and its comparison (op, x, y).
     Only the guard numbered `take` is true."""
@@ -296,9 +296,10 @@ class Graph:
     def operand(self, x) -> int:
         if isinstance(x, Sym):
             return x.id
-        if type(x) not in (int, float) or x != x or x in (float("inf"), float("-inf")):
-            raise TraceError(f"a kernel constant must be a finite int or float, not {x!r}")
-        return self.node(("const", type(x).__name__, repr(x))).id
+        # an int past 2**53 may have no exact float, and past the largest none
+        if type(x) not in (int, float) or not abs(x) <= sys.float_info.max or float(x) != x:
+            raise TraceError(f"a kernel constant must be a finite float, not {x!r}")
+        return self.node(("const", repr(float(x)))).id
 
     def op(self, op, x, y) -> Sym:
         return self.node((op, self.operand(x), self.operand(y)))
@@ -385,7 +386,7 @@ def _message_parts(message):
     return parts[0::2], [(int(i), spec) for i, spec in pairs]
 
 
-def _body(kernel, graph, roots, indent):
+def _body(graph, roots, indent):
     """The lines that compute a trace's nodes reachable from `roots` (node
     ids) and from its guards, at `indent`, with each value used more than
     once named and each guard in place; `ref`, which writes a node as a
@@ -416,12 +417,7 @@ def _body(kernel, graph, roots, indent):
         if key[0] == "in":
             return key[1], ATOM
         if key[0] == "const":
-            text = key[2]
-            if kernel.floats and key[1] == "int":
-                if float(int(text)) != int(text):
-                    raise TraceError(f"the constant {text} has no float")
-                text = repr(float(int(text)))
-            return text, UNARY if text.startswith("-") else ATOM
+            return key[1], UNARY if key[1].startswith("-") else ATOM
         if key[0] == "neg":
             text, prec = ref(key[1])
             return "-" + (text if prec > UNARY else f"({text})"), UNARY
@@ -524,33 +520,37 @@ def _signature(kernel):
     return f"def {kernel.name}({', '.join(names)}):", unpack
 
 
-def _returned(item, indent):
+def _returned(item, ref, indent):
+    """The lines of a nested result, each traced value written as `ref`
+    writes it."""
     pad = " " * indent
-    if isinstance(item, str):
-        return [f"{pad}{item},"]
+    if isinstance(item, Sym):
+        return [f"{pad}{ref(item.id)[0]},"]
     lines = [f"{pad}("]
     for x in item:
-        lines += _returned(x, indent + 4)
+        lines += _returned(x, ref, indent + 4)
     return lines + [f"{pad}),"]
 
 
-def _names(result, ref):
-    """The result with each traced value written as `ref` writes it."""
-    if isinstance(result, Sym):
-        return ref(result.id)[0]
-    return [_names(item, ref) for item in result]
+def _docstring(form):
+    """The lines of a kernel's docstring: the form's, indented by 4 whatever
+    the Python version (3.13 strips the indent as it compiles); none for a
+    form without one."""
+    if form.__doc__ is None:
+        return []
+    doc = textwrap.indent(inspect.cleandoc(form.__doc__), "    ")
+    return [f'    """{doc.lstrip()}"""']
 
 
 def emit(kernel):
     """The source of the kernel's function and the modules whose names it
     uses, as {module: names}."""
     graph, result = trace(kernel)
-    body, ref, _, imports = _body(kernel, graph, [s.id for s in _leaves(result)], 4)
+    body, ref, _, imports = _body(graph, [s.id for s in _leaves(result)], 4)
     head, unpack = _signature(kernel)
-    ret = _returned(_names(result, ref), 4)
+    ret = _returned(result, ref, 4)
     ret[0], ret[-1] = "    return (", "    )"
-    doc = kernel.form.__doc__
-    return "\n".join([head, f'    """{doc}"""'] + unpack + body + ret) + "\n", imports
+    return "\n".join([head, *_docstring(kernel.form)] + unpack + body + ret) + "\n", imports
 
 
 def emit_rk4_step(kernel):
@@ -570,14 +570,14 @@ def emit_rk4_step(kernel):
     graph, (z, dz) = trace(kernel)
     y, d = kernel.params[2][1], kernel.params[3][1]
     s = tuple("s" + x for x in STATE)
-    body, ref, inputs, imports = _body(kernel, graph, [v.id for v in z + dz], 8)
+    body, ref, inputs, imports = _body(graph, [v.id for v in z + dz], 8)
     # the directions are overwritten from the first y' on, so nothing
     # after the named values may read them
     if any(inputs(v.id) & set(d) for v in dz) or any(ref(v.id)[1] != ATOM for v in z):
         raise TraceError("a pass must name its state before it writes a direction")
     lines = [
         "def rk4_step(lam, sign, y, dy, h):",
-        f'    """{composed_rk4_step.__doc__}"""',
+        *_docstring(composed_rk4_step),
         *_assign(_groups(y), "y", 4),
         *_assign(_groups(d), "dy", 4),
         *_assign(_groups(s), "dy", 4),
