@@ -8,8 +8,10 @@ composed forms and run
 
 The kernel computes what its composed form computes, with the same
 operations on the same operands in the same order, so the results agree
-to the last bit; it takes floats only, so its integer constants are
-written as floats.  Only `nhflat.flow` imports this module."""
+to the last bit.  It takes floats only: its guards compare |det P| with
+the threshold, and it calls `math.sqrt`.  Every constant is written as a
+float, as in every generated kernel.  Only `nhflat.flow` imports this
+module."""
 
 from math import sqrt
 

@@ -6,7 +6,10 @@ change a kernel, change its composed form and run
 
 Each kernel computes what its composed form computes, with the same
 operations on the same operands in the same order, so the results agree
-to the last bit."""
+to the last bit.  The kernels take floats, or complex numbers: none has a
+guard or calls `math.sqrt`.  Every constant is written as a float, so on
+``fractions.Fraction`` input only the composed forms, which keep their
+integer constants, are exact."""
 
 
 def abr(a, b, q1, q2):

@@ -4,12 +4,14 @@ positive-definiteness test, on the 3x3 blocks of a symmetric 6x6 matrix
 
 Each formula is written once over row-major 9-sequences
 (m00, m01, m02, m10, ..., m22) of plain numbers: the determinant
-(`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`) and the
-transpose (`transpose9`).  They need only +, - and *, so they are exact
+(`det9`), the cofactor matrix (`cofactor9`), the product (`mul9`), the
+transpose (`transpose9`) and the inner product <X, Y> = tr(X^T Y)
+(`dot9`), whose nine products are added left to right, so that it rounds
+the same on every Python.  They need only +, - and *, so they are exact
 on ``fractions.Fraction`` entries.  `flat9` reads a 3x3 array or nested
 sequence (`is3x3`), or a 9-sequence, into such a list, without numpy, and
-raises ValueError for any other shape.  The package
-computes every 3x3 product, cofactor and determinant with them, either
+raises ValueError for any other shape.  The package computes every 3x3
+product, cofactor, determinant and inner product with them, either
 directly or through straight-line kernels that ``tools/gen_kernels.py``
 generates by tracing compositions of these helpers, so that they round
 exactly as the helpers do: those of ``nhflat._kernels`` (``abr``,
@@ -72,6 +74,24 @@ def mul9(x, y):
         x20 * y00 + x21 * y10 + x22 * y20,
         x20 * y01 + x21 * y11 + x22 * y21,
         x20 * y02 + x21 * y12 + x22 * y22,
+    )
+
+
+def dot9(x, y):
+    """<X, Y> = tr(X^T Y) of two row-major 9-sequences: the nine products
+    x_k y_k, added left to right.  The builtin ``sum`` adds floats with
+    compensated summation from Python 3.12, so it would round differently
+    on different versions; this order is the same on all of them.  Unlike
+    ``sum``, which starts from the integer 0, it gives -0.0 when all nine
+    products are -0.0.  No command prints such a zero: the callers take
+    the modulus of their result (a residual), add it to terms that are
+    not zero (s), or scale coordinates by it (tau of w2-)."""
+    x00, x01, x02, x10, x11, x12, x20, x21, x22 = x
+    y00, y01, y02, y10, y11, y12, y20, y21, y22 = y
+    return (
+        x00 * y00 + x01 * y01 + x02 * y02
+        + x10 * y10 + x11 * y11 + x12 * y12
+        + x20 * y20 + x21 * y21 + x22 * y22
     )
 
 

@@ -30,12 +30,11 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
-from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from nhflat._kernels import abr, j_verdicts
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
-from nhflat.mat3 import cofactor9, det9, flat9, is3x3, is_spd9, mul9, transpose9
+from nhflat.mat3 import cofactor9, det9, dot9, flat9, is3x3, is_spd9, mul9, transpose9
 from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative, term_size
 
 if TYPE_CHECKING:
@@ -140,10 +139,6 @@ def build_omega(P) -> Form:
     return _table_form(2, _OMEGA_TABLE, flat9(P))
 
 
-def _dot(x, y) -> float:
-    return sum(map(mul, x, y))
-
-
 def three_form_wedge_omega(m1, m2, x) -> list:
     """The 6 coefficients, in basis order, of the 5-form
     invariant_three_form(c135, c246, M1, M2) ^ build_omega(X), with M1, M2
@@ -159,7 +154,7 @@ def three_form_wedge_omega(m1, m2, x) -> list:
 def three_form_volume(x, y) -> float:
     """The e123456 coefficient of the wedge of the invariant 3-forms with
     20-lists x and y (see `invariant_three_form`)."""
-    return x[1] * y[0] - x[0] * y[1] + _dot(x[2:11], y[11:20]) - _dot(x[11:20], y[2:11])
+    return x[1] * y[0] - x[0] * y[1] + dot9(x[2:11], y[11:20]) - dot9(x[11:20], y[2:11])
 
 
 def compute_abr(a: float, b: float, Q1, Q2):
@@ -218,13 +213,13 @@ def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
         - 4.0 * h * (ya * yb - tu)
         + 4.0 * dt * dt
         + 8.0 * t * tu
-        - 4.0 * _dot(dg, transpose9(dg))
-        - 8.0 * _dot(g, transpose9(u))
+        - 4.0 * dot9(dg, transpose9(dg))
+        - 8.0 * dot9(g, transpose9(u))
         - 8.0 * (
-            ya * _dot(cofactor9(q2), y2)
-            + yb * _dot(cofactor9(q1), y1)
-            + a * _dot(q2, cofactor9(y2))
-            + b * _dot(q1, cofactor9(y1))
+            ya * dot9(cofactor9(q2), y2)
+            + yb * dot9(cofactor9(q1), y1)
+            + a * dot9(q2, cofactor9(y2))
+            + b * dot9(q1, cofactor9(y1))
         )
     )
 

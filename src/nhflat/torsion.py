@@ -64,7 +64,10 @@ torsion of SU(3) and G2 structures", 2002).  vol(omega^3) = 6 det P.
 w2- is a primitive (1,1)-form, so *w2- = -w2- ^ omega and
 
     |w2-|^2 = -6 vol(w2- ^ w2- ^ omega) / vol(omega^3)
-            = -2 <Adj(X^T), P> / det P,   <X, Y> = tr(X^T Y).
+            = -2 <Adj(X^T), P> / det P,
+
+with <X, Y> = tr(X^T Y) the inner product `mat3.dot9`, which adds its
+terms in one order on every Python, as every sum here does.
 
 w3 lies in the 12-dimensional module.  There *w3 = J w3, J acting on
 forms by applying the endomorphism J of the coframe to every slot (the
@@ -85,10 +88,9 @@ decided on its 3x3 blocks (`NhfStructure.metric_spd`).
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat.mat3 import cofactor9, mul9, transpose9
+from nhflat.mat3 import cofactor9, dot9, mul9, transpose9
 from nhflat.structure import (
     DEFAULT_TOL,
     InvalidStructureError,
@@ -223,7 +225,7 @@ def _w2_minus(structure: NhfStructure):
     p, jg = m.p, structure.jgamma_coords
     k = (4.0 / 3.0) * w1p
     t = [x + y - k * c for x, y, c in zip(jg[2:11], jg[11:20], m.adj_pt)]
-    tau = sum(map(mul, t, p)) / (2.0 * dp)
+    tau = dot9(t, p) / (2.0 * dp)
     ptp = mul9(mul9(p, transpose9(t)), p)
     x = [u / dp - tau * v for u, v in zip(ptp, p)]
     # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
@@ -238,7 +240,7 @@ def _w2_minus_primitivity(structure: NhfStructure, x, size: float, tol: float) -
     z, m = structure.sizes, structure.m9
     bad = max(
         relative(three_form_wedge_omega(m.q1, m.q2, x), size * z.gam),
-        relative(2.0 * sum(map(mul, x, m.adj_pt)), size * z.p * z.p),
+        relative(2.0 * dot9(x, m.adj_pt), size * z.p * z.p),
     )
     if not bad <= tol:
         raise InvalidStructureError(f"w2- primitivity residual {bad:.3e} exceeds tolerance")
@@ -256,7 +258,7 @@ def _w2_minus_norm2(structure: NhfStructure, x) -> float:
     """|w2-|^2 = -2 <Adj(X^T), P> / det P of the primitive (1,1)-form
     w2- = build_omega(X), X a row-major 9-list (see the module
     docstring)."""
-    return -2.0 * sum(map(mul, cofactor9(x), structure.m9.p)) / structure.det_p
+    return -2.0 * dot9(cofactor9(x), structure.m9.p) / structure.det_p
 
 
 def _w3_norm2(structure: NhfStructure, y) -> float:

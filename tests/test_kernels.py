@@ -170,8 +170,11 @@ def random_kernel_states(seed, n):
 
 
 def test_kernels_equal_composed_forms_on_random_states():
+    # at 3000 states, a sum regrouped in either kernel differs on 100 to 550
+    # of them, and B written as -(x - z) -> z - x, which moves only the sign
+    # of a zero, on one
     verdicts = []
-    for a, b, q1, q2, p, det_p in random_kernel_states(40, 20000):
+    for a, b, q1, q2, p, det_p in random_kernel_states(40, 3000):
         want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
         assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
         assert bits(_kernels.abr(a, b, q1, q2)) == bits(gen.composed_abr(a, b, q1, q2))

@@ -1,10 +1,12 @@
 """3x3 determinant / adjugate helpers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from nhflat import families, flow
-from nhflat.mat3 import adjugate, det3, flat9, polarized_adjugate
+from nhflat.mat3 import adjugate, det3, dot9, flat9, polarized_adjugate
 from nhflat.structure import invariant_three_form
 
 
@@ -51,6 +53,23 @@ def test_polarized_adjugate_exact_decomposition():
     lhs = adjugate(p + x)
     rhs = adjugate(p) + adjugate(x) + polarized_adjugate(p, x)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_dot9_adds_left_to_right():
+    # a left fold loses the 1.0 to 1e16 + 1.0 == 1e16; the builtin sum of
+    # Python 3.12 and later compensates and gives 1.0
+    assert dot9((1e16, 1.0, -1e16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0,) * 9) == 0.0
+    assert repr(dot9((-0.0,) * 9, (1.0,) * 9)) == "-0.0"
+
+
+def test_dot9_is_exact_on_fractions():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = [Fraction(v) for v in rng.standard_normal(9).tolist()]
+        y = [Fraction(v) for v in rng.standard_normal(9).tolist()]
+        got = dot9(x, y)
+        assert type(got) is Fraction
+        assert got == sum(u * v for u, v in zip(x, y))
 
 
 BAD_SHAPES = {
