@@ -22,9 +22,9 @@ _ORIGIN = {
     "d": "exterior",
     "NhfStructure": "structure",
     "ValidationReport": "structure",
-    "StructureError": "structure",
-    "InvalidStructureError": "structure",
-    "SingularStructureError": "structure",
+    "StructureError": "errors",
+    "InvalidStructureError": "errors",
+    "SingularStructureError": "errors",
     "sample_random_structure": "structure",
     "TorsionData": "torsion",
     "ClassReport": "torsion",

@@ -17,10 +17,10 @@ Inside `integrate` the state is a flat sequence of 20 Python floats,
 with Q1 and Q2 row-major (y[2:11] and y[11:20]).  `stage` evaluates the
 equations at a state, from `_recover9` and the kernel `abr`, and is
 their one written form.  `rk4_step` takes a whole RK4 step, its four
-stages in one call: it is the one generated kernel of
-``nhflat._flow_kernels``, which ``tools/gen_kernels.py`` traces from
-`stage` over the `mat3` helpers, so it computes each stage bit for bit
-as `stage` does.  Each state's y' is evaluated once: it is both the
+stages in one call: it is a generated kernel of
+``nhflat._flow_kernels``, as `abr` is, which ``tools/gen_kernels.py``
+traces from `stage` over the `mat3` helpers, so it computes each stage
+bit for bit as `stage` does.  Each state's y' is evaluated once: it is both the
 derivative of its sample and the k1 of the next step, so n steps take
 4n + 1 stages, the first of them a call of `stage`.  Where a stage
 raises, the run stops and `integrate` returns what it has, marked
@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._flow_kernels import rk4_step
-from nhflat._kernels import abr
+from nhflat._flow_kernels import abr, rk4_step
 from nhflat.mat3 import cofactor9, det9, flat9
 from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
 from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative

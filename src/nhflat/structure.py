@@ -32,30 +32,25 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._kernels import abr, j_verdicts
+from nhflat._kernels import construct, verdicts
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
-from nhflat.mat3 import cofactor9, det9, dot9, flat9, is3x3, is_spd9, mul9, transpose9
-from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative, term_size
+# the errors, re-exported: they are defined apart, for the kernels that raise them
+from nhflat.errors import (  # noqa: F401
+    InvalidStructureError,
+    SingularStructureError,
+    StructureError,
+)
+from nhflat.mat3 import cofactor9, dot9, flat9, is3x3, is_spd9, mul9, transpose9
+from nhflat.tolerance import DEFAULT_TOL, badness, max_abs
 
 if TYPE_CHECKING:
     import numpy as np
 
     from nhflat.exterior import Form
 
-#: P is singular when |det P| <= SINGULAR_DETP * max|P|^3.
+#: P is singular when |det P| <= SINGULAR_DETP * max|P|^3 (`construct`
+#: is generated with its value).
 SINGULAR_DETP = 1e-12
-
-
-class StructureError(ValueError):
-    """Base error for structure construction and validation."""
-
-
-class SingularStructureError(StructureError):
-    """det P is (numerically) zero; the parameterization degenerates."""
-
-
-class InvalidStructureError(StructureError):
-    """The parameters violate the validity constraints beyond tolerance."""
 
 
 def _e(i: int):
@@ -162,26 +157,17 @@ def compute_abr(a: float, b: float, Q1, Q2):
 
     Nothing in the package calls it; it stays only because the benchmark's
     tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
-    retargets the tracer.  `abr` is the computation."""
+    retargets the tracer.  The flow's kernel `abr` is the computation."""
+    from nhflat._flow_kernels import abr
+
     f = abr(float(a), float(b), flat9(Q1), flat9(Q2))
     R1, R2 = _array3x3(f[2:11]), _array3x3(f[11:])
     return f[0], f[1], R1, R2, R1 + R2
 
 
-def _bracket9(a: float, b: float, q1, q2) -> float:
-    """The normalization bracket of (a, b, Q1, Q2), with Q1, Q2 given as
-    row-major 9-sequences: (det P)^2 equals it exactly when J^2 = -id.
-
-        -(a b - tr(Q1^T Q2))^2 - 4 (a det Q2 + b det Q1) + 4 tr Adj(Q1^T Q2)"""
-    g = mul9(transpose9(q1), q2)
-    t = a * b - (g[0] + g[4] + g[8])
-    c = cofactor9(g)  # its diagonal is that of Adj(g)
-    return -(t * t) - 4.0 * (a * det9(q2) + b * det9(q1)) + 4.0 * (c[0] + c[4] + c[8])
-
-
 def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
-    """The second derivative D^2 lambda[y, y] of the bracket lambda =
-    `_bracket9` at (a, b, Q1, Q2) in the direction of the 20-list
+    """The second derivative D^2 lambda[y, y] of the normalization
+    bracket lambda at (a, b, Q1, Q2) in the direction of the 20-list
     y = (ya, yb, Y1, Y2) (see `invariant_three_form`); 3x3 data as row-major
     9-sequences.  With g = Q1^T Q2, dg = Y1^T Q2 + Q1^T Y2, u = Y1^T Y2,
     h = a b - tr g and e = ya b + a yb - tr dg, by the product rule
@@ -196,7 +182,7 @@ def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
     which would lose the digits of the small factors.
 
     It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
-    R1, R2) of `abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
+    R1, R2) of the kernel `abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
     Hitchin's construction of the dual map gamma -> J gamma =
     (2 / det P) F(gamma), F is the symplectic gradient of the quartic
     invariant lambda / 2."""
@@ -314,8 +300,9 @@ class Lists9(NamedTuple):
 
 class Sizes(NamedTuple):
     """Largest |entry| of each factor the validity and torsion verdicts
-    compare (see `tolerance.relative`); omega's is that of P, since its
-    coefficients are those of P and zeros."""
+    compare (see `tolerance.relative`), NaN if an entry is: gamma, J gamma,
+    P (and omega, since its coefficients are those of P and zeros), Q, Q1
+    and Q2."""
 
     gam: float
     jg: float
@@ -338,22 +325,22 @@ def _matrix9(m) -> list:
 class NhfStructure:
     """An invariant nearly half-flat structure with its derived cache.
 
-    Construction works on Python floats and row-major 9-lists only: it
-    computes det P and the 3x3 data P, Q, Adj(P^T), Q1, Q2, R1 and R2, kept
-    as the 9-lists `m9` that the verdicts read, and the 20-list
-    `jgamma_coords` of J gamma (see `invariant_three_form`); F = (A, B,
-    R1, R2) is one call of the generated kernel `abr`.  Everything else is
-    computed on first use: the J^2 = -id residual, the values that more
-    than one verdict reads (`w1plus`, `sizes`, `metric_spd`), and the numpy
-    views for callers, the arrays P, Q, Q1, Q2 and J and the forms omega,
-    gamma and J gamma.  :meth:`metric` builds g on each call.  No verdict
-    reads an array or a form, so checking and classifying a structure does
-    not import numpy.  The J^2 = -id residual and the SPD verdict
-    `metric_spd` read one call of the generated kernel `j_verdicts`
-    (``nhflat._kernels``, traced from compositions of the `mat3` helpers
-    by ``tools/gen_kernels.py``): (J^2)_11 + 1, and the 3x3 blocks,
-    products of P with the blocks of J, on which `mat3.is_spd9` decides
-    without g.
+    Construction works on Python floats and row-major 9-lists only, in
+    one call of the generated kernel `construct` (``nhflat._kernels``,
+    traced from compositions of the `mat3` helpers by
+    ``tools/gen_kernels.py``): it computes det P, rejects a singular P,
+    and computes the 3x3 data Adj(P^T), Q1, Q2, R1 and R2, kept with P
+    and Q as the 9-lists `m9` that the verdicts read, the 20-list
+    `jgamma_coords` of J gamma (see `invariant_three_form`), F = (A, B,
+    R1, R2) and the `sizes` of gamma, J gamma, P, Q, Q1 and Q2.
+    Everything else is computed on first use: the defining residuals,
+    the J^2 = -id residual and the SPD verdict `metric_spd`, all from one
+    call of the generated kernel `verdicts` ((J^2)_11 + 1, and the 3x3
+    blocks, products of P with the blocks of J, on which `mat3.is_spd9`
+    decides without g); `w1plus`; and the numpy views for callers, the
+    arrays P, Q, Q1, Q2 and J and the forms omega, gamma and J gamma.
+    :meth:`metric` builds g on each call.  No verdict reads an array or a
+    form, so checking and classifying a structure does not import numpy.
     Nothing is mutated after that, so instances are safe to share between
     threads (two threads may both compute a value on first use; they get
     the same value).  Construction only rejects singular det P; use
@@ -372,44 +359,34 @@ class NhfStructure:
         # as x * 2.0**-e, not with `math.ldexp`.
         if lam == 0:
             raise StructureError("lambda must be nonzero")
-        self.lam = float(lam)
-        self.a = float(a)
-        self.b = float(b)
+        self.lam = lam = float(lam)
+        self.a = a = float(a)
+        self.b = b = float(b)
         p, q = (P, Q) if _flat else (_matrix9(P), _matrix9(Q))
-        self.det_p = det_p = det9(p)
-        # a test of the shape of P, independent of its scale
-        n_p = max_abs(p)
-        if relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
-            raise SingularStructureError(f"det P = {det_p} is singular")
-        self.orientation = 1 if det_p.real > 0 else -1
-        # Adj(P^T), Q1, Q2 and F = (A, B, R1, R2) (as `compute_abr`)
-        adj = list(cofactor9(p))
-        h = 0.5 * self.lam
-        q1 = [x - h * c for x, c in zip(q, adj)]
-        q2 = [-x - h * c for x, c in zip(q, adj)]
-        f = abr(self.a, self.b, q1, q2)
+        self.det_p, adj, q1, q2, f, self.jgamma_coords, sizes = construct(lam, a, b, p, q)
+        self.orientation = 1 if self.det_p.real > 0 else -1
         self.A, self.B = f[0], f[1]
-        self.m9 = Lists9(p, q, adj, q1, q2, list(f[2:11]), list(f[11:]))
-        # J gamma = (2/det P) F on the slots of gamma's (a, b, Q1, Q2)
-        c = 2.0 / det_p
-        self.jgamma_coords = [c * x for x in f]
+        self.m9 = Lists9(p, q, adj, q1, q2, f[2:11], f[11:])
+        self.sizes = Sizes(*sizes)
 
     # -- derived values, computed on first use ---------------------------
 
     @cached_property
-    def _j_verdicts(self) -> tuple:
-        """(J^2)_11 + 1 and the three blocks of |det P| (g + g^T) that
-        `mat3.is_spd9` reads, from one call of the generated kernel
-        `_kernels.j_verdicts`."""
+    def _verdicts(self) -> tuple:
+        """The defining residuals, their block maxima, |(J^2)_11 + 1| and
+        the three blocks of |det P| (g + g^T) that `mat3.is_spd9` reads,
+        from one call of the generated kernel `_kernels.verdicts`."""
         m = self.m9
-        p = m.p if self.det_p > 0 else [-x for x in m.p]
-        return j_verdicts(self.a, self.b, m.q1, m.q2, p, self.det_p)
+        return verdicts(
+            self.a, self.b, m.p, m.q, m.q1, m.q2, self.jgamma_coords, self.sizes,
+            float(self.orientation), self.det_p,
+        )
 
     @cached_property
     def j_squared_residual(self) -> float:
         """|(J^2)_11 + 1|, the largest |entry| of J^2 + id up to rounding,
-        by Hitchin's identity (see `_kernels.j_verdicts`)."""
-        return abs(self._j_verdicts[0])
+        by Hitchin's identity (see `_kernels.verdicts`)."""
+        return self._verdicts[4]
 
     @property
     def w1_minus(self) -> float:
@@ -459,26 +436,12 @@ class NhfStructure:
         return (g[0] + g[4] + g[8]) / (2.0 * self.det_p * self.det_p)
 
     @cached_property
-    def sizes(self) -> Sizes:
-        """Sizes of gamma, J gamma, P (and omega), Q, Q1 and Q2."""
-        m = self.m9
-        return Sizes(
-            gam=max_abs([self.a, self.b] + m.q1 + m.q2),
-            jg=max_abs(self.jgamma_coords),
-            p=max_abs(m.p),
-            q=max_abs(m.q),
-            q1=max_abs(m.q1),
-            q2=max_abs(m.q2),
-        )
-
-    @cached_property
     def metric_spd(self) -> bool:
         """Whether g is positive definite, decided on 3x3 blocks by
         `mat3.is_spd9`, without g: the blocks of |det P| (g + g^T),
         products of P with the blocks of (det P) J^T (see
-        `_kernels.j_verdicts`)."""
-        _, a, b, c = self._j_verdicts
-        return is_spd9(a, b, c)
+        `_kernels.verdicts`)."""
+        return is_spd9(*self._verdicts[5:])
 
     def metric(self) -> np.ndarray:
         """The induced metric g = W J as a 6x6 array; raises
@@ -494,45 +457,28 @@ class NhfStructure:
         6 coefficients of J gamma ^ omega.  Each is divided by the size of
         the terms it compares, as `tolerance.relative` divides, so none
         changes under the scaling (lambda, a, b, P, Q) -> (c lambda,
-        a/c^3, b/c^3, P/c^2, Q/c^3)."""
-        # sizes of the factors (products, not powers: a float power raises
-        # on overflow where a product gives inf)
-        z, m = self.sizes, self.m9
-        n_a, n_b = abs(self.a), abs(self.b)
-        n_ab = n_a * n_b + z.q1 * z.q2  # a b - tr(Q1^T Q2)
-        dp2 = self.det_p * self.det_p
-        # Q^T P - P^T Q = G - G^T, G = Q^T P: zero on the diagonal and
-        # antisymmetric, so its three entries above the diagonal
-        g = mul9(transpose9(m.q), m.p)
-        size = term_size(z.q * z.p)
-        res = [(g[1] - g[3]) / size, (g[2] - g[6]) / size, (g[5] - g[7]) / size]
-        # (det P)^2 against each term of the bracket
-        res.append((dp2 - _bracket9(self.a, self.b, m.q1, m.q2)) / term_size(
-            dp2, n_ab * n_ab, n_a * z.q2 * z.q2 * z.q2, n_b * z.q1 * z.q1 * z.q1,
-            z.q1 * z.q2 * z.q1 * z.q2,
-        ))
-        jg = self.jgamma_coords
-        size = term_size(z.jg * z.p)
-        res += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], m.p)]
-        return res
+        a/c^3, b/c^3, P/c^2, Q/c^3).  A new list on each call, read off
+        the kernel `_kernels.verdicts`."""
+        return self._verdicts[0][:]
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """The largest |residual| of each block of `defining_residuals`,
         as `qtp_symmetry`, `normalization` and `jgamma_wedge_omega`, and,
         reported apart as `metric_spd`, whether g is positive definite.
         The J^2 = -id residual `j_squared_residual` is reported too; J is
-        scale free, so it is taken as it is.
+        scale free, so it is taken as it is.  All of them are read off one
+        call of the kernel `_kernels.verdicts`.
 
         Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
         for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
         (2/3) omega^3 and the symmetry of g follow from the defining
         conditions."""
-        r = self.defining_residuals()
+        _, qtp, norm, jgw, j_sq = self._verdicts[:5]
         res = {
-            "qtp_symmetry": max_abs(r[:3]),
-            "normalization": abs(r[3]),
-            "j_squared": self.j_squared_residual,
-            "jgamma_wedge_omega": max_abs(r[4:]),
+            "qtp_symmetry": qtp,
+            "normalization": norm,
+            "j_squared": j_sq,
+            "jgamma_wedge_omega": jgw,
         }
         return ValidationReport(residuals=res, metric_spd=self.metric_spd, tol=tol)
 

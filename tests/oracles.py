@@ -20,7 +20,9 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
 * the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
   the generated kernels must equal, and which, keeping their integer
   constants, are exact on ``fractions.Fraction`` input where they use
-  only +, - and * (`gen.composed_abr`).
+  only +, - and * (`gen.composed_abr`, and the normalization bracket
+  `gen.composed_bracket`, which the package computes only inside the
+  kernel `verdicts`).
 """
 
 from __future__ import annotations

@@ -22,14 +22,14 @@ import pytest
 
 from nhflat import families, flow
 from nhflat.exterior import BASIS, Form, d, wedge
-from nhflat.structure import _bracket9, random_rotation, sample_random_structure
+from nhflat.structure import random_rotation, sample_random_structure
 from nhflat.torsion import (
     classify,
     extract_torsion,
     rotate_to_half_flat,
     scalar_curvature,
 )
-from oracles import hitchin_j, structure_at
+from oracles import gen, hitchin_j, structure_at
 
 SQRT3 = np.sqrt(3.0)
 
@@ -141,7 +141,7 @@ def test_08_berger_trajectory_documented_deviation():
         s = families.berger_trajectory(t)
         worst_norm = max(
             worst_norm,
-            abs(s.det_p * s.det_p - _bracket9(s.a, s.b, s.m9.q1, s.m9.q2)),
+            abs(s.det_p * s.det_p - gen.composed_bracket(s.a, s.b, s.m9.q1, s.m9.q2)),
         )
         da, db, dQ1, dQ2 = families.berger_derivative(t)
         ra, rb, rQ1, rQ2 = flow.flow_rhs(s.lam, s.a, s.b, s.Q1, s.Q2, s.det_p)

@@ -717,8 +717,8 @@ def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # its own command imported: check and classify leave out flow, its
     # kernels and csv, an invalid record needs no torsion, flow needs no
     # torsion, and verify-g2 reads flow's G2 pieces but writes no CSV
-    base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.mat3",
-            "nhflat.structure", "nhflat.tolerance"]
+    base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.errors",
+            "nhflat.mat3", "nhflat.structure", "nhflat.tolerance"]
     runs = [
         (["check", nk_record], 0, base + ["nhflat.torsion"], False),
         (["check", bad_record], 1, base, False),

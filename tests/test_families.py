@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from nhflat import families, flow
-from nhflat.structure import NhfStructure, _bracket9
+from nhflat.structure import NhfStructure
 from nhflat.torsion import extract_torsion
+from oracles import gen
 
 SQRT3 = np.sqrt(3.0)
 
@@ -241,7 +242,7 @@ class TestBerger:
     def test_published_data_fails_normalization(self):
         for t in (0.3, np.pi / 6.0, 0.8):
             s = families.berger_trajectory(t)
-            resid = abs(s.det_p * s.det_p - _bracket9(s.a, s.b, s.m9.q1, s.m9.q2))
+            resid = abs(s.det_p * s.det_p - gen.composed_bracket(s.a, s.b, s.m9.q1, s.m9.q2))
             assert resid > 1e-4  # measured ~2.5e-3
 
     def test_published_data_fails_validation(self):

@@ -34,11 +34,10 @@ import pytest
 
 from nhflat import families, flow, structure
 from nhflat.exterior import d
-from nhflat.flow import g2_residual
+from nhflat.flow import abr, g2_residual
 from nhflat.mat3 import adjugate, cofactor9, det3, det9, mul9, transpose9
 from nhflat.structure import (
     SingularStructureError,
-    abr,
     compute_abr,
     invariant_three_form,
     random_rotation,

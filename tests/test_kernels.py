@@ -1,13 +1,15 @@
-"""The generated kernels of ``nhflat._kernels`` against their composed forms.
+"""The generated kernels of ``nhflat._kernels`` and the flow's `abr`
+against their composed forms.
 
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
 the scale-covariance samples of test_scaling.py, the acceptance samples,
-random float states and the complex states of a complex step, and must
-agree with them to the bit.  The flow's kernel
-(``nhflat._flow_kernels``) is checked in test_flow_oracle.py.  Both
-generated files must be what the generator writes today, and what one
-run of it writes must be current."""
+random float states, states near valid structures, states whose products
+overflow to inf and NaN, and the complex states of a complex step, and
+must agree with them to the bit, or raise the same error.  The flow's
+`rk4_step` (``nhflat._flow_kernels``) is checked in test_flow_oracle.py.
+Both generated files must be what the generator writes today, and what
+one run of it writes must be current."""
 
 import inspect
 import math
@@ -16,9 +18,9 @@ import os
 import numpy as np
 import pytest
 
-from nhflat import _kernels, families, structure
+from nhflat import _flow_kernels, _kernels, families, flow, structure, tolerance
 from nhflat.mat3 import is_spd9
-from nhflat.structure import NhfStructure, random_rotation
+from nhflat.structure import NhfStructure, random_rotation, sample_random_structure
 from oracles import ROOT, gen
 from test_survey_path import acceptance_samples, scaling_samples, survey_samples
 
@@ -33,12 +35,37 @@ def bits(value):
     return [repr(value)]
 
 
-def j_args(s):
-    """The arguments of `j_verdicts` for the structure s, as
-    `NhfStructure._j_verdicts` passes them."""
-    m = s.m9
-    p = m.p if s.det_p > 0 else [-x for x in m.p]
-    return s.a, s.b, m.q1, m.q2, p, s.det_p
+def outcome(fn, *args):
+    """What fn(*args) gives as `bits`, or the class and message of what it
+    raises."""
+    try:
+        return bits(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def verdict_args(lam, a, b, p, q):
+    """The arguments of `verdicts` for the structure (lambda, a, b, P, Q),
+    as `NhfStructure` passes them, from the composed construction; None
+    where it raises.  The sign is that of det P's real part."""
+    try:
+        det_p, _, q1, q2, _, jg, sizes = gen.composed_construct(lam, a, b, p, q)
+    except structure.SingularStructureError:
+        return None
+    return a, b, p, q, q1, q2, jg, sizes, 1.0 if det_p.real > 0 else -1.0, det_p
+
+
+def check_kernels(lam, a, b, p, q):
+    """Assert that `construct` and `verdicts` equal their composed forms
+    at (lambda, a, b, P, Q); the composed verdicts, or None."""
+    args = (lam, a, b, p, q)
+    assert outcome(_kernels.construct, *args) == outcome(gen.composed_construct, *args)
+    v = verdict_args(*args)
+    if v is None:
+        return None
+    want = gen.composed_verdicts(*v)
+    assert bits(_kernels.verdicts(*v)) == bits(want)
+    return want
 
 
 @pytest.mark.parametrize("module", gen.MODULES, ids=lambda m: os.path.basename(m.path))
@@ -69,18 +96,20 @@ def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
 
 
 def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
-    # an edit of composed_abr reaches both files in one run: `rk4_step` is
-    # traced through `flow.stage`, whose `abr` the trace binds to the
-    # composed form, not to the kernel imported with `flow`
+    # an edit of composed_abr reaches both files in one run: `construct`
+    # calls it, and `rk4_step` is traced through `flow.stage`, whose `abr`
+    # the trace binds to the composed form, not to the kernel imported
+    # with `flow`
     source = inspect.getsource(gen.composed_abr)
     assert source.count("s = a * b + tr12") == 1
     namespace = dict(vars(gen))
     exec(source.replace("s = a * b + tr12", "s = b * a + tr12"), namespace)
     regrouped = namespace["composed_abr"]
-    kernels = gen.MODULES[0].kernels
+    kernels = gen.MODULES[1].kernels
+    assert kernels[0] is gen.ABR
     modules = (
-        gen.MODULES[0]._replace(kernels=(kernels[0]._replace(form=regrouped), *kernels[1:])),
-        *gen.MODULES[1:],
+        gen.MODULES[0],
+        gen.MODULES[1]._replace(kernels=(gen.ABR._replace(form=regrouped), *kernels[1:])),
     )
     monkeypatch.setattr(gen, "composed_abr", regrouped)
     monkeypatch.setattr(gen, "MODULES", modules)
@@ -96,10 +125,20 @@ def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
 
 
 def test_trace_rejects_a_branch():
-    # a branch that does not raise, a guard's branch that computes, a
-    # function the trace has no node for, and constants with no float
+    # a branch that does not raise, also on a traced max of either rule, a
+    # guard's branch that computes, a function the trace has no node for,
+    # and constants with no float
     def guarded(a):
         return (a if a > 0 else -a,)
+
+    def on_max(a, b):
+        return (a if max(a, b) > 1.0 else b,)
+
+    def on_max_abs(a, b):
+        return (a if tolerance.max_abs([a, b]) > 1.0 else b,)
+
+    def on_term_size(a, b):
+        return (a if tolerance.term_size(a, b) > 1.0 else b,)
 
     def computing(a):
         if a < 0:
@@ -115,6 +154,9 @@ def test_trace_rejects_a_branch():
     for form in (guarded, computing, exponential, inexact):
         with pytest.raises(TypeError):
             gen.emit(gen.Kernel("k", form, ("a",)))
+    for form in (on_max, on_max_abs, on_term_size):
+        with pytest.raises(gen.TraceError):
+            gen.emit(gen.Kernel("k", form, ("a", "b")))
 
 
 def test_guard_keeps_its_place_and_message():
@@ -139,10 +181,63 @@ def test_guard_keeps_its_place_and_message():
 
 def test_docstring_does_not_depend_on_its_indent(monkeypatch):
     # Python 3.13 strips a docstring's indent as it compiles it
-    kernel = gen.MODULES[0].kernels[0]
+    kernel = gen.ABR
     want = gen.emit(kernel)
     monkeypatch.setattr(kernel.form, "__doc__", inspect.cleandoc(kernel.form.__doc__))
     assert gen.emit(kernel) == want
+
+
+def size_form(x, y, z):
+    """The largest moduli as the package takes them, by both rules."""
+    return (
+        tolerance.max_abs([x, y, z]),
+        tolerance.max_abs([x, y]),
+        tolerance.term_size(x, y, z),
+        tolerance.term_size([x, y], z),
+        tolerance.term_size(x),
+    )
+
+
+def max_form(x, y, z):
+    """`size_form` and the builtin max of the values."""
+    return (*size_form(x, y, z), max(x, y, z), max([y, x]))
+
+
+def emitted(form):
+    """The kernel emitted from form(x, y, z)."""
+    source, imports = gen.emit(gen.Kernel("k", form, ("x", "y", "z")))
+    assert imports == {}
+    assert "tolerance" not in source and "min(" in source and "1e-300)" in source
+    namespace = {}
+    exec(source, namespace)
+    return namespace["k"]
+
+
+NAN, INF = float("nan"), float("inf")
+#: NaN first, NaN later, NaN last, inf, -inf and -0.0 in each place
+MAX_STATES = [
+    (NAN, 1.0, 2.0), (1.0, NAN, 2.0), (1.0, 2.0, NAN), (NAN, NAN, 1.0),
+    (INF, 1.0, NAN), (1.0, INF, -2.0), (-INF, -1.0, -2.0), (INF, -INF, 1.0),
+    (-0.0, 0.0, -1.0), (0.0, -0.0, -1.0), (-1.0, -0.0, 0.0), (-0.0, -0.0, -0.0),
+    (-3.0, 2.0, 1.0), (1e-310, -1e-320, 0.0), (0.0, 0.0, 0.0),
+]
+
+
+def test_max_nodes_follow_their_rules():
+    # the kernel equals tolerance.max_abs, term_size and the builtin max,
+    # each by its own rule, on NaN, inf and signed zeros; it computes them
+    # in place, through its "max" and "max_abs" nodes
+    kernel = emitted(max_form)
+    for state in MAX_STATES:
+        assert bits(kernel(*state)) == bits(max_form(*state)), state
+    got = kernel(1.0, NAN, 2.0)
+    # NaN for max_abs, which a sum of the moduli finds; the builtin max
+    # passes over a NaN that is not first
+    assert math.isnan(got[0]) and math.isnan(got[1]) and got[5] == 2.0
+    # the moduli of complex entries: abs(inf + nan j) is inf, not NaN
+    kernel = emitted(size_form)
+    for state in [(complex(INF, NAN), 1.0, 2.0), (complex(NAN, 1.0), 3.0, 1j), (3j, -4.0, 0j)]:
+        assert bits(kernel(*state)) == bits(size_form(*state)), state
 
 
 @pytest.mark.parametrize(
@@ -150,65 +245,112 @@ def test_docstring_does_not_depend_on_its_indent(monkeypatch):
     [survey_samples, scaling_samples, acceptance_samples],
     ids=["survey", "scaling", "acceptance"],
 )
-def test_j_verdicts_equal_composed_form_on_samples(samples):
+def test_structure_kernels_equal_composed_forms_on_samples(samples):
     for s in samples():
-        args = j_args(s)
-        want = gen.composed_j_verdicts(*args)
-        assert bits(_kernels.j_verdicts(*args)) == bits(want)
-        assert repr(s.j_squared_residual) == repr(abs(want[0]))
-        assert s.metric_spd is is_spd9(*want[1:])
+        m = s.m9
+        want = check_kernels(s.lam, s.a, s.b, m.p, m.q)
+        assert s.defining_residuals() == want[0]
+        report = s.validate()
+        assert bits(list(report.residuals.values())) == bits(
+            [want[1], want[2], want[4], want[3]]
+        )
+        assert repr(s.j_squared_residual) == repr(want[4])
+        assert s.metric_spd is report.metric_spd is is_spd9(*want[5:])
 
 
 def random_kernel_states(seed, n):
-    """n argument lists (a, b, Q1, Q2, P, det P) of 30 floats whose sizes
-    span 1e-5 ... 1e5, with about one entry in ten an exact zero (det P
-    never is)."""
+    """n argument lists (lambda, a, b, P, Q) of 21 floats whose sizes span
+    1e-5 ... 1e5, with about one entry in ten of a, b, P and Q an exact
+    zero (lambda never is)."""
     rng = np.random.default_rng(seed)
-    values = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 30))
-    values[:, :29][rng.random((n, 29)) < 0.1] = 0.0
-    return [(v[0], v[1], v[2:11], v[11:20], v[20:29], v[29]) for v in values.tolist()]
+    values = rng.choice([-1.0, 1.0], size=(n, 21)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 21))
+    values[:, 1:][rng.random((n, 20)) < 0.1] = 0.0
+    return [(v[0], v[1], v[2], v[3:12], v[12:21]) for v in values.tolist()]
+
+
+def near_valid_states(seed, n):
+    """n argument lists (lambda, a, b, P, Q) of rotated closed-form family
+    members (`sample_random_structure`), each entry of a, b, P and Q moved
+    by a relative 1e-12 ... 1e-1: most have a positive definite metric."""
+    rng = np.random.default_rng(seed)
+    bases = [sample_random_structure(k) for k in range(20)]
+    states = []
+    for k in range(n):
+        s = bases[k % len(bases)]
+        x = np.array([s.a, s.b] + s.m9.p + s.m9.q)
+        x *= 1.0 + 10.0 ** rng.uniform(-12.0, -1.0) * rng.standard_normal(20)
+        v = x.tolist()
+        states.append((s.lam, v[0], v[1], v[2:11], v[11:20]))
+    return states
 
 
 def test_kernels_equal_composed_forms_on_random_states():
-    # at 3000 states, a sum regrouped in either kernel differs on 100 to 550
-    # of them, and B written as -(x - z) -> z - x, which moves only the sign
-    # of a zero, on one
-    verdicts = []
-    for a, b, q1, q2, p, det_p in random_kernel_states(40, 3000):
-        want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
-        assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
-        assert bits(_kernels.abr(a, b, q1, q2)) == bits(gen.composed_abr(a, b, q1, q2))
-        verdicts.append(is_spd9(*want[1:]))
-    # most random states are not SPD, but some are
-    assert any(verdicts) and not all(verdicts)
+    # at 3000 states, a sum regrouped in `abr` differs on 100 to 550 of
+    # them, and B written as -(x - z) -> z - x, which moves only the sign
+    # of a zero, on one.  Random states almost never have a positive
+    # definite metric (7 of these 3000; 272 are singular), so 1000 states
+    # near valid structures cover the blocks that `is_spd9` passes (996)
+    spd = []
+    for lam, a, b, p, q in random_kernel_states(40, 3000):
+        assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
+        want = check_kernels(lam, a, b, p, q)
+        spd += [] if want is None else [is_spd9(*want[5:])]
+    spd += [is_spd9(*check_kernels(*v)[5:]) for v in near_valid_states(44, 1000)]
+    assert sum(spd) >= 500 and spd.count(False) >= 500
+
+
+def overflowing_states(seed, n):
+    """n argument lists (lambda, a, b, P, Q) whose entries span 1e-300 ...
+    1e300, so that their products overflow to inf and underflow to 0, and
+    inf - inf and 0 * inf make NaN; about one entry in five of a, b, P and
+    Q is inf, -inf or NaN."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=(n, 21)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 21))
+    special = rng.choice([INF, -INF, NAN], size=(n, 20))
+    mask = rng.random((n, 20)) < 0.2
+    values[:, 1:][mask] = special[mask]
+    return [(v[0], v[1], v[2], v[3:12], v[12:21]) for v in values.tolist()]
+
+
+def test_kernels_equal_composed_forms_where_values_overflow():
+    # the "max" and "max_abs" nodes meet inf and NaN here, and the guard
+    # NaN and inf quotients
+    states = overflowing_states(45, 2000)
+    results = [check_kernels(*state) for state in states]
+    sizes = [x for v in map(verdict_args, *zip(*states)) if v is not None for x in v[7]]
+    assert any(map(math.isnan, sizes)) and math.inf in sizes
+    residuals = [x for r in results if r is not None for x in r[0]]
+    assert any(map(math.isnan, residuals)) and not all(map(math.isnan, residuals))
+    assert any(r is None for r in results)
 
 
 def random_complex_states(seed, n):
-    """n argument lists (a, b, Q1, Q2, P, det P) of 30 complex numbers,
-    as a complex step makes them: the real parts' sizes span 1e-3 ... 1e3,
-    and the imaginary parts' sizes span 1e-120 ... 1 on about 30% of the
+    """n argument lists (lambda, a, b, P, Q) of 21 complex numbers, as a
+    complex step makes them: the real parts' sizes span 1e-3 ... 1e3, and
+    the imaginary parts' sizes span 1e-120 ... 1 on about 30% of the
     entries and are exact zeros on the rest."""
     rng = np.random.default_rng(seed)
-    re = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 30))
-    im = rng.choice([-1.0, 1.0], size=(n, 30)) * 10.0 ** rng.uniform(-120.0, 0.0, (n, 30))
-    im[rng.random((n, 30)) >= 0.3] = 0.0
+    re = rng.choice([-1.0, 1.0], size=(n, 21)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 21))
+    im = rng.choice([-1.0, 1.0], size=(n, 21)) * 10.0 ** rng.uniform(-120.0, 0.0, (n, 21))
+    im[rng.random((n, 21)) >= 0.3] = 0.0
     states = [list(map(complex, x, y)) for x, y in zip(re.tolist(), im.tolist())]
-    return [(v[0], v[1], v[2:11], v[11:20], v[20:29], v[29]) for v in states]
+    return [(v[0], v[1], v[2], v[3:12], v[12:21]) for v in states]
 
 
 def test_kernels_equal_composed_forms_on_complex_states():
-    # the root-solve sampler's complex-step Jacobian runs `abr` on complex
-    # states; there a float constant multiplies as the composed form's
-    # integer constant does, to the bit
-    for a, b, q1, q2, p, det_p in random_complex_states(43, 3000):
-        assert bits(_kernels.abr(a, b, q1, q2)) == bits(gen.composed_abr(a, b, q1, q2))
-        want = gen.composed_j_verdicts(a, b, q1, q2, p, det_p)
-        assert bits(_kernels.j_verdicts(a, b, q1, q2, p, det_p)) == bits(want)
+    # the root-solve sampler's complex-step Jacobian builds structures and
+    # their defining residuals from complex P: there a float constant
+    # multiplies as the composed form's integer constant does, to the bit,
+    # and the guard and the max nodes compare moduli
+    for lam, a, b, p, q in random_complex_states(43, 3000):
+        assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
+        check_kernels(lam, a, b, p, q)
 
 
 def test_structure_reads_the_generated_kernels():
-    assert structure.abr is _kernels.abr
-    assert structure.j_verdicts is _kernels.j_verdicts
+    assert flow.abr is _flow_kernels.abr
+    assert structure.construct is _kernels.construct
+    assert structure.verdicts is _kernels.verdicts
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -126,8 +126,21 @@ class TestValidation:
         assert "qtp_symmetry" in report.failing()
 
     def test_singular_p_rejected(self):
-        with pytest.raises(StructureError):
-            NhfStructure(4.0, 0.0, 0.0, np.zeros((3, 3)), np.eye(3))
+        # the class and message of the guard of the generated `construct`,
+        # det P printed as str() prints it, a complex one included
+        eye = np.eye(3).ravel().tolist()
+        cases = [
+            (np.zeros((3, 3)), "det P = 0.0 is singular"),
+            (np.diag([1.0, 1.0, 1e-13]), "det P = 1e-13 is singular"),
+            (eye[:8] + [complex(1e-13, 1e-100)], "det P = (1e-13+1e-100j) is singular"),
+        ]
+        for p, message in cases:
+            flat = isinstance(p, list)
+            with pytest.raises(SingularStructureError) as raised:
+                NhfStructure(4.0, 0.0, 0.0, p, [0.0] * 9 if flat else np.eye(3), _flat=flat)
+            assert type(raised.value) is SingularStructureError
+            assert str(raised.value) == message
+        assert issubclass(SingularStructureError, StructureError)
 
     def test_gamma_wedge_jgamma_normalization(self):
         # gamma ^ J gamma = (2/3) omega^3 on valid structures

@@ -11,6 +11,7 @@ samples and root-solve samples."""
 
 import functools
 import importlib.util
+import json
 import os
 import sys
 from fractions import Fraction
@@ -35,7 +36,6 @@ from nhflat.structure import (
     InvalidStructureError,
     NhfStructure,
     Sizes,
-    _bracket9,
     _interleave,
     _j_blocks9,
     bracket_hessian9,
@@ -237,7 +237,7 @@ def test_validate_bracket_matches_array_bracket():
         n1, n2 = np.max(np.abs(Q1)), np.max(np.abs(Q2))
         n_ab = abs(a * b) + n1 * n2
         terms = (n_ab * n_ab, abs(a) * n2**3, abs(b) * n1**3, (n1 * n2) ** 2)
-        got = _bracket9(a, b, flat9(Q1), flat9(Q2))
+        got = gen.composed_bracket(a, b, flat9(Q1), flat9(Q2))
         assert relative(got - array_bracket(a, b, Q1, Q2), *terms) <= 1e-14
 
 
@@ -538,29 +538,61 @@ def test_j_blocks_square_to_minus_the_bracket():
     for s in states:
         m = s.m9
         L = _interleave(_j_blocks9(s.a, s.b, m.q1, m.q2))
-        want = -_bracket9(s.a, s.b, m.q1, m.q2) * np.eye(6)
+        want = -gen.composed_bracket(s.a, s.b, m.q1, m.q2) * np.eye(6)
         assert relative(L @ L - want, np.max(np.abs(L)) ** 2, 1.0) <= 1e-14
 
 
 def test_j_blocks_built_on_first_use(monkeypatch):
-    # construction and the defining residuals build no J; validate and
-    # extract_torsion run the J kernel once, for j_squared and metric_spd
+    # construction builds no J; the defining residuals, validate and
+    # extract_torsion run the verdicts kernel once, for the residuals,
+    # j_squared and metric_spd
     calls = []
-    j_verdicts = structure.j_verdicts
+    verdicts = structure.verdicts
 
     def counted(*args):
         calls.append(args)
-        return j_verdicts(*args)
+        return verdicts(*args)
 
-    monkeypatch.setattr(structure, "j_verdicts", counted)
-    for rec in survey_records():
+    records = survey_records()  # made before the count: making them validates
+    monkeypatch.setattr(structure, "verdicts", counted)
+    for rec in records:
         s = NhfStructure.from_record(rec)
-        s.defining_residuals()
         assert calls == []
+        s.defining_residuals()
         s.validate()
         extract_torsion(s)
         assert len(calls) == 1
         calls.clear()
+
+
+def golden_records():
+    """The five golden CLI records, one rotated member of each family."""
+    records = []
+    for family in ("nk", "w1", "w1w3", "zero-scalar", "sine-cone"):
+        with open(os.path.join(ROOT, "tests", "data", "cli_golden", f"{family}.json")) as fh:
+            records.append(json.load(fh))
+    return records
+
+
+def test_record_is_checked_in_few_python_calls():
+    # from_record and validate call the two generated kernels and little
+    # else: 69 Python-level calls per record before they were generated.
+    # Comprehensions are calls before Python 3.12, and each resumption of
+    # a generator is one; the builtins are not
+    for rec in golden_records():
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            NhfStructure.from_record(rec).validate()
+        finally:
+            sys.setprofile(None)
+        assert "construct" in calls and "verdicts" in calls
+        assert len(calls) <= 30, calls
 
 
 def test_basis_tables_match_wedge_products():

@@ -1,7 +1,9 @@
 """Generate the package's straight-line kernels from the composed forms in
-this file: ``src/nhflat/_kernels.py`` (`abr`, `j_verdicts`) and
-``src/nhflat/_flow_kernels.py`` (`rk4_step`, whose stages are the
-hand-written `flow.stage`, traced with F = `composed_abr`).
+this file: ``src/nhflat/_kernels.py`` (`construct` and `verdicts`, what
+constructing and validating a structure compute) and
+``src/nhflat/_flow_kernels.py`` (`abr`, F of a state, and `rk4_step`,
+whose stages are the hand-written `flow.stage`, traced with
+F = `composed_abr`).
 
     python tools/gen_kernels.py          # write both files
     python tools/gen_kernels.py --check  # exit 1 if either file is not current
@@ -10,23 +12,36 @@ A composed form is plain Python over the `mat3` helpers.  `trace` runs it
 once on symbolic values: each +, -, *, /, unary -, `abs` and `math.sqrt`
 it computes becomes a node of an expression graph, and an operation
 already made on the same operands, in the same order, is the node made
-then.  `emit` writes the graph as one function: a value used more than
-once gets a name, the rest are written inline, each with the grouping of
-the trace.  No operand is reordered, so a kernel rounds as its composed
-form does, to the last bit.  A kernel takes floats, or complex numbers
-if its form has no guard or `math.sqrt` (`abr`, `j_verdicts`), and
-writes each constant as a float (``2.0 * x`` is ``2 * x`` for a float or
-complex x; Python specializes float by float arithmetic).  A composed
-form keeps its integer constants: where it is exact on
-``fractions.Fraction`` input, it is the tests' oracle; the kernel is not.
+then.  So does a largest value, by either of the package's two rules:
+the builtin `max` and `tolerance.term_size` keep the first of the
+largest values, a NaN if it comes first (a "max" node, written as
+``max(x, y, ...)``); `tolerance.max_abs` is NaN if any entry is NaN, and
+else the largest modulus (a "max_abs" node, written as
+``min(|x| + |y| + ..., max(|x|, |y|, ...))``: a sum of moduli is NaN
+exactly when one is, and else at least their largest).  `emit` writes
+the graph as one function: a value used more than once gets a name, the
+rest are written inline, each with the grouping of the trace.  No
+operand is reordered, so a kernel rounds as its composed form does, to
+the last bit.  A kernel writes each constant as a float (``2.0 * x`` is
+``2 * x`` for a float or complex x; Python specializes float by float
+arithmetic).  A composed form keeps its integer constants: where it is
+exact on ``fractions.Fraction`` input, it is the tests' oracle; the
+kernel is not.
 
 A comparison of traced values is a guard: ``if x <= 0: raise E(msg)``,
 whose branch must raise before it computes anything.  The trace takes
 every guard's branch once, to read the exception and its message, in
 which each traced value formatted with ``{x:spec}`` is written back as
 that value.  A kernel keeps each guard where the trace met it, after the
-named values computed before it.  Any other branch on a traced value
-raises here.
+named values computed before it.  Any other branch on a traced value,
+a largest value included, raises here.  `construct` has one guard, the
+singular-P test, and `rk4_step` two, the flow's |det P| tests.
+
+A kernel takes floats, or complex numbers where every comparison it
+makes reads moduli and it calls no `math.sqrt`: `abr` compares nothing,
+and `construct` and `verdicts` compare only moduli, in `construct`'s
+guard and in their largest values, so the root-solve sampler's complex
+step runs all three; `rk4_step` takes floats only.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -35,6 +50,7 @@ before the script can run."""
 from __future__ import annotations
 
 import argparse
+import builtins
 import inspect
 import math
 import os
@@ -45,9 +61,10 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from nhflat import flow  # noqa: E402
+from nhflat import flow, tolerance  # noqa: E402
+from nhflat.errors import SingularStructureError  # noqa: E402
 from nhflat.mat3 import cofactor9, det9, mul9, transpose9  # noqa: E402
-from nhflat.structure import _j_blocks9  # noqa: E402
+from nhflat.structure import SINGULAR_DETP, _j_blocks9, three_form_wedge_omega  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
 
@@ -63,9 +80,9 @@ def composed_abr(a, b, q1, q2):
         R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
 
     J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too: construction and
-    `flow.stage` call this kernel, and the flow's `rk4_step`
-    (``nhflat._flow_kernels``) is traced from the same composed form.
+    gamma' = d omega - lambda J gamma read F too: `flow.stage` calls this
+    kernel (``nhflat._flow_kernels``), and construction's `construct` and
+    the flow's `rk4_step` are traced from the same composed form.
     It uses only +, - and * and integer constants, so the composed form
     is exact on ``fractions.Fraction`` input; the kernel `abr` writes
     each constant as a float and equals it, to the bit, on floats and
@@ -107,7 +124,7 @@ def composed_j_verdicts(a, b, q1, q2, p, det_p):
     for L = (det P) J^T, J^2 + id = (1 - bracket / (det P)^2) id, so this
     one entry is, up to rounding, the largest |entry| of J^2 + id.
 
-    A, B, C are row-major 9-tuples, the blocks [[A, B], [B^T, C]] of
+    A, B, C are row-major 9-lists, the blocks [[A, B], [B^T, C]] of
     |det P| (g + g^T) that `NhfStructure.metric_spd` passes to
     `mat3.is_spd9`.  On the odd and on the even coframe indices
     W = [[0, P], [-P^T, 0]] and (det P) J = [[oo^T, eo^T], [oe^T, ee^T]],
@@ -125,6 +142,86 @@ def composed_j_verdicts(a, b, q1, q2, p, det_p):
         [u - v for u, v in zip(mul9(p, transpose9(ee)), mul9(oo, p))],
         [-(u + v) for u, v in zip(y, transpose9(y))],
     )
+
+
+def composed_bracket(a, b, q1, q2):
+    """The normalization bracket of (a, b, Q1, Q2), with Q1, Q2 given as
+    row-major 9-sequences: (det P)^2 equals it exactly when J^2 = -id.
+
+        -(a b - tr(Q1^T Q2))^2 - 4 (a det Q2 + b det Q1) + 4 tr Adj(Q1^T Q2)"""
+    g = mul9(transpose9(q1), q2)
+    t = a * b - (g[0] + g[4] + g[8])
+    c = cofactor9(g)  # its diagonal is that of Adj(g)
+    return -(t * t) - 4 * (a * det9(q2) + b * det9(q1)) + 4 * (c[0] + c[4] + c[8])
+
+
+def composed_construct(lam, a, b, p, q):
+    """What constructing the structure (lambda, a, b, P, Q) computes, with
+    P and Q row-major 9-lists, as
+
+        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes):
+
+    Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
+    row-major lists, F = (A, B, R1, R2) of `composed_abr` and
+    J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
+    and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
+    fields of `structure.Sizes`), each NaN if an entry is.  Raises
+    SingularStructureError, before it computes anything else, when
+    |det P| <= SINGULAR_DETP max|P|^3: a test of the shape of P,
+    independent of its scale."""
+    det_p = det9(p)
+    n_p = tolerance.max_abs(p)
+    if tolerance.relative(det_p, n_p * n_p * n_p) <= SINGULAR_DETP:
+        raise SingularStructureError(f"det P = {det_p} is singular")
+    adj = list(cofactor9(p))
+    h = 0.5 * lam
+    q1 = [x - h * c for x, c in zip(q, adj)]
+    q2 = [-x - h * c for x, c in zip(q, adj)]
+    f = list(composed_abr(a, b, q1, q2))
+    c = 2.0 / det_p
+    jg = [c * x for x in f]
+    max_abs = tolerance.max_abs
+    n_q1, n_q2 = max_abs(q1), max_abs(q2)
+    # gamma's coordinates are a, b, Q1 and Q2: NaN if one is, else the
+    # largest, as over the 20 of them
+    sizes = (max_abs([a, b, n_q1, n_q2]), max_abs(jg), n_p, max_abs(q), n_q1, n_q2)
+    return det_p, adj, q1, q2, f, jg, sizes
+
+
+def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, sign, det_p):
+    """What `NhfStructure.validate` reads of the structure with the data
+    of `composed_construct`, sign the sign of det P (1.0 or -1.0), as
+
+        (r, qtp_symmetry, normalization, jgamma_wedge_omega, j_squared, A, B, C):
+
+    r is the list of the 10 defining residuals
+    (`NhfStructure.defining_residuals`): the 3 entries above the diagonal
+    of Q^T P - P^T Q, (det P)^2 minus `composed_bracket`, and the 6
+    coefficients of J gamma ^ omega (`three_form_wedge_omega`), each
+    divided by the size of the terms it compares, as `tolerance.relative`
+    divides (of products, not powers: a float power raises on overflow
+    where a product gives inf).  Then the largest |entry| of each of
+    r's three blocks, NaN if an entry is, and |j| and the blocks A, B, C
+    of `composed_j_verdicts`, with P times the sign of det P."""
+    _, n_jg, n_p, n_q, n_q1, n_q2 = sizes
+    n_a, n_b = abs(a), abs(b)
+    n_ab = n_a * n_b + n_q1 * n_q2  # a b - tr(Q1^T Q2)
+    dp2 = det_p * det_p
+    # Q^T P - P^T Q = G - G^T, G = Q^T P: zero on the diagonal and
+    # antisymmetric, so its three entries above the diagonal
+    g = mul9(transpose9(q), p)
+    size = tolerance.term_size(n_q * n_p)
+    r = [(g[1] - g[3]) / size, (g[2] - g[6]) / size, (g[5] - g[7]) / size]
+    # (det P)^2 against each term of the bracket
+    r.append((dp2 - composed_bracket(a, b, q1, q2)) / tolerance.term_size(
+        dp2, n_ab * n_ab, n_a * n_q2 * n_q2 * n_q2, n_b * n_q1 * n_q1 * n_q1,
+        n_q1 * n_q2 * n_q1 * n_q2,
+    ))
+    size = tolerance.term_size(n_jg * n_p)
+    r += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], p)]
+    j, *blocks = composed_j_verdicts(a, b, q1, q2, [sign * x for x in p], det_p)
+    max_abs = tolerance.max_abs
+    return (r, max_abs(r[:3]), abs(r[3]), max_abs(r[4:]), abs(j), *blocks)
 
 
 def composed_pass(lam, sign, y, d, c):
@@ -165,8 +262,9 @@ class Kernel(NamedTuple):
     """A kernel to generate: its name, its composed form and the form's
     parameters, each a scalar's name or (name, entries) for a sequence,
     which the kernel takes and unpacks, calling its entries by the names
-    in `entries`.  It takes floats, or complex numbers if the form has no
-    guard or `math.sqrt`, and writes each constant as a float."""
+    in `entries`.  It takes floats, or complex numbers if every comparison
+    of the form reads moduli and it has no `math.sqrt`, and writes each
+    constant as a float."""
 
     name: str
     form: object
@@ -182,6 +280,8 @@ class Module(NamedTuple):
     doc: str
     kernels: tuple
 
+
+ABR = Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v"))))
 
 #: The RK4 step is `composed_pass` traced once and emitted inside a loop
 #: over its four passes (`emit_rk4_step`).
@@ -278,10 +378,18 @@ class Cond:
 
 class Graph:
     """The nodes of a trace, in the order they were made: ("in", name),
-    ("const", repr of a float), ("neg", x), ("abs", x), ("sqrt", x) or
-    (op, x, y), x and y node ids; and its guards, each (position, cond),
-    the number of nodes made before it and its comparison (op, x, y).
-    Only the guard numbered `take` is true."""
+    ("const", repr of a float), ("neg", x), ("abs", x), ("sqrt", x),
+    (op, x, y), ("max", x, y, ...) or ("max_abs", x, y, ...), x, y, ...
+    node ids; and its guards, each (position, cond), the number of nodes
+    made before it and its comparison (op, x, y).  Only the guard
+    numbered `take` is true.
+
+    The two n-ary nodes are the two rules by which the package takes a
+    largest value.  "max" is the builtin `max`'s (and `tolerance.
+    term_size`'s): the first of the largest values, a NaN if it comes
+    first, since no value is > NaN.  "max_abs" is `tolerance.max_abs`'s:
+    NaN if any operand is NaN, else the largest; its operands are moduli
+    ("abs" nodes), >= 0 or NaN."""
 
     def __init__(self, take=None):
         self.nodes, self.ids, self.guards, self.take = [], {}, [], take
@@ -304,6 +412,12 @@ class Graph:
     def op(self, op, x, y) -> Sym:
         return self.node((op, self.operand(x), self.operand(y)))
 
+    def largest(self, op, xs) -> Sym:
+        """The n-ary node ("max" or "max_abs") of the values xs; the value
+        itself if there is one."""
+        ids = tuple(self.operand(x) for x in xs)
+        return Sym(self, ids[0]) if len(ids) == 1 else self.node((op, *ids))
+
     def guard(self, cond) -> bool:
         self.guards.append((len(self.nodes), cond))
         return len(self.guards) - 1 == self.take
@@ -319,26 +433,64 @@ class Guard(NamedTuple):
     message: str
 
 
+def _traced(x) -> bool:
+    """Whether x, a value or a list of values, is or holds a traced value."""
+    return any(isinstance(v, Sym) for v in (x if type(x) is list else [x]))
+
+
 def _run(kernel, graph):
     """The kernel's composed form run on the graph's inputs, with
-    `math.sqrt` of a traced value a node and `flow.abr` bound to
+    `math.sqrt`, the builtin `max`, `tolerance.max_abs` and
+    `tolerance.term_size` of traced values nodes, and `flow.abr` bound to
     `composed_abr`: `flow.stage` is traced through F's composed form, not
-    through the `abr` kernel that `flow` imports."""
+    through the `abr` kernel that `flow` imports.  `term_size(*terms)` is
+    the "max" of the terms' sizes and 1e-300, as the function takes it."""
     args = [
         graph.node(("in", p)) if isinstance(p, str)
         else [graph.node(("in", name)) for name in p[1]]
         for p in kernel.params
     ]
-    sqrt, abr = math.sqrt, flow.abr
+    sqrt, largest = math.sqrt, builtins.max
+    max_abs, term_size = tolerance.max_abs, tolerance.term_size
 
     def traced_sqrt(x):
         return graph.node(("sqrt", x.id)) if isinstance(x, Sym) else sqrt(x)
 
-    math.sqrt, flow.abr = traced_sqrt, composed_abr
+    def traced_max(*xs, **options):
+        values = list(xs[0] if len(xs) == 1 else xs)
+        if not _traced(values):
+            return largest(values, **options)
+        if options:
+            raise TraceError("a kernel's max takes its values, and no option")
+        return graph.largest("max", values)
+
+    def traced_max_abs(x):
+        if isinstance(x, Sym):
+            return abs(x)
+        if type(x) is list and _traced(x):
+            return graph.largest("max_abs", [abs(v) for v in x])
+        return max_abs(x)
+
+    def traced_term_size(*terms):
+        if not any(map(_traced, terms)):
+            return term_size(*terms)
+        return graph.largest("max", [traced_max_abs(t) for t in terms] + [1e-300])
+
+    bound = (
+        (math, "sqrt", traced_sqrt),
+        (builtins, "max", traced_max),
+        (tolerance, "max_abs", traced_max_abs),
+        (tolerance, "term_size", traced_term_size),
+        (flow, "abr", composed_abr),
+    )
+    saved = [(module, name, getattr(module, name)) for module, name, _ in bound]
+    for module, name, value in bound:
+        setattr(module, name, value)
     try:
         return kernel.form(*args)
     finally:
-        math.sqrt, flow.abr = sqrt, abr
+        for module, name, value in saved:
+            setattr(module, name, value)
 
 
 def _raised(kernel, i) -> Guard:
@@ -386,6 +538,11 @@ def _message_parts(message):
     return parts[0::2], [(int(i), spec) for i, spec in pairs]
 
 
+def _operands(key) -> tuple:
+    """The ids of the nodes that node `key` reads."""
+    return () if key[0] in ("in", "const") else key[1:]
+
+
 def _body(graph, roots, indent):
     """The lines that compute a trace's nodes reachable from `roots` (node
     ids) and from its guards, at `indent`, with each value used more than
@@ -406,7 +563,8 @@ def _body(graph, roots, indent):
         if i in seen:
             continue
         seen.add(i)
-        for j in nodes[i][1:] if nodes[i][0] not in ("in", "const") else ():
+        # a "max_abs" node is written with each operand twice (see `expr`)
+        for j in _operands(nodes[i]) * (2 if nodes[i][0] == "max_abs" else 1):
             uses[j] += 1
             stack.append(j)
     names, imports = {}, {}
@@ -425,6 +583,17 @@ def _body(graph, roots, indent):
             if FUNCTIONS[key[0]]:
                 imports.setdefault(FUNCTIONS[key[0]], set()).add(key[0])
             return f"{key[0]}({ref(key[1])[0]})", ATOM
+        if key[0] == "max":
+            return f"max({', '.join(ref(j)[0] for j in key[1:])})", ATOM
+        if key[0] == "max_abs":
+            # the operands are >= 0 or NaN, so their sum, added left to
+            # right, is NaN exactly when one is, and else at least the
+            # largest: `min` keeps it only if it is NaN
+            terms = [ref(j) for j in key[1:]]
+            total = " + ".join(
+                [terms[0][0]] + [t if p > PREC["+"] else f"({t})" for t, p in terms[1:]]
+            )
+            return f"min({total}, max({', '.join(t for t, _ in terms)}))", ATOM
         op, x, y = key
         (left, lp), (right, rp) = ref(x), ref(y)
         if lp < PREC[op]:
@@ -474,11 +643,11 @@ def _body(graph, roots, indent):
 
     def inputs(i):
         """The inputs that node i, written as `ref` writes it, reads."""
-        if i in names or nodes[i][0] == "const":
+        if i in names:
             return set()
         if nodes[i][0] == "in":
             return {nodes[i][1]}
-        return set().union(*(inputs(j) for j in nodes[i][1:]))
+        return set().union(*(inputs(j) for j in _operands(nodes[i])))
 
     return lines, ref, inputs, imports
 
@@ -522,14 +691,15 @@ def _signature(kernel):
 
 def _returned(item, ref, indent):
     """The lines of a nested result, each traced value written as `ref`
-    writes it."""
+    writes it, and each list of the result a list."""
     pad = " " * indent
     if isinstance(item, Sym):
         return [f"{pad}{ref(item.id)[0]},"]
-    lines = [f"{pad}("]
+    brackets = "[]" if isinstance(item, list) else "()"
+    lines = [f"{pad}{brackets[0]}"]
     for x in item:
         lines += _returned(x, ref, indent + 4)
-    return lines + [f"{pad}),"]
+    return lines + [f"{pad}{brackets[1]},"]
 
 
 def _docstring(form):
@@ -599,35 +769,45 @@ def emit_rk4_step(kernel):
 
 
 KERNELS_DOC = '''\
-"""Straight-line kernels of the package.  GENERATED by tools/gen_kernels.py
-from the composed forms there, over the `mat3` helpers: do not edit.  To
+"""The straight-line kernels of a structure.  GENERATED by
+tools/gen_kernels.py from the composed forms there, over the `mat3`
+helpers and the `tolerance` rules of a largest value: do not edit.  To
 change a kernel, change its composed form and run
 
     python tools/gen_kernels.py
 
-Each kernel computes what its composed form computes, with the same
-operations on the same operands in the same order, so the results agree
-to the last bit.  The kernels take floats, or complex numbers: none has a
-guard or calls `math.sqrt`.  Every constant is written as a float, so on
+`construct` is what `NhfStructure` computes as it is built, and
+`verdicts` what its `validate` reads.  Each kernel computes what its
+composed form computes, with the same operations on the same operands in
+the same order, so the results agree to the last bit.  A largest modulus
+is NaN if any entry is (`tolerance.max_abs`); a term size keeps the
+first of the largest values, as the builtin `max` does
+(`tolerance.term_size`).  The kernels take floats, or complex numbers:
+`construct` raises SingularStructureError in its one guard, which
+compares moduli, as the largest values of both kernels do, and neither
+calls `math.sqrt`.  Every constant is written as a float, so on
 ``fractions.Fraction`` input only the composed forms, which keep their
 integer constants, are exact."""
 '''
 
 FLOW_KERNELS_DOC = '''\
-"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
-by tools/gen_kernels.py from the composed step there, whose four stages
-are `flow.stage` (over `flow._recover9` and the composed F of the `mat3`
-helpers): do not edit.  To change it, change `flow.stage` or the
-composed forms and run
+"""The flow's straight-line kernels: `abr`, F = (A, B, R1, R2) of a
+state, which `flow.stage` reads, and `rk4_step`, one RK4 step.
+GENERATED by tools/gen_kernels.py from the composed forms there, over
+the `mat3` helpers; the four stages of the step are `flow.stage` (over
+`flow._recover9` and the composed F): do not edit.  To change a kernel,
+change `flow.stage` or the composed forms and run
 
     python tools/gen_kernels.py
 
-The kernel computes what its composed form computes, with the same
+Each kernel computes what its composed form computes, with the same
 operations on the same operands in the same order, so the results agree
-to the last bit.  It takes floats only: its guards compare |det P| with
-the threshold, and it calls `math.sqrt`.  Every constant is written as a
-float, as in every generated kernel.  Only `nhflat.flow` imports this
-module."""
+to the last bit.  `abr` takes floats or complex numbers; `rk4_step`
+takes floats only: its guards compare |det P| with the threshold, and it
+calls `math.sqrt`.  Every constant is written as a float, as in every
+generated kernel.  Only `nhflat.flow` imports this module (and
+`structure.compute_abr`, which nothing calls, when it runs), so that a
+process that builds and checks structures does not compile it."""
 '''
 
 MODULES = (
@@ -635,18 +815,28 @@ MODULES = (
         os.path.join("src", "nhflat", "_kernels.py"),
         KERNELS_DOC,
         (
-            Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v")))),
             Kernel(
-                "j_verdicts",
-                composed_j_verdicts,
-                ("a", "b", ("q1", nine("u")), ("q2", nine("v")), ("p", nine("p")), "det_p"),
+                "construct",
+                composed_construct,
+                ("lam", "a", "b", ("p", nine("p")), ("q", nine("q"))),
+            ),
+            Kernel(
+                "verdicts",
+                composed_verdicts,
+                (
+                    "a", "b", ("p", nine("p")), ("q", nine("q")),
+                    ("q1", nine("u")), ("q2", nine("v")),
+                    ("jg", ("ja", "jb", *nine("r"), *nine("s"))),
+                    ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
+                    "sign", "det_p",
+                ),
             ),
         ),
     ),
     Module(
         os.path.join("src", "nhflat", "_flow_kernels.py"),
         FLOW_KERNELS_DOC,
-        (RK4_STEP,),
+        (ABR, RK4_STEP),
     ),
 )
 
