@@ -178,15 +178,12 @@ class Trajectory:
         self.steps = 0
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for s in self.samples:
-            writer.writerow([f"{v:.12g}" for v in s.row()])
-        return buf.getvalue()
+        """The `CSV_COLUMNS` header, then one line per sample, each value
+        to 12 significant digits.  No field holds a comma, a quote or a
+        newline, so none is quoted."""
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [",".join(f"{v:.12g}" for v in s.row()) for s in self.samples]
+        return "\n".join(lines) + "\n"
 
     def to_record(self) -> dict:
         """Summary of the run.  Each ``max_*`` residual, NaN if any sample's

@@ -14,9 +14,9 @@ raises ValueError for any other shape.  The package computes every 3x3
 product, cofactor, determinant and inner product with them, either
 directly or through straight-line kernels that ``tools/gen_kernels.py``
 generates by tracing compositions of these helpers, so that they round
-exactly as the helpers do: those of ``nhflat._kernels`` (``construct``,
-what building a structure computes: det P, Adj(P^T), Q1, Q2, F, J gamma
-and the sizes; and ``verdicts``, the defining residuals and what the
+exactly as the helpers do: that of ``nhflat._kernels`` (``construct``,
+what building and checking a structure compute: det P, Adj(P^T), Q1,
+Q2, F, J gamma and the sizes, the defining residuals, and what the
 J^2 = -id and SPD verdicts read) and those of ``nhflat._flow_kernels``
 (``abr``, F = (A, B, R1, R2), which ``flow.stage`` calls, and the
 flow's ``rk4_step``, traced through ``flow.stage`` with the recovery of

@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 import sys
 from functools import cached_property
+from operator import neg
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._kernels import construct, verdicts
+from nhflat._kernels import construct
 from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIMS, _merge
 # the errors, re-exported: they are defined apart, for the kernels that raise them
 from nhflat.errors import (  # noqa: F401
@@ -332,15 +333,17 @@ class NhfStructure:
     and computes the 3x3 data Adj(P^T), Q1, Q2, R1 and R2, kept with P
     and Q as the 9-lists `m9` that the verdicts read, the 20-list
     `jgamma_coords` of J gamma (see `invariant_three_form`), F = (A, B,
-    R1, R2) and the `sizes` of gamma, J gamma, P, Q, Q1 and Q2.
-    Everything else is computed on first use: the defining residuals,
-    the J^2 = -id residual and the SPD verdict `metric_spd`, all from one
-    call of the generated kernel `verdicts` ((J^2)_11 + 1, and the 3x3
-    blocks, products of P with the blocks of J, on which `mat3.is_spd9`
-    decides without g); `w1plus`; and the numpy views for callers, the
-    arrays P, Q, Q1, Q2 and J and the forms omega, gamma and J gamma.
-    :meth:`metric` builds g on each call.  No verdict reads an array or a
-    form, so checking and classifying a structure does not import numpy.
+    R1, R2) and the `sizes` of gamma, J gamma, P, Q, Q1 and Q2; and what
+    `validate` reads: the ten defining residuals and their block maxima,
+    the J^2 = -id residual `j_squared_residual` (|(J^2)_11 + 1|) and the
+    3x3 blocks of (det P)(g + g^T), products of P with the blocks of J.
+    Computed on first use are the SPD verdict `metric_spd`, which
+    `mat3.is_spd9` decides on those blocks without g; `w1plus`, which
+    raises where (det P)^2 underflows, so that construction does not;
+    and the numpy views for callers, the arrays P, Q, Q1, Q2 and J and the forms
+    omega, gamma and J gamma.  :meth:`metric` builds g on each call.  No
+    verdict reads an array or a form, so checking and classifying a
+    structure does not import numpy.
     Nothing is mutated after that, so instances are safe to share between
     threads (two threads may both compute a value on first use; they get
     the same value).  Construction only rejects singular det P; use
@@ -363,30 +366,14 @@ class NhfStructure:
         self.a = a = float(a)
         self.b = b = float(b)
         p, q = (P, Q) if _flat else (_matrix9(P), _matrix9(Q))
-        self.det_p, adj, q1, q2, f, self.jgamma_coords, sizes = construct(lam, a, b, p, q)
+        (self.det_p, adj, q1, q2, f, self.jgamma_coords, sizes, self._residuals,
+         self._maxima, self.j_squared_residual, self._spd_blocks) = construct(lam, a, b, p, q)
         self.orientation = 1 if self.det_p.real > 0 else -1
         self.A, self.B = f[0], f[1]
         self.m9 = Lists9(p, q, adj, q1, q2, f[2:11], f[11:])
         self.sizes = Sizes(*sizes)
 
     # -- derived values, computed on first use ---------------------------
-
-    @cached_property
-    def _verdicts(self) -> tuple:
-        """The defining residuals, their block maxima, |(J^2)_11 + 1| and
-        the three blocks of |det P| (g + g^T) that `mat3.is_spd9` reads,
-        from one call of the generated kernel `_kernels.verdicts`."""
-        m = self.m9
-        return verdicts(
-            self.a, self.b, m.p, m.q, m.q1, m.q2, self.jgamma_coords, self.sizes,
-            float(self.orientation), self.det_p,
-        )
-
-    @cached_property
-    def j_squared_residual(self) -> float:
-        """|(J^2)_11 + 1|, the largest |entry| of J^2 + id up to rounding,
-        by Hitchin's identity (see `_kernels.verdicts`)."""
-        return self._verdicts[4]
 
     @property
     def w1_minus(self) -> float:
@@ -438,10 +425,15 @@ class NhfStructure:
     @cached_property
     def metric_spd(self) -> bool:
         """Whether g is positive definite, decided on 3x3 blocks by
-        `mat3.is_spd9`, without g: the blocks of |det P| (g + g^T),
-        products of P with the blocks of (det P) J^T (see
-        `_kernels.verdicts`)."""
-        return is_spd9(*self._verdicts[5:])
+        `mat3.is_spd9`, without g: the blocks of |det P| (g + g^T), those
+        of (det P)(g + g^T) that construction computed, negated where
+        det P < 0.  Decided on first use, not in construction: `is_spd9`
+        compares values, and the root-solve sampler's complex-step
+        structures have complex ones."""
+        blocks = self._spd_blocks
+        if self.orientation < 0:
+            blocks = [list(map(neg, block)) for block in blocks]
+        return is_spd9(*blocks)
 
     def metric(self) -> np.ndarray:
         """The induced metric g = W J as a 6x6 array; raises
@@ -457,27 +449,28 @@ class NhfStructure:
         6 coefficients of J gamma ^ omega.  Each is divided by the size of
         the terms it compares, as `tolerance.relative` divides, so none
         changes under the scaling (lambda, a, b, P, Q) -> (c lambda,
-        a/c^3, b/c^3, P/c^2, Q/c^3).  A new list on each call, read off
-        the kernel `_kernels.verdicts`."""
-        return self._verdicts[0][:]
+        a/c^3, b/c^3, P/c^2, Q/c^3).  A new list on each call, of the
+        residuals that construction computed."""
+        return self._residuals[:]
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidationReport:
         """The largest |residual| of each block of `defining_residuals`,
         as `qtp_symmetry`, `normalization` and `jgamma_wedge_omega`, and,
         reported apart as `metric_spd`, whether g is positive definite.
         The J^2 = -id residual `j_squared_residual` is reported too; J is
-        scale free, so it is taken as it is.  All of them are read off one
-        call of the kernel `_kernels.verdicts`.
+        scale free, so it is taken as it is.  All of them but `metric_spd`
+        were computed in construction, from the data the structure was
+        built with.
 
         Not checked, because they follow: d gamma = (lambda/2) omega^2 holds
         for any parameters, and gamma ^ omega = 0, gamma ^ J gamma =
         (2/3) omega^3 and the symmetry of g follow from the defining
         conditions."""
-        _, qtp, norm, jgw, j_sq = self._verdicts[:5]
+        qtp, norm, jgw = self._maxima
         res = {
             "qtp_symmetry": qtp,
             "normalization": norm,
-            "j_squared": j_sq,
+            "j_squared": self.j_squared_residual,
             "jgamma_wedge_omega": jgw,
         }
         return ValidationReport(residuals=res, metric_spd=self.metric_spd, tol=tol)

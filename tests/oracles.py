@@ -22,7 +22,7 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   constants, are exact on ``fractions.Fraction`` input where they use
   only +, - and * (`gen.composed_abr`, and the normalization bracket
   `gen.composed_bracket`, which the package computes only inside the
-  kernel `verdicts`).
+  kernel `construct`).
 """
 
 from __future__ import annotations

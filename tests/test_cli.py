@@ -714,9 +714,10 @@ print(json.dumps([seen, outs]))
 
 def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # one interpreter per subcommand, so that each sees only the modules
-    # its own command imported: check and classify leave out flow, its
-    # kernels and csv, an invalid record needs no torsion, flow needs no
-    # torsion, and verify-g2 reads flow's G2 pieces but writes no CSV
+    # its own command imported: check and classify leave out flow and its
+    # kernels, an invalid record needs no torsion, flow needs no torsion,
+    # verify-g2 reads flow's G2 pieces, and none loads csv: flow writes
+    # its rows itself
     base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.errors",
             "nhflat.mat3", "nhflat.structure", "nhflat.tolerance"]
     runs = [
@@ -724,7 +725,7 @@ def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
         (["check", bad_record], 1, base, False),
         (["classify", nk_record], 0, base + ["nhflat.torsion"], False),
         (["flow", nk_record, "--t-end", "0.01", "--out", str(tmp_path / "t.csv")], 0,
-         base + ["nhflat._flow_kernels", "nhflat.flow"], True),
+         base + ["nhflat._flow_kernels", "nhflat.flow"], False),
         (["verify-g2", "--family", "sine-cone"], 0,
          base + ["nhflat._flow_kernels", "nhflat.families", "nhflat.flow"], False),
     ]

@@ -10,7 +10,7 @@ CSV (``<family>.flow.csv``).
 Every output must match byte for byte.  The five ``residuals.j_squared``
 numbers of the ``check`` stdout were regenerated in October 2026, on top
 of 1081f83: they dated from numpy's J @ J, and ``check`` reads (J^2)_11 +
-1 off a generated kernel (``verdicts``).  nk 3.33e-16 -> 2.22e-16, w1
+1 off the generated kernel ``construct``.  nk 3.33e-16 -> 2.22e-16, w1
 3.33e-16 -> 2.22e-16, w1w3 9.659e-15 -> 9.770e-15, zero-scalar 2.442e-15
 -> 2.220e-15 and sine-cone 2.22e-16 -> 0.0; every other byte stayed.
 Until then ``j_squared``, ``w1plus`` and ``s`` were compared to 1e-12 of

@@ -44,28 +44,26 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def verdict_args(lam, a, b, p, q):
-    """The arguments of `verdicts` for the structure (lambda, a, b, P, Q),
-    as `NhfStructure` passes them, from the composed construction; None
-    where it raises.  The sign is that of det P's real part."""
-    try:
-        det_p, _, q1, q2, _, jg, sizes = gen.composed_construct(lam, a, b, p, q)
-    except structure.SingularStructureError:
-        return None
-    return a, b, p, q, q1, q2, jg, sizes, 1.0 if det_p.real > 0 else -1.0, det_p
-
-
 def check_kernels(lam, a, b, p, q):
-    """Assert that `construct` and `verdicts` equal their composed forms
-    at (lambda, a, b, P, Q); the composed verdicts, or None."""
+    """Assert that `construct` equals its composed form at (lambda, a, b,
+    P, Q), verdicts included, or raises the same error with the same
+    message; the composed result, or None where it raises."""
     args = (lam, a, b, p, q)
-    assert outcome(_kernels.construct, *args) == outcome(gen.composed_construct, *args)
-    v = verdict_args(*args)
-    if v is None:
+    try:
+        want = gen.composed_construct(*args)
+    except Exception as exc:
+        assert outcome(_kernels.construct, *args) == (type(exc), str(exc))
         return None
-    want = gen.composed_verdicts(*v)
-    assert bits(_kernels.verdicts(*v)) == bits(want)
+    assert outcome(_kernels.construct, *args) == bits(want)
     return want
+
+
+def spd_blocks(want):
+    """The blocks of |det P| (g + g^T) that `is_spd9` decides on, from a
+    composed construction: its blocks of (det P)(g + g^T), negated where
+    det P < 0, as `NhfStructure.metric_spd` takes them."""
+    sign = 1.0 if want[0].real > 0 else -1.0
+    return [[sign * x for x in block] for block in want[-1]]
 
 
 @pytest.mark.parametrize("module", gen.MODULES, ids=lambda m: os.path.basename(m.path))
@@ -249,13 +247,16 @@ def test_structure_kernels_equal_composed_forms_on_samples(samples):
     for s in samples():
         m = s.m9
         want = check_kernels(s.lam, s.a, s.b, m.p, m.q)
-        assert s.defining_residuals() == want[0]
+        det_p, _, q1, q2, _, _, _, r, (qtp, norm, jgw), j_sq, blocks = want
+        assert s.defining_residuals() == r
         report = s.validate()
-        assert bits(list(report.residuals.values())) == bits(
-            [want[1], want[2], want[4], want[3]]
-        )
-        assert repr(s.j_squared_residual) == repr(want[4])
-        assert s.metric_spd is report.metric_spd is is_spd9(*want[5:])
+        assert bits(list(report.residuals.values())) == bits([qtp, norm, j_sq, jgw])
+        assert repr(s.j_squared_residual) == repr(j_sq)
+        assert s.metric_spd is report.metric_spd is is_spd9(*spd_blocks(want))
+        if det_p < 0:
+            # negated, the blocks of P are those of -P, but for the sign of a zero
+            minus_p = gen.composed_j_verdicts(s.a, s.b, q1, q2, [-x for x in m.p], det_p)
+            assert spd_blocks(want) == list(minus_p[1:])
 
 
 def random_kernel_states(seed, n):
@@ -294,8 +295,8 @@ def test_kernels_equal_composed_forms_on_random_states():
     for lam, a, b, p, q in random_kernel_states(40, 3000):
         assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
         want = check_kernels(lam, a, b, p, q)
-        spd += [] if want is None else [is_spd9(*want[5:])]
-    spd += [is_spd9(*check_kernels(*v)[5:]) for v in near_valid_states(44, 1000)]
+        spd += [] if want is None else [is_spd9(*spd_blocks(want))]
+    spd += [is_spd9(*spd_blocks(check_kernels(*v))) for v in near_valid_states(44, 1000)]
     assert sum(spd) >= 500 and spd.count(False) >= 500
 
 
@@ -317,9 +318,9 @@ def test_kernels_equal_composed_forms_where_values_overflow():
     # NaN and inf quotients
     states = overflowing_states(45, 2000)
     results = [check_kernels(*state) for state in states]
-    sizes = [x for v in map(verdict_args, *zip(*states)) if v is not None for x in v[7]]
+    sizes = [x for r in results if r is not None for x in r[6]]
     assert any(map(math.isnan, sizes)) and math.inf in sizes
-    residuals = [x for r in results if r is not None for x in r[0]]
+    residuals = [x for r in results if r is not None for x in r[7]]
     assert any(map(math.isnan, residuals)) and not all(map(math.isnan, residuals))
     assert any(r is None for r in results)
 
@@ -348,9 +349,11 @@ def test_kernels_equal_composed_forms_on_complex_states():
 
 
 def test_structure_reads_the_generated_kernels():
+    # one kernel builds and checks a structure
     assert flow.abr is _flow_kernels.abr
     assert structure.construct is _kernels.construct
-    assert structure.verdicts is _kernels.verdicts
+    functions = [name for name, v in vars(_kernels).items() if inspect.isfunction(v)]
+    assert functions == ["construct"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -1,9 +1,8 @@
 """Generate the package's straight-line kernels from the composed forms in
-this file: ``src/nhflat/_kernels.py`` (`construct` and `verdicts`, what
-constructing and validating a structure compute) and
-``src/nhflat/_flow_kernels.py`` (`abr`, F of a state, and `rk4_step`,
-whose stages are the hand-written `flow.stage`, traced with
-F = `composed_abr`).
+this file: ``src/nhflat/_kernels.py`` (`construct`, what building and
+checking a structure compute) and ``src/nhflat/_flow_kernels.py``
+(`abr`, F of a state, and `rk4_step`, whose stages are the hand-written
+`flow.stage`, traced with F = `composed_abr`).
 
     python tools/gen_kernels.py          # write both files
     python tools/gen_kernels.py --check  # exit 1 if either file is not current
@@ -39,9 +38,9 @@ singular-P test, and `rk4_step` two, the flow's |det P| tests.
 
 A kernel takes floats, or complex numbers where every comparison it
 makes reads moduli and it calls no `math.sqrt`: `abr` compares nothing,
-and `construct` and `verdicts` compare only moduli, in `construct`'s
-guard and in their largest values, so the root-solve sampler's complex
-step runs all three; `rk4_step` takes floats only.
+and `construct` compares only moduli, in its guard and in its largest
+values, so the root-solve sampler's complex step runs both on any of
+their inputs; `rk4_step` takes floats only.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -114,8 +113,8 @@ def _sum(terms):
 
 
 def composed_j_verdicts(a, b, q1, q2, p, det_p):
-    """What the two J verdicts of a structure (a, b, Q1, Q2) read, with P
-    taken times the sign of det P (`p`), as (j, A, B, C):
+    """What the two J verdicts of a structure (a, b, Q1, Q2, P) read, as
+    (j, A, B, C):
 
     j is (J^2)_11 + 1 (`NhfStructure.j_squared_residual` is |j|): row 1 of
     J^T times its column 1, from the blocks oo, oe, eo, ee of (det P) J^T
@@ -125,12 +124,15 @@ def composed_j_verdicts(a, b, q1, q2, p, det_p):
     one entry is, up to rounding, the largest |entry| of J^2 + id.
 
     A, B, C are row-major 9-lists, the blocks [[A, B], [B^T, C]] of
-    |det P| (g + g^T) that `NhfStructure.metric_spd` passes to
-    `mat3.is_spd9`.  On the odd and on the even coframe indices
+    (det P)(g + g^T).  On the odd and on the even coframe indices
     W = [[0, P], [-P^T, 0]] and (det P) J = [[oo^T, eo^T], [oe^T, ee^T]],
-    so (det P)(g + g^T) has the blocks
+    so they are
 
-        P oe^T + oe P^T,   P ee^T - oo P,   -(P^T eo^T + eo P)."""
+        P oe^T + oe P^T,   P ee^T - oo P,   -(P^T eo^T + eo P).
+
+    They are linear in P, so P -> -P negates them exactly, but for the
+    sign of a zero: `NhfStructure.metric_spd` negates them where det P < 0
+    and passes the blocks of |det P| (g + g^T) to `mat3.is_spd9`."""
     oo, oe, eo, ee = _j_blocks9(a, b, q1, q2)
     row = [x / det_p for x in oo[0:3] + oe[0:3]]
     col = [x / det_p for x in oo[0::3] + eo[0::3]]
@@ -156,16 +158,17 @@ def composed_bracket(a, b, q1, q2):
 
 
 def composed_construct(lam, a, b, p, q):
-    """What constructing the structure (lambda, a, b, P, Q) computes, with
-    P and Q row-major 9-lists, as
+    """What building and checking the structure (lambda, a, b, P, Q)
+    compute, with P and Q row-major 9-lists, as
 
-        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes):
+        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes, r, maxima, j_squared, spd):
 
     Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
     row-major lists, F = (A, B, R1, R2) of `composed_abr` and
     J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
     and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
-    fields of `structure.Sizes`), each NaN if an entry is.  Raises
+    fields of `structure.Sizes`), each NaN if an entry is; then the
+    verdicts of `composed_verdicts` on these values.  Raises
     SingularStructureError, before it computes anything else, when
     |det P| <= SINGULAR_DETP max|P|^3: a test of the shape of P,
     independent of its scale."""
@@ -185,14 +188,15 @@ def composed_construct(lam, a, b, p, q):
     # gamma's coordinates are a, b, Q1 and Q2: NaN if one is, else the
     # largest, as over the 20 of them
     sizes = (max_abs([a, b, n_q1, n_q2]), max_abs(jg), n_p, max_abs(q), n_q1, n_q2)
-    return det_p, adj, q1, q2, f, jg, sizes
+    verdicts = composed_verdicts(a, b, p, q, q1, q2, jg, sizes, det_p)
+    return (det_p, adj, q1, q2, f, jg, sizes, *verdicts)
 
 
-def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, sign, det_p):
+def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, det_p):
     """What `NhfStructure.validate` reads of the structure with the data
-    of `composed_construct`, sign the sign of det P (1.0 or -1.0), as
+    of `composed_construct`, as
 
-        (r, qtp_symmetry, normalization, jgamma_wedge_omega, j_squared, A, B, C):
+        (r, (qtp_symmetry, normalization, jgamma_wedge_omega), j_squared, (A, B, C)):
 
     r is the list of the 10 defining residuals
     (`NhfStructure.defining_residuals`): the 3 entries above the diagonal
@@ -202,7 +206,7 @@ def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, sign, det_p):
     divides (of products, not powers: a float power raises on overflow
     where a product gives inf).  Then the largest |entry| of each of
     r's three blocks, NaN if an entry is, and |j| and the blocks A, B, C
-    of `composed_j_verdicts`, with P times the sign of det P."""
+    of `composed_j_verdicts`."""
     _, n_jg, n_p, n_q, n_q1, n_q2 = sizes
     n_a, n_b = abs(a), abs(b)
     n_ab = n_a * n_b + n_q1 * n_q2  # a b - tr(Q1^T Q2)
@@ -219,9 +223,9 @@ def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, sign, det_p):
     ))
     size = tolerance.term_size(n_jg * n_p)
     r += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], p)]
-    j, *blocks = composed_j_verdicts(a, b, q1, q2, [sign * x for x in p], det_p)
+    j, *blocks = composed_j_verdicts(a, b, q1, q2, p, det_p)
     max_abs = tolerance.max_abs
-    return (r, max_abs(r[:3]), abs(r[3]), max_abs(r[4:]), abs(j), *blocks)
+    return r, (max_abs(r[:3]), abs(r[3]), max_abs(r[4:])), abs(j), tuple(blocks)
 
 
 def composed_pass(lam, sign, y, d, c):
@@ -769,23 +773,23 @@ def emit_rk4_step(kernel):
 
 
 KERNELS_DOC = '''\
-"""The straight-line kernels of a structure.  GENERATED by
+"""The straight-line kernel of a structure.  GENERATED by
 tools/gen_kernels.py from the composed forms there, over the `mat3`
 helpers and the `tolerance` rules of a largest value: do not edit.  To
-change a kernel, change its composed form and run
+change the kernel, change its composed forms and run
 
     python tools/gen_kernels.py
 
-`construct` is what `NhfStructure` computes as it is built, and
-`verdicts` what its `validate` reads.  Each kernel computes what its
-composed form computes, with the same operations on the same operands in
-the same order, so the results agree to the last bit.  A largest modulus
-is NaN if any entry is (`tolerance.max_abs`); a term size keeps the
-first of the largest values, as the builtin `max` does
-(`tolerance.term_size`).  The kernels take floats, or complex numbers:
-`construct` raises SingularStructureError in its one guard, which
-compares moduli, as the largest values of both kernels do, and neither
-calls `math.sqrt`.  Every constant is written as a float, so on
+`construct` is what `NhfStructure` computes as it is built: its data,
+and the residuals and blocks that `validate` reads.  It computes what
+its composed form computes, with the same operations on the same
+operands in the same order, so the results agree to the last bit.  A
+largest modulus is NaN if any entry is (`tolerance.max_abs`); a term
+size keeps the first of the largest values, as the builtin `max` does
+(`tolerance.term_size`).  It takes floats, or complex numbers in any of
+its inputs: it raises SingularStructureError in its one guard, which
+compares moduli, as its largest values do, and it calls no
+`math.sqrt`.  Every constant is written as a float, so on
 ``fractions.Fraction`` input only the composed forms, which keep their
 integer constants, are exact."""
 '''
@@ -819,17 +823,6 @@ MODULES = (
                 "construct",
                 composed_construct,
                 ("lam", "a", "b", ("p", nine("p")), ("q", nine("q"))),
-            ),
-            Kernel(
-                "verdicts",
-                composed_verdicts,
-                (
-                    "a", "b", ("p", nine("p")), ("q", nine("q")),
-                    ("q1", nine("u")), ("q2", nine("v")),
-                    ("jg", ("ja", "jb", *nine("r"), *nine("s"))),
-                    ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
-                    "sign", "det_p",
-                ),
             ),
         ),
     ),
