@@ -39,8 +39,9 @@ which exits 1 as a numerical failure.
 Each subcommand imports the nhflat modules it runs inside its own
 function, so a process loads only those beside ``structure`` and its
 helpers: ``check`` (for a valid record), ``classify`` and ``rotate`` load
-``torsion``, ``flow`` loads ``flow``, ``family`` loads ``families`` and
-``verify-g2`` both of the last two.
+``torsion`` and its generated kernel ``_torsion_kernels``, ``flow``
+loads ``flow`` and ``_flow_kernels``, ``family`` loads ``families`` and
+``verify-g2`` ``families``, ``flow`` and ``_flow_kernels``.
 """
 
 from __future__ import annotations

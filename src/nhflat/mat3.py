@@ -17,10 +17,13 @@ generates by tracing compositions of these helpers, so that they round
 exactly as the helpers do: that of ``nhflat._kernels`` (``construct``,
 what building and checking a structure compute: det P, Adj(P^T), Q1,
 Q2, F, J gamma and the sizes, the defining residuals, and what the
-J^2 = -id and SPD verdicts read) and those of ``nhflat._flow_kernels``
+J^2 = -id and SPD verdicts read), those of ``nhflat._flow_kernels``
 (``abr``, F = (A, B, R1, R2), which ``flow.stage`` calls, and the
 flow's ``rk4_step``, traced through ``flow.stage`` with the recovery of
-P and F).  No 3x3 expression is written out by hand elsewhere.
+P and F) and that of ``nhflat._torsion_kernels`` (``w3``, what the
+torsion pass reads of w3: its coordinates, its membership residual,
+|w3|^2 through the bracket's Hessian, and the w3 = 0 residual).  No 3x3
+expression is written out by hand elsewhere.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

@@ -41,7 +41,7 @@ from nhflat.errors import (  # noqa: F401
     SingularStructureError,
     StructureError,
 )
-from nhflat.mat3 import cofactor9, dot9, flat9, is3x3, is_spd9, mul9, transpose9
+from nhflat.mat3 import cofactor9, flat9, is3x3, is_spd9, mul9, transpose9
 from nhflat.tolerance import DEFAULT_TOL, badness, max_abs
 
 if TYPE_CHECKING:
@@ -147,12 +147,6 @@ def three_form_wedge_omega(m1, m2, x) -> list:
     return [g[1] - g[3], h[3] - h[1], g[6] - g[2], h[2] - h[6], g[5] - g[7], h[7] - h[5]]
 
 
-def three_form_volume(x, y) -> float:
-    """The e123456 coefficient of the wedge of the invariant 3-forms with
-    20-lists x and y (see `invariant_three_form`)."""
-    return x[1] * y[0] - x[0] * y[1] + dot9(x[2:11], y[11:20]) - dot9(x[11:20], y[2:11])
-
-
 def compute_abr(a: float, b: float, Q1, Q2):
     """The scalars A, B and matrices R1, R2, R entering J gamma and the flow.
 
@@ -164,51 +158,6 @@ def compute_abr(a: float, b: float, Q1, Q2):
     f = abr(float(a), float(b), flat9(Q1), flat9(Q2))
     R1, R2 = _array3x3(f[2:11]), _array3x3(f[11:])
     return f[0], f[1], R1, R2, R1 + R2
-
-
-def bracket_hessian9(a: float, b: float, q1, q2, y) -> float:
-    """The second derivative D^2 lambda[y, y] of the normalization
-    bracket lambda at (a, b, Q1, Q2) in the direction of the 20-list
-    y = (ya, yb, Y1, Y2) (see `invariant_three_form`); 3x3 data as row-major
-    9-sequences.  With g = Q1^T Q2, dg = Y1^T Q2 + Q1^T Y2, u = Y1^T Y2,
-    h = a b - tr g and e = ya b + a yb - tr dg, by the product rule
-
-        -2 e^2 - 4 h (ya yb - tr u) + 4 (tr dg)^2 + 8 tr g tr u
-        - 4 tr(dg^2) - 8 tr(g u)
-        - 8 (ya <Adj(Q2^T), Y2> + yb <Adj(Q1^T), Y1>
-             + a <Q2, Adj(Y2^T)> + b <Q1, Adj(Y1^T)>),
-
-    <X, Y> = tr(X^T Y), since D det(M)[Y] = <Adj(M^T), Y> and
-    D^2 det(M)[Y, Y] = 2 <M, Adj(Y^T)>.  Written out, not by differences,
-    which would lose the digits of the small factors.
-
-    It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
-    R1, R2) of the kernel `abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2: as in
-    Hitchin's construction of the dual map gamma -> J gamma =
-    (2 / det P) F(gamma), F is the symplectic gradient of the quartic
-    invariant lambda / 2."""
-    ya, yb, y1, y2 = y[0], y[1], y[2:11], y[11:20]
-    q1t, y1t = transpose9(q1), transpose9(y1)
-    g = mul9(q1t, q2)
-    u = mul9(y1t, y2)
-    dg = [x + z for x, z in zip(mul9(y1t, q2), mul9(q1t, y2))]
-    t, tu, dt = g[0] + g[4] + g[8], u[0] + u[4] + u[8], dg[0] + dg[4] + dg[8]
-    e = ya * b + a * yb - dt
-    h = a * b - t
-    return (
-        -2.0 * e * e
-        - 4.0 * h * (ya * yb - tu)
-        + 4.0 * dt * dt
-        + 8.0 * t * tu
-        - 4.0 * dot9(dg, transpose9(dg))
-        - 8.0 * dot9(g, transpose9(u))
-        - 8.0 * (
-            ya * dot9(cofactor9(q2), y2)
-            + yb * dot9(cofactor9(q1), y1)
-            + a * dot9(q2, cofactor9(y2))
-            + b * dot9(q1, cofactor9(y1))
-        )
-    )
 
 
 def _j_blocks9(a: float, b: float, q1, q2):

@@ -18,18 +18,23 @@ omega's slots the 9-list X of `build_omega`; the bases are a signed
 permutation and a signed selection, so the coordinates are a form's
 coefficients up to sign.  de_de_form(M) below is sum M_ij de^{2i-1} ^
 de^{2j}.  The torsion forms are computed as such coordinate lists of
-Python floats (`_w3`, `_w2_minus`), with the size of the terms they are
-compared with.  `extract_torsion` is the one pass over a structure: it
+Python floats, with the size of the terms they are compared with: w3,
+with its membership residual, |w3|^2 and the residual of w3 = 0, in one
+call of the generated kernel `w3` (``nhflat._torsion_kernels``, traced
+from its composed form in ``tools/gen_kernels.py``), and w2- by
+`_w2_minus`.  `extract_torsion` is the one pass over a structure: it
 computes each list once, checks its module membership, and reads the
 scalar curvature and the torsion class off the same lists, all at the
-caller's `tol`; `scalar_curvature` is its `s`.  None of this imports
-numpy; `w3_form`, `w2_minus_form` and `TorsionData` build the forms from
-the lists.  A form vanishes exactly when its coordinates do, so w3 = 0 is
-relative(y, size) <= tol for the 20-list y of w3, and w2- = 0 likewise
-for its 9-list X (`classify`).
+caller's `tol`; `scalar_curvature` is its `s`.  The kernel compares
+nothing: the comparisons with `tol` are made here, the w3 membership
+first, then the w2- primitivity, then the SPD verdict.  None of this
+imports numpy; `w3_form`, `w2_minus_form` and `TorsionData` build the
+forms from the lists.  A form vanishes exactly when its coordinates do,
+so w3 = 0 is relative(y, size) <= tol for the 20-list y of w3, and
+w2- = 0 likewise for its 9-list X (`classify`).
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
-invariant 3-form of the 3x3 data (`_w3`).
+invariant 3-form of the 3x3 data (the kernel `w3`).
 
 w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
 side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
@@ -53,8 +58,8 @@ coefficient:
   (`structure.three_form_wedge_omega`): w3 ^ omega, w2- ^ gamma, and
   J gamma ^ omega in `NhfStructure.validate`;
 * vol(x ^ y) = x1 y0 - x0 y1 + sum_k (x[2+k] y[11+k] - x[11+k] y[2+k])
-  for two 20-lists (`structure.three_form_volume`): w3 ^ gamma and
-  w3 ^ J gamma;
+  for two 20-lists (the generator's `three_form_volume`): w3 ^ gamma
+  and w3 ^ J gamma;
 * vol(build_omega(X) ^ de_de_form(M)) = -sum_k X_k M_k: w2- ^ omega^2,
   with M = -2 Adj(P^T).
 
@@ -81,8 +86,9 @@ forms and special metrics", 2001).  So, for the 20-list y of w3,
 
 since vol(y ^ D F[y]) is half the second derivative of the
 normalization bracket lambda, Hitchin's quartic invariant of the 3-form
-(`structure.bracket_hessian9`).  The positive definiteness of g is
-decided on its 3x3 blocks (`NhfStructure.metric_spd`).
+(the generator's `composed_bracket_hessian`, which the kernel `w3`
+computes).  The positive definiteness of g is decided on its 3x3 blocks
+(`NhfStructure.metric_spd`).
 """
 
 from __future__ import annotations
@@ -90,17 +96,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from nhflat._torsion_kernels import w3
 from nhflat.mat3 import cofactor9, dot9, mul9, transpose9
 from nhflat.structure import (
     DEFAULT_TOL,
     InvalidStructureError,
     NhfStructure,
-    bracket_hessian9,
     build_omega,
     invariant_three_form,
     omega_coeffs,
     three_form_coeffs,
-    three_form_volume,
     three_form_wedge_omega,
 )
 from nhflat.tolerance import max_abs, relative
@@ -161,47 +166,32 @@ class TorsionData(NamedTuple):
         }
 
 
-def _w3(structure: NhfStructure):
-    """The 20-list y of w3 = d(omega) - w1+ gamma - (3 lambda/4) J gamma and
-    the size of its terms d(omega), w1+ gamma and (3 lambda / 4) J gamma,
-    which every relative residual that reads y is divided by.
-
-    d(omega) = invariant_three_form(0, 0, P, -P) exactly and J gamma is
-    (2/det P)(A, B, R1, R2) on gamma's slots, so w3 has the coordinates
-    below, with c = 3 lambda / (2 det P):
-
-        e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
-        e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2."""
-    s, w1p, z, m = structure, structure.w1plus, structure.sizes, structure.m9
-    c = 1.5 * s.lam / s.det_p
-    y = (
-        [-w1p * s.a - c * s.A, -w1p * s.b - c * s.B]
-        + [p - w1p * q - c * r for p, q, r in zip(m.p, m.q1, m.r1)]
-        + [-p - w1p * q - c * r for p, q, r in zip(m.p, m.q2, m.r2)]
+def _w3_pass(structure: NhfStructure):
+    """The generated kernel `w3` on the structure's values: the 20-list y
+    of w3, the relative residual of its module membership
+    w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 (J gamma's read off
+    `NhfStructure.jgamma_coords`), |w3|^2 and the relative residual of
+    w3 = 0.  Raises where `NhfStructure.w1plus` does."""
+    s, m = structure, structure.m9
+    return w3(
+        s.lam, s.a, s.b, s.det_p, s.w1plus, m.p, m.q1, m.q2, m.r1, m.r2,
+        s.A, s.B, s.jgamma_coords, s.sizes,
     )
-    return y, max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
 
 
-def _w3_membership(structure: NhfStructure, y, size: float, tol: float) -> float:
-    """The relative residual of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0,
-    on coordinates (see the module docstring), J gamma's read off
-    `NhfStructure.jgamma_coords`; raises InvalidStructureError when it
-    exceeds `tol`."""
-    s, z, m = structure, structure.sizes, structure.m9
-    bad = max(
-        relative(three_form_wedge_omega(y[2:11], y[11:20], m.p), size * z.p),
-        relative(three_form_volume(y, [s.a, s.b] + m.q1 + m.q2), size * z.gam),
-        relative(three_form_volume(y, s.jgamma_coords), size * z.jg),
-    )
+def _w3_checked(bad: float, tol: float) -> float:
+    """bad, the w3 membership residual of `_w3_pass`; raises
+    InvalidStructureError when it exceeds `tol` (a NaN does)."""
     if not bad <= tol:
         raise InvalidStructureError(f"w3 membership residual {bad:.3e} exceeds tolerance")
     return bad
 
 
 def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w3 as a form, from `_w3`, with its membership check at `tol`."""
-    y, size = _w3(structure)
-    _w3_membership(structure, y, size, tol)
+    """w3 as a form, from the kernel `w3`, with its membership check at
+    `tol`."""
+    y, bad, _, _ = _w3_pass(structure)
+    _w3_checked(bad, tol)
     return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
 
@@ -261,13 +251,6 @@ def _w2_minus_norm2(structure: NhfStructure, x) -> float:
     return -2.0 * dot9(cofactor9(x), structure.m9.p) / structure.det_p
 
 
-def _w3_norm2(structure: NhfStructure, y) -> float:
-    """|w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2) of the w3 in the
-    12-dimensional module with the 20-list y (see the module docstring)."""
-    s, m, dp = structure, structure.m9, structure.det_p
-    return -bracket_hessian9(s.a, s.b, m.q1, m.q2, y) / (2.0 * dp * dp)
-
-
 def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float:
     """s = (10/3)(w1+)^2 + 15 lambda^2 / 8 - |w2-|^2 / 2 - |w3|^2 / 2, the
     `s` of `extract_torsion`, which checks w2- and w3 at `tol`.  Raises
@@ -281,29 +264,29 @@ def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Torsio
     "djgamma" the w2- primitivity residual), and s and the `classify`
     report at `tol` off the same coordinates.  Raises InvalidStructureError
     when a check fails or g is not positive definite."""
-    y, y_size = _w3(structure)
-    rec_domega = _w3_membership(structure, y, y_size, tol)
+    y, bad, n3, w3_res = _w3_pass(structure)
+    rec_domega = _w3_checked(bad, tol)
     x, x_size = _w2_minus(structure)
     rec_djgamma = _w2_minus_primitivity(structure, x, x_size, tol)
     if not structure.metric_spd:
         raise InvalidStructureError("induced metric is not positive definite")
     w1p = structure.w1plus
-    n2, n3 = _w2_minus_norm2(structure, x), _w3_norm2(structure, y)
+    n2 = _w2_minus_norm2(structure, x)
     return TorsionData(
         w1plus=w1p,
         w1minus=structure.w1_minus,
         w2minus_coords=x,
         w3_coords=y,
         s=(10.0 / 3.0) * w1p * w1p + 15.0 * structure.lam**2 / 8.0 - 0.5 * n2 - 0.5 * n3,
-        report=_report(structure, y, y_size, x, x_size, tol),
+        report=_report(structure, w3_res, x, x_size, tol),
         residuals={"domega": rec_domega, "djgamma": rec_djgamma},
     )
 
 
-def _report(structure: NhfStructure, y, y_size, x, x_size, tol) -> ClassReport:
-    """`classify` on the coordinates and sizes of `_w3` and `_w2_minus`."""
+def _report(structure: NhfStructure, w3_res, x, x_size, tol) -> ClassReport:
+    """`classify` on the w3 = 0 residual of the kernel `w3` and the
+    coordinates and size of `_w2_minus`."""
     w1p_res = relative(structure.w1plus, structure.lam)
-    w3_res = relative(y, y_size)
     w2m_res = relative(x, x_size)
     w1p0, w30, w2m0 = w1p_res <= tol, w3_res <= tol, w2m_res <= tol
     # CLASS_LABELS in pairs (w1+ = 0, w1+ != 0); w3 = 0 forces w2- = 0 here
@@ -327,15 +310,15 @@ def classify(structure: NhfStructure, tol: float = DEFAULT_TOL) -> ClassReport:
     """The torsion class: which of w1+, w3 and w2- vanish.
 
     A torsion form vanishes exactly when its coordinates do, so w3 = 0 and
-    w2- = 0 are decided on the coordinates of `_w3` and `_w2_minus`,
-    relative to the size of their terms, and w1+ = 0 as
+    w2- = 0 are decided on the coordinates of the kernel `w3` and of
+    `_w2_minus`, relative to the size of their terms, and w1+ = 0 as
     |w1+| / |lambda| <= tol, the rate w1+ against the rate
     w1- = 3 lambda / 4.  Nearly Kahler is w1+ = 0 and w3 = 0, the label
     W1-; its residual is the larger of those two.  The membership checks
     are `extract_torsion`'s and validity is `validate`'s."""
-    y, y_size = _w3(structure)
+    w3_res = _w3_pass(structure)[3]
     x, x_size = _w2_minus(structure)
-    return _report(structure, y, y_size, x, x_size, tol)
+    return _report(structure, w3_res, x, x_size, tol)
 
 
 def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):

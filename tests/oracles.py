@@ -20,9 +20,11 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
 * the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
   the generated kernels must equal, and which, keeping their integer
   constants, are exact on ``fractions.Fraction`` input where they use
-  only +, - and * (`gen.composed_abr`, and the normalization bracket
-  `gen.composed_bracket`, which the package computes only inside the
-  kernel `construct`).
+  only +, - and * (`gen.composed_abr`, the normalization bracket
+  `gen.composed_bracket` and its Hessian `gen.composed_bracket_hessian`,
+  which the package computes only inside the kernels `construct` and
+  `w3`), with the arguments of the kernel `w3` for a structure
+  (`w3_args`).
 """
 
 from __future__ import annotations
@@ -304,3 +306,13 @@ def load_generator():
 
 
 gen = load_generator()
+
+
+def w3_args(s):
+    """The arguments of the kernel `w3` (and of `gen.composed_w3`) for the
+    structure s, as `torsion` passes them."""
+    m = s.m9
+    return (
+        s.lam, s.a, s.b, s.det_p, s.w1plus, m.p, m.q1, m.q2, m.r1, m.r2,
+        s.A, s.B, s.jgamma_coords, s.sizes,
+    )

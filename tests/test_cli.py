@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from nhflat import cli, families, flow, torsion
+from nhflat import _torsion_kernels, cli, families, flow, torsion
 from nhflat.cli import main
 from nhflat.structure import (
     DEFAULT_TOL,
@@ -128,20 +128,20 @@ def test_tolerance_reaches_the_class(command, capsys, tmp_path):
 @pytest.mark.parametrize("command", ["check", "classify"])
 def test_one_torsion_pass(command, capsys, nk_record, monkeypatch):
     # the class, w1+, w1- and s come from one extract_torsion pass, which
-    # computes w3 and w2- once each
-    calls = {"_w3": 0, "_w2_minus": 0}
+    # computes w3 (one call of the kernel) and w2- once each
+    calls = {"w3": 0, "_w2_minus": 0}
 
     def counted(name, fn):
-        def wrapper(s):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(s)
+            return fn(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(torsion, name, counted(name, getattr(torsion, name)))
     assert run(capsys, [command, nk_record])[0] == 0
-    assert calls == {"_w3": 1, "_w2_minus": 1}
+    assert calls == {"w3": 1, "_w2_minus": 1}
 
 
 def test_flow_names_a_nan_residual_as_worst(capsys, nk_record, monkeypatch):
@@ -398,8 +398,10 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _nan_w3_norm2(*args, **kwargs):
-    return float("nan")
+def _nan_w3_norm2(*args):
+    """The kernel `w3` with |w3|^2 NaN."""
+    y, membership, _, zero = _torsion_kernels.w3(*args)
+    return y, membership, float("nan"), zero
 
 
 def _nan_summary(self):
@@ -471,7 +473,7 @@ BAD_INPUTS = {
     "nan_in_classify_output": (
         ["classify", "{nk}"],
         None,
-        ("nhflat.torsion._w3_norm2", _nan_w3_norm2),
+        ("nhflat.torsion.w3", _nan_w3_norm2),
         1,
     ),
     "nan_in_flow_summary": (
@@ -714,16 +716,18 @@ print(json.dumps([seen, outs]))
 
 def test_subcommand_loads_only_its_modules(nk_record, bad_record, tmp_path):
     # one interpreter per subcommand, so that each sees only the modules
-    # its own command imported: check and classify leave out flow and its
-    # kernels, an invalid record needs no torsion, flow needs no torsion,
-    # verify-g2 reads flow's G2 pieces, and none loads csv: flow writes
-    # its rows itself
+    # its own command imported: check, classify and rotate leave out flow
+    # and its kernels, an invalid record needs no torsion and compiles no
+    # torsion kernel, flow needs no torsion, verify-g2 reads flow's G2
+    # pieces, and none loads csv: flow writes its rows itself
     base = ["nhflat", "nhflat._kernels", "nhflat.cli", "nhflat.coframe", "nhflat.errors",
             "nhflat.mat3", "nhflat.structure", "nhflat.tolerance"]
+    torsion = base + ["nhflat._torsion_kernels", "nhflat.torsion"]
     runs = [
-        (["check", nk_record], 0, base + ["nhflat.torsion"], False),
+        (["check", nk_record], 0, torsion, False),
         (["check", bad_record], 1, base, False),
-        (["classify", nk_record], 0, base + ["nhflat.torsion"], False),
+        (["classify", nk_record], 0, torsion, False),
+        (["rotate", nk_record], 0, torsion, False),
         (["flow", nk_record, "--t-end", "0.01", "--out", str(tmp_path / "t.csv")], 0,
          base + ["nhflat._flow_kernels", "nhflat.flow"], False),
         (["verify-g2", "--family", "sine-cone"], 0,

@@ -1,16 +1,19 @@
-"""The generated kernels of ``nhflat._kernels`` and the flow's `abr`
-against their composed forms.
+"""The generated kernels of ``nhflat._kernels``, the flow's `abr` and
+the torsion kernel `w3` (``nhflat._torsion_kernels``) against their
+composed forms.
 
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
 the scale-covariance samples of test_scaling.py, the acceptance samples,
-random float states, states near valid structures, states whose products
-overflow to inf and NaN, and the complex states of a complex step, and
-must agree with them to the bit, or raise the same error.  The flow's
-`rk4_step` (``nhflat._flow_kernels``) is checked in test_flow_oracle.py.
-Both generated files must be what the generator writes today, and what
-one run of it writes must be current."""
+the checked-in samples of ``tests/data/cli_golden``, random float
+states, states near valid structures, states whose products overflow to
+inf and NaN, and the complex states of a complex step, and must agree
+with them to the bit, or raise the same error.  The flow's `rk4_step`
+(``nhflat._flow_kernels``) is checked in test_flow_oracle.py.  The
+generated files must be what the generator writes today, and what one
+run of it writes must be current."""
 
+import functools
 import inspect
 import math
 import os
@@ -18,10 +21,21 @@ import os
 import numpy as np
 import pytest
 
-from nhflat import _flow_kernels, _kernels, families, flow, structure, tolerance
+from nhflat import (
+    _flow_kernels,
+    _kernels,
+    _torsion_kernels,
+    families,
+    flow,
+    structure,
+    tolerance,
+    torsion,
+)
+from nhflat.errors import InvalidStructureError, StructureError
 from nhflat.mat3 import is_spd9
 from nhflat.structure import NhfStructure, random_rotation, sample_random_structure
-from oracles import ROOT, gen
+from oracles import ROOT, gen, w3_args
+from test_cli_golden import samples as golden_entries
 from test_survey_path import acceptance_samples, scaling_samples, survey_samples
 
 REGENERATE = "python tools/gen_kernels.py"
@@ -44,18 +58,42 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def check_kernels(lam, a, b, p, q):
-    """Assert that `construct` equals its composed form at (lambda, a, b,
-    P, Q), verdicts included, or raises the same error with the same
-    message; the composed result, or None where it raises."""
-    args = (lam, a, b, p, q)
+def check_kernel(kernel, form, args):
+    """Assert that the kernel equals its composed form on args, or raises
+    the same error with the same message; the composed result, or None
+    where it raises."""
     try:
-        want = gen.composed_construct(*args)
+        want = form(*args)
     except Exception as exc:
-        assert outcome(_kernels.construct, *args) == (type(exc), str(exc))
+        assert outcome(kernel, *args) == (type(exc), str(exc))
         return None
-    assert outcome(_kernels.construct, *args) == bits(want)
+    assert outcome(kernel, *args) == bits(want)
     return want
+
+
+def check_kernels(lam, a, b, p, q):
+    """`check_kernel` of `construct` at (lambda, a, b, P, Q), verdicts
+    included."""
+    return check_kernel(_kernels.construct, gen.composed_construct, (lam, a, b, p, q))
+
+
+def check_w3(args):
+    """`check_kernel` of the torsion kernel `w3` on args."""
+    return check_kernel(_torsion_kernels.w3, gen.composed_w3, args)
+
+
+def state_w3_args(state):
+    """The arguments of `w3` for the state (lambda, a, b, P, Q): those of
+    the structure built from the real parts of lambda, a and b and from P
+    and Q (complex ones included, as the complex step builds them), with
+    lambda, a and b as given; None where that structure is rejected or
+    its w1+ raises ((det P)^2 is 0)."""
+    lam, a, b, p, q = state
+    try:
+        s = NhfStructure(lam.real, a.real, b.real, p, q, _flat=True)
+        return (lam, a, b) + w3_args(s)[3:]
+    except (StructureError, ZeroDivisionError):
+        return None
 
 
 def spd_blocks(want):
@@ -74,18 +112,20 @@ def test_kernels_file_is_current(module):
 
 
 def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
-    # each file stale in turn, then both: --check names each stale file
-    # and writes nothing, and the script makes both current
+    # each file stale in turn, then all three: --check names each stale
+    # file and writes nothing, and the script makes all current
     monkeypatch.setattr(gen, "ROOT", str(tmp_path))
     paths = [tmp_path / m.path for m in gen.MODULES]
     paths[0].parent.mkdir(parents=True)
-    for stale in [[0], [1], [0, 1]]:
+    n = len(gen.MODULES)
+    assert n == 3
+    for stale in [[k] for k in range(n)] + [list(range(n))]:
         for k, (module, path) in enumerate(zip(gen.MODULES, paths)):
             source = gen.generate(module)
             path.write_text(source.replace("t1 ", "t_1 ", 1) if k in stale else source)
         assert gen.main(["--check"]) == 1
         err = capsys.readouterr().err
-        assert all((gen.MODULES[k].path in err) is (k in stale) for k in range(2))
+        assert all((gen.MODULES[k].path in err) is (k in stale) for k in range(n))
         assert REGENERATE in err
         assert "t_1 " in paths[stale[0]].read_text()
         assert gen.main([]) == 0
@@ -108,6 +148,7 @@ def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
     modules = (
         gen.MODULES[0],
         gen.MODULES[1]._replace(kernels=(gen.ABR._replace(form=regrouped), *kernels[1:])),
+        *gen.MODULES[2:],
     )
     monkeypatch.setattr(gen, "composed_abr", regrouped)
     monkeypatch.setattr(gen, "MODULES", modules)
@@ -346,6 +387,89 @@ def test_kernels_equal_composed_forms_on_complex_states():
     for lam, a, b, p, q in random_complex_states(43, 3000):
         assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
         check_kernels(lam, a, b, p, q)
+
+
+def golden_samples():
+    """The 70 checked-in samples of ``tests/data/cli_golden``."""
+    return [NhfStructure.from_record(entry["record"]) for entry in golden_entries()]
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [survey_samples, functools.partial(survey_samples, 901), golden_samples, acceptance_samples],
+    ids=["survey-7", "survey-901", "golden", "acceptance"],
+)
+def test_torsion_kernel_equals_composed_form_on_samples(samples):
+    # and the torsion pass reports what the kernel computed: y, the
+    # membership residual and the w3 = 0 residual
+    for s in samples():
+        y, membership, _, zero = check_w3(w3_args(s))
+        try:
+            data = torsion.extract_torsion(s, math.inf)
+        except InvalidStructureError:
+            assert not s.metric_spd or math.isnan(membership)
+            continue
+        assert bits(data.w3_coords) == bits(y)
+        assert repr(data.residuals["domega"]) == repr(membership)
+        assert repr(data.report.predicate_residuals["w3_zero"]) == repr(zero)
+
+
+def test_torsion_kernel_equals_composed_form_on_random_states():
+    # the random float states (seed 40) and the states near valid
+    # structures of the kernel tests above
+    states = random_kernel_states(40, 3000) + near_valid_states(44, 1000)
+    results = [check_w3(args) for args in map(state_w3_args, states) if args is not None]
+    assert len(results) >= 3000 and all(r is not None for r in results)
+
+
+def overflowing_w3_args(seed, n):
+    """n argument lists of `w3`, not those of a structure: 72 signed
+    entries and six moduli (the sizes), each of size 10^-e ... 10^e with
+    e drawn from 0 ... 300 for each list, so that products overflow to inf
+    and underflow to 0 and inf - inf and 0 * inf make NaN, or (det P)^2
+    is 0; about one entry in a hundred is inf, -inf or NaN."""
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(n):
+        e = rng.uniform(0.0, 300.0)
+        v = rng.choice([-1.0, 1.0], size=78) * 10.0 ** rng.uniform(-e, e, 78)
+        mask = rng.random(78) < 0.01
+        v[mask] = rng.choice([INF, -INF, NAN], size=78)[mask]
+        v = v.tolist()
+        lists.append((
+            *v[0:5], v[5:14], v[14:23], v[23:32], v[32:41], v[41:50], v[50], v[51],
+            v[52:72], [abs(x) for x in v[72:78]],
+        ))
+    return lists
+
+
+def test_torsion_kernel_equals_composed_form_where_values_overflow():
+    # inf and NaN reach the "max" and "max_abs" nodes of the sizes and
+    # residuals; each output is finite, inf and NaN on some lists, and
+    # both raise ZeroDivisionError where (det P)^2 is 0
+    results = [check_w3(args) for args in overflowing_w3_args(45, 2000)]
+    assert any(r is None for r in results)
+    for k in (1, 2, 3):
+        values = [abs(r[k]) for r in results if r is not None]
+        assert any(map(math.isnan, values)) and math.inf in values
+        assert any(map(math.isfinite, values))
+
+
+def test_torsion_kernel_equals_composed_form_on_complex_states():
+    # no guard, and its largest values read moduli: the kernel takes
+    # complex numbers in any input, lambda, a and b included
+    args = [a for a in map(state_w3_args, random_complex_states(43, 3000)) if a is not None]
+    assert len(args) >= 2000
+    for a in args:
+        check_w3(a)
+    assert any(isinstance(x, complex) and x.imag for a in args for x in a[:3])
+
+
+def test_torsion_reads_the_generated_kernel():
+    # one kernel computes the w3 half of the torsion pass
+    assert torsion.w3 is _torsion_kernels.w3
+    functions = [name for name, v in vars(_torsion_kernels).items() if inspect.isfunction(v)]
+    assert functions == ["w3"]
 
 
 def test_structure_reads_the_generated_kernels():

@@ -41,9 +41,11 @@ relative differences were 2.7e-14 (S) and 1.5e-13 (T) in s, 0 and
 of the 75 records kept w1+ and s to the bit.  Two defects, each made on
 a copy of the package, failed only the tests of their map: S, `flow.stage`
 writing Q2' = e R2 + P (with `rk4_step` regenerated), whose flow is no
-longer carried by the swap; T, `structure.bracket_hessian9` taking
-u = Y2 Y1^T for Y1^T Y2, which moves s (through |w3|^2) on records with
-w3 != 0.
+longer carried by the swap; T, the bracket Hessian taking u = Y2 Y1^T
+for Y1^T Y2, which moves s (through |w3|^2) on records with w3 != 0.
+The T defect was made in `structure.bracket_hessian9` and made again,
+with the same result, in its composed form `composed_bracket_hessian`
+of ``tools/gen_kernels.py``, with the kernel `w3` regenerated.
 
 The inputs are the 70 seeded samples and the five golden records of
 ``tests/data/cli_golden``, and the flows of the golden records and of

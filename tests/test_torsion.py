@@ -261,7 +261,7 @@ class TestDerivedOnce:
         for seed in range(5):
             s = sample_random_structure(seed)
             data = extract_torsion(s)
-            domega = torsion._w3_membership(s, *torsion._w3(s), DEFAULT_TOL)
+            domega = torsion._w3_checked(torsion._w3_pass(s)[1], DEFAULT_TOL)
             djgamma = torsion._w2_minus_primitivity(s, *torsion._w2_minus(s), DEFAULT_TOL)
             assert data.residuals == {"domega": domega, "djgamma": djgamma}
 

@@ -1,11 +1,13 @@
 """Generate the package's straight-line kernels from the composed forms in
 this file: ``src/nhflat/_kernels.py`` (`construct`, what building and
-checking a structure compute) and ``src/nhflat/_flow_kernels.py``
-(`abr`, F of a state, and `rk4_step`, whose stages are the hand-written
-`flow.stage`, traced with F = `composed_abr`).
+checking a structure compute), ``src/nhflat/_flow_kernels.py`` (`abr`,
+F of a state, and `rk4_step`, whose stages are the hand-written
+`flow.stage`, traced with F = `composed_abr`) and
+``src/nhflat/_torsion_kernels.py`` (`w3`, what the torsion pass reads
+of w3; its input contract is in `TORSION_KERNELS_DOC`).
 
-    python tools/gen_kernels.py          # write both files
-    python tools/gen_kernels.py --check  # exit 1 if either file is not current
+    python tools/gen_kernels.py          # write the three files
+    python tools/gen_kernels.py --check  # exit 1 if a file is not current
 
 A composed form is plain Python over the `mat3` helpers.  `trace` runs it
 once on symbolic values: each +, -, *, /, unary -, `abs` and `math.sqrt`
@@ -34,13 +36,15 @@ which each traced value formatted with ``{x:spec}`` is written back as
 that value.  A kernel keeps each guard where the trace met it, after the
 named values computed before it.  Any other branch on a traced value,
 a largest value included, raises here.  `construct` has one guard, the
-singular-P test, and `rk4_step` two, the flow's |det P| tests.
+singular-P test, `rk4_step` two, the flow's |det P| tests, and `w3`
+none: its comparisons with the tolerance stay in `torsion`.
 
 A kernel takes floats, or complex numbers where every comparison it
 makes reads moduli and it calls no `math.sqrt`: `abr` compares nothing,
-and `construct` compares only moduli, in its guard and in its largest
-values, so the root-solve sampler's complex step runs both on any of
-their inputs; `rk4_step` takes floats only.
+and `construct` and `w3` compare only moduli, `construct` in its guard
+and both in their largest values, so the root-solve sampler's complex
+step runs `abr` and `construct` on any of their inputs, and `w3` takes
+complex numbers in any input too; `rk4_step` takes floats only.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -62,7 +66,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from nhflat import flow, tolerance  # noqa: E402
 from nhflat.errors import SingularStructureError  # noqa: E402
-from nhflat.mat3 import cofactor9, det9, mul9, transpose9  # noqa: E402
+from nhflat.mat3 import cofactor9, det9, dot9, mul9, transpose9  # noqa: E402
 from nhflat.structure import SINGULAR_DETP, _j_blocks9, three_form_wedge_omega  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
@@ -155,6 +159,100 @@ def composed_bracket(a, b, q1, q2):
     t = a * b - (g[0] + g[4] + g[8])
     c = cofactor9(g)  # its diagonal is that of Adj(g)
     return -(t * t) - 4 * (a * det9(q2) + b * det9(q1)) + 4 * (c[0] + c[4] + c[8])
+
+
+def three_form_volume(x, y):
+    """The e123456 coefficient of the wedge of the invariant 3-forms with
+    20-lists x and y (see `structure.invariant_three_form`)."""
+    return x[1] * y[0] - x[0] * y[1] + dot9(x[2:11], y[11:20]) - dot9(x[11:20], y[2:11])
+
+
+def composed_bracket_hessian(a, b, q1, q2, y):
+    """The second derivative D^2 lambda[y, y] of the normalization
+    bracket lambda (`composed_bracket`) at (a, b, Q1, Q2) in the direction
+    of the 20-list y = (ya, yb, Y1, Y2) (see `invariant_three_form`); 3x3
+    data as row-major 9-sequences.  With g = Q1^T Q2, dg = Y1^T Q2 +
+    Q1^T Y2, u = Y1^T Y2, h = a b - tr g and e = ya b + a yb - tr dg, by
+    the product rule
+
+        -2 e^2 - 4 h (ya yb - tr u) + 4 (tr dg)^2 + 8 tr g tr u
+        - 4 tr(dg^2) - 8 tr(g u)
+        - 8 (ya <Adj(Q2^T), Y2> + yb <Adj(Q1^T), Y1>
+             + a <Q2, Adj(Y2^T)> + b <Q1, Adj(Y1^T)>),
+
+    <X, Y> = tr(X^T Y), since D det(M)[Y] = <Adj(M^T), Y> and
+    D^2 det(M)[Y, Y] = 2 <M, Adj(Y^T)>.  Written out, not by differences,
+    which would lose the digits of the small factors.
+
+    It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
+    R1, R2) of `composed_abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2:
+    as in Hitchin's construction of the dual map gamma -> J gamma =
+    (2 / det P) F(gamma), F is the symplectic gradient of the quartic
+    invariant lambda / 2."""
+    ya, yb, y1, y2 = y[0], y[1], y[2:11], y[11:20]
+    q1t, y1t = transpose9(q1), transpose9(y1)
+    g = mul9(q1t, q2)
+    u = mul9(y1t, y2)
+    dg = [x + z for x, z in zip(mul9(y1t, q2), mul9(q1t, y2))]
+    t, tu, dt = g[0] + g[4] + g[8], u[0] + u[4] + u[8], dg[0] + dg[4] + dg[8]
+    e = ya * b + a * yb - dt
+    h = a * b - t
+    return (
+        -2 * e * e
+        - 4 * h * (ya * yb - tu)
+        + 4 * dt * dt
+        + 8 * t * tu
+        - 4 * dot9(dg, transpose9(dg))
+        - 8 * dot9(g, transpose9(u))
+        - 8 * (
+            ya * dot9(cofactor9(q2), y2)
+            + yb * dot9(cofactor9(q1), y1)
+            + a * dot9(q2, cofactor9(y2))
+            + b * dot9(q1, cofactor9(y1))
+        )
+    )
+
+
+def composed_w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes):
+    """What the torsion pass reads of w3, for a structure with the data
+    of `composed_construct` (F = (A, B, R1, R2), J gamma's 20-list jg and
+    the sizes) and w1+ = `NhfStructure.w1plus`, as
+
+        (y, membership, norm2, zero):
+
+    y is the 20-list (see `invariant_three_form`) of
+    w3 = d(omega) - w1+ gamma - (3 lambda / 4) J gamma.
+    d(omega) = invariant_three_form(0, 0, P, -P) exactly and J gamma is
+    (2 / det P)(A, B, R1, R2) on gamma's slots, so with
+    c = 3 lambda / (2 det P)
+
+        e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
+        e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
+
+    `size` is the size of w3's terms d(omega), w1+ gamma and
+    (3 lambda / 4) J gamma.  membership is the largest relative residual
+    of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 on coordinates
+    (`three_form_wedge_omega` and `three_form_volume`, J gamma's read off
+    jg), each divided by size times the size of the form wedged with w3;
+    norm2 is |w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2)
+    (`composed_bracket_hessian`); zero is relative(y, size), the residual
+    of w3 = 0.  It compares nothing with a tolerance: `torsion` does."""
+    n_gam, n_jg, n_p, _, _, _ = sizes
+    c = 1.5 * lam / det_p
+    y = (
+        [-w1p * a - c * A, -w1p * b - c * B]
+        + [x - w1p * q - c * r for x, q, r in zip(p, q1, r1)]
+        + [-x - w1p * q - c * r for x, q, r in zip(p, q2, r2)]
+    )
+    size = max(n_p, abs(w1p) * n_gam, 0.75 * abs(lam) * n_jg)
+    relative = tolerance.relative
+    membership = max(
+        relative(three_form_wedge_omega(y[2:11], y[11:20], p), size * n_p),
+        relative(three_form_volume(y, [a, b] + q1 + q2), size * n_gam),
+        relative(three_form_volume(y, jg), size * n_jg),
+    )
+    norm2 = -composed_bracket_hessian(a, b, q1, q2, y) / (2.0 * det_p * det_p)
+    return y, membership, norm2, relative(y, size)
 
 
 def composed_construct(lam, a, b, p, q):
@@ -814,6 +912,30 @@ generated kernel.  Only `nhflat.flow` imports this module (and
 process that builds and checks structures does not compile it."""
 '''
 
+TORSION_KERNELS_DOC = '''\
+"""The straight-line kernel of the torsion pass.  GENERATED by
+tools/gen_kernels.py from the composed forms there, over the `mat3`
+helpers and the `tolerance` rules of a largest value: do not edit.  To
+change the kernel, change its composed forms and run
+
+    python tools/gen_kernels.py
+
+`w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes)` is what
+`torsion.extract_torsion`, `classify` and `w3_form` read of w3: its
+20-list, its membership residual, |w3|^2 and the residual of w3 = 0.  It
+takes a structure's values as `NhfStructure` holds them: lambda, a, b,
+det P and w1+, the row-major 9-lists P, Q1, Q2, R1 and R2 of `m9`, A and
+B, the 20-list `jgamma_coords` of J gamma and the six `sizes`.  It
+computes what its composed form computes, with the same operations on
+the same operands in the same order, so the results agree to the last
+bit.  It has no guard and compares only moduli, in its largest values,
+so it takes floats, or complex numbers in any input.  The comparisons
+with the tolerance stay in `torsion`.  Every constant is written as a
+float, as in every generated kernel.  Only `nhflat.torsion` imports this
+module, so that `flow`, `family` and a `check` of an invalid record do
+not compile it."""
+'''
+
 MODULES = (
     Module(
         os.path.join("src", "nhflat", "_kernels.py"),
@@ -830,6 +952,23 @@ MODULES = (
         os.path.join("src", "nhflat", "_flow_kernels.py"),
         FLOW_KERNELS_DOC,
         (ABR, RK4_STEP),
+    ),
+    Module(
+        os.path.join("src", "nhflat", "_torsion_kernels.py"),
+        TORSION_KERNELS_DOC,
+        (
+            Kernel(
+                "w3",
+                composed_w3,
+                (
+                    "lam", "a", "b", "det_p", "w1p",
+                    ("p", nine("p")), ("q1", nine("u")), ("q2", nine("v")),
+                    ("r1", nine("r")), ("r2", nine("s")), "A", "B",
+                    ("jg", ("jc", "jd", *nine("j"), *nine("k"))),
+                    ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
+                ),
+            ),
+        ),
     ),
 )
 
