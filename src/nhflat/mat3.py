@@ -20,9 +20,10 @@ Q2, F, J gamma and the sizes, the defining residuals, and what the
 J^2 = -id and SPD verdicts read), those of ``nhflat._flow_kernels``
 (``abr``, F = (A, B, R1, R2), which ``flow.stage`` calls, and the
 flow's ``rk4_step``, traced through ``flow.stage`` with the recovery of
-P and F) and that of ``nhflat._torsion_kernels`` (``w3``, what the
-torsion pass reads of w3: its coordinates, its membership residual,
-|w3|^2 through the bracket's Hessian, and the w3 = 0 residual).  No 3x3
+P and F) and that of ``nhflat._torsion_kernels`` (``torsion_pass``,
+the torsion pass: the coordinates of w3 and w2-, their module-membership
+residuals, |w3|^2 through the bracket's Hessian and |w2-|^2, and the
+residuals of the torsion class).  No 3x3
 expression is written out by hand elsewhere.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3

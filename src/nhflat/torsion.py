@@ -18,23 +18,36 @@ omega's slots the 9-list X of `build_omega`; the bases are a signed
 permutation and a signed selection, so the coordinates are a form's
 coefficients up to sign.  de_de_form(M) below is sum M_ij de^{2i-1} ^
 de^{2j}.  The torsion forms are computed as such coordinate lists of
-Python floats, with the size of the terms they are compared with: w3,
-with its membership residual, |w3|^2 and the residual of w3 = 0, in one
-call of the generated kernel `w3` (``nhflat._torsion_kernels``, traced
-from its composed form in ``tools/gen_kernels.py``), and w2- by
-`_w2_minus`.  `extract_torsion` is the one pass over a structure: it
-computes each list once, checks its module membership, and reads the
-scalar curvature and the torsion class off the same lists, all at the
-caller's `tol`; `scalar_curvature` is its `s`.  The kernel compares
-nothing: the comparisons with `tol` are made here, the w3 membership
-first, then the w2- primitivity, then the SPD verdict.  None of this
-imports numpy; `w3_form`, `w2_minus_form` and `TorsionData` build the
-forms from the lists.  A form vanishes exactly when its coordinates do,
-so w3 = 0 is relative(y, size) <= tol for the 20-list y of w3, and
-w2- = 0 likewise for its 9-list X (`classify`).
+Python floats, with the size of the terms they are compared with, in one
+call of the generated kernel `torsion_pass` (``nhflat._torsion_kernels``,
+traced from its composed form in ``tools/gen_kernels.py``), which takes
+w1+ = `NhfStructure.w1plus` as an input, so that its ZeroDivisionError
+is raised there, before the kernel runs.  The kernel computes:
+
+* w3's 20-list y, its membership residual, |w3|^2 and the residual of
+  w3 = 0;
+* w2-'s 9-list X, its primitivity residual, |w2-|^2 and the residual of
+  w2- = 0;
+* the residuals of w1+ = 0 and of nearly Kahler, the larger of those of
+  w1+ = 0 and w3 = 0.
+
+It compares nothing.  The comparisons with `tol` are made here, in
+Python, in this order: the w3 membership, then the w2- primitivity, then
+the SPD verdict (`extract_torsion`), and the three "= 0" verdicts of the
+class (`classify`).  The scalar curvature, whose lambda**2 raises
+OverflowError where a product would give inf, is computed here too.
+`extract_torsion` is the one pass over a structure: it calls the kernel
+once, checks the module memberships, and reads the scalar curvature and
+the torsion class off the same lists, all at the caller's `tol`;
+`scalar_curvature` is its `s`.  `classify`, `w3_form` and
+`w2_minus_form` call the kernel once each too.  None of this imports
+numpy; `w3_form`, `w2_minus_form` and `TorsionData` build the forms from
+the lists.  A form vanishes exactly when its coordinates do, so w3 = 0
+is relative(y, size) <= tol for the 20-list y of w3, and w2- = 0
+likewise for its 9-list X (`classify`).
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
-invariant 3-form of the 3x3 data (the kernel `w3`).
+invariant 3-form of the 3x3 data (the generator's `composed_w3`).
 
 w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
 side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
@@ -48,7 +61,7 @@ and with A = P^T, S = -T the derivative of the adjugate,
     D Adj(A)[H] = det A (tr(A^-1 H) A^-1 - A^-1 H A^-1),
 
 inverts to H = tau A - A S A / det P with tau = tr(S A) / (2 det P);
-w2- = build_omega(H^T) (`_w2_minus`).
+w2- = build_omega(H^T) (the generator's `composed_torsion_pass`).
 
 The module memberships are checked on coordinates, vol(.) the e123456
 coefficient:
@@ -86,9 +99,9 @@ forms and special metrics", 2001).  So, for the 20-list y of w3,
 
 since vol(y ^ D F[y]) is half the second derivative of the
 normalization bracket lambda, Hitchin's quartic invariant of the 3-form
-(the generator's `composed_bracket_hessian`, which the kernel `w3`
-computes).  The positive definiteness of g is decided on its 3x3 blocks
-(`NhfStructure.metric_spd`).
+(the generator's `composed_bracket_hessian`, which the kernel
+`torsion_pass` computes).  The positive definiteness of g is decided on
+its 3x3 blocks (`NhfStructure.metric_spd`).
 """
 
 from __future__ import annotations
@@ -96,8 +109,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._torsion_kernels import w3
-from nhflat.mat3 import cofactor9, dot9, mul9, transpose9
+from nhflat._torsion_kernels import torsion_pass
 from nhflat.structure import (
     DEFAULT_TOL,
     InvalidStructureError,
@@ -106,9 +118,8 @@ from nhflat.structure import (
     invariant_three_form,
     omega_coeffs,
     three_form_coeffs,
-    three_form_wedge_omega,
 )
-from nhflat.tolerance import max_abs, relative
+from nhflat.tolerance import relative
 
 if TYPE_CHECKING:
     from nhflat.exterior import Form
@@ -166,89 +177,43 @@ class TorsionData(NamedTuple):
         }
 
 
-def _w3_pass(structure: NhfStructure):
-    """The generated kernel `w3` on the structure's values: the 20-list y
-    of w3, the relative residual of its module membership
-    w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 (J gamma's read off
-    `NhfStructure.jgamma_coords`), |w3|^2 and the relative residual of
-    w3 = 0.  Raises where `NhfStructure.w1plus` does."""
+def _torsion_pass(structure: NhfStructure):
+    """The generated kernel `torsion_pass` on the structure's values: w3's
+    20-list y, its membership residual, |w3|^2 and the residual of
+    w3 = 0; w2-'s 9-list X, its primitivity residual, |w2-|^2 and the
+    residual of w2- = 0; and the residuals of w1+ = 0 and of nearly
+    Kahler.  J gamma is read off `NhfStructure.jgamma_coords`, not off R1
+    and R2, so that w3, w2- and their checks follow the J gamma the
+    structure holds.  Raises where `NhfStructure.w1plus` does."""
     s, m = structure, structure.m9
-    return w3(
+    return torsion_pass(
         s.lam, s.a, s.b, s.det_p, s.w1plus, m.p, m.q1, m.q2, m.r1, m.r2,
-        s.A, s.B, s.jgamma_coords, s.sizes,
+        s.A, s.B, s.jgamma_coords, s.sizes, m.adj_pt,
     )
 
 
-def _w3_checked(bad: float, tol: float) -> float:
-    """bad, the w3 membership residual of `_w3_pass`; raises
+def _checked(residual: float, check: str, tol: float) -> float:
+    """The residual of a module-membership check; raises
     InvalidStructureError when it exceeds `tol` (a NaN does)."""
-    if not bad <= tol:
-        raise InvalidStructureError(f"w3 membership residual {bad:.3e} exceeds tolerance")
-    return bad
+    if not residual <= tol:
+        raise InvalidStructureError(f"{check} residual {residual:.3e} exceeds tolerance")
+    return residual
 
 
 def w3_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w3 as a form, from the kernel `w3`, with its membership check at
-    `tol`."""
-    y, bad, _, _ = _w3_pass(structure)
-    _w3_checked(bad, tol)
+    """w3 as a form, from the kernel `torsion_pass`, with its membership
+    check at `tol`."""
+    y, bad = _torsion_pass(structure)[:2]
+    _checked(bad, "w3 membership", tol)
     return invariant_three_form(y[0], y[1], y[2:11], y[11:20])
 
 
-def _w2_minus(structure: NhfStructure):
-    """The row-major 9-list X of w2- = build_omega(X), from w2- ^ omega = t,
-    t = d(J gamma) + (2/3) w1+ omega^2, and the size of the terms it is
-    compared with, which every relative residual that reads X is divided
-    by.
-
-    beta |-> beta ^ omega is invertible on 2-forms when omega is
-    nondegenerate (the Lefschetz isomorphism), and here its inverse is
-    explicit (see the module docstring):
-
-        X = H^T = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
-
-    with T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) the coordinates
-    of J gamma.  T is read from `NhfStructure.jgamma_coords`, not from R1
-    and R2, so that w2- and its check follow the J gamma the structure
-    holds."""
-    w1p, z, m, dp = structure.w1plus, structure.sizes, structure.m9, structure.det_p
-    p, jg = m.p, structure.jgamma_coords
-    k = (4.0 / 3.0) * w1p
-    t = [x + y - k * c for x, y, c in zip(jg[2:11], jg[11:20], m.adj_pt)]
-    tau = dot9(t, p) / (2.0 * dp)
-    ptp = mul9(mul9(p, transpose9(t)), p)
-    x = [u / dp - tau * v for u, v in zip(ptp, p)]
-    # beta is sized by the target's terms d(J gamma) and (2/3) w1+ omega^2
-    # over |omega| too: where w2- = 0, beta itself is roundoff
-    return x, max(max_abs(x), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
-
-
-def _w2_minus_primitivity(structure: NhfStructure, x, size: float, tol: float) -> float:
-    """The relative residual of w2- ^ gamma = 0 and w2- ^ omega^2 = 0, on
-    coordinates (see the module docstring); raises InvalidStructureError
-    when it exceeds `tol`."""
-    z, m = structure.sizes, structure.m9
-    bad = max(
-        relative(three_form_wedge_omega(m.q1, m.q2, x), size * z.gam),
-        relative(2.0 * dot9(x, m.adj_pt), size * z.p * z.p),
-    )
-    if not bad <= tol:
-        raise InvalidStructureError(f"w2- primitivity residual {bad:.3e} exceeds tolerance")
-    return bad
-
-
 def w2_minus_form(structure: NhfStructure, tol: float = DEFAULT_TOL) -> Form:
-    """w2- as a form, from `_w2_minus`, with its primitivity check at `tol`."""
-    x, size = _w2_minus(structure)
-    _w2_minus_primitivity(structure, x, size, tol)
+    """w2- as a form, from the kernel `torsion_pass`, with its primitivity
+    check at `tol`."""
+    x, bad = _torsion_pass(structure)[4:6]
+    _checked(bad, "w2- primitivity", tol)
     return build_omega(x)
-
-
-def _w2_minus_norm2(structure: NhfStructure, x) -> float:
-    """|w2-|^2 = -2 <Adj(X^T), P> / det P of the primitive (1,1)-form
-    w2- = build_omega(X), X a row-major 9-list (see the module
-    docstring)."""
-    return -2.0 * dot9(cofactor9(x), structure.m9.p) / structure.det_p
 
 
 def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float:
@@ -259,35 +224,34 @@ def scalar_curvature(structure: NhfStructure, tol: float = DEFAULT_TOL) -> float
 
 
 def extract_torsion(structure: NhfStructure, tol: float = DEFAULT_TOL) -> TorsionData:
-    """The one pass that computes and checks the torsion: w3 and w2- once
-    each, their checks at `tol` ("domega" the w3 membership residual,
-    "djgamma" the w2- primitivity residual), and s and the `classify`
-    report at `tol` off the same coordinates.  Raises InvalidStructureError
-    when a check fails or g is not positive definite."""
-    y, bad, n3, w3_res = _w3_pass(structure)
-    rec_domega = _w3_checked(bad, tol)
-    x, x_size = _w2_minus(structure)
-    rec_djgamma = _w2_minus_primitivity(structure, x, x_size, tol)
+    """The one pass that computes and checks the torsion: one call of the
+    kernel `torsion_pass`, its checks at `tol` ("domega" the w3 membership
+    residual, "djgamma" the w2- primitivity residual), and s and the
+    `classify` report at `tol` off the same coordinates.  Raises
+    InvalidStructureError when a check fails or g is not positive
+    definite."""
+    result = _torsion_pass(structure)
+    y, w3_bad, n3, _, x, w2_bad, n2 = result[:7]
+    rec_domega = _checked(w3_bad, "w3 membership", tol)
+    rec_djgamma = _checked(w2_bad, "w2- primitivity", tol)
     if not structure.metric_spd:
         raise InvalidStructureError("induced metric is not positive definite")
     w1p = structure.w1plus
-    n2 = _w2_minus_norm2(structure, x)
     return TorsionData(
         w1plus=w1p,
         w1minus=structure.w1_minus,
         w2minus_coords=x,
         w3_coords=y,
         s=(10.0 / 3.0) * w1p * w1p + 15.0 * structure.lam**2 / 8.0 - 0.5 * n2 - 0.5 * n3,
-        report=_report(structure, w3_res, x, x_size, tol),
+        report=_report(result, tol),
         residuals={"domega": rec_domega, "djgamma": rec_djgamma},
     )
 
 
-def _report(structure: NhfStructure, w3_res, x, x_size, tol) -> ClassReport:
-    """`classify` on the w3 = 0 residual of the kernel `w3` and the
-    coordinates and size of `_w2_minus`."""
-    w1p_res = relative(structure.w1plus, structure.lam)
-    w2m_res = relative(x, x_size)
+def _report(result, tol) -> ClassReport:
+    """`classify` on the residuals of w3 = 0, w2- = 0, w1+ = 0 and nearly
+    Kahler that the kernel `torsion_pass` computed (`result`)."""
+    w3_res, w2m_res, w1p_res, nk_res = result[3], result[7], result[8], result[9]
     w1p0, w30, w2m0 = w1p_res <= tol, w3_res <= tol, w2m_res <= tol
     # CLASS_LABELS in pairs (w1+ = 0, w1+ != 0); w3 = 0 forces w2- = 0 here
     pair = 0 if w30 else 1 if w2m0 else 2
@@ -298,7 +262,7 @@ def _report(structure: NhfStructure, w3_res, x, x_size, tol) -> ClassReport:
         w3_zero=w30,
         w2minus_zero=w2m0,
         predicate_residuals={
-            "nearly_kahler": max_abs([w1p_res, w3_res]),  # NaN if either is
+            "nearly_kahler": nk_res,
             "w1plus_zero": w1p_res,
             "w2minus_zero": w2m_res,
             "w3_zero": w3_res,
@@ -310,15 +274,14 @@ def classify(structure: NhfStructure, tol: float = DEFAULT_TOL) -> ClassReport:
     """The torsion class: which of w1+, w3 and w2- vanish.
 
     A torsion form vanishes exactly when its coordinates do, so w3 = 0 and
-    w2- = 0 are decided on the coordinates of the kernel `w3` and of
-    `_w2_minus`, relative to the size of their terms, and w1+ = 0 as
+    w2- = 0 are decided on the coordinates that the kernel `torsion_pass`
+    computes, relative to the size of their terms, and w1+ = 0 as
     |w1+| / |lambda| <= tol, the rate w1+ against the rate
     w1- = 3 lambda / 4.  Nearly Kahler is w1+ = 0 and w3 = 0, the label
-    W1-; its residual is the larger of those two.  The membership checks
-    are `extract_torsion`'s and validity is `validate`'s."""
-    w3_res = _w3_pass(structure)[3]
-    x, x_size = _w2_minus(structure)
-    return _report(structure, w3_res, x, x_size, tol)
+    W1-; its residual is the larger of those two, NaN if either is.  The
+    membership checks are `extract_torsion`'s and validity is
+    `validate`'s."""
+    return _report(_torsion_pass(structure), tol)
 
 
 def rotate_to_half_flat(structure: NhfStructure, tol: float = DEFAULT_TOL):

@@ -16,6 +16,8 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   (`hitchin_j`);
 * the torsion class from the closed-form vanishing conditions on the
   matrices A, B, R1 and R2 (`matrix_predicates`, `matrix_class`);
+* curvature: the scalar curvature of a left-invariant metric on S3 x S3
+  from the brackets of the frame (`scalar_curvature_of_metric`);
 * the flow: the stored structure nearest a time (`structure_at`);
 * the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
   the generated kernels must equal, and which, keeping their integer
@@ -23,8 +25,8 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   only +, - and * (`gen.composed_abr`, the normalization bracket
   `gen.composed_bracket` and its Hessian `gen.composed_bracket_hessian`,
   which the package computes only inside the kernels `construct` and
-  `w3`), with the arguments of the kernel `w3` for a structure
-  (`w3_args`).
+  `torsion_pass`), with the arguments of the kernel `torsion_pass` for a
+  structure (`torsion_args`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import sys
 
 import numpy as np
 
-from nhflat.coframe import BASIS, BASIS_INDEX, DIM, DIMS, _merge
+from nhflat.coframe import BASIS, BASIS_INDEX, COFRAME_DIFFERENTIAL, DIM, DIMS, _merge
 from nhflat.exterior import Form, _form, is_spd, inverse_metric, wedge
 from nhflat.mat3 import cofactor9, flat9
 from nhflat.structure import (
@@ -280,6 +282,43 @@ def matrix_class(s, tol: float = 1e-7):
     return label, res["nearly_kahler"] <= tol
 
 
+# -- curvature ------------------------------------------------------------------
+
+
+def _structure_constants() -> np.ndarray:
+    """c[k, i, j] with [X_i, X_j] = sum_k c[k, i, j] X_k, X the frame dual
+    to the coframe: de^k(X_i, X_j) = -e^k([X_i, X_j]) for left-invariant
+    forms."""
+    c = np.zeros((DIM, DIM, DIM))
+    for k, ((i, j), sign) in COFRAME_DIFFERENTIAL.items():
+        c[k - 1, i - 1, j - 1] = -sign
+        c[k - 1, j - 1, i - 1] = sign
+    return c
+
+
+_BRACKETS = _structure_constants()
+#: The Killing form B(X_i, X_j) = tr(ad X_i ad X_j) on the frame.
+_KILLING = np.einsum("kil,ljk->ij", _BRACKETS, _BRACKETS)
+
+
+def scalar_curvature_of_metric(g) -> float:
+    """The scalar curvature of the left-invariant metric g on S3 x S3, a
+    symmetric positive definite 6x6 array on the frame X dual to the
+    coframe (as `NhfStructure.metric` gives it).  On a unimodular Lie
+    group, for a g-orthonormal basis Y_a (Besse, Einstein Manifolds,
+    7.39; Milnor, Adv. Math. 21 (1976)),
+
+        s = -1/4 sum_ab |[Y_a, Y_b]|^2 - 1/2 sum_a B(Y_a, Y_a),
+
+    B the Killing form, written here on the frame X with the inverse
+    metric in place of the orthonormal basis.  g = id, two round
+    3-spheres of radius 2, gives 3."""
+    g = np.asarray(g, dtype=float)
+    inv = np.linalg.inv(g)
+    brackets = np.einsum("kl,im,jn,kij,lmn->", g, inv, inv, _BRACKETS, _BRACKETS)
+    return float(-0.25 * brackets - 0.5 * np.einsum("ij,ij->", inv, _KILLING))
+
+
 # -- the flow -------------------------------------------------------------------
 
 
@@ -308,11 +347,12 @@ def load_generator():
 gen = load_generator()
 
 
-def w3_args(s):
-    """The arguments of the kernel `w3` (and of `gen.composed_w3`) for the
-    structure s, as `torsion` passes them."""
+def torsion_args(s):
+    """The arguments of the kernel `torsion_pass` (and of
+    `gen.composed_torsion_pass`) for the structure s, as `torsion` passes
+    them."""
     m = s.m9
     return (
         s.lam, s.a, s.b, s.det_p, s.w1plus, m.p, m.q1, m.q2, m.r1, m.r2,
-        s.A, s.B, s.jgamma_coords, s.sizes,
+        s.A, s.B, s.jgamma_coords, s.sizes, m.adj_pt,
     )

@@ -128,8 +128,8 @@ def test_tolerance_reaches_the_class(command, capsys, tmp_path):
 @pytest.mark.parametrize("command", ["check", "classify"])
 def test_one_torsion_pass(command, capsys, nk_record, monkeypatch):
     # the class, w1+, w1- and s come from one extract_torsion pass, which
-    # computes w3 (one call of the kernel) and w2- once each
-    calls = {"w3": 0, "_w2_minus": 0}
+    # computes w3 and w2- in one call of the kernel
+    calls = {"torsion_pass": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -141,7 +141,7 @@ def test_one_torsion_pass(command, capsys, nk_record, monkeypatch):
     for name in calls:
         monkeypatch.setattr(torsion, name, counted(name, getattr(torsion, name)))
     assert run(capsys, [command, nk_record])[0] == 0
-    assert calls == {"w3": 1, "_w2_minus": 1}
+    assert calls == {"torsion_pass": 1}
 
 
 def test_flow_names_a_nan_residual_as_worst(capsys, nk_record, monkeypatch):
@@ -399,9 +399,9 @@ def _strict_json(text):
 
 
 def _nan_w3_norm2(*args):
-    """The kernel `w3` with |w3|^2 NaN."""
-    y, membership, _, zero = _torsion_kernels.w3(*args)
-    return y, membership, float("nan"), zero
+    """The kernel `torsion_pass` with |w3|^2 NaN."""
+    result = _torsion_kernels.torsion_pass(*args)
+    return result[:2] + (float("nan"),) + result[3:]
 
 
 def _nan_summary(self):
@@ -473,7 +473,7 @@ BAD_INPUTS = {
     "nan_in_classify_output": (
         ["classify", "{nk}"],
         None,
-        ("nhflat.torsion.w3", _nan_w3_norm2),
+        ("nhflat.torsion.torsion_pass", _nan_w3_norm2),
         1,
     ),
     "nan_in_flow_summary": (

@@ -1,6 +1,6 @@
 """The generated kernels of ``nhflat._kernels``, the flow's `abr` and
-the torsion kernel `w3` (``nhflat._torsion_kernels``) against their
-composed forms.
+the torsion kernel `torsion_pass` (``nhflat._torsion_kernels``) against
+their composed forms.
 
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
@@ -32,9 +32,9 @@ from nhflat import (
     torsion,
 )
 from nhflat.errors import InvalidStructureError, StructureError
-from nhflat.mat3 import is_spd9
+from nhflat.mat3 import cofactor9, is_spd9
 from nhflat.structure import NhfStructure, random_rotation, sample_random_structure
-from oracles import ROOT, gen, w3_args
+from oracles import ROOT, gen, torsion_args
 from test_cli_golden import samples as golden_entries
 from test_survey_path import acceptance_samples, scaling_samples, survey_samples
 
@@ -77,21 +77,21 @@ def check_kernels(lam, a, b, p, q):
     return check_kernel(_kernels.construct, gen.composed_construct, (lam, a, b, p, q))
 
 
-def check_w3(args):
-    """`check_kernel` of the torsion kernel `w3` on args."""
-    return check_kernel(_torsion_kernels.w3, gen.composed_w3, args)
+def check_torsion_pass(args):
+    """`check_kernel` of the torsion kernel `torsion_pass` on args."""
+    return check_kernel(_torsion_kernels.torsion_pass, gen.composed_torsion_pass, args)
 
 
-def state_w3_args(state):
-    """The arguments of `w3` for the state (lambda, a, b, P, Q): those of
-    the structure built from the real parts of lambda, a and b and from P
-    and Q (complex ones included, as the complex step builds them), with
-    lambda, a and b as given; None where that structure is rejected or
-    its w1+ raises ((det P)^2 is 0)."""
+def state_torsion_args(state):
+    """The arguments of `torsion_pass` for the state (lambda, a, b, P, Q):
+    those of the structure built from the real parts of lambda, a and b
+    and from P and Q (complex ones included, as the complex step builds
+    them), with lambda, a and b as given; None where that structure is
+    rejected or its w1+ raises ((det P)^2 is 0)."""
     lam, a, b, p, q = state
     try:
         s = NhfStructure(lam.real, a.real, b.real, p, q, _flat=True)
-        return (lam, a, b) + w3_args(s)[3:]
+        return (lam, a, b) + torsion_args(s)[3:]
     except (StructureError, ZeroDivisionError):
         return None
 
@@ -400,34 +400,39 @@ def golden_samples():
     ids=["survey-7", "survey-901", "golden", "acceptance"],
 )
 def test_torsion_kernel_equals_composed_form_on_samples(samples):
-    # and the torsion pass reports what the kernel computed: y, the
-    # membership residual and the w3 = 0 residual
+    # and the torsion pass reports what the kernel computed: y and X, the
+    # membership residuals and the four residuals of the class
     for s in samples():
-        y, membership, _, zero = check_w3(w3_args(s))
+        want = check_torsion_pass(torsion_args(s))
+        y, membership, _, zero, x, primitivity, _, w2m_zero, w1p_zero, nk = want
         try:
             data = torsion.extract_torsion(s, math.inf)
         except InvalidStructureError:
             assert not s.metric_spd or math.isnan(membership)
             continue
         assert bits(data.w3_coords) == bits(y)
-        assert repr(data.residuals["domega"]) == repr(membership)
-        assert repr(data.report.predicate_residuals["w3_zero"]) == repr(zero)
+        assert bits(data.w2minus_coords) == bits(x)
+        assert bits(list(data.residuals.values())) == bits([membership, primitivity])
+        got = data.report.predicate_residuals
+        assert bits([got[k] for k in ("w3_zero", "w2minus_zero", "w1plus_zero", "nearly_kahler")]) \
+            == bits([zero, w2m_zero, w1p_zero, nk])
 
 
 def test_torsion_kernel_equals_composed_form_on_random_states():
     # the random float states (seed 40) and the states near valid
     # structures of the kernel tests above
     states = random_kernel_states(40, 3000) + near_valid_states(44, 1000)
-    results = [check_w3(args) for args in map(state_w3_args, states) if args is not None]
+    results = [check_torsion_pass(a) for a in map(state_torsion_args, states) if a is not None]
     assert len(results) >= 3000 and all(r is not None for r in results)
 
 
-def overflowing_w3_args(seed, n):
-    """n argument lists of `w3`, not those of a structure: 72 signed
-    entries and six moduli (the sizes), each of size 10^-e ... 10^e with
-    e drawn from 0 ... 300 for each list, so that products overflow to inf
-    and underflow to 0 and inf - inf and 0 * inf make NaN, or (det P)^2
-    is 0; about one entry in a hundred is inf, -inf or NaN."""
+def overflowing_torsion_args(seed, n):
+    """n argument lists of `torsion_pass`, not those of a structure: 72
+    signed entries and six moduli (the sizes), each of size 10^-e ... 10^e
+    with e drawn from 0 ... 300 for each list, so that products overflow
+    to inf and underflow to 0 and inf - inf and 0 * inf make NaN, or
+    (det P)^2 is 0; about one entry in a hundred is inf, -inf or NaN.
+    Adj(P^T) is that of the list's P, whose products overflow too."""
     rng = np.random.default_rng(seed)
     lists = []
     for _ in range(n):
@@ -438,38 +443,39 @@ def overflowing_w3_args(seed, n):
         v = v.tolist()
         lists.append((
             *v[0:5], v[5:14], v[14:23], v[23:32], v[32:41], v[41:50], v[50], v[51],
-            v[52:72], [abs(x) for x in v[72:78]],
+            v[52:72], [abs(x) for x in v[72:78]], list(cofactor9(v[5:14])),
         ))
     return lists
 
 
 def test_torsion_kernel_equals_composed_form_where_values_overflow():
     # inf and NaN reach the "max" and "max_abs" nodes of the sizes and
-    # residuals; each output is finite, inf and NaN on some lists, and
-    # both raise ZeroDivisionError where (det P)^2 is 0
-    results = [check_w3(args) for args in overflowing_w3_args(45, 2000)]
+    # residuals; each output is finite, inf and NaN on some lists (but the
+    # residual of w2- = 0, at most 1, since X's size is at least max|X|),
+    # and both raise ZeroDivisionError where (det P)^2 is 0
+    results = [check_torsion_pass(args) for args in overflowing_torsion_args(45, 2000)]
     assert any(r is None for r in results)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 5, 6, 7, 8, 9):
         values = [abs(r[k]) for r in results if r is not None]
-        assert any(map(math.isnan, values)) and math.inf in values
+        assert any(map(math.isnan, values)) and (math.inf in values) is (k != 7)
         assert any(map(math.isfinite, values))
 
 
 def test_torsion_kernel_equals_composed_form_on_complex_states():
     # no guard, and its largest values read moduli: the kernel takes
     # complex numbers in any input, lambda, a and b included
-    args = [a for a in map(state_w3_args, random_complex_states(43, 3000)) if a is not None]
+    args = [a for a in map(state_torsion_args, random_complex_states(43, 3000)) if a is not None]
     assert len(args) >= 2000
     for a in args:
-        check_w3(a)
+        check_torsion_pass(a)
     assert any(isinstance(x, complex) and x.imag for a in args for x in a[:3])
 
 
 def test_torsion_reads_the_generated_kernel():
-    # one kernel computes the w3 half of the torsion pass
-    assert torsion.w3 is _torsion_kernels.w3
+    # one kernel computes the torsion pass, w3 and w2- both
+    assert torsion.torsion_pass is _torsion_kernels.torsion_pass
     functions = [name for name, v in vars(_torsion_kernels).items() if inspect.isfunction(v)]
-    assert functions == ["w3"]
+    assert functions == ["torsion_pass"]
 
 
 def test_structure_reads_the_generated_kernels():

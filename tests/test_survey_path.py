@@ -45,7 +45,6 @@ from nhflat.structure import (
     three_form_wedge_omega,
 )
 from nhflat.torsion import (
-    _w2_minus_norm2,
     classify,
     extract_torsion,
     scalar_curvature,
@@ -60,7 +59,7 @@ from oracles import (
     matrix_class,
     omega_coords,
     three_form_coords,
-    w3_args,
+    torsion_args,
 )
 
 SCALES = np.geomspace(1e-3, 1e3, 13)
@@ -603,10 +602,11 @@ def test_record_is_checked_in_few_python_calls():
 
 
 def test_torsion_is_extracted_in_few_python_calls():
-    # extract_torsion on a validated record calls the generated kernel w3
-    # once: 89 Python-level calls per golden record before it was
-    # generated, 44 now on Python 3.10 and 3.11 (83 -> 41 on 3.12 and
-    # 3.13, where comprehensions are not calls)
+    # extract_torsion on a validated record calls the generated kernel
+    # torsion_pass once: 89 Python-level calls per golden record before
+    # any of it was generated, 44 with the w3 half generated, and 14 now
+    # on Python 3.10 and 3.11 (83 -> 41 -> 13 on 3.12 and 3.13, where
+    # comprehensions are not calls)
     for rec in golden_records():
         s = NhfStructure.from_record(rec)
         assert s.validate().passed
@@ -621,8 +621,8 @@ def test_torsion_is_extracted_in_few_python_calls():
             extract_torsion(s)
         finally:
             sys.setprofile(None)
-        assert calls.count("w3") == 1
-        assert len(calls) <= 45, calls
+        assert calls.count("torsion_pass") == 1
+        assert len(calls) <= 15, calls
 
 
 def test_basis_tables_match_wedge_products():
@@ -720,8 +720,9 @@ def test_norms_match_inner_oracle(samples):
         terms = ((10.0 / 3.0) * w1p * w1p, 15.0 * s.lam**2 / 8.0, 0.5 * n2, 0.5 * n3)
         want = terms[0] + terms[1] - terms[2] - terms[3]
         assert relative(data.s - want, *terms) <= 1e-12
-        assert relative(_w2_minus_norm2(s, data.w2minus_coords) - n2, *terms) <= 1e-12
-        assert relative(gen.composed_w3(*w3_args(s))[2] - n3, *terms) <= 1e-12
+        result = gen.composed_torsion_pass(*torsion_args(s))
+        assert relative(result[6] - n2, *terms) <= 1e-12
+        assert relative(result[2] - n3, *terms) <= 1e-12
         checked += 1
     assert checked
 
@@ -766,7 +767,7 @@ def w3_norm_by_dual_map(s, w3):
 def test_w3_norm_by_dual_map():
     for s in survey_samples()[:20] + list(root_solve_samples()):
         data = extract_torsion(s)
-        n3 = gen.composed_w3(*w3_args(s))[2]
+        n3 = gen.composed_torsion_pass(*torsion_args(s))[2]
         terms = (data.w1plus**2, s.lam**2, n3)
         assert relative(w3_norm_by_dual_map(s, data.w3) - n3, *terms) <= 1e-12
 
@@ -821,7 +822,7 @@ def test_coordinate_checks_match_wedge_forms():
         assert got == pytest.approx(jg_om, rel=1e-12, abs=1e-15)
 
         w3 = w3_form(s, tol=np.inf)
-        got = torsion._w3_pass(s)[1]
+        got = torsion._torsion_pass(s)[1]
         size = max(z.p, abs(w1p) * z.gam, 0.75 * abs(s.lam) * z.jg)
         want = max(
             relative(wedge(w3, s.omega), size * z.p),
@@ -831,7 +832,7 @@ def test_coordinate_checks_match_wedge_forms():
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
         beta = w2_minus_form(s, tol=np.inf)
-        got = torsion._w2_minus_primitivity(s, *torsion._w2_minus(s), np.inf)
+        got = torsion._torsion_pass(s)[5]
         size = max(beta.max_abs(), max(z.jg, (2.0 / 3.0) * abs(w1p) * z.p * z.p) / z.p)
         want = max(
             relative(wedge(beta, s.gamma), size * z.gam),
@@ -886,8 +887,8 @@ def test_classify_matches_matrix_predicates(samples):
 
 def test_extract_torsion_builds_each_form_once(monkeypatch):
     # the label is read off the y and X that the checks and s used: one
-    # call of the kernel w3 and one of _w2_minus
-    calls = {"w3": 0, "_w2_minus": 0}
+    # call of the kernel torsion_pass computes both
+    calls = {"torsion_pass": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -901,4 +902,4 @@ def test_extract_torsion_builds_each_form_once(monkeypatch):
     for s in survey_samples():
         calls.update(dict.fromkeys(calls, 0))
         extract_torsion(s)
-        assert calls == {"w3": 1, "_w2_minus": 1}
+        assert calls == {"torsion_pass": 1}

@@ -45,14 +45,23 @@ longer carried by the swap; T, the bracket Hessian taking u = Y2 Y1^T
 for Y1^T Y2, which moves s (through |w3|^2) on records with w3 != 0.
 The T defect was made in `structure.bracket_hessian9` and made again,
 with the same result, in its composed form `composed_bracket_hessian`
-of ``tools/gen_kernels.py``, with the kernel `w3` regenerated.
+of ``tools/gen_kernels.py``, with the torsion kernel regenerated.
 
 The inputs are the 70 seeded samples and the five golden records of
 ``tests/data/cli_golden``, and the flows of the golden records and of
 every fifth sample to |t| = 0.6.  When the N and L tests were written, no
 record or flow differed from its image under either map; 13 of the 19
 flows halted, at -t with the same message up to the sign of det P.
-Under S and T the same 13 halt at the same time with the same message."""
+Under S and T the same 13 halt at the same time with the same message.
+
+The structure checks of all four maps also run on the 120 survey records
+of seeds 7 and 901 (`test_survey_path.survey_records`): dense, rotated
+family members, the inputs of the torsion kernel's hot path.  There N and
+L hold bit for bit as above, and S and T moved s by at most 1.2e-13 and
+2.0e-13 and w1+ by 0 and 6.6e-16 when these checks were extended; 99 and
+57 of the 120 kept both to the bit.  The T defect above moves s beyond
+`RTOL` on none of the survey records: the samples and golden records
+are what catch it."""
 
 import json
 import os
@@ -64,6 +73,7 @@ from nhflat.structure import NhfStructure
 from nhflat.torsion import extract_torsion
 from test_cli_golden import FAMILIES, GOLDEN, samples
 from test_scaling import RTOL
+from test_survey_path import survey_records
 
 
 def records():
@@ -96,6 +106,10 @@ MAPS = {
     "L": (map_l, [-1.0] * 21 + [1.0] * 12),
 }
 RECORDS = records()
+#: The structure checks' inputs: the records above and the 120 dense,
+#: rotated survey records of seeds 7 and 901, on which the torsion
+#: kernel runs.
+STRUCTURE_RECORDS = RECORDS + list(survey_records(7) + survey_records(901))
 
 
 def invariants(s):
@@ -121,7 +135,7 @@ def state(s):
 @pytest.mark.parametrize("name", MAPS)
 def test_map_keeps_verdicts_and_s_and_flips_w1plus(name):
     to_image, _ = MAPS[name]
-    for rec in RECORDS:
+    for rec in STRUCTURE_RECORDS:
         s, image = NhfStructure.from_record(rec), NhfStructure.from_record(to_image(rec))
         assert invariants(image) == invariants(s)
         assert image.w1plus == -s.w1plus
@@ -189,7 +203,7 @@ def test_rounding_map_keeps_verdicts_and_w1plus_up_to_sign(name):
     # w1+ and s on their natural sizes, |lambda| and lambda^2, as in
     # test_scaling.py, so that a zero w1+ is compared too
     to_image, sign, _ = ROUNDING_MAPS[name]
-    for rec in RECORDS:
+    for rec in STRUCTURE_RECORDS:
         s, image = NhfStructure.from_record(rec), NhfStructure.from_record(to_image(rec))
         report, image_report = s.validate(), image.validate()
         assert (image_report.passed, image_report.failing()) == (report.passed, report.failing())

@@ -1,5 +1,7 @@
 """Torsion extraction, scalar curvature, classification, half-flat rotation."""
 
+import json
+import os
 import sys
 
 import numpy as np
@@ -21,7 +23,8 @@ from nhflat.torsion import (
     w2_minus_form,
     w3_form,
 )
-from oracles import pullback
+from oracles import pullback, scalar_curvature_of_metric
+from test_cli_golden import GOLDEN
 
 SQRT3 = np.sqrt(3.0)
 
@@ -255,14 +258,34 @@ class TestScalarCurvature:
             n3 = form_inner(s.metric(), w3, w3)
             assert n3 == pytest.approx(96.0, abs=1e-8)
 
+    def test_metric_oracle_on_two_round_spheres(self):
+        assert scalar_curvature_of_metric(np.eye(6)) == pytest.approx(3.0, rel=1e-15)
+
+    def test_metric_oracle_scales_inversely(self):
+        for seed in range(3):
+            g = sample_random_structure(seed).metric()
+            for c in (0.25, 3.0):
+                want = scalar_curvature_of_metric(g) / c
+                assert scalar_curvature_of_metric(c * g) == pytest.approx(want, rel=1e-12)
+
+    def test_nearly_kahler_s_is_that_of_twice_the_metric(self):
+        # s at NK is the scalar curvature of 2 g, the slice metric of the
+        # lifted Einstein metric (tests/test_einstein.py); off NK the two
+        # differ while s weighs the torsion by today's coefficients
+        with open(os.path.join(GOLDEN, "nk.json")) as fh:
+            s = NhfStructure.from_record(json.load(fh))
+        want = scalar_curvature_of_metric(2.0 * s.metric())
+        assert scalar_curvature(s) == pytest.approx(want, rel=1e-9)
+
 
 class TestDerivedOnce:
     def test_residuals_are_the_checks_made(self):
         for seed in range(5):
             s = sample_random_structure(seed)
             data = extract_torsion(s)
-            domega = torsion._w3_checked(torsion._w3_pass(s)[1], DEFAULT_TOL)
-            djgamma = torsion._w2_minus_primitivity(s, *torsion._w2_minus(s), DEFAULT_TOL)
+            result = torsion._torsion_pass(s)
+            domega = torsion._checked(result[1], "w3 membership", DEFAULT_TOL)
+            djgamma = torsion._checked(result[5], "w2- primitivity", DEFAULT_TOL)
             assert data.residuals == {"domega": domega, "djgamma": djgamma}
 
     def test_metric_checked_and_inverted_once(self, monkeypatch):

@@ -3,8 +3,10 @@ this file: ``src/nhflat/_kernels.py`` (`construct`, what building and
 checking a structure compute), ``src/nhflat/_flow_kernels.py`` (`abr`,
 F of a state, and `rk4_step`, whose stages are the hand-written
 `flow.stage`, traced with F = `composed_abr`) and
-``src/nhflat/_torsion_kernels.py`` (`w3`, what the torsion pass reads
-of w3; its input contract is in `TORSION_KERNELS_DOC`).
+``src/nhflat/_torsion_kernels.py`` (`torsion_pass`, all the torsion
+pass computes of w3 and w2- and the residuals of the class, traced from
+`composed_torsion_pass`, which calls `composed_w3`; its input contract
+is in `TORSION_KERNELS_DOC`).
 
     python tools/gen_kernels.py          # write the three files
     python tools/gen_kernels.py --check  # exit 1 if a file is not current
@@ -36,15 +38,17 @@ which each traced value formatted with ``{x:spec}`` is written back as
 that value.  A kernel keeps each guard where the trace met it, after the
 named values computed before it.  Any other branch on a traced value,
 a largest value included, raises here.  `construct` has one guard, the
-singular-P test, `rk4_step` two, the flow's |det P| tests, and `w3`
-none: its comparisons with the tolerance stay in `torsion`.
+singular-P test, `rk4_step` two, the flow's |det P| tests, and
+`torsion_pass` none: its comparisons with the tolerance stay in
+`torsion`.
 
 A kernel takes floats, or complex numbers where every comparison it
 makes reads moduli and it calls no `math.sqrt`: `abr` compares nothing,
-and `construct` and `w3` compare only moduli, `construct` in its guard
-and both in their largest values, so the root-solve sampler's complex
-step runs `abr` and `construct` on any of their inputs, and `w3` takes
-complex numbers in any input too; `rk4_step` takes floats only.
+and `construct` and `torsion_pass` compare only moduli, `construct` in
+its guard and both in their largest values, so the root-solve sampler's
+complex step runs `abr` and `construct` on any of their inputs, and
+`torsion_pass` takes complex numbers in any input too; `rk4_step` takes
+floats only.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -253,6 +257,54 @@ def composed_w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes):
     )
     norm2 = -composed_bracket_hessian(a, b, q1, q2, y) / (2.0 * det_p * det_p)
     return y, membership, norm2, relative(y, size)
+
+
+def composed_torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes, adj_pt):
+    """What the torsion pass computes, for a structure with the data of
+    `composed_construct` (Adj(P^T) its second value) and w1+ =
+    `NhfStructure.w1plus`, as
+
+        (y, w3 membership, |w3|^2, w3 = 0,
+         X, w2- primitivity, |w2-|^2, w2- = 0, w1+ = 0, nearly Kahler):
+
+    the four values of `composed_w3`; the row-major 9-list X of w2- =
+    build_omega(X), from w2- ^ omega = t, t = d(J gamma) + (2/3) w1+
+    omega^2, by the explicit inverse of the Lefschetz map (see the
+    `torsion` docstring),
+
+        X = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
+
+    T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) J gamma's 20-list jg;
+    the relative residual of w2- ^ gamma = w2- ^ omega^2 = 0 on
+    coordinates, each divided by the size of X's terms times that of the
+    form wedged with it; |w2-|^2 = -2 <Adj(X^T), P> / det P; and the
+    relative residuals of w2- = 0, of w1+ = 0 (|w1+| / |lambda|) and of
+    nearly Kahler, the larger of those of w1+ = 0 and w3 = 0, NaN if
+    either is.  The size of X's terms is that of d(J gamma) and (2/3) w1+
+    omega^2 over |omega|, or X's own where it is larger: where w2- = 0, X
+    is roundoff.  It compares nothing with a tolerance: `torsion` does."""
+    y, membership, norm3, w3_zero = composed_w3(
+        lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes
+    )
+    n_gam, n_jg, n_p, _, _, _ = sizes
+    max_abs, relative = tolerance.max_abs, tolerance.relative
+    k = (4.0 / 3.0) * w1p
+    t = [u + v - k * c for u, v, c in zip(jg[2:11], jg[11:20], adj_pt)]
+    tau = dot9(t, p) / (2.0 * det_p)
+    ptp = mul9(mul9(p, transpose9(t)), p)
+    x = [u / det_p - tau * v for u, v in zip(ptp, p)]
+    size = max(max_abs(x), max(n_jg, (2.0 / 3.0) * abs(w1p) * n_p * n_p) / n_p)
+    primitivity = max(
+        relative(three_form_wedge_omega(q1, q2, x), size * n_gam),
+        relative(2.0 * dot9(x, adj_pt), size * n_p * n_p),
+    )
+    norm2 = -2.0 * dot9(cofactor9(x), p) / det_p
+    w1p_zero = relative(w1p, lam)
+    return (
+        y, membership, norm3, w3_zero,
+        x, primitivity, norm2, relative(x, size),
+        w1p_zero, max_abs([w1p_zero, w3_zero]),
+    )
 
 
 def composed_construct(lam, a, b, p, q):
@@ -920,20 +972,25 @@ change the kernel, change its composed forms and run
 
     python tools/gen_kernels.py
 
-`w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes)` is what
-`torsion.extract_torsion`, `classify` and `w3_form` read of w3: its
-20-list, its membership residual, |w3|^2 and the residual of w3 = 0.  It
-takes a structure's values as `NhfStructure` holds them: lambda, a, b,
-det P and w1+, the row-major 9-lists P, Q1, Q2, R1 and R2 of `m9`, A and
-B, the 20-list `jgamma_coords` of J gamma and the six `sizes`.  It
-computes what its composed form computes, with the same operations on
-the same operands in the same order, so the results agree to the last
-bit.  It has no guard and compares only moduli, in its largest values,
-so it takes floats, or complex numbers in any input.  The comparisons
-with the tolerance stay in `torsion`.  Every constant is written as a
-float, as in every generated kernel.  Only `nhflat.torsion` imports this
-module, so that `flow`, `family` and a `check` of an invalid record do
-not compile it."""
+`torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes,
+adj_pt)` is the arithmetic of the torsion pass, one call of which
+`torsion.extract_torsion`, `classify`, `w3_form` and `w2_minus_form` each
+make: the 20-list of w3, its membership residual, |w3|^2 and the
+residual of w3 = 0; the 9-list of w2-, its primitivity residual, |w2-|^2
+and the residual of w2- = 0; and the residuals of w1+ = 0 and of nearly
+Kahler.  It takes a structure's values as `NhfStructure` holds them:
+lambda, a, b, det P and w1+, the row-major 9-lists P, Q1, Q2, R1 and R2
+of `m9`, A and B, the 20-list `jgamma_coords` of J gamma, the six
+`sizes` and the 9-list Adj(P^T) of `m9`.  It computes what its composed
+form computes, with the same operations on the same operands in the
+same order, so the results agree to the last bit.  It has no guard and
+compares only moduli, in its largest values, so it takes floats, or
+complex numbers in any input.  The comparisons with the tolerance stay
+in `torsion`, and so does the scalar curvature, whose lambda**2 raises
+OverflowError where a product would give inf.  Every constant is written
+as a float, as in every generated kernel.  Only `nhflat.torsion` imports
+this module, so that `flow`, `family` and a `check` of an invalid record
+do not compile it."""
 '''
 
 MODULES = (
@@ -958,14 +1015,15 @@ MODULES = (
         TORSION_KERNELS_DOC,
         (
             Kernel(
-                "w3",
-                composed_w3,
+                "torsion_pass",
+                composed_torsion_pass,
                 (
                     "lam", "a", "b", "det_p", "w1p",
                     ("p", nine("p")), ("q1", nine("u")), ("q2", nine("v")),
                     ("r1", nine("r")), ("r2", nine("s")), "A", "B",
                     ("jg", ("jc", "jd", *nine("j"), *nine("k"))),
                     ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
+                    ("adj_pt", nine("c")),
                 ),
             ),
         ),
