@@ -1,90 +1,22 @@
-"""The flow's straight-line kernels: `abr`, F = (A, B, R1, R2) of a
-state, which `flow.stage` reads, and `rk4_step`, one RK4 step.
-GENERATED by tools/gen_kernels.py from the composed forms there, over
-the `mat3` helpers; the four stages of the step are `flow.stage` (over
-`flow._recover9` and the composed F): do not edit.  To change a kernel,
-change `flow.stage` or the composed forms and run
+"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
+by tools/gen_kernels.py from its composed form there, over the `mat3`
+helpers; the four stages of the step are the hand-written `flow.stage`
+(over `flow._recover9` and F = `flow.abr`): do not edit.  To change the
+kernel, change `flow.stage`, `flow._recover9` or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-Each kernel computes what its composed form computes, with the same
-operations on the same operands in the same order, so the results agree
-to the last bit.  `abr` takes floats or complex numbers; `rk4_step`
-takes floats only: its guards compare |det P| with the threshold, and it
-calls `math.sqrt`.  Every constant is written as a float, as in every
-generated kernel.  Only `nhflat.flow` imports this module (and
-`structure.compute_abr`, which nothing calls, when it runs), so that a
-process that builds and checks structures does not compile it."""
+It computes what its composed form computes, with the same operations on
+the same operands in the same order, so the results agree to the last
+bit.  It takes floats only: its guards compare |det P| with the
+threshold, and it calls `math.sqrt`.  Every constant is written as a
+float, as in every generated kernel.  Only `nhflat.flow` imports this
+module, so that a process that builds and checks structures does not
+compile it."""
 
 from math import sqrt
 
 from nhflat.errors import SingularStructureError
-
-
-def abr(a, b, q1, q2):
-    """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
-    coordinate layout of `invariant_three_form`: a, b, then Q1 = (u..) and
-    Q2 = (v..) row-major, and A, B, then R1 and R2 row-major:
-
-        A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
-        B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
-        R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
-        R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
-
-    J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too: `flow.stage` calls this
-    kernel (``nhflat._flow_kernels``), and construction's `construct` and
-    the flow's `rk4_step` are traced from the same composed form.
-    It uses only +, - and * and integer constants, so the composed form
-    is exact on ``fractions.Fraction`` input; the kernel `abr` writes
-    each constant as a float and equals it, to the bit, on floats and
-    complex numbers."""
-    u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
-    v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2
-    t0 = u00 * v00 + u10 * v10 + u20 * v20
-    t1 = u00 * v01 + u10 * v11 + u20 * v21
-    t2 = u00 * v02 + u10 * v12 + u20 * v22
-    t3 = u01 * v00 + u11 * v10 + u21 * v20
-    t4 = u01 * v01 + u11 * v11 + u21 * v21
-    t5 = u01 * v02 + u11 * v12 + u21 * v22
-    t6 = u02 * v00 + u12 * v10 + u22 * v20
-    t7 = u02 * v01 + u12 * v11 + u22 * v21
-    t8 = u02 * v02 + u12 * v12 + u22 * v22
-    t9 = t0 + t4 + t8
-    t10 = a * b
-    t11 = t10 + t9
-    t12 = 2.0 * a
-    t13 = 2.0 * b
-    t14 = v11 * v22 - v12 * v21
-    t15 = v12 * v20
-    t16 = v10 * v22
-    t17 = v10 * v21 - v11 * v20
-    t18 = u11 * u22 - u12 * u21
-    t19 = u12 * u20
-    t20 = u10 * u22
-    t21 = u10 * u21 - u11 * u20
-    return (
-        a * t9 - 2.0 * (u00 * t18 - u01 * (t20 - t19) + u02 * t21) - a * a * b,
-        -(b * t9 - 2.0 * (v00 * t14 - v01 * (t16 - t15) + v02 * t17) - t10 * b),
-        -(t11 * u00 - t12 * t14 - 2.0 * (u00 * t0 + u01 * t1 + u02 * t2)),
-        -(t11 * u01 - t12 * (t15 - t16) - 2.0 * (u00 * t3 + u01 * t4 + u02 * t5)),
-        -(t11 * u02 - t12 * t17 - 2.0 * (u00 * t6 + u01 * t7 + u02 * t8)),
-        -(t11 * u10 - t12 * (v02 * v21 - v01 * v22) - 2.0 * (u10 * t0 + u11 * t1 + u12 * t2)),
-        -(t11 * u11 - t12 * (v00 * v22 - v02 * v20) - 2.0 * (u10 * t3 + u11 * t4 + u12 * t5)),
-        -(t11 * u12 - t12 * (v01 * v20 - v00 * v21) - 2.0 * (u10 * t6 + u11 * t7 + u12 * t8)),
-        -(t11 * u20 - t12 * (v01 * v12 - v02 * v11) - 2.0 * (u20 * t0 + u21 * t1 + u22 * t2)),
-        -(t11 * u21 - t12 * (v02 * v10 - v00 * v12) - 2.0 * (u20 * t3 + u21 * t4 + u22 * t5)),
-        -(t11 * u22 - t12 * (v00 * v11 - v01 * v10) - 2.0 * (u20 * t6 + u21 * t7 + u22 * t8)),
-        t11 * v00 - t13 * t18 - 2.0 * (v00 * t0 + v01 * t3 + v02 * t6),
-        t11 * v01 - t13 * (t19 - t20) - 2.0 * (v00 * t1 + v01 * t4 + v02 * t7),
-        t11 * v02 - t13 * t21 - 2.0 * (v00 * t2 + v01 * t5 + v02 * t8),
-        t11 * v10 - t13 * (u02 * u21 - u01 * u22) - 2.0 * (v10 * t0 + v11 * t3 + v12 * t6),
-        t11 * v11 - t13 * (u00 * u22 - u02 * u20) - 2.0 * (v10 * t1 + v11 * t4 + v12 * t7),
-        t11 * v12 - t13 * (u01 * u20 - u00 * u21) - 2.0 * (v10 * t2 + v11 * t5 + v12 * t8),
-        t11 * v20 - t13 * (u01 * u12 - u02 * u11) - 2.0 * (v20 * t0 + v21 * t3 + v22 * t6),
-        t11 * v21 - t13 * (u02 * u10 - u00 * u12) - 2.0 * (v20 * t1 + v21 * t4 + v22 * t7),
-        t11 * v22 - t13 * (u00 * u11 - u01 * u10) - 2.0 * (v20 * t2 + v21 * t5 + v22 * t8),
-    )
 
 
 def rk4_step(lam, sign, y, dy, h):

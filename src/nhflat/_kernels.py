@@ -1,7 +1,8 @@
 """The straight-line kernel of a structure.  GENERATED by
 tools/gen_kernels.py from the composed forms there, over the `mat3`
 helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms and run
+change the kernel, change its composed forms or `flow.abr`, its F, and
+run
 
     python tools/gen_kernels.py
 
@@ -28,7 +29,7 @@ def construct(lam, a, b, p, q):
         (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes, r, maxima, j_squared, spd):
 
     Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
-    row-major lists, F = (A, B, R1, R2) of `composed_abr` and
+    row-major lists, F = (A, B, R1, R2) of `flow.abr` and
     J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
     and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
     fields of `structure.Sizes`), each NaN if an entry is; then the

@@ -15,18 +15,20 @@ Inside `integrate` the state is a flat sequence of 20 Python floats,
     y = (a, b, Q1_11, Q1_12, ..., Q1_33, Q2_11, ..., Q2_33)
 
 with Q1 and Q2 row-major (y[2:11] and y[11:20]).  `stage` evaluates the
-equations at a state, from `_recover9` and the kernel `abr`, and is
-their one written form.  `rk4_step` takes a whole RK4 step, its four
-stages in one call: it is a generated kernel of
-``nhflat._flow_kernels``, as `abr` is, which ``tools/gen_kernels.py``
-traces from `stage` over the `mat3` helpers, so it computes each stage
-bit for bit as `stage` does.  Each state's y' is evaluated once: it is both the
-derivative of its sample and the k1 of the next step, so n steps take
-4n + 1 stages, the first of them a call of `stage`.  Where a stage
-raises, the run stops and `integrate` returns what it has, marked
-singular.  The recorded samples, their residuals and `g2_residual` are
-computed from the flat state too, so `integrate` does not import numpy.
-`flow_rhs` and `recover_p` are the array wrappers of the same code.
+equations at a state, from `_recover9` and `abr`, F = (A, B, R1, R2) of
+Hitchin's dual map, and is their one written form; all three are
+written by hand, here, over the `mat3` helpers.  `rk4_step` takes a
+whole RK4 step, its four stages in one call: it is the generated kernel
+of ``nhflat._flow_kernels``, which ``tools/gen_kernels.py`` traces from
+`stage`, so it computes each stage bit for bit as `stage` does.  The
+generator traces construction's F from `abr` too.  Each state's y' is
+evaluated once: it is both the derivative of its sample and the k1 of
+the next step, so n steps take 4n + 1 stages, the first of them a call
+of `stage`.  Where a stage raises, the run stops and `integrate` returns
+what it has, marked singular.  The recorded samples, their residuals and
+`g2_residual` are computed from the flat state too, so `integrate` does
+not import numpy.  `flow_rhs` and `recover_p` are the array wrappers of
+the same code.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from nhflat._flow_kernels import abr, rk4_step
-from nhflat.mat3 import cofactor9, det9, flat9
+from nhflat._flow_kernels import rk4_step
+from nhflat.mat3 import cofactor9, det9, flat9, mul9, transpose9
 from nhflat.structure import InvalidStructureError, NhfStructure, SingularStructureError
 from nhflat.tolerance import DEFAULT_TOL, badness, max_abs, relative
 
@@ -74,6 +76,41 @@ def _recover9(lam, q1, q2, sign):
     return [x / det_p for x in cofactor9(m)], det_p
 
 
+def abr(a, b, q1, q2):
+    """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
+    coordinate layout of `invariant_three_form`: a, b, then Q1 and Q2
+    row-major, and A, B, then R1 and R2 row-major:
+
+        A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
+        B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
+        R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
+        R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
+
+    J gamma = (2 / det P) F, and the flow's evolution equations
+    gamma' = d omega - lambda J gamma read F too: `stage` calls it, and
+    the generator traces construction's `construct` and the flow's
+    `rk4_step` through it.  It uses only +, - and * and integer
+    constants, so it is exact on ``fractions.Fraction`` input; the
+    kernels write each constant as a float and equal it, to the bit, on
+    floats and complex numbers."""
+    g = mul9(transpose9(q1), q2)  # Q1^T Q2
+    tr12 = g[0] + g[4] + g[8]
+    s = a * b + tr12
+    ta, tb = 2 * a, 2 * b
+    # Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
+    r1 = [
+        -(s * x - ta * c - 2 * w)
+        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
+    ]
+    r2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
+    return (
+        a * tr12 - 2 * det9(q1) - a * a * b,
+        -(b * tr12 - 2 * det9(q2) - a * b * b),
+        *r1,
+        *r2,
+    )
+
+
 def stage(lam, sign, y):
     """One evaluation of the evolution equations at the flat state
     y = (a, b, *Q1, *Q2); returns y' in the same layout:
@@ -81,7 +118,8 @@ def stage(lam, sign, y):
     e = -2 lambda / det P, with P and det P those of `_recover9` (sign is
     the sign of det P) and F = (A, B, R1, R2) that of `abr`.  Raises
     SingularStructureError as `_recover9` does, and when
-    |det P| < SINGULAR_DETP, before F.  `rk4_step` is traced from it."""
+    |det P| < SINGULAR_DETP, before F.  `rk4_step` is traced from it,
+    through the same `_recover9` and `abr`."""
     q1, q2 = y[2:11], y[11:20]
     p, det_p = _recover9(lam, q1, q2, sign)
     if abs(det_p) < SINGULAR_DETP:

@@ -152,8 +152,8 @@ def compute_abr(a: float, b: float, Q1, Q2):
 
     Nothing in the package calls it; it stays only because the benchmark's
     tracer (``perfbench/tracer.py``) binds it by name, until ROADMAP item 1
-    retargets the tracer.  The flow's kernel `abr` is the computation."""
-    from nhflat._flow_kernels import abr
+    retargets the tracer.  `flow.abr` is the computation."""
+    from nhflat.flow import abr
 
     f = abr(float(a), float(b), flat9(Q1), flat9(Q2))
     R1, R2 = _array3x3(f[2:11]), _array3x3(f[11:])
@@ -270,6 +270,35 @@ def _matrix9(m) -> list:
     if not is3x3(rows):
         raise StructureError("P and Q must be 3x3 matrices")
     return [float(x) for row in rows for x in row]
+
+
+#: The types of a record's numbers as JSON gives them.
+_NUMBER_TYPES = frozenset((int, float))
+#: The field of each of a record's 21 numbers, in the order
+#: `_check_record_numbers` reads them.
+_RECORD_FIELDS = ("lambda", "a", "b") + ("P",) * 9 + ("Q",) * 9
+
+
+def _check_record_numbers(rec) -> None:
+    """Raise TypeError unless every number of the record's lambda, a, b, P
+    and Q, read after `tolist()`, is an int or a float, not a bool or a
+    str, which float() reads as 1.0 or 4.0.  P and Q are 3x3: `_matrix9`
+    has read them.  Their 21 types are tested in one set operation, and
+    each number in turn only if that fails, so that a valid record costs
+    one Python call more."""
+    p, q = rec["P"], rec["Q"]
+    if hasattr(p, "tolist"):
+        p = p.tolist()
+    if hasattr(q, "tolist"):
+        q = q.tolist()
+    values = [rec["lambda"], rec["a"], rec["b"], *p[0], *p[1], *p[2], *q[0], *q[1], *q[2]]
+    if _NUMBER_TYPES.issuperset(map(type, values)):
+        return
+    for name, x in zip(_RECORD_FIELDS, values):
+        if hasattr(x, "tolist"):
+            x = x.tolist()
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{name}: expected a number, got {x!r}")
 
 
 class NhfStructure:
@@ -440,12 +469,15 @@ class NhfStructure:
     @classmethod
     def from_record(cls, rec: dict) -> "NhfStructure":
         """Structure of a record; StructureError if a field is missing or
-        malformed or a number is not finite."""
+        malformed or a number is not finite.  Every number of lambda, a, b,
+        P and Q, read after `tolist()`, must be an int or a float, not a
+        bool or a str (the constructor takes what float() takes)."""
         try:
             lam = float(rec["lambda"])
             a = float(rec["a"])
             b = float(rec["b"])
             p, q = _matrix9(rec["P"]), _matrix9(rec["Q"])
+            _check_record_numbers(rec)
             fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", p), ("Q", q))
             want = rec.get("orientation")
             # +-1 as given, not converted: True == 1, and no string equals 1

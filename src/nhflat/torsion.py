@@ -91,7 +91,7 @@ w3 lies in the 12-dimensional module.  There *w3 = J w3, J acting on
 forms by applying the endomorphism J of the coframe to every slot (the
 oracle `pullback(J, .)` of tests/oracles.py), and there the derivative
 of the dual map gamma -> J gamma = (2 / det P) F(gamma) at fixed det P,
-with F = (A, B, R1, R2) of the kernel `abr`, is -2 J (Hitchin, "Stable
+with F = (A, B, R1, R2) of `flow.abr`, is -2 J (Hitchin, "Stable
 forms and special metrics", 2001).  So, for the 20-list y of w3,
 
     |w3|^2 = 6 vol(w3 ^ J w3) / vol(omega^3) = -vol(y ^ D F[y]) / (det P)^2

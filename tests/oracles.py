@@ -17,16 +17,19 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
 * the torsion class from the closed-form vanishing conditions on the
   matrices A, B, R1 and R2 (`matrix_predicates`, `matrix_class`);
 * curvature: the scalar curvature of a left-invariant metric on S3 x S3
-  from the brackets of the frame (`scalar_curvature_of_metric`);
+  from the brackets of the frame (`scalar_curvature_of_metric`), and
+  again through the Levi-Civita connection by Koszul's formula, its
+  curvature tensor and Ricci tensor (`scalar_curvature_by_koszul`);
 * the flow: the stored structure nearest a time (`structure_at`);
 * the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
   the generated kernels must equal, and which, keeping their integer
   constants, are exact on ``fractions.Fraction`` input where they use
-  only +, - and * (`gen.composed_abr`, the normalization bracket
-  `gen.composed_bracket` and its Hessian `gen.composed_bracket_hessian`,
-  which the package computes only inside the kernels `construct` and
-  `torsion_pass`), with the arguments of the kernel `torsion_pass` for a
-  structure (`torsion_args`).
+  only +, - and * (the normalization bracket `gen.composed_bracket` and
+  its Hessian `gen.composed_bracket_hessian`, which the package computes
+  only inside the kernels `construct` and `torsion_pass`; F of the dual
+  map is the hand-written `flow.abr`, exact there too), with the
+  arguments of the kernel `torsion_pass` for a structure
+  (`torsion_args`).
 """
 
 from __future__ import annotations
@@ -317,6 +320,34 @@ def scalar_curvature_of_metric(g) -> float:
     inv = np.linalg.inv(g)
     brackets = np.einsum("kl,im,jn,kij,lmn->", g, inv, inv, _BRACKETS, _BRACKETS)
     return float(-0.25 * brackets - 0.5 * np.einsum("ij,ij->", inv, _KILLING))
+
+
+def scalar_curvature_by_koszul(g) -> float:
+    """The scalar curvature of the left-invariant metric g (as in
+    `scalar_curvature_of_metric`) the long way, with no formula for Lie
+    groups.  On left-invariant fields g is constant, so Koszul's formula
+    reads
+
+        2 g(nabla_{X_i} X_j, X_k) = c_ijk - c_jki + c_kij,
+        c_ijk = g([X_i, X_j], X_k),
+
+    which gives the Christoffel symbols nabla_{X_i} X_j = G^m_ij X_m.
+    Then R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k -
+    nabla_[X_i, X_j] X_k, Ric(Y, Z) the trace of X -> R(X, Y) Z, and s
+    the trace of Ric by g."""
+    g = np.asarray(g, dtype=float)
+    inv = np.linalg.inv(g)
+    c = np.einsum("lij,lk->ijk", _BRACKETS, g)
+    lower = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    gam = np.einsum("mk,ijk->mij", inv, lower)
+    # R[n, k, i, j]: the X_n component of R(X_i, X_j) X_k
+    r = (
+        np.einsum("mjk,nim->nkij", gam, gam)
+        - np.einsum("mik,njm->nkij", gam, gam)
+        - np.einsum("lij,nlk->nkij", _BRACKETS, gam)
+    )
+    ric = np.einsum("ikij->jk", r)
+    return float(np.einsum("jk,jk->", inv, ric))
 
 
 # -- the flow -------------------------------------------------------------------

@@ -431,6 +431,10 @@ BAD_INPUTS = {
     "record_bad_orientation_str_1": (["check", "{orientation_str_1}"], None, None, 2),
     "record_bad_orientation_true": (["check", "{orientation_true}"], None, None, 2),
     "record_bad_orientation_minus_0_5": (["check", "{orientation_minus_0_5}"], None, None, 2),
+    # float() would read True as 1.0 and "4" as 4.0
+    "record_bad_number_lambda_true": (["check", "{lambda_true}"], None, None, 2),
+    "record_bad_number_lambda_str": (["classify", "{lambda_str}"], None, None, 2),
+    "record_bad_number_p_str": (["flow", "{p_str}", "--t-end", "0.01"], None, None, 2),
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
@@ -504,6 +508,9 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "orientation_str_1": nk | {"orientation": "1"},
         "orientation_true": nk | {"orientation": True},
         "orientation_minus_0_5": nk | {"orientation": -0.5},
+        "lambda_true": nk | {"lambda": True},
+        "lambda_str": nk | {"lambda": "4"},
+        "p_str": nk | {"P": [[str(x) for x in row] for row in nk["P"]]},
     }
     paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():
@@ -520,7 +527,7 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
-    if case.startswith("record_bad_orientation"):
+    if case.startswith(("record_bad_orientation", "record_bad_number")):
         assert lines[0].startswith("error: malformed structure record: "), err
     assert out == "" or _strict_json(out) is not None
 

@@ -31,6 +31,14 @@ changes.  On Python 3.12 and 3.13, 13 of these outputs (``s`` and the
 ``w2minus_zero`` residual) differed from 3.11's until `mat3.dot9`; CI runs
 this module on 3.10 to 3.13.
 
+``sample_flows.json`` holds the exit code, stdout and stderr of ``flow
+--t-end 0.01 --record-every 1`` from two of those records, made at
+2418bbc: entry 0 (rotate-family seed 0, class W1) and entry 60
+(root-solve seed 0, class W1+W2-+W3).  The five golden flows above start
+from family members, whose Q is a multiple of P; these two do not, and
+the second has w2- != 0.  Without ``--out`` the CSV is the stdout.  They
+must match byte for byte.
+
 The four ``predicate_residuals`` numbers in the ``classify`` stdout of
 w1, w1w3, zero-scalar and sine-cone were regenerated in October 2026, on
 top of 6957a06, when ``classify`` came to read the class off the
@@ -115,6 +123,21 @@ def test_family_rotate_verify_g2_match_golden_bytes(case, capsys):
 def samples():
     with open(os.path.join(GOLDEN, "samples.json")) as fh:
         return json.load(fh)
+
+
+def sample_flows():
+    with open(os.path.join(GOLDEN, "sample_flows.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", sample_flows(), ids=lambda e: f"{e['method']}-{e['seed']}")
+def test_sample_flows_match_golden_bytes(case, capsys, tmp_path):
+    entry = samples()[case["sample"]]
+    assert (entry["method"], entry["seed"]) == (case["method"], case["seed"])
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(entry["record"]))
+    got = run(capsys, ["flow", str(path), "--t-end", "0.01", "--record-every", "1"])
+    assert got == {key: case[key] for key in ("exit", "stdout", "stderr")}
 
 
 @pytest.mark.parametrize("sample", samples(), ids=lambda e: f"{e['method']}-{e['seed']}")

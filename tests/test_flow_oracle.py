@@ -8,8 +8,8 @@ determinant, the adjugate from 2x2 minors and the explicit matrix
 formulas.
 
 `composed_abr9` and `composed_recover9` are F and the P recovery composed
-from the `mat3` 9-sequence helpers, as `abr` and `flow._recover9` must
-compute them, bit for bit.  `flow.stage`, one evaluation of the
+from the `mat3` 9-sequence helpers, as `flow.abr` and `flow._recover9`
+must compute them, bit for bit.  `flow.stage`, one evaluation of the
 equations, is written by hand; the flow's kernel `rk4_step` is generated
 (``tools/gen_kernels.py``) from `composed_rk4_step` there, whose passes
 call `flow.stage`, and must agree with it bit for bit, halts included;

@@ -1,6 +1,6 @@
-"""The generated kernels of ``nhflat._kernels``, the flow's `abr` and
-the torsion kernel `torsion_pass` (``nhflat._torsion_kernels``) against
-their composed forms.
+"""The generated kernels `construct` (``nhflat._kernels``) and
+`torsion_pass` (``nhflat._torsion_kernels``) against their composed
+forms.
 
 ``tools/gen_kernels.py`` traces each composed form and writes the kernel;
 here the kernels are run beside the composed forms, on the survey records,
@@ -134,26 +134,16 @@ def test_check_flags_a_stale_file(tmp_path, monkeypatch, capsys):
 
 
 def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
-    # an edit of composed_abr reaches both files in one run: `construct`
-    # calls it, and `rk4_step` is traced through `flow.stage`, whose `abr`
-    # the trace binds to the composed form, not to the kernel imported
-    # with `flow`
-    source = inspect.getsource(gen.composed_abr)
+    # an edit of the hand-written `flow.abr` reaches both files in one
+    # run: `construct` calls it, and `rk4_step` is traced through
+    # `flow.stage`, which calls it too; the trace rebinds nothing of `flow`
+    source = inspect.getsource(flow.abr)
     assert source.count("s = a * b + tr12") == 1
-    namespace = dict(vars(gen))
+    namespace = dict(vars(flow))
     exec(source.replace("s = a * b + tr12", "s = b * a + tr12"), namespace)
-    regrouped = namespace["composed_abr"]
-    kernels = gen.MODULES[1].kernels
-    assert kernels[0] is gen.ABR
-    modules = (
-        gen.MODULES[0],
-        gen.MODULES[1]._replace(kernels=(gen.ABR._replace(form=regrouped), *kernels[1:])),
-        *gen.MODULES[2:],
-    )
-    monkeypatch.setattr(gen, "composed_abr", regrouped)
-    monkeypatch.setattr(gen, "MODULES", modules)
+    monkeypatch.setattr(flow, "abr", namespace["abr"])
     monkeypatch.setattr(gen, "ROOT", str(tmp_path))
-    paths = [tmp_path / m.path for m in modules]
+    paths = [tmp_path / m.path for m in gen.MODULES]
     paths[0].parent.mkdir(parents=True)
     assert gen.main([]) == 0
     written = [p.read_text() for p in paths]
@@ -220,7 +210,7 @@ def test_guard_keeps_its_place_and_message():
 
 def test_docstring_does_not_depend_on_its_indent(monkeypatch):
     # Python 3.13 strips a docstring's indent as it compiles it
-    kernel = gen.ABR
+    kernel = gen.MODULES[0].kernels[0]
     want = gen.emit(kernel)
     monkeypatch.setattr(kernel.form, "__doc__", inspect.cleandoc(kernel.form.__doc__))
     assert gen.emit(kernel) == want
@@ -327,14 +317,11 @@ def near_valid_states(seed, n):
 
 
 def test_kernels_equal_composed_forms_on_random_states():
-    # at 3000 states, a sum regrouped in `abr` differs on 100 to 550 of
-    # them, and B written as -(x - z) -> z - x, which moves only the sign
-    # of a zero, on one.  Random states almost never have a positive
-    # definite metric (7 of these 3000; 272 are singular), so 1000 states
-    # near valid structures cover the blocks that `is_spd9` passes (996)
+    # Random states almost never have a positive definite metric (7 of
+    # these 3000; 272 are singular), so 1000 states near valid structures
+    # cover the blocks that `is_spd9` passes (996)
     spd = []
     for lam, a, b, p, q in random_kernel_states(40, 3000):
-        assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
         want = check_kernels(lam, a, b, p, q)
         spd += [] if want is None else [is_spd9(*spd_blocks(want))]
     spd += [is_spd9(*spd_blocks(check_kernels(*v))) for v in near_valid_states(44, 1000)]
@@ -385,7 +372,6 @@ def test_kernels_equal_composed_forms_on_complex_states():
     # multiplies as the composed form's integer constant does, to the bit,
     # and the guard and the max nodes compare moduli
     for lam, a, b, p, q in random_complex_states(43, 3000):
-        assert bits(_flow_kernels.abr(a, b, p, q)) == bits(gen.composed_abr(a, b, p, q))
         check_kernels(lam, a, b, p, q)
 
 
@@ -479,11 +465,14 @@ def test_torsion_reads_the_generated_kernel():
 
 
 def test_structure_reads_the_generated_kernels():
-    # one kernel builds and checks a structure
-    assert flow.abr is _flow_kernels.abr
+    # one kernel builds and checks a structure, and one takes an RK4 step:
+    # F is the hand-written `flow.abr`, which no kernel file defines
     assert structure.construct is _kernels.construct
-    functions = [name for name, v in vars(_kernels).items() if inspect.isfunction(v)]
-    assert functions == ["construct"]
+    assert flow.rk4_step is _flow_kernels.rk4_step
+    for module, names in ((_kernels, ["construct"]), (_flow_kernels, ["rk4_step"])):
+        functions = [name for name, v in vars(module).items() if inspect.isfunction(v)]
+        assert functions == names
+    assert flow.abr.__module__ == "nhflat.flow"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -219,6 +219,30 @@ class TestRecord:
         with pytest.raises(StructureError):
             NhfStructure.from_record({"lambda": 4.0})
 
+    def test_record_numbers_are_ints_or_floats(self):
+        # float() would read True as 1.0 and "4" as 4.0
+        rec = families.nearly_kahler(4.0).to_record()
+        p_str = [[str(x) for x in row] for row in rec["P"]]
+        q_bool = [row[:2] + [True] for row in rec["Q"]]
+        bad = [
+            {"lambda": True}, {"lambda": "4"}, {"a": False}, {"b": "0"},
+            {"lambda": np.bool_(True)}, {"P": p_str}, {"Q": q_bool},
+        ]
+        message = "^malformed structure record: [a-zA-Z]+: expected a number, got "
+        for fields in bad:
+            with pytest.raises(StructureError, match=message):
+                NhfStructure.from_record(rec | fields)
+        # ints, and arrays and numpy scalars, which are read after tolist()
+        s = NhfStructure.from_record(rec)
+        arrays = {"lambda": 4, "a": np.float32(rec["a"]), "P": np.array(rec["P"]),
+                  "Q": np.array(rec["Q"])}
+        t = NhfStructure.from_record(rec | arrays)
+        assert (t.lam, t.m9.p, t.m9.q) == (s.lam, s.m9.p, s.m9.q)
+        assert t.a == float(np.float32(rec["a"]))
+        # the constructor takes them as it did
+        u = NhfStructure(np.float32(4.0), np.float64(s.a), s.b, np.array(rec["P"]), s.Q)
+        assert (u.lam, u.a, u.m9.p, u.m9.q) == (s.lam, s.a, s.m9.p, s.m9.q)
+
     def test_record_parses_p_and_q_once(self, monkeypatch):
         calls = []
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nhflat import exterior, families, structure, torsion
+from nhflat import exterior, families, flow, structure, torsion
 from nhflat.exterior import (
     COFRAME_DIFFERENTIAL,
     Form,
@@ -581,8 +581,9 @@ def golden_records():
 def test_record_is_checked_in_few_python_calls():
     # from_record and validate call the generated kernel once and little
     # else: 69 Python-level calls per record before it was generated, 29
-    # with a second kernel for the verdicts, and 26 now on Python 3.11
-    # (27 where det P < 0, whose SPD blocks metric_spd negates).
+    # with a second kernel for the verdicts, 26 with one, and 27 now on
+    # Python 3.11, with the check that the record holds numbers only (28
+    # where det P < 0, whose SPD blocks metric_spd negates).
     # Comprehensions are calls before Python 3.12, and each resumption of a
     # generator is one; the builtins are not
     for rec in golden_records():
@@ -728,13 +729,13 @@ def test_norms_match_inner_oracle(samples):
 
 
 def abr_derivative(x, y):
-    """D F[y] at x, F = (A, B, R1, R2) of `abr`, for 20-lists x and y.  F
-    is cubic, so F(x + y) - F(x - y) = 2 D F[y] + 2 F(y); evaluated on
-    Fractions by the composed form `gen.composed_abr`, which is exact
-    there (the kernel `abr` writes its constants as floats)."""
+    """D F[y] at x, F = (A, B, R1, R2) of `flow.abr`, for 20-lists x and
+    y.  F is cubic, so F(x + y) - F(x - y) = 2 D F[y] + 2 F(y); evaluated
+    on Fractions, where `flow.abr`, which keeps its integer constants, is
+    exact (the kernels write their constants as floats)."""
 
     def f(z):
-        return gen.composed_abr(z[0], z[1], z[2:11], z[11:])
+        return flow.abr(z[0], z[1], z[2:11], z[11:])
 
     x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
     plus = f([u + v for u, v in zip(x, y)])

@@ -23,8 +23,8 @@ from nhflat.torsion import (
     w2_minus_form,
     w3_form,
 )
-from oracles import pullback, scalar_curvature_of_metric
-from test_cli_golden import GOLDEN
+from oracles import pullback, scalar_curvature_by_koszul, scalar_curvature_of_metric
+from test_cli_golden import FAMILIES, GOLDEN, samples
 
 SQRT3 = np.sqrt(3.0)
 
@@ -260,6 +260,24 @@ class TestScalarCurvature:
 
     def test_metric_oracle_on_two_round_spheres(self):
         assert scalar_curvature_of_metric(np.eye(6)) == pytest.approx(3.0, rel=1e-15)
+        assert scalar_curvature_by_koszul(np.eye(6)) == pytest.approx(3.0, rel=1e-15)
+
+    def test_metric_oracle_agrees_with_koszul(self):
+        # Milnor's formula for unimodular groups against the Levi-Civita
+        # connection, its curvature and Ricci tensors: the five golden
+        # records and four checked-in samples, rotate-family seeds 0 and 3
+        # and root-solve seeds 0 and 2 (w2- != 0)
+        records = []
+        for family in FAMILIES:
+            with open(os.path.join(GOLDEN, f"{family}.json")) as fh:
+                records.append(json.load(fh))
+        picked = {("rotate-family", 0), ("rotate-family", 3), ("root-solve", 0), ("root-solve", 2)}
+        records += [e["record"] for e in samples() if (e["method"], e["seed"]) in picked]
+        assert len(records) == 9
+        for record in records:
+            g = NhfStructure.from_record(record).metric()
+            want = scalar_curvature_of_metric(g)
+            assert scalar_curvature_by_koszul(g) == pytest.approx(want, rel=1e-12)
 
     def test_metric_oracle_scales_inversely(self):
         for seed in range(3):

@@ -1,12 +1,14 @@
 """Generate the package's straight-line kernels from the composed forms in
 this file: ``src/nhflat/_kernels.py`` (`construct`, what building and
-checking a structure compute), ``src/nhflat/_flow_kernels.py`` (`abr`,
-F of a state, and `rk4_step`, whose stages are the hand-written
-`flow.stage`, traced with F = `composed_abr`) and
-``src/nhflat/_torsion_kernels.py`` (`torsion_pass`, all the torsion
-pass computes of w3 and w2- and the residuals of the class, traced from
-`composed_torsion_pass`, which calls `composed_w3`; its input contract
-is in `TORSION_KERNELS_DOC`).
+checking a structure compute), ``src/nhflat/_flow_kernels.py``
+(`rk4_step`, one RK4 step, whose stages are the hand-written
+`flow.stage`) and ``src/nhflat/_torsion_kernels.py`` (`torsion_pass`,
+all the torsion pass computes of w3 and w2- and the residuals of the
+class, traced from `composed_torsion_pass`, which calls `composed_w3`;
+its input contract is in `TORSION_KERNELS_DOC`).  F = (A, B, R1, R2) of
+Hitchin's dual map is written once, by hand, as `flow.abr`:
+`composed_construct` calls it, `flow.stage` calls it, and the trace runs
+it as it runs at run time.
 
     python tools/gen_kernels.py          # write the three files
     python tools/gen_kernels.py --check  # exit 1 if a file is not current
@@ -43,12 +45,11 @@ singular-P test, `rk4_step` two, the flow's |det P| tests, and
 `torsion`.
 
 A kernel takes floats, or complex numbers where every comparison it
-makes reads moduli and it calls no `math.sqrt`: `abr` compares nothing,
-and `construct` and `torsion_pass` compare only moduli, `construct` in
-its guard and both in their largest values, so the root-solve sampler's
-complex step runs `abr` and `construct` on any of their inputs, and
-`torsion_pass` takes complex numbers in any input too; `rk4_step` takes
-floats only.
+makes reads moduli and it calls no `math.sqrt`: `construct` and
+`torsion_pass` compare only moduli, `construct` in its guard and both in
+their largest values, so the root-solve sampler's complex step runs
+`construct` on any of its inputs, and `torsion_pass` takes complex
+numbers in any input too; `rk4_step` takes floats only.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -74,42 +75,6 @@ from nhflat.mat3 import cofactor9, det9, dot9, mul9, transpose9  # noqa: E402
 from nhflat.structure import SINGULAR_DETP, _j_blocks9, three_form_wedge_omega  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
-
-
-def composed_abr(a, b, q1, q2):
-    """F = (A, B, R1, R2) of gamma as a 20-tuple, with gamma and F in the
-    coordinate layout of `invariant_three_form`: a, b, then Q1 = (u..) and
-    Q2 = (v..) row-major, and A, B, then R1 and R2 row-major:
-
-        A  =   a tr(Q1^T Q2) - 2 det Q1 - a^2 b
-        B  = -(b tr(Q1^T Q2) - 2 det Q2 - a b^2)
-        R1 = -((a b + tr(Q1^T Q2)) Q1 - 2 a Adj(Q2^T) - 2 Q1 Q2^T Q1)
-        R2 =   (a b + tr(Q1^T Q2)) Q2 - 2 b Adj(Q1^T) - 2 Q2 Q1^T Q2
-
-    J gamma = (2 / det P) F, and the flow's evolution equations
-    gamma' = d omega - lambda J gamma read F too: `flow.stage` calls this
-    kernel (``nhflat._flow_kernels``), and construction's `construct` and
-    the flow's `rk4_step` are traced from the same composed form.
-    It uses only +, - and * and integer constants, so the composed form
-    is exact on ``fractions.Fraction`` input; the kernel `abr` writes
-    each constant as a float and equals it, to the bit, on floats and
-    complex numbers."""
-    g = mul9(transpose9(q1), q2)  # Q1^T Q2
-    tr12 = g[0] + g[4] + g[8]
-    s = a * b + tr12
-    ta, tb = 2 * a, 2 * b
-    # Q1 Q2^T Q1 = Q1 g^T and Q2 Q1^T Q2 = Q2 g
-    r1 = [
-        -(s * x - ta * c - 2 * w)
-        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
-    ]
-    r2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
-    return (
-        a * tr12 - 2 * det9(q1) - a * a * b,
-        -(b * tr12 - 2 * det9(q2) - a * b * b),
-        *r1,
-        *r2,
-    )
 
 
 def _sum(terms):
@@ -189,7 +154,7 @@ def composed_bracket_hessian(a, b, q1, q2, y):
     which would lose the digits of the small factors.
 
     It is 2 vol(y ^ D F[y]), vol the e123456 coefficient and F = (A, B,
-    R1, R2) of `composed_abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2:
+    R1, R2) of `flow.abr`, because vol(y ^ F(x)) = D lambda(x)[y] / 2:
     as in Hitchin's construction of the dual map gamma -> J gamma =
     (2 / det P) F(gamma), F is the symplectic gradient of the quartic
     invariant lambda / 2."""
@@ -314,7 +279,7 @@ def composed_construct(lam, a, b, p, q):
         (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes, r, maxima, j_squared, spd):
 
     Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
-    row-major lists, F = (A, B, R1, R2) of `composed_abr` and
+    row-major lists, F = (A, B, R1, R2) of `flow.abr` and
     J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
     and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
     fields of `structure.Sizes`), each NaN if an entry is; then the
@@ -330,7 +295,7 @@ def composed_construct(lam, a, b, p, q):
     h = 0.5 * lam
     q1 = [x - h * c for x, c in zip(q, adj)]
     q2 = [-x - h * c for x, c in zip(q, adj)]
-    f = list(composed_abr(a, b, q1, q2))
+    f = list(flow.abr(a, b, q1, q2))
     c = 2.0 / det_p
     jg = [c * x for x in f]
     max_abs = tolerance.max_abs
@@ -434,8 +399,6 @@ class Module(NamedTuple):
     doc: str
     kernels: tuple
 
-
-ABR = Kernel("abr", composed_abr, ("a", "b", ("q1", nine("u")), ("q2", nine("v"))))
 
 #: The RK4 step is `composed_pass` traced once and emitted inside a loop
 #: over its four passes (`emit_rk4_step`).
@@ -595,10 +558,10 @@ def _traced(x) -> bool:
 def _run(kernel, graph):
     """The kernel's composed form run on the graph's inputs, with
     `math.sqrt`, the builtin `max`, `tolerance.max_abs` and
-    `tolerance.term_size` of traced values nodes, and `flow.abr` bound to
-    `composed_abr`: `flow.stage` is traced through F's composed form, not
-    through the `abr` kernel that `flow` imports.  `term_size(*terms)` is
-    the "max" of the terms' sizes and 1e-300, as the function takes it."""
+    `tolerance.term_size` of traced values nodes.  `term_size(*terms)` is
+    the "max" of the terms' sizes and 1e-300, as the function takes it.
+    Nothing of `flow` is rebound: `flow.stage` and `flow.abr` run here as
+    they run at run time."""
     args = [
         graph.node(("in", p)) if isinstance(p, str)
         else [graph.node(("in", name)) for name in p[1]]
@@ -635,7 +598,6 @@ def _run(kernel, graph):
         (builtins, "max", traced_max),
         (tolerance, "max_abs", traced_max_abs),
         (tolerance, "term_size", traced_term_size),
-        (flow, "abr", composed_abr),
     )
     saved = [(module, name, getattr(module, name)) for module, name, _ in bound]
     for module, name, value in bound:
@@ -926,7 +888,8 @@ KERNELS_DOC = '''\
 """The straight-line kernel of a structure.  GENERATED by
 tools/gen_kernels.py from the composed forms there, over the `mat3`
 helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms and run
+change the kernel, change its composed forms or `flow.abr`, its F, and
+run
 
     python tools/gen_kernels.py
 
@@ -945,23 +908,21 @@ integer constants, are exact."""
 '''
 
 FLOW_KERNELS_DOC = '''\
-"""The flow's straight-line kernels: `abr`, F = (A, B, R1, R2) of a
-state, which `flow.stage` reads, and `rk4_step`, one RK4 step.
-GENERATED by tools/gen_kernels.py from the composed forms there, over
-the `mat3` helpers; the four stages of the step are `flow.stage` (over
-`flow._recover9` and the composed F): do not edit.  To change a kernel,
-change `flow.stage` or the composed forms and run
+"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
+by tools/gen_kernels.py from its composed form there, over the `mat3`
+helpers; the four stages of the step are the hand-written `flow.stage`
+(over `flow._recover9` and F = `flow.abr`): do not edit.  To change the
+kernel, change `flow.stage`, `flow._recover9` or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-Each kernel computes what its composed form computes, with the same
-operations on the same operands in the same order, so the results agree
-to the last bit.  `abr` takes floats or complex numbers; `rk4_step`
-takes floats only: its guards compare |det P| with the threshold, and it
-calls `math.sqrt`.  Every constant is written as a float, as in every
-generated kernel.  Only `nhflat.flow` imports this module (and
-`structure.compute_abr`, which nothing calls, when it runs), so that a
-process that builds and checks structures does not compile it."""
+It computes what its composed form computes, with the same operations on
+the same operands in the same order, so the results agree to the last
+bit.  It takes floats only: its guards compare |det P| with the
+threshold, and it calls `math.sqrt`.  Every constant is written as a
+float, as in every generated kernel.  Only `nhflat.flow` imports this
+module, so that a process that builds and checks structures does not
+compile it."""
 '''
 
 TORSION_KERNELS_DOC = '''\
@@ -1008,7 +969,7 @@ MODULES = (
     Module(
         os.path.join("src", "nhflat", "_flow_kernels.py"),
         FLOW_KERNELS_DOC,
-        (ABR, RK4_STEP),
+        (RK4_STEP,),
     ),
     Module(
         os.path.join("src", "nhflat", "_torsion_kernels.py"),
