@@ -1,18 +1,15 @@
-"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
-by tools/gen_kernels.py from its composed form there, over the `mat3`
-helpers; the four stages of the step are the hand-written `flow.stage`
-(over `flow._recover9` and F = `flow.abr`): do not edit.  To change the
-kernel, change `flow.stage`, `flow._recover9` or `flow.abr` and run
+"""The flow's straight-line kernel `rk4_step`.  GENERATED by
+tools/gen_kernels.py from `composed_rk4_step` there, bit for bit, whose
+four stages are the hand-written `flow.stage` (over `flow._recover9` and
+F = `flow.abr`): do not edit.  To change the kernel, change `flow.stage`,
+`flow._recover9` or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-It computes what its composed form computes, with the same operations on
-the same operands in the same order, so the results agree to the last
-bit.  It takes floats only: its guards compare |det P| with the
-threshold, and it calls `math.sqrt`.  Every constant is written as a
-float, as in every generated kernel.  Only `nhflat.flow` imports this
-module, so that a process that builds and checks structures does not
-compile it."""
+Only `nhflat.flow` imports this module, so that a process that builds
+and checks structures does not compile it.  `rk4_step` takes floats
+only: its guards compare |det P| with the threshold, and it calls
+`math.sqrt`.  Every constant is written as a float."""
 
 from math import sqrt
 

@@ -1,21 +1,16 @@
-"""The straight-line kernel of a structure.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms or `flow.abr`, its F, and
-run
+"""The straight-line kernel `construct` of a structure.  GENERATED by
+tools/gen_kernels.py from `composed_construct` there, bit for bit, over
+the `mat3` helpers, F = `flow.abr` and the `tolerance` rules of a
+largest value: do not edit.  To change the kernel, change its composed
+forms or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-`construct` is what `NhfStructure` computes as it is built: its data,
-and the residuals and blocks that `validate` reads.  It computes what
-its composed form computes, with the same operations on the same
-operands in the same order, so the results agree to the last bit.  A
-largest modulus is NaN if any entry is (`tolerance.max_abs`); a term
-size keeps the first of the largest values, as the builtin `max` does
-(`tolerance.term_size`).  It takes floats, or complex numbers in any of
-its inputs: it raises SingularStructureError in its one guard, which
-compares moduli, as its largest values do, and it calls no
-`math.sqrt`.  Every constant is written as a float, so on
+Only `nhflat.structure` imports this module: `NhfStructure` makes one
+call of `construct` as it is built.  `construct` takes floats, or
+complex numbers in any of its inputs (the root-solve sampler's complex
+step), since its one guard and its largest values compare moduli and it
+calls no `math.sqrt`.  Every constant is written as a float, so on
 ``fractions.Fraction`` input only the composed forms, which keep their
 integer constants, are exact."""
 
@@ -26,15 +21,26 @@ def construct(lam, a, b, p, q):
     """What building and checking the structure (lambda, a, b, P, Q)
     compute, with P and Q row-major 9-lists, as
 
-        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes, r, maxima, j_squared, spd):
+        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes,
+         r, (qtp_symmetry, normalization, jgamma_wedge_omega), j_squared, (A, B, C)):
 
     Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
     row-major lists, F = (A, B, R1, R2) of `flow.abr` and
     J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
     and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
-    fields of `structure.Sizes`), each NaN if an entry is; then the
-    verdicts of `composed_verdicts` on these values.  Raises
-    SingularStructureError, before it computes anything else, when
+    fields of `structure.Sizes`), each NaN if an entry is.
+
+    Then what `NhfStructure.validate` reads: r is the list of the 10
+    defining residuals (`NhfStructure.defining_residuals`): the 3 entries
+    above the diagonal of Q^T P - P^T Q, (det P)^2 minus
+    `composed_bracket`, and the 6 coefficients of J gamma ^ omega
+    (`three_form_wedge_omega`), each divided by the size of the terms it
+    compares, as `tolerance.relative` divides (of products, not powers: a
+    float power raises on overflow where a product gives inf).  Then the
+    largest |entry| of each of r's three blocks, NaN if an entry is, and
+    |j| and the blocks A, B, C of `composed_j_verdicts`.
+
+    Raises SingularStructureError, before it computes anything else, when
     |det P| <= SINGULAR_DETP max|P|^3: a test of the shape of P,
     independent of its scale."""
     p00, p01, p02, p10, p11, p12, p20, p21, p22 = p

@@ -1,55 +1,64 @@
-"""The straight-line kernel of the torsion pass.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms and run
+"""The straight-line kernel `torsion_pass` of the torsion pass.  GENERATED
+by tools/gen_kernels.py from `composed_torsion_pass` there, bit for bit,
+over the `mat3` helpers and the `tolerance` rules of a largest value: do
+not edit.  To change the kernel, change its composed forms and run
 
     python tools/gen_kernels.py
 
-`torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes,
-adj_pt)` is the arithmetic of the torsion pass, one call of which
-`torsion.extract_torsion`, `classify`, `w3_form` and `w2_minus_form` each
-make: the 20-list of w3, its membership residual, |w3|^2 and the
-residual of w3 = 0; the 9-list of w2-, its primitivity residual, |w2-|^2
-and the residual of w2- = 0; and the residuals of w1+ = 0 and of nearly
-Kahler.  It takes a structure's values as `NhfStructure` holds them:
-lambda, a, b, det P and w1+, the row-major 9-lists P, Q1, Q2, R1 and R2
-of `m9`, A and B, the 20-list `jgamma_coords` of J gamma, the six
-`sizes` and the 9-list Adj(P^T) of `m9`.  It computes what its composed
-form computes, with the same operations on the same operands in the
-same order, so the results agree to the last bit.  It has no guard and
-compares only moduli, in its largest values, so it takes floats, or
-complex numbers in any input.  The comparisons with the tolerance stay
-in `torsion`, and so does the scalar curvature, whose lambda**2 raises
-OverflowError where a product would give inf.  Every constant is written
-as a float, as in every generated kernel.  Only `nhflat.torsion` imports
-this module, so that `flow`, `family` and a `check` of an invalid record
-do not compile it."""
+Only `nhflat.torsion` imports this module, whose `extract_torsion`,
+`classify`, `w3_form` and `w2_minus_form` each make one call of
+`torsion_pass`, so that `flow`, `family` and a `check` of an invalid
+record do not compile it.  `torsion_pass` takes floats, or complex
+numbers in any input, since it has no guard and its largest values
+compare moduli.  Every constant is written as a float."""
 
 
 def torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes, adj_pt):
-    """What the torsion pass computes, for a structure with the data of
-    `composed_construct` (Adj(P^T) its second value) and w1+ =
-    `NhfStructure.w1plus`, as
+    """What the torsion pass computes, from a structure's values as
+    `NhfStructure` holds them (the data of `composed_construct`): lambda,
+    a, b, det P and w1+ (`NhfStructure.w1plus`), the row-major 9-lists P,
+    Q1, Q2, R1 and R2 of `m9`, A and B, J gamma's 20-list jg
+    (`jgamma_coords`), the six `sizes` and the 9-list Adj(P^T) of `m9`, as
 
         (y, w3 membership, |w3|^2, w3 = 0,
          X, w2- primitivity, |w2-|^2, w2- = 0, w1+ = 0, nearly Kahler):
 
-    the four values of `composed_w3`; the row-major 9-list X of w2- =
-    build_omega(X), from w2- ^ omega = t, t = d(J gamma) + (2/3) w1+
-    omega^2, by the explicit inverse of the Lefschetz map (see the
-    `torsion` docstring),
+    y is the 20-list (see `invariant_three_form`) of
+    w3 = d(omega) - w1+ gamma - (3 lambda / 4) J gamma.
+    d(omega) = invariant_three_form(0, 0, P, -P) exactly and J gamma is
+    (2 / det P)(A, B, R1, R2) on gamma's slots, so with
+    c = 3 lambda / (2 det P)
+
+        e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
+        e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
+
+    The size of w3's terms is that of d(omega), w1+ gamma and
+    (3 lambda / 4) J gamma.  The w3 membership is the largest relative
+    residual of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 on coordinates
+    (`three_form_wedge_omega` and `three_form_volume`, J gamma's read off
+    jg), each divided by that size times the size of the form wedged with
+    w3; |w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2)
+    (`composed_bracket_hessian`); and w3 = 0 is relative(y, size).
+
+    X is the row-major 9-list of w2- = build_omega(X), from
+    w2- ^ omega = t, t = d(J gamma) + (2/3) w1+ omega^2, by the explicit
+    inverse of the Lefschetz map (see the `torsion` docstring),
 
         X = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
 
-    T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) J gamma's 20-list jg;
-    the relative residual of w2- ^ gamma = w2- ^ omega^2 = 0 on
-    coordinates, each divided by the size of X's terms times that of the
-    form wedged with it; |w2-|^2 = -2 <Adj(X^T), P> / det P; and the
-    relative residuals of w2- = 0, of w1+ = 0 (|w1+| / |lambda|) and of
-    nearly Kahler, the larger of those of w1+ = 0 and w3 = 0, NaN if
-    either is.  The size of X's terms is that of d(J gamma) and (2/3) w1+
-    omega^2 over |omega|, or X's own where it is larger: where w2- = 0, X
-    is roundoff.  It compares nothing with a tolerance: `torsion` does."""
+    T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) J gamma's 20-list jg.
+    The w2- primitivity is the relative residual of w2- ^ gamma =
+    w2- ^ omega^2 = 0 on coordinates, each divided by the size of X's
+    terms times that of the form wedged with it; |w2-|^2 =
+    -2 <Adj(X^T), P> / det P; and then come the relative residuals of
+    w2- = 0, of w1+ = 0 (|w1+| / |lambda|) and of nearly Kahler, the
+    larger of those of w1+ = 0 and w3 = 0, NaN if either is.  The size of
+    X's terms is that of d(J gamma) and (2/3) w1+ omega^2 over |omega|, or
+    X's own where it is larger: where w2- = 0, X is roundoff.
+
+    It compares nothing with a tolerance, and leaves out the scalar
+    curvature, whose lambda**2 raises OverflowError where a product would
+    give inf: `torsion` does both."""
     p00, p01, p02, p10, p11, p12, p20, p21, p22 = p
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = q1
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = q2

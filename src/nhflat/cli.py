@@ -222,14 +222,8 @@ def cmd_flow(args) -> int:
     structures = []
     for path in args.input:
         s = _load_structure(path)
-        report = s.validate(tol=tol)
-        if not report.passed:
-            print(
-                f"error: initial structure invalid "
-                f"(worst residual {report.worst[1]:.3e} in {report.worst[0]})",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID
+        # InvalidStructureError: `main` prints it and exits 1
+        flow.check_initial(s, tol)
         structures.append(s)
     batch = len(structures) > 1
     if args.out:

@@ -309,6 +309,18 @@ def check_step(h: float, record_every: int, t0: float, t1: float) -> None:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
+def check_initial(initial: NhfStructure, tol: float = DEFAULT_TOL) -> None:
+    """Raise InvalidStructureError, naming the worst residual, unless the
+    structure passes `validate(tol)`: a flow starts only from a valid
+    structure."""
+    report = initial.validate(tol)
+    if not report.passed:
+        raise InvalidStructureError(
+            f"initial structure invalid "
+            f"(worst residual {report.worst[1]:.3e} in {report.worst[0]})"
+        )
+
+
 def integrate(
     initial: NhfStructure,
     t0: float,
@@ -321,11 +333,11 @@ def integrate(
 
     Integrates forward (t1 > t0) or backward (t1 < t0) with fixed step h,
     recording every record_every-th step and the last one.  The initial
-    structure must pass `validate(tol)`, else InvalidStructureError, and
-    each sample's `passed` is its verdict at `tol`; its g2_resid is the
-    relative `g2_residual` of its state and y'.  The run ends
-    at t1: when h does not divide t1 - t0 (to a relative 1e-9) the
-    last step is shortened.  Raises ValueError for a zero or
+    structure must pass `validate(tol)`, else InvalidStructureError
+    (`check_initial`), and each sample's `passed` is its verdict at
+    `tol`; its g2_resid is the relative `g2_residual` of its state and
+    y'.  The run ends at t1: when h does not divide t1 - t0 (to a
+    relative 1e-9) the last step is shortened.  Raises ValueError for a zero or
     non-finite h, record_every < 1, a non-finite t0 or t1 or more than
     MAX_STEPS steps.
 
@@ -338,12 +350,7 @@ def integrate(
     record_every is, ``steps`` counts the k steps before it and
     ``samples`` the states recorded before it."""
     check_step(h, record_every, t0, t1)
-    report = initial.validate(tol)
-    if not report.passed:
-        raise InvalidStructureError(
-            f"initial structure invalid: worst residual {report.worst[1]:.3e}"
-            f" ({report.worst[0]})"
-        )
+    check_initial(initial, tol)
     lam = initial.lam
     direction = 1.0 if t1 >= t0 else -1.0
     h = abs(h) * direction

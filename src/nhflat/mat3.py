@@ -14,18 +14,11 @@ raises ValueError for any other shape.  The package computes every 3x3
 product, cofactor, determinant and inner product with them, either
 directly or through straight-line kernels that ``tools/gen_kernels.py``
 generates by tracing compositions of these helpers, so that they round
-exactly as the helpers do: that of ``nhflat._kernels`` (``construct``,
-what building and checking a structure compute: det P, Adj(P^T), Q1,
-Q2, F, J gamma and the sizes, the defining residuals, and what the
-J^2 = -id and SPD verdicts read), that of ``nhflat._flow_kernels``
-(the flow's ``rk4_step``, traced through the hand-written ``flow.stage``
-with the recovery of P and F = (A, B, R1, R2), ``flow.abr``, which
-``flow.stage`` calls directly and ``construct`` is traced through) and
-that of ``nhflat._torsion_kernels`` (``torsion_pass``,
-the torsion pass: the coordinates of w3 and w2-, their module-membership
-residuals, |w3|^2 through the bracket's Hessian and |w2-|^2, and the
-residuals of the torsion class).  No 3x3
-expression is written out by hand elsewhere.
+exactly as the helpers do: ``construct`` (``nhflat._kernels``),
+``rk4_step`` (``nhflat._flow_kernels``, traced through the hand-written
+``flow.stage``) and ``torsion_pass`` (``nhflat._torsion_kernels``); each
+kernel's docstring says what it returns.  No 3x3 expression is written
+out by hand elsewhere.
 
 `det3`, `adjugate` and `polarized_adjugate` are wrappers that take 3x3
 arrays, and the last two give arrays; numpy is imported only when they

@@ -135,18 +135,6 @@ def build_omega(P) -> Form:
     return _table_form(2, _OMEGA_TABLE, flat9(P))
 
 
-def three_form_wedge_omega(m1, m2, x) -> list:
-    """The 6 coefficients, in basis order, of the 5-form
-    invariant_three_form(c135, c246, M1, M2) ^ build_omega(X), with M1, M2
-    and X row-major 9-sequences; c135 and c246 drop out.  They are the
-    entries above the diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T,
-    with signs."""
-    g = mul9(transpose9(m1), x)
-    h = mul9(m2, transpose9(x))
-    # with U = g - g^T, V = h - h^T, they are U01, -V01, -U02, V02, U12 and -V12
-    return [g[1] - g[3], h[3] - h[1], g[6] - g[2], h[2] - h[6], g[5] - g[7], h[7] - h[5]]
-
-
 def compute_abr(a: float, b: float, Q1, Q2):
     """The scalars A, B and matrices R1, R2, R entering J gamma and the flow.
 
@@ -487,7 +475,8 @@ class NhfStructure:
                 )
         except StructureError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: an int too large for a float
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructureError(f"malformed structure record: {exc}") from exc
         for name, values in fields:
             if not all(map(math.isfinite, values)):

@@ -47,7 +47,7 @@ is relative(y, size) <= tol for the 20-list y of w3, and w2- = 0
 likewise for its 9-list X (`classify`).
 
 w3.  d(omega) = invariant_three_form(0, 0, P, -P) exactly, so w3 is one
-invariant 3-form of the 3x3 data (the generator's `composed_w3`).
+invariant 3-form of the 3x3 data (the generator's `composed_torsion_pass`).
 
 w2-.  d(c, d, M1, M2) = de_de_form(M1 + M2) exactly, so the right-hand
 side t = d(J gamma) + (2/3) w1+ omega^2 is de_de_form(T), with T = M1 + M2
@@ -68,8 +68,8 @@ coefficient:
 
 * (c, d, M1, M2) ^ build_omega(X) has the 6 coefficients above the
   diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T
-  (`structure.three_form_wedge_omega`): w3 ^ omega, w2- ^ gamma, and
-  J gamma ^ omega in `NhfStructure.validate`;
+  (the generator's `three_form_wedge_omega`): w3 ^ omega, w2- ^ gamma,
+  and J gamma ^ omega in the kernel `construct`;
 * vol(x ^ y) = x1 y0 - x0 y1 + sum_k (x[2+k] y[11+k] - x[11+k] y[2+k])
   for two 20-lists (the generator's `three_form_volume`): w3 ^ gamma
   and w3 ^ J gamma;

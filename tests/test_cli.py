@@ -263,8 +263,11 @@ class TestFlow:
         assert len(out.splitlines()) == 1 + 6
 
     def test_invalid_initial_exit1(self, capsys, bad_record):
-        code, _, _ = run(capsys, ["flow", bad_record, "--t-end", "0.05"])
+        # the one wording of `flow.check_initial`, which `integrate` raises too
+        code, out, err = run(capsys, ["flow", bad_record, "--t-end", "0.05"])
         assert code == 1
+        assert out == ""
+        assert err == "error: initial structure invalid (worst residual 5.298e+02 in j_squared)\n"
 
     def test_tol_governs_the_run(self, capsys, tmp_path):
         # P_11 raised by 1e-8 gives j_squared 6.7e-9: invalid at the
@@ -435,6 +438,9 @@ BAD_INPUTS = {
     "record_bad_number_lambda_true": (["check", "{lambda_true}"], None, None, 2),
     "record_bad_number_lambda_str": (["classify", "{lambda_str}"], None, None, 2),
     "record_bad_number_p_str": (["flow", "{p_str}", "--t-end", "0.01"], None, None, 2),
+    # an int too large for a float, which 1e400 would be read as inf
+    "record_bad_number_lambda_huge_int": (["check", "{lambda_huge_int}"], None, None, 2),
+    "record_bad_number_p_huge_int": (["classify", "{p_huge_int}"], None, None, 2),
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
@@ -511,6 +517,8 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "lambda_true": nk | {"lambda": True},
         "lambda_str": nk | {"lambda": "4"},
         "p_str": nk | {"P": [[str(x) for x in row] for row in nk["P"]]},
+        "lambda_huge_int": nk | {"lambda": 10**400},
+        "p_huge_int": nk | {"P": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]},
     }
     paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():

@@ -442,7 +442,8 @@ class TestInvalidSamples:
     def test_initial_nan_residual_is_the_worst(self, monkeypatch):
         report = ValidationReport({"j_squared": 2.2e-16, "normalization": np.nan}, True, 1e-9)
         monkeypatch.setattr(NhfStructure, "validate", lambda self, tol=1e-9: report)
-        with pytest.raises(InvalidStructureError, match=r"worst residual nan \(normalization\)"):
+        match = r"\(worst residual nan in normalization\)"
+        with pytest.raises(InvalidStructureError, match=match):
             flow.integrate(families.nearly_kahler(4.0), 0.0, 0.01)
 
     def test_all_valid_run_has_no_invalid_time(self):

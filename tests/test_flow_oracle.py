@@ -7,9 +7,11 @@ sample.  The 3x3 helpers and `compute_abr` are checked against numpy's
 determinant, the adjugate from 2x2 minors and the explicit matrix
 formulas.
 
-`composed_abr9` and `composed_recover9` are F and the P recovery composed
-from the `mat3` 9-sequence helpers, as `flow.abr` and `flow._recover9`
-must compute them, bit for bit.  `flow.stage`, one evaluation of the
+`flow.abr`, F, must equal the formulas of its docstring exactly on
+``fractions.Fraction`` states, evaluated on numpy object arrays, and the
+P that `flow._recover9` recovers must meet the identities that define
+it: Adj(P^T) = M and (det P)^2 = det M, with the sign of det P given.
+`flow.stage`, one evaluation of the
 equations, is written by hand; the flow's kernel `rk4_step` is generated
 (``tools/gen_kernels.py``) from `composed_rk4_step` there, whose passes
 call `flow.stage`, and must agree with it bit for bit, halts included;
@@ -28,6 +30,7 @@ bit."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ import pytest
 from nhflat import families, flow, structure
 from nhflat.exterior import d
 from nhflat.flow import abr, g2_residual
-from nhflat.mat3 import adjugate, cofactor9, det3, det9, mul9, transpose9
+from nhflat.mat3 import adjugate, cofactor9, det3, det9
 from nhflat.structure import (
     SingularStructureError,
     compute_abr,
@@ -120,14 +123,19 @@ def test_det3_matches_numpy_det():
         assert abs(det3(m) - np.linalg.det(m)) <= 1e-13 * scale
 
 
-def minor_adjugate(m):
+def minor_adjugate(m, det=np.linalg.det):
     """Adj(M)[j, i] = (-1)^(i+j) det of M without row i and column j."""
-    adj = np.empty((3, 3))
+    adj = np.empty((3, 3), dtype=m.dtype)
     for i in range(3):
         for j in range(3):
             sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(sub)
+            adj[j, i] = (-1) ** (i + j) * det(sub)
     return adj
+
+
+def det2_exact(m):
+    """det M of a 2x2 array, with only *, - and its entries' own type."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def test_adjugate_matches_minors():
@@ -160,32 +168,6 @@ def test_compute_abr_matches_numpy_formulas():
 # -- the composed flow kernel -------------------------------------------
 
 
-def composed_abr9(a, b, q1, q2):
-    g = mul9(transpose9(q1), q2)  # Q1^T Q2
-    tr12 = g[0] + g[4] + g[8]
-    s = a * b + tr12
-    A = a * tr12 - 2 * det9(q1) - a * a * b
-    B = -(b * tr12 - 2 * det9(q2) - a * b * b)
-    ta, tb = 2 * a, 2 * b
-    R1 = [
-        -(s * x - ta * c - 2 * w)
-        for x, c, w in zip(q1, cofactor9(q2), mul9(q1, transpose9(g)))
-    ]
-    R2 = [s * x - tb * c - 2 * w for x, c, w in zip(q2, cofactor9(q1), mul9(q2, g))]
-    return A, B, R1, R2
-
-
-def composed_recover9(lam, q1, q2, sign):
-    m = [-(x + z) / lam for x, z in zip(q1, q2)]
-    det_m = det9(m)
-    if det_m <= 0:
-        raise SingularStructureError(
-            f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
-        )
-    det_p = math.sqrt(det_m) * sign
-    return [x / det_p for x in cofactor9(m)], det_p
-
-
 def random_states(seed, n=200):
     """n flat states [a, b, *Q1, *Q2] whose entries span 1e-3..1e3 in size."""
     rng = np.random.default_rng(seed)
@@ -194,16 +176,26 @@ def random_states(seed, n=200):
     return (sizes * signs).tolist()
 
 
-def composed_f(y):
-    """F = (A, B, R1, R2) of `composed_abr9` as one 20-tuple, the layout of
-    `abr`."""
-    A, B, R1, R2 = composed_abr9(y[0], y[1], y[2:11], y[11:])
-    return (A, B, *R1, *R2)
+def test_abr9_equals_its_formulas_exactly_on_fractions():
+    # the formulas of the `abr` docstring on numpy object arrays of
+    # Fractions, det Q as (Q Adj Q)_00: equal to `abr`, exactly
+    def adj(m):
+        return minor_adjugate(m, det2_exact)
 
-
-def test_abr9_equals_composed_on_random_floats():
     for y in random_states(30):
-        assert abr(y[0], y[1], y[2:11], y[11:]) == composed_f(y)
+        a, b, *q = [Fraction(x) for x in y]
+        q1 = np.array(q[:9], dtype=object).reshape(3, 3)
+        q2 = np.array(q[9:], dtype=object).reshape(3, 3)
+        tr12 = np.trace(q1.T @ q2)
+        r1 = -((a * b + tr12) * q1 - 2 * a * adj(q2.T) - 2 * q1 @ q2.T @ q1)
+        r2 = (a * b + tr12) * q2 - 2 * b * adj(q1.T) - 2 * q2 @ q1.T @ q2
+        want = (
+            a * tr12 - 2 * (q1 @ adj(q1))[0, 0] - a * a * b,
+            -(b * tr12 - 2 * (q2 @ adj(q2))[0, 0] - a * b * b),
+            *r1.ravel().tolist(),
+            *r2.ravel().tolist(),
+        )
+        assert abr(a, b, q[:9], q[9:]) == want
 
 
 def same_outcome(fn, oracle, *args):
@@ -218,16 +210,30 @@ def same_outcome(fn, oracle, *args):
     return fn(*args) == want, "returned"
 
 
-def test_recover9_equals_composed_on_random_floats():
+def test_recover9_meets_its_identities_on_random_floats():
+    # P^T = Adj(M) / det P, M = -(Q1 + Q2) / lambda: so Adj(P^T) = M and
+    # (det P)^2 = det M, det P with the sign given; where det M <= 0 no
+    # real P exists, and the message gives det M
     lams = 10.0 ** np.random.default_rng(32).uniform(-3.0, 3.0, size=200)
     outcomes = []
     for y, lam in zip(random_states(33), lams):
+        q1, q2 = y[2:11], y[11:]
+        m = [-(u + v) / lam for u, v in zip(q1, q2)]
+        det_m = det9(m)
         for sign in (1.0, -1.0):
-            same, outcome = same_outcome(
-                flow._recover9, composed_recover9, lam, y[2:11], y[11:], sign
-            )
-            assert same
-            outcomes.append(outcome)
+            if det_m <= 0:
+                with pytest.raises(SingularStructureError) as exc:
+                    flow._recover9(lam, q1, q2, sign)
+                assert str(exc.value) == (
+                    f"Adj(P^T) has nonpositive determinant {det_m:.3e}; P is not recoverable"
+                )
+                outcomes.append("raised")
+                continue
+            p, det_p = flow._recover9(lam, q1, q2, sign)
+            assert relative([u - v for u, v in zip(cofactor9(p), m)], m) <= 1e-12
+            assert relative(det_p * det_p - det_m, det_m) <= 1e-12
+            assert math.copysign(1.0, det_p) == sign
+            outcomes.append("returned")
     assert outcomes.count("returned") > 100 and "raised" in outcomes
 
 
@@ -316,7 +322,6 @@ def run_composed(m):
 def rows_and_halt_composed(monkeypatch, *args):
     with monkeypatch.context() as m:
         run_composed(m)
-        m.setattr(flow, "_recover9", composed_recover9)
         return rows_and_halt(*args)
 
 

@@ -42,7 +42,6 @@ from nhflat.structure import (
     invariant_three_form,
     random_rotation,
     sample_random_structure,
-    three_form_wedge_omega,
 )
 from nhflat.torsion import (
     classify,
@@ -797,7 +796,7 @@ def test_coordinate_identities():
         assert np.array_equal(d(gam).coeffs, de_de_form(M1 + M2).coeffs)
         # 3-form ^ 2-form
         want = wedge(gam, build_omega(X)).coeffs
-        got = np.array(three_form_wedge_omega(flat9(M1), flat9(M2), flat9(X)))
+        got = np.array(gen.three_form_wedge_omega(flat9(M1), flat9(M2), flat9(X)))
         assert relative(got - want, n(X) * max(n(M1), n(M2))) <= 1e-14
         # 3-form ^ 3-form
         z = rng.standard_normal(20) * 10.0 ** rng.uniform(-3, 3)

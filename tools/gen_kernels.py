@@ -1,14 +1,15 @@
 """Generate the package's straight-line kernels from the composed forms in
-this file: ``src/nhflat/_kernels.py`` (`construct`, what building and
-checking a structure compute), ``src/nhflat/_flow_kernels.py``
-(`rk4_step`, one RK4 step, whose stages are the hand-written
+this file, one composed form to a kernel: ``src/nhflat/_kernels.py``
+(`construct`, from `composed_construct`), ``src/nhflat/_flow_kernels.py``
+(`rk4_step`, from `composed_rk4_step`, whose stages are the hand-written
 `flow.stage`) and ``src/nhflat/_torsion_kernels.py`` (`torsion_pass`,
-all the torsion pass computes of w3 and w2- and the residuals of the
-class, traced from `composed_torsion_pass`, which calls `composed_w3`;
-its input contract is in `TORSION_KERNELS_DOC`).  F = (A, B, R1, R2) of
-Hitchin's dual map is written once, by hand, as `flow.abr`:
-`composed_construct` calls it, `flow.stage` calls it, and the trace runs
-it as it runs at run time.
+from `composed_torsion_pass`).  Each form's docstring says what its
+kernel returns, and `emit` copies it into the kernel.  The helpers the
+forms share and nothing in ``src`` runs (the bracket, its Hessian and
+the wedges `three_form_wedge_omega` and `three_form_volume` on
+coordinates) are here too.  F = (A, B, R1, R2) of Hitchin's dual map is
+written once, by hand, as `flow.abr`: `composed_construct` calls it,
+`flow.stage` calls it, and the trace runs it as it runs at run time.
 
     python tools/gen_kernels.py          # write the three files
     python tools/gen_kernels.py --check  # exit 1 if a file is not current
@@ -45,11 +46,8 @@ singular-P test, `rk4_step` two, the flow's |det P| tests, and
 `torsion`.
 
 A kernel takes floats, or complex numbers where every comparison it
-makes reads moduli and it calls no `math.sqrt`: `construct` and
-`torsion_pass` compare only moduli, `construct` in its guard and both in
-their largest values, so the root-solve sampler's complex step runs
-`construct` on any of its inputs, and `torsion_pass` takes complex
-numbers in any input too; `rk4_step` takes floats only.
+makes reads moduli and it calls no `math.sqrt`; each generated file's
+docstring says which its kernel takes.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -72,7 +70,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from nhflat import flow, tolerance  # noqa: E402
 from nhflat.errors import SingularStructureError  # noqa: E402
 from nhflat.mat3 import cofactor9, det9, dot9, mul9, transpose9  # noqa: E402
-from nhflat.structure import SINGULAR_DETP, _j_blocks9, three_form_wedge_omega  # noqa: E402
+from nhflat.structure import SINGULAR_DETP, _j_blocks9  # noqa: E402
 
 # -- the composed forms --------------------------------------------------------
 
@@ -130,6 +128,18 @@ def composed_bracket(a, b, q1, q2):
     return -(t * t) - 4 * (a * det9(q2) + b * det9(q1)) + 4 * (c[0] + c[4] + c[8])
 
 
+def three_form_wedge_omega(m1, m2, x) -> list:
+    """The 6 coefficients, in basis order, of the 5-form
+    invariant_three_form(c135, c246, M1, M2) ^ build_omega(X), with M1, M2
+    and X row-major 9-sequences; c135 and c246 drop out.  They are the
+    entries above the diagonal of M1^T X - X^T M1 and of M2 X^T - X M2^T,
+    with signs."""
+    g = mul9(transpose9(m1), x)
+    h = mul9(m2, transpose9(x))
+    # with U = g - g^T, V = h - h^T, they are U01, -V01, -U02, V02, U12 and -V12
+    return [g[1] - g[3], h[3] - h[1], g[6] - g[2], h[2] - h[6], g[5] - g[7], h[7] - h[5]]
+
+
 def three_form_volume(x, y):
     """The e123456 coefficient of the wedge of the invariant 3-forms with
     20-lists x and y (see `structure.invariant_three_form`)."""
@@ -182,12 +192,15 @@ def composed_bracket_hessian(a, b, q1, q2, y):
     )
 
 
-def composed_w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes):
-    """What the torsion pass reads of w3, for a structure with the data
-    of `composed_construct` (F = (A, B, R1, R2), J gamma's 20-list jg and
-    the sizes) and w1+ = `NhfStructure.w1plus`, as
+def composed_torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes, adj_pt):
+    """What the torsion pass computes, from a structure's values as
+    `NhfStructure` holds them (the data of `composed_construct`): lambda,
+    a, b, det P and w1+ (`NhfStructure.w1plus`), the row-major 9-lists P,
+    Q1, Q2, R1 and R2 of `m9`, A and B, J gamma's 20-list jg
+    (`jgamma_coords`), the six `sizes` and the 9-list Adj(P^T) of `m9`, as
 
-        (y, membership, norm2, zero):
+        (y, w3 membership, |w3|^2, w3 = 0,
+         X, w2- primitivity, |w2-|^2, w2- = 0, w1+ = 0, nearly Kahler):
 
     y is the 20-list (see `invariant_three_form`) of
     w3 = d(omega) - w1+ gamma - (3 lambda / 4) J gamma.
@@ -198,15 +211,35 @@ def composed_w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes):
         e135: -w1+ a - c A,          de^{2i-1} ^ e^{2j}: P - w1+ Q1 - c R1,
         e246: -w1+ b - c B,          e^{2i-1} ^ de^{2j}: -P - w1+ Q2 - c R2.
 
-    `size` is the size of w3's terms d(omega), w1+ gamma and
-    (3 lambda / 4) J gamma.  membership is the largest relative residual
-    of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 on coordinates
+    The size of w3's terms is that of d(omega), w1+ gamma and
+    (3 lambda / 4) J gamma.  The w3 membership is the largest relative
+    residual of w3 ^ omega = w3 ^ gamma = w3 ^ J gamma = 0 on coordinates
     (`three_form_wedge_omega` and `three_form_volume`, J gamma's read off
-    jg), each divided by size times the size of the form wedged with w3;
-    norm2 is |w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2)
-    (`composed_bracket_hessian`); zero is relative(y, size), the residual
-    of w3 = 0.  It compares nothing with a tolerance: `torsion` does."""
+    jg), each divided by that size times the size of the form wedged with
+    w3; |w3|^2 = -D^2 lambda[y, y] / (2 (det P)^2)
+    (`composed_bracket_hessian`); and w3 = 0 is relative(y, size).
+
+    X is the row-major 9-list of w2- = build_omega(X), from
+    w2- ^ omega = t, t = d(J gamma) + (2/3) w1+ omega^2, by the explicit
+    inverse of the Lefschetz map (see the `torsion` docstring),
+
+        X = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
+
+    T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) J gamma's 20-list jg.
+    The w2- primitivity is the relative residual of w2- ^ gamma =
+    w2- ^ omega^2 = 0 on coordinates, each divided by the size of X's
+    terms times that of the form wedged with it; |w2-|^2 =
+    -2 <Adj(X^T), P> / det P; and then come the relative residuals of
+    w2- = 0, of w1+ = 0 (|w1+| / |lambda|) and of nearly Kahler, the
+    larger of those of w1+ = 0 and w3 = 0, NaN if either is.  The size of
+    X's terms is that of d(J gamma) and (2/3) w1+ omega^2 over |omega|, or
+    X's own where it is larger: where w2- = 0, X is roundoff.
+
+    It compares nothing with a tolerance, and leaves out the scalar
+    curvature, whose lambda**2 raises OverflowError where a product would
+    give inf: `torsion` does both."""
     n_gam, n_jg, n_p, _, _, _ = sizes
+    max_abs, relative = tolerance.max_abs, tolerance.relative
     c = 1.5 * lam / det_p
     y = (
         [-w1p * a - c * A, -w1p * b - c * B]
@@ -214,47 +247,15 @@ def composed_w3(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes):
         + [-x - w1p * q - c * r for x, q, r in zip(p, q2, r2)]
     )
     size = max(n_p, abs(w1p) * n_gam, 0.75 * abs(lam) * n_jg)
-    relative = tolerance.relative
     membership = max(
         relative(three_form_wedge_omega(y[2:11], y[11:20], p), size * n_p),
         relative(three_form_volume(y, [a, b] + q1 + q2), size * n_gam),
         relative(three_form_volume(y, jg), size * n_jg),
     )
-    norm2 = -composed_bracket_hessian(a, b, q1, q2, y) / (2.0 * det_p * det_p)
-    return y, membership, norm2, relative(y, size)
-
-
-def composed_torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes, adj_pt):
-    """What the torsion pass computes, for a structure with the data of
-    `composed_construct` (Adj(P^T) its second value) and w1+ =
-    `NhfStructure.w1plus`, as
-
-        (y, w3 membership, |w3|^2, w3 = 0,
-         X, w2- primitivity, |w2-|^2, w2- = 0, w1+ = 0, nearly Kahler):
-
-    the four values of `composed_w3`; the row-major 9-list X of w2- =
-    build_omega(X), from w2- ^ omega = t, t = d(J gamma) + (2/3) w1+
-    omega^2, by the explicit inverse of the Lefschetz map (see the
-    `torsion` docstring),
-
-        X = P T^T P / det P - (tr(T^T P) / (2 det P)) P,
-
-    T = M1 + M2 - (4/3) w1+ Adj(P^T), (c, d, M1, M2) J gamma's 20-list jg;
-    the relative residual of w2- ^ gamma = w2- ^ omega^2 = 0 on
-    coordinates, each divided by the size of X's terms times that of the
-    form wedged with it; |w2-|^2 = -2 <Adj(X^T), P> / det P; and the
-    relative residuals of w2- = 0, of w1+ = 0 (|w1+| / |lambda|) and of
-    nearly Kahler, the larger of those of w1+ = 0 and w3 = 0, NaN if
-    either is.  The size of X's terms is that of d(J gamma) and (2/3) w1+
-    omega^2 over |omega|, or X's own where it is larger: where w2- = 0, X
-    is roundoff.  It compares nothing with a tolerance: `torsion` does."""
-    y, membership, norm3, w3_zero = composed_w3(
-        lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes
-    )
-    n_gam, n_jg, n_p, _, _, _ = sizes
-    max_abs, relative = tolerance.max_abs, tolerance.relative
+    norm3 = -composed_bracket_hessian(a, b, q1, q2, y) / (2.0 * det_p * det_p)
+    w3_zero = relative(y, size)
     k = (4.0 / 3.0) * w1p
-    t = [u + v - k * c for u, v, c in zip(jg[2:11], jg[11:20], adj_pt)]
+    t = [u + v - k * w for u, v, w in zip(jg[2:11], jg[11:20], adj_pt)]
     tau = dot9(t, p) / (2.0 * det_p)
     ptp = mul9(mul9(p, transpose9(t)), p)
     x = [u / det_p - tau * v for u, v in zip(ptp, p)]
@@ -276,15 +277,26 @@ def composed_construct(lam, a, b, p, q):
     """What building and checking the structure (lambda, a, b, P, Q)
     compute, with P and Q row-major 9-lists, as
 
-        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes, r, maxima, j_squared, spd):
+        (det P, Adj(P^T), Q1, Q2, F, J gamma, sizes,
+         r, (qtp_symmetry, normalization, jgamma_wedge_omega), j_squared, (A, B, C)):
 
     Q1 = Q - (lambda/2) Adj(P^T) and Q2 = -Q - (lambda/2) Adj(P^T) as
     row-major lists, F = (A, B, R1, R2) of `flow.abr` and
     J gamma = (2 / det P) F as 20-lists (see `invariant_three_form`),
     and the largest |entry| of gamma, J gamma, P, Q, Q1 and Q2 (the
-    fields of `structure.Sizes`), each NaN if an entry is; then the
-    verdicts of `composed_verdicts` on these values.  Raises
-    SingularStructureError, before it computes anything else, when
+    fields of `structure.Sizes`), each NaN if an entry is.
+
+    Then what `NhfStructure.validate` reads: r is the list of the 10
+    defining residuals (`NhfStructure.defining_residuals`): the 3 entries
+    above the diagonal of Q^T P - P^T Q, (det P)^2 minus
+    `composed_bracket`, and the 6 coefficients of J gamma ^ omega
+    (`three_form_wedge_omega`), each divided by the size of the terms it
+    compares, as `tolerance.relative` divides (of products, not powers: a
+    float power raises on overflow where a product gives inf).  Then the
+    largest |entry| of each of r's three blocks, NaN if an entry is, and
+    |j| and the blocks A, B, C of `composed_j_verdicts`.
+
+    Raises SingularStructureError, before it computes anything else, when
     |det P| <= SINGULAR_DETP max|P|^3: a test of the shape of P,
     independent of its scale."""
     det_p = det9(p)
@@ -302,27 +314,8 @@ def composed_construct(lam, a, b, p, q):
     n_q1, n_q2 = max_abs(q1), max_abs(q2)
     # gamma's coordinates are a, b, Q1 and Q2: NaN if one is, else the
     # largest, as over the 20 of them
-    sizes = (max_abs([a, b, n_q1, n_q2]), max_abs(jg), n_p, max_abs(q), n_q1, n_q2)
-    verdicts = composed_verdicts(a, b, p, q, q1, q2, jg, sizes, det_p)
-    return (det_p, adj, q1, q2, f, jg, sizes, *verdicts)
-
-
-def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, det_p):
-    """What `NhfStructure.validate` reads of the structure with the data
-    of `composed_construct`, as
-
-        (r, (qtp_symmetry, normalization, jgamma_wedge_omega), j_squared, (A, B, C)):
-
-    r is the list of the 10 defining residuals
-    (`NhfStructure.defining_residuals`): the 3 entries above the diagonal
-    of Q^T P - P^T Q, (det P)^2 minus `composed_bracket`, and the 6
-    coefficients of J gamma ^ omega (`three_form_wedge_omega`), each
-    divided by the size of the terms it compares, as `tolerance.relative`
-    divides (of products, not powers: a float power raises on overflow
-    where a product gives inf).  Then the largest |entry| of each of
-    r's three blocks, NaN if an entry is, and |j| and the blocks A, B, C
-    of `composed_j_verdicts`."""
-    _, n_jg, n_p, n_q, n_q1, n_q2 = sizes
+    n_gam, n_jg, n_q = max_abs([a, b, n_q1, n_q2]), max_abs(jg), max_abs(q)
+    sizes = (n_gam, n_jg, n_p, n_q, n_q1, n_q2)
     n_a, n_b = abs(a), abs(b)
     n_ab = n_a * n_b + n_q1 * n_q2  # a b - tr(Q1^T Q2)
     dp2 = det_p * det_p
@@ -339,8 +332,10 @@ def composed_verdicts(a, b, p, q, q1, q2, jg, sizes, det_p):
     size = tolerance.term_size(n_jg * n_p)
     r += [x / size for x in three_form_wedge_omega(jg[2:11], jg[11:], p)]
     j, *blocks = composed_j_verdicts(a, b, q1, q2, p, det_p)
-    max_abs = tolerance.max_abs
-    return r, (max_abs(r[:3]), abs(r[3]), max_abs(r[4:])), abs(j), tuple(blocks)
+    return (
+        det_p, adj, q1, q2, f, jg, sizes,
+        r, (max_abs(r[:3]), abs(r[3]), max_abs(r[4:])), abs(j), tuple(blocks),
+    )
 
 
 def composed_pass(lam, sign, y, d, c):
@@ -885,74 +880,54 @@ def emit_rk4_step(kernel):
 
 
 KERNELS_DOC = '''\
-"""The straight-line kernel of a structure.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms or `flow.abr`, its F, and
-run
+"""The straight-line kernel `construct` of a structure.  GENERATED by
+tools/gen_kernels.py from `composed_construct` there, bit for bit, over
+the `mat3` helpers, F = `flow.abr` and the `tolerance` rules of a
+largest value: do not edit.  To change the kernel, change its composed
+forms or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-`construct` is what `NhfStructure` computes as it is built: its data,
-and the residuals and blocks that `validate` reads.  It computes what
-its composed form computes, with the same operations on the same
-operands in the same order, so the results agree to the last bit.  A
-largest modulus is NaN if any entry is (`tolerance.max_abs`); a term
-size keeps the first of the largest values, as the builtin `max` does
-(`tolerance.term_size`).  It takes floats, or complex numbers in any of
-its inputs: it raises SingularStructureError in its one guard, which
-compares moduli, as its largest values do, and it calls no
-`math.sqrt`.  Every constant is written as a float, so on
+Only `nhflat.structure` imports this module: `NhfStructure` makes one
+call of `construct` as it is built.  `construct` takes floats, or
+complex numbers in any of its inputs (the root-solve sampler's complex
+step), since its one guard and its largest values compare moduli and it
+calls no `math.sqrt`.  Every constant is written as a float, so on
 ``fractions.Fraction`` input only the composed forms, which keep their
 integer constants, are exact."""
 '''
 
 FLOW_KERNELS_DOC = '''\
-"""The flow's straight-line kernel `rk4_step`, one RK4 step.  GENERATED
-by tools/gen_kernels.py from its composed form there, over the `mat3`
-helpers; the four stages of the step are the hand-written `flow.stage`
-(over `flow._recover9` and F = `flow.abr`): do not edit.  To change the
-kernel, change `flow.stage`, `flow._recover9` or `flow.abr` and run
+"""The flow's straight-line kernel `rk4_step`.  GENERATED by
+tools/gen_kernels.py from `composed_rk4_step` there, bit for bit, whose
+four stages are the hand-written `flow.stage` (over `flow._recover9` and
+F = `flow.abr`): do not edit.  To change the kernel, change `flow.stage`,
+`flow._recover9` or `flow.abr` and run
 
     python tools/gen_kernels.py
 
-It computes what its composed form computes, with the same operations on
-the same operands in the same order, so the results agree to the last
-bit.  It takes floats only: its guards compare |det P| with the
-threshold, and it calls `math.sqrt`.  Every constant is written as a
-float, as in every generated kernel.  Only `nhflat.flow` imports this
-module, so that a process that builds and checks structures does not
-compile it."""
+Only `nhflat.flow` imports this module, so that a process that builds
+and checks structures does not compile it.  `rk4_step` takes floats
+only: its guards compare |det P| with the threshold, and it calls
+`math.sqrt`.  Every constant is written as a float."""
 '''
 
 TORSION_KERNELS_DOC = '''\
-"""The straight-line kernel of the torsion pass.  GENERATED by
-tools/gen_kernels.py from the composed forms there, over the `mat3`
-helpers and the `tolerance` rules of a largest value: do not edit.  To
-change the kernel, change its composed forms and run
+"""The straight-line kernel `torsion_pass` of the torsion pass.  GENERATED
+by tools/gen_kernels.py from `composed_torsion_pass` there, bit for bit,
+over the `mat3` helpers and the `tolerance` rules of a largest value: do
+not edit.  To change the kernel, change its composed forms and run
 
     python tools/gen_kernels.py
 
-`torsion_pass(lam, a, b, det_p, w1p, p, q1, q2, r1, r2, A, B, jg, sizes,
-adj_pt)` is the arithmetic of the torsion pass, one call of which
-`torsion.extract_torsion`, `classify`, `w3_form` and `w2_minus_form` each
-make: the 20-list of w3, its membership residual, |w3|^2 and the
-residual of w3 = 0; the 9-list of w2-, its primitivity residual, |w2-|^2
-and the residual of w2- = 0; and the residuals of w1+ = 0 and of nearly
-Kahler.  It takes a structure's values as `NhfStructure` holds them:
-lambda, a, b, det P and w1+, the row-major 9-lists P, Q1, Q2, R1 and R2
-of `m9`, A and B, the 20-list `jgamma_coords` of J gamma, the six
-`sizes` and the 9-list Adj(P^T) of `m9`.  It computes what its composed
-form computes, with the same operations on the same operands in the
-same order, so the results agree to the last bit.  It has no guard and
-compares only moduli, in its largest values, so it takes floats, or
-complex numbers in any input.  The comparisons with the tolerance stay
-in `torsion`, and so does the scalar curvature, whose lambda**2 raises
-OverflowError where a product would give inf.  Every constant is written
-as a float, as in every generated kernel.  Only `nhflat.torsion` imports
-this module, so that `flow`, `family` and a `check` of an invalid record
-do not compile it."""
+Only `nhflat.torsion` imports this module, whose `extract_torsion`,
+`classify`, `w3_form` and `w2_minus_form` each make one call of
+`torsion_pass`, so that `flow`, `family` and a `check` of an invalid
+record do not compile it.  `torsion_pass` takes floats, or complex
+numbers in any input, since it has no guard and its largest values
+compare moduli.  Every constant is written as a float."""
 '''
+
 
 MODULES = (
     Module(
