@@ -19,7 +19,12 @@ included; a value that is not a finite number > 0 exits 2.  ``--tol`` is
 an option of ``nhflat`` itself and goes before the subcommand:
 ``nhflat --tol 1e-6 check rec.json``, not ``nhflat check rec.json --tol
 1e-6``, which exits 2 with ``unrecognized arguments``.  Other
-usage errors that exit 2: a record with a non-finite number, ``flow``
+usage errors that exit 2: a record that cannot be read as JSON
+(``cannot read structure record: ...``) or that is malformed, which names
+the first malformed field of lambda, a, b, P, Q and orientation
+(``malformed structure record: <field>: expected <what>, got <value>``,
+``<field>: missing``, or ``record: ...`` for a record that is not a JSON
+object; a non-finite number is malformed), ``flow``
 with a zero or non-finite ``--h``, ``--record-every`` below 1, a
 non-finite ``--t-start`` / ``--t-end`` or more than ``flow.MAX_STEPS``
 steps, ``family`` without the option its ``--name`` needs or with a
@@ -96,7 +101,9 @@ def _load_structure(path: str) -> NhfStructure:
         else:
             with open(path) as fh:
                 rec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or an int of more digits than Python
+    # converts; RecursionError: arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         _usage_error(f"cannot read structure record: {exc}")
     try:
         return NhfStructure.from_record(rec)

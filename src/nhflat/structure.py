@@ -27,9 +27,10 @@ Conventions fixed here and relied on throughout the package:
 
 from __future__ import annotations
 
-import math
+import reprlib
 import sys
 from functools import cached_property
+from itertools import chain
 from operator import neg
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -260,33 +261,44 @@ def _matrix9(m) -> list:
     return [float(x) for row in rows for x in row]
 
 
-#: The types of a record's numbers as JSON gives them.
-_NUMBER_TYPES = frozenset((int, float))
-#: The field of each of a record's 21 numbers, in the order
-#: `_check_record_numbers` reads them.
-_RECORD_FIELDS = ("lambda", "a", "b") + ("P",) * 9 + ("Q",) * 9
+def _malformed(field: str, what: str, value) -> StructureError:
+    """The error of a record's field that is not what it should be."""
+    return StructureError(
+        f"malformed structure record: {field}: expected {what}, got {reprlib.repr(value)}"
+    )
 
 
-def _check_record_numbers(rec) -> None:
-    """Raise TypeError unless every number of the record's lambda, a, b, P
-    and Q, read after `tolist()`, is an int or a float, not a bool or a
-    str, which float() reads as 1.0 or 4.0.  P and Q are 3x3: `_matrix9`
-    has read them.  Their 21 types are tested in one set operation, and
-    each number in turn only if that fails, so that a valid record costs
-    one Python call more."""
-    p, q = rec["P"], rec["Q"]
-    if hasattr(p, "tolist"):
-        p = p.tolist()
-    if hasattr(q, "tolist"):
-        q = q.tolist()
-    values = [rec["lambda"], rec["a"], rec["b"], *p[0], *p[1], *p[2], *q[0], *q[1], *q[2]]
-    if _NUMBER_TYPES.issuperset(map(type, values)):
-        return
-    for name, x in zip(_RECORD_FIELDS, values):
-        if hasattr(x, "tolist"):
-            x = x.tolist()
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(f"{name}: expected a number, got {x!r}")
+def _record_numbers(rec) -> list:
+    """The 21 numbers of a record's lambda, a, b, P and Q as floats, P and
+    Q row-major, read in one walk in field order: the record must be a
+    dict, each field present, P and Q 3x3 and each number of type int or
+    float (float() would read True and "4") and finite, an array or a
+    numpy scalar read after `tolist()`.  The first that fails raises
+    StructureError ``malformed structure record: <field>: expected
+    <what>, got <value>`` or ``<field>: missing``."""
+    if not isinstance(rec, dict):
+        raise _malformed("record", "a JSON object", rec)
+    numbers, largest = [], sys.float_info.max
+    for field in ("lambda", "a", "b", "P", "Q"):
+        if field not in rec:
+            raise StructureError(f"malformed structure record: {field}: missing")
+        value = rec[field]
+        values = (value,)
+        if field in ("P", "Q"):
+            rows = value.tolist() if hasattr(value, "tolist") else value
+            if not is3x3(rows):
+                raise _malformed(field, "a 3x3 matrix", rows)
+            values = chain.from_iterable(rows)
+        for x in values:
+            if hasattr(x, "tolist"):
+                x = x.tolist()
+            if type(x) is not float and type(x) is not int:
+                raise _malformed(field, "a number", x)
+            # before float(): an int too large for a float is caught here
+            if not abs(x) <= largest:
+                raise _malformed(field, "a finite number", x)
+            numbers.append(float(x))
+    return numbers
 
 
 class NhfStructure:
@@ -456,32 +468,20 @@ class NhfStructure:
 
     @classmethod
     def from_record(cls, rec: dict) -> "NhfStructure":
-        """Structure of a record; StructureError if a field is missing or
-        malformed or a number is not finite.  Every number of lambda, a, b,
-        P and Q, read after `tolist()`, must be an int or a float, not a
-        bool or a str (the constructor takes what float() takes)."""
-        try:
-            lam = float(rec["lambda"])
-            a = float(rec["a"])
-            b = float(rec["b"])
-            p, q = _matrix9(rec["P"]), _matrix9(rec["Q"])
-            _check_record_numbers(rec)
-            fields = (("lambda", [lam]), ("a", [a]), ("b", [b]), ("P", p), ("Q", q))
-            want = rec.get("orientation")
-            # +-1 as given, not converted: True == 1, and no string equals 1
-            if want is not None and (isinstance(want, bool) or want not in (1, -1)):
-                raise StructureError(
-                    f"malformed structure record: orientation must be 1 or -1, got {want!r}"
-                )
-        except StructureError:
-            raise
-        # OverflowError: an int too large for a float
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"malformed structure record: {exc}") from exc
-        for name, values in fields:
-            if not all(map(math.isfinite, values)):
-                raise StructureError(f"malformed structure record: {name} is not finite")
-        s = cls(lam, a, b, p, q, _flat=True)
+        """Structure of a record.  Its numbers are read as `_record_numbers`
+        reads them, and its orientation, if given, must be 1 or -1; the
+        first malformed field of lambda, a, b, P, Q and orientation raises
+        StructureError ``malformed structure record: <field>: expected
+        <what>, got <value>`` (or ``<field>: missing``, or ``record: ...``
+        if it is not a JSON object)."""
+        lam, a, b, *pq = _record_numbers(rec)
+        want = rec.get("orientation")
+        if hasattr(want, "tolist"):
+            want = want.tolist()
+        # +-1 as given, not converted: True == 1, and no string equals 1
+        if want is not None and (isinstance(want, bool) or want not in (1, -1)):
+            raise _malformed("orientation", "1 or -1", want)
+        s = cls(lam, a, b, pq[:9], pq[9:], _flat=True)
         if want is not None and want != s.orientation:
             raise StructureError(
                 f"record orientation {want} contradicts sign(det P) = {s.orientation}"

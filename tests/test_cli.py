@@ -415,7 +415,9 @@ def _nan_summary(self):
 # with a non-finite number, {huge} for one whose det P overflows, {tiny}
 # for the nearly Kahler structure rescaled so that (det P)^2 underflows
 # and {orientation...} for ones whose orientation is not a number equal
-# to +-1, NHF_TOL or None, function to patch to NaN, exit)
+# to +-1; the other record names are records with one field malformed,
+# {not_object} a list that holds the record; NHF_TOL or None, function to
+# patch to NaN, exit)
 BAD_INPUTS = {
     "nhf_tol_abc": (["check", "{nk}"], "abc", None, 2),
     "nhf_tol_nan": (["check", "{nk}"], "nan", None, 2),
@@ -441,6 +443,15 @@ BAD_INPUTS = {
     # an int too large for a float, which 1e400 would be read as inf
     "record_bad_number_lambda_huge_int": (["check", "{lambda_huge_int}"], None, None, 2),
     "record_bad_number_p_huge_int": (["classify", "{p_huge_int}"], None, None, 2),
+    "record_bad_number_a_list": (["check", "{a_list}"], None, None, 2),
+    "record_bad_number_q_str_x": (["rotate", "{q_str_x}"], None, None, 2),
+    "record_not_object": (["check", "{not_object}"], None, None, 2),
+    "record_missing_p": (["classify", "{missing_p}"], None, None, 2),
+    "record_p_not_3x3": (["flow", "{p_not_3x3}", "--t-end", "0.01"], None, None, 2),
+    # JSON that Python does not read: more digits than it converts, or
+    # deeper nesting than it parses
+    "record_int_5000_digits": (["check", "{int_5000_digits}"], None, None, 2),
+    "record_nested_100000_deep": (["classify", "{nested_100000_deep}"], None, None, 2),
     "verify_g2_samples_0": (
         ["verify-g2", "--family", "sine-cone", "--samples", "0"], None, None, 2
     ),
@@ -519,12 +530,24 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "p_str": nk | {"P": [[str(x) for x in row] for row in nk["P"]]},
         "lambda_huge_int": nk | {"lambda": 10**400},
         "p_huge_int": nk | {"P": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "a_list": nk | {"a": [nk["a"]]},
+        "q_str_x": nk | {"Q": [nk["Q"][0], nk["Q"][1][:2] + ["x"], nk["Q"][2]]},
+        "not_object": [nk],
+        "missing_p": {k: v for k, v in nk.items() if k != "P"},
+        "p_not_3x3": nk | {"P": nk["P"][:2]},
     }
     paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(rec, fh)
+    texts = {
+        "int_5000_digits": '{"lambda": 1%s}' % ("0" * 4999),
+        "nested_100000_deep": "[" * 100000 + "]" * 100000,
+    }
+    for name, text in texts.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
     monkeypatch.delenv("NHF_TOL", raising=False)
     if env_tol is not None:
         monkeypatch.setenv("NHF_TOL", env_tol)
@@ -535,7 +558,9 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
-    if case.startswith(("record_bad_orientation", "record_bad_number")):
+    if case.startswith(("record_int", "record_nested")):
+        assert lines[0].startswith("error: cannot read structure record: "), err
+    elif case.startswith("record_") and expected == 2:
         assert lines[0].startswith("error: malformed structure record: "), err
     assert out == "" or _strict_json(out) is not None
 

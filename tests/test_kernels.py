@@ -210,7 +210,7 @@ def test_guard_keeps_its_place_and_message():
 
 def test_docstring_does_not_depend_on_its_indent(monkeypatch):
     # Python 3.13 strips a docstring's indent as it compiles it
-    kernel = gen.MODULES[0].kernels[0]
+    kernel = gen.MODULES[0].kernel
     want = gen.emit(kernel)
     monkeypatch.setattr(kernel.form, "__doc__", inspect.cleandoc(kernel.form.__doc__))
     assert gen.emit(kernel) == want

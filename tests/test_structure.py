@@ -216,7 +216,8 @@ class TestRecord:
             NhfStructure.from_record(rec)
 
     def test_malformed_record(self):
-        with pytest.raises(StructureError):
+        # a is the first field that is absent
+        with pytest.raises(StructureError, match="^malformed structure record: a: missing$"):
             NhfStructure.from_record({"lambda": 4.0})
 
     def test_record_numbers_are_ints_or_floats(self):
@@ -232,6 +233,9 @@ class TestRecord:
         for fields in bad:
             with pytest.raises(StructureError, match=message):
                 NhfStructure.from_record(rec | fields)
+        # an orientation array is read after tolist() too
+        with pytest.raises(StructureError, match=r"orientation: expected 1 or -1, got \[1, -1\]$"):
+            NhfStructure.from_record(rec | {"orientation": np.array([1, -1])})
         # ints, and arrays and numpy scalars, which are read after tolist()
         s = NhfStructure.from_record(rec)
         arrays = {"lambda": 4, "a": np.float32(rec["a"]), "P": np.array(rec["P"]),
@@ -244,16 +248,22 @@ class TestRecord:
         assert (u.lam, u.a, u.m9.p, u.m9.q) == (s.lam, s.a, s.m9.p, s.m9.q)
 
     def test_record_parses_p_and_q_once(self, monkeypatch):
+        # one walk of the record reads its 21 numbers; the constructor's
+        # public path, `_matrix9`, is not taken
         calls = []
 
-        def counted(m):
-            calls.append(m)
-            return matrix9(m)
+        def counted(name, f):
+            def call(*args):
+                calls.append(name)
+                return f(*args)
 
-        rec, matrix9 = sample_random_structure(7).to_record(), structure._matrix9
-        monkeypatch.setattr(structure, "_matrix9", counted)
+            return call
+
+        rec = sample_random_structure(7).to_record()
+        for name in ("_record_numbers", "_matrix9"):
+            monkeypatch.setattr(structure, name, counted(name, getattr(structure, name)))
         t = NhfStructure.from_record(rec)
-        assert calls == [rec["P"], rec["Q"]]
+        assert calls == ["_record_numbers"]
         assert t.m9.p == [x for row in rec["P"] for x in row]
         assert t.m9.q == [x for row in rec["Q"] for x in row]
 

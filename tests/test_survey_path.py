@@ -580,9 +580,10 @@ def golden_records():
 def test_record_is_checked_in_few_python_calls():
     # from_record and validate call the generated kernel once and little
     # else: 69 Python-level calls per record before it was generated, 29
-    # with a second kernel for the verdicts, 26 with one, and 27 now on
-    # Python 3.11, with the check that the record holds numbers only (28
-    # where det P < 0, whose SPD blocks metric_spd negates).
+    # with a second kernel for the verdicts, 26 with one, 27 with the check
+    # that the record holds numbers only, and 23 now on Python 3.11, where
+    # one walk reads and checks the record (24 where det P < 0, whose SPD
+    # blocks metric_spd negates).
     # Comprehensions are calls before Python 3.12, and each resumption of a
     # generator is one; the builtins are not
     for rec in golden_records():

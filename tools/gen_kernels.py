@@ -387,12 +387,12 @@ class Kernel(NamedTuple):
 
 class Module(NamedTuple):
     """A generated file: its path under the repository root, its
-    docstring and its kernels, each a `Kernel` or `RK4_STEP`; it imports
-    what its kernels use."""
+    docstring and its kernel, a `Kernel` or `RK4_STEP`; it imports what
+    its kernel uses."""
 
     path: str
     doc: str
-    kernels: tuple
+    kernel: Kernel
 
 
 #: The RK4 step is `composed_pass` traced once and emitted inside a loop
@@ -933,34 +933,30 @@ MODULES = (
     Module(
         os.path.join("src", "nhflat", "_kernels.py"),
         KERNELS_DOC,
-        (
-            Kernel(
-                "construct",
-                composed_construct,
-                ("lam", "a", "b", ("p", nine("p")), ("q", nine("q"))),
-            ),
+        Kernel(
+            "construct",
+            composed_construct,
+            ("lam", "a", "b", ("p", nine("p")), ("q", nine("q"))),
         ),
     ),
     Module(
         os.path.join("src", "nhflat", "_flow_kernels.py"),
         FLOW_KERNELS_DOC,
-        (RK4_STEP,),
+        RK4_STEP,
     ),
     Module(
         os.path.join("src", "nhflat", "_torsion_kernels.py"),
         TORSION_KERNELS_DOC,
-        (
-            Kernel(
-                "torsion_pass",
-                composed_torsion_pass,
-                (
-                    "lam", "a", "b", "det_p", "w1p",
-                    ("p", nine("p")), ("q1", nine("u")), ("q2", nine("v")),
-                    ("r1", nine("r")), ("r2", nine("s")), "A", "B",
-                    ("jg", ("jc", "jd", *nine("j"), *nine("k"))),
-                    ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
-                    ("adj_pt", nine("c")),
-                ),
+        Kernel(
+            "torsion_pass",
+            composed_torsion_pass,
+            (
+                "lam", "a", "b", "det_p", "w1p",
+                ("p", nine("p")), ("q1", nine("u")), ("q2", nine("v")),
+                ("r1", nine("r")), ("r2", nine("s")), "A", "B",
+                ("jg", ("jc", "jd", *nine("j"), *nine("k"))),
+                ("sizes", ("n_gam", "n_jg", "n_p", "n_q", "n_q1", "n_q2")),
+                ("adj_pt", nine("c")),
             ),
         ),
     ),
@@ -969,19 +965,15 @@ MODULES = (
 
 def generate(module) -> str:
     """The source of the module's file."""
-    sources, imports = [], {}
-    for kernel in module.kernels:
-        source, used = emit_rk4_step(kernel) if kernel is RK4_STEP else emit(kernel)
-        sources.append(source)
-        for name, items in used.items():
-            imports.setdefault(name, set()).update(items)
+    kernel = module.kernel
+    source, used = emit_rk4_step(kernel) if kernel is RK4_STEP else emit(kernel)
     # the standard library first, then the package, as isort orders them
     blocks = [
-        f"from {name} import {', '.join(sorted(imports[name]))}\n"
-        for name in sorted(imports, key=lambda n: (n.startswith("nhflat"), n))
+        f"from {name} import {', '.join(sorted(used[name]))}\n"
+        for name in sorted(used, key=lambda n: (n.startswith("nhflat"), n))
     ]
     head = module.doc + ("\n" + "\n".join(blocks) if blocks else "")
-    return "\n\n".join([head] + sources)
+    return head + "\n\n" + source
 
 
 def main(argv=None) -> int:
