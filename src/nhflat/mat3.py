@@ -163,9 +163,13 @@ def is_spd9(a, b, c) -> bool:
 
 
 def is3x3(rows) -> bool:
-    """Whether rows is a sequence of 3 sequences of 3 entries."""
+    """Whether rows is a sequence of 3 sequences of 3 entries; a str is
+    not a row."""
     try:
-        return len(rows) == 3 and all(len(row) == 3 for row in rows)
+        if len(rows) != 3:
+            return False
+        r0, r1, r2 = rows
+        return len(r0) == len(r1) == len(r2) == 3 and str not in (type(r0), type(r1), type(r2))
     except TypeError:
         return False
 
@@ -173,10 +177,10 @@ def is3x3(rows) -> bool:
 def flat9(m) -> list:
     """The entries of a 3x3 array or nested sequence, or of a row-major
     9-sequence, as a row-major list of floats; ValueError for any other
-    shape, or an entry that is not a number."""
+    shape (a str is neither), or an entry that is not a number."""
     rows = m.tolist() if hasattr(m, "tolist") else m
     try:
-        if len(rows) == 9:
+        if len(rows) == 9 and not isinstance(rows, str):
             return [float(x) for x in rows]
         if is3x3(rows):
             return [float(x) for row in rows for x in row]

@@ -18,8 +18,9 @@ form-level definitions over the monomial basis of `nhflat.exterior`:
   matrices A, B, R1 and R2 (`matrix_predicates`, `matrix_class`);
 * curvature: the scalar curvature of a left-invariant metric on S3 x S3
   from the brackets of the frame (`scalar_curvature_of_metric`), and
-  again through the Levi-Civita connection by Koszul's formula, its
-  curvature tensor and Ricci tensor (`scalar_curvature_by_koszul`);
+  again through the Levi-Civita connection by Koszul's formula
+  (`christoffel`), its curvature tensor and Ricci tensor
+  (`scalar_curvature_by_koszul`);
 * the flow: the stored structure nearest a time (`structure_at`);
 * the generator ``tools/gen_kernels.py`` (`gen`), whose composed forms
   the generated kernels must equal, and which, keeping their integer
@@ -322,24 +323,30 @@ def scalar_curvature_of_metric(g) -> float:
     return float(-0.25 * brackets - 0.5 * np.einsum("ij,ij->", inv, _KILLING))
 
 
+def christoffel(g) -> np.ndarray:
+    """The Christoffel symbols G[m, i, j] = G^m_ij, nabla_{X_i} X_j =
+    G^m_ij X_m, of the left-invariant metric g (as in
+    `scalar_curvature_of_metric`).  On left-invariant fields g is
+    constant, so Koszul's formula reads
+
+        2 g(nabla_{X_i} X_j, X_k) = c_ijk - c_jki + c_kij,
+        c_ijk = g([X_i, X_j], X_k)."""
+    g = np.asarray(g, dtype=float)
+    c = np.einsum("lij,lk->ijk", _BRACKETS, g)
+    lower = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    return np.einsum("mk,ijk->mij", np.linalg.inv(g), lower)
+
+
 def scalar_curvature_by_koszul(g) -> float:
     """The scalar curvature of the left-invariant metric g (as in
     `scalar_curvature_of_metric`) the long way, with no formula for Lie
-    groups.  On left-invariant fields g is constant, so Koszul's formula
-    reads
-
-        2 g(nabla_{X_i} X_j, X_k) = c_ijk - c_jki + c_kij,
-        c_ijk = g([X_i, X_j], X_k),
-
-    which gives the Christoffel symbols nabla_{X_i} X_j = G^m_ij X_m.
-    Then R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k -
-    nabla_[X_i, X_j] X_k, Ric(Y, Z) the trace of X -> R(X, Y) Z, and s
-    the trace of Ric by g."""
+    groups: from the Christoffel symbols of Koszul's formula
+    (`christoffel`), R(X_i, X_j) X_k = nabla_i nabla_j X_k -
+    nabla_j nabla_i X_k - nabla_[X_i, X_j] X_k, Ric(Y, Z) the trace of
+    X -> R(X, Y) Z, and s the trace of Ric by g."""
     g = np.asarray(g, dtype=float)
     inv = np.linalg.inv(g)
-    c = np.einsum("lij,lk->ijk", _BRACKETS, g)
-    lower = 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
-    gam = np.einsum("mk,ijk->mij", inv, lower)
+    gam = christoffel(g)
     # R[n, k, i, j]: the X_n component of R(X_i, X_j) X_k
     r = (
         np.einsum("mjk,nim->nkij", gam, gam)

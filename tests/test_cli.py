@@ -448,6 +448,8 @@ BAD_INPUTS = {
     "record_not_object": (["check", "{not_object}"], None, None, 2),
     "record_missing_p": (["classify", "{missing_p}"], None, None, 2),
     "record_p_not_3x3": (["flow", "{p_not_3x3}", "--t-end", "0.01"], None, None, 2),
+    # a str of 3 characters is not a row of 3 entries
+    "record_p_rows_strings": (["check", "{p_rows_strings}"], None, None, 2),
     # JSON that Python does not read: more digits than it converts, or
     # deeper nesting than it parses
     "record_int_5000_digits": (["check", "{int_5000_digits}"], None, None, 2),
@@ -506,6 +508,13 @@ BAD_INPUTS = {
 }
 
 
+#: The whole reason of the cases whose value shown is the point.
+REASONS = {
+    "record_p_rows_strings":
+        "malformed structure record: P: expected a 3x3 matrix, got ['abc', 'def', 'ghi']",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
     argv, env_tol, patch, expected = BAD_INPUTS[case]
@@ -535,6 +544,7 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         "not_object": [nk],
         "missing_p": {k: v for k, v in nk.items() if k != "P"},
         "p_not_3x3": nk | {"P": nk["P"][:2]},
+        "p_rows_strings": nk | {"P": ["abc", "def", "ghi"]},
     }
     paths = {"csv": str(tmp_path / "t.csv"), "unwritable": str(tmp_path / "no-dir" / "out")}
     for name, rec in records.items():
@@ -562,6 +572,8 @@ def test_bad_input_one_error_line(case, capsys, monkeypatch, tmp_path):
         assert lines[0].startswith("error: cannot read structure record: "), err
     elif case.startswith("record_") and expected == 2:
         assert lines[0].startswith("error: malformed structure record: "), err
+    if case in REASONS:
+        assert lines[0] == "error: " + REASONS[case]
     assert out == "" or _strict_json(out) is not None
 
 

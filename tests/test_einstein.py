@@ -23,26 +23,64 @@ lambda = 4 (300 steps) and the rotate-family samples of seeds 0 and 2
 they were added; and the root-solve samples of seeds 0, 2 and 3 (150
 steps), at h = 2e-4, whose worst residuals were 6.5e-8, 1.7e-7 and
 5.9e-8.  The tolerance is 2e-5 for all six.  The identity is read at
-every sample with two recorded on either side.  The module takes about
-0.3 s.
+every sample with two recorded on either side.
 
 Root-solve seed 1 is left out: at h = 2e-4 its worst residual is
 1.5e-2, and it falls as h^2 (4.1e-3 at h = 1e-4, 1.0e-3 at 5e-5), so it
 is the differences' discretization error, not a defect of the flow.
 
+Every slice also meets two constraints that hold pointwise and need no
+difference in time (Bär, Gauduchon and Moroianu): the Gauss equation
+
+    scal(h) = (15/8) lambda^2 + (tr W)^2 - tr W^2
+
+and the Codazzi equation div W - d tr W = 0.  On a left-invariant metric
+on a unimodular group d tr W = 0 and div W is -G^m_ik W^i_m, G the
+Christoffel symbols of Koszul's formula (`oracles.christoffel`).  With
+the package's w1+, |w2-|^2 and |w3|^2, the Gauss equation's
+(tr W)^2 - tr W^2 is also (5/6)(w1+)^2 - |w2-|^2 / 8 - |w3|^2 / 4
+(ROADMAP item 18's relation).  All three are asserted at every recorded
+sample of the six flows above and of root-solve seed 1, with h' = dg/dt
+the derivative of `metric()` along the state's own y' = `flow.stage(y)`:
+the chain rule, taken as the 4th-order central difference of `metric()`
+at y + c y', c = +-1e-4 and +-2e-4.  Its error is that of the difference,
+O(c^4) from truncation and about 1e-16 / c relative from rounding: the
+Gauss residual of root-solve seed 1 is 1.6e-9 at c = 1e-4, and falls
+as c^4 (1.3e-7 at 3e-4, 1.1e-11 at 3e-5); every other flow's is at most
+8.9e-11 at each of those steps.  The Codazzi residual, divided by
+max|G| max|W|, is at most 7.6e-12, and the relation's at most 1.6e-9.
+Each residual is relative to the terms of the Gauss equation (the
+relation too: at t = 0 of the nearly Kahler flow W and the torsion are
+0), and the tolerance is 1e-8.  Each flow is integrated once for both
+tests, and the module takes about 3 s.
+
 On a copy of the package, `flow.stage` returning 1.01 y' (e = -2.02
 lambda / det P, and the P terms of Q1' and Q2' weighted by 1.01;
 `rk4_step` regenerated) kept every sample's `validate` passing, since
-it only reparametrizes the flow, and failed each case of this module
-with residuals of 2.0e-2, the root-solve flows included."""
+it only reparametrizes the flow, and failed each Ricci case of this
+module with residuals of 2.0e-2, the root-solve flows included, and
+each constraint case by Gauss residuals of 2.6e-4 to 1.1e-2 (at t = 0
+already, but on the nearly Kahler flow, whose W(0) is 0).  The sign of
+P flipped in Q1' failed every case: the Gauss residual at t = 0 reads
+2.7e-2 to 0.55, six constraint cases failed by 0.35 to 0.88, and the
+nearly Kahler flow's difference reached a state with no real P.  The
+Codazzi residual moved under neither."""
+
+import functools
 
 import numpy as np
 import pytest
 
-from nhflat import families, flow
-from nhflat.structure import sample_random_structure
+from nhflat import families, flow, torsion
+from nhflat.structure import NhfStructure, sample_random_structure
+from nhflat.tolerance import relative
+from oracles import christoffel, scalar_curvature_of_metric, torsion_args
 
 RTOL = 2e-5
+#: The tolerance of the Gauss and Codazzi constraints and of item 18's relation.
+CONSTRAINT_RTOL = 1e-8
+#: The step c of the difference of `metric()` at y + c y'.
+DIFF_STEP = 1e-4
 
 #: name: (the initial structure, the step h, the number of steps)
 FLOWS = {
@@ -50,9 +88,26 @@ FLOWS = {
     "rotate-0": (lambda: sample_random_structure(0), 1e-3, 80),
     "rotate-2": (lambda: sample_random_structure(2), 1e-3, 80),
     "root-solve-0": (lambda: sample_random_structure(0, method="root-solve"), 2e-4, 150),
+    "root-solve-1": (lambda: sample_random_structure(1, method="root-solve"), 2e-4, 150),
     "root-solve-2": (lambda: sample_random_structure(2, method="root-solve"), 2e-4, 150),
     "root-solve-3": (lambda: sample_random_structure(3, method="root-solve"), 2e-4, 150),
 }
+#: The flows whose Ricci identity the differences in time resolve.
+RICCI_FLOWS = [name for name in FLOWS if name != "root-solve-1"]
+
+
+@functools.cache
+def trajectory(name):
+    """The flow `name` of FLOWS, every step recorded."""
+    make, step, steps = FLOWS[name]
+    return flow.integrate(make(), 0.0, steps * step, h=step, record_every=1)
+
+
+def assert_completed(name):
+    """Assert that the flow `name` took all its steps, each sample valid."""
+    traj = trajectory(name)
+    assert traj.terminated == "completed" and len(traj.samples) == FLOWS[name][2] + 1
+    assert all(sample.passed for sample in traj.samples)
 
 
 def ricci_residuals(traj, step):
@@ -74,12 +129,60 @@ def ricci_residuals(traj, step):
     return residuals
 
 
-@pytest.mark.parametrize("name", FLOWS)
+@pytest.mark.parametrize("name", RICCI_FLOWS)
 def test_lifted_metric_is_einstein(name):
-    make, step, steps = FLOWS[name]
-    traj = flow.integrate(make(), 0.0, steps * step, h=step, record_every=1)
-    assert traj.terminated == "completed" and len(traj.samples) == steps + 1
-    assert all(sample.passed for sample in traj.samples)
-    residuals = ricci_residuals(traj, step)
-    assert len(residuals) == steps - 3
+    assert_completed(name)
+    traj = trajectory(name)
+    residuals = ricci_residuals(traj, FLOWS[name][1])
+    assert len(residuals) == len(traj.samples) - 4
     assert max(map(abs, residuals)) <= RTOL, max(map(abs, residuals))
+
+
+def metric_at(lam, sign, y):
+    """`metric()` of the structure at the flat flow state y, built as
+    `integrate` builds its samples."""
+    q1, q2 = y[2:11], y[11:20]
+    p, _ = flow._recover9(lam, q1, q2, sign)
+    q = [0.5 * (u - v) for u, v in zip(q1, q2)]
+    return NhfStructure(lam, y[0], y[1], p, q, _flat=True).metric()
+
+
+def constraint_residuals(s):
+    """The relative residuals of the Gauss and Codazzi constraints and of
+    item 18's relation on the slice through the structure s, h = 2 g,
+    W = h^-1 h' / 2 and h' = dh/dtau = dg/dt along y' = `flow.stage(y)`."""
+    lam, sign = s.lam, 1.0 if s.det_p > 0 else -1.0
+    y = [s.a, s.b] + s.m9.q1 + s.m9.q2
+    dy = flow.stage(lam, sign, y)
+
+    def g(c):
+        return metric_at(lam, sign, [u + c * v for u, v in zip(y, dy)])
+
+    c = DIFF_STEP
+    dg = (g(-2.0 * c) - 8.0 * g(-c) + 8.0 * g(c) - g(2.0 * c)) / (12.0 * c)
+    h = 2.0 * s.metric()
+    w = np.linalg.solve(h, dg) / 2.0
+    tr_w, tr_w2 = np.trace(w), np.trace(w @ w)
+    scal, ambient = scalar_curvature_of_metric(h), 15.0 * lam**2 / 8.0
+    terms = (scal, ambient, tr_w * tr_w, tr_w2)
+    gam = christoffel(h)
+    codazzi = -np.einsum("mik,im->k", gam, w)
+    result = torsion.torsion_pass(*torsion_args(s))
+    n3, n2, w1p = result[2], result[6], s.w1plus
+    torsion_terms = ((5.0 / 6.0) * w1p * w1p, n2 / 8.0, n3 / 4.0)
+    return (
+        relative(scal - ambient - tr_w * tr_w + tr_w2, *terms),
+        relative(codazzi, np.abs(gam).max() * np.abs(w).max()),
+        relative(
+            tr_w * tr_w - tr_w2 - torsion_terms[0] + torsion_terms[1] + torsion_terms[2],
+            *terms, *torsion_terms,
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", FLOWS)
+def test_slices_meet_gauss_and_codazzi(name):
+    residuals = np.array([constraint_residuals(x.structure) for x in trajectory(name).samples])
+    worst = residuals.max(axis=0)
+    assert all(worst <= CONSTRAINT_RTOL), dict(zip(("gauss", "codazzi", "item 18"), worst))
+    assert_completed(name)

@@ -9,7 +9,9 @@ the checked-in samples of ``tests/data/cli_golden``, random float
 states, states near valid structures, states whose products overflow to
 inf and NaN, and the complex states of a complex step, and must agree
 with them to the bit, or raise the same error.  The flow's `rk4_step`
-(``nhflat._flow_kernels``) is checked in test_flow_oracle.py.  The
+(``nhflat._flow_kernels``) is checked in test_flow_oracle.py; here, a
+second emission of its trace, from the generator's spelling table with
+the entries of a complex kernel, must equal it by real parts.  The
 generated files must be what the generator writes today, and what one
 run of it writes must be current."""
 
@@ -31,7 +33,7 @@ from nhflat import (
     tolerance,
     torsion,
 )
-from nhflat.errors import InvalidStructureError, StructureError
+from nhflat.errors import InvalidStructureError, SingularStructureError, StructureError
 from nhflat.mat3 import cofactor9, is_spd9
 from nhflat.structure import NhfStructure, random_rotation, sample_random_structure
 from oracles import ROOT, gen, torsion_args
@@ -151,6 +153,78 @@ def test_one_run_is_a_fixpoint(tmp_path, monkeypatch):
     # product in this order today
     assert "b * a + " in written[0] and "t1 * t0 + " in written[1]
     assert gen.main(["--check"]) == 0
+
+
+def test_every_node_kind_has_a_spelling():
+    # the node kinds of the three traces, and a guard and its message
+    # values, are each written by an entry of the table
+    kinds = {"guard", "value"}
+    for module in gen.MODULES:
+        graph, _ = gen.trace(module.kernel)
+        kinds |= {key[0] for key in graph.nodes}
+    assert kinds >= {"in", "const", "neg", "+", "-", "*", "/", "abs", "sqrt", "max", "max_abs"}
+    assert kinds <= set(gen.SPELLING)
+
+
+#: The float table with the three entries a complex `rk4_step` needs
+#: replaced: `cmath.sqrt`, and real parts in each guard's comparison and
+#: each value its message formats.
+COMPLEX_SPELLING = dict(
+    gen.SPELLING,
+    sqrt=(gen.ATOM, "sqrt({0})", ("cmath", "sqrt")),
+    guard=(None, "{0:4}.real {op} {1:4}.real"),
+    value=(None, "{0:4}.real"),
+)
+
+
+def complex_rk4_step(monkeypatch):
+    """`rk4_step` emitted by `COMPLEX_SPELLING`, not written to a file;
+    its source differs from the float kernel's in those three entries
+    only."""
+    module = gen.MODULES[1]
+    with monkeypatch.context() as m:
+        m.setattr(gen, "SPELLING", COMPLEX_SPELLING)
+        source = gen.generate(module)
+    # two guards of two operands each, and a value in each message
+    assert source.count(".real") == 6 and "from cmath import sqrt" in source
+    assert source.replace(".real", "").replace("cmath", "math") == gen.generate(module)
+    namespace = {}
+    exec(source, namespace)
+    return namespace["rk4_step"]
+
+
+def test_complex_spelling_equals_float_kernel_by_real_parts(monkeypatch):
+    # one h = 1e-3 step from each of the 70 samples, taken at y + 1e-200 i v:
+    # the imaginary parts carry a complex step and the real parts are the
+    # float kernel's to the bit
+    kernel = complex_rk4_step(monkeypatch)
+    v = np.random.default_rng(23).standard_normal(20).tolist()
+    samples = golden_samples()
+    assert len(samples) == 70
+    for s in samples:
+        y = flow._pack(s.a, s.b, s.Q1, s.Q2)
+        sign = 1.0 if s.det_p > 0 else -1.0
+        dy = flow.stage(s.lam, sign, y)
+        want = _flow_kernels.rk4_step(s.lam, sign, y, dy, 1e-3)
+        got = kernel(s.lam, sign, [x + 1e-200j * w for x, w in zip(y, v)], dy, 1e-3)
+        assert [bits([z.real for z in part]) for part in got] == [bits(part) for part in want]
+        assert all(z.imag != 0.0 for part in got for z in part)
+
+
+def test_complex_spelling_raises_as_float_kernel(monkeypatch):
+    # at lambda = 100 the nearly Kahler state's |det P| is below the
+    # threshold: the first pass halts both kernels with one message
+    kernel = complex_rk4_step(monkeypatch)
+    s = families.nearly_kahler(100.0)
+    y = flow._pack(s.a, s.b, s.Q1, s.Q2)
+    v = np.random.default_rng(23).standard_normal(20).tolist()
+    y_c = [x + 1e-200j * w for x, w in zip(y, v)]
+    messages = []
+    for fn, state in ((_flow_kernels.rk4_step, y), (kernel, y_c)):
+        with pytest.raises(SingularStructureError, match="below threshold$") as raised:
+            fn(s.lam, 1.0, state, [0.0] * 20, 1e-3)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == f"det P = {s.det_p:.3e} below threshold"
 
 
 def test_trace_rejects_a_branch():

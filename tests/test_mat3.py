@@ -77,6 +77,9 @@ BAD_SHAPES = {
     "4-list": [1.0, 2.0, 3.0, 4.0],
     "3x3x1": [[[1.0]] * 3] * 3,
     "number": 1.0,
+    # a str is neither a row nor a 9-sequence
+    "str-rows": ["abc", "def", "ghi"],
+    "str-9": "123456789",
 }
 
 

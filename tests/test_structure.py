@@ -272,6 +272,12 @@ class TestRecord:
         with pytest.raises(StructureError, match="P and Q must be 3x3 matrices"):
             NhfStructure(s.lam, s.a, s.b, s.m9.p, s.m9.q)
 
+    def test_str_rows_are_not_3x3(self):
+        # a str of 3 characters is not a row of 3 numbers
+        s = families.nearly_kahler(4.0)
+        with pytest.raises(StructureError, match="^P and Q must be 3x3 matrices$"):
+            NhfStructure(4, 0.1, 0.1, ["abc", "def", "ghi"], s.Q)
+
 
 class TestEquivariance:
     def test_identity_rotation_fixes_structure(self):

@@ -18,21 +18,15 @@ A composed form is plain Python over the `mat3` helpers.  `trace` runs it
 once on symbolic values: each +, -, *, /, unary -, `abs` and `math.sqrt`
 it computes becomes a node of an expression graph, and an operation
 already made on the same operands, in the same order, is the node made
-then.  So does a largest value, by either of the package's two rules:
-the builtin `max` and `tolerance.term_size` keep the first of the
-largest values, a NaN if it comes first (a "max" node, written as
-``max(x, y, ...)``); `tolerance.max_abs` is NaN if any entry is NaN, and
-else the largest modulus (a "max_abs" node, written as
-``min(|x| + |y| + ..., max(|x|, |y|, ...))``: a sum of moduli is NaN
-exactly when one is, and else at least their largest).  `emit` writes
-the graph as one function: a value used more than once gets a name, the
-rest are written inline, each with the grouping of the trace.  No
-operand is reordered, so a kernel rounds as its composed form does, to
-the last bit.  A kernel writes each constant as a float (``2.0 * x`` is
-``2 * x`` for a float or complex x; Python specializes float by float
-arithmetic).  A composed form keeps its integer constants: where it is
-exact on ``fractions.Fraction`` input, it is the tests' oracle; the
-kernel is not.
+then.  So does a largest value, by either of the package's two rules (a
+"max" or a "max_abs" node, see `Graph`).  `emit` writes the graph as one
+function: a value used more than once gets a name, the rest are written
+inline, each with the grouping of the trace.  No operand is reordered,
+so a kernel rounds as its composed form does, to the last bit.  A kernel
+writes each constant as a float (``2.0 * x`` is ``2 * x`` for a float or
+complex x; Python specializes float by float arithmetic).  A composed
+form keeps its integer constants: where it is exact on
+``fractions.Fraction`` input, it is the tests' oracle; the kernel is not.
 
 A comparison of traced values is a guard: ``if x <= 0: raise E(msg)``,
 whose branch must raise before it computes anything.  The trace takes
@@ -45,9 +39,17 @@ singular-P test, `rk4_step` two, the flow's |det P| tests, and
 `torsion_pass` none: its comparisons with the tolerance stay in
 `torsion`.
 
-A kernel takes floats, or complex numbers where every comparison it
+What each node is written as, and a guard's comparison and the values
+its message formats, is in one place: the table `SPELLING`, which also
+names the module a kernel imports a function from.  Its entries write a
+kernel that takes floats, or complex numbers where every comparison it
 makes reads moduli and it calls no `math.sqrt`; each generated file's
-docstring says which its kernel takes.
+docstring says which its kernel takes.  A second emission of the same
+traces is the same table with entries replaced, set in place of
+`SPELLING` while `generate` runs (a test does so and writes no file):
+``("cmath", "sqrt")`` for "sqrt" and ``{0:4}.real`` for each operand of
+"guard" and "value" give an `rk4_step` whose real parts, on complex
+input, are the float kernel's.
 
 The script imports ``nhflat.flow``, which imports the kernels it writes,
 so a generated file that cannot be imported must be restored (from git)
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import functools
 import inspect
 import math
 import os
@@ -376,9 +379,7 @@ class Kernel(NamedTuple):
     """A kernel to generate: its name, its composed form and the form's
     parameters, each a scalar's name or (name, entries) for a sequence,
     which the kernel takes and unpacks, calling its entries by the names
-    in `entries`.  It takes floats, or complex numbers if every comparison
-    of the form reads moduli and it has no `math.sqrt`, and writes each
-    constant as a float."""
+    in `entries`."""
 
     name: str
     form: object
@@ -410,6 +411,16 @@ class TraceError(TypeError):
     """A composed form that cannot be written as a kernel."""
 
 
+def _arithmetic(op):
+    """The methods x op y and y op x of a traced value x."""
+    return (lambda x, y: x.graph.op(op, x, y)), (lambda x, y: x.graph.op(op, y, x))
+
+
+def _comparison(op):
+    """The method x op y of a traced value x: a guard's comparison."""
+    return lambda x, y: Cond(x.graph, op, x, y)
+
+
 class Sym:
     """A traced value: node `id` of `graph`."""
 
@@ -418,55 +429,20 @@ class Sym:
     def __init__(self, graph, id):
         self.graph, self.id = graph, id
 
-    def __add__(self, other):
-        return self.graph.op("+", self, other)
-
-    def __radd__(self, other):
-        return self.graph.op("+", other, self)
-
-    def __sub__(self, other):
-        return self.graph.op("-", self, other)
-
-    def __rsub__(self, other):
-        return self.graph.op("-", other, self)
-
-    def __mul__(self, other):
-        return self.graph.op("*", self, other)
-
-    def __rmul__(self, other):
-        return self.graph.op("*", other, self)
-
-    def __truediv__(self, other):
-        return self.graph.op("/", self, other)
-
-    def __rtruediv__(self, other):
-        return self.graph.op("/", other, self)
+    __add__, __radd__ = _arithmetic("+")
+    __sub__, __rsub__ = _arithmetic("-")
+    __mul__, __rmul__ = _arithmetic("*")
+    __truediv__, __rtruediv__ = _arithmetic("/")
+    __lt__, __le__, __gt__, __ge__, __eq__, __ne__ = map(
+        _comparison, ("<", "<=", ">", ">=", "==", "!=")
+    )
+    __hash__ = None
 
     def __neg__(self):
         return self.graph.node(("neg", self.id))
 
     def __abs__(self):
         return self.graph.node(("abs", self.id))
-
-    def __lt__(self, other):
-        return Cond(self.graph, "<", self, other)
-
-    def __le__(self, other):
-        return Cond(self.graph, "<=", self, other)
-
-    def __gt__(self, other):
-        return Cond(self.graph, ">", self, other)
-
-    def __ge__(self, other):
-        return Cond(self.graph, ">=", self, other)
-
-    def __eq__(self, other):
-        return Cond(self.graph, "==", self, other)
-
-    def __ne__(self, other):
-        return Cond(self.graph, "!=", self, other)
-
-    __hash__ = None
 
     def __format__(self, spec):
         # a marker that `emit` writes back as {value:spec}
@@ -634,11 +610,53 @@ def _leaves(result):
 
 # -- emitting -------------------------------------------------------------------
 
-PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 UNARY, ATOM = 3, 4
-#: The functions a trace has nodes for, and the module a kernel imports
-#: each from (None for a builtin).
-FUNCTIONS = {"abs": None, "sqrt": "math"}
+#: What each node kind is written as: its precedence (sums 1, products 2,
+#: then UNARY and ATOM) and a `str.format` template, with the (module,
+#: name) a kernel imports for it, if any.  The template's fields are the
+#: operands, each spec the least precedence it is written with unbracketed;
+#: {args}, all operands joined by ", "; {sum}, their sum by the "+" entry;
+#: and a guard's {op}.  A negative constant is the "neg" of its modulus.
+#: "guard" writes a guard's comparison, and "value" each value its message
+#: formats.
+SPELLING = {
+    "in": (ATOM, "{0}"),
+    "const": (ATOM, "{0}"),
+    "neg": (UNARY, "-{0:4}"),
+    "+": (1, "{0:1} + {1:2}"),  # the operators group from the left
+    "-": (1, "{0:1} - {1:2}"),
+    "*": (2, "{0:2} * {1:3}"),
+    "/": (2, "{0:2} / {1:3}"),
+    "abs": (ATOM, "abs({0})"),
+    "sqrt": (ATOM, "sqrt({0})", ("math", "sqrt")),
+    "max": (ATOM, "max({args})"),
+    # the operands are >= 0 or NaN, so their sum, added left to right, is
+    # NaN exactly when one is, and else at least the largest: `min` keeps
+    # it only if it is NaN
+    "max_abs": (ATOM, "min({sum}, max({args}))"),
+    "guard": (None, "{0} {op} {1}"),
+    "value": (None, "{0}"),
+}
+
+
+class Written(NamedTuple):
+    """A value as a kernel writes it, and its precedence; formatted with
+    a precedence as its spec, it is bracketed if it binds less tightly."""
+
+    text: str
+    prec: int
+
+    def __format__(self, spec):
+        return self.text if self.prec >= int(spec or 0) else f"({self.text})"
+
+
+def spell(kind, operands, op=None) -> Written:
+    """A node of `kind` over the written operands, as SPELLING writes it."""
+    prec, template = SPELLING[kind][:2]
+    fields = {"args": ", ".join(map(format, operands)), "op": op}
+    if "{sum}" in template:
+        fields["sum"] = functools.reduce(lambda x, y: spell("+", [x, y]), operands).text
+    return Written(template.format(*operands, **fields), prec)
 
 
 def _message_parts(message):
@@ -674,47 +692,26 @@ def _body(graph, roots, indent):
         if i in seen:
             continue
         seen.add(i)
-        # a "max_abs" node is written with each operand twice (see `expr`)
-        for j in _operands(nodes[i]) * (2 if nodes[i][0] == "max_abs" else 1):
-            uses[j] += 1
+        # an operand is used as often as the node's spelling writes it
+        marks = [Written(f"\0{k}\0", ATOM) for k in range(len(nodes[i]) - 1)]
+        text = spell(nodes[i][0], marks).text
+        for k, j in enumerate(_operands(nodes[i])):
+            uses[j] += text.count(f"\0{k}\0")
             stack.append(j)
     names, imports = {}, {}
 
     def expr(i):
-        """Node i as an expression and its precedence."""
-        key = nodes[i]
-        if key[0] == "in":
-            return key[1], ATOM
-        if key[0] == "const":
-            return key[1], UNARY if key[1].startswith("-") else ATOM
-        if key[0] == "neg":
-            text, prec = ref(key[1])
-            return "-" + (text if prec > UNARY else f"({text})"), UNARY
-        if key[0] in FUNCTIONS:
-            if FUNCTIONS[key[0]]:
-                imports.setdefault(FUNCTIONS[key[0]], set()).add(key[0])
-            return f"{key[0]}({ref(key[1])[0]})", ATOM
-        if key[0] == "max":
-            return f"max({', '.join(ref(j)[0] for j in key[1:])})", ATOM
-        if key[0] == "max_abs":
-            # the operands are >= 0 or NaN, so their sum, added left to
-            # right, is NaN exactly when one is, and else at least the
-            # largest: `min` keeps it only if it is NaN
-            terms = [ref(j) for j in key[1:]]
-            total = " + ".join(
-                [terms[0][0]] + [t if p > PREC["+"] else f"({t})" for t, p in terms[1:]]
-            )
-            return f"min({total}, max({', '.join(t for t, _ in terms)}))", ATOM
-        op, x, y = key
-        (left, lp), (right, rp) = ref(x), ref(y)
-        if lp < PREC[op]:
-            left = f"({left})"
-        if rp <= PREC[op]:  # the operators group from the left
-            right = f"({right})"
-        return f"{left} {op} {right}", PREC[op]
+        """Node i as a kernel writes it."""
+        kind, *args = nodes[i]
+        if kind in ("in", "const"):  # a name, or a float's repr
+            leaf = spell(kind, [Written(args[0].lstrip("-"), ATOM)])
+            return spell("neg", [leaf]) if args[0].startswith("-") else leaf
+        for module, name in SPELLING[kind][2:]:
+            imports.setdefault(module, set()).add(name)
+        return spell(kind, [ref(j) for j in args])
 
     def ref(i):
-        return (names[i], ATOM) if i in names else expr(i)
+        return Written(names[i], ATOM) if i in names else expr(i)
 
     pad = " " * indent
     lines, pending = [], list(guards)
@@ -722,7 +719,6 @@ def _body(graph, roots, indent):
     def place_guards(before):
         while pending and pending[0].position <= before:
             g = pending.pop(0)
-            op, x, y = g.cond
             error = g.error
             if error.__module__ != "builtins":
                 imports.setdefault(error.__module__, set()).add(error.__name__)
@@ -734,9 +730,11 @@ def _body(graph, roots, indent):
                 for t in text
             ]
             for k, (i, spec) in enumerate(pairs):
-                fields[k] += "{" + ref(i)[0] + (":" + spec if spec else "") + "}"
+                value = spell("value", [ref(i)]).text
+                fields[k] += "{" + value + (":" + spec if spec else "") + "}"
             message = ("f" if pairs else "") + '"' + "".join(fields) + '"'
-            lines.append(f"{pad}if {ref(x)[0]} {op} {ref(y)[0]}:")
+            cond = spell("guard", [ref(i) for i in g.cond[1:]], g.cond[0])
+            lines.append(f"{pad}if {cond.text}:")
             raise_line = f"{pad}    raise {error.__name__}({message})"
             if len(raise_line) > 99:
                 raise_line = (
@@ -747,7 +745,7 @@ def _body(graph, roots, indent):
     for i in sorted(seen):
         if uses[i] > 1 and nodes[i][0] not in ("in", "const"):
             place_guards(i)
-            text = expr(i)[0]
+            text = expr(i).text
             names[i] = f"t{len(names)}"
             lines.append(f"{pad}{names[i]} = {text}")
     place_guards(len(nodes))
@@ -805,7 +803,7 @@ def _returned(item, ref, indent):
     writes it, and each list of the result a list."""
     pad = " " * indent
     if isinstance(item, Sym):
-        return [f"{pad}{ref(item.id)[0]},"]
+        return [f"{pad}{ref(item.id).text},"]
     brackets = "[]" if isinstance(item, list) else "()"
     lines = [f"{pad}{brackets[0]}"]
     for x in item:
@@ -849,26 +847,25 @@ def emit_rk4_step(kernel):
     each value of each pass, past the 256 locals a function reads
     without an extended opcode, and be slower."""
     graph, (z, dz) = trace(kernel)
-    y, d = kernel.params[2][1], kernel.params[3][1]
+    d = kernel.params[3][1]
     s = tuple("s" + x for x in STATE)
     body, ref, inputs, imports = _body(graph, [v.id for v in z + dz], 8)
     # the directions are overwritten from the first y' on, so nothing
     # after the named values may read them
-    if any(inputs(v.id) & set(d) for v in dz) or any(ref(v.id)[1] != ATOM for v in z):
+    if any(inputs(v.id) & set(d) for v in dz) or any(ref(v.id).prec != ATOM for v in z):
         raise TraceError("a pass must name its state before it writes a direction")
     lines = [
         "def rk4_step(lam, sign, y, dy, h):",
         *_docstring(composed_rk4_step),
-        *_assign(_groups(y), "y", 4),
-        *_assign(_groups(d), "dy", 4),
+        *_signature(kernel)[1],  # y and dy
         *_assign(_groups(s), "dy", 4),
         "    half = 0.5 * h",
         "    for c, w in ((half, 2.0), (half, 2.0), (h, 1.0), (h / 6.0, None)):",
         *body,
-        *[f"        {x} = {ref(v.id)[0]}" for x, v in zip(d, dz)],
+        *[f"        {x} = {ref(v.id).text}" for x, v in zip(d, dz)],
         "        if w is None:",
         "            return (",
-        *[f"                {', '.join(row)}," for row in _groups([ref(v.id)[0] for v in z])],
+        *[f"                {', '.join(row)}," for row in _groups([ref(v.id).text for v in z])],
         "            ), (",
         *[f"                {', '.join(row)}," for row in _groups(d)],
         "            )",
